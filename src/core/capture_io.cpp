@@ -302,7 +302,8 @@ decodeStsPayload(const char *data, std::size_t size)
         if (std::size_t(end - p) < peak_bytes)
             throw IoError("sts stream: truncated input");
         sts.peak_freqs.resize(std::size_t(peaks));
-        std::memcpy(sts.peak_freqs.data(), p, peak_bytes);
+        if (peak_bytes != 0) // data() may be null for no peaks
+            std::memcpy(sts.peak_freqs.data(), p, peak_bytes);
         p += peak_bytes;
     }
     if (p != end)

@@ -270,8 +270,8 @@ class Monitor
      * reallocating the history ring, scratch arena, presorted views,
      * or candidate graph. Stepping a reset monitor over a stream is
      * bit-identical to stepping a freshly constructed one — the
-     * property Pipeline::monitorBatch relies on to reuse one monitor
-     * per shard instead of constructing one per run.
+     * property Pipeline::monitorBatch relies on to reuse scratch
+     * monitors across runs instead of constructing one per run.
      */
     void reset();
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -426,72 +428,71 @@ Pipeline::monitorBatch(const TrainedModel &model,
     if (total == 0)
         return {};
 
-    struct ShardOut
-    {
-        std::vector<RunEvaluation> evals;
-        BatchStageTimings t;
-    };
+    // One run per pool task: the pool hands out run indices one at a
+    // time, so a long injected run delays only itself, never a chunk
+    // of runs queued behind it on the same worker. Each task borrows
+    // a scratch Monitor from an idle list (at most one per worker is
+    // ever built) and resets it, so the steady-state loop does no
+    // per-run history/gate reallocation. A reset monitor steps
+    // bit-identically to a fresh one and result[i] is written only by
+    // run i, so the output is independent of the worker count and of
+    // which worker ran which run.
+    std::vector<RunEvaluation> result(total);
+    std::vector<BatchStageTimings> run_t(total);
+    std::mutex idle_mu;
+    std::vector<std::unique_ptr<Monitor>> idle; // guarded by idle_mu
     common::ThreadPool pool(workers);
-    // One contiguous chunk of seeds per worker; each chunk reuses one
-    // shard-local Monitor (reset between runs) so the steady-state
-    // loop does no per-run history/gate reallocation. Concatenating
-    // chunks in shard order restores the seeds[i] <-> result[i]
-    // mapping, and a reset monitor steps bit-identically to a fresh
-    // one, so output is independent of the worker count.
-    auto shards = pool.parallelMap(workers, [&](std::size_t s) {
+    pool.parallelFor(total, [&](std::size_t i) {
         using clock = std::chrono::steady_clock;
         const auto ms = [](clock::time_point a, clock::time_point b) {
             return std::chrono::duration<double, std::milli>(b - a)
                 .count();
         };
-        ShardOut out;
-        const std::size_t lo = s * total / workers;
-        const std::size_t hi = (s + 1) * total / workers;
-        out.evals.reserve(hi - lo);
+        BatchStageTimings &t = run_t[i];
 
         auto t0 = clock::now();
-        Monitor monitor(model, config_.monitor);
+        const auto stream = captureRunShared(
+            seeds[i], plans.empty() ? cpu::InjectionPlan() : plans[i]);
         auto t1 = clock::now();
-        out.t.setup_ms += ms(t0, t1);
-        for (std::size_t i = lo; i < hi; ++i) {
-            t0 = clock::now();
-            const auto stream = captureRunShared(
-                seeds[i],
-                plans.empty() ? cpu::InjectionPlan() : plans[i]);
-            t1 = clock::now();
-            out.t.capture_ms += ms(t0, t1);
+        t.capture_ms = ms(t0, t1);
 
-            monitor.reset();
-            t0 = clock::now();
-            out.t.setup_ms += ms(t1, t0);
-            for (const auto &sts : *stream)
-                monitor.step(sts);
-            t1 = clock::now();
-            out.t.kernel_ms += ms(t0, t1);
-
-            RunEvaluation ev;
-            ev.reports = monitor.reports();
-            ev.records = monitor.records();
-            ev.metrics =
-                scoreRun(*stream, ev.records, ev.reports, model);
-            ev.degraded = monitor.degradedStats();
-            out.t.score_ms += ms(t1, clock::now());
-            out.evals.push_back(std::move(ev));
+        std::unique_ptr<Monitor> monitor;
+        {
+            const std::lock_guard<std::mutex> lock(idle_mu);
+            if (!idle.empty()) {
+                monitor = std::move(idle.back());
+                idle.pop_back();
+            }
         }
-        return out;
+        if (monitor != nullptr)
+            monitor->reset();
+        else
+            monitor = std::make_unique<Monitor>(model, config_.monitor);
+        t0 = clock::now();
+        t.setup_ms = ms(t1, t0);
+        for (const auto &sts : *stream)
+            monitor->step(sts);
+        t1 = clock::now();
+        t.kernel_ms = ms(t0, t1);
+
+        RunEvaluation &ev = result[i];
+        ev.reports = monitor->reports();
+        ev.records = monitor->records();
+        ev.metrics = scoreRun(*stream, ev.records, ev.reports, model);
+        ev.degraded = monitor->degradedStats();
+        t.score_ms = ms(t1, clock::now());
+
+        const std::lock_guard<std::mutex> lock(idle_mu);
+        idle.push_back(std::move(monitor));
     });
 
-    std::vector<RunEvaluation> result;
-    result.reserve(total);
-    for (auto &sh : shards) {
-        if (timings != nullptr) {
-            timings->capture_ms += sh.t.capture_ms;
-            timings->setup_ms += sh.t.setup_ms;
-            timings->kernel_ms += sh.t.kernel_ms;
-            timings->score_ms += sh.t.score_ms;
+    if (timings != nullptr) {
+        for (const BatchStageTimings &t : run_t) {
+            timings->capture_ms += t.capture_ms;
+            timings->setup_ms += t.setup_ms;
+            timings->kernel_ms += t.kernel_ms;
+            timings->score_ms += t.score_ms;
         }
-        for (auto &ev : sh.evals)
-            result.push_back(std::move(ev));
     }
     return result;
 }

@@ -158,13 +158,14 @@ class Pipeline
      * is independent of the thread count. This is the Monte-Carlo
      * engine behind the bench/ figures.
      *
-     * Seeds are split into one contiguous chunk per resolved worker;
-     * each chunk reuses a single shard-local Monitor (reset between
-     * runs) as its scratch arena, so the steady-state hot path
-     * allocates nothing per run. Stepping a reset monitor is
-     * bit-identical to a fresh one, so results are still independent
-     * of the thread count. @p timings, when non-null, receives the
-     * per-stage breakdown.
+     * Runs are handed to the resolved workers one at a time, so a
+     * long (e.g. injected) run delays only itself; each run borrows
+     * one of at most one-per-worker scratch Monitors (reset between
+     * runs), so the steady-state hot path allocates no monitor
+     * state per run. Stepping a reset monitor is bit-identical to a
+     * fresh one, so results are still independent of the thread
+     * count. @p timings, when non-null, receives the per-stage
+     * breakdown.
      */
     std::vector<RunEvaluation>
     monitorBatch(const TrainedModel &model,

@@ -1,5 +1,6 @@
 #include "cache.h"
 
+#include <bit>
 #include <stdexcept>
 
 namespace eddie::cpu
@@ -28,15 +29,17 @@ Cache::Cache(const CacheConfig &config) : config_(config)
     num_sets_ = lines / config_.assoc;
     if (!isPow2(num_sets_))
         throw std::invalid_argument("Cache: set count must be power of 2");
+    line_shift_ = unsigned(std::countr_zero(config_.line_bytes));
+    set_shift_ = unsigned(std::countr_zero(num_sets_));
     lines_.assign(lines, Line{});
 }
 
 bool
 Cache::access(std::uint64_t addr)
 {
-    const std::uint64_t line_addr = addr / config_.line_bytes;
+    const std::uint64_t line_addr = addr >> line_shift_;
     const std::size_t set = std::size_t(line_addr) & (num_sets_ - 1);
-    const std::uint64_t tag = line_addr / num_sets_;
+    const std::uint64_t tag = line_addr >> set_shift_;
     Line *base = &lines_[set * config_.assoc];
     ++tick_;
 

@@ -48,6 +48,10 @@ class Cache
 
     CacheConfig config_;
     std::size_t num_sets_;
+    /** log2 of line_bytes and of num_sets_ (both validated powers of
+     *  two), so a lookup shifts instead of dividing. */
+    unsigned line_shift_;
+    unsigned set_shift_;
     std::vector<Line> lines_; // num_sets_ * assoc
     std::uint64_t tick_ = 0;
     std::uint64_t hits_ = 0;

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <random>
 #include <stdexcept>
-#include <unordered_map>
+#include <type_traits>
 
+#include "common/mt19937_64.h"
 #include "power/power_trace.h"
 
 namespace eddie::cpu
@@ -26,8 +28,11 @@ using prog::Opcode;
 class SlotTracker
 {
   public:
-    SlotTracker(std::size_t width, std::size_t span = 8192)
-        : width_(width), span_(span), cnt_(span, 0)
+    /** Window length in cycles; a power of two, so a cycle's slot is
+     *  a mask, not a 64-bit divide. */
+    static constexpr std::uint64_t kSpan = 8192;
+
+    explicit SlotTracker(std::size_t width) : width_(width), cnt_(kSpan, 0)
     {
     }
 
@@ -36,41 +41,111 @@ class SlotTracker
     alloc(std::uint64_t min_cycle)
     {
         std::uint64_t c = std::max(min_cycle, base_);
-        if (c - base_ >= span_)
-            advance(c - span_ + 1);
-        while (cnt_[c % span_] >= width_) {
+        if (c - base_ >= kSpan)
+            advance(c - kSpan + 1);
+        while (cnt_[c & kMask] >= width_) {
             ++c;
-            if (c - base_ >= span_)
-                advance(c - span_ + 1);
+            if (c - base_ >= kSpan)
+                advance(c - kSpan + 1);
         }
-        ++cnt_[c % span_];
+        ++cnt_[c & kMask];
         return c;
     }
 
   private:
+    static constexpr std::uint64_t kMask = kSpan - 1;
+
     void
     advance(std::uint64_t new_base)
     {
         // Clear slots that fall out of the window.
         const std::uint64_t steps = std::min<std::uint64_t>(
-            new_base - base_, span_);
+            new_base - base_, kSpan);
         for (std::uint64_t i = 0; i < steps; ++i)
-            cnt_[(base_ + i) % span_] = 0;
+            cnt_[(base_ + i) & kMask] = 0;
         base_ = new_base;
     }
 
     std::size_t width_;
-    std::size_t span_;
     std::uint64_t base_ = 0;
     std::vector<std::uint16_t> cnt_;
 };
+
+/**
+ * SlotTracker for an in-order core, reduced to the one slot that can
+ * still take an instruction. In-order issue cycles never decrease, so
+ * every cycle before the last issue is closed to later instructions
+ * and every cycle after it is empty; alloc() returns what
+ * SlotTracker::alloc() returns for the same calls.
+ */
+class InOrderSlots
+{
+  public:
+    explicit InOrderSlots(std::size_t width) : width_(width) {}
+
+    /** Earliest cycle >= min_cycle with a free slot; claims it.
+     *  @p min_cycle is never below the last cycle returned. */
+    std::uint64_t
+    alloc(std::uint64_t min_cycle)
+    {
+        assert(min_cycle >= cycle_);
+        if (min_cycle == cycle_ && count_ < width_) {
+            ++count_;
+        } else {
+            cycle_ = min_cycle == cycle_ ? min_cycle + 1 : min_cycle;
+            count_ = 1;
+        }
+        return cycle_;
+    }
+
+  private:
+    std::size_t width_;
+    std::uint64_t cycle_ = 0;
+    /** Same width as SlotTracker's counters, so it wraps alike. */
+    std::uint16_t count_ = 0;
+};
+
+/** The simulated ISA's 64-bit two's-complement arithmetic, which wraps
+ *  on overflow: computed unsigned, where C++ defines the wrap. */
+std::int64_t
+wrapAdd(std::int64_t a, std::int64_t b)
+{
+    return std::int64_t(std::uint64_t(a) + std::uint64_t(b));
+}
+
+std::int64_t
+wrapSub(std::int64_t a, std::int64_t b)
+{
+    return std::int64_t(std::uint64_t(a) - std::uint64_t(b));
+}
+
+std::int64_t
+wrapMul(std::int64_t a, std::int64_t b)
+{
+    return std::int64_t(std::uint64_t(a) * std::uint64_t(b));
+}
+
+/** Division with the ISA's edge cases: a zero divisor yields 0, and
+ *  INT64_MIN / -1 wraps like the other operations. */
+std::int64_t
+wrapDiv(std::int64_t a, std::int64_t b)
+{
+    if (b == 0)
+        return 0;
+    return b == -1 ? wrapSub(0, a) : a / b;
+}
 
 /** Sentinel for "no instruction issued in this sample bucket yet". */
 constexpr std::int64_t kUnmarked = -2;
 /** Sentinel for "instruction outside any loop region". */
 constexpr std::int64_t kNonLoop = -1;
 
-/** Per-run execution engine; all mutable state lives here. */
+/**
+ * Per-run execution engine; all mutable state lives here. The timing
+ * model is a template parameter so the per-instruction path carries
+ * no branch on it.
+ */
+template <bool kOutOfOrder>
 class Runner
 {
   public:
@@ -105,7 +180,7 @@ class Runner
         // effects (e.g. deeper pipelines -> more misprediction
         // variance) arise naturally from the timing model itself, so
         // the synthetic part is a flat style-dependent factor.
-        const double scale = cfg_.out_of_order ? 1.5 : 0.25;
+        const double scale = kOutOfOrder ? 1.5 : 0.25;
         jitter_prob_ = std::min(cfg_.schedule_jitter * scale, 0.9);
 
         for (const auto &li : plan_.loops) {
@@ -113,7 +188,11 @@ class Runner
                 throw std::out_of_range("Core: bad injected loop region");
             const auto hot =
                 regions_.regions[li.loop_region].hot_header_instr;
-            loop_inj_[hot] = &li;
+            if (hot >= program_.code.size())
+                continue; // never a target execution continues at
+            loop_inj_.resize(program_.code.size());
+            loop_inj_[hot] = {&li.ops,
+                              common::CanonicalBelow(li.contamination)};
         }
         burst_fired_.assign(plan_.bursts.size(), false);
         burst_count_.assign(plan_.bursts.size(), 0);
@@ -144,13 +223,19 @@ class Runner
         // Epoch-correlated: redraw the instantaneous delay
         // probability in [0, 2 * mean] every epoch so timing wanders
         // slowly (DVFS/thermal/contention), not just white noise.
+        // The per-instruction test is `coin() < p` in integer form,
+        // exact and one compare (common/mt19937_64.h).
         if (jitter_countdown_ == 0) {
             jitter_countdown_ = cfg_.jitter_epoch_instrs;
-            cur_jitter_ = jitter_prob_ * 2.0 * coin_(rng_);
+            cur_jitter_ = common::CanonicalBelow(jitter_prob_ * 2.0 *
+                                                 coin());
         }
         --jitter_countdown_;
-        return coin_(rng_) < cur_jitter_ ? 1 : 0;
+        return cur_jitter_(rng_()) ? 1 : 0;
     }
+
+    /** One uniform in [0, 1), as std::uniform_real_distribution. */
+    double coin() { return common::canonical(rng_()); }
 
     struct Issue
     {
@@ -164,16 +249,15 @@ class Runner
     {
         Issue r;
         std::uint64_t min_cycle;
-        if (cfg_.out_of_order) {
-            const std::uint64_t rob_free =
-                commit_ring_[instr_index_ % commit_ring_.size()];
+        if (kOutOfOrder) {
+            const std::uint64_t rob_free = commit_ring_[ring_pos_];
             min_cycle = std::max({fetch_ready_, ready, rob_free});
         } else {
             min_cycle = std::max({fetch_ready_, ready, prev_issue_});
         }
         r.issue = slots_.alloc(min_cycle + jitter());
         r.complete = r.issue + latency;
-        if (cfg_.out_of_order) {
+        if (kOutOfOrder) {
             // In-order commit with issue-width commit bandwidth.
             std::uint64_t commit = std::max(r.complete + 1,
                                             last_commit_);
@@ -186,11 +270,12 @@ class Runner
                 commits_in_cycle_ = 1;
             }
             last_commit_ = commit;
-            commit_ring_[instr_index_ % commit_ring_.size()] = commit;
+            commit_ring_[ring_pos_] = commit;
+            if (++ring_pos_ == commit_ring_.size())
+                ring_pos_ = 0;
         } else {
             prev_issue_ = r.issue;
         }
-        ++instr_index_;
         end_cycle_ = std::max(end_cycle_, r.complete);
         return r;
     }
@@ -233,7 +318,7 @@ class Runner
     void
     storeMissStall(std::size_t lat, std::uint64_t issue)
     {
-        if (!cfg_.out_of_order && lat > cfg_.l1_latency)
+        if (!kOutOfOrder && lat > cfg_.l1_latency)
             fetch_ready_ = std::max(fetch_ready_, issue + lat / 2);
     }
 
@@ -243,20 +328,33 @@ class Runner
         trace_.deposit(cycle, energy_.eventEnergy(e));
     }
 
+    /** Deposits @p first, then @p second, at one cycle. */
+    void
+    deposit(std::uint64_t cycle, power::Event first, power::Event second)
+    {
+        trace_.deposit(cycle, energy_.eventEnergy(first),
+                       energy_.eventEnergy(second));
+    }
+
     // --- annotations ------------------------------------------------
+    /** Extends the annotations past @p bucket. They grow
+     *  geometrically; the headroom holds the same fill values that
+     *  run() pads the annotations with to the trace length. */
     void
     ensureAnnot(std::uint64_t bucket)
     {
         if (bucket >= loop_mark_.size()) {
-            loop_mark_.resize(bucket + 1, kUnmarked);
-            injected_.resize(bucket + 1, 0);
+            const std::size_t n = std::max<std::size_t>(
+                bucket + 1, 2 * loop_mark_.size());
+            loop_mark_.resize(n, kUnmarked);
+            injected_.resize(n, 0);
         }
     }
 
     void
     markRegion(std::uint64_t cycle, std::size_t loop_region)
     {
-        const std::uint64_t b = trace_.sampleOf(cycle);
+        const std::uint64_t b = trace_.bucketOf(cycle);
         ensureAnnot(b);
         loop_mark_[b] = loop_region == kNoRegion ?
             kNonLoop : std::int64_t(loop_region);
@@ -291,13 +389,13 @@ class Runner
             switch (op) {
               case InjectedOp::Add:
                 is = issueOp(0, 1);
-                deposit(is.issue, power::Event::IssueBase);
-                deposit(is.issue, power::Event::AluOp);
+                deposit(is.issue, power::Event::IssueBase,
+                        power::Event::AluOp);
                 break;
               case InjectedOp::Mul:
                 is = issueOp(0, cfg_.mul_latency);
-                deposit(is.issue, power::Event::IssueBase);
-                deposit(is.issue, power::Event::MulOp);
+                deposit(is.issue, power::Event::IssueBase,
+                        power::Event::MulOp);
                 break;
               case InjectedOp::StoreHit:
                 is = issueOp(0, 1);
@@ -316,7 +414,7 @@ class Runner
                 is = issueOp(0, op == InjectedOp::Load ? lat : 1);
                 deposit(is.issue, power::Event::IssueBase);
                 depositMem(lvl, is.issue);
-                if (op == InjectedOp::Load && !cfg_.out_of_order &&
+                if (op == InjectedOp::Load && !kOutOfOrder &&
                     lat > cfg_.l1_latency) {
                     fetch_ready_ = std::max(fetch_ready_, is.complete);
                 }
@@ -361,8 +459,8 @@ class Runner
                 depositMem(lvl, is.issue);
             } else {
                 is = issueOp(0, 1);
-                deposit(is.issue, power::Event::IssueBase);
-                deposit(is.issue, power::Event::AluOp);
+                deposit(is.issue, power::Event::IssueBase,
+                        power::Event::AluOp);
             }
             last = is.complete;
         }
@@ -417,7 +515,8 @@ class Runner
     }
 
     // --- region resolution -------------------------------------------
-    void resolveRegions(RunResult &out) const;
+    /** Fills out.region from the marks; consumes loop_mark_. */
+    void resolveRegions(RunResult &out);
 
     // --- members -----------------------------------------------------
     const CoreConfig &cfg_;
@@ -427,10 +526,11 @@ class Runner
     power::EnergyModel energy_;
     CacheHierarchy caches_;
     BranchPredictor pred_;
-    SlotTracker slots_;
+    std::conditional_t<kOutOfOrder, SlotTracker, InOrderSlots> slots_;
     power::PowerTrace trace_;
-    std::mt19937_64 rng_;
-    std::uniform_real_distribution<double> coin_{0.0, 1.0};
+    /** Sequence-identical to std::mt19937_64, so every draw, and the
+     *  trace, matches the std engine's. */
+    common::Mt19937_64 rng_;
 
     std::vector<std::int64_t> mem_;
     std::int64_t regs_[prog::kNumRegs] = {};
@@ -441,17 +541,27 @@ class Runner
     std::uint64_t last_commit_ = 0;
     std::size_t commits_in_cycle_ = 0;
     std::vector<std::uint64_t> commit_ring_;
-    std::uint64_t instr_index_ = 0;
+    /** Slot of the current instruction in commit_ring_ (the
+     *  instruction count modulo the ROB size). */
+    std::size_t ring_pos_ = 0;
     std::uint64_t end_cycle_ = 0;
     double jitter_prob_ = 0.0;
-    double cur_jitter_ = 0.0;
+    common::CanonicalBelow cur_jitter_;
     std::size_t jitter_countdown_ = 0;
 
     std::vector<std::int64_t> loop_mark_;
     std::vector<std::uint8_t> injected_;
     std::uint64_t injected_ops_ = 0;
 
-    std::unordered_map<std::size_t, const LoopInjection *> loop_inj_;
+    /** Loop injection keyed by the instruction index of its hot
+     *  header: the payload, and its contamination rate as a draw
+     *  threshold. Empty without loop injections. */
+    struct LoopSlot
+    {
+        const std::vector<InjectedOp> *ops = nullptr;
+        common::CanonicalBelow contaminated;
+    };
+    std::vector<LoopSlot> loop_inj_;
     std::vector<std::uint8_t> burst_fired_;
     std::vector<std::size_t> burst_count_;
     std::uint64_t inj_miss_base_ = 0;
@@ -465,8 +575,9 @@ class Runner
     std::uint64_t kernel_cursor_ = 0;
 };
 
+template <bool kOutOfOrder>
 RunResult
-Runner::run()
+Runner<kOutOfOrder>::run()
 {
     const auto &code = program_.code;
     if (code.empty())
@@ -510,14 +621,13 @@ Runner::run()
             const std::uint64_t ready = std::max(reg_ready_[in.rs1],
                                                  reg_ready_[in.rs2]);
             is = issueOp(ready, 1);
-            deposit(is.issue, power::Event::IssueBase);
-            deposit(is.issue, power::Event::AluOp);
+            deposit(is.issue, power::Event::IssueBase, power::Event::AluOp);
             const std::int64_t a = regs_[in.rs1];
             const std::int64_t b = regs_[in.rs2];
             std::int64_t v = 0;
             switch (in.op) {
-              case Opcode::Add: v = a + b; break;
-              case Opcode::Sub: v = a - b; break;
+              case Opcode::Add: v = wrapAdd(a, b); break;
+              case Opcode::Sub: v = wrapSub(a, b); break;
               case Opcode::And: v = a & b; break;
               case Opcode::Or: v = a | b; break;
               case Opcode::Xor: v = a ^ b; break;
@@ -537,34 +647,31 @@ Runner::run()
                                                  reg_ready_[in.rs2]);
             const bool mul = in.op == Opcode::Mul;
             is = issueOp(ready, mul ? cfg_.mul_latency : cfg_.div_latency);
-            deposit(is.issue, power::Event::IssueBase);
-            deposit(is.issue,
+            deposit(is.issue, power::Event::IssueBase,
                     mul ? power::Event::MulOp : power::Event::DivOp);
             const std::int64_t a = regs_[in.rs1];
             const std::int64_t b = regs_[in.rs2];
-            regs_[in.rd] = mul ? a * b : (b == 0 ? 0 : a / b);
+            regs_[in.rd] = mul ? wrapMul(a, b) : wrapDiv(a, b);
             reg_ready_[in.rd] = is.complete;
             break;
           }
           case Opcode::Addi: {
             is = issueOp(reg_ready_[in.rs1], 1);
-            deposit(is.issue, power::Event::IssueBase);
-            deposit(is.issue, power::Event::AluOp);
-            regs_[in.rd] = regs_[in.rs1] + in.imm;
+            deposit(is.issue, power::Event::IssueBase, power::Event::AluOp);
+            regs_[in.rd] = wrapAdd(regs_[in.rs1], in.imm);
             reg_ready_[in.rd] = is.complete;
             break;
           }
           case Opcode::Li: {
             is = issueOp(0, 1);
-            deposit(is.issue, power::Event::IssueBase);
-            deposit(is.issue, power::Event::AluOp);
+            deposit(is.issue, power::Event::IssueBase, power::Event::AluOp);
             regs_[in.rd] = in.imm;
             reg_ready_[in.rd] = is.complete;
             break;
           }
           case Opcode::Ld: {
             const std::uint64_t addr =
-                std::uint64_t(regs_[in.rs1] + in.imm) & addr_mask;
+                std::uint64_t(wrapAdd(regs_[in.rs1], in.imm)) & addr_mask;
             is = issueOp(reg_ready_[in.rs1], 1);
             const std::size_t lat = memAccess(addr, is.issue);
             is.complete = is.issue + lat;
@@ -573,13 +680,13 @@ Runner::run()
             regs_[in.rd] = mem_[addr];
             reg_ready_[in.rd] = is.complete;
             // Blocking cache on in-order cores.
-            if (!cfg_.out_of_order && lat > cfg_.l1_latency)
+            if (!kOutOfOrder && lat > cfg_.l1_latency)
                 fetch_ready_ = std::max(fetch_ready_, is.complete);
             break;
           }
           case Opcode::St: {
             const std::uint64_t addr =
-                std::uint64_t(regs_[in.rs1] + in.imm) & addr_mask;
+                std::uint64_t(wrapAdd(regs_[in.rs1], in.imm)) & addr_mask;
             const std::uint64_t ready = std::max(reg_ready_[in.rs1],
                                                  reg_ready_[in.rs2]);
             is = issueOp(ready, 1);
@@ -591,8 +698,7 @@ Runner::run()
           }
           case Opcode::Jmp: {
             is = issueOp(0, 1);
-            deposit(is.issue, power::Event::IssueBase);
-            deposit(is.issue, power::Event::BranchOp);
+            deposit(is.issue, power::Event::IssueBase, power::Event::BranchOp);
             next_pc = std::size_t(in.imm);
             break;
           }
@@ -603,8 +709,7 @@ Runner::run()
             const std::uint64_t ready = std::max(reg_ready_[in.rs1],
                                                  reg_ready_[in.rs2]);
             is = issueOp(ready, 1);
-            deposit(is.issue, power::Event::IssueBase);
-            deposit(is.issue, power::Event::BranchOp);
+            deposit(is.issue, power::Event::IssueBase, power::Event::BranchOp);
             const std::int64_t a = regs_[in.rs1];
             const std::int64_t b = regs_[in.rs2];
             bool taken = false;
@@ -641,12 +746,10 @@ Runner::run()
 
         // Loop-body injection at iteration boundaries: a control
         // transfer landing on the nest's hot header.
-        if (!halted && next_pc != pc + 1) {
-            const auto it = loop_inj_.find(next_pc);
-            if (it != loop_inj_.end() &&
-                coin_(rng_) < it->second->contamination) {
-                injectOps(it->second->ops);
-            }
+        if (!halted && next_pc != pc + 1 && next_pc < loop_inj_.size()) {
+            const LoopSlot &slot = loop_inj_[next_pc];
+            if (slot.ops != nullptr && slot.contaminated(rng_()))
+                injectOps(*slot.ops);
         }
 
         pc = next_pc;
@@ -660,7 +763,7 @@ Runner::run()
     out.sample_rate = trace_.sampleRate();
     out.power = trace_.takeSamples();
     resolveRegions(out);
-    out.injected = injected_;
+    out.injected = std::move(injected_);
     out.injected.resize(out.power.size(), 0);
 
     out.final_regs.assign(regs_, regs_ + prog::kNumRegs);
@@ -683,11 +786,12 @@ Runner::run()
     return out;
 }
 
+template <bool kOutOfOrder>
 void
-Runner::resolveRegions(RunResult &out) const
+Runner<kOutOfOrder>::resolveRegions(RunResult &out)
 {
     const std::size_t n = out.power.size();
-    std::vector<std::int64_t> marks(loop_mark_);
+    std::vector<std::int64_t> &marks = loop_mark_;
     marks.resize(n, kUnmarked);
 
     // Fill sample gaps with the preceding mark.
@@ -741,8 +845,13 @@ Core::run(const prog::Program &program, const prog::RegionGraph &regions,
           const MemoryImage &image, const InjectionPlan &plan,
           std::uint64_t seed)
 {
-    Runner runner(config_, energy_params_, program, regions, image, plan,
-                  seed);
+    if (config_.out_of_order) {
+        Runner<true> runner(config_, energy_params_, program, regions,
+                            image, plan, seed);
+        return runner.run();
+    }
+    Runner<false> runner(config_, energy_params_, program, regions, image,
+                         plan, seed);
     return runner.run();
 }
 

@@ -12,7 +12,6 @@
 #define EDDIE_CPU_CORE_H
 
 #include <cstdint>
-#include <random>
 #include <utility>
 #include <vector>
 

@@ -7,31 +7,24 @@ namespace eddie::power
 
 EnergyModel::EnergyModel(const EnergyParams &params, std::size_t l1_bytes,
                          std::size_t l2_bytes, std::size_t pipeline_depth)
-    : params_(params)
+    : baseline_per_cycle_(params.baseline_per_cycle)
 {
+    const auto at = [this](Event e) -> double & {
+        return energy_[std::size_t(e)];
+    };
+    at(Event::IssueBase) = params.issue_base;
+    at(Event::AluOp) = params.alu;
+    at(Event::MulOp) = params.mul;
+    at(Event::DivOp) = params.div;
+    at(Event::BranchOp) = params.branch;
     // First-order CACTI behaviour: access energy ~ sqrt(capacity).
-    l1_energy_ = params.l1_ref *
+    at(Event::L1Access) = params.l1_ref *
         std::sqrt(double(l1_bytes) / double(32 * 1024));
-    l2_energy_ = params.l2_ref *
+    at(Event::L2Access) = params.l2_ref *
         std::sqrt(double(l2_bytes) / double(256 * 1024));
-    flush_energy_ = params.flush_per_stage * double(pipeline_depth);
-}
-
-double
-EnergyModel::eventEnergy(Event e) const
-{
-    switch (e) {
-      case Event::IssueBase: return params_.issue_base;
-      case Event::AluOp: return params_.alu;
-      case Event::MulOp: return params_.mul;
-      case Event::DivOp: return params_.div;
-      case Event::BranchOp: return params_.branch;
-      case Event::L1Access: return l1_energy_;
-      case Event::L2Access: return l2_energy_;
-      case Event::DramAccess: return params_.dram;
-      case Event::PipelineFlush: return flush_energy_;
-    }
-    return 0.0;
+    at(Event::DramAccess) = params.dram;
+    at(Event::PipelineFlush) =
+        params.flush_per_stage * double(pipeline_depth);
 }
 
 } // namespace eddie::power

@@ -12,6 +12,7 @@
 #ifndef EDDIE_POWER_ENERGY_MODEL_H
 #define EDDIE_POWER_ENERGY_MODEL_H
 
+#include <array>
 #include <cstddef>
 
 namespace eddie::power
@@ -31,6 +32,10 @@ enum class Event
     PipelineFlush, ///< branch misprediction recovery
 };
 
+/** Number of Event kinds. */
+inline constexpr std::size_t kNumEvents =
+    std::size_t(Event::PipelineFlush) + 1;
+
 /** Energy model parameters. */
 struct EnergyParams
 {
@@ -49,7 +54,8 @@ struct EnergyParams
     double baseline_per_cycle = 0.35;
 };
 
-/** Computes per-event energies for a concrete configuration. */
+/** Computes per-event energies for a concrete configuration, once, into
+ *  a table the simulator reads on every deposit. */
 class EnergyModel
 {
   public:
@@ -63,16 +69,14 @@ class EnergyModel
                 std::size_t l2_bytes, std::size_t pipeline_depth);
 
     /** Dynamic energy of one event occurrence. */
-    double eventEnergy(Event e) const;
+    double eventEnergy(Event e) const { return energy_[std::size_t(e)]; }
 
     /** Static energy consumed every cycle regardless of activity. */
-    double baselinePerCycle() const { return params_.baseline_per_cycle; }
+    double baselinePerCycle() const { return baseline_per_cycle_; }
 
   private:
-    EnergyParams params_;
-    double l1_energy_;
-    double l2_energy_;
-    double flush_energy_;
+    std::array<double, kNumEvents> energy_;
+    double baseline_per_cycle_;
 };
 
 } // namespace eddie::power

@@ -1,5 +1,6 @@
 #include "power_trace.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace eddie::power
@@ -15,25 +16,18 @@ PowerTrace::PowerTrace(std::uint64_t cycles_per_sample, double clock_hz)
 }
 
 void
-PowerTrace::ensure(std::uint64_t bucket)
+PowerTrace::grow(std::uint64_t bucket)
 {
-    if (bucket >= samples_.size())
-        samples_.resize(bucket + 1, 0.0);
-}
-
-void
-PowerTrace::deposit(std::uint64_t cycle, double energy)
-{
-    const std::uint64_t b = sampleOf(cycle);
-    ensure(b);
-    samples_[b] += energy;
+    samples_.resize(std::max<std::uint64_t>(bucket + 1,
+                                            2 * samples_.size()),
+                    0.0);
 }
 
 void
 PowerTrace::finalize(std::uint64_t end_cycle, double baseline_per_cycle)
 {
-    const std::uint64_t last = sampleOf(end_cycle);
-    ensure(last);
+    used_ = std::max(used_, sampleOf(end_cycle) + 1);
+    samples_.resize(used_, 0.0);
     for (auto &s : samples_)
         s += baseline_per_cycle * double(cycles_per_sample_);
 }

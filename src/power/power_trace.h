@@ -27,8 +27,20 @@ class PowerTrace
      */
     PowerTrace(std::uint64_t cycles_per_sample, double clock_hz);
 
-    /** Deposits @p energy at absolute @p cycle. */
-    void deposit(std::uint64_t cycle, double energy);
+    /** Deposits @p energy at absolute @p cycle. Inline: the simulator
+     *  makes two or three deposits per instruction. */
+    void deposit(std::uint64_t cycle, double energy) { at(cycle) += energy; }
+
+    /** Deposits @p first, then @p second, at @p cycle: the same two
+     *  additions in the same order as two deposit() calls, with one
+     *  bucket lookup and one store. */
+    void
+    deposit(std::uint64_t cycle, double first, double second)
+    {
+        double &s = at(cycle);
+        s += first;
+        s += second;
+    }
 
     /**
      * Finalizes the trace up to @p end_cycle, adding
@@ -41,6 +53,7 @@ class PowerTrace
 
     std::uint64_t cyclesPerSample() const { return cycles_per_sample_; }
 
+    /** The samples; valid after finalize(). */
     const std::vector<double> &samples() const { return samples_; }
     std::vector<double> takeSamples() { return std::move(samples_); }
 
@@ -50,12 +63,47 @@ class PowerTrace
         return cycle / cycles_per_sample_;
     }
 
+    /**
+     * sampleOf() for a cycle stream that mostly stays in one bucket, as
+     * the simulator's does: the last bucket is remembered, and a cycle
+     * inside it skips the 64-bit divide.
+     */
+    std::uint64_t
+    bucketOf(std::uint64_t cycle)
+    {
+        if (cycle - bucket_start_ >= cycles_per_sample_) {
+            bucket_ = cycle / cycles_per_sample_;
+            bucket_start_ = bucket_ * cycles_per_sample_;
+        }
+        return bucket_;
+    }
+
   private:
-    void ensure(std::uint64_t bucket);
+    /** The bucket of @p cycle, extending the trace to it. */
+    double &
+    at(std::uint64_t cycle)
+    {
+        const std::uint64_t b = bucketOf(cycle);
+        if (b >= used_) {
+            if (b >= samples_.size())
+                grow(b);
+            used_ = b + 1;
+        }
+        return samples_[b];
+    }
+
+    /** Zero-extends samples_ past @p bucket, geometrically. */
+    void grow(std::uint64_t bucket);
 
     std::uint64_t cycles_per_sample_;
     double clock_hz_;
+    /** Buckets [0, used_) are the trace; the rest is zeroed headroom,
+     *  cut off by finalize(). */
     std::vector<double> samples_;
+    std::uint64_t used_ = 0;
+    /** bucketOf() memo: the last bucket and its first cycle. */
+    std::uint64_t bucket_ = 0;
+    std::uint64_t bucket_start_ = 0;
 };
 
 } // namespace eddie::power

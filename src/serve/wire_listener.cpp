@@ -526,10 +526,15 @@ WireListener::drainAndClose()
         accepters.swap(accept_threads_);
         cv_.notify_all();
     }
-    tcp_listener_.close();
-    pipe_listener_.close();
+    // Wake the accept threads with shutdown() only, and close the
+    // listeners once they are joined: close() writes the fd that
+    // accept() is polling and frees its number for reuse.
+    tcp_listener_.shutdown();
+    pipe_listener_.shutdown();
     for (std::thread &t : accepters)
         t.join();
+    tcp_listener_.close();
+    pipe_listener_.close();
     std::vector<std::thread> readers;
     {
         std::lock_guard<std::mutex> lock(mu_);

@@ -315,6 +315,13 @@ Listener::accept(double deadline_ms)
 }
 
 void
+Listener::shutdown()
+{
+    if (fd_ >= 0)
+        ::shutdown(fd_, SHUT_RDWR);
+}
+
+void
 Listener::close()
 {
     if (fd_ >= 0) {

@@ -113,8 +113,18 @@ class Listener
      *  filled in), the path for AF_UNIX. */
     const std::string &address() const { return address_; }
 
+    /**
+     * Wakes every thread inside accept() without releasing the fd:
+     * their accept() returns an invalid Conn, and so does every later
+     * call. Safe while another thread is inside accept(), which
+     * close() is not (it writes the fd and frees its number for
+     * reuse). To stop an accepting thread: shutdown(), join, close().
+     */
+    void shutdown();
+
     /** Wakes a blocked accept() and closes the fd. The bound socket
-     *  file of an AF_UNIX listener is unlinked. Idempotent. */
+     *  file of an AF_UNIX listener is unlinked. Idempotent. Not safe
+     *  while another thread is inside accept(); see shutdown(). */
     void close();
 
   private:

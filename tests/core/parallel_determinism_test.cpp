@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.h"
+#include "inject/scenarios.h"
 
 namespace
 {
@@ -139,12 +140,21 @@ TEST(ParallelDeterminismTest,
 
     const std::vector<std::uint64_t> seeds = {9000, 9001, 9002, 9003,
                                               9004, 9005};
+    // Clean and injected runs interleaved: runs of different lengths
+    // finish out of order, and a scratch monitor that stepped an
+    // injected run is reset and reused for a clean one.
+    std::vector<cpu::InjectionPlan> plans(seeds.size());
+    const std::size_t target =
+        inject::defaultTargetLoop(trainer_pipe.workload());
+    for (std::size_t i = 1; i < seeds.size(); i += 2)
+        plans[i] = inject::canonicalLoopInjection(target, 1.0, seeds[i]);
     std::string at1;
     for (std::size_t threads : {1u, 2u, 8u}) {
         PipelineConfig cfg = base;
         cfg.threads = threads;
         Pipeline pipe(workloads::makeWorkload("bitcount", 0.15), cfg);
-        const auto s = serializedBatch(pipe.monitorBatch(model, seeds));
+        const auto s =
+            serializedBatch(pipe.monitorBatch(model, seeds, plans));
         ASSERT_FALSE(s.empty());
         if (threads == 1)
             at1 = s;

@@ -1,3 +1,5 @@
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "cpu/core.h"
@@ -79,6 +81,27 @@ TEST(CoreFunctionalTest, DivByZeroYieldsZero)
     b.halt();
     const auto rr = runProgram(b.take(), testConfig());
     EXPECT_EQ(rr.final_regs[3], 0);
+}
+
+TEST(CoreFunctionalTest, ArithmeticWrapsLikeTwosComplement)
+{
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    ProgramBuilder b;
+    b.li(1, kMin);
+    b.li(2, -1);
+    b.div(3, 1, 2);   // INT64_MIN / -1 wraps to INT64_MIN
+    b.li(4, kMax);
+    b.addi(5, 4, 1);  // INT64_MAX + 1 wraps to INT64_MIN
+    b.li(6, 3);
+    b.mul(7, 4, 6);   // 3 * INT64_MAX wraps to INT64_MAX - 2
+    b.sub(8, 1, 6);   // INT64_MIN - 3 wraps to INT64_MAX - 2
+    b.halt();
+    const auto rr = runProgram(b.take(), testConfig());
+    EXPECT_EQ(rr.final_regs[3], kMin);
+    EXPECT_EQ(rr.final_regs[5], kMin);
+    EXPECT_EQ(rr.final_regs[7], kMax - 2);
+    EXPECT_EQ(rr.final_regs[8], kMax - 2);
 }
 
 TEST(CoreFunctionalTest, LoopComputesSum)

@@ -742,4 +742,64 @@ TEST(WireListener, DrainAndCloseUnblocksABlockedProducer)
     EXPECT_GE(st.connections_closed, 1u);
 }
 
+TEST(WireTransport, ShutdownWakesAcceptAndKeepsTheFd)
+{
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("eddie_wire_shutdown_" + std::to_string(::getpid()) + ".sock"))
+            .string();
+    for (const bool unix_socket : {false, true}) {
+        wire::Listener listener = unix_socket
+            ? wire::Listener::unixPath(path)
+            : wire::Listener::tcp("127.0.0.1:0");
+        std::atomic<bool> returned{false};
+        bool got_conn = true;
+        std::thread accepter([&]() {
+            got_conn = listener.accept(20000.0).valid();
+            returned = true;
+        });
+        // Let the accepter get inside poll().
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        const auto t0 = std::chrono::steady_clock::now();
+        listener.shutdown();
+        accepter.join();
+        const double wake_ms =
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - t0)
+                .count();
+        EXPECT_TRUE(returned);
+        EXPECT_FALSE(got_conn);
+        EXPECT_LT(wake_ms, 5000.0) << "accept() slept out its deadline";
+        // The fd stays owned until close(); later accepts return at once.
+        EXPECT_TRUE(listener.valid());
+        EXPECT_FALSE(listener.accept(20000.0).valid());
+        listener.close();
+        EXPECT_FALSE(listener.valid());
+    }
+}
+
+TEST(WireListener, DrainAndCloseWhileAcceptIsPolling)
+{
+    ListenerFixture fx;
+    fx.cfg.unix_path =
+        (std::filesystem::temp_directory_path() /
+         ("eddie_wire_drain_" + std::to_string(::getpid()) + ".sock"))
+            .string();
+    // A poll slice far longer than the drain may take: only the
+    // shutdown wake-up can end the accept threads in time.
+    fx.cfg.accept_poll_ms = 20000.0;
+    fx.start();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    fx.listener->drainAndClose();
+    const double drain_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    EXPECT_LT(drain_ms, 5000.0);
+    EXPECT_EQ(fx.listener->stats().connections_accepted, 0u);
+    fx.listener->drainAndClose(); // idempotent
+}
+
 } // namespace

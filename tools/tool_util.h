@@ -7,20 +7,33 @@
 #ifndef EDDIE_TOOLS_TOOL_UTIL_H
 #define EDDIE_TOOLS_TOOL_UTIL_H
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace eddie::tools
 {
 
+/** A malformed command line, such as a non-numeric value for a
+ *  numeric option; runTool() reports it and exits with code 2. */
+class UsageError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
 /**
  * Runs a tool's body, turning any escaped exception — a corrupt model
  * file, an unknown workload, a failed write — into a one-line stderr
- * message and exit code 1 instead of std::terminate. Bodies return
- * their own exit codes (0 ok, 2 usage, 3 anomalies reported).
+ * message and exit code 1 instead of std::terminate; a UsageError
+ * exits with 2. Bodies return their own exit codes (0 ok, 2 usage,
+ * 3 anomalies reported).
  */
 template <typename Body>
 int
@@ -28,6 +41,9 @@ runTool(const char *tool, Body &&body)
 {
     try {
         return body();
+    } catch (const UsageError &e) {
+        std::fprintf(stderr, "%s: usage error: %s\n", tool, e.what());
+        return 2;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s: error: %s\n", tool, e.what());
     } catch (...) {
@@ -36,7 +52,12 @@ runTool(const char *tool, Body &&body)
     return 1;
 }
 
-/** Positional arguments plus --key value / --flag options. */
+/**
+ * Positional arguments plus --key value / --flag options. A word after
+ * an option is its value unless it starts with '-' and is not a
+ * negative number, so `--offset -5` passes -5. Numeric getters accept
+ * only wholly numeric values and throw UsageError otherwise.
+ */
 class Args
 {
   public:
@@ -46,7 +67,7 @@ class Args
             std::string a = argv[i];
             if (a.rfind("--", 0) == 0) {
                 const std::string key = a.substr(2);
-                if (i + 1 < argc && argv[i + 1][0] != '-') {
+                if (i + 1 < argc && isValue(argv[i + 1])) {
                     options_.emplace_back(key, argv[++i]);
                 } else {
                     options_.emplace_back(key, "");
@@ -62,39 +83,76 @@ class Args
         return positional_;
     }
 
-    bool
-    has(const std::string &key) const
-    {
-        for (const auto &[k, v] : options_)
-            if (k == key)
-                return true;
-        return false;
-    }
+    bool has(const std::string &key) const { return find(key) != nullptr; }
 
     std::string
     get(const std::string &key, const std::string &fallback = "") const
     {
-        for (const auto &[k, v] : options_)
-            if (k == key)
-                return v;
-        return fallback;
+        const std::string *v = find(key);
+        return v != nullptr ? *v : fallback;
     }
 
+    /** Value of --key as a finite number; @p fallback when absent. */
     double
     getDouble(const std::string &key, double fallback) const
     {
-        const auto v = get(key);
-        return v.empty() ? fallback : std::atof(v.c_str());
+        const std::string *v = find(key);
+        if (v == nullptr)
+            return fallback;
+        char *end = nullptr;
+        errno = 0;
+        const double out = std::strtod(v->c_str(), &end);
+        if (!wholeParse(*v, end) || !std::isfinite(out))
+            throw UsageError("--" + key + ": '" + *v +
+                             "' is not a number");
+        return out;
     }
 
+    /** Value of --key as a whole number; @p fallback when absent. */
     long
     getLong(const std::string &key, long fallback) const
     {
-        const auto v = get(key);
-        return v.empty() ? fallback : std::atol(v.c_str());
+        const std::string *v = find(key);
+        if (v == nullptr)
+            return fallback;
+        char *end = nullptr;
+        errno = 0;
+        const long out = std::strtol(v->c_str(), &end, 10);
+        if (!wholeParse(*v, end))
+            throw UsageError("--" + key + ": '" + *v +
+                             "' is not a whole number");
+        return out;
     }
 
   private:
+    static bool
+    isValue(const char *a)
+    {
+        const auto digit = [](char c) {
+            return std::isdigit(static_cast<unsigned char>(c)) != 0;
+        };
+        return a[0] != '-' || digit(a[1]) || (a[1] == '.' && digit(a[2]));
+    }
+
+    /** strtol/strtod consumed all of @p v, which is non-empty, does
+     *  not start with blanks, and is in range. */
+    static bool
+    wholeParse(const std::string &v, const char *end)
+    {
+        return !v.empty() &&
+            !std::isspace(static_cast<unsigned char>(v[0])) &&
+            *end == '\0' && errno != ERANGE;
+    }
+
+    const std::string *
+    find(const std::string &key) const
+    {
+        for (const auto &[k, v] : options_)
+            if (k == key)
+                return &v;
+        return nullptr;
+    }
+
     std::vector<std::string> positional_;
     std::vector<std::pair<std::string, std::string>> options_;
 };
