@@ -235,7 +235,8 @@ referencePassbandCapture(const std::vector<double> &power,
 int
 main(int argc, char **argv)
 {
-    tools::Args args(argc, argv);
+    tools::Args args(argc, argv,
+                     {"workload", "scale", "runs", "monitor-runs", "out"});
     const std::string workload_name = args.get("workload", "sha");
     const double scale = args.getDouble("scale", 0.5);
     const std::size_t train_runs =
@@ -496,11 +497,12 @@ main(int argc, char **argv)
     const double sharded_8_speedup = legacy_ms / sharded_ms.back();
     const double sharded_self_speedup =
         sharded_ms.front() / sharded_ms.back();
-    // The scaling target only binds when the hardware can actually
-    // run >= 4 workers; otherwise the artifact itself (requested vs
-    // resolved + stage timings above) is the proof of the clamp.
-    const bool host_clamped =
-        common::ThreadPool::resolveThreads(grid.back()) < 4;
+    // The scaling target only binds when >= 4 workers actually ran;
+    // otherwise the artifact itself (requested vs resolved + stage
+    // timings above) is the proof of the clamp. The resolved count is
+    // the one monitorBatch reports: it is bounded by the run count as
+    // well as by the cores.
+    const bool host_clamped = resolved_grid.back() < 4;
     const bool sharded_scaling_ok =
         sharded_self_speedup >= 2.0 || host_clamped;
 
@@ -869,18 +871,14 @@ main(int argc, char **argv)
                 (unsigned long long)
                     fleet_faulted.fr.admission.rejected_tenant_limit);
 
-    // Stage 6c: the fair-share fleet scheduler against the
-    // thread-pair runtime it replaces. A session sweep over 4 equal
-    // tenants, everyone consuming one shared short stream, so the
-    // only variable is how the runtime multiplexes sessions onto
-    // threads. The scheduler runs every point on a fixed worker pool;
-    // the thread-pair path runs the 8- and 64-session points (its
-    // 2-threads-per-session design is the thing being replaced, and
-    // 2048 OS threads at the 1024 point is exactly what it cannot
-    // do). Per-tenant step latency comes from inter-hook gaps inside
-    // each session: the gap a window waits because 255 neighbors
-    // share its worker is the multiplexing cost, and the worst/best
-    // healthy-tenant p99 ratio is the fairness figure of merit.
+    // Stage 6c: the fair-share fleet scheduler. A session sweep over 4
+    // equal tenants, everyone consuming one shared short stream, so
+    // the only variable is how the engine multiplexes sessions onto
+    // its fixed worker pool. Per-tenant step latency comes from
+    // inter-hook gaps inside each session: the gap a window waits
+    // because 255 neighbors share its worker is the multiplexing
+    // cost, and the worst/best healthy-tenant p99 ratio is the
+    // fairness figure of merit.
     constexpr std::size_t kSchedTenants = 4;
     const std::size_t sched_workers = 4;
     const std::size_t sched_len =
@@ -917,8 +915,6 @@ main(int argc, char **argv)
         /** Inter-hook step gaps, merged per tenant (ms). */
         std::array<std::vector<double>, kSchedTenants> gaps;
     };
-    // workers == 0 selects the thread-pair runtime (no gap
-    // recording: it is the throughput baseline, not a latency SUT).
     const auto runSchedFleet = [&](std::size_t sessions,
                                    std::size_t workers) {
         const std::size_t per_tenant = sessions / kSchedTenants;
@@ -958,21 +954,18 @@ main(int argc, char **argv)
             std::make_shared<std::vector<std::vector<double>>>(
                 sessions);
         const auto bench_t0 = Clock::now();
-        if (workers > 0) {
-            for (auto &g : *gaps)
-                g.reserve(sched_len);
-            sup.setFleetStepHook(
-                [last, gaps, bench_t0](std::size_t session,
-                                       const std::string &,
-                                       std::size_t,
-                                       const std::atomic<bool> &) {
-                    const double now = msSince(bench_t0);
-                    double &prev = (*last)[session];
-                    if (prev >= 0.0)
-                        (*gaps)[session].push_back(now - prev);
-                    prev = now;
-                });
-        }
+        for (auto &g : *gaps)
+            g.reserve(sched_len);
+        sup.setFleetStepHook(
+            [last, gaps, bench_t0](std::size_t session,
+                                   const std::string &, std::size_t,
+                                   const std::atomic<bool> &) {
+                const double now = msSince(bench_t0);
+                double &prev = (*last)[session];
+                if (prev >= 0.0)
+                    (*gaps)[session].push_back(now - prev);
+                prev = now;
+            });
         SchedRun out;
         const serve::FleetResult fr = sup.runFleet(reg);
         out.wall_ms = msSince(bench_t0);
@@ -1005,8 +998,6 @@ main(int argc, char **argv)
         std::array<double, kSchedTenants> p50_ms{};
         std::array<double, kSchedTenants> p99_ms{};
         double fairness_p99_ratio = 0.0;
-        double pair_wall_ms = -1.0;
-        double pair_sts_per_s = 0.0;
     };
     const std::size_t sched_sweep[] = {8, 64, 256, 1024};
     std::vector<SchedPoint> sched_points;
@@ -1017,11 +1008,9 @@ main(int argc, char **argv)
         SchedPoint pt;
         pt.sessions = sessions;
         const double total_sts = double(sessions * sched_len);
-        // Interleaved best-of at the comparison points, single shot
-        // at the scale-out points (the pair path is absent there, so
-        // there is no ratio for noise to corrupt).
-        const bool compare = sessions <= 64;
-        const int reps = compare ? 2 : 1;
+        // Best-of-2 at the small points, where one-time start-up
+        // costs are a visible share of the wall time.
+        const int reps = sessions <= 64 ? 2 : 1;
         SchedRun best;
         best.wall_ms = -1.0;
         for (int rep = 0; rep < reps; ++rep) {
@@ -1029,19 +1018,9 @@ main(int argc, char **argv)
             sched_verdicts_ok &= r.verdicts_ok;
             if (best.wall_ms < 0.0 || r.wall_ms < best.wall_ms)
                 best = std::move(r);
-            if (compare) {
-                SchedRun p = runSchedFleet(sessions, 0);
-                sched_verdicts_ok &= p.verdicts_ok;
-                if (pt.pair_wall_ms < 0.0 ||
-                    p.wall_ms < pt.pair_wall_ms)
-                    pt.pair_wall_ms = p.wall_ms;
-            }
         }
         pt.wall_ms = best.wall_ms;
         pt.sts_per_s = perSec(std::size_t(total_sts), pt.wall_ms);
-        if (compare)
-            pt.pair_sts_per_s =
-                perSec(std::size_t(total_sts), pt.pair_wall_ms);
         pt.utilization =
             best.sched.wall_ms > 0.0
                 ? best.sched.busy_ms /
@@ -1067,23 +1046,24 @@ main(int argc, char **argv)
         sched_points.push_back(pt);
     }
     // Machine-independent claims: the debt bound is the DRR fairness
-    // invariant; the per-thread comparison divides each runtime's
-    // aggregate STS/s at 64 sessions by the threads it spent (the
-    // scheduler's pool vs two per session) — the scheduler exists to
-    // win that ratio, by an order of magnitude.
+    // invariant; the per-thread figure divides the aggregate STS/s at
+    // 64 sessions by the threads the engine spent (workers +
+    // feeders). Its floor is the thread-pair runtime this engine
+    // replaced (two threads per session): the best of three runs at
+    // CI smoke scale (sha, --scale 0.15, --runs 3, --monitor-runs 2)
+    // on a 4-core host before that runtime was deleted measured
+    // 1948-2231 STS/s per thread; the engine must keep beating it.
+    constexpr double kPairPerThreadStsFloor = 2231.5;
     const serve::SchedulerConfig sched_defaults;
     const bool sched_debt_ok =
         sched_min_deficit >= -double(sched_defaults.batch_steps);
     const SchedPoint &pt64 = sched_points[1];
     const double sched_threads_64 =
         double(sched_workers + sched_feeders);
-    const double pair_threads_64 = 2.0 * 64.0;
     const double sched_per_thread_64 =
         pt64.sts_per_s / sched_threads_64;
-    const double pair_per_thread_64 =
-        pt64.pair_sts_per_s / pair_threads_64;
     const bool sched_per_thread_ok =
-        sched_per_thread_64 > pair_per_thread_64;
+        sched_per_thread_64 > kPairPerThreadStsFloor;
     const bool sched_fairness_ok = pt64.fairness_p99_ratio < 3.0;
     std::printf("fleet scheduler (%zu workers, %zu feeders, %zu "
                 "tenants, %zu-window stream)%s:\n",
@@ -1092,26 +1072,21 @@ main(int argc, char **argv)
                 sched_verdicts_ok ? "" : "  VERDICT MISMATCH");
     for (const SchedPoint &pt : sched_points) {
         std::printf("  %4zu sessions: %8.1f ms (%.3g STS/s, util "
-                    "%4.1f%%, %llu dispatches, %llu preempts)",
+                    "%4.1f%%, %llu dispatches, %llu preempts)\n",
                     pt.sessions, pt.wall_ms, pt.sts_per_s,
                     pt.utilization * 100.0,
                     (unsigned long long)pt.dispatches,
                     (unsigned long long)pt.preemptions);
-        if (pt.pair_wall_ms >= 0.0)
-            std::printf("  pair: %8.1f ms (%.3g STS/s)",
-                        pt.pair_wall_ms, pt.pair_sts_per_s);
-        std::printf("\n");
         std::printf("       step p99 per tenant: [%.2f, %.2f, %.2f, "
                     "%.2f] ms (worst/best %.2fx)\n",
                     pt.p99_ms[0], pt.p99_ms[1], pt.p99_ms[2],
                     pt.p99_ms[3], pt.fairness_p99_ratio);
     }
-    std::printf("  per-thread STS/s at 64 sessions: scheduler %.3g "
-                "(%g threads) vs pair %.3g (%g threads); min deficit "
-                "%.1f steps (bound %g)\n",
+    std::printf("  per-thread STS/s at 64 sessions: %.3g (%g "
+                "threads; floor %.3g); min deficit %.1f steps (bound "
+                "%g)\n",
                 sched_per_thread_64, sched_threads_64,
-                pair_per_thread_64, pair_threads_64,
-                sched_min_deficit,
+                kPairPerThreadStsFloor, sched_min_deficit,
                 -double(sched_defaults.batch_steps));
 
     // Stage 6d: wire ingestion (EDDIEWIRE, src/wire/ + the listener
@@ -1749,8 +1724,8 @@ main(int argc, char **argv)
                  sched_min_deficit);
     std::fprintf(f, "    \"per_thread_sts_scheduler_64\": %.3f,\n",
                  sched_per_thread_64);
-    std::fprintf(f, "    \"per_thread_sts_pair_64\": %.3f,\n",
-                 pair_per_thread_64);
+    std::fprintf(f, "    \"per_thread_sts_floor\": %.3f,\n",
+                 kPairPerThreadStsFloor);
     std::fprintf(f, "    \"verdicts_identical\": %s,\n",
                  sched_verdicts_ok ? "true" : "false");
     std::fprintf(f, "    \"points\": [\n");
@@ -1771,15 +1746,11 @@ main(int argc, char **argv)
                      "       \"tenant_step_p50_ms\": [%.4f, %.4f, "
                      "%.4f, %.4f], \"tenant_step_p99_ms\": [%.4f, "
                      "%.4f, %.4f, %.4f], \"fairness_p99_ratio\": "
-                     "%.3f,\n",
+                     "%.3f}%s\n",
                      pt.p50_ms[0], pt.p50_ms[1], pt.p50_ms[2],
                      pt.p50_ms[3], pt.p99_ms[0], pt.p99_ms[1],
                      pt.p99_ms[2], pt.p99_ms[3],
-                     pt.fairness_p99_ratio);
-        std::fprintf(f,
-                     "       \"pair_wall_ms\": %.3f, "
-                     "\"pair_sts_per_s\": %.1f}%s\n",
-                     pt.pair_wall_ms, pt.pair_sts_per_s,
+                     pt.fairness_p99_ratio,
                      i + 1 == sched_points.size() ? "" : ",");
     }
     std::fprintf(f, "    ]\n");
@@ -1887,7 +1858,7 @@ main(int argc, char **argv)
                  fleet_verdicts_ok ? "true" : "false");
     std::fprintf(f, "    \"scheduler_debt_bound_ok\": %s,\n",
                  sched_debt_ok ? "true" : "false");
-    std::fprintf(f, "    \"scheduler_per_thread_sts_ge_pair\": %s,\n",
+    std::fprintf(f, "    \"scheduler_per_thread_sts_ge_floor\": %s,\n",
                  sched_per_thread_ok ? "true" : "false");
     std::fprintf(f, "    \"scheduler_fairness_p99_lt_3\": %s,\n",
                  sched_fairness_ok ? "true" : "false");

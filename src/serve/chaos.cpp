@@ -355,7 +355,7 @@ runChaos(const ChaosConfig &cfg)
     scfg.watchdog.poll_interval_ms = cfg.poll_interval_ms;
     scfg.checkpoint_interval = cfg.checkpoint_interval;
     scfg.full_snapshot_every = cfg.full_snapshot_every;
-    scfg.scheduler.workers = cfg.scheduler_workers;
+    scfg.scheduler.workers = cfg.workers;
     if (!cfg.dir.empty()) {
         scfg.checkpoint_path = cfg.dir + "/ck";
         scfg.checkpoint_archive = cfg.archive;
@@ -634,9 +634,6 @@ runChaos(const ChaosConfig &cfg)
         } else {
             listener.freezeAdmission();
             ServeConfig wcfg = scfg;
-            // Wire sources block in next(); only the thread-pair
-            // runtime tolerates a blocking source per feeder.
-            wcfg.scheduler.workers = 0;
             if (!cfg.dir.empty())
                 wcfg.checkpoint_path = cfg.dir + "/wk";
             Supervisor sup(wcfg);

@@ -22,7 +22,7 @@
  * exactly, with no recorded schedule to ship around. Attempts are
  * capped like SourceFaultConfig::max_consecutive: a step that killed
  * the worker delivers after max_consecutive replays, so chaos delays
- * progress but cannot livelock a shard inside its restart budget.
+ * progress but cannot livelock a session inside its restart budget.
  *
  * Fates composed per run (each independently switchable):
  *   worker kill / hang mid-interval  -> FleetStepHook on the victim
@@ -99,12 +99,9 @@ struct ChaosConfig
     /** Monitor steps between delta cuts. */
     std::size_t checkpoint_interval = 8;
     std::size_t full_snapshot_every = 4;
-    /** Fleet runtime under test: 0 = legacy thread pair per session;
-     *  >0 = FleetScheduler with that many worker threads (every fleet
-     *  phase runs through it). The invariants checked are identical —
-     *  that is the point: one harness proves both runtimes produce
-     *  the same verdicts under the same fate stream. */
-    std::size_t scheduler_workers = 0;
+    /** Scheduler worker threads every phase runs on; 0 = the
+     *  engine's default, min(hardware threads, sessions). */
+    std::size_t workers = 0;
 
     /** Phase W: stream every session over the wire (TCP loopback, or
      *  the AF_UNIX transport by seed when dir is set) through a
@@ -112,8 +109,7 @@ struct ChaosConfig
      *  byte-level faults per `wire` — torn frames, mid-batch
      *  disconnects, duplicate and skip-ahead replays, corrupted
      *  bytes, hostile length fields. The invariant is the tentpole
-     *  claim: verdicts stay bit-identical to the serial run anyway.
-     *  Always runs the thread-pair runtime (wire sources block). */
+     *  claim: verdicts stay bit-identical to the serial run anyway. */
     bool wire_phase = false;
     /** Fault mix of phase W clients (`seed` is ignored — each client
      *  draws its own fate stream from the run seed). */

@@ -1,5 +1,6 @@
 #include "sample_source.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <fstream>
@@ -27,6 +28,29 @@ loadStsFile(const std::string &path)
 }
 
 } // namespace
+
+void
+Readiness::raise()
+{
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        raised_ = true;
+    }
+    cv_.notify_one();
+}
+
+bool
+Readiness::waitFor(double timeout_ms)
+{
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_for(lock,
+                 std::chrono::duration<double, std::milli>(
+                     std::max(timeout_ms, 0.0)),
+                 [this] { return raised_; });
+    const bool raised = raised_;
+    raised_ = false;
+    return raised;
+}
 
 VectorSource::VectorSource(
     std::shared_ptr<const std::vector<core::Sts>> stream)
@@ -123,6 +147,8 @@ RetryingSource::next()
             return pull;
         case PullStatus::EndOfStream:
             backoff_.reset();
+            return pull;
+        case PullStatus::Pending:
             return pull;
         case PullStatus::Stalled:
             ++stats_.stalls;

@@ -16,14 +16,21 @@
  *    delivered windows via bounded retries with capped exponential
  *    backoff (backoff.h), surfacing a stall only after the attempt
  *    budget is exhausted.
+ *
+ * A live source (serve/wire_source.h) never blocks in next(): with
+ * nothing buffered it answers Pending and raises the Readiness it was
+ * given by watch() once data, EOF, or a close arrives, so one feeder
+ * thread can serve many idle sources.
  */
 
 #ifndef EDDIE_SERVE_SAMPLE_SOURCE_H
 #define EDDIE_SERVE_SAMPLE_SOURCE_H
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "backoff.h"
@@ -44,6 +51,9 @@ enum class PullStatus
     TransientError,
     /** The stream is exhausted; no further pulls will deliver. */
     EndOfStream,
+    /** Nothing buffered yet, but the source is alive: not a fault.
+     *  The source raises its watched Readiness when that changes. */
+    Pending,
 };
 
 /** One pull result; sts is meaningful only when status is Ready. */
@@ -63,6 +73,25 @@ struct SourceStats
     std::uint64_t retries = 0;
     /** Pulls abandoned after exhausting the retry budget. */
     std::uint64_t give_ups = 0;
+};
+
+/**
+ * Wakeup a consumer parks on while its sources are Pending. raise()
+ * latches until the next wait, so a raise between a Pending pull and
+ * the park is not lost.
+ */
+class Readiness
+{
+  public:
+    void raise();
+    /** Waits until raised or @p timeout_ms passes, then clears the
+     *  latch. Returns true when it was raised. */
+    bool waitFor(double timeout_ms);
+
+  private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool raised_ = false;
 };
 
 /** Pull-based window stream. Implementations are single-consumer. */
@@ -87,6 +116,14 @@ class SampleSource
 
     /** Delivery-path counters (wrappers aggregate their own). */
     virtual SourceStats stats() const { return {}; }
+
+    /**
+     * Points the source's wakeups at @p r (nullptr detaches). Only
+     * sources that can answer Pending raise it; the default ignores
+     * it. After watch(nullptr) returns, the source no longer touches
+     * the previous target.
+     */
+    virtual void watch(Readiness *r) { (void)r; }
 };
 
 /** Replays a shared captured stream; seekable, never faults. */
@@ -138,6 +175,7 @@ class FlakySource : public SampleSource
     bool seek(std::uint64_t pos) override;
     std::uint64_t position() const override { return inner_.position(); }
     SourceStats stats() const override { return stats_; }
+    void watch(Readiness *r) override { inner_.watch(r); }
 
   private:
     SampleSource &inner_;
@@ -171,14 +209,16 @@ class RetryingSource : public SampleSource
     RetryingSource(SampleSource &inner, const RetryConfig &cfg,
                    SleepFn sleep = nullptr);
 
-    /** Ready, EndOfStream, or Stalled after budget exhaustion (a
-     *  counted give-up; the caller decides whether to re-pull). */
+    /** Ready, EndOfStream, Pending (passed through: not a fault),
+     *  or Stalled after budget exhaustion (a counted give-up; the
+     *  caller decides whether to re-pull). */
     Pull next() override;
     bool seek(std::uint64_t pos) override;
     std::uint64_t position() const override { return inner_.position(); }
     /** Full delivery accounting: every inner stall/error passes
      *  through this layer, so its counters cover the whole path. */
     SourceStats stats() const override;
+    void watch(Readiness *r) override { inner_.watch(r); }
 
   private:
     SampleSource &inner_;

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
-#include "core/errors.h"
+#include "common/crc32.h"
 
 namespace eddie::serve
 {
@@ -47,6 +48,11 @@ isTerminal(int st)
     return st == kEof || st == kStopped || st == kEscalated;
 }
 
+/** Longest a feeder parks on its Readiness before re-polling its
+ *  partition: bounds how late a Pending source's stall timeout is
+ *  noticed, and how late a missed wakeup could be. */
+constexpr double kReadinessParkMs = 20.0;
+
 } // namespace
 
 /** One multiplexed session. No thread of its own: feeders visit it by
@@ -58,7 +64,9 @@ struct FleetScheduler::Session
 
     std::shared_ptr<const core::TrainedModel> model;
     std::unique_ptr<core::Monitor> monitor;
-    std::unique_ptr<StsQueue> queue;
+    /** Shared so a feeder can wait on it for room after releasing
+     *  feed_mu, while a restart swaps in a fresh one. */
+    std::shared_ptr<StsQueue> queue;
     /** Queue counters accumulated across restarts (a restart swaps in
      *  a fresh queue). Guarded by FleetScheduler::mu_. */
     QueueStats queue_acc;
@@ -75,6 +83,9 @@ struct FleetScheduler::Session
      *  non-blocking pushBatch this is what keeps one tenant's full
      *  queue from parking the whole ingestion partition. */
     std::vector<core::Sts> pending;
+    /** Pulled window the tenant's rate quota has not admitted yet
+     *  (feed side). */
+    std::optional<core::Sts> held;
     bool feed_eof = false; ///< guarded by feed_mu
 
     std::atomic<int> state{kIdle};
@@ -101,6 +112,9 @@ struct FleetScheduler::Session
      *  currently running the session (Running excludes all others)
      *  or by the watchdog while the session is Failed. */
     std::size_t since_ckpt = 0;
+    /** Reload generation of this session's model (owner-only, like
+     *  since_ckpt). */
+    std::uint64_t model_gen = 0;
 };
 
 /** Level-1 run-queue entry: one tenant's runnable sessions plus its
@@ -127,8 +141,14 @@ FleetScheduler::FleetScheduler(SchedulerRunConfig cfg,
                                std::atomic<bool> &stop)
     : cfg_(std::move(cfg)), tenants_(std::move(tenants)), stop_(stop)
 {
-    if (cfg_.sched.workers == 0)
-        throw core::Error("scheduler: zero workers");
+    const std::size_t hw =
+        std::max(1u, std::thread::hardware_concurrency());
+    worker_count_ = cfg_.sched.workers != 0
+                        ? cfg_.sched.workers
+                        : std::clamp<std::size_t>(specs.size(), 1, hw);
+    feeder_count_ = cfg_.sched.feeders != 0
+                        ? cfg_.sched.feeders
+                        : std::min<std::size_t>(2, worker_count_);
     // DRR weight = the tenant's STS/s quota; unlimited tenants (0)
     // weigh in at the largest configured quota so a quota is never a
     // way to out-schedule an uncapped neighbor. All-unlimited fleets
@@ -160,8 +180,7 @@ FleetScheduler::~FleetScheduler()
 {
     // run() joins everything; a scheduler destroyed without run()
     // has no threads.
-    done_.store(true);
-    work_cv_.notify_all();
+    wakeForTeardown();
     for (std::thread &t : workers_)
         if (t.joinable())
             t.join();
@@ -182,7 +201,6 @@ FleetScheduler::enqueueLocked(Session &s)
         lane.in_ring = true;
         ring_.push_back(s.spec.tenant->index());
     }
-    work_cv_.notify_one();
 }
 
 FleetScheduler::Session *
@@ -223,15 +241,6 @@ FleetScheduler::pickLocked()
         return s;
     }
     return nullptr;
-}
-
-bool
-FleetScheduler::allTerminalLocked() const
-{
-    for (const auto &sp : sessions_)
-        if (!isTerminal(sp->state.load()))
-            return false;
-    return true;
 }
 
 void
@@ -277,10 +286,9 @@ FleetScheduler::escalateTenantLocked(Tenant &tenant)
 void
 FleetScheduler::handleFailure(Session &s, double now_ms)
 {
-    // Classification mirrors the thread-pair path: a caught step
-    // exception is a crash, a watchdog-broken stuck step a hang, a
-    // delivery path past its retry budget neither (the source's
-    // give_ups already count it).
+    // A caught step exception is a crash, a watchdog-broken stuck
+    // step a hang, a delivery path past its retry budget neither (the
+    // source's give_ups already count it).
     if (s.crashed.load())
         worker_crashes_.fetch_add(1);
     else if (!s.source_dead.load())
@@ -301,8 +309,7 @@ FleetScheduler::handleFailure(Session &s, double now_ms)
 
     // feed_mu freezes the owning feeder while the source is re-seeked
     // and the holdover + queue are discarded (their windows replay
-    // from the re-seeked source, exactly as the thread-pair restart
-    // discards the queue).
+    // from the re-seeked source).
     std::lock_guard<std::mutex> feed(s.feed_mu);
     if (restartable)
         restartable = s.spec.source->seek(ckpt.source_pos);
@@ -313,6 +320,7 @@ FleetScheduler::handleFailure(Session &s, double now_ms)
         return;
     }
     s.pending.clear();
+    s.held.reset();
     s.feed_eof = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -326,7 +334,7 @@ FleetScheduler::handleFailure(Session &s, double now_ms)
             s.queue_acc.max_depth =
                 std::max(s.queue_acc.max_depth, q.max_depth);
         }
-        s.queue = std::make_unique<StsQueue>(s.spec.queue);
+        s.queue = std::make_shared<StsQueue>(s.spec.queue);
         s.cancel.store(false);
         s.crashed.store(false);
         s.source_dead.store(false);
@@ -342,39 +350,63 @@ FleetScheduler::handleFailure(Session &s, double now_ms)
         // re-enqueues on the first push.
         s.state.store(kIdle);
     }
+    readiness_[s.index % feeder_count_]->raise();
     checkpoint_restores_.fetch_add(1);
     worker_restarts_.fetch_add(1);
     restart_latency_ms_.fetch_add(nowMs() - now_ms);
 }
 
-bool
-FleetScheduler::feedSession(Session &s, std::vector<core::Sts> &scratch)
+void
+FleetScheduler::feedSession(Session &s, FeedRound &round)
 {
-    (void)scratch;
     if (s.feed_eof && s.pending.empty())
-        return false;
+        return;
     if (s.source_dead.load())
-        return false;
-    bool progress = false;
-    if (!s.pending.empty() &&
-        s.queue->pushBatch(s.pending, /*may_block=*/false) > 0)
-        progress = true;
+        return;
+    std::size_t pushed = 0;
+    if (!s.pending.empty())
+        pushed = s.queue->pushBatch(s.pending, /*may_block=*/false);
     if (s.pending.empty() && !s.feed_eof) {
         Tenant &tenant = *s.spec.tenant;
-        std::size_t want = std::min(cfg_.sched.feed_chunk,
-                                    s.queue->headroom());
-        // Zero headroom on an open queue is where the thread-pair
-        // feeder would have parked in push(): count it as the
-        // non-blocking equivalent so Block backpressure stays
-        // observable on this path.
-        if (want == 0 && !s.queue->closed())
-            feed_defers_.fetch_add(1);
+        // Block clamps the pull to the queue's headroom; DropOldest
+        // pulls past it so pushBatch evicts (a clamp there would turn
+        // DropOldest into Block).
+        std::size_t want = cfg_.sched.feed_chunk;
+        bool fills = false; // pulling `want` fills the queue
+        if (s.spec.queue.policy == BackpressurePolicy::Block) {
+            const std::size_t room = s.queue->headroom();
+            fills = room <= want;
+            want = std::min(want, room);
+            // Zero headroom on an open queue is where a blocking push
+            // would have parked: count it, so Block backpressure
+            // stays observable.
+            if (want == 0 && !s.queue->closed()) {
+                feed_defers_.fetch_add(1);
+                round.noteFull(s.queue);
+            }
+        }
+        const bool pulling = want > 0;
         while (want > 0) {
-            // Rate quota before the pull, exactly like the
-            // thread-pair feeder: Throttle delays delivery without
-            // reordering or losing windows (verdicts stay
-            // bit-identical); Shed consumes the pull and drops it,
-            // counted by the tenant.
+            if (!s.held) {
+                Pull pull = s.spec.source->next();
+                if (pull.status == PullStatus::Pending)
+                    break; // the source raises our Readiness later
+                if (pull.status == PullStatus::EndOfStream) {
+                    s.feed_eof = true;
+                    break;
+                }
+                if (pull.status == PullStatus::Stalled ||
+                    pull.status == PullStatus::TransientError) {
+                    // Past the retry layer: flag for the watchdog.
+                    s.source_dead.store(true);
+                    break;
+                }
+                s.held = std::move(pull.sts);
+            }
+            // Rate quota on a pulled window, so an idle pull charges
+            // nothing: Throttle holds it back without reordering or
+            // losing windows (verdicts stay bit-identical); Shed drops
+            // it, counted by the tenant.
             double wait_ms = 0.0;
             const RateDecision d =
                 tenant.admitWindow(nowMs(), wait_ms);
@@ -383,57 +415,63 @@ FleetScheduler::feedSession(Session &s, std::vector<core::Sts> &scratch)
                 // feeder is shared, one throttled tenant must not
                 // stall its partition.
                 throttle_skips_.fetch_add(1);
-                break;
-            }
-            Pull pull = s.spec.source->next();
-            if (pull.status == PullStatus::EndOfStream) {
-                s.feed_eof = true;
-                progress = true;
-                break;
-            }
-            if (pull.status == PullStatus::Stalled ||
-                pull.status == PullStatus::TransientError) {
-                // Past the retry layer: flag for the watchdog.
-                s.source_dead.store(true);
+                round.blocked = true;
                 break;
             }
             --want;
-            progress = true;
-            if (d == RateDecision::Shed)
-                continue; // pulled and dropped (tenant counts it)
-            s.pending.push_back(std::move(pull.sts));
+            if (d == RateDecision::Admit)
+                s.pending.push_back(std::move(*s.held));
+            s.held.reset();
+        }
+        if (pulling && want == 0) {
+            // The chunk ran out. If it was the queue's whole headroom,
+            // the queue is now full; otherwise the source may hold more
+            // right now.
+            if (fills)
+                round.noteFull(s.queue);
+            else
+                round.more = true;
         }
         if (!s.pending.empty())
-            s.queue->pushBatch(s.pending, /*may_block=*/false);
+            pushed += s.queue->pushBatch(s.pending, /*may_block=*/false);
     }
-    if (s.feed_eof && s.pending.empty())
+    if (!s.pending.empty())
+        round.noteFull(s.queue); // the bound refused the rest
+    const bool closing = s.feed_eof && s.pending.empty();
+    if (closing)
         s.queue->close();
+    if (pushed == 0 && !closing)
+        return; // nothing new for the run queue
 
     // Wake the run queue. The emptiness check and the Idle->Ready
     // transition are both under mu_, and the push above happened
     // before this point, so a worker parking the session Idle
-    // concurrently cannot lose the wakeup.
+    // concurrently cannot lose the wakeup. The notify follows the
+    // unlock, so the woken worker does not block on mu_ at once.
+    bool wake = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (s.state.load() == kIdle) {
             const std::size_t cap =
                 std::max<std::size_t>(s.spec.queue.capacity, 1);
-            if (s.queue->headroom() < cap || s.queue->closed())
+            if (s.queue->headroom() < cap || s.queue->closed()) {
                 enqueueLocked(s);
+                wake = true;
+            }
         }
     }
-    return progress;
+    if (wake)
+        work_cv_.notify_one();
 }
 
 void
 FleetScheduler::feederLoop(std::size_t feeder)
 {
-    const std::size_t stride = feeder_count_;
-    std::vector<core::Sts> scratch;
+    Readiness &ready = *readiness_[feeder];
     while (!done_.load() && !stop_.load()) {
-        bool progress = false;
+        FeedRound round;
         for (std::size_t i = feeder; i < sessions_.size();
-             i += stride) {
+             i += feeder_count_) {
             if (done_.load() || stop_.load())
                 break;
             Session &s = *sessions_[i];
@@ -444,15 +482,28 @@ FleetScheduler::feederLoop(std::size_t feeder)
             // skip and revisit rather than queueing behind it.
             std::unique_lock<std::mutex> feed(s.feed_mu,
                                               std::try_to_lock);
-            if (!feed.owns_lock())
+            if (!feed.owns_lock()) {
+                round.blocked = true;
                 continue;
-            if (feedSession(s, scratch))
-                progress = true;
+            }
+            feedSession(s, round);
         }
-        if (!progress) {
-            feeder_naps_.fetch_add(1);
+        if (round.more)
+            continue;
+        feeder_naps_.fetch_add(1);
+        // A full queue drains on the workers' schedule, which raises
+        // nothing: nap, ending early once the first full queue frees
+        // a slot (a lone session then refills at its worker's pace,
+        // not one queue per nap). Otherwise every source is Pending
+        // or done, and the next window (or a restart, stop, or
+        // teardown) raises the Readiness; a raise since the last pull
+        // is latched, so none is lost.
+        if (round.full)
+            round.full->waitNotFullFor(cfg_.sched.feeder_idle_ms);
+        else if (round.blocked)
             sleepMs(cfg_.sched.feeder_idle_ms);
-        }
+        else
+            ready.waitFor(kReadinessParkMs);
     }
 }
 
@@ -460,6 +511,8 @@ void
 FleetScheduler::dispatch(Session &s, std::vector<core::Sts> &batch,
                          double &busy_ms)
 {
+    if (s.model_gen != model_gen_.load())
+        swapModel(s);
     const double t0 = nowMs();
     const std::size_t max_steps =
         std::max<std::size_t>(cfg_.sched.batch_steps, 1);
@@ -572,13 +625,14 @@ FleetScheduler::dispatch(Session &s, std::vector<core::Sts> &batch,
     if (executed == max_steps)
         preemptions_.fetch_add(1);
     requeues_.fetch_add(1);
+    // No wakeup: this worker picks again as soon as it returns, so a
+    // notify would only rouse a parked worker to find nothing.
     enqueueLocked(s);
 }
 
 void
-FleetScheduler::workerLoop(std::size_t worker)
+FleetScheduler::workerLoop()
 {
-    (void)worker;
     std::vector<core::Sts> batch;
     batch.reserve(std::max<std::size_t>(cfg_.sched.batch_steps, 1));
     for (;;) {
@@ -606,18 +660,102 @@ FleetScheduler::workerLoop(std::size_t worker)
     }
 }
 
-std::vector<SessionOutcome>
+void
+FleetScheduler::raiseFeeders()
+{
+    for (auto &r : readiness_)
+        r->raise();
+}
+
+void
+FleetScheduler::wakeForTeardown()
+{
+    {
+        // Under mu_: a worker checks done_ and parks on work_cv_ in
+        // one critical section, so a store outside it could land in
+        // between and the notify would find nobody waiting yet.
+        std::lock_guard<std::mutex> lock(mu_);
+        done_.store(true);
+    }
+    work_cv_.notify_all();
+    raiseFeeders();
+}
+
+void
+FleetScheduler::maybeReloadModel(double now_ms)
+{
+    if (cfg_.model_path.empty() ||
+        now_ms - last_model_poll_ms_ < cfg_.model_poll_ms)
+        return;
+    last_model_poll_ms_ = now_ms;
+    const auto crc = common::crc32File(cfg_.model_path);
+    if (!crc || *crc == model_crc_)
+        return;
+    std::shared_ptr<const core::TrainedModel> fresh;
+    try {
+        // Format-sniffing loader: an EDDIEARC model reloads as mmap +
+        // sector CRC check + binary decode; a text model takes the
+        // legacy parse.
+        fresh = std::make_shared<const core::TrainedModel>(
+            core::loadModelFile(cfg_.model_path));
+    } catch (const std::exception &) {
+        // Half-written or corrupt artifact: keep serving the current
+        // model; the next poll re-checks the CRC.
+        return;
+    }
+    // A file truncated before its #crc32 trailer still parses (the
+    // trailer is optional for legacy models), so require the bytes to
+    // be stable across the load: if the CRC moved, a write is in
+    // flight — skip, and the next poll sees the finished file.
+    const auto crc_after = common::crc32File(cfg_.model_path);
+    if (!crc_after || *crc_after != *crc)
+        return;
+    model_crc_ = *crc;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        served_model_ = std::move(fresh);
+        model_gen_.fetch_add(1);
+    }
+    model_reloads_.fetch_add(1);
+}
+
+void
+FleetScheduler::swapModel(Session &s)
+{
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        s.model = served_model_;
+        s.model_gen = model_gen_.load();
+    }
+    // From the live state, not the last cut: no verdict is lost, the
+    // queued windows stay queued (no re-seek), and the restart budget
+    // is not charged — a reload is an operator action, not a failure.
+    CheckpointData ckpt;
+    ckpt.monitor = s.monitor->exportState();
+    ckpt.source_pos = ckpt.monitor.step_index;
+    s.monitor = std::make_unique<core::Monitor>(*s.model, cfg_.monitor);
+    s.monitor->restoreState(ckpt.monitor);
+    // A full-state submit re-anchors the session's delta chain; the
+    // watchdog's next flush makes it durable.
+    s.spec.store->submitFull(s.spec.store_shard, std::move(ckpt));
+    s.since_ckpt = 0;
+    checkpoints_written_.fetch_add(1);
+}
+
+std::shared_ptr<const core::TrainedModel>
+FleetScheduler::reloadedModel() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return served_model_;
+}
+
+std::vector<ShardResult>
 FleetScheduler::run()
 {
     const double t0 = nowMs();
-    const std::size_t n_workers = cfg_.sched.workers;
-    const std::size_t n_feeders =
-        cfg_.sched.feeders != 0
-            ? cfg_.sched.feeders
-            : std::min<std::size_t>(2, n_workers);
 
     // Session setup: monitors, queues, recovery restore, seeded
-    // restart mirrors — same sequence as the thread-pair path.
+    // restart mirrors.
     std::vector<CheckpointStore *> stores;
     for (auto &sp : sessions_) {
         Session &s = *sp;
@@ -634,29 +772,54 @@ FleetScheduler::run()
         s.model = s.spec.tenant->spec().model;
         s.monitor =
             std::make_unique<core::Monitor>(*s.model, cfg_.monitor);
-        s.queue = std::make_unique<StsQueue>(s.spec.queue);
+        s.queue = std::make_shared<StsQueue>(s.spec.queue);
         if (s.spec.recovered) {
             const CheckpointData ckpt =
                 s.spec.store->mirror(s.spec.store_shard);
-            if (s.spec.source->seek(ckpt.source_pos))
+            if (s.spec.source->seek(ckpt.source_pos)) {
                 s.monitor->restoreState(ckpt.monitor);
+                checkpoint_restores_.fetch_add(1);
+            }
         }
         // Seed the restart mirror so a failure before the first
-        // periodic cut still restores instead of escalating.
+        // periodic cut still restores instead of escalating. For a
+        // resumed session this re-anchors the recovered chain: the
+        // first flush compacts it into a fresh full snapshot.
         CheckpointData seed;
         seed.monitor = s.monitor->exportState();
         seed.source_pos = seed.monitor.step_index;
         s.spec.store->submitFull(s.spec.store_shard, std::move(seed));
         s.wd_seen_ms = t0;
     }
+    if (!cfg_.model_path.empty())
+        model_crc_ = common::crc32File(cfg_.model_path).value_or(0);
+    last_model_poll_ms_ = t0;
+
+    // Each source raises its feeder's Readiness while this run lasts.
+    // The guard detaches every source (under the source's own lock)
+    // before run() returns, on every path: sources such as a
+    // WireListener's outlive the scheduler and keep being woken.
+    for (std::size_t f = 0; f < feeder_count_; ++f)
+        readiness_.push_back(std::make_unique<Readiness>());
+    struct Detach
+    {
+        std::vector<std::unique_ptr<Session>> &sessions;
+        ~Detach()
+        {
+            for (auto &sp : sessions)
+                sp->spec.source->watch(nullptr);
+        }
+    } detach{sessions_};
+    for (auto &sp : sessions_)
+        sp->spec.source->watch(
+            readiness_[sp->index % feeder_count_].get());
 
     done_.store(false);
-    feeder_count_ = n_feeders;
-    workers_.reserve(n_workers);
-    for (std::size_t w = 0; w < n_workers; ++w)
-        workers_.emplace_back([this, w] { workerLoop(w); });
-    feeders_.reserve(n_feeders);
-    for (std::size_t f = 0; f < n_feeders; ++f)
+    workers_.reserve(worker_count_);
+    for (std::size_t w = 0; w < worker_count_; ++w)
+        workers_.emplace_back([this] { workerLoop(); });
+    feeders_.reserve(feeder_count_);
+    for (std::size_t f = 0; f < feeder_count_; ++f)
         feeders_.emplace_back([this, f] { feederLoop(f); });
 
     // The calling thread is the watchdog.
@@ -666,6 +829,7 @@ FleetScheduler::run()
         if (stop_check_ && stop_check_())
             stop_.store(true);
         if (stop_.load()) {
+            raiseFeeders(); // parked feeders exit on stop_
             // Finalize parked sessions; running ones stop themselves.
             for (auto &sp : sessions_) {
                 Session &s = *sp;
@@ -689,6 +853,8 @@ FleetScheduler::run()
                     s.queue->close();
                 }
             }
+        } else {
+            maybeReloadModel(now);
         }
         bool all_done = true;
         for (auto &sp : sessions_) {
@@ -765,8 +931,7 @@ FleetScheduler::run()
     for (CheckpointStore *store : stores)
         store->flush();
 
-    done_.store(true);
-    work_cv_.notify_all();
+    wakeForTeardown();
     for (std::thread &t : workers_)
         t.join();
     for (std::thread &t : feeders_)
@@ -774,13 +939,13 @@ FleetScheduler::run()
     workers_.clear();
     feeders_.clear();
 
-    std::vector<SessionOutcome> out(sessions_.size());
+    std::vector<ShardResult> out(sessions_.size());
     {
         std::lock_guard<std::mutex> lock(mu_);
         for (auto &sp : sessions_) {
             Session &s = *sp;
             s.source_snap = s.spec.source->stats();
-            SessionOutcome &o = out[s.index];
+            ShardResult &o = out[s.index];
             const int st = s.state.load();
             if (st == kEscalated || !s.monitor) {
                 const CheckpointData ckpt =
@@ -813,6 +978,7 @@ FleetScheduler::serveStats() const
     st.checkpoints_written = checkpoints_written_.load();
     st.checkpoint_restores = checkpoint_restores_.load();
     st.breaker_trips = breaker_trips_.load();
+    st.model_reloads = model_reloads_.load();
     st.restart_latency_ms = restart_latency_ms_.load();
     st.queue_wait_ms = queue_wait_ms_.load();
     st.step_ms = step_ms_.load();
@@ -848,10 +1014,8 @@ SchedulerStats
 FleetScheduler::schedulerStats() const
 {
     SchedulerStats st;
-    st.workers = cfg_.sched.workers;
-    st.feeders = cfg_.sched.feeders != 0
-                     ? cfg_.sched.feeders
-                     : std::min<std::size_t>(2, cfg_.sched.workers);
+    st.workers = worker_count_;
+    st.feeders = feeder_count_;
     st.dispatches = dispatches_.load();
     st.steps = steps_.load();
     st.requeues = requeues_.load();

@@ -23,49 +23,6 @@ StsQueue::StsQueue(const StsQueueConfig &cfg)
 }
 
 bool
-StsQueue::push(core::Sts sts)
-{
-    const std::size_t cost = stsBytes(sts);
-    std::unique_lock<std::mutex> lock(mu_);
-    // Over the bound when the ring is full OR admitting this window
-    // would bust the byte quota. An oversized window against an empty
-    // queue is admitted (see StsQueueConfig::max_bytes).
-    const auto over = [this, cost] {
-        return ring_.full() ||
-               (cfg_.max_bytes != 0 && !ring_.empty() &&
-                bytes_ + cost > cfg_.max_bytes);
-    };
-    if (over() && !closed_) {
-        if (cfg_.policy == BackpressurePolicy::Block) {
-            ++stats_.blocked_pushes;
-            while (over() && !closed_) {
-                not_full_.wait(lock);
-                if (over() && !closed_)
-                    ++stats_.spurious_wakeups;
-            }
-        } else {
-            while (over() && !ring_.empty()) {
-                const core::Sts victim = ring_.popFront();
-                bytes_ -= stsBytes(victim);
-                ++stats_.dropped_oldest;
-            }
-        }
-    }
-    if (closed_)
-        return false;
-    ring_.pushBack(std::move(sts));
-    bytes_ += cost;
-    ++stats_.pushed;
-    stats_.max_depth =
-        std::max<std::uint64_t>(stats_.max_depth, ring_.size());
-    stats_.max_queued_bytes =
-        std::max<std::uint64_t>(stats_.max_queued_bytes, bytes_);
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-}
-
-bool
 StsQueue::waitNotFullFor(double timeout_ms)
 {
     const auto deadline =
@@ -75,7 +32,7 @@ StsQueue::waitNotFullFor(double timeout_ms)
             std::chrono::duration<double, std::milli>(
                 std::max(timeout_ms, 0.0)));
     std::unique_lock<std::mutex> lock(mu_);
-    // Same saturation notion as push(), minus the per-window cost
+    // Same saturation notion as pushBatch(), minus the per-window cost
     // (unknown here): the caller's retry applies the exact bound.
     const auto saturated = [this] {
         return ring_.full() ||
@@ -88,34 +45,6 @@ StsQueue::waitNotFullFor(double timeout_ms)
             break;
     }
     return !saturated() || closed_;
-}
-
-std::optional<core::Sts>
-StsQueue::popFor(double timeout_ms)
-{
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<
-            std::chrono::steady_clock::duration>(
-            std::chrono::duration<double, std::milli>(
-                std::max(timeout_ms, 0.0)));
-    std::unique_lock<std::mutex> lock(mu_);
-    while (ring_.empty() && !closed_) {
-        if (not_empty_.wait_until(lock, deadline) ==
-            std::cv_status::timeout)
-            break;
-        // Woken (not timed out) to a still-empty ring: spurious.
-        if (ring_.empty() && !closed_)
-            ++stats_.spurious_wakeups;
-    }
-    if (ring_.empty())
-        return std::nullopt;
-    core::Sts sts = ring_.popFront();
-    bytes_ -= stsBytes(sts);
-    ++stats_.popped;
-    lock.unlock();
-    not_full_.notify_one();
-    return sts;
 }
 
 std::size_t

@@ -22,7 +22,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "core/ring_buffer.h"
@@ -87,19 +86,11 @@ class StsQueue
     explicit StsQueue(const StsQueueConfig &cfg);
 
     /**
-     * Enqueues one window, applying the backpressure policy at the
-     * bound. Returns false when the queue was closed (the window is
-     * not enqueued).
-     */
-    bool push(core::Sts sts);
-
-    /**
      * Batched enqueue to match popBatch: one mutex acquisition and
      * ONE consumer wakeup for the whole batch instead of one per
-     * window — the producer-side half of the batched hand-off the
-     * fleet scheduler's ingestion pool rides. Windows are moved out
-     * of @p in front-to-back; the pushed prefix is erased from @p in
-     * (leftovers stay, in order, for the caller to retry).
+     * window. Windows are moved out of @p in front-to-back; the
+     * pushed prefix is erased from @p in (leftovers stay, in order,
+     * for the caller to retry).
      *
      * With @p may_block (default), applies the full backpressure
      * policy per window — the call pushes everything unless the queue
@@ -131,14 +122,6 @@ class StsQueue
      * or closed — the caller's next push observes the close).
      */
     bool waitNotFullFor(double timeout_ms);
-
-    /**
-     * Dequeues the next window, waiting up to @p timeout_ms. Empty
-     * optional = timed out, or closed and drained. The timeout keeps
-     * the worker's heartbeat fresh while idle (the watchdog must not
-     * mistake an empty queue for a hang).
-     */
-    std::optional<core::Sts> popFor(double timeout_ms);
 
     /**
      * Batched dequeue: waits up to @p timeout_ms for the first

@@ -1,22 +1,28 @@
 /**
  * @file
- * Supervised streaming runtime (DESIGN.md §7). A Supervisor owns one
- * shard per sample source; each shard runs a feeder thread (source →
- * bounded queue) and a monitor worker thread (queue → Monitor::step),
- * while the supervisor's watchdog loop:
+ * Supervised streaming runtime (DESIGN.md §7). A Supervisor owns the
+ * checkpoint stores of a run and serves every session on one
+ * FleetScheduler (serve/scheduler.h), the only serving engine. Its
+ * watchdog:
  *
  *  - tracks per-session progress sequence numbers and declares a
  *    hang when a step has held in_step past the deadline with no
  *    sequence advance;
- *  - restarts crashed / hung / source-dead shards from their last
+ *  - restarts crashed / hung / source-dead sessions from their last
  *    checkpoint (re-seeking the source, so no window is skipped and
  *    verdicts stay bit-identical under the Block backpressure
  *    policy), charging a restarts-per-window budget;
- *  - escalates a shard to degraded mode when the budget is exhausted
- *    (its last checkpointed verdicts become its final result);
- *  - hot-reloads the model when the model file's CRC changes,
- *    swapping the shared_ptr atomically and restarting shards from
- *    their live state (no verdict loss, not charged to the budget).
+ *  - escalates a session to degraded mode when the budget is
+ *    exhausted (its last checkpointed verdicts become its final
+ *    result);
+ *  - hot-reloads the model when the model file's CRC changes (run()
+ *    only): each session moves to the new model from its live state
+ *    before its next step (no verdict loss, not charged to the
+ *    budget).
+ *
+ * run(sources) serves one model: it registers one implicit tenant and
+ * keeps the single-store checkpoint layout. runFleet(registry) serves
+ * many tenants, each its own fault domain (DESIGN.md §9).
  *
  * Failure injection for tests goes through a cancel-aware StepHook:
  * throwing simulates a worker crash, blocking until the cancel flag
@@ -29,7 +35,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -37,6 +42,7 @@
 #include <vector>
 
 #include "checkpoint.h"
+#include "core/errors.h"
 #include "core/metrics.h"
 #include "core/model.h"
 #include "core/monitor.h"
@@ -56,18 +62,38 @@ struct WatchdogConfig
      *  progress, not per-thread heartbeat: a session that steps
      *  rarely because it shares a worker is slow, not hung.) */
     double heartbeat_deadline_ms = 500.0;
-    /** Restarts allowed per shard within restart_window_ms before
-     *  the shard escalates to degraded mode. */
+    /** Restarts allowed within restart_window_ms before a session
+     *  escalates to degraded mode. run() charges every session to one
+     *  budget (its implicit tenant's). */
     std::size_t restart_budget = 3;
     double restart_window_ms = 10000.0;
     /** Watchdog poll cadence. */
     double poll_interval_ms = 2.0;
 };
 
+/** A ServeConfig that contradicts itself or holds an impossible value;
+ *  field() names the offending field. */
+class ServeConfigError : public core::Error
+{
+  public:
+    ServeConfigError(std::string field, const std::string &why)
+        : core::Error("serve config: " + field + ": " + why),
+          field_(std::move(field))
+    {
+    }
+    const std::string &field() const { return field_; }
+
+  private:
+    std::string field_;
+};
+
 /** Everything the runtime needs beyond the model and the sources. */
 struct ServeConfig
 {
     core::MonitorConfig monitor;
+    /** Per-session queue bound and policy. run() uses all of it; in
+     *  runFleet the capacity and byte quota come from each tenant's
+     *  quota. */
     StsQueueConfig queue;
     WatchdogConfig watchdog;
     /** Monitor steps between delta-checkpoint cuts (0 disables
@@ -89,32 +115,17 @@ struct ServeConfig
      *  files are still read when the archive is absent (see
      *  CheckpointStoreConfig::use_archive). */
     bool checkpoint_archive = false;
-    /** Windows drained per queue-lock acquisition by each worker. */
-    std::size_t queue_batch = 16;
-    /** Fleet runtime selection: scheduler.workers > 0 multiplexes all
-     *  admitted sessions over that many worker threads behind a
-     *  fair-share run queue (serve/scheduler.h); 0 keeps the legacy
-     *  feeder+worker thread pair per session. Verdicts are
-     *  bit-identical either way. runFleet only; run() ignores it. */
+    /** The serving engine's tuning; scheduler.workers == 0 resolves
+     *  to min(hardware threads, sessions). */
     SchedulerConfig scheduler;
-    /** Model file watched for hot reload; empty disables watching. */
+    /** Model file watched for hot reload (run() only); empty disables
+     *  watching. */
     std::string model_path;
     double model_poll_ms = 200.0;
-};
 
-/** Final verdicts and accounting of one shard. */
-struct ShardResult
-{
-    std::vector<core::StepRecord> records;
-    std::vector<core::AnomalyReport> reports;
-    core::DegradedStats degraded;
-    /** Monitor steps completed (== records.size()). */
-    std::size_t steps = 0;
-    /** The restart budget ran out; records/reports are the state at
-     *  the last successful checkpoint. */
-    bool escalated = false;
-    /** Graceful stop (requestStop / stop check) before EOF. */
-    bool stopped = false;
+    /** Throws ServeConfigError on the first rule the config breaks
+     *  (both Supervisor constructors call it). */
+    void validate() const;
 };
 
 /** One tenant's outcome of a fleet run. */
@@ -151,9 +162,9 @@ class Supervisor
   public:
     /**
      * Test/bench hook invoked before every monitor step with the
-     * shard-local step ordinal. Throwing simulates a crash; blocking
-     * until @p cancel becomes true simulates a hang (hooks MUST honor
-     * cancel, or teardown joins would deadlock).
+     * session-local step ordinal. Throwing simulates a crash;
+     * blocking until @p cancel becomes true simulates a hang (hooks
+     * MUST honor cancel, or teardown joins would deadlock).
      */
     using StepHook = std::function<void(std::size_t step,
                                         const std::atomic<bool> &cancel)>;
@@ -170,26 +181,30 @@ class Supervisor
      *  stop (signal handlers hook in here). */
     using StopCheck = std::function<bool()>;
 
+    /** Throws ServeConfigError when cfg.validate() does. */
     Supervisor(std::shared_ptr<const core::TrainedModel> model,
                ServeConfig cfg);
     /** Fleet-mode constructor: models come from the tenants, so no
      *  process-wide model is held (run() then throws; use
-     *  runFleet()). */
+     *  runFleet()), and model_path is refused. */
     explicit Supervisor(ServeConfig cfg);
-    /** Out of line: Shard is incomplete in this header. */
     ~Supervisor();
 
     /**
      * Runs every source to completion (EOF, graceful stop, or
-     * escalation) and returns one result per source. Sources must
-     * outlive the call and be seekable for restart/resume to work.
-     * Not reentrant.
+     * escalation) and returns one result per source. The sources are
+     * the sessions of one implicit tenant: its queues and budget come
+     * from the ServeConfig, and it has no rate quota and no breaker.
+     * Checkpoints keep the single-store layout: the snapshot at
+     * checkpoint_path with ".dlt" beside it, or checkpoint_path +
+     * ".arc" with no key prefix. Sources must outlive the call and be
+     * seekable for restart/resume to work. Not reentrant.
      */
     std::vector<ShardResult>
     run(const std::vector<SampleSource *> &sources);
 
     /**
-     * Multi-tenant fleet run (DESIGN.md §9): one shard per admitted
+     * Multi-tenant fleet run (DESIGN.md §9): one session per admitted
      * session in @p registry, each checkpointing into its tenant's
      * own store — a per-tenant key namespace of one shared EDDIEARC
      * container (checkpoint_archive) or a per-tenant file pair at
@@ -202,12 +217,11 @@ class Supervisor
      *    at/above the configured outage length, or a checkpoint
      *    decode failure during resume) escalates ALL the tenant's
      *    sessions at once, and neighbors are untouched;
-     *  - feeders enforce the tenant's STS/s quota (Throttle naps
+     *  - feeders enforce the tenant's STS/s quota (Throttle delays
      *    preserve verdict bit-identity; Shed drops are counted).
      *
      * Sessions of healthy tenants finish with verdicts bit-identical
      * to a clean serial run of the same streams (Block policy).
-     * ServeConfig's model_path/hot-reload machinery is inert here.
      */
     FleetResult runFleet(TenantRegistry &registry);
 
@@ -222,40 +236,28 @@ class Supervisor
         fleet_hook_ = std::move(hook);
     }
 
-    /** Aggregated runtime counters (valid during and after run()). */
+    /** Aggregated runtime counters: the scheduler's plus the
+     *  checkpoint stores' and the registry's (valid during and after
+     *  a run). */
     core::ServeStats stats() const;
 
-    /** Scheduler-path counters of the current/last runFleet; nullptr
-     *  when the run used (or will use) the thread-pair runtime. */
+    /** Engine of the current/last run; nullptr before the first. */
     const FleetScheduler *fleetScheduler() const
     {
         std::lock_guard<std::mutex> lock(mu_);
-        return fleet_sched_.get();
+        return sched_.get();
     }
 
     /** Currently served model (changes after a hot reload). */
     std::shared_ptr<const core::TrainedModel> model() const;
 
   private:
-    struct Shard;
-
-    void startShard(Shard &shard, bool restoring);
-    void stopShardThreads(Shard &shard);
-    void feederLoop(Shard &shard);
-    void workerLoop(Shard &shard);
-    /** Cuts a delta at the worker's current position: applies it to
-     *  the shard's store mirror and queues it for the next group
-     *  commit. */
-    void cutDelta(Shard &shard);
-    void handleFailure(Shard &shard, double now_ms);
-    void maybeReloadModel(double now_ms);
-    /** Trips-side isolation: stops and escalates every session of
-     *  @p tenant (their last cuts become their final results). */
-    void escalateTenant(Tenant &tenant);
-    /** Fleet tail shared by both runtimes: per-tenant results +
-     *  admission counters. */
-    void assembleTenantResults(TenantRegistry &registry,
-                               FleetResult &fleet, double now_ms);
+    /** Runs @p registry's sessions on a fresh scheduler over stores_
+     *  (index = Tenant::index()); @p recovered[t][k] flags tenant t's
+     *  k-th session as restorable from its store's mirror. */
+    std::vector<ShardResult>
+    serve(TenantRegistry &registry,
+          const std::vector<std::vector<bool>> &recovered);
 
     std::shared_ptr<const core::TrainedModel> model_;
     ServeConfig cfg_;
@@ -264,42 +266,23 @@ class Supervisor
     StopCheck stop_check_;
     std::atomic<bool> stop_{false};
 
-    mutable std::mutex mu_; ///< guards shards_ and model_
-    std::vector<std::unique_ptr<Shard>> shards_;
-    /** Group-committed checkpoint pipeline; also the per-shard
-     *  restart mirrors (replaces the old per-shard snapshot +
-     *  rewrite-the-file-per-cut writer). */
-    std::unique_ptr<CheckpointStore> store_;
-    /** Fleet mode: one store per tenant (index = Tenant::index()),
-     *  all keyed into fleet_archive_ when checkpoint_archive. Only
-     *  the watchdog thread flushes, so the shared container never
-     *  sees interleaved stage/commit batches. */
-    std::vector<std::unique_ptr<CheckpointStore>> tenant_stores_;
+    /** Guards the per-run state below against stats() readers. */
+    mutable std::mutex mu_;
+    /** One checkpoint store per tenant (run(): the one store). In
+     *  fleet archive mode all of them key into fleet_archive_; only
+     *  the watchdog flushes, so the shared container never sees
+     *  interleaved stage/commit batches. */
+    std::vector<std::unique_ptr<CheckpointStore>> stores_;
     std::unique_ptr<store::Archive> fleet_archive_;
-    /** Scheduler-path runtime of the current/last runFleet (kept for
-     *  stats()); guarded by mu_. */
-    std::unique_ptr<FleetScheduler> fleet_sched_;
-    /** Registry of the current/last runFleet (for stats()); guarded
-     *  by mu_. */
+    /** run()'s implicit tenant (outlives the scheduler's pointers). */
+    std::unique_ptr<TenantRegistry> run_registry_;
+    /** Registry of the current/last runFleet, for stats(); nullptr
+     *  after a run(). */
     TenantRegistry *registry_ = nullptr;
-
-    std::atomic<std::uint64_t> worker_crashes_{0};
-    std::atomic<std::uint64_t> worker_hangs_{0};
-    std::atomic<std::uint64_t> worker_restarts_{0};
-    std::atomic<std::uint64_t> escalations_{0};
-    std::atomic<std::uint64_t> checkpoints_written_{0};
-    std::atomic<std::uint64_t> checkpoint_restores_{0};
-    std::atomic<std::uint64_t> model_reloads_{0};
-    std::atomic<std::uint64_t> breaker_trips_{0};
-    std::atomic<double> restart_latency_ms_{0.0};
-    /** Per-stage worker time (summed across shards): queue wait vs
-     *  monitor stepping vs delta cutting — the breakdown that makes
-     *  a flat sharding curve attributable. */
-    std::atomic<double> queue_wait_ms_{0.0};
-    std::atomic<double> step_ms_{0.0};
-    std::atomic<double> checkpoint_ms_{0.0};
-    std::uint32_t model_crc_ = 0;
-    double last_model_poll_ms_ = 0.0;
+    std::unique_ptr<FleetScheduler> sched_;
+    /** Breakers tripped by checkpoint rot during resume, before the
+     *  scheduler starts. */
+    std::uint64_t recovery_trips_ = 0;
 };
 
 } // namespace eddie::serve

@@ -47,8 +47,9 @@ namespace eddie::serve
 /**
  * Sliding-window restart budget, factored out of the supervisor so
  * the escalation policy is unit-testable with synthetic clocks: pure
- * state over injected timestamps, no threads. Per-shard in the legacy
- * single-tenant runtime, per-tenant in fleet mode.
+ * state over injected timestamps, no threads. One per tenant: all of
+ * a tenant's sessions draw from it (run()'s sessions share the budget
+ * of its implicit tenant).
  */
 class RestartBudget
 {
@@ -125,8 +126,8 @@ struct TenantQuota
     /** Bucket burst, windows. */
     double burst = 32.0;
     RatePolicy rate_policy = RatePolicy::Throttle;
-    /** Per-tenant restart budget (replaces the per-shard budget in
-     *  fleet mode: all of a tenant's sessions draw from one pool). */
+    /** Per-tenant restart budget: all of a tenant's sessions draw
+     *  from one pool. */
     std::size_t restart_budget = 3;
     double restart_window_ms = 10000.0;
 };

@@ -27,7 +27,10 @@
  * resumable. Teardown: drainAndClose() stops accepting, closes every
  * connection and receive window, and joins all threads — called from
  * the SIGINT/SIGTERM path *before* the supervisor writes its final
- * checkpoint, so feeders blocked on the wire unblock first.
+ * checkpoint, so every session sees its wire end first. Closing a
+ * receive window raises the Readiness a source is watched by, so the
+ * Supervisor (which owns those) must have returned from its run
+ * before; a finished run detaches every source.
  *
  * Threading: one accept thread per transport, one reader thread per
  * live connection. Admission (registry mutation) happens only under

@@ -1,13 +1,22 @@
 #include "wire_source.h"
 
 #include <chrono>
-#include <thread>
 
 namespace eddie::serve
 {
 
 namespace
 {
+
+/** Steady-clock milliseconds (monotonic; only differences matter). */
+double
+nowMs()
+{
+    using namespace std::chrono;
+    return duration<double, std::milli>(
+               steady_clock::now().time_since_epoch())
+        .count();
+}
 
 /** Reader-side nap while the receive window is full; short enough to
  *  notice an abort promptly, long enough not to spin. */
@@ -45,7 +54,6 @@ Pull
 WireSource::next()
 {
     Pull out;
-    double waited_ms = 0.0;
     for (;;) {
         const std::uint64_t cursor = cursor_.load();
         // Replay from the retained deque first (post-seek rewind).
@@ -54,6 +62,7 @@ WireSource::next()
             out.sts = retained_[std::size_t(cursor - retained_base_)];
             cursor_.store(cursor + 1);
             delivered_.fetch_add(1);
+            idle_since_ms_ = -1.0;
             return out;
         }
         const std::int64_t eof = eof_total_.load();
@@ -70,37 +79,43 @@ WireSource::next()
             ++pending_pos_;
             cursor_.store(cursor + 1);
             delivered_.fetch_add(1);
+            idle_since_ms_ = -1.0;
             return out;
         }
-        if (recv_.popBatch(pending_, kDrainBatch,
-                           cfg_.poll_slice_ms) > 0) {
+        if (recv_.popBatch(pending_, kDrainBatch, 0.0) > 0) {
             pending_pos_ = 0;
             continue;
         }
-        // popBatch times out both on idle and on closed+drained; a
-        // drained queue will never deliver, so don't run out the
-        // stall budget on it (unless EOF already made it terminal,
-        // handled above next iteration).
+        // A closed, drained window will never deliver: Stalled at once
+        // unless EOF made it terminal (EOF may have landed between the
+        // checks above; the next iteration decides).
         if (recv_.drained()) {
             if (eof_total_.load() < 0) {
                 stalls_.fetch_add(1);
                 out.status = PullStatus::Stalled;
                 return out;
             }
-            continue; // EOF arrived between the checks; loop decides.
+            continue;
         }
-        waited_ms += cfg_.poll_slice_ms;
-        if (waited_ms >= cfg_.stall_timeout_ms) {
-            stalls_.fetch_add(1);
-            out.status = PullStatus::Stalled;
-            return out;
-        }
+        break;
     }
+    const double now = nowMs();
+    if (idle_since_ms_ < 0.0)
+        idle_since_ms_ = now;
+    if (now - idle_since_ms_ >= cfg_.stall_timeout_ms) {
+        stalls_.fetch_add(1);
+        out.status = PullStatus::Stalled;
+        return out;
+    }
+    out.status = PullStatus::Pending;
+    return out;
 }
 
 bool
 WireSource::seek(std::uint64_t pos)
 {
+    // A restart re-seeks: the peer gets a full stall timeout again.
+    idle_since_ms_ = -1.0;
     const std::uint64_t end = retained_base_ + retained_.size();
     if (pos == cursor_.load())
         return true;
@@ -158,6 +173,7 @@ WireSource::ingest(std::uint64_t first_seq,
         if (pushed > 0) {
             expected_.fetch_add(pushed);
             ingested_.fetch_add(pushed);
+            wake();
             continue;
         }
         if (abort && abort())
@@ -176,7 +192,30 @@ WireSource::noteEof(std::uint64_t total)
     }
     eof_total_.store(std::int64_t(total));
     recv_.close();
+    wake();
     return Ingest::Ok;
+}
+
+void
+WireSource::closeIngest()
+{
+    recv_.close();
+    wake();
+}
+
+void
+WireSource::watch(Readiness *r)
+{
+    std::lock_guard<std::mutex> lock(watch_mu_);
+    watcher_ = r;
+}
+
+void
+WireSource::wake()
+{
+    std::lock_guard<std::mutex> lock(watch_mu_);
+    if (watcher_ != nullptr)
+        watcher_->raise();
 }
 
 WireSourceStats

@@ -10,7 +10,7 @@
  *    stops draining the socket, and TCP pushes the pressure back to
  *    the producer: slow-consumer backpressure ends at the peer, not
  *    in this process's heap.
- *  - the *consumer* half (the supervisor's feeder thread) pulls
+ *  - the *consumer* half (a scheduler feeder thread) pulls
  *    windows via next(), which also maintains a bounded replay deque
  *    of delivered windows so seek() — the checkpoint-recovery
  *    contract of SampleSource — rewinds locally without asking the
@@ -26,11 +26,12 @@
  * regardless of how messy the transport was — which is what keeps
  * wire verdicts bit-identical to the in-process path.
  *
- * next() blocks internally (in poll slices, so shutdown stays
- * prompt) up to stall_timeout_ms before surfacing Stalled: the
- * supervisor treats a Stalled pull as a dead source and spends a
- * restart on it, so brief wire hiccups must be absorbed here and
- * only a genuinely silent peer escalates.
+ * next() never blocks. With nothing buffered it answers Pending and
+ * the ingest half raises the watched Readiness (SampleSource::watch)
+ * when windows, an EOF, or a close arrive, so the scheduler's feeder
+ * parks instead of polling. Only a peer silent for stall_timeout_ms
+ * surfaces as Stalled, which the scheduler treats as a dead source
+ * and spends a restart on.
  */
 
 #ifndef EDDIE_SERVE_WIRE_SOURCE_H
@@ -40,6 +41,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -56,15 +58,15 @@ struct WireSourceConfig
     /** Byte quota of the receive window; 0 = unbounded. */
     std::size_t recv_max_bytes = 4u << 20;
     /** Delivered windows retained for seek() replay. Must cover the
-     *  furthest rewind checkpoint recovery can ask for (shard queue
+     *  furthest rewind checkpoint recovery can ask for (session queue
      *  depth + checkpoint interval); seeks below the retained base
      *  fail and the session escalates. */
     std::size_t replay_window = 16384;
-    /** How long next() absorbs an idle wire before reporting
-     *  Stalled (which the supervisor escalates — see file comment). */
+    /** How long an idle wire may answer Pending, counted from the
+     *  first idle pull after the last delivered window (or seek),
+     *  before next() reports Stalled (a dead source — see file
+     *  comment). */
     double stall_timeout_ms = 30000.0;
-    /** Poll slice inside next(); bounds shutdown latency. */
-    double poll_slice_ms = 20.0;
 };
 
 /** Ingest-half counters (the consumer half uses SourceStats). */
@@ -85,11 +87,12 @@ class WireSource : public SampleSource
     WireSource(std::string tenant_id, std::uint64_t session_key,
                const WireSourceConfig &cfg);
 
-    // Consumer half (supervisor feeder; single consumer).
+    // Consumer half (scheduler feeder; single consumer).
     Pull next() override;
     bool seek(std::uint64_t pos) override;
     std::uint64_t position() const override { return cursor_.load(); }
     SourceStats stats() const override;
+    void watch(Readiness *r) override;
 
     // Ingest half (connection reader thread; single writer — the
     // listener serializes reader handoff across reconnects).
@@ -122,10 +125,10 @@ class WireSource : public SampleSource
      *  point ACKed back to (re)connecting clients. */
     std::uint64_t expected() const { return expected_.load(); }
 
-    /** Closes the receive window: blocked ingest returns Closed,
-     *  blocked next() drains and then reports Stalled (or
+    /** Closes the receive window: blocked ingest returns Closed, and
+     *  next() drains what arrived and then reports Stalled (or
      *  EndOfStream after an accepted EOF). Idempotent. */
-    void closeIngest() { recv_.close(); }
+    void closeIngest();
 
     bool eofKnown() const { return eof_total_.load() >= 0; }
 
@@ -136,6 +139,8 @@ class WireSource : public SampleSource
 
   private:
     void retain(core::Sts sts);
+    /** Raises the watched Readiness, if any. */
+    void wake();
 
     const std::string tenant_id_;
     const std::uint64_t session_key_;
@@ -147,6 +152,10 @@ class WireSource : public SampleSource
     std::atomic<std::uint64_t> duplicates_{0};
     std::atomic<std::uint64_t> gaps_{0};
     std::atomic<std::uint64_t> ingested_{0};
+    /** Guards watcher_: a raise and a detach never overlap, so a
+     *  detached target is never touched again. */
+    std::mutex watch_mu_;
+    Readiness *watcher_ = nullptr;
 
     // Consumer-half state (feeder thread only; cursor_ is atomic so
     // position() reads from other threads are clean).
@@ -162,6 +171,9 @@ class WireSource : public SampleSource
     std::size_t pending_pos_ = 0;
     std::deque<core::Sts> retained_;
     std::uint64_t retained_base_ = 0;
+    /** Start of the current idle spell (first Pending after the last
+     *  delivered window); negative while windows flow. */
+    double idle_since_ms_ = -1.0;
     std::atomic<std::uint64_t> delivered_{0};
     std::atomic<std::uint64_t> stalls_{0};
 };

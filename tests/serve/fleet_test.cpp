@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/errors.h"
@@ -63,6 +65,46 @@ struct FleetFixture
         s.model = model;
         return s;
     }
+};
+
+/** Answers Pending @p idle times before its one window, then ends.
+ *  Each Pending raises the watched Readiness, so the feeder comes
+ *  straight back for the next pull. */
+class IdleThenOneSource : public SampleSource
+{
+  public:
+    IdleThenOneSource(core::Sts sts, int idle)
+        : sts_(std::move(sts)), idle_(idle)
+    {
+    }
+    Pull next() override
+    {
+        if (pos_ >= 1)
+            return {PullStatus::EndOfStream, {}};
+        if (idle_ > 0) {
+            --idle_;
+            if (ready_ != nullptr)
+                ready_->raise();
+            return {PullStatus::Pending, {}};
+        }
+        ++pos_;
+        return {PullStatus::Ready, sts_};
+    }
+    bool seek(std::uint64_t pos) override
+    {
+        if (pos > 1)
+            return false;
+        pos_ = pos;
+        return true;
+    }
+    std::uint64_t position() const override { return pos_; }
+    void watch(Readiness *r) override { ready_ = r; }
+
+  private:
+    core::Sts sts_;
+    int idle_;
+    std::uint64_t pos_ = 0;
+    Readiness *ready_ = nullptr;
 };
 
 ServeConfig
@@ -205,6 +247,56 @@ TEST(Fleet, SharedArchiveNamespacesResumeBitIdentical)
         EXPECT_EQ(sup.stats().snapshot_decode_failures, 0u);
     }
     std::remove((base + ".arc").c_str());
+}
+
+/** A DropOldest queue behind a slow worker evicts, counts every
+ *  eviction, and still terminates: the feeder pulls past the queue's
+ *  headroom instead of waiting for room, as Block would. */
+TEST(Fleet, DropOldestQueueEvictsBehindASlowWorker)
+{
+    FleetFixture fx(1);
+    TenantRegistry reg;
+    TenantSpec spec = fx.spec("a");
+    spec.quota.queue_capacity = 2;
+    reg.addTenant(spec);
+    ASSERT_TRUE(reg.openSession("a", fx.sources[0].get()).admitted);
+    ServeConfig cfg = fastServeConfig();
+    cfg.queue.policy = BackpressurePolicy::DropOldest;
+    cfg.scheduler.workers = 2;
+    Supervisor sup(cfg);
+    sup.setFleetStepHook([](std::size_t, const std::string &,
+                            std::size_t, const std::atomic<bool> &) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+    const FleetResult fr = sup.runFleet(reg);
+    ASSERT_EQ(fr.sessions.size(), 1u);
+    EXPECT_FALSE(fr.sessions[0].escalated);
+    const core::ServeStats st = sup.stats();
+    EXPECT_GT(st.dropped_oldest, 0u);
+    EXPECT_EQ(st.blocked_pushes, 0u);
+    EXPECT_EQ(st.processed + st.dropped_oldest,
+              fx.streams[0]->size());
+    EXPECT_EQ(fr.sessions[0].steps, st.processed);
+}
+
+/** The rate quota is charged per pulled window: an idle (Pending) pull
+ *  costs no token, so a tenant's quota is not spent on polling. */
+TEST(Fleet, IdlePullsChargeNoRateQuota)
+{
+    FleetFixture fx(1);
+    TenantRegistry reg;
+    TenantSpec spec = fx.spec("a");
+    spec.quota.sts_per_s = 1.0; // one token per second,
+    spec.quota.burst = 1.0;     // and one in the bucket
+    spec.quota.rate_policy = RatePolicy::Shed;
+    reg.addTenant(spec);
+    IdleThenOneSource source(fx.streams[0]->front(), 8);
+    ASSERT_TRUE(reg.openSession("a", &source).admitted);
+    Supervisor sup(fastServeConfig());
+    const FleetResult fr = sup.runFleet(reg);
+    ASSERT_EQ(fr.sessions.size(), 1u);
+    EXPECT_EQ(fr.tenants[0].windows_shed, 0u);
+    EXPECT_EQ(fr.sessions[0].steps, 1u);
 }
 
 TEST(Fleet, LegacyRunRefusedOnFleetSupervisor)

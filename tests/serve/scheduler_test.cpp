@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests of the fair-share fleet scheduler (serve/scheduler.h):
- * verdict parity with the thread-pair runtime across seeds, the DRR
- * debt bound, crash-loop isolation under shared workers, hang
- * detection via progress sequence numbers, a 1024-session smoke run,
- * and the StsQueue batch-push surface the scheduler feeds through.
+ * verdict parity with a serial Monitor pass at several worker counts
+ * and seeds, the DRR debt bound, crash-loop isolation under shared
+ * workers, hang detection via progress sequence numbers, a
+ * 1024-session smoke run, and the StsQueue batch-push surface the
+ * scheduler feeds through.
  */
 
 #include <gtest/gtest.h>
@@ -93,11 +94,11 @@ struct SchedFixture
 
 } // namespace
 
-TEST(Scheduler, VerdictParityWithThreadPairAcrossSeeds)
+TEST(Scheduler, VerdictParityWithSerialOracleAcrossWorkerCounts)
 {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         SchedFixture fx(4, 100 * seed);
-        const auto runWith = [&fx](std::size_t workers) {
+        for (const std::size_t workers : {1, 2, 4}) {
             TenantRegistry reg;
             reg.addTenant(fx.spec("a"));
             reg.addTenant(fx.spec("b"));
@@ -111,33 +112,44 @@ TEST(Scheduler, VerdictParityWithThreadPairAcrossSeeds)
                         .admitted);
             }
             Supervisor sup(schedConfig(workers));
-            return sup.runFleet(reg);
-        };
-
-        const FleetResult pair = runWith(0);
-        const FleetResult sched = runWith(3);
-
-        ASSERT_EQ(pair.sessions.size(), 4u);
-        ASSERT_EQ(sched.sessions.size(), 4u);
-        for (std::size_t s = 0; s < 4; ++s) {
-            EXPECT_FALSE(sched.sessions[s].escalated)
-                << "seed " << seed << " session " << s;
-            // Both runtimes must match the serial oracle AND each
-            // other, bit for bit.
-            EXPECT_TRUE(sameRecords(sched.sessions[s].records,
-                                    fx.serial_records[s]))
-                << "seed " << seed << " session " << s;
-            EXPECT_TRUE(sameReports(sched.sessions[s].reports,
-                                    fx.serial_reports[s]))
-                << "seed " << seed << " session " << s;
-            EXPECT_TRUE(sameRecords(sched.sessions[s].records,
-                                    pair.sessions[s].records))
-                << "seed " << seed << " session " << s;
-            EXPECT_TRUE(sameReports(sched.sessions[s].reports,
-                                    pair.sessions[s].reports))
-                << "seed " << seed << " session " << s;
+            const FleetResult fr = sup.runFleet(reg);
+            ASSERT_EQ(fr.sessions.size(), 4u);
+            EXPECT_EQ(sup.fleetScheduler()->schedulerStats().workers,
+                      workers);
+            for (std::size_t s = 0; s < 4; ++s) {
+                EXPECT_FALSE(fr.sessions[s].escalated)
+                    << "seed " << seed << " workers " << workers
+                    << " session " << s;
+                EXPECT_TRUE(sameRecords(fr.sessions[s].records,
+                                        fx.serial_records[s]))
+                    << "seed " << seed << " workers " << workers
+                    << " session " << s;
+                EXPECT_TRUE(sameReports(fr.sessions[s].reports,
+                                        fx.serial_reports[s]))
+                    << "seed " << seed << " workers " << workers
+                    << " session " << s;
+            }
         }
     }
+}
+
+TEST(Scheduler, DefaultWorkerPoolIsBoundedByCoresAndSessions)
+{
+    SchedFixture fx(2, 300);
+    TenantRegistry reg;
+    reg.addTenant(fx.spec("a"));
+    for (std::size_t s = 0; s < 2; ++s)
+        ASSERT_TRUE(reg.openSession("a", fx.sources[s].get()).admitted);
+    Supervisor sup(schedConfig(0));
+    const FleetResult fr = sup.runFleet(reg);
+    for (std::size_t s = 0; s < 2; ++s)
+        EXPECT_TRUE(sameRecords(fr.sessions[s].records,
+                                fx.serial_records[s]));
+    const std::size_t hw =
+        std::max(1u, std::thread::hardware_concurrency());
+    const SchedulerStats st = sup.fleetScheduler()->schedulerStats();
+    EXPECT_EQ(st.workers, std::min<std::size_t>(hw, 2));
+    EXPECT_EQ(st.feeders, std::min<std::size_t>(st.workers, 2));
 }
 
 TEST(Scheduler, DeficitDebtNeverExceedsOneBatch)
@@ -257,10 +269,10 @@ TEST(Scheduler, HungStepIsCancelledAndSessionRestarted)
 
 TEST(Scheduler, ThousandSessionSmoke)
 {
-    // 4 tenants x 256 sessions on 4 workers: far past where the
-    // thread-pair runtime would need 2048 OS threads. All sessions
-    // share one short stream, so one serial pass is the oracle for
-    // every verdict.
+    // 4 tenants x 256 sessions on 4 workers: a thread pair per
+    // session would need 2048 OS threads. All sessions share one
+    // short stream, so one serial pass is the oracle for every
+    // verdict.
     constexpr std::size_t kTenants = 4;
     constexpr std::size_t kPerTenant = 256;
     constexpr std::size_t kLen = 24;

@@ -329,6 +329,7 @@ TEST(Supervisor, DropOldestCountsLossesAndTerminates)
     ASSERT_EQ(results.size(), 1u);
     EXPECT_FALSE(results[0].escalated);
     const auto stats = sup.stats();
+    EXPECT_GT(stats.dropped_oldest, 0u);
     EXPECT_EQ(stats.processed + stats.dropped_oldest,
               f.stream->size());
     EXPECT_EQ(results[0].steps, stats.processed);

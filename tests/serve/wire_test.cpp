@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +27,7 @@
 
 #include "core/capture_io.h"
 #include "serve/sample_source.h"
+#include "serve/supervisor.h"
 #include "serve/tenant.h"
 #include "serve/wire_client.h"
 #include "serve/wire_listener.h"
@@ -180,11 +182,13 @@ TEST(WireSource, StallsWhenIdleAbortsAndClosesCleanly)
     const std::vector<core::Sts> stream = eventfulStream(13);
     WireSourceConfig cfg;
     cfg.stall_timeout_ms = 40.0;
-    cfg.poll_slice_ms = 5.0;
     cfg.recv_capacity = 2;
     WireSource src("default", 1, cfg);
 
-    // No data and no EOF: next() absorbs the wait then stalls.
+    // No data and no EOF: next() answers Pending at once, and Stalled
+    // once the wire has been idle for stall_timeout_ms.
+    EXPECT_EQ(src.next().status, PullStatus::Pending);
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
     EXPECT_EQ(src.next().status, PullStatus::Stalled);
 
     // Ingest blocked on a full receive window polls its abort.
@@ -210,6 +214,105 @@ TEST(WireSource, StallsWhenIdleAbortsAndClosesCleanly)
     }
     EXPECT_GE(drained, 2u);
     EXPECT_EQ(src.next().status, PullStatus::Stalled);
+}
+
+TEST(WireSource, PendingWhileIdleStalledOnlyAfterTimeoutSinceLastWindow)
+{
+    const std::vector<core::Sts> stream = eventfulStream(14);
+    WireSourceConfig cfg;
+    cfg.stall_timeout_ms = 300.0;
+    WireSource src("default", 1, cfg);
+
+    ASSERT_EQ(src.ingest(0, slice(stream, 0, 3), kNever),
+              WireSource::Ingest::Ok);
+    for (int i = 0; i < 3; ++i)
+        ASSERT_EQ(src.next().status, PullStatus::Ready);
+    // Idle but inside the timeout: Pending, never a stall.
+    EXPECT_EQ(src.next().status, PullStatus::Pending);
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_EQ(src.next().status, PullStatus::Pending);
+
+    // A delivered window restarts the clock.
+    ASSERT_EQ(src.ingest(3, slice(stream, 3, 4), kNever),
+              WireSource::Ingest::Ok);
+    EXPECT_EQ(src.next().status, PullStatus::Ready);
+    EXPECT_EQ(src.next().status, PullStatus::Pending);
+    EXPECT_EQ(src.stats().stalls, 0u);
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(350));
+    EXPECT_EQ(src.next().status, PullStatus::Stalled);
+    EXPECT_EQ(src.stats().stalls, 1u);
+    EXPECT_EQ(src.stats().delivered, 4u);
+
+    // A restart's seek re-arms the timeout: the peer gets a full one
+    // again before the next stall.
+    ASSERT_TRUE(src.seek(src.position()));
+    EXPECT_EQ(src.next().status, PullStatus::Pending);
+    EXPECT_EQ(src.stats().stalls, 1u);
+}
+
+TEST(WireSource, EndOfStreamAfterAcceptedEof)
+{
+    const std::vector<core::Sts> stream = eventfulStream(15);
+    WireSourceConfig cfg;
+    WireSource src("default", 1, cfg);
+    ASSERT_EQ(src.ingest(0, slice(stream, 0, 2), kNever),
+              WireSource::Ingest::Ok);
+    // Windows still queued: EOF does not cut them off.
+    ASSERT_EQ(src.noteEof(2), WireSource::Ingest::Ok);
+    EXPECT_EQ(src.next().status, PullStatus::Ready);
+    EXPECT_EQ(src.next().status, PullStatus::Ready);
+    EXPECT_EQ(src.next().status, PullStatus::EndOfStream);
+    EXPECT_EQ(src.next().status, PullStatus::EndOfStream);
+
+    // An empty stream ends as soon as its EOF is accepted.
+    WireSource empty("default", 2, cfg);
+    EXPECT_EQ(empty.next().status, PullStatus::Pending);
+    ASSERT_EQ(empty.noteEof(0), WireSource::Ingest::Ok);
+    EXPECT_EQ(empty.next().status, PullStatus::EndOfStream);
+    EXPECT_EQ(empty.stats().stalls, 0u);
+}
+
+TEST(WireSource, ReadinessIsRaisedByIngestEofAndClose)
+{
+    const std::vector<core::Sts> stream = eventfulStream(16);
+    WireSourceConfig cfg;
+    Readiness ready;
+
+    WireSource src("default", 1, cfg);
+    src.watch(&ready);
+    EXPECT_FALSE(ready.waitFor(0.0));
+    // A parked consumer wakes on ingest, long before its timeout.
+    const auto t0 = std::chrono::steady_clock::now();
+    std::thread producer([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        src.ingest(0, slice(stream, 0, 4), kNever);
+    });
+    EXPECT_TRUE(ready.waitFor(10000.0));
+    const double waited_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    producer.join();
+    EXPECT_LT(waited_ms, 5000.0);
+    EXPECT_FALSE(ready.waitFor(0.0)); // the latch clears on wait
+    ASSERT_EQ(src.noteEof(4), WireSource::Ingest::Ok);
+    EXPECT_TRUE(ready.waitFor(0.0));
+
+    WireSource closing("default", 2, cfg);
+    closing.watch(&ready);
+    closing.closeIngest();
+    EXPECT_TRUE(ready.waitFor(0.0));
+
+    // Detached: nothing raises the old target any more.
+    WireSource detached("default", 3, cfg);
+    detached.watch(&ready);
+    detached.watch(nullptr);
+    detached.ingest(0, slice(stream, 0, 2), kNever);
+    detached.closeIngest();
+    EXPECT_FALSE(ready.waitFor(0.0));
+    src.watch(nullptr);
+    closing.watch(nullptr);
 }
 
 // ----------------------------------------------------------------
@@ -359,10 +462,13 @@ struct ListenerFixture
         listener->start();
     }
 
-    /** Drains the (single) admitted source to EndOfStream. */
+    /** Drains the (single) admitted source to EndOfStream, parking
+     *  on its Readiness while it is Pending. */
     std::vector<core::Sts> drainSource()
     {
         WireSource *src = listener->sources().at(0);
+        Readiness ready;
+        src->watch(&ready);
         std::vector<core::Sts> got;
         for (;;) {
             const Pull p = src->next();
@@ -370,10 +476,14 @@ struct ListenerFixture
                 got.push_back(p.sts);
                 continue;
             }
-            if (p.status == PullStatus::EndOfStream)
-                return got;
-            ADD_FAILURE() << "source stalled after " << got.size()
-                          << " windows";
+            if (p.status == PullStatus::Pending) {
+                ready.waitFor(50.0);
+                continue;
+            }
+            src->watch(nullptr);
+            if (p.status != PullStatus::EndOfStream)
+                ADD_FAILURE() << "source stalled after " << got.size()
+                              << " windows";
             return got;
         }
     }
@@ -800,6 +910,133 @@ TEST(WireListener, DrainAndCloseWhileAcceptIsPolling)
     EXPECT_LT(drain_ms, 5000.0);
     EXPECT_EQ(fx.listener->stats().connections_accepted, 0u);
     fx.listener->drainAndClose(); // idempotent
+}
+
+// ----------------------------------------------------------------
+// Wire sessions on the serving engine.
+// ----------------------------------------------------------------
+
+/** One tenant with a model, so the admitted wire sessions can run on
+ *  a Supervisor, plus the serial oracle of one stream. */
+struct ServedFixture
+{
+    std::shared_ptr<const core::TrainedModel> model;
+    std::shared_ptr<const std::vector<core::Sts>> stream;
+    std::vector<core::StepRecord> oracle_records;
+    std::vector<core::AnomalyReport> oracle_reports;
+    TenantRegistry registry;
+    WireListenerConfig cfg;
+
+    explicit ServedFixture(std::uint64_t seed)
+    {
+        std::mt19937_64 rng(0xF1EE7);
+        model = std::make_shared<const core::TrainedModel>(
+            sharpModel(rng));
+        stream = std::make_shared<const std::vector<core::Sts>>(
+            eventfulStream(seed));
+        core::Monitor oracle(*model, core::MonitorConfig{});
+        for (const core::Sts &sts : *stream)
+            oracle.step(sts);
+        oracle_records = oracle.records();
+        oracle_reports = oracle.reports();
+        TenantSpec spec;
+        spec.id = "default";
+        spec.model = model;
+        registry.addTenant(std::move(spec));
+        cfg.tcp = "127.0.0.1:0";
+        cfg.accept_poll_ms = 10.0;
+        cfg.read_poll_ms = 10.0;
+    }
+
+    WireClientReport send(const std::string &address,
+                          std::uint64_t session) const
+    {
+        WireClientConfig cc;
+        cc.tcp = address;
+        cc.tenant = "default";
+        cc.session = session;
+        VectorSource src(stream);
+        return WireClient(cc).stream(src);
+    }
+};
+
+/** The order EDDIEBENCH and eddie_serve tear down in: the Supervisor
+ *  (and with it the feeders' Readiness) goes first, then the listener
+ *  closes its sources. A source still pointing at a feeder's
+ *  Readiness would wake freed memory here: it locks a freed mutex and
+ *  the test hangs into its timeout. */
+TEST(WireListener, SupervisorDestroyedBeforeListenerLeavesNoDanglingWakeup)
+{
+    ServedFixture fx(31);
+    WireListener listener(fx.registry, fx.cfg);
+    listener.start();
+    WireClientReport rep;
+    std::thread client(
+        [&] { rep = fx.send(listener.tcpAddress(), 1); });
+    ASSERT_EQ(listener.awaitSessions(1, 10000.0), 1u);
+    listener.freezeAdmission();
+    {
+        auto sup = std::make_unique<Supervisor>(ServeConfig{});
+        const FleetResult fr = sup->runFleet(fx.registry);
+        ASSERT_EQ(fr.sessions.size(), 1u);
+        EXPECT_FALSE(fr.sessions[0].escalated);
+        EXPECT_TRUE(
+            sameRecords(fr.sessions[0].records, fx.oracle_records));
+        EXPECT_TRUE(
+            sameReports(fr.sessions[0].reports, fx.oracle_reports));
+    }
+    client.join();
+    EXPECT_TRUE(rep.delivered_all) << rep.error;
+    for (WireSource *src : listener.sources())
+        src->closeIngest();
+    listener.drainAndClose();
+}
+
+/** 256 wire sessions at ServeConfig defaults: a fixed worker pool,
+ *  not a thread pair per device. Each session is shorter than the
+ *  receive window, so every client has its EOF ACKed before the run
+ *  starts and 8 client threads can serve all of them in turn. */
+TEST(WireListener, FleetOf256SessionsAtDefaultsMatchesSerialOracle)
+{
+    constexpr std::size_t kSessions = 256;
+    constexpr std::size_t kClients = 8;
+    ServedFixture fx(41);
+    ASSERT_LT(fx.stream->size(), fx.cfg.source.recv_capacity);
+    WireListener listener(fx.registry, fx.cfg);
+    listener.start();
+    std::atomic<std::size_t> delivered{0};
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kClients; ++c)
+        clients.emplace_back([&, c] {
+            for (std::size_t s = c; s < kSessions; s += kClients)
+                if (fx.send(listener.tcpAddress(), s + 1).delivered_all)
+                    delivered.fetch_add(1);
+        });
+    for (std::thread &t : clients)
+        t.join();
+    ASSERT_EQ(delivered.load(), kSessions);
+    ASSERT_EQ(listener.awaitSessions(kSessions, 10000.0), kSessions);
+    listener.freezeAdmission();
+
+    Supervisor sup(ServeConfig{});
+    const FleetResult fr = sup.runFleet(fx.registry);
+    ASSERT_EQ(fr.sessions.size(), kSessions);
+    for (std::size_t s = 0; s < kSessions; ++s) {
+        ASSERT_FALSE(fr.sessions[s].escalated) << "session " << s;
+        EXPECT_TRUE(
+            sameRecords(fr.sessions[s].records, fx.oracle_records))
+            << "session " << s;
+        EXPECT_TRUE(
+            sameReports(fr.sessions[s].reports, fx.oracle_reports))
+            << "session " << s;
+    }
+    ASSERT_NE(sup.fleetScheduler(), nullptr);
+    const SchedulerStats ss = sup.fleetScheduler()->schedulerStats();
+    const std::size_t hw =
+        std::max(1u, std::thread::hardware_concurrency());
+    EXPECT_EQ(ss.sessions, kSessions);
+    EXPECT_LE(ss.workers + ss.feeders, hw + 2);
+    listener.drainAndClose();
 }
 
 } // namespace

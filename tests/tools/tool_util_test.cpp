@@ -1,8 +1,9 @@
 /**
  * @file
- * The command-line parser shared by the tools: numeric options accept
- * only wholly numeric values, negative numbers are values rather than
- * flags, and a malformed value becomes exit code 2 through runTool().
+ * The command-line parser shared by the tools: options must be among
+ * the tool's declared flags, numeric options accept only wholly
+ * numeric values, negative numbers are values rather than flags, and
+ * a malformed command line becomes exit code 2 through runTool().
  */
 
 #include <stdexcept>
@@ -20,14 +21,44 @@ using eddie::tools::Args;
 using eddie::tools::runTool;
 using eddie::tools::UsageError;
 
+/** Parses @p words with every "--name" among them declared, so the
+ *  value-parsing tests are not about flag declaration. */
 Args
 parse(std::vector<std::string> words)
 {
+    std::vector<std::string> flags;
+    for (const std::string &w : words)
+        if (w.rfind("--", 0) == 0)
+            flags.push_back(w.substr(2));
     words.insert(words.begin(), "tool");
     std::vector<char *> argv;
     for (std::string &w : words)
         argv.push_back(w.data());
-    return Args(int(argv.size()), argv.data());
+    return Args(int(argv.size()), argv.data(), flags);
+}
+
+TEST(ToolArgs, UndeclaredFlagIsAUsageError)
+{
+    std::vector<std::string> words = {"tool", "sha", "--scale", "0.5",
+                                      "--sacle", "0.1"};
+    std::vector<char *> argv;
+    for (std::string &w : words)
+        argv.push_back(w.data());
+    const std::vector<std::string> flags = {"scale", "seed"};
+    EXPECT_THROW(Args(int(argv.size()), argv.data(), flags), UsageError);
+    // The declared subset parses.
+    const Args ok(4, argv.data(), flags);
+    EXPECT_DOUBLE_EQ(ok.getDouble("scale", 1.0), 0.5);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(runTool("tool",
+                      [&] {
+                          Args(int(argv.size()), argv.data(), flags);
+                          return 0;
+                      }),
+              2);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("unknown option --sacle"), std::string::npos)
+        << err;
 }
 
 TEST(ToolArgs, ParsesWhollyNumericValues)

@@ -25,7 +25,8 @@ namespace
 int
 run(int argc, char **argv)
 {
-    tools::Args args(argc, argv);
+    tools::Args args(argc, argv,
+                     {"scale", "em", "snr"});
     if (args.positional().size() != 3) {
         std::fprintf(stderr,
                      "usage: eddie_analyze <model-file> "

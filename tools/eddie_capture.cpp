@@ -32,7 +32,9 @@ namespace
 int
 run(int argc, char **argv)
 {
-    tools::Args args(argc, argv);
+    tools::Args args(argc, argv,
+                     {"scale", "seed", "inject", "payload",
+                      "contamination", "target", "sts"});
     if (args.positional().size() != 2) {
         std::fprintf(stderr,
                      "usage: eddie_capture <workload> <capture-file> "

@@ -7,7 +7,7 @@
  *       [--tenants T] [--sessions S] [--steps W]
  *       [--kill-prob P] [--hang-prob P] [--budget N]
  *       [--arc | --files] [--dir DIR] [--keep]
- *       [--scheduler [--workers M]] [--wire] [--require-all-fates]
+ *       [--workers M] [--wire] [--require-all-fates]
  *
  * Each seed runs the full scenario: a faulted fleet run (worker
  * kills/hangs on the victim tenant, queue overflow, starvation), a
@@ -15,16 +15,14 @@
  * healthy tenants' verdicts stay bit-identical to a clean serial run,
  * restarts stay inside the victim's budget, and recovery from disk is
  * clean. Without --arc/--files the checkpoint layout alternates by
- * seed parity so both are covered. --scheduler runs every fleet phase
- * through the fair-share FleetScheduler (--workers M threads, default
- * 3) instead of the legacy thread pair — same fates, same invariants,
- * so a grid on both paths proves the runtimes verdict-identical.
- * --wire adds phase W: every session streams over a live socket
- * (TCP loopback or AF_UNIX, by seed) through a WireListener, with the
- * client injecting byte-level faults — torn frames, mid-batch
- * disconnects, duplicate/skip-ahead replays, corrupted bytes, hostile
- * length fields — and the harness asserting the wire verdicts stay
- * bit-identical to the serial run anyway. --require-all-fates
+ * seed parity so both are covered. Every phase runs on the fair-share
+ * scheduler; --workers M fixes its worker pool (default: min(hardware
+ * threads, sessions)). --wire adds phase W: every session streams
+ * over a live socket (TCP loopback or AF_UNIX, by seed) through a
+ * WireListener, with the client injecting byte-level faults — torn
+ * frames, mid-batch disconnects, duplicate/skip-ahead replays,
+ * corrupted bytes, hostile length fields — and the harness asserting
+ * the wire verdicts stay bit-identical to the serial run anyway. --require-all-fates
  * additionally demands that every fate class actually fired somewhere
  * in the grid (the acceptance bar for the CI soak); with --wire the
  * wire fate classes join the required set.
@@ -50,7 +48,11 @@ namespace
 int
 run(int argc, char **argv)
 {
-    tools::Args args(argc, argv);
+    tools::Args args(argc, argv,
+                     {"seed", "seeds", "first", "tenants", "sessions",
+                      "steps", "kill-prob", "hang-prob", "budget", "arc",
+                      "files", "dir", "keep", "workers", "wire",
+                      "require-all-fates"});
     if (!args.positional().empty()) {
         std::fprintf(
             stderr,
@@ -58,13 +60,16 @@ run(int argc, char **argv)
             "[--tenants T] [--sessions S]\n"
             "       [--steps W] [--kill-prob P] [--hang-prob P] "
             "[--budget N] [--arc | --files]\n"
-            "       [--dir DIR] [--keep] [--scheduler [--workers M]] "
+            "       [--dir DIR] [--keep] [--workers M] [--wire] "
             "[--require-all-fates]\n");
         return 2;
     }
 
-    const long grid = std::max(args.getLong("seeds", 1), 1L);
-    const long first = args.getLong("first", 1);
+    // --seed N is the one-seed grid starting at N.
+    const bool one = args.has("seed");
+    const long grid = one ? 1L : std::max(args.getLong("seeds", 1), 1L);
+    const long first =
+        one ? args.getLong("seed", 1) : args.getLong("first", 1);
 
     serve::ChaosConfig base;
     base.tenants =
@@ -77,9 +82,7 @@ run(int argc, char **argv)
     base.hang_prob = args.getDouble("hang-prob", base.hang_prob);
     base.restart_budget = std::size_t(std::max(
         args.getLong("budget", long(base.restart_budget)), 1L));
-    if (args.has("scheduler") || args.has("workers"))
-        base.scheduler_workers =
-            std::size_t(std::max(args.getLong("workers", 3), 1L));
+    base.workers = std::size_t(std::max(args.getLong("workers", 0), 0L));
     if (args.has("wire")) {
         base.wire_phase = true;
         // Every wire fate class on, hot enough that a modest grid
@@ -126,10 +129,9 @@ run(int argc, char **argv)
         std::filesystem::create_directories(cfg.dir);
 
         const serve::ChaosReport rep = serve::runChaos(cfg);
-        std::printf("seed %llu [%s, %s]: %s\n",
+        std::printf("seed %llu [%s]: %s\n",
                     static_cast<unsigned long long>(cfg.seed),
                     cfg.archive ? "arc" : "files",
-                    cfg.scheduler_workers > 0 ? "sched" : "pair",
                     serve::describe(rep).c_str());
         for (const std::string &v : rep.violations)
             std::printf("  VIOLATION: %s\n", v.c_str());

@@ -20,7 +20,8 @@ namespace
 int
 run(int argc, char **argv)
 {
-    tools::Args args(argc, argv);
+    tools::Args args(argc, argv,
+                     {"histogram"});
     if (args.positional().size() != 1) {
         std::fprintf(stderr, "usage: eddie_inspect <model-file> "
                              "[--histogram REGION]\n");

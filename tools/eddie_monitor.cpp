@@ -33,7 +33,9 @@ namespace
 int
 run(int argc, char **argv)
 {
-    tools::Args args(argc, argv);
+    tools::Args args(argc, argv,
+                     {"scale", "seed", "em", "snr", "threads", "inject",
+                      "payload", "contamination", "target", "checkpoint"});
     if (args.positional().size() != 2) {
         std::fprintf(stderr,
                      "usage: eddie_monitor <model-file> <workload> "

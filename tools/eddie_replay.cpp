@@ -48,7 +48,13 @@ namespace
 int
 run(int argc, char **argv)
 {
-    tools::Args args(argc, argv);
+    tools::Args args(argc, argv,
+                     {"capture", "workload", "connect", "connect-pipe",
+                      "tenant", "session", "batch", "scale", "seed",
+                      "inject", "payload", "contamination", "target",
+                      "chaos-seed", "tear-prob", "disconnect-prob",
+                      "duplicate-prob", "reorder-prob", "corrupt-prob",
+                      "hostile-prob"});
     const std::string capture = args.get("capture");
     const std::string workload_name = args.get("workload");
     const std::string tcp = args.get("connect");

@@ -14,7 +14,7 @@
  *       [--retries N]
  *       [--queue N] [--drop-oldest]
  *       [--checkpoint FILE] [--ckpt-interval N] [--full-every N]
- *       [--resume] [--queue-batch N] [--watch-model]
+ *       [--resume] [--ckpt-arc] [--watch-model]
  *       [--restart-budget N] [--strict-resume]
  *
  * Wire-ingestion mode replaces the workload with a socket front end
@@ -23,8 +23,11 @@
  *   eddie_serve <model-file> --listen HOST:PORT | --listen-pipe PATH
  *       [--expect N] [--tenant ID] [--idle-timeout-ms MS]
  *       [--checkpoint FILE] [--ckpt-interval N] [--full-every N]
- *       [--resume] [--ckpt-arc] [--queue-batch N]
- *       [--restart-budget N]
+ *       [--resume] [--ckpt-arc] [--restart-budget N]
+ *
+ * Every session runs on the fair-share scheduler (serve/scheduler.h),
+ * whose worker pool is min(hardware threads, sessions): the thread
+ * count does not grow with the device count.
  *
  * Shard i monitors the stream captured with seed + i. SIGINT/SIGTERM
  * request a graceful stop: workers finish their current window, write
@@ -34,7 +37,9 @@
  *
  * Exit codes distinguish failure modes so fleet scripts can branch:
  *   0  clean run, no anomalies
- *   2  usage / bad arguments
+ *   2  usage / bad arguments (an unknown flag, a malformed number, a
+ *      contradictory serving config such as --resume without
+ *      --checkpoint)
  *   3  anomalies reported
  *   4  a shard exhausted its restart budget (escalated; its verdicts
  *      are the state at its last checkpoint)
@@ -63,17 +68,42 @@ using namespace eddie;
 namespace
 {
 
+/** A contradictory serving config is a usage error (exit 2). */
+void
+validateConfig(const serve::ServeConfig &cfg)
+{
+    try {
+        cfg.validate();
+    } catch (const serve::ServeConfigError &e) {
+        throw tools::UsageError(e.what());
+    }
+}
+
 /**
  * Wire-ingestion mode (--listen / --listen-pipe): no workload is
  * captured locally — admitted eddie_replay clients stream STS windows
  * over the EDDIEWIRE protocol into per-session WireSources, and the
- * fleet supervisor monitors those. SIGINT/SIGTERM drains and closes
- * the listener FIRST (unblocking any feeder parked on a silent wire)
- * so the final checkpoint still gets written.
+ * fleet supervisor monitors those on a fixed worker pool.
+ * SIGINT/SIGTERM drains and closes the listener first, so every
+ * session sees its wire end before the final checkpoint is written.
  */
 int
 runListen(const tools::Args &args)
 {
+    serve::ServeConfig scfg;
+    scfg.checkpoint_interval =
+        std::size_t(std::max(args.getLong("ckpt-interval", 64), 0L));
+    scfg.checkpoint_path = args.get("checkpoint");
+    scfg.resume = args.has("resume");
+    scfg.full_snapshot_every =
+        std::size_t(std::max(args.getLong("full-every", 16), 1L));
+    scfg.checkpoint_archive = args.has("ckpt-arc");
+    scfg.watchdog.restart_budget = std::size_t(std::max(
+        args.getLong("restart-budget",
+                     long(scfg.watchdog.restart_budget)),
+        0L));
+    validateConfig(scfg);
+
     auto model = std::make_shared<const core::TrainedModel>(
         core::loadModelFile(args.positional()[0]));
 
@@ -122,29 +152,11 @@ runListen(const tools::Args &args)
     }
     listener.freezeAdmission();
 
-    serve::ServeConfig scfg;
-    scfg.checkpoint_interval =
-        std::size_t(std::max(args.getLong("ckpt-interval", 64), 0L));
-    scfg.checkpoint_path = args.get("checkpoint");
-    scfg.resume = args.has("resume");
-    scfg.full_snapshot_every =
-        std::size_t(std::max(args.getLong("full-every", 16), 1L));
-    scfg.checkpoint_archive = args.has("ckpt-arc");
-    scfg.queue_batch =
-        std::size_t(std::max(args.getLong("queue-batch", 16), 1L));
-    scfg.watchdog.restart_budget = std::size_t(std::max(
-        args.getLong("restart-budget",
-                     long(scfg.watchdog.restart_budget)),
-        0L));
-    // Wire sources block in next(); the thread-pair runtime is the
-    // one that tolerates a blocking source per feeder.
-    scfg.scheduler.workers = 0;
-
     serve::Supervisor sup(scfg);
     sup.setStopCheck([] { return tools::stopRequested(); });
 
     // Drain watcher: on a stop signal, close the wire before the
-    // supervisor writes its final checkpoint so feeders unblock.
+    // supervisor writes its final checkpoint.
     std::atomic<bool> done{false};
     std::thread drainer([&] {
         while (!done.load() && !tools::stopRequested())
@@ -201,7 +213,14 @@ runListen(const tools::Args &args)
 int
 run(int argc, char **argv)
 {
-    tools::Args args(argc, argv);
+    tools::Args args(
+        argc, argv,
+        {"scale", "seed", "em", "snr", "threads", "inject", "payload",
+         "contamination", "target", "shards", "stall-prob", "error-prob",
+         "source-seed", "retries", "queue", "drop-oldest", "checkpoint",
+         "ckpt-interval", "full-every", "resume", "ckpt-arc",
+         "watch-model", "restart-budget", "strict-resume", "listen",
+         "listen-pipe", "expect", "tenant", "idle-timeout-ms"});
     if (args.has("listen") || args.has("listen-pipe")) {
         if (args.positional().size() != 1) {
             std::fprintf(stderr,
@@ -211,8 +230,7 @@ run(int argc, char **argv)
                          "[--idle-timeout-ms MS] [--checkpoint FILE]\n"
                          "       [--ckpt-interval N] [--full-every N] "
                          "[--resume] [--ckpt-arc]\n"
-                         "       [--queue-batch N] "
-                         "[--restart-budget N]\n");
+                         "       [--restart-budget N]\n");
             return 2;
         }
         return runListen(args);
@@ -228,15 +246,11 @@ run(int argc, char **argv)
             "[--source-seed N] [--retries N]\n"
             "       [--queue N] [--drop-oldest] [--checkpoint FILE] "
             "[--ckpt-interval N] [--full-every N] [--resume]\n"
-            "       [--ckpt-arc] [--queue-batch N] [--watch-model]\n"
+            "       [--ckpt-arc] [--watch-model]\n"
             "       [--restart-budget N] [--strict-resume]\n");
         return 2;
     }
     const std::string model_path = args.positional()[0];
-    // Sniffs text vs EDDIEARC archive models.
-    auto model = std::make_shared<const core::TrainedModel>(
-        core::loadModelFile(model_path));
-
     core::PipelineConfig cfg;
     cfg.threads = std::size_t(args.getLong("threads", 0));
     if (args.has("em")) {
@@ -244,6 +258,33 @@ run(int argc, char **argv)
         cfg.channel.snr_db = args.getDouble("snr", 30.0);
         cfg.core.os_irq_rate_hz = 1000.0;
     }
+    serve::ServeConfig scfg;
+    scfg.monitor = cfg.monitor;
+    scfg.queue.capacity =
+        std::size_t(std::max(args.getLong("queue", 64), 1L));
+    scfg.queue.policy = args.has("drop-oldest")
+                            ? serve::BackpressurePolicy::DropOldest
+                            : serve::BackpressurePolicy::Block;
+    scfg.checkpoint_interval =
+        std::size_t(std::max(args.getLong("ckpt-interval", 64), 0L));
+    scfg.checkpoint_path = args.get("checkpoint");
+    scfg.resume = args.has("resume");
+    scfg.full_snapshot_every =
+        std::size_t(std::max(args.getLong("full-every", 16), 1L));
+    // One EDDIEARC container instead of the snapshot + .dlt pair;
+    // legacy checkpoints are still read when the archive is absent.
+    scfg.checkpoint_archive = args.has("ckpt-arc");
+    scfg.watchdog.restart_budget = std::size_t(std::max(
+        args.getLong("restart-budget",
+                     long(scfg.watchdog.restart_budget)),
+        0L));
+    if (args.has("watch-model"))
+        scfg.model_path = model_path;
+    validateConfig(scfg);
+
+    // Sniffs text vs EDDIEARC archive models.
+    auto model = std::make_shared<const core::TrainedModel>(
+        core::loadModelFile(model_path));
     auto workload = workloads::makeWorkload(
         args.positional()[1], args.getDouble("scale", 1.0));
 
@@ -310,30 +351,6 @@ run(int argc, char **argv)
         sources.push_back(tip);
     }
 
-    serve::ServeConfig scfg;
-    scfg.monitor = cfg.monitor;
-    scfg.queue.capacity =
-        std::size_t(std::max(args.getLong("queue", 64), 1L));
-    scfg.queue.policy = args.has("drop-oldest")
-                            ? serve::BackpressurePolicy::DropOldest
-                            : serve::BackpressurePolicy::Block;
-    scfg.checkpoint_interval =
-        std::size_t(std::max(args.getLong("ckpt-interval", 64), 0L));
-    scfg.checkpoint_path = args.get("checkpoint");
-    scfg.resume = args.has("resume");
-    scfg.full_snapshot_every =
-        std::size_t(std::max(args.getLong("full-every", 16), 1L));
-    // One EDDIEARC container instead of the snapshot + .dlt pair;
-    // legacy checkpoints are still read when the archive is absent.
-    scfg.checkpoint_archive = args.has("ckpt-arc");
-    scfg.queue_batch =
-        std::size_t(std::max(args.getLong("queue-batch", 16), 1L));
-    scfg.watchdog.restart_budget = std::size_t(std::max(
-        args.getLong("restart-budget",
-                     long(scfg.watchdog.restart_budget)),
-        0L));
-    if (args.has("watch-model"))
-        scfg.model_path = model_path;
 
     tools::handleStopSignals();
     serve::Supervisor sup(model, scfg);

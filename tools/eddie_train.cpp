@@ -29,7 +29,9 @@ namespace
 int
 run(int argc, char **argv)
 {
-    tools::Args args(argc, argv);
+    tools::Args args(argc, argv,
+                     {"scale", "runs", "em", "snr", "alpha", "threads",
+                      "arc"});
     if (args.positional().size() != 2) {
         std::fprintf(stderr,
                      "usage: eddie_train <workload> <model-file> "

@@ -7,6 +7,7 @@
 #ifndef EDDIE_TOOLS_TOOL_UTIL_H
 #define EDDIE_TOOLS_TOOL_UTIL_H
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -20,8 +21,9 @@
 namespace eddie::tools
 {
 
-/** A malformed command line, such as a non-numeric value for a
- *  numeric option; runTool() reports it and exits with code 2. */
+/** A malformed command line, such as an undeclared flag or a
+ *  non-numeric value for a numeric option; runTool() reports it and
+ *  exits with code 2. */
 class UsageError : public std::runtime_error
 {
   public:
@@ -55,18 +57,24 @@ runTool(const char *tool, Body &&body)
 /**
  * Positional arguments plus --key value / --flag options. A word after
  * an option is its value unless it starts with '-' and is not a
- * negative number, so `--offset -5` passes -5. Numeric getters accept
- * only wholly numeric values and throw UsageError otherwise.
+ * negative number, so `--offset -5` passes -5. Every option must be
+ * one of the tool's declared @p flags (names without the dashes), or
+ * the constructor throws UsageError: a mistyped or removed flag fails
+ * instead of being ignored. Numeric getters accept only wholly
+ * numeric values and throw UsageError otherwise.
  */
 class Args
 {
   public:
-    Args(int argc, char **argv)
+    Args(int argc, char **argv, const std::vector<std::string> &flags)
     {
         for (int i = 1; i < argc; ++i) {
             std::string a = argv[i];
             if (a.rfind("--", 0) == 0) {
                 const std::string key = a.substr(2);
+                if (std::find(flags.begin(), flags.end(), key) ==
+                    flags.end())
+                    throw UsageError("unknown option " + a);
                 if (i + 1 < argc && isValue(argv[i + 1])) {
                     options_.emplace_back(key, argv[++i]);
                 } else {
