@@ -21,10 +21,9 @@
  * WireListener/WireClient vs the same session in-process, plus a
  * byte-level chaos run whose reconnect replay and typed malformed
  * rejections must still converge verdict-identical), measures the
- * EDDIEARC artifact store against the legacy per-kind persistence
- * (model text parse vs archive mmap reload, spill-file vs keyed
- * warm hits, delta group commits and recovery into file pair vs
- * container, plus the tail-only sector-verification proof), and
+ * EDDIEARC artifact store (model text parse vs archive mmap reload,
+ * keyed spill warm hits, recovery after a delta chain, plus the
+ * tail-only sector-verification proof), and
  * atomically writes a machine-readable BENCH_pipeline.json (tmp +
  * rename) with stage wall-times, before/after kernel speedups,
  * cache hit rates, requested vs resolved thread counts with
@@ -633,50 +632,49 @@ main(int argc, char **argv)
                      serve_ckpt_stats));
         if (serve_ckpt_ms < 0.0 || ms < serve_ckpt_ms)
             serve_ckpt_ms = ms;
-        // Fresh files each repetition — otherwise rep N+1 appends to
-        // rep N's delta log and replays it at startup.
-        std::remove(ckpt_cfg.checkpoint_path.c_str());
-        std::remove((ckpt_cfg.checkpoint_path + ".dlt").c_str());
+        // A fresh archive each repetition — otherwise rep N+1 appends
+        // to rep N's container.
+        std::remove(serve::checkpointArchivePath(ckpt_cfg.checkpoint_path)
+                        .c_str());
     }
     const double serve_sts_per_sec =
         perSec(serve_total_sts, serve_steady_ms);
-    std::remove(ckpt_cfg.checkpoint_path.c_str());
-    std::remove((ckpt_cfg.checkpoint_path + ".dlt").c_str());
     const double ckpt_overhead_pct =
         (serve_ckpt_ms / serve_steady_ms - 1.0) * 100.0;
 
-    // Isolated cost of one checkpoint write: serialize + fsync-free
-    // atomic rename of a full end-of-stream monitor state, and the
-    // incremental alternative — cutting a steady-state delta and
-    // group-committing it to the append-only log.
+    // Isolated cost of one checkpoint write into the archive: a full
+    // end-of-stream snapshot commit, and the incremental alternative —
+    // cutting a steady-state delta and group-committing it as one
+    // keyed segment.
     core::Monitor full_monitor(model, cfg.monitor);
     for (const auto &sts : *streams.front())
         full_monitor.step(sts);
     serve::CheckpointData snap;
     snap.monitor = full_monitor.exportState();
     snap.source_pos = snap.monitor.step_index;
-    const std::string snap_path = out_path + ".serve-snap";
-    const double checkpoint_write_ms = bestOf(
-        5, [&] { serve::saveCheckpointFile(snap, snap_path); });
-    std::remove(snap_path.c_str());
-
+    store::ArchiveConfig snap_arc;
+    snap_arc.path = out_path + ".serve-snap.arc";
+    serve::CheckpointStoreConfig snap_store_cfg;
+    snap_store_cfg.full_every = 1u << 20; // never rewrite in the loop
+    double checkpoint_write_ms = 0.0;
     double delta_commit_ms = 0.0;
     {
-        serve::CheckpointStoreConfig store_cfg;
-        store_cfg.path = snap_path;
-        store_cfg.num_shards = 1;
-        store_cfg.full_every = 1u << 20; // never rewrite in the loop
+        std::remove(snap_arc.path.c_str());
+        store::Archive arc(snap_arc);
+        serve::CheckpointStoreConfig store_cfg = snap_store_cfg;
+        store_cfg.archive = &arc;
         serve::CheckpointStore store(store_cfg);
-        store.submitFull(0, snap);
+        checkpoint_write_ms = bestOf(5, [&] {
+            store.submitFull(0, snap);
+            store.flush();
+        });
         full_monitor.resetDeltaBaseline(); // deltas chain off snap
-        store.flush(); // full snapshot; later flushes are deltas
         delta_commit_ms = bestOf(5, [&] {
             store.submitDelta(0, full_monitor.exportDelta());
             store.flush();
         });
     }
-    std::remove(snap_path.c_str());
-    std::remove((snap_path + ".dlt").c_str());
+    std::remove(snap_arc.path.c_str());
 
     serve::ServeConfig rec_cfg = steady_cfg;
     rec_cfg.checkpoint_interval = 16;
@@ -1303,8 +1301,7 @@ main(int argc, char **argv)
                     wire_chaotic.st.duplicates_dropped,
                 (unsigned long long)wire_chaotic.st.nacks_sent);
 
-    // Stage 7: the EDDIEARC artifact store (src/store/) against the
-    // legacy per-kind persistence it replaced.
+    // Stage 7: the EDDIEARC artifact store (src/store/).
     //
     // (a) Model load / hot-reload: the supervisor's reload path is
     // loadModelFile() end to end, so that is what both variants time —
@@ -1330,9 +1327,9 @@ main(int argc, char **argv)
     std::remove(model_text_path.c_str());
     std::remove(model_arc_path.c_str());
 
-    // (b) Capture-spill warm hit: evict one stream to the disk tier,
+    // (b) Capture-spill warm hit: evict one stream to the archive,
     // then time clear() + lookup (a pure disk hit re-inserting into
-    // an empty cache) — hash-named file vs archive keyed get.
+    // an empty cache).
     const auto timeSpillHit = [&](core::CaptureCacheConfig ccfg) {
         core::CaptureCache c(ccfg);
         const auto computeStream = [&] { return *streams.front(); };
@@ -1348,74 +1345,40 @@ main(int argc, char **argv)
             throw std::runtime_error("spill bench never hit disk");
         return ms;
     };
-    core::CaptureCacheConfig spill_dir_cfg;
-    spill_dir_cfg.capacity = 1;
-    spill_dir_cfg.spill_dir = out_path + ".spill-dir";
-    std::filesystem::create_directories(spill_dir_cfg.spill_dir);
-    const double spill_dir_hit_ms = timeSpillHit(spill_dir_cfg);
     core::CaptureCacheConfig spill_arc_cfg;
     spill_arc_cfg.capacity = 1;
     spill_arc_cfg.spill_archive = out_path + ".spill.arc";
     const double spill_arc_hit_ms = timeSpillHit(spill_arc_cfg);
-    std::filesystem::remove_all(spill_dir_cfg.spill_dir);
     std::remove(spill_arc_cfg.spill_archive.c_str());
 
-    // (c) Checkpoint delta group commit: the same submitDelta+flush
-    // loop as the file-pair measurement above, but landing in the
-    // archive (one keyed segment per commit).
-    double delta_commit_arc_ms = 0.0;
+    // (c) Recovery latency after a long delta chain, measured over
+    // archive open + CheckpointStore::recover() (scan + replay).
+    constexpr std::size_t kRecoveryDeltas = 32;
     {
-        serve::CheckpointStoreConfig store_cfg;
-        store_cfg.path = snap_path;
-        store_cfg.num_shards = 1;
-        store_cfg.full_every = 1u << 20;
-        store_cfg.use_archive = true;
+        std::remove(snap_arc.path.c_str());
+        store::Archive arc(snap_arc);
+        serve::CheckpointStoreConfig store_cfg = snap_store_cfg;
+        store_cfg.archive = &arc;
         serve::CheckpointStore store(store_cfg);
         store.submitFull(0, snap);
         full_monitor.resetDeltaBaseline();
         store.flush();
-        delta_commit_arc_ms = bestOf(5, [&] {
+        for (std::size_t i = 0; i < kRecoveryDeltas; ++i) {
             store.submitDelta(0, full_monitor.exportDelta());
             store.flush();
-        });
-    }
-    std::remove((snap_path + ".arc").c_str());
-
-    // (d) Recovery latency after a long delta chain, file pair vs
-    // archive, measured over the full CheckpointStore::recover()
-    // (open + scan + replay).
-    constexpr std::size_t kRecoveryDeltas = 32;
-    const auto buildAndRecover = [&](bool use_archive) {
-        serve::CheckpointStoreConfig store_cfg;
-        store_cfg.path = snap_path;
-        store_cfg.num_shards = 1;
-        store_cfg.full_every = 1u << 20;
-        store_cfg.use_archive = use_archive;
-        {
-            serve::CheckpointStore store(store_cfg);
-            store.submitFull(0, snap);
-            full_monitor.resetDeltaBaseline();
-            store.flush();
-            for (std::size_t i = 0; i < kRecoveryDeltas; ++i) {
-                store.submitDelta(0, full_monitor.exportDelta());
-                store.flush();
-            }
         }
-        const double ms = bestOf(3, [&] {
-            serve::CheckpointStore fresh(store_cfg);
-            if (fresh.recover() !=
-                std::vector<bool>{true})
-                throw std::runtime_error("recovery bench failed");
-        });
-        std::remove(snap_path.c_str());
-        std::remove((snap_path + ".dlt").c_str());
-        std::remove((snap_path + ".arc").c_str());
-        return ms;
-    };
-    const double recovery_files_ms = buildAndRecover(false);
-    const double recovery_arc_ms = buildAndRecover(true);
+    }
+    const double recovery_arc_ms = bestOf(3, [&] {
+        store::Archive arc(snap_arc);
+        serve::CheckpointStoreConfig store_cfg = snap_store_cfg;
+        store_cfg.archive = &arc;
+        serve::CheckpointStore fresh(store_cfg);
+        if (fresh.recover() != std::vector<bool>{true})
+            throw std::runtime_error("recovery bench failed");
+    });
+    std::remove(snap_arc.path.c_str());
 
-    // (e) Tail-only verification proof: populate an archive with many
+    // (d) Tail-only verification proof: populate an archive with many
     // multi-sector artifacts, reopen (header scan only), read ONE key
     // — the stats must show only that key's payload sectors were
     // CRC-verified, machine-independently.
@@ -1452,15 +1415,9 @@ main(int argc, char **argv)
                 model_text_load_ms, model_arc_load_ms,
                 model_reload_speedup,
                 model_roundtrip_identical ? "" : "  ROUNDTRIP MISMATCH");
-    std::printf("  spill hit:    dir  %8.3f ms, archive %8.3f ms "
-                "(%.1fx)\n",
-                spill_dir_hit_ms, spill_arc_hit_ms,
-                spill_dir_hit_ms / spill_arc_hit_ms);
-    std::printf("  delta commit: files %7.3f ms, archive %8.3f ms\n",
-                delta_commit_ms, delta_commit_arc_ms);
-    std::printf("  recovery (%zu deltas): files %8.3f ms, archive "
-                "%8.3f ms\n",
-                kRecoveryDeltas, recovery_files_ms, recovery_arc_ms);
+    std::printf("  spill hit:    %8.3f ms\n", spill_arc_hit_ms);
+    std::printf("  recovery (%zu deltas): %8.3f ms\n", kRecoveryDeltas,
+                recovery_arc_ms);
     std::printf("  verified %llu of %llu payload sectors after "
                 "one-key read%s\n",
                 (unsigned long long)arc_sectors_verified,
@@ -1803,20 +1760,12 @@ main(int argc, char **argv)
                  model_reload_speedup);
     std::fprintf(f, "    \"model_roundtrip_identical\": %s,\n",
                  model_roundtrip_identical ? "true" : "false");
-    std::fprintf(f, "    \"spill_dir_hit_ms\": %.3f,\n",
-                 spill_dir_hit_ms);
     std::fprintf(f, "    \"spill_arc_hit_ms\": %.3f,\n",
                  spill_arc_hit_ms);
-    std::fprintf(f, "    \"spill_hit_speedup\": %.3f,\n",
-                 spill_dir_hit_ms / spill_arc_hit_ms);
-    std::fprintf(f, "    \"delta_commit_file_ms\": %.3f,\n",
-                 delta_commit_ms);
-    std::fprintf(f, "    \"delta_commit_arc_ms\": %.3f,\n",
-                 delta_commit_arc_ms);
     std::fprintf(f,
                  "    \"recovery\": {\"delta_segments\": %zu, "
-                 "\"files_ms\": %.3f, \"archive_ms\": %.3f},\n",
-                 kRecoveryDeltas, recovery_files_ms, recovery_arc_ms);
+                 "\"archive_ms\": %.3f},\n",
+                 kRecoveryDeltas, recovery_arc_ms);
     std::fprintf(f,
                  "    \"sector_verify\": {\"payload_sectors_total\": "
                  "%llu, \"payload_sectors_verified\": %llu}\n",

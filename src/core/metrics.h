@@ -143,19 +143,19 @@ struct ServeStats
     std::uint64_t model_reloads = 0;
     /** Total failure-detection-to-restart latency, ms. */
     double restart_latency_ms = 0.0;
-    /** Delta-checkpoint pipeline (DESIGN.md §7, format v2): group
-     *  commits flushed to the delta log (one buffered write + flush
-     *  each, covering every shard's pending deltas). */
+    /** Delta-checkpoint pipeline (DESIGN.md §7): group commits
+     *  landed in the checkpoint archive (one archive commit each,
+     *  covering every shard's pending deltas). */
     std::uint64_t group_commits = 0;
     /** Full group snapshots rewritten (chain re-anchors). */
     std::uint64_t full_snapshots = 0;
-    /** Bytes appended to the delta log. */
+    /** Bytes of delta segments written. */
     std::uint64_t delta_bytes = 0;
     /** Recovery replays that hit a corrupt/truncated/broken-chain
      *  delta segment and fell back to the state reconstructed so
      *  far (at worst the last full snapshot). */
     std::uint64_t delta_fallbacks = 0;
-    /** Delta-log segments discarded by those fallbacks. */
+    /** Delta segments discarded by those fallbacks. */
     std::uint64_t delta_segments_dropped = 0;
     /** Per-stage worker time, summed across shards: blocking in
      *  StsQueue::popBatch vs. stepping the monitor vs. cutting

@@ -14,7 +14,6 @@
 #include "core/baseline_parametric.h"
 #include "core/baseline_power.h"
 #include "core/capture_io.h"
-#include "core/fast_ks.h"
 #include "core/metrics.h"
 #include "core/model.h"
 #include "core/monitor.h"

@@ -6,7 +6,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <random>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -209,33 +211,6 @@ truncateTail(const std::string &path, std::uint64_t bytes)
     return ec ? 0 : bytes;
 }
 
-/** XOR-flips 8 bytes in the middle of @p path (past any header
- *  magic), guaranteeing a payload-CRC mismatch on decode. */
-bool
-flipBytes(const std::string &path)
-{
-    std::error_code ec;
-    const std::uintmax_t size = std::filesystem::file_size(path, ec);
-    if (ec || size < 48)
-        return false;
-    std::fstream f(path,
-                   std::ios::in | std::ios::out | std::ios::binary);
-    if (!f)
-        return false;
-    const std::uintmax_t off = size / 2;
-    char buf[8];
-    f.seekg(static_cast<std::streamoff>(off));
-    f.read(buf, sizeof buf);
-    if (f.gcount() != sizeof buf)
-        return false;
-    for (char &c : buf)
-        c = static_cast<char>(c ^ 0xFF);
-    f.seekp(static_cast<std::streamoff>(off));
-    f.write(buf, sizeof buf);
-    f.flush();
-    return f.good();
-}
-
 std::string
 tenantId(std::size_t index)
 {
@@ -247,6 +222,36 @@ tenantId(std::size_t index)
 }
 
 } // namespace
+
+bool
+corruptArchiveValue(const std::string &path, const std::string &key)
+{
+    std::optional<store::Archive::Extent> value;
+    {
+        store::ArchiveConfig acfg;
+        acfg.path = path;
+        value = store::Archive(acfg).valueExtent(key);
+    }
+    if (!value || value->length < 8)
+        return false;
+    std::fstream f(path,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    if (!f)
+        return false;
+    const auto off = static_cast<std::streamoff>(
+        value->offset + value->length / 2 - 4);
+    char buf[8];
+    f.seekg(off);
+    f.read(buf, sizeof buf);
+    if (f.gcount() != sizeof buf)
+        return false;
+    for (char &c : buf)
+        c = static_cast<char>(c ^ 0xFF);
+    f.seekp(off);
+    f.write(buf, sizeof buf);
+    f.flush();
+    return f.good();
+}
 
 StepFate
 stepFate(const ChaosConfig &cfg, std::size_t session, std::size_t step,
@@ -356,10 +361,8 @@ runChaos(const ChaosConfig &cfg)
     scfg.checkpoint_interval = cfg.checkpoint_interval;
     scfg.full_snapshot_every = cfg.full_snapshot_every;
     scfg.scheduler.workers = cfg.workers;
-    if (!cfg.dir.empty()) {
+    if (!cfg.dir.empty())
         scfg.checkpoint_path = cfg.dir + "/ck";
-        scfg.checkpoint_archive = cfg.archive;
-    }
 
     // ---- Phase A: faulted fleet run --------------------------------
     std::uint64_t victim_shed = 0;
@@ -456,26 +459,10 @@ runChaos(const ChaosConfig &cfg)
 
     // ---- Phase B: torn group commit, then resume -------------------
     if (!cfg.dir.empty() && cfg.fates.torn_commit) {
-        // Archive mode tears the shared container's tail (the newest
-        // commit group, whoever's it was). File mode tears whichever
-        // tenant delta log is fattest — logs compact into the
-        // snapshot on full rewrites, so a fast run can leave them
-        // empty; then nothing tears and resume is trivially clean.
-        std::string target = scfg.checkpoint_path + ".arc";
-        if (!cfg.archive) {
-            std::uintmax_t best = 0;
-            for (std::size_t t = 0; t < cfg.tenants; ++t) {
-                const std::string log = scfg.checkpoint_path + "." +
-                                        tenantId(t) + ".dlt";
-                std::error_code ec;
-                const std::uintmax_t size =
-                    std::filesystem::file_size(log, ec);
-                if (!ec && size > best) {
-                    best = size;
-                    target = log;
-                }
-            }
-        }
+        // Tears the shared container's tail: the newest commit group,
+        // whoever's it was.
+        const std::string target =
+            checkpointArchivePath(scfg.checkpoint_path);
         const std::uint64_t bytes =
             1 + faults::fateMix(cfg.seed, kTearSalt, kTearSalt) % 512;
         rep.torn_bytes += truncateTail(target, bytes);
@@ -517,11 +504,8 @@ runChaos(const ChaosConfig &cfg)
 
     // ---- Phase C: corrupt victim snapshot, then resume -------------
     if (!cfg.dir.empty() && cfg.fates.corrupt_checkpoint) {
-        // Always file mode: the flip must provably hit the victim's
-        // snapshot and nobody else's.
         ServeConfig ccfg = scfg;
         ccfg.checkpoint_path = cfg.dir + "/fc";
-        ccfg.checkpoint_archive = false;
         {
             TenantRegistry reg;
             buildRegistry(reg, false);
@@ -530,12 +514,33 @@ runChaos(const ChaosConfig &cfg)
             Supervisor sup(ccfg);
             sup.runFleet(reg);
         }
-        const std::string victim_snap =
-            ccfg.checkpoint_path + "." + tenantId(0);
-        if (!flipBytes(victim_snap)) {
-            fail("phase C: victim snapshot " + victim_snap +
-                 " missing or too small to corrupt");
+        // Every tenant lives in this one file: the flip must land in
+        // the victim's live snapshot and in no neighbor's.
+        const std::string arc_path =
+            checkpointArchivePath(ccfg.checkpoint_path);
+        const auto snapKey = [](std::size_t t) {
+            return snapshotKey(tenantKeyPrefix(tenantId(t)));
+        };
+        bool flipped = corruptArchiveValue(arc_path, snapKey(0));
+        if (flipped) {
+            store::ArchiveConfig acfg;
+            acfg.path = arc_path;
+            store::Archive arc(acfg);
+            std::span<const char> span;
+            if (arc.get(snapKey(0), span) != store::GetStatus::Corrupt) {
+                flipped = false;
+                fail("phase C: the flip left the victim's snapshot "
+                     "readable");
+            }
+            for (std::size_t t = 1; t < cfg.tenants; ++t)
+                if (arc.get(snapKey(t), span) != store::GetStatus::Ok)
+                    fail("phase C: the flip damaged neighbor " +
+                         tenantId(t) + "'s snapshot");
         } else {
+            fail("phase C: victim snapshot missing from " + arc_path +
+                 " or too small to corrupt");
+        }
+        if (flipped) {
             ++rep.corrupted_snapshots;
             TenantRegistry reg;
             buildRegistry(reg, false);
@@ -554,6 +559,11 @@ runChaos(const ChaosConfig &cfg)
                 victim.breaker_cause != FaultClass::CheckpointDecode)
                 fail("phase C: corrupt snapshot did not trip the "
                      "victim's CheckpointDecode breaker");
+            for (std::size_t t = 1; t < cfg.tenants; ++t)
+                if (fr.tenants[t].breaker_tripped ||
+                    fr.tenants[t].checkpoint_decode_failures != 0)
+                    fail("phase C: neighbor " + tenantId(t) +
+                         " charged for the victim's corrupt snapshot");
             for (std::size_t s = 0; s < nsess; ++s) {
                 const ShardResult &r = fr.sessions[s];
                 if (s / spt == 0) {

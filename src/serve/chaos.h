@@ -29,8 +29,10 @@
  *   queue overflow                   -> tiny victim queue + byte quota
  *   slow-tenant starvation           -> victim STS/s quota
  *                                       (Throttle or Shed by seed)
- *   torn group commit                -> tail truncation + resume
- *   corrupt tenant checkpoint        -> byte flip + resume
+ *   torn group commit                -> archive tail truncation +
+ *                                       resume
+ *   corrupt tenant checkpoint        -> byte flip in the victim's
+ *                                       snapshot + resume
  *   hostile wire traffic (phase W)   -> WireClient byte-level chaos
  *                                       against a live WireListener
  */
@@ -59,10 +61,11 @@ struct ChaosFates
     /** Victim STS/s quota; Throttle or Shed chosen by the seed so
      *  both postures appear across a seed grid. */
     bool starvation = true;
-    /** Truncate the tail of the checkpoint artifact, then resume. */
+    /** Truncate the tail of the checkpoint archive, then resume. */
     bool torn_commit = true;
-    /** Flip a byte in the victim's snapshot, then resume (always
-     *  file-mode: the flip must hit the victim, not a neighbor). */
+    /** Flip bytes in the victim's live snapshot payload inside the
+     *  shared archive, then resume. The harness checks that the flip
+     *  hit the victim's snapshot and no neighbor's. */
     bool corrupt_checkpoint = true;
 };
 
@@ -90,8 +93,6 @@ struct ChaosConfig
      *  checkpoints only; the disk fates (torn_commit,
      *  corrupt_checkpoint) are skipped. */
     std::string dir;
-    /** EDDIEARC container vs per-tenant file pairs for phases A/B. */
-    bool archive = true;
     ChaosFates fates;
     /** Watchdog tuning (short deadlines keep hang fates cheap). */
     double heartbeat_deadline_ms = 40.0;
@@ -194,6 +195,16 @@ ChaosReport runChaos(const ChaosConfig &cfg);
 
 /** One-line summary (tools, CI logs). */
 std::string describe(const ChaosReport &report);
+
+/**
+ * XOR-flips 8 bytes in the middle of @p key's live value inside the
+ * archive at @p path, found through Archive::valueExtent. Value bytes
+ * are covered by the archive's per-sector CRCs, so the next get() of
+ * the key reads Corrupt and every other artifact stays intact. False
+ * when the key is not live or its value is under 8 bytes. Phase C's
+ * snapshot corruption; tests use it on purpose too.
+ */
+bool corruptArchiveValue(const std::string &path, const std::string &key);
 
 } // namespace eddie::serve
 

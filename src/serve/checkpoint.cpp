@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <functional>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -24,15 +22,14 @@ namespace
 constexpr char kMagic[8] = {'E', 'D', 'D', 'I', 'E', 'C', 'K', 'P'};
 constexpr char kDeltaMagic[8] = {'E', 'D', 'D', 'I',
                                  'E', 'D', 'L', 'T'};
-constexpr std::uint32_t kVersion = 1;      ///< single-shard full state
 constexpr std::uint32_t kGroupVersion = 2; ///< epoch + all shards
-constexpr std::uint32_t kDeltaVersion = 1; ///< delta-log segment
+constexpr std::uint32_t kDeltaVersion = 1; ///< delta segment
 /** Element-count sanity cap; a corrupt length field must fail as
  *  FormatError, not as a giant allocation. */
 constexpr std::uint64_t kMaxElements = std::uint64_t(1) << 32;
 
-/** Archive-mode keys: the snapshot image and the numbered delta
- *  segments ("ckpt/dlt/00000000", …; zero-padded so the archive's
+/** Archive keys: the snapshot image and the numbered delta segments
+ *  ("ckpt/dlt/00000000", …; zero-padded so the archive's
  *  lexicographic key order IS replay order). */
 constexpr const char *kSnapKey = "ckpt/snap";
 constexpr const char *kDeltaPrefix = "ckpt/dlt/";
@@ -210,16 +207,6 @@ decodeFrom(Cursor &c)
     return ckpt;
 }
 
-CheckpointData
-decode(const std::string &payload)
-{
-    Cursor c(payload);
-    CheckpointData ckpt = decodeFrom(c);
-    if (!c.exhausted())
-        throw core::FormatError("checkpoint: trailing payload bytes");
-    return ckpt;
-}
-
 void
 encodeDeltaInto(std::string &out, const core::MonitorStateDelta &d)
 {
@@ -340,127 +327,50 @@ decodeDeltaFrom(Cursor &c)
     return d;
 }
 
-/** Raw little helper for the version-range frame reader below. */
-template <typename T>
-T
-getRaw(std::istream &is, const char *what)
+/** One framed delta segment (magic "EDDIEDLT"): the value of one
+ *  "<prefix>ckpt/dlt/<n>" key. */
+std::string
+encodeDeltaSegment(const DeltaSegment &seg)
 {
-    T value;
-    is.read(reinterpret_cast<char *>(&value), sizeof value);
-    if (!is)
-        throw core::IoError(std::string(what) + ": truncated input");
-    return value;
+    std::string payload;
+    payload.reserve(512 * (seg.entries.size() + 1));
+    put<std::uint64_t>(payload, seg.epoch);
+    put<std::uint64_t>(payload, seg.entries.size());
+    for (const auto &entry : seg.entries) {
+        put<std::uint64_t>(payload, entry.shard);
+        encodeDeltaInto(payload, entry.delta);
+    }
+    std::ostringstream framed(std::ios::binary);
+    core::writeFramed(framed, kDeltaMagic, kDeltaVersion, payload);
+    return framed.str();
 }
 
-/**
- * Reads one "EDDIECKP" frame accepting BOTH layout versions (the
- * shared core::readFramed insists on exactly one). Returns the stored
- * version; the caller dispatches v1 (single shard) vs v2 (group).
- */
-std::uint32_t
-readCheckpointFrame(std::istream &is, std::string &payload)
+/** Decodes encodeDeltaSegment() bytes; throws IoError on truncation,
+ *  FormatError on corruption. */
+DeltaSegment
+decodeDeltaSegment(std::span<const char> bytes)
 {
-    const char *what = "checkpoint";
-    char stored[8];
-    is.read(stored, sizeof stored);
-    if (!is)
-        throw core::IoError(std::string(what) + ": truncated input");
-    if (std::memcmp(stored, kMagic, sizeof stored) != 0)
-        throw core::FormatError(std::string(what) + ": bad magic");
-    const auto version = getRaw<std::uint32_t>(is, what);
-    if (version < kVersion || version > kGroupVersion)
-        throw core::FormatError(std::string(what) +
-                                ": unsupported version");
-    const auto size = getRaw<std::uint64_t>(is, what);
-    if (size > (std::uint64_t(1) << 40))
-        throw core::FormatError(std::string(what) +
-                                ": implausible size");
-    payload.resize(std::size_t(size));
-    is.read(payload.data(), std::streamsize(payload.size()));
-    if (!is)
-        throw core::IoError(std::string(what) +
-                            ": truncated payload (wanted " +
-                            std::to_string(size) + " bytes, got " +
-                            std::to_string(is.gcount()) + ")");
-    const auto stored_crc = getRaw<std::uint32_t>(is, what);
-    if (stored_crc != common::crc32(payload))
-        throw core::FormatError(std::string(what) +
-                                ": checksum mismatch");
-    return version;
-}
-
-/** Atomic tmp+flush+rename writer shared by the v1 and v2 file
- *  savers. */
-void
-writeFileAtomic(const std::string &path,
-                const std::function<void(std::ostream &)> &emit)
-{
-    const std::string tmp = path + ".tmp";
-    {
-        errno = 0; // stream failures report the underlying errno
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            throw core::ioErrorErrno("checkpoint: open for write",
-                                     tmp);
-        }
-        try {
-            emit(os);
-        } catch (...) {
-            os.close();
-            std::remove(tmp.c_str());
-            throw;
-        }
-        os.flush();
-        if (!os) {
-            auto err = core::ioErrorErrno("checkpoint: write", tmp);
-            os.close();
-            std::remove(tmp.c_str());
-            throw err;
-        }
+    store::SpanStream is(bytes.data(), bytes.size());
+    std::string payload;
+    core::readFramed(is, kDeltaMagic, kDeltaVersion, 1, "delta segment",
+                     payload);
+    Cursor c(payload);
+    DeltaSegment seg;
+    seg.epoch = c.get<std::uint64_t>();
+    const std::uint64_t n = c.count("delta entry");
+    seg.entries.reserve(std::size_t(n));
+    for (std::uint64_t i = 0; i < n; ++i) {
+        DeltaEntry entry;
+        entry.shard = c.get<std::uint64_t>();
+        entry.delta = decodeDeltaFrom(c);
+        seg.entries.push_back(std::move(entry));
     }
-    errno = 0;
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        auto err = core::ioErrorErrno(
-            "checkpoint: rename to " + path, tmp);
-        std::remove(tmp.c_str());
-        throw err;
-    }
+    if (!c.exhausted())
+        throw core::FormatError("delta segment: trailing payload bytes");
+    return seg;
 }
 
 } // namespace
-
-void
-saveCheckpoint(const CheckpointData &ckpt, std::ostream &os)
-{
-    std::string payload;
-    encodeInto(payload, ckpt);
-    core::writeFramed(os, kMagic, kVersion, payload);
-}
-
-CheckpointData
-loadCheckpoint(std::istream &is)
-{
-    std::string payload;
-    core::readFramed(is, kMagic, kVersion, 1, "checkpoint", payload);
-    return decode(payload);
-}
-
-void
-saveCheckpointFile(const CheckpointData &ckpt, const std::string &path)
-{
-    writeFileAtomic(path,
-                    [&](std::ostream &os) { saveCheckpoint(ckpt, os); });
-}
-
-CheckpointData
-loadCheckpointFile(const std::string &path)
-{
-    errno = 0;
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw core::ioErrorErrno("checkpoint: open", path);
-    return loadCheckpoint(is);
-}
 
 void
 saveGroupCheckpoint(const GroupCheckpoint &group, std::ostream &os)
@@ -477,14 +387,10 @@ GroupCheckpoint
 loadGroupCheckpoint(std::istream &is)
 {
     std::string payload;
-    const std::uint32_t version = readCheckpointFrame(is, payload);
-    GroupCheckpoint group;
-    if (version == kVersion) {
-        // Legacy single-shard file: one chain-less shard, epoch 0.
-        group.shards.push_back(decode(payload));
-        return group;
-    }
+    core::readFramed(is, kMagic, kGroupVersion, 1, "checkpoint",
+                     payload);
     Cursor c(payload);
+    GroupCheckpoint group;
     group.epoch = c.get<std::uint64_t>();
     const std::uint64_t n = c.count("shard");
     group.shards.reserve(std::size_t(n));
@@ -495,76 +401,22 @@ loadGroupCheckpoint(std::istream &is)
     return group;
 }
 
-void
-saveGroupCheckpointFile(const GroupCheckpoint &group,
-                        const std::string &path)
+std::string
+checkpointArchivePath(const std::string &checkpoint_path)
 {
-    writeFileAtomic(path, [&](std::ostream &os) {
-        saveGroupCheckpoint(group, os);
-    });
-}
-
-GroupCheckpoint
-loadGroupCheckpointFile(const std::string &path)
-{
-    errno = 0;
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw core::ioErrorErrno("checkpoint: open", path);
-    return loadGroupCheckpoint(is);
-}
-
-std::size_t
-appendDeltaSegment(std::ostream &os, const DeltaSegment &seg)
-{
-    std::string payload;
-    payload.reserve(512 * (seg.entries.size() + 1));
-    put<std::uint64_t>(payload, seg.epoch);
-    put<std::uint64_t>(payload, seg.entries.size());
-    for (const auto &entry : seg.entries) {
-        put<std::uint64_t>(payload, entry.shard);
-        encodeDeltaInto(payload, entry.delta);
-    }
-    // Frame into one contiguous buffer so the segment lands in a
-    // single stream write — the group-commit contract.
-    std::ostringstream framed(std::ios::binary);
-    core::writeFramed(framed, kDeltaMagic, kDeltaVersion, payload);
-    const std::string bytes = framed.str();
-    os.write(bytes.data(), std::streamsize(bytes.size()));
-    return bytes.size();
-}
-
-bool
-readDeltaSegment(std::istream &is, DeltaSegment &seg)
-{
-    if (is.peek() == std::char_traits<char>::eof())
-        return false; // clean end of log
-    std::string payload;
-    core::readFramed(is, kDeltaMagic, kDeltaVersion, 1, "delta log",
-                     payload);
-    Cursor c(payload);
-    seg.epoch = c.get<std::uint64_t>();
-    const std::uint64_t n = c.count("delta entry");
-    seg.entries.clear();
-    seg.entries.reserve(std::size_t(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        DeltaEntry entry;
-        entry.shard = c.get<std::uint64_t>();
-        entry.delta = decodeDeltaFrom(c);
-        seg.entries.push_back(std::move(entry));
-    }
-    if (!c.exhausted())
-        throw core::FormatError("delta log: trailing payload bytes");
-    return true;
+    return checkpoint_path + ".arc";
 }
 
 std::string
-shardCheckpointPath(const std::string &base, std::size_t shard,
-                    std::size_t shards)
+tenantKeyPrefix(const std::string &tenant_id)
 {
-    if (base.empty() || shards <= 1)
-        return base;
-    return base + "." + std::to_string(shard);
+    return "tenant/" + tenant_id + "/";
+}
+
+std::string
+snapshotKey(const std::string &key_prefix)
+{
+    return key_prefix + kSnapKey;
 }
 
 CheckpointStore::CheckpointStore(const CheckpointStoreConfig &cfg)
@@ -573,20 +425,6 @@ CheckpointStore::CheckpointStore(const CheckpointStoreConfig &cfg)
 {
     if (cfg_.full_every == 0)
         cfg_.full_every = 1;
-    if (cfg_.shared_archive != nullptr) {
-        arc_ = cfg_.shared_archive;
-    } else if (cfg_.use_archive && !cfg_.path.empty()) {
-        store::ArchiveConfig arc;
-        arc.path = cfg_.path + ".arc";
-        archive_ = std::make_unique<store::Archive>(arc);
-        arc_ = archive_.get();
-    }
-}
-
-std::string
-CheckpointStore::snapKeyStr() const
-{
-    return cfg_.key_prefix + kSnapKey;
 }
 
 std::string
@@ -629,21 +467,23 @@ CheckpointStore::applySegmentLocked(const DeltaSegment &seg)
     return true;
 }
 
-bool
-CheckpointStore::recoverFromArchiveLocked(std::vector<bool> &recovered)
+std::vector<bool>
+CheckpointStore::recover()
 {
-    // A missing or damaged snapshot segment falls back to the legacy
-    // file layout — that is the in-place migration path: first run
-    // with use_archive reads the old files, first flush writes the
-    // archive.
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<bool> recovered(mirrors_.size(), false);
+    store::Archive *arc = cfg_.archive;
+    if (arc == nullptr)
+        return recovered;
+
     std::span<const char> snap;
-    const store::GetStatus got = arc_->get(snapKeyStr(), snap);
+    const store::GetStatus got = arc->get(snapshotKey(cfg_.key_prefix), snap);
     if (got != store::GetStatus::Ok) {
         // Corrupt-but-present is checkpoint rot, not a cold start;
         // the fleet breaker keys off this counter.
         if (got == store::GetStatus::Corrupt)
             ++stats_.snapshot_decode_failures;
-        return false;
+        return recovered;
     }
     GroupCheckpoint group;
     try {
@@ -651,7 +491,7 @@ CheckpointStore::recoverFromArchiveLocked(std::vector<bool> &recovered)
         group = loadGroupCheckpoint(is);
     } catch (const core::Error &) {
         ++stats_.snapshot_decode_failures;
-        return false;
+        return recovered;
     }
     for (std::size_t i = 0;
          i < group.shards.size() && i < mirrors_.size(); ++i) {
@@ -661,116 +501,31 @@ CheckpointStore::recoverFromArchiveLocked(std::vector<bool> &recovered)
     epoch_ = group.epoch;
 
     // Replay the delta segments in key order (zero-padded numbering
-    // makes that commit order). Only the chain the snapshot anchors
-    // exists — the snapshot rewrite removed older keys in the same
-    // atomic commit that landed it — but the epoch check stays as
-    // defense in depth.
+    // makes that commit order). Each segment commits transactionally,
+    // so a corrupt or chain-broken one leaves every mirror at the
+    // previous good cut. Only the chain the snapshot anchors exists —
+    // the snapshot rewrite removed older keys in the same atomic
+    // commit that landed it — but the epoch check stays as defense in
+    // depth.
     const std::string prefix = deltaPrefixStr();
-    for (const auto &key : arc_->keys()) {
+    for (const auto &key : arc->keys()) {
         if (key.rfind(prefix, 0) != 0)
             continue;
         next_delta_key_ =
             std::strtoull(key.c_str() + prefix.size(), nullptr, 10) +
             1;
-        std::span<const char> span;
-        if (arc_->get(key, span) != store::GetStatus::Ok) {
-            ++stats_.delta_fallbacks;
-            ++stats_.delta_segments_dropped;
-            break;
-        }
         DeltaSegment seg;
         try {
-            store::SpanStream is(span.data(), span.size());
-            if (!readDeltaSegment(is, seg))
-                break;
+            std::span<const char> span;
+            if (arc->get(key, span) != store::GetStatus::Ok)
+                throw core::FormatError("delta segment: corrupt");
+            seg = decodeDeltaSegment(span);
         } catch (const core::Error &) {
             ++stats_.delta_fallbacks;
             ++stats_.delta_segments_dropped;
             break;
         }
         if (seg.epoch != epoch_) {
-            ++stats_.delta_segments_dropped;
-            continue;
-        }
-        if (!applySegmentLocked(seg)) {
-            ++stats_.delta_fallbacks;
-            ++stats_.delta_segments_dropped;
-            break;
-        }
-    }
-    return true;
-}
-
-std::vector<bool>
-CheckpointStore::recover()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<bool> recovered(mirrors_.size(), false);
-    // A shared archive works without a path (keys are the namespace);
-    // path-less AND archive-less means in-memory only.
-    if (cfg_.path.empty() && arc_ == nullptr)
-        return recovered;
-
-    if (arc_ && recoverFromArchiveLocked(recovered))
-        return recovered;
-    if (cfg_.path.empty())
-        return recovered;
-
-    GroupCheckpoint group;
-    bool have_group = false;
-    try {
-        group = loadGroupCheckpointFile(cfg_.path);
-        have_group = true;
-    } catch (const core::FormatError &) {
-        // The file exists but its bytes are rotten: counted so the
-        // caller can tell corruption from a cold start.
-        ++stats_.snapshot_decode_failures;
-    } catch (const core::Error &) {
-        // Missing or unreadable snapshot: fall through to the legacy
-        // per-shard layout, then to a cold start.
-    }
-
-    if (!have_group) {
-        if (mirrors_.size() > 1) {
-            for (std::size_t i = 0; i < mirrors_.size(); ++i) {
-                try {
-                    mirrors_[i] = loadCheckpointFile(shardCheckpointPath(
-                        cfg_.path, i, mirrors_.size()));
-                    recovered[i] = true;
-                } catch (const core::Error &) {
-                }
-            }
-        }
-        return recovered;
-    }
-
-    for (std::size_t i = 0;
-         i < group.shards.size() && i < mirrors_.size(); ++i) {
-        mirrors_[i] = std::move(group.shards[i]);
-        recovered[i] = true;
-    }
-    epoch_ = group.epoch;
-
-    // Replay matching-epoch delta segments. Each segment commits
-    // transactionally: decode fully (CRC-checked by the framing),
-    // apply onto copies, then publish — so a torn or chain-broken
-    // segment leaves every mirror at the previous good cut.
-    std::ifstream dlt(cfg_.path + ".dlt", std::ios::binary);
-    if (!dlt)
-        return recovered;
-    DeltaSegment seg;
-    while (true) {
-        try {
-            if (!readDeltaSegment(dlt, seg))
-                break;
-        } catch (const core::Error &) {
-            ++stats_.delta_fallbacks;
-            ++stats_.delta_segments_dropped;
-            break;
-        }
-        if (seg.epoch != epoch_) {
-            // Stale segment from before the last snapshot rewrite (a
-            // crash between the rename and the truncation).
             ++stats_.delta_segments_dropped;
             continue;
         }
@@ -829,7 +584,7 @@ CheckpointStore::foldAllLocked()
 {
     // Advances the mirrors to the newest cut by consuming every
     // queued delta (staged_ first: those are older). Only the full
-    // snapshot rewrite and the path-less flush need this — in the
+    // snapshot rewrite and the archive-less flush need this — in the
     // steady state the mirrors deliberately lag, so the hot path
     // never pays applyDelta at all.
     const auto fold = [this](std::vector<DeltaEntry> &entries) {
@@ -851,7 +606,7 @@ CheckpointStore::mirror(std::size_t shard)
     if (shard >= mirrors_.size())
         return CheckpointData{};
     // Non-consuming read: replay this shard's unfolded deltas onto a
-    // copy, leaving the queues intact for the next log write /
+    // copy, leaving the queues intact for the next segment write /
     // snapshot fold. Restart-path only, so O(queued) is fine.
     CheckpointData out = mirrors_[shard];
     const auto replay = [&](const std::vector<DeltaEntry> &entries) {
@@ -873,79 +628,72 @@ CheckpointStore::forceFullSnapshot()
     full_dirty_ = true;
 }
 
-void
-CheckpointStore::openDeltaLogLocked(bool truncate)
-{
-    if (delta_log_.is_open() && !truncate)
-        return;
-    if (delta_log_.is_open())
-        delta_log_.close();
-    delta_log_.clear();
-    delta_log_.open(cfg_.path + ".dlt",
-                    std::ios::binary |
-                        (truncate ? std::ios::trunc : std::ios::app));
-}
-
-bool
-CheckpointStore::writeSnapshotArchiveLocked(const GroupCheckpoint &group)
-{
-    // The new snapshot image and the removal of every delta key land
-    // in ONE group commit: either the whole rewrite is visible to a
-    // later scan or none of it is, so — unlike the rename-then-
-    // truncate file pair — stale-epoch delta segments structurally
-    // cannot survive a crash.
-    std::ostringstream framed(std::ios::binary);
-    saveGroupCheckpoint(group, framed);
-    try {
-        arc_->stagePut(snapKeyStr(), framed.str());
-        // Only THIS store's delta keys: in a shared multi-tenant
-        // container, removing another prefix would tear a neighbor's
-        // chain out from under its snapshot.
-        const std::string prefix = deltaPrefixStr();
-        for (const auto &key : arc_->keys())
-            if (key.rfind(prefix, 0) == 0)
-                arc_->stageRemove(key);
-    } catch (const core::Error &) {
-        return false;
-    }
-    return arc_->commit();
-}
-
 bool
 CheckpointStore::writeFullSnapshotLocked()
 {
     // Every queued delta folds into the mirrors (and out of memory)
     // here — on a dead disk this still bounds memory, since the
-    // mirrors then carry the cuts the log never got.
+    // mirrors then carry the cuts the archive never got.
     foldAllLocked();
     GroupCheckpoint group;
     group.epoch = epoch_ + 1;
     group.shards = mirrors_;
-    if (arc_) {
-        if (!writeSnapshotArchiveLocked(group)) {
-            ++stats_.write_failures;
-            return false;
-        }
-        next_delta_key_ = 0;
-    } else {
-        try {
-            saveGroupCheckpointFile(group, cfg_.path);
-        } catch (const core::IoError &) {
-            ++stats_.write_failures;
-            return false;
-        }
+    std::ostringstream framed(std::ios::binary);
+    saveGroupCheckpoint(group, framed);
+    // The new snapshot image and the removal of every delta key land
+    // in ONE group commit: either the whole rewrite is visible to a
+    // later scan or none of it is, so stale-epoch delta segments
+    // structurally cannot survive a crash.
+    bool wrote = false;
+    try {
+        cfg_.archive->stagePut(snapshotKey(cfg_.key_prefix), framed.str());
+        // Only THIS store's delta keys: in a shared multi-tenant
+        // container, removing another prefix would tear a neighbor's
+        // chain out from under its snapshot.
+        const std::string prefix = deltaPrefixStr();
+        for (const auto &key : cfg_.archive->keys())
+            if (key.rfind(prefix, 0) == 0)
+                cfg_.archive->stageRemove(key);
+        wrote = cfg_.archive->commit();
+    } catch (const core::Error &) {
     }
-    // The snapshot carries everything the queued deltas said, so the
-    // log restarts empty under the new epoch. A crash before the
-    // truncation is benign: replay skips the stale-epoch segments.
+    if (!wrote) {
+        ++stats_.write_failures;
+        return false;
+    }
+    next_delta_key_ = 0;
     epoch_ = group.epoch;
     commits_since_full_ = 0;
     full_dirty_ = false;
-    if (!arc_)
-        openDeltaLogLocked(true);
     ++stats_.full_snapshots;
     ++stats_.group_commits;
     return true;
+}
+
+bool
+CheckpointStore::reclaimDeadSpace()
+{
+    // Each rewrite supersedes the old snapshot image and tombstones
+    // the chain it anchored, so the append-only container would grow
+    // with uptime. Compacting once dead bytes pass three times the
+    // live ones keeps the file under about four times its live set
+    // plus one rewrite cycle, and copies each live byte once per
+    // three bytes made dead. Compaction verifies, re-encodes and
+    // rescans what it copies; at a ratio of one it cost several times
+    // the snapshot writes it cleaned up after (EXPERIMENTS.md).
+    const store::ArchiveStats st = cfg_.archive->stats();
+    if (st.dead_bytes <= 3 * st.live_bytes)
+        return true;
+    bool ok = false;
+    try {
+        ok = cfg_.archive->compact();
+    } catch (const core::Error &) {
+    }
+    if (!ok) {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.write_failures;
+    }
+    return ok;
 }
 
 bool
@@ -959,46 +707,39 @@ CheckpointStore::flush()
     DeltaSegment seg;
     std::vector<std::uint64_t> gen_snap;
     std::uint64_t delta_key = 0;
+    bool rewrote = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (cfg_.path.empty() && arc_ == nullptr) {
+        if (cfg_.archive == nullptr) {
             foldAllLocked(); // mirrors still track every cut in memory
             full_dirty_ = false;
             return true;
         }
-        if (full_dirty_ || commits_since_full_ >= cfg_.full_every)
-            return writeFullSnapshotLocked();
-        if (pending_.empty())
+        if (full_dirty_ || commits_since_full_ >= cfg_.full_every) {
+            if (!writeFullSnapshotLocked())
+                return false;
+            rewrote = true;
+        } else if (pending_.empty()) {
             return true;
-        seg.epoch = epoch_;
-        seg.entries = std::move(pending_);
-        pending_.clear();
-        gen_snap = mirror_gen_;
-        if (arc_)
+        } else {
+            seg.epoch = epoch_;
+            seg.entries = std::move(pending_);
+            pending_.clear();
+            gen_snap = mirror_gen_;
             delta_key = next_delta_key_++;
+        }
     }
+    // Outside mu_: compaction rewrites every tenant's live set, and
+    // shard workers must not wait behind it.
+    if (rewrote)
+        return reclaimDeadSpace();
 
-    std::size_t seg_bytes = 0;
-    bool wrote = false;
-    if (arc_) {
-        // Same framed bytes the .dlt log would carry, landed as one
-        // keyed segment = one archive group commit. A failed put is
-        // rolled back inside the archive (truncate to the pre-commit
-        // end), so a torn batch never reaches a later scan; the key
-        // number is simply skipped, which replay tolerates.
-        std::ostringstream framed(std::ios::binary);
-        seg_bytes = appendDeltaSegment(framed, seg);
-        wrote = arc_->put(deltaKeyStr(delta_key), framed.str());
-    } else {
-        // The log stays open across commits (append mode seeks to the
-        // end on every write); reopen only after a failure cleared the
-        // stream.
-        if (!delta_log_.is_open() || !delta_log_)
-            openDeltaLogLocked(false);
-        seg_bytes = appendDeltaSegment(delta_log_, seg);
-        delta_log_.flush();
-        wrote = bool(delta_log_);
-    }
+    // One keyed segment = one archive group commit. A failed put is
+    // rolled back inside the archive (truncate to the pre-commit
+    // end), so a torn batch never reaches a later scan; the key
+    // number is simply skipped, which replay tolerates.
+    const std::string bytes = encodeDeltaSegment(seg);
+    const bool wrote = cfg_.archive->put(deltaKeyStr(delta_key), bytes);
 
     std::lock_guard<std::mutex> lock(mu_);
     // Written or not, the entries stay queued for the snapshot fold:
@@ -1017,7 +758,7 @@ CheckpointStore::flush()
         full_dirty_ = true;
         return false;
     }
-    stats_.delta_bytes += seg_bytes;
+    stats_.delta_bytes += bytes.size();
     ++stats_.group_commits;
     ++commits_since_full_;
     return true;

@@ -2,31 +2,26 @@
  * @file
  * Crash-consistent checkpoints of running monitors (DESIGN.md §7).
  *
- * Format v1 (magic "EDDIECKP", version 1): one shard's source
- * position plus its complete core::MonitorState, in the shared
- * CRC32+length framing (core/capture_io.h). Still written by
- * saveCheckpoint() and still loadable — resume accepts v1 files.
+ * Two framed formats, both in the shared CRC32+length framing
+ * (core/capture_io.h):
  *
- * Format v2 adds incremental, group-committed checkpoints:
+ *  - A *group snapshot* (magic "EDDIECKP", version 2) holds an epoch
+ *    number and every shard's source position plus its complete
+ *    core::MonitorState.
+ *  - A *delta segment* (magic "EDDIEDLT") is one group commit: the
+ *    epoch it chains onto plus every shard's core::MonitorStateDelta
+ *    since its previous cut.
  *
- *  - A *group snapshot* (same magic, version 2) holds an epoch number
- *    and every shard's full state in one file, written atomically
- *    (tmp + flush + rename).
- *  - A *delta log* (`<path>.dlt`, magic "EDDIEDLT") is an append-only
- *    sequence of individually-framed segments; each segment is one
- *    group commit: the epoch it chains onto plus every shard's
- *    core::MonitorStateDelta since its previous cut. All shards'
- *    deltas land in one buffered write + one flush instead of N
- *    rewrite-the-world file replacements.
- *
- * CheckpointStore owns both files plus an in-memory full-state mirror
+ * On disk both live as keyed segments of ONE EDDIEARC container
+ * (store/archive.h): "<prefix>ckpt/snap" holds the snapshot image and
+ * "<prefix>ckpt/dlt/<n>" one delta segment each. CheckpointStore owns
+ * a key prefix in that container plus an in-memory full-state mirror
  * per shard (what the supervisor restarts crashed workers from).
- * Recovery loads the snapshot, replays matching-epoch delta segments
- * onto it, and — on a truncated, bit-flipped, or chain-broken
- * segment — falls back to the state reconstructed so far, counting
- * the fallback. Resume from any delta chain is bit-identical to
- * resume from a full snapshot at the same cut (property-tested in
- * tests/serve).
+ * Recovery loads the snapshot, replays the delta segments onto it,
+ * and — on a corrupt or chain-broken segment — falls back to the
+ * state reconstructed so far, counting the fallback. Resume from any
+ * delta chain is bit-identical to resume from a full snapshot at the
+ * same cut (property-tested in tests/serve).
  */
 
 #ifndef EDDIE_SERVE_CHECKPOINT_H
@@ -34,9 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -57,24 +50,6 @@ struct CheckpointData
     core::MonitorState monitor;
 };
 
-/** Writes one framed checkpoint (magic "EDDIECKP", version 1). */
-void saveCheckpoint(const CheckpointData &ckpt, std::ostream &os);
-
-/** Reads a checkpoint written by saveCheckpoint(). Throws IoError on
- *  truncation, FormatError on corruption. */
-CheckpointData loadCheckpoint(std::istream &is);
-
-/**
- * Atomic file write: serializes to @p path + ".tmp", then renames
- * over @p path. On any failure the tmp file is removed and IoError is
- * thrown; the previous checkpoint at @p path is untouched.
- */
-void saveCheckpointFile(const CheckpointData &ckpt,
-                        const std::string &path);
-
-/** Loads @p path; throws IoError when the file cannot be opened. */
-CheckpointData loadCheckpointFile(const std::string &path);
-
 /** All shards' full states at one cut, plus the epoch that names the
  *  delta chain anchored on it. */
 struct GroupCheckpoint
@@ -86,16 +61,10 @@ struct GroupCheckpoint
 /** Writes one framed group snapshot (magic "EDDIECKP", version 2). */
 void saveGroupCheckpoint(const GroupCheckpoint &group, std::ostream &os);
 
-/** Reads a v2 group snapshot — or a v1 single-shard checkpoint,
- *  returned as a one-shard group with epoch 0 (legacy files carry no
- *  delta chain). Throws IoError/FormatError like loadCheckpoint(). */
+/** Reads a group snapshot written by saveGroupCheckpoint(). Throws
+ *  IoError on truncation, FormatError on corruption or on any other
+ *  frame version. */
 GroupCheckpoint loadGroupCheckpoint(std::istream &is);
-
-/** Atomic file variants (tmp + flush + rename, like
- *  saveCheckpointFile). */
-void saveGroupCheckpointFile(const GroupCheckpoint &group,
-                             const std::string &path);
-GroupCheckpoint loadGroupCheckpointFile(const std::string &path);
 
 /** One shard's delta within a group commit. */
 struct DeltaEntry
@@ -104,78 +73,54 @@ struct DeltaEntry
     core::MonitorStateDelta delta;
 };
 
-/** One group commit in the delta log. */
+/** One group commit: the value of one delta key. */
 struct DeltaSegment
 {
     /** Epoch of the full snapshot this segment chains onto; replay
-     *  skips segments from other epochs (a crash between the
-     *  snapshot rename and the log truncation leaves stale ones). */
+     *  skips segments from other epochs. */
     std::uint64_t epoch = 0;
     std::vector<DeltaEntry> entries;
 };
 
-/** Appends one framed segment (magic "EDDIEDLT") as a single
- *  buffered write; the caller flushes to commit. Returns the bytes
- *  written. */
-std::size_t appendDeltaSegment(std::ostream &os,
-                               const DeltaSegment &seg);
-
-/** Reads the next segment. Returns false on clean end-of-log; throws
- *  IoError on a torn tail, FormatError on corruption. */
-bool readDeltaSegment(std::istream &is, DeltaSegment &seg);
-
-/** Per-shard checkpoint path of the legacy (pre-v2) layout: one v1
- *  file per shard, "path.i" when sharded. Recovery still reads it. */
-std::string shardCheckpointPath(const std::string &base,
-                                std::size_t shard, std::size_t shards);
+/**
+ * The one on-disk checkpoint layout: every store of a run keys into
+ * one EDDIEARC container at checkpointArchivePath(checkpoint_path),
+ * each tenant under tenantKeyPrefix(tenant_id). Supervisor::run()
+ * files its implicit tenant as kRunTenant, so a store written under
+ * tenantKeyPrefix(kRunTenant) is what run() resumes from.
+ */
+std::string checkpointArchivePath(const std::string &checkpoint_path);
+std::string tenantKeyPrefix(const std::string &tenant_id);
+inline constexpr char kRunTenant[] = "run";
+/** Key of the group snapshot of the store under @p key_prefix. */
+std::string snapshotKey(const std::string &key_prefix);
 
 /** CheckpointStore knobs. */
 struct CheckpointStoreConfig
 {
-    /** Group snapshot file; the delta log lives at path + ".dlt".
-     *  Empty = in-memory mirrors only (no persistence). */
-    std::string path;
     std::size_t num_shards = 1;
     /** Group commits between full-snapshot rewrites (chain length
      *  bound — recovery replays at most this many segments). */
     std::size_t full_every = 16;
     /**
-     * Store snapshots and delta segments as keyed segments of ONE
-     * EDDIEARC container at path + ".arc" instead of the
-     * snapshot-file + ".dlt" pair. The values are the exact framed
-     * bytes of the v2 formats above (key "ckpt/snap" holds a
-     * saveGroupCheckpoint() image, "ckpt/dlt/<n>" one
-     * appendDeltaSegment() image), so the two layouts round-trip
-     * bit-identically. A snapshot rewrite stages the new image plus
-     * the removal of every delta key in one atomic group commit —
-     * stale-epoch segments structurally cannot survive it. Recovery
-     * prefers the archive; when it is absent or empty the legacy
-     * files are read (so flipping this flag on migrates in place)
-     * and the first flush writes the archive. An unopenable archive
-     * path throws IoError from the constructor.
-     */
-    bool use_archive = false;
-    /**
      * Key namespace of this store inside the archive: keys become
      * "<key_prefix>ckpt/snap" and "<key_prefix>ckpt/dlt/<n>". This is
      * the per-tenant fault domain of the fleet runtime — every
-     * tenant's store writes its own prefix (e.g. "tenant/<id>/") into
+     * tenant's store writes its own prefix (tenantKeyPrefix()) into
      * one shared container, and a snapshot rewrite removes only the
      * delta keys under its own prefix, so one tenant's checkpoint rot
-     * or rewrite can never disturb a neighbor's chain. Empty (the
-     * default) is the legacy single-tenant layout, bit-compatible
-     * with PR-7 archives. Ignored in file mode.
+     * or rewrite can never disturb a neighbor's chain.
      */
     std::string key_prefix;
     /**
-     * Non-owned shared container to keep this store's keys in,
-     * instead of opening a private one at path + ".arc". Implies
-     * archive mode; `path` then only names the legacy-migration
-     * fallback files. The caller guarantees the archive outlives the
-     * store and that flush() across stores sharing one archive is
-     * serialized (the supervisor's watchdog is the only flusher).
+     * Non-owned container the keys live in; nullptr keeps the
+     * mirrors in memory only (no persistence). The caller guarantees
+     * the archive outlives the store and that flush() across stores
+     * sharing one archive is serialized (the supervisor's watchdog is
+     * the only flusher): a snapshot rewrite may compact the whole
+     * container, which invalidates every span read from it.
      */
-    store::Archive *shared_archive = nullptr;
+    store::Archive *archive = nullptr;
 };
 
 /** Counters surfaced into core::ServeStats. */
@@ -187,7 +132,7 @@ struct CheckpointStoreStats
     std::uint64_t delta_fallbacks = 0;
     std::uint64_t delta_segments_dropped = 0;
     /** Swallowed I/O failures (durability degraded, serving
-     *  continues — same policy as the v1 per-shard writer). */
+     *  continues). */
     std::uint64_t write_failures = 0;
     /**
      * A snapshot that *exists* failed to decode during recover() —
@@ -203,11 +148,11 @@ struct CheckpointStoreStats
  * full states) as they cut them — cheap, in-memory, applied at once
  * to the shard's mirror so a restart always has the newest cut — and
  * the supervisor's watchdog calls flush() once per poll to land
- * everything pending in one buffered append + one flush. Every
- * full_every commits (and whenever a full submit re-anchored a
- * shard's chain) the store atomically rewrites the group snapshot
- * and truncates the log. Thread-safe; all operations share one
- * mutex, held across the (small, buffered) log append.
+ * everything pending as one archive group commit. Every full_every
+ * commits (and whenever a full submit re-anchored a shard's chain)
+ * the store rewrites the group snapshot and drops its delta keys in
+ * one atomic commit, then compacts the archive if its dead bytes
+ * have come to exceed three times its live ones. Thread-safe.
  */
 class CheckpointStore
 {
@@ -215,11 +160,10 @@ class CheckpointStore
     explicit CheckpointStore(const CheckpointStoreConfig &cfg);
 
     /**
-     * Best-effort recovery from disk: loads the group snapshot (v2,
-     * or a legacy v1 file, or legacy per-shard "path.i" v1 files) and
-     * replays matching-epoch delta segments onto it. A torn, corrupt,
-     * or chain-broken segment stops the replay at the last good
-     * state (fallbacks counted). Returns per-shard recovery flags;
+     * Best-effort recovery from the archive: loads the group snapshot
+     * and replays matching-epoch delta segments onto it. A corrupt or
+     * chain-broken segment stops the replay at the last good state
+     * (fallbacks counted). Returns per-shard recovery flags;
      * recovered states are read back via mirror().
      */
     std::vector<bool> recover();
@@ -241,9 +185,9 @@ class CheckpointStore
      *  mirror plus a replay of the shard's queued deltas. */
     CheckpointData mirror(std::size_t shard);
 
-    /** Group commit: lands all pending deltas in one buffered append
-     *  + one flush, rewriting the full snapshot instead when due.
-     *  Returns false when an I/O failure was swallowed. */
+    /** Group commit: lands all pending deltas as one keyed segment,
+     *  rewriting the full snapshot instead when due. Returns false
+     *  when an I/O failure was swallowed. */
     bool flush();
 
     /** Forces the next flush to rewrite the full snapshot (hot model
@@ -254,19 +198,20 @@ class CheckpointStore
 
   private:
     bool writeFullSnapshotLocked();
-    void openDeltaLogLocked(bool truncate);
+    /** Compacts the archive once its dead bytes exceed three times
+     *  its live ones; false on a failed compaction (counted, file
+     *  untouched). */
+    bool reclaimDeadSpace();
     /** Archive keys under this store's namespace prefix. */
-    std::string snapKeyStr() const;
     std::string deltaPrefixStr() const;
     std::string deltaKeyStr(std::uint64_t n) const;
     void foldAllLocked();
-    /** Archive-mode halves of recover() and the snapshot rewrite. */
-    bool recoverFromArchiveLocked(std::vector<bool> &recovered);
-    bool writeSnapshotArchiveLocked(const GroupCheckpoint &group);
     /** Applies one decoded delta segment transactionally onto the
      *  mirrors; false = damaged (bad shard or broken chain). */
     bool applySegmentLocked(const DeltaSegment &seg);
 
+    /** cfg_.archive's own lock nests inside io_mu_/mu_ and it never
+     *  calls back, so the lock order is acyclic. */
     CheckpointStoreConfig cfg_;
     mutable std::mutex mu_;
     /** Serializes flush() callers; segment encode + disk IO happen
@@ -282,22 +227,14 @@ class CheckpointStore
     /** Bumped by submitFull; lets an in-flight flush detect that a
      *  shard's queued deltas were superseded mid-write. */
     std::vector<std::uint64_t> mirror_gen_;
-    /** Deltas not yet written to the log (next group commit). */
+    /** Deltas not yet written to the archive (next group commit). */
     std::vector<DeltaEntry> pending_;
-    /** Deltas written to the log but not yet folded into the
+    /** Deltas written to the archive but not yet folded into the
      *  mirrors; consumed by the next full-snapshot fold. */
     std::vector<DeltaEntry> staged_;
     std::uint64_t epoch_ = 0;
     std::size_t commits_since_full_ = 0;
     bool full_dirty_ = true; ///< next flush must rewrite the snapshot
-    std::ofstream delta_log_;
-    /** Container when cfg_.use_archive (at cfg_.path + ".arc"); the
-     *  archive's own lock nests inside io_mu_/mu_ and it never calls
-     *  back, so the order is acyclic. */
-    std::unique_ptr<store::Archive> archive_;
-    /** The archive actually used: archive_.get(), or the non-owned
-     *  cfg_.shared_archive; nullptr = file mode. */
-    store::Archive *arc_ = nullptr;
     /** Key number of the next delta segment ("ckpt/dlt/<n>"); reset
      *  by each snapshot rewrite (which removes the delta keys). */
     std::uint64_t next_delta_key_ = 0;

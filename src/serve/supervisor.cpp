@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <utility>
 
 namespace eddie::serve
@@ -19,6 +20,31 @@ nowMs()
     return duration<double, std::milli>(
                steady_clock::now().time_since_epoch())
         .count();
+}
+
+/**
+ * Opens the run's checkpoint container. A resume needs the file as it
+ * is, so damage the archive refuses to open past (FormatError: not an
+ * archive, or mid-file damage) stops it. A fresh run reads nothing
+ * from the file: a damaged one is moved aside to path + ".damaged",
+ * kept for inspection rather than deleted, and the run starts a new
+ * container.
+ */
+std::unique_ptr<store::Archive>
+openCheckpointArchive(const std::string &path, bool resume)
+{
+    store::ArchiveConfig cfg;
+    cfg.path = path;
+    try {
+        return std::make_unique<store::Archive>(cfg);
+    } catch (const core::FormatError &) {
+        if (resume)
+            throw;
+    }
+    const std::string aside = path + ".damaged";
+    if (std::rename(path.c_str(), aside.c_str()) != 0)
+        throw core::ioErrorErrno("checkpoint: move aside", path);
+    return std::make_unique<store::Archive>(cfg);
 }
 
 /** A duration knob must be a finite, non-negative millisecond count. */
@@ -95,7 +121,7 @@ Supervisor::run(const std::vector<SampleSource *> &sources)
     // The implicit tenant: the ServeConfig's queue and budget, no rate
     // quota, and every breaker threshold 0 (no breaker).
     TenantSpec spec;
-    spec.id = "run";
+    spec.id = kRunTenant;
     spec.model = model();
     spec.quota.queue_capacity = cfg_.queue.capacity;
     spec.quota.queue_max_bytes = cfg_.queue.max_bytes;
@@ -107,50 +133,32 @@ Supervisor::run(const std::vector<SampleSource *> &sources)
     auto reg = std::make_unique<TenantRegistry>();
     reg->addTenant(std::move(spec));
     for (SampleSource *source : sources)
-        reg->openSession("run", source);
+        reg->openSession(kRunTenant, source);
 
-    // The single-store layout: snapshot at checkpoint_path with its
-    // ".dlt" beside it, or checkpoint_path + ".arc", no key prefix.
-    CheckpointStoreConfig sc;
-    sc.path = cfg_.checkpoint_path;
-    sc.num_shards = sources.size();
-    sc.full_every = cfg_.full_snapshot_every;
-    sc.use_archive = cfg_.checkpoint_archive;
-    auto store = std::make_unique<CheckpointStore>(sc);
-    std::vector<std::vector<bool>> recovered(1);
-    if (cfg_.resume)
-        recovered[0] = store->recover();
+    const auto recovered = openStores(*reg);
     {
         std::lock_guard<std::mutex> lock(mu_);
         registry_ = nullptr;
-        fleet_archive_.reset();
-        stores_.clear();
-        stores_.push_back(std::move(store));
-        recovery_trips_ = 0;
         run_registry_ = std::move(reg);
     }
     return serve(*run_registry_, recovered);
 }
 
-FleetResult
-Supervisor::runFleet(TenantRegistry &registry)
+std::vector<std::vector<bool>>
+Supervisor::openStores(TenantRegistry &registry)
 {
-    const auto &sessions = registry.sessions();
     const auto &tenants = registry.tenants();
     const double t0 = nowMs();
 
-    // One checkpoint store per tenant — THE per-tenant fault domain.
-    // Archive mode: every store keys into one shared container under
-    // "tenant/<id>/". File mode: a private snapshot+log pair per
-    // tenant at path + "." + id.
+    // One checkpoint store per tenant — THE per-tenant fault domain:
+    // every store keys into one shared container under its tenant's
+    // prefix.
     std::unique_ptr<store::Archive> archive;
-    if (cfg_.checkpoint_archive) {
-        store::ArchiveConfig arc;
-        arc.path = cfg_.checkpoint_path + ".arc";
-        archive = std::make_unique<store::Archive>(arc);
-    }
+    if (!cfg_.checkpoint_path.empty())
+        archive = openCheckpointArchive(
+            checkpointArchivePath(cfg_.checkpoint_path), cfg_.resume);
     std::vector<std::size_t> tenant_sessions(tenants.size(), 0);
-    for (const auto &session : sessions)
+    for (const auto &session : registry.sessions())
         ++tenant_sessions[session.tenant->index()];
     std::vector<std::unique_ptr<CheckpointStore>> stores;
     for (Tenant *tenant : tenants) {
@@ -158,12 +166,8 @@ Supervisor::runFleet(TenantRegistry &registry)
         sc.num_shards =
             std::max<std::size_t>(tenant_sessions[tenant->index()], 1);
         sc.full_every = cfg_.full_snapshot_every;
-        if (archive) {
-            sc.shared_archive = archive.get();
-            sc.key_prefix = "tenant/" + tenant->id() + "/";
-        } else if (!cfg_.checkpoint_path.empty()) {
-            sc.path = cfg_.checkpoint_path + "." + tenant->id();
-        }
+        sc.key_prefix = tenantKeyPrefix(tenant->id());
+        sc.archive = archive.get();
         stores.push_back(std::make_unique<CheckpointStore>(sc));
     }
 
@@ -173,7 +177,12 @@ Supervisor::runFleet(TenantRegistry &registry)
     // window off a corrupt base), while its neighbors resume cleanly.
     std::vector<std::vector<bool>> recovered(tenants.size());
     std::uint64_t trips = 0;
+    std::uint64_t torn_tails = 0;
     if (cfg_.resume) {
+        // The archive dropped a torn tail at open, before any store
+        // could see it: the resume falls back to the cut before it.
+        if (archive)
+            torn_tails = archive->stats().torn_tail_dropped;
         for (Tenant *tenant : tenants) {
             CheckpointStore &store = *stores[tenant->index()];
             recovered[tenant->index()] = store.recover();
@@ -188,19 +197,28 @@ Supervisor::runFleet(TenantRegistry &registry)
                 ++trips;
         }
     }
+    std::lock_guard<std::mutex> lock(mu_);
+    stores_ = std::move(stores);
+    archive_ = std::move(archive);
+    recovery_trips_ = trips;
+    torn_tail_fallbacks_ = torn_tails;
+    return recovered;
+}
+
+FleetResult
+Supervisor::runFleet(TenantRegistry &registry)
+{
+    const auto recovered = openStores(registry);
     {
         std::lock_guard<std::mutex> lock(mu_);
         registry_ = &registry;
         run_registry_.reset();
-        stores_ = std::move(stores);
-        fleet_archive_ = std::move(archive);
-        recovery_trips_ = trips;
     }
 
     FleetResult fleet;
     fleet.sessions = serve(registry, recovered);
     const double now = nowMs();
-    for (Tenant *tenant : tenants) {
+    for (Tenant *tenant : registry.tenants()) {
         TenantResult tr;
         tr.id = tenant->id();
         const CircuitBreaker &breaker = tenant->breaker();
@@ -291,6 +309,7 @@ Supervisor::stats() const
         st.delta_segments_dropped += cs.delta_segments_dropped;
         st.snapshot_decode_failures += cs.snapshot_decode_failures;
     }
+    st.delta_fallbacks += torn_tail_fallbacks_;
     st.breaker_trips += recovery_trips_;
     if (registry_ != nullptr) {
         st.tenants = registry_->tenants().size();

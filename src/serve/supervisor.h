@@ -20,9 +20,10 @@
  *    before its next step (no verdict loss, not charged to the
  *    budget).
  *
- * run(sources) serves one model: it registers one implicit tenant and
- * keeps the single-store checkpoint layout. runFleet(registry) serves
- * many tenants, each its own fault domain (DESIGN.md §9).
+ * run(sources) serves one model: it registers one implicit tenant,
+ * kRunTenant. runFleet(registry) serves many tenants, each its own
+ * fault domain (DESIGN.md §9). Both checkpoint into one EDDIEARC
+ * container, one key prefix per tenant (serve/checkpoint.h).
  *
  * Failure injection for tests goes through a cancel-aware StepHook:
  * throwing simulates a worker crash, blocking until the cancel flag
@@ -100,20 +101,21 @@ struct ServeConfig
      *  periodic checkpoints; the in-memory restart mirror is still
      *  kept). */
     std::size_t checkpoint_interval = 64;
-    /** Group-snapshot file; the delta log lives at path + ".dlt".
+    /** Checkpoints live in the EDDIEARC container at
+     *  checkpointArchivePath(checkpoint_path), i.e. path + ".arc".
      *  Empty = in-memory mirrors only (see serve/checkpoint.h). */
     std::string checkpoint_path;
-    /** Resume from checkpoint_path when the file exists (v2 group
-     *  snapshots, legacy v1 files, and legacy per-shard "path.i"
-     *  files are all accepted). */
+    /** Resume from the container at checkpoint_path when it holds a
+     *  snapshot; a container the archive cannot open (FormatError)
+     *  stops the run. Without resume such a file is moved aside to
+     *  path + ".arc.damaged" and a new container started. */
     bool resume = false;
     /** Group commits between full-snapshot rewrites (bounds the
      *  delta chain recovery has to replay). */
     std::size_t full_snapshot_every = 16;
-    /** Keep snapshots and delta segments in one EDDIEARC container at
-     *  checkpoint_path + ".arc" instead of the file pair; legacy
-     *  files are still read when the archive is absent (see
-     *  CheckpointStoreConfig::use_archive). */
+    /** No effect: the archive is the only checkpoint layout. Kept
+     *  because the EDDIEBENCH serve_fleet workload still sets it;
+     *  validate() still refuses it without a checkpoint_path. */
     bool checkpoint_archive = false;
     /** The serving engine's tuning; scheduler.workers == 0 resolves
      *  to min(hardware threads, sessions). */
@@ -195,10 +197,9 @@ class Supervisor
      * escalation) and returns one result per source. The sources are
      * the sessions of one implicit tenant: its queues and budget come
      * from the ServeConfig, and it has no rate quota and no breaker.
-     * Checkpoints keep the single-store layout: the snapshot at
-     * checkpoint_path with ".dlt" beside it, or checkpoint_path +
-     * ".arc" with no key prefix. Sources must outlive the call and be
-     * seekable for restart/resume to work. Not reentrant.
+     * It checkpoints under tenantKeyPrefix(kRunTenant). Sources must
+     * outlive the call and be seekable for restart/resume to work.
+     * Not reentrant.
      */
     std::vector<ShardResult>
     run(const std::vector<SampleSource *> &sources);
@@ -207,8 +208,7 @@ class Supervisor
      * Multi-tenant fleet run (DESIGN.md §9): one session per admitted
      * session in @p registry, each checkpointing into its tenant's
      * own store — a per-tenant key namespace of one shared EDDIEARC
-     * container (checkpoint_archive) or a per-tenant file pair at
-     * checkpoint_path + "." + id. Per-tenant fault domains:
+     * container. Per-tenant fault domains:
      *
      *  - the RestartBudget is the tenant's (all its sessions draw
      *    from one pool; exhaustion escalates the failing session);
@@ -252,6 +252,13 @@ class Supervisor
     std::shared_ptr<const core::TrainedModel> model() const;
 
   private:
+    /** Opens the checkpoint container and one store per tenant of
+     *  @p registry into stores_ (index = Tenant::index()); on resume
+     *  recovers each, feeding snapshot rot to the tenant's breaker.
+     *  Returns the per-tenant, per-session recovered flags. */
+    std::vector<std::vector<bool>>
+    openStores(TenantRegistry &registry);
+
     /** Runs @p registry's sessions on a fresh scheduler over stores_
      *  (index = Tenant::index()); @p recovered[t][k] flags tenant t's
      *  k-th session as restorable from its store's mirror. */
@@ -268,12 +275,13 @@ class Supervisor
 
     /** Guards the per-run state below against stats() readers. */
     mutable std::mutex mu_;
-    /** One checkpoint store per tenant (run(): the one store). In
-     *  fleet archive mode all of them key into fleet_archive_; only
+    /** The run's checkpoint container; nullptr without a
+     *  checkpoint_path. */
+    std::unique_ptr<store::Archive> archive_;
+    /** One checkpoint store per tenant, all keyed into archive_; only
      *  the watchdog flushes, so the shared container never sees
      *  interleaved stage/commit batches. */
     std::vector<std::unique_ptr<CheckpointStore>> stores_;
-    std::unique_ptr<store::Archive> fleet_archive_;
     /** run()'s implicit tenant (outlives the scheduler's pointers). */
     std::unique_ptr<TenantRegistry> run_registry_;
     /** Registry of the current/last runFleet, for stats(); nullptr
@@ -283,6 +291,9 @@ class Supervisor
     /** Breakers tripped by checkpoint rot during resume, before the
      *  scheduler starts. */
     std::uint64_t recovery_trips_ = 0;
+    /** Torn archive tails a resume fell back past (counted into
+     *  ServeStats::delta_fallbacks). */
+    std::uint64_t torn_tail_fallbacks_ = 0;
 };
 
 } // namespace eddie::serve

@@ -155,6 +155,11 @@ TenantRegistry::addTenant(TenantSpec spec)
 {
     if (spec.id.empty())
         throw std::invalid_argument("tenant: empty id");
+    // The id names the tenant's checkpoint key prefix, "tenant/<id>/";
+    // a '/' in it could make one tenant's prefix a prefix of another's
+    // keys, and a snapshot rewrite would remove the neighbor's.
+    if (spec.id.find('/') != std::string::npos)
+        throw std::invalid_argument("tenant: '/' in id " + spec.id);
     if (tenants_.count(spec.id) != 0)
         throw std::invalid_argument("tenant: duplicate id " + spec.id);
     auto tenant =

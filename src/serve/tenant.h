@@ -307,8 +307,9 @@ class TenantRegistry
     explicit TenantRegistry(AdmissionConfig cfg = {});
 
     /** Registers a tenant; throws std::invalid_argument on a
-     *  duplicate or empty id. The reference stays valid for the
-     *  registry's lifetime. */
+     *  duplicate or empty id, or one containing '/' (the id names the
+     *  tenant's checkpoint key prefix). The reference stays valid for
+     *  the registry's lifetime. */
     Tenant &addTenant(TenantSpec spec);
 
     Tenant *find(const std::string &id);

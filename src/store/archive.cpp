@@ -8,6 +8,7 @@
 #include <utility>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/crc32.h"
@@ -62,6 +63,59 @@ validSectorSize(std::uint32_t s)
     return s >= 64 && s <= (1u << 20) && (s & (s - 1)) == 0;
 }
 
+/** Sector 0 of a new archive: magic, version, sector size, reserved,
+ *  and a CRC32 over those fields, zero-padded to the sector. */
+std::string
+superblock(std::uint32_t sector)
+{
+    std::string block;
+    block.append(kMagic, sizeof kMagic);
+    putRaw<std::uint32_t>(block, kVersion);
+    putRaw<std::uint32_t>(block, sector);
+    putRaw<std::uint64_t>(block, 0);
+    putRaw<std::uint32_t>(block,
+                          common::crc32(block.data(), block.size()));
+    block.resize(sector, '\0');
+    return block;
+}
+
+/** A segment header as the scan reads it. */
+struct SegmentHeader
+{
+    std::uint64_t seq = 0;
+    std::uint32_t kind = 0;
+    std::uint64_t key_len = 0;
+    std::uint64_t value_len = 0;
+    std::uint64_t n_psec = 0;       ///< payload sectors
+    std::uint64_t header_bytes = 0; ///< fixed part + key + CRCs
+    std::uint64_t header_secs = 0;
+};
+
+/** Parses the header at @p off; false unless its fields are plausible,
+ *  it lies wholly inside the file and its CRC matches. */
+bool
+readHeader(const char *base, std::uint64_t off, std::uint64_t file_size,
+           std::uint32_t sector, SegmentHeader &h)
+{
+    if (off + kFixedHeader > file_size)
+        return false;
+    h.seq = loadRaw<std::uint64_t>(base + off);
+    h.kind = loadRaw<std::uint32_t>(base + off + 8);
+    h.key_len = loadRaw<std::uint64_t>(base + off + 16);
+    h.value_len = loadRaw<std::uint64_t>(base + off + 24);
+    if ((h.kind != kKindPut && h.kind != kKindRemove) || h.key_len == 0 ||
+        h.key_len > kMaxKeyLen || h.value_len > kMaxValueLen ||
+        (h.kind == kKindRemove && h.value_len != 0))
+        return false;
+    h.n_psec = ceilDiv(h.value_len, sector);
+    h.header_bytes = kFixedHeader + h.key_len + 4 * h.n_psec + 4;
+    h.header_secs = ceilDiv(h.header_bytes, sector);
+    if (h.header_bytes > file_size - off)
+        return false;
+    return loadRaw<std::uint32_t>(base + off + h.header_bytes - 4) ==
+           common::crc32(base + off, std::size_t(h.header_bytes - 4));
+}
+
 } // namespace
 
 Archive::Archive(ArchiveConfig cfg) : cfg_(std::move(cfg))
@@ -92,29 +146,6 @@ Archive::sniff(const std::string &path)
 }
 
 void
-Archive::writeSuperblockLocked()
-{
-    std::string block;
-    block.append(kMagic, sizeof kMagic);
-    putRaw<std::uint32_t>(block, kVersion);
-    putRaw<std::uint32_t>(block, sector_);
-    putRaw<std::uint64_t>(block, 0);
-    putRaw<std::uint32_t>(block,
-                          common::crc32(block.data(), block.size()));
-    block.resize(sector_, '\0');
-
-    errno = 0; // stream failures report the underlying errno
-    std::ofstream os(cfg_.path, std::ios::binary | std::ios::trunc);
-    if (!os)
-        throw core::ioErrorErrno("archive: create", cfg_.path);
-    os.write(block.data(), std::streamsize(block.size()));
-    os.flush();
-    if (!os)
-        throw core::ioErrorErrno("archive: superblock write",
-                                 cfg_.path);
-}
-
-void
 Archive::openLocked(bool creating_ok)
 {
     namespace fs = std::filesystem;
@@ -133,8 +164,21 @@ Archive::openLocked(bool creating_ok)
             throw core::IoError(
                 "archive: missing " + cfg_.path +
                 (ec ? ": " + ec.message() : std::string()));
-        writeSuperblockLocked();
-        fsize = sector_;
+        // A new archive has nothing to scan, and its file — superblock
+        // first — is created by the first commit rather than here:
+        // file creation costs tens of microseconds, and a serving run
+        // opens its checkpoint archive before any session starts,
+        // while its commits run on the watchdog. Only check here that
+        // the file can be created.
+        const fs::path dir = fs::path(cfg_.path).parent_path();
+        errno = 0;
+        if (::access(dir.empty() ? "." : dir.c_str(), W_OK) != 0)
+            throw core::ioErrorErrno("archive: create", cfg_.path);
+        end_ = sector_;
+        next_seq_ = 1;
+        staged_seq_ = next_seq_;
+        broken_ = false;
+        return;
     }
     if (fsize < kSuperBytes + 4)
         throw core::FormatError("archive: truncated superblock in " +
@@ -198,53 +242,22 @@ Archive::scanLocked(const char *base, std::size_t file_size)
     std::uint64_t dead = 0;
 
     std::uint64_t off = sector_;
+    SegmentHeader h;
     while (off < file_size) {
-        if (off + kFixedHeader > file_size) {
-            ++stats_.torn_tail_dropped;
+        if (!readHeader(base, off, file_size, sector_, h) ||
+            h.seq != next_seq_ ||
+            (h.header_secs + h.n_psec) * sector_ > file_size - off)
             break;
-        }
-        const std::uint64_t seq = loadRaw<std::uint64_t>(base + off);
-        const std::uint32_t kind =
-            loadRaw<std::uint32_t>(base + off + 8);
-        const std::uint64_t key_len =
-            loadRaw<std::uint64_t>(base + off + 16);
-        const std::uint64_t value_len =
-            loadRaw<std::uint64_t>(base + off + 24);
-        if (seq != next_seq_ ||
-            (kind != kKindPut && kind != kKindRemove) ||
-            key_len == 0 || key_len > kMaxKeyLen ||
-            value_len > kMaxValueLen ||
-            (kind == kKindRemove && value_len != 0)) {
-            ++stats_.torn_tail_dropped;
-            break;
-        }
-        const std::uint64_t n_psec = ceilDiv(value_len, sector_);
-        const std::uint64_t header_bytes =
-            kFixedHeader + key_len + 4 * n_psec + 4;
-        const std::uint64_t header_secs =
-            ceilDiv(header_bytes, sector_);
-        const std::uint64_t seg_bytes =
-            (header_secs + n_psec) * sector_;
-        if (seg_bytes > file_size - off) {
-            ++stats_.torn_tail_dropped;
-            break;
-        }
-        if (loadRaw<std::uint32_t>(base + off + header_bytes - 4) !=
-            common::crc32(base + off,
-                          std::size_t(header_bytes - 4))) {
-            ++stats_.torn_tail_dropped;
-            break;
-        }
 
         std::string key(base + off + kFixedHeader,
-                        std::size_t(key_len));
-        if (kind == kKindPut) {
+                        std::size_t(h.key_len));
+        if (h.kind == kKindPut) {
             Slot slot;
             slot.offset = off;
-            slot.table_off = off + kFixedHeader + key_len;
-            slot.payload_off = off + header_secs * sector_;
-            slot.value_len = value_len;
-            slot.n_sectors = std::uint32_t(n_psec);
+            slot.table_off = off + kFixedHeader + h.key_len;
+            slot.payload_off = off + h.header_secs * sector_;
+            slot.value_len = h.value_len;
+            slot.n_sectors = std::uint32_t(h.n_psec);
             const auto it = dir_.find(key);
             if (it != dir_.end()) {
                 ++dead; // superseded put
@@ -257,10 +270,24 @@ Archive::scanLocked(const char *base, std::size_t file_size)
             if (dir_.erase(key) > 0)
                 ++dead; // ... and so is the put it tombstoned
         }
-        stats_.payload_sectors_total += n_psec;
+        stats_.payload_sectors_total += h.n_psec;
         ++stats_.segments_scanned;
-        off += seg_bytes;
+        off += (h.header_secs + h.n_psec) * sector_;
         ++next_seq_;
+    }
+    if (off < file_size) {
+        // A torn write damages only the last batch, so nothing valid
+        // can follow it. A CRC-valid header further on means this
+        // damage is mid-file, and truncating here would delete every
+        // artifact after it.
+        for (std::uint64_t at = off + sector_; at < file_size;
+             at += sector_)
+            if (readHeader(base, at, file_size, sector_, h))
+                throw core::FormatError(
+                    "archive: damaged segment at offset " +
+                    std::to_string(off) + " precedes a valid one at " +
+                    std::to_string(at) + " in " + cfg_.path);
+        ++stats_.torn_tail_dropped;
     }
     end_ = off;
     stats_.dead_segments = dead;
@@ -360,15 +387,28 @@ Archive::commitLocked()
 {
     if (staging_.empty())
         return true;
-    bool ok = !broken_ && fd_ >= 0;
+    bool ok = !broken_;
+    std::string_view out = staging_;
+    // The first commit of a new archive creates its file, with the
+    // superblock in the same write as the batch. A file that appeared
+    // meanwhile is another writer's: refuse it rather than clobber.
+    std::string created;
+    if (ok && fd_ < 0) {
+        fd_ = ::open(cfg_.path.c_str(),
+                     O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+        struct stat st{};
+        ok = fd_ >= 0 && ::fstat(fd_, &st) == 0 && st.st_size == 0;
+        created = superblock(sector_);
+        created += staging_;
+        out = created;
+    }
     // The whole batch goes down in one write call — that write *is*
     // the group commit (the loop only resumes a partial write). No
-    // fsync: durability-to-page-cache matches the legacy delta log's
-    // flush discipline.
+    // fsync: durability is to the page cache.
     std::size_t done = 0;
-    while (ok && done < staging_.size()) {
-        const ssize_t n = ::write(fd_, staging_.data() + done,
-                                  staging_.size() - done);
+    while (ok && done < out.size()) {
+        const ssize_t n =
+            ::write(fd_, out.data() + done, out.size() - done);
         if (n <= 0)
             ok = false;
         else
@@ -377,9 +417,18 @@ Archive::commitLocked()
     if (!ok) {
         ++stats_.write_failures;
         // Roll the file back to the last good segment so the partial
-        // batch can never be scanned as a live prefix later.
-        if (fd_ >= 0 && ::ftruncate(fd_, off_t(end_)) != 0)
+        // batch can never be scanned as a live prefix later. A file
+        // this commit created goes back to empty and is created again
+        // by the next one.
+        if (!created.empty()) {
+            if (fd_ >= 0 && done > 0 && ::ftruncate(fd_, 0) != 0)
+                broken_ = true;
+            if (fd_ >= 0)
+                ::close(fd_);
+            fd_ = -1;
+        } else if (fd_ >= 0 && ::ftruncate(fd_, off_t(end_)) != 0) {
             broken_ = true;
+        }
         staged_seq_ = next_seq_;
     } else {
         end_ += staging_.size();
@@ -485,6 +534,16 @@ Archive::getCopy(std::string_view key)
     return std::string(span.data(), span.size());
 }
 
+std::optional<Archive::Extent>
+Archive::valueExtent(std::string_view key) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = dir_.find(key);
+    if (it == dir_.end())
+        return std::nullopt;
+    return Extent{it->second.payload_off, it->second.value_len};
+}
+
 bool
 Archive::contains(std::string_view key) const
 {
@@ -517,43 +576,37 @@ Archive::compact()
     if (!commitLocked())
         return false;
 
-    // Build the replacement file in memory: superblock + the live
-    // set, renumbered from seq 1, every value copied byte-identically
-    // (after verifying its sectors — compaction must not launder a
-    // corrupt artifact into a freshly-CRC'd one).
-    std::string out;
-    out.append(kMagic, sizeof kMagic);
-    putRaw<std::uint32_t>(out, kVersion);
-    putRaw<std::uint32_t>(out, sector_);
-    putRaw<std::uint64_t>(out, 0);
-    putRaw<std::uint32_t>(out, common::crc32(out.data(), out.size()));
-    out.resize(sector_, '\0');
-
-    std::uint64_t seq = 1;
-    for (auto &kv : dir_) {
-        Slot &slot = kv.second;
-        ensureMappedLocked(slot.payload_off +
-                           std::uint64_t(slot.n_sectors) * sector_);
-        if (!verifySlotLocked(slot))
-            return false;
-        encodeSegment(out, seq++, kKindPut, kv.first,
-                      {active_.data() + slot.payload_off,
-                       std::size_t(slot.value_len)});
-    }
-
+    // Stream the replacement file: superblock + the live set,
+    // renumbered from seq 1, one segment in memory at a time, every
+    // value copied byte-identically after verifying its sectors
+    // (compaction must not launder a corrupt artifact into a
+    // freshly-CRC'd one).
     const std::string tmp = cfg_.path + ".compact";
     {
         std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            ++stats_.write_failures;
-            return false;
+        std::string seg = superblock(sector_);
+        os.write(seg.data(), std::streamsize(seg.size()));
+        std::uint64_t seq = 1;
+        bool verified = true;
+        for (auto &kv : dir_) {
+            Slot &slot = kv.second;
+            ensureMappedLocked(slot.payload_off +
+                               std::uint64_t(slot.n_sectors) * sector_);
+            verified = verifySlotLocked(slot);
+            if (!os || !verified)
+                break;
+            seg.clear();
+            encodeSegment(seg, seq++, kKindPut, kv.first,
+                          {active_.data() + slot.payload_off,
+                           std::size_t(slot.value_len)});
+            os.write(seg.data(), std::streamsize(seg.size()));
         }
-        os.write(out.data(), std::streamsize(out.size()));
         os.flush();
-        if (!os) {
+        if (!os || !verified) {
             os.close();
             std::remove(tmp.c_str());
-            ++stats_.write_failures;
+            if (verified)
+                ++stats_.write_failures;
             return false;
         }
     }
@@ -583,6 +636,10 @@ Archive::stats() const
     std::lock_guard<std::mutex> lock(mu_);
     ArchiveStats out = stats_;
     out.live_artifacts = dir_.size();
+    for (const auto &kv : dir_)
+        out.live_bytes += kv.second.payload_off - kv.second.offset +
+                          std::uint64_t(kv.second.n_sectors) * sector_;
+    out.dead_bytes = end_ - sector_ - out.live_bytes;
     out.mmap_active = active_.mapped();
     return out;
 }

@@ -1,10 +1,9 @@
 /**
  * @file
  * EDDIEARC — the segmented, verified artifact container (DESIGN.md
- * §8). One append-only file replaces the zoo of per-kind artifact
- * files: trained models, capture-cache spills, and checkpoint
- * snapshots/delta segments all live in the same archive as keyed
- * segments.
+ * §8). One append-only file holds keyed segments of every artifact
+ * kind: trained models, capture-cache spills, and checkpoint
+ * snapshots/delta segments.
  *
  * Layout (all offsets sector-aligned, sector size fixed at creation):
  *
@@ -22,11 +21,9 @@
  * Invariants the format buys:
  *
  *  - Group commit: stagePut()/stageRemove() encode into a staging
- *    buffer; commit() lands the whole batch in ONE write syscall —
- *    the same one-buffered-write discipline as the checkpoint delta
- *    log (PR 6), now shared by every artifact kind. A failed commit
- *    truncates the file back to its pre-commit end, so the archive
- *    never exposes a half-written batch to a later scan.
+ *    buffer; commit() lands the whole batch in ONE write syscall. A
+ *    failed commit truncates the file back to its pre-commit end, so
+ *    the archive never exposes a half-written batch to a later scan.
  *  - Zero-copy reads: the payload is contiguous (the per-sector CRC
  *    table lives in the header, not interleaved), so get() returns a
  *    span straight into the read-only mmap. Spans stay valid across
@@ -40,11 +37,13 @@
  *    appended (stats report verified vs. total sectors to prove it).
  *  - Torn-tail fallback: a truncated or bit-flipped final batch fails
  *    its header CRC (or runs past EOF) and is dropped with a counted
- *    fallback, exactly like the delta-log replay; everything before
- *    it stays readable.
+ *    fallback; everything before it stays readable. A damaged header
+ *    with a CRC-valid header anywhere after it is not a torn tail but
+ *    mid-file damage: opening throws FormatError and leaves the file
+ *    untouched, since truncating there would delete live artifacts.
  *  - Last-write-wins: re-putting a key supersedes the old segment
- *    (counted dead); offline compact() rewrites the live set into a
- *    fresh file and atomically renames it over the old one.
+ *    (counted dead); compact() rewrites the live set into a fresh
+ *    file and atomically renames it over the old one.
  *
  * Thread-safe: one mutex over directory, staging, and IO.
  */
@@ -69,7 +68,8 @@ namespace eddie::store
 
 struct ArchiveConfig
 {
-    /** Archive file; created (with a superblock) when absent. */
+    /** Archive file; when absent, the first commit creates it (with
+     *  its superblock). */
     std::string path;
     /** Sector size for a *newly created* archive; an existing file's
      *  superblock wins. Power of two in [64, 1 MiB]. */
@@ -82,6 +82,10 @@ struct ArchiveStats
     std::uint64_t segments_scanned = 0; ///< headers walked at open
     std::uint64_t live_artifacts = 0;   ///< current directory size
     std::uint64_t dead_segments = 0;    ///< superseded puts + removes
+    /** File bytes (headers and payload) of the live segments, and of
+     *  every other segment: what compact() would reclaim. */
+    std::uint64_t live_bytes = 0;
+    std::uint64_t dead_bytes = 0;
     /** Torn or corrupt tail batches dropped (open-time fallback). */
     std::uint64_t torn_tail_dropped = 0;
     std::uint64_t group_commits = 0; ///< successful commit() calls
@@ -114,9 +118,12 @@ enum class GetStatus
 class Archive
 {
   public:
-    /** Opens (scanning the segment headers) or creates the archive.
-     *  Throws core::IoError on IO failure, core::FormatError when the
-     *  file exists but is not an EDDIEARC v1 archive. */
+    /** Opens an existing archive (scanning the segment headers), or a
+     *  new one whose file the first commit creates. Throws
+     *  core::IoError on IO failure or when a new archive's directory
+     *  is not writable, core::FormatError when the file exists but is
+     *  not an EDDIEARC v1 archive or has a damaged segment header
+     *  before its last valid one. */
     explicit Archive(ArchiveConfig cfg);
     ~Archive();
 
@@ -124,7 +131,7 @@ class Archive
     Archive &operator=(const Archive &) = delete;
 
     /** True when @p path exists and starts with the EDDIEARC magic —
-     *  the format-version switch the legacy readers hide behind. */
+     *  the switch between archive and text model files. */
     static bool sniff(const std::string &path);
 
     /** Stages one put/remove for the next commit(). Staged ops are
@@ -153,15 +160,26 @@ class Archive
      *  (stats tell them apart). */
     std::optional<std::string> getCopy(std::string_view key);
 
+    /** Where a live value's bytes sit in the file. */
+    struct Extent
+    {
+        std::uint64_t offset = 0;
+        std::uint64_t length = 0;
+    };
+    /** File extent of @p key's live value; nullopt when the key is not
+     *  live. For fault injection and tooling that must aim at one
+     *  artifact inside a shared container. */
+    std::optional<Extent> valueExtent(std::string_view key) const;
+
     bool contains(std::string_view key) const;
     /** Live keys in ascending order. */
     std::vector<std::string> keys() const;
     std::size_t liveCount() const;
 
     /**
-     * Offline compaction: rewrites the live set (verifying every
-     * payload sector) into path + ".compact", renames it over the
-     * archive, and rescans. Every live artifact's value bytes are
+     * Compaction: lands any staged batch, rewrites the live set
+     * (verifying every payload sector) into path + ".compact", renames
+     * it over the archive, and rescans. Every live artifact's value bytes are
      * preserved byte-identically. Returns false (file untouched) on
      * IO failure or when a live artifact fails verification.
      * Invalidates all previously returned spans.
@@ -193,7 +211,6 @@ class Archive
 
     void openLocked(bool creating_ok);
     void scanLocked(const char *base, std::size_t file_size);
-    void writeSuperblockLocked();
     void encodeSegment(std::string &out, std::uint64_t seq,
                        std::uint32_t kind, std::string_view key,
                        std::string_view value) const;
@@ -215,7 +232,9 @@ class Archive
     std::uint64_t staged_sectors_ = 0;
     std::uint64_t staged_puts_ = 0;
     std::uint64_t staged_removes_ = 0;
-    int fd_ = -1;      ///< append descriptor
+    /** Append descriptor; -1 until the first commit of a new
+     *  archive creates the file. */
+    int fd_ = -1;
     bool broken_ = false; ///< truncate-after-failed-commit also failed
     MappedFile active_;
     /** Outgrown mappings, kept so returned spans stay valid. */

@@ -167,14 +167,14 @@ TEST(CaptureCacheTest, KeySeparatesEveryCaptureInput)
 
 TEST(CaptureCacheTest, EvictionSpillsToDiskAndReloads)
 {
-    const auto dir =
+    const auto arc_path =
         std::filesystem::path(::testing::TempDir()) /
-        "eddie_capture_cache_test";
-    std::filesystem::create_directories(dir);
+        "eddie_capture_cache_test.arc";
+    std::filesystem::remove(arc_path);
 
     CaptureCacheConfig cc;
     cc.capacity = 1;
-    cc.spill_dir = dir.string();
+    cc.spill_archive = arc_path.string();
 
     PipelineConfig cfg;
     cfg.capture_cache = std::make_shared<CaptureCache>(cc);
@@ -193,7 +193,7 @@ TEST(CaptureCacheTest, EvictionSpillsToDiskAndReloads)
     EXPECT_EQ(stats.entries, 1u);
     EXPECT_FALSE(core::describe(stats).empty());
 
-    std::filesystem::remove_all(dir);
+    std::filesystem::remove(arc_path);
 }
 
 TEST(CaptureCacheTest, StsStreamRoundTripsThroughCaptureIo)

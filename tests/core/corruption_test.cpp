@@ -18,6 +18,7 @@
 #include "core/capture_io.h"
 #include "core/errors.h"
 #include "core/model.h"
+#include "store/archive.h"
 
 namespace
 {
@@ -229,13 +230,15 @@ TEST(CorruptionTest, StsStreamCorruptionIsTypedError)
 
 TEST(CorruptionTest, CorruptSpillIsCountedMissNotError)
 {
-    const auto dir = std::filesystem::path(::testing::TempDir()) /
-                     "eddie_corruption_test";
-    std::filesystem::create_directories(dir);
+    const std::string arc_path =
+        (std::filesystem::path(::testing::TempDir()) /
+         "eddie_corruption_test.arc")
+            .string();
+    std::filesystem::remove(arc_path);
 
     CaptureCacheConfig cc;
     cc.capacity = 1;
-    cc.spill_dir = dir.string();
+    cc.spill_archive = arc_path;
 
     std::mt19937_64 rng(105);
     const auto stream_a = sampleStream(rng);
@@ -246,31 +249,43 @@ TEST(CorruptionTest, CorruptSpillIsCountedMissNotError)
         cache.getOrCompute("key-b", [&] { return stream_b; });
         // key-a evicted and spilled.
     }
-    std::filesystem::path spill;
-    for (const auto &e : std::filesystem::directory_iterator(dir)) {
-        // capacity 1: key-a's spill is the one not holding key-b.
-        std::ifstream is(e.path(), std::ios::binary);
+    // The spill's value bytes inside the archive ("spill/" + key).
+    const std::string spill_key = "spill/key-a";
+    store::Archive::Extent value;
+    {
+        store::ArchiveConfig acfg;
+        acfg.path = arc_path;
+        const auto extent = store::Archive(acfg).valueExtent(spill_key);
+        ASSERT_TRUE(extent.has_value());
+        value = *extent;
+    }
+    const auto readArchive = [&] {
+        std::ifstream is(arc_path, std::ios::binary);
         std::ostringstream slurp;
         slurp << is.rdbuf();
-        if (slurp.str().find("key-a") != std::string::npos)
-            spill = e.path();
-    }
-    ASSERT_FALSE(spill.empty());
+        return slurp.str();
+    };
+    const auto writeArchive = [&](const std::string &bytes) {
+        std::ofstream osf(arc_path, std::ios::binary | std::ios::trunc);
+        osf.write(bytes.data(), std::streamsize(bytes.size()));
+    };
+    const std::string good = readArchive();
 
     std::mt19937_64 corrupt_rng(106);
     for (int trial = 0; trial < 30; ++trial) {
-        std::ifstream is(spill, std::ios::binary);
-        std::ostringstream slurp;
-        slurp << is.rdbuf();
-        const std::string good = slurp.str();
-        const std::string bad = trial % 2 == 0 ?
-            flipBit(good, corrupt_rng) :
-            truncate(good, corrupt_rng);
-        {
-            std::ofstream osf(spill,
-                              std::ios::binary | std::ios::trunc);
-            osf.write(bad.data(), std::streamsize(bad.size()));
+        // Damage lands in the spill itself: a flipped value bit, or the
+        // file cut off somewhere inside the value.
+        const std::string spill = good.substr(
+            std::size_t(value.offset), std::size_t(value.length));
+        std::string bad = good;
+        if (trial % 2 == 0) {
+            bad.replace(std::size_t(value.offset), spill.size(),
+                        flipBit(spill, corrupt_rng));
+        } else {
+            bad.resize(std::size_t(value.offset) +
+                       truncate(spill, corrupt_rng).size());
         }
+        writeArchive(bad);
 
         CaptureCache cache(cc);
         std::size_t computes = 0;
@@ -279,11 +294,11 @@ TEST(CorruptionTest, CorruptSpillIsCountedMissNotError)
             return stream_a;
         });
         const auto stats = cache.stats();
-        // Three legitimate outcomes, none of which is an exception:
-        // the damage was caught and counted (recompute), the flip
-        // hit the stored key so the file reads as another capture's
-        // spill (plain miss), or nothing guarded was hit and the
-        // stream decoded intact (disk hit).
+        // Two legitimate outcomes, neither of which is an exception:
+        // the damage was caught and counted (recompute) — a flipped
+        // value fails its sector CRC, a cut value is a torn tail the
+        // archive drops at open (plain miss) — or nothing guarded was
+        // hit and the stream decoded intact (disk hit).
         if (computes == 1) {
             EXPECT_EQ(stats.misses, 1u);
             EXPECT_LE(stats.spill_corrupt + stats.spill_short_read,
@@ -296,42 +311,41 @@ TEST(CorruptionTest, CorruptSpillIsCountedMissNotError)
         EXPECT_EQ(got.size(), stream_a.size());
         EXPECT_EQ(got.empty() ? 0.0 : got[0].window_energy,
                   stream_a[0].window_energy);
-
-        // Restore the pristine spill for the next trial.
-        std::ofstream osf(spill, std::ios::binary | std::ios::trunc);
-        osf.write(good.data(), std::streamsize(good.size()));
     }
 
-    // Targeted damage with deterministic counters: the last byte is
-    // inside the embedded stream's CRC footer, so flipping it is a
-    // detected corruption; cutting the file in half is a short read.
-    std::ifstream is(spill, std::ios::binary);
-    std::ostringstream slurp;
-    slurp << is.rdbuf();
-    const std::string good = slurp.str();
-
-    auto write_spill = [&](const std::string &bytes) {
-        std::ofstream osf(spill, std::ios::binary | std::ios::trunc);
-        osf.write(bytes.data(), std::streamsize(bytes.size()));
-    };
+    // Targeted damage with deterministic counters: the last value
+    // byte is inside the embedded stream's CRC footer, so flipping it
+    // is a detected corruption; a spill whose stored stream was cut
+    // in half (written intact into the archive) is a short read.
     {
         std::string bad = good;
-        bad.back() = char(bad.back() ^ 0x40);
-        write_spill(bad);
+        const std::size_t last =
+            std::size_t(value.offset + value.length - 1);
+        bad[last] = char(bad[last] ^ 0x40);
+        writeArchive(bad);
         CaptureCache cache(cc);
         (void)cache.getOrCompute("key-a", [&] { return stream_a; });
         EXPECT_EQ(cache.stats().spill_corrupt, 1u);
         EXPECT_EQ(cache.stats().misses, 1u);
     }
     {
-        write_spill(good.substr(0, good.size() / 2));
+        writeArchive(good);
+        {
+            store::ArchiveConfig acfg;
+            acfg.path = arc_path;
+            store::Archive arc(acfg);
+            ASSERT_TRUE(arc.put(
+                spill_key,
+                good.substr(std::size_t(value.offset),
+                            std::size_t(value.length / 2))));
+        }
         CaptureCache cache(cc);
         (void)cache.getOrCompute("key-a", [&] { return stream_a; });
         EXPECT_EQ(cache.stats().spill_short_read, 1u);
         EXPECT_EQ(cache.stats().misses, 1u);
     }
 
-    std::filesystem::remove_all(dir);
+    std::filesystem::remove(arc_path);
 }
 
 } // namespace

@@ -1,14 +1,13 @@
 /**
  * @file
- * Checkpoint round-trip and recovery-equivalence tests: randomized
- * MonitorState snapshots must survive serialize→load byte-for-byte,
- * corruption must fail typed, and a monitor resumed from a checkpoint
- * cut anywhere in the stream — including inside a rejection streak or
- * a quarantine outage — must finish with bit-identical verdicts.
+ * Checkpoint round-trip and recovery-equivalence tests on the
+ * one-shard group snapshot codec: randomized MonitorState snapshots
+ * must survive serialize→load byte-for-byte, corruption must fail
+ * typed, and a monitor resumed from a checkpoint cut anywhere in the
+ * stream — including inside a rejection streak or a quarantine outage
+ * — must finish with bit-identical verdicts.
  */
 
-#include <cstdio>
-#include <fstream>
 #include <random>
 #include <sstream>
 
@@ -74,12 +73,25 @@ randomCheckpoint(std::mt19937_64 &rng)
     return ckpt;
 }
 
+/** @p ckpt as a one-shard group snapshot. */
 std::string
 bytes(const CheckpointData &ckpt)
 {
+    GroupCheckpoint group;
+    group.shards.push_back(ckpt);
     std::ostringstream os;
-    saveCheckpoint(ckpt, os);
+    saveGroupCheckpoint(group, os);
     return os.str();
+}
+
+/** The one shard of a group snapshot read from @p is. */
+CheckpointData
+loadOne(std::istream &is)
+{
+    GroupCheckpoint group = loadGroupCheckpoint(is);
+    if (group.shards.size() != 1)
+        throw core::FormatError("expected a one-shard snapshot");
+    return std::move(group.shards.front());
 }
 
 TEST(CheckpointRoundTrip, RandomizedStatesSurviveByteForByte)
@@ -89,7 +101,7 @@ TEST(CheckpointRoundTrip, RandomizedStatesSurviveByteForByte)
         const CheckpointData original = randomCheckpoint(rng);
         const std::string serialized = bytes(original);
         std::istringstream is(serialized);
-        const CheckpointData loaded = loadCheckpoint(is);
+        const CheckpointData loaded = loadOne(is);
 
         EXPECT_EQ(loaded.source_pos, original.source_pos);
         EXPECT_EQ(loaded.monitor.current, original.monitor.current);
@@ -120,33 +132,16 @@ TEST(CheckpointRoundTrip, CorruptionFailsTyped)
         std::string bad = good;
         bad[pos] = char(bad[pos] ^ 0x20);
         std::istringstream is(bad);
-        EXPECT_THROW(loadCheckpoint(is), core::Error)
+        EXPECT_THROW(loadOne(is), core::Error)
             << "flip at byte " << pos << " went undetected";
     }
 
     // Truncation is an I/O-shaped failure.
     std::istringstream trunc(good.substr(0, good.size() / 2));
-    EXPECT_THROW(loadCheckpoint(trunc), core::IoError);
+    EXPECT_THROW(loadOne(trunc), core::IoError);
 
     std::istringstream empty{std::string()};
-    EXPECT_THROW(loadCheckpoint(empty), core::IoError);
-}
-
-TEST(CheckpointRoundTrip, AtomicFileWriteLeavesNoTmpBehind)
-{
-    std::mt19937_64 rng(13);
-    const CheckpointData ckpt = randomCheckpoint(rng);
-    const std::string path = testing::TempDir() + "ckpt_atomic_test";
-    saveCheckpointFile(ckpt, path);
-    // The tmp staging file must be gone after the rename.
-    std::ifstream tmp(path + ".tmp");
-    EXPECT_FALSE(tmp.good());
-    const CheckpointData loaded = loadCheckpointFile(path);
-    EXPECT_EQ(bytes(loaded), bytes(ckpt));
-    std::remove(path.c_str());
-
-    EXPECT_THROW(loadCheckpointFile(path + ".does-not-exist"),
-                 core::IoError);
+    EXPECT_THROW(loadOne(empty), core::IoError);
 }
 
 /** The tentpole property: resume-from-checkpoint == uninterrupted,
@@ -180,7 +175,7 @@ TEST(CheckpointRecovery, ResumeIsBitIdenticalAtEveryCutPoint)
         ckpt.monitor = first.exportState();
         ckpt.source_pos = ckpt.monitor.step_index;
         std::istringstream is(bytes(ckpt));
-        const CheckpointData loaded = loadCheckpoint(is);
+        const CheckpointData loaded = loadOne(is);
         ASSERT_EQ(loaded.source_pos, cut);
 
         core::Monitor resumed(model, mcfg);

@@ -198,7 +198,6 @@ TEST(Fleet, SharedArchiveNamespacesResumeBitIdentical)
     FleetFixture fx(2);
     ServeConfig cfg = fastServeConfig();
     cfg.checkpoint_path = base;
-    cfg.checkpoint_archive = true;
     {
         // First run: both tenants checkpoint into one container
         // under their own key prefixes, stopped mid-stream by a
@@ -310,7 +309,6 @@ TEST(Chaos, SmokeSeedsHoldEveryInvariant)
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         ChaosConfig cfg;
         cfg.seed = seed;
-        cfg.archive = seed % 2 == 0;
         cfg.dir = testing::TempDir() + "chaos_smoke_s" +
                   std::to_string(seed);
         std::filesystem::create_directories(cfg.dir);

@@ -3,13 +3,16 @@
  * End-to-end supervision tests: the runtime is killed mid-stream
  * (worker crash, worker hang, in-process teardown with on-disk
  * checkpoints) and must recover to the exact verdict sequence of an
- * uninterrupted run; a flaky source behind retry/backoff must cause
- * zero verdict divergence; an unrecoverable shard must escalate.
+ * uninterrupted run; a torn or damaged checkpoint archive must be
+ * counted or refused, never silently lost; a flaky source behind
+ * retry/backoff must cause zero verdict divergence; an unrecoverable
+ * shard must escalate.
  */
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
@@ -20,6 +23,7 @@
 #include "serve/sample_source.h"
 #include "serve/supervisor.h"
 #include "serve_test_util.h"
+#include "store/archive.h"
 
 namespace
 {
@@ -176,8 +180,7 @@ TEST(Supervisor, KillThenResumeFromDiskIsBitIdentical)
 {
     const Fixture &f = fixture();
     const std::string path = testing::TempDir() + "serve_kill_resume";
-    std::remove(path.c_str());
-    std::remove((path + ".dlt").c_str());
+    std::remove(checkpointArchivePath(path).c_str());
 
     ServeConfig cfg = f.config();
     cfg.checkpoint_path = path;
@@ -208,8 +211,7 @@ TEST(Supervisor, KillThenResumeFromDiskIsBitIdentical)
     EXPECT_EQ(sup.stats().checkpoint_restores, 1u);
     // The resumed run only processed the tail.
     EXPECT_LT(sup.stats().processed, f.stream->size());
-    std::remove(path.c_str());
-    std::remove((path + ".dlt").c_str());
+    std::remove(checkpointArchivePath(path).c_str());
 }
 
 /** Graceful stop mid-stream writes a final checkpoint; resuming from
@@ -218,8 +220,7 @@ TEST(Supervisor, GracefulStopThenResumeIsBitIdentical)
 {
     const Fixture &f = fixture();
     const std::string path = testing::TempDir() + "serve_stop_resume";
-    std::remove(path.c_str());
-    std::remove((path + ".dlt").c_str());
+    std::remove(checkpointArchivePath(path).c_str());
 
     ServeConfig cfg = f.config();
     cfg.checkpoint_path = path;
@@ -250,8 +251,99 @@ TEST(Supervisor, GracefulStopThenResumeIsBitIdentical)
     ASSERT_EQ(results.size(), 1u);
     EXPECT_TRUE(sameRecords(results[0].records, f.baseline_records));
     EXPECT_TRUE(sameReports(results[0].reports, f.baseline_reports));
-    std::remove(path.c_str());
-    std::remove((path + ".dlt").c_str());
+    std::remove(checkpointArchivePath(path).c_str());
+}
+
+/** A torn archive tail (a crash mid-commit) drops the newest batch at
+ *  open; the resume falls back to the cut before it, finishes with
+ *  the baseline's verdicts, and counts the fallback. */
+TEST(Supervisor, TornArchiveTailIsACountedFallbackOnResume)
+{
+    const Fixture &f = fixture();
+    const std::string path = testing::TempDir() + "serve_torn_tail";
+    const std::string arc = checkpointArchivePath(path);
+    std::remove(arc.c_str());
+
+    ServeConfig cfg = f.config();
+    cfg.checkpoint_path = path;
+    {
+        VectorSource source(f.stream);
+        Supervisor sup(f.model, cfg);
+        sup.setStepHook([&sup](std::size_t step,
+                               const std::atomic<bool> &) {
+            if (step == 70)
+                sup.requestStop();
+        });
+        ASSERT_TRUE(sup.run({&source})[0].stopped);
+        EXPECT_EQ(sup.stats().delta_fallbacks, 0u);
+    }
+    std::filesystem::resize_file(arc, std::filesystem::file_size(arc) - 1);
+
+    cfg.resume = true;
+    VectorSource source(f.stream);
+    Supervisor sup(f.model, cfg);
+    const auto results = sup.run({&source});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(sameRecords(results[0].records, f.baseline_records));
+    EXPECT_TRUE(sameReports(results[0].reports, f.baseline_reports));
+    EXPECT_EQ(sup.stats().delta_fallbacks, 1u);
+    std::remove(arc.c_str());
+}
+
+/** Mid-file damage makes the archive refuse to open. A resume stops
+ *  on it; a fresh run, which reads nothing from the file, moves it
+ *  aside untouched and checkpoints into a new container. */
+TEST(Supervisor, FreshRunMovesADamagedArchiveAside)
+{
+    const Fixture &f = fixture();
+    const std::string path = testing::TempDir() + "serve_damaged";
+    const std::string arc = checkpointArchivePath(path);
+    const std::string aside = arc + ".damaged";
+    std::remove(arc.c_str());
+    std::remove(aside.c_str());
+    std::uint32_t sector = 0;
+    {
+        store::ArchiveConfig acfg;
+        acfg.path = arc;
+        store::Archive a(acfg);
+        for (const char *key : {"a", "b", "c"})
+            ASSERT_TRUE(a.put(key, std::string(100, 'x')));
+        sector = a.sectorSize();
+    }
+    {
+        // The first segment starts at sector 1; its header CRC covers
+        // this byte, and the two segments after it stay valid.
+        std::fstream io(arc, std::ios::binary | std::ios::in |
+                                 std::ios::out);
+        io.seekp(sector);
+        io.put('\x7f');
+    }
+    const auto damaged_size = std::filesystem::file_size(arc);
+
+    ServeConfig cfg = f.config();
+    cfg.checkpoint_path = path;
+    cfg.resume = true;
+    {
+        VectorSource source(f.stream);
+        Supervisor sup(f.model, cfg);
+        EXPECT_THROW(sup.run({&source}), core::FormatError);
+    }
+    EXPECT_EQ(std::filesystem::file_size(arc), damaged_size);
+
+    cfg.resume = false;
+    VectorSource source(f.stream);
+    Supervisor sup(f.model, cfg);
+    const auto results = sup.run({&source});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(sameRecords(results[0].records, f.baseline_records));
+    EXPECT_EQ(std::filesystem::file_size(aside), damaged_size);
+    store::ArchiveConfig acfg;
+    acfg.path = arc;
+    store::Archive fresh(acfg);
+    EXPECT_TRUE(fresh.contains(snapshotKey(tenantKeyPrefix(kRunTenant))));
+    EXPECT_FALSE(fresh.contains("a"));
+    std::remove(arc.c_str());
+    std::remove(aside.c_str());
 }
 
 /** The flaky-source acceptance property: stalls and transient errors

@@ -219,14 +219,6 @@ TEST(RestartBudget, ZeroBudgetEscalatesImmediately)
     EXPECT_TRUE(budget.escalated());
 }
 
-TEST(ShardCheckpointPath, SuffixesOnlyWhenSharded)
-{
-    EXPECT_EQ(shardCheckpointPath("", 0, 1), "");
-    EXPECT_EQ(shardCheckpointPath("/tmp/ck", 0, 1), "/tmp/ck");
-    EXPECT_EQ(shardCheckpointPath("/tmp/ck", 0, 3), "/tmp/ck.0");
-    EXPECT_EQ(shardCheckpointPath("/tmp/ck", 2, 3), "/tmp/ck.2");
-}
-
 /** The field a validate() failure names; empty when it passes. */
 std::string
 rejectedField(const ServeConfig &cfg)

@@ -173,6 +173,22 @@ TEST(TenantRegistry, RejectsDuplicateAndEmptyIds)
     EXPECT_THROW(reg.addTenant(spec), std::invalid_argument);
 }
 
+TEST(TenantRegistry, RejectsIdsContainingASlash)
+{
+    // "a/ckpt/dlt" would live under tenant a's delta-key prefix in the
+    // shared checkpoint archive, so a's snapshot rewrite would remove
+    // its neighbor's snapshot.
+    TenantRegistry reg;
+    TenantSpec spec;
+    spec.id = "a";
+    reg.addTenant(spec);
+    for (const char *id : {"a/ckpt/dlt", "/a", "a/", "x/y"}) {
+        spec.id = id;
+        EXPECT_THROW(reg.addTenant(spec), std::invalid_argument) << id;
+    }
+    EXPECT_EQ(reg.tenants().size(), 1u);
+}
+
 TEST(TenantRegistry, CountsEveryRefusalByReason)
 {
     AdmissionConfig adm;

@@ -1,16 +1,35 @@
-#include <cmath>
+/**
+ * @file
+ * Kernel-behaviour tests of the presorted ("fast") K-S entry points,
+ * stats::ksStatisticSorted and stats::ksTestSorted: agreement with the
+ * copy-and-sort reference on random and heavily tied samples, the
+ * degenerate inputs (identical, disjoint, empty), and the critical
+ * value formula. Callers with unsorted groups sort a copy first, as
+ * every case below does.
+ */
+
 #include <algorithm>
+#include <cmath>
 #include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/fast_ks.h"
 #include "stats/ks.h"
 
 namespace
 {
 
-using eddie::core::ksStatisticSortedRef;
+using eddie::stats::ksStatistic;
+using eddie::stats::ksStatisticSorted;
+using eddie::stats::ksTestSorted;
+
+std::vector<double>
+sorted(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    return v;
+}
 
 TEST(FastKsTest, MatchesReferenceImplementationRandom)
 {
@@ -25,9 +44,8 @@ TEST(FastKsTest, MatchesReferenceImplementationRandom)
             v = d(rng);
         for (auto &v : mon)
             v = d(rng);
-        std::sort(ref.begin(), ref.end());
-        const double fast = ksStatisticSortedRef(ref, mon);
-        const double slow = eddie::stats::ksStatistic(ref, mon);
+        const double fast = ksStatisticSorted(sorted(ref), sorted(mon));
+        const double slow = ksStatistic(ref, mon);
         EXPECT_NEAR(fast, slow, 1e-12) << "trial " << trial;
     }
 }
@@ -43,9 +61,8 @@ TEST(FastKsTest, MatchesReferenceWithHeavyTies)
             v = double(d(rng));
         for (auto &v : mon)
             v = double(d(rng));
-        std::sort(ref.begin(), ref.end());
-        const double fast = ksStatisticSortedRef(ref, mon);
-        const double slow = eddie::stats::ksStatistic(ref, mon);
+        const double fast = ksStatisticSorted(sorted(ref), sorted(mon));
+        const double slow = ksStatistic(ref, mon);
         EXPECT_NEAR(fast, slow, 1e-12) << "trial " << trial;
     }
 }
@@ -54,19 +71,19 @@ TEST(FastKsTest, AllIdenticalValues)
 {
     std::vector<double> ref(100, 5.0);
     std::vector<double> mon(8, 5.0);
-    EXPECT_DOUBLE_EQ(ksStatisticSortedRef(ref, mon), 0.0);
+    EXPECT_DOUBLE_EQ(ksStatisticSorted(ref, mon), 0.0);
 }
 
 TEST(FastKsTest, DisjointSupportsGiveOne)
 {
     std::vector<double> ref{1.0, 2.0, 3.0};
     std::vector<double> mon{10.0, 11.0};
-    EXPECT_DOUBLE_EQ(ksStatisticSortedRef(ref, mon), 1.0);
+    EXPECT_DOUBLE_EQ(ksStatisticSorted(ref, mon), 1.0);
 }
 
 TEST(FastKsTest, CriticalValueMatchesFormula)
 {
-    const double c = eddie::core::ksCriticalValue(100, 25, 0.05);
+    const double c = eddie::stats::ksCritical(100, 25, 0.05);
     EXPECT_NEAR(c, 1.3581 * std::sqrt(125.0 / 2500.0), 2e-3);
 }
 
@@ -79,8 +96,7 @@ TEST(FastKsTest, RejectConsistentWithStatsTest)
         v = a(rng);
     for (auto &v : mon)
         v = b(rng);
-    std::sort(ref.begin(), ref.end());
-    const bool fast = eddie::core::ksRejectSortedRef(ref, mon, 0.01);
+    const bool fast = ksTestSorted(sorted(ref), sorted(mon), 0.01).reject;
     const auto slow = eddie::stats::ksTest(ref, mon, 0.01);
     EXPECT_EQ(fast, slow.reject);
 }
@@ -88,8 +104,8 @@ TEST(FastKsTest, RejectConsistentWithStatsTest)
 TEST(FastKsTest, EmptyInputsNeverReject)
 {
     std::vector<double> ref{1.0};
-    EXPECT_FALSE(eddie::core::ksRejectSortedRef(ref, {}, 0.01));
-    EXPECT_FALSE(eddie::core::ksRejectSortedRef({}, ref, 0.01));
+    EXPECT_FALSE(ksTestSorted(ref, {}, 0.01).reject);
+    EXPECT_FALSE(ksTestSorted({}, ref, 0.01).reject);
 }
 
 } // namespace

@@ -203,12 +203,19 @@ TEST(ArchiveTest, CompactionPreservesLiveSetByteIdentically)
     ASSERT_TRUE(arc.commit());
 
     const auto before = fs::file_size(path);
+    const std::uint64_t sector = arc.sectorSize();
     ASSERT_GT(arc.stats().dead_segments, 0u);
+    EXPECT_EQ(sector + arc.stats().live_bytes + arc.stats().dead_bytes,
+              before);
+    const std::uint64_t live_bytes = arc.stats().live_bytes;
     ASSERT_TRUE(arc.compact());
     const auto after = fs::file_size(path);
 
     EXPECT_LT(after, before);
     EXPECT_EQ(arc.stats().dead_segments, 0u);
+    EXPECT_EQ(arc.stats().dead_bytes, 0u);
+    EXPECT_EQ(arc.stats().live_bytes, live_bytes);
+    EXPECT_EQ(sector + live_bytes, after);
     EXPECT_EQ(arc.liveCount(), expect.size());
     for (const auto &kv : expect) {
         auto got = arc.getCopy(kv.first);
@@ -221,6 +228,36 @@ TEST(ArchiveTest, CompactionPreservesLiveSetByteIdentically)
     for (const auto &kv : expect)
         EXPECT_EQ(re.getCopy(kv.first).value_or("<missing>"),
                   kv.second);
+}
+
+TEST(ArchiveTest, CompactionRefusesACorruptArtifactAndKeepsTheFile)
+{
+    const std::string path = tempPath("arc_compact_corrupt.arc");
+    fs::remove(path);
+    {
+        Archive arc(smallConfig(path));
+        for (int i = 0; i < 3; ++i)
+            ASSERT_TRUE(arc.put("k" + std::to_string(i), pattern(300, i)));
+        ASSERT_TRUE(arc.put("k1", pattern(200, 9))); // one dead segment
+        const auto extent = arc.valueExtent("k2");
+        ASSERT_TRUE(extent.has_value());
+        std::string bytes = readFile(path);
+        bytes[std::size_t(extent->offset + 10)] ^= 0x40;
+        writeFile(path, bytes);
+    }
+    const std::string damaged = readFile(path);
+
+    // Compaction verifies every live value before copying it: a
+    // corrupt one must not come out of it with fresh CRCs.
+    Archive arc(smallConfig(path));
+    EXPECT_FALSE(arc.compact());
+    EXPECT_EQ(readFile(path), damaged);
+    EXPECT_FALSE(fs::exists(path + ".compact"));
+    EXPECT_EQ(arc.stats().compactions, 0u);
+    EXPECT_EQ(arc.getCopy("k0").value_or("<missing>"), pattern(300, 0));
+    std::span<const char> span;
+    EXPECT_EQ(arc.get("k2", span), GetStatus::Corrupt);
+    fs::remove(path);
 }
 
 TEST(ArchiveTest, TruncatedTailDropsOnlyTheTornBatch)
@@ -374,4 +411,72 @@ TEST(ArchiveTest, RejectsNonArchiveFilesWithTypedError)
     writeFile(path, std::string(4096, 'x'));
     EXPECT_THROW(Archive(smallConfig(path)),
                  eddie::core::FormatError);
+}
+
+TEST(ArchiveTest, DamagedHeaderBeforeValidSegmentsIsNotATornTail)
+{
+    // Four puts, the first superseded by the second. A flipped bit in
+    // the first segment's header is mid-file damage: every live key
+    // sits after it, so opening must refuse (typed) and leave the
+    // file byte-identical instead of truncating it to the superblock.
+    const std::string path = tempPath("arc_midfile.arc");
+    fs::remove(path);
+    {
+        Archive arc(smallConfig(path));
+        ASSERT_TRUE(arc.put("key", pattern(300, 1)));
+        ASSERT_TRUE(arc.put("key", pattern(300, 2)));
+        ASSERT_TRUE(arc.put("x", pattern(200, 3)));
+        ASSERT_TRUE(arc.put("y", pattern(100, 4)));
+    }
+    std::string bytes = readFile(path);
+    bytes[128 + 24] = char(bytes[128 + 24] ^ 0x01); // first value_len
+    writeFile(path, bytes);
+
+    EXPECT_THROW(Archive(smallConfig(path)), eddie::core::FormatError);
+    EXPECT_EQ(readFile(path), bytes);
+}
+
+TEST(ArchiveTest, ValueExtentLocatesTheLiveValueBytes)
+{
+    const std::string path = tempPath("arc_extent.arc");
+    fs::remove(path);
+    Archive arc(smallConfig(path));
+    ASSERT_TRUE(arc.put("a", pattern(300, 5)));
+    ASSERT_TRUE(arc.put("b", pattern(70, 6)));
+    ASSERT_TRUE(arc.put("a", pattern(260, 7))); // supersedes the first
+    EXPECT_FALSE(arc.valueExtent("missing").has_value());
+    const std::string file = readFile(path);
+    for (const auto &[key, value] :
+         {std::pair<std::string, std::string>{"a", pattern(260, 7)},
+          {"b", pattern(70, 6)}}) {
+        const auto extent = arc.valueExtent(key);
+        ASSERT_TRUE(extent.has_value()) << key;
+        ASSERT_EQ(extent->length, value.size()) << key;
+        EXPECT_EQ(file.substr(std::size_t(extent->offset),
+                              std::size_t(extent->length)),
+                  value)
+            << key;
+    }
+}
+
+TEST(ArchiveTest, NewArchiveFileIsCreatedByTheFirstCommit)
+{
+    const std::string path = tempPath("arc_lazy.arc");
+    fs::remove(path);
+    {
+        Archive arc(smallConfig(path));
+        EXPECT_FALSE(fs::exists(path));
+        EXPECT_EQ(arc.liveCount(), 0u);
+        EXPECT_FALSE(arc.contains("k"));
+        ASSERT_TRUE(arc.put("k", pattern(300, 8)));
+        EXPECT_TRUE(fs::exists(path));
+        EXPECT_EQ(arc.getCopy("k").value_or(""), pattern(300, 8));
+    }
+    Archive reopened(smallConfig(path));
+    EXPECT_EQ(reopened.getCopy("k").value_or(""), pattern(300, 8));
+
+    // An archive that could never be created fails at open, not at
+    // its first commit.
+    EXPECT_THROW(Archive(smallConfig(tempPath("no-such-dir/x.arc"))),
+                 eddie::core::IoError);
 }

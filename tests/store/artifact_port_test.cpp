@@ -1,18 +1,16 @@
 /**
  * @file
- * Port-level tests for the three persistence layers moved into the
- * EDDIEARC artifact store: trained models, capture-cache spills, and
- * checkpoint snapshots + delta chains. Each port must round-trip
- * bit-identically with its legacy format, keep the legacy files
- * loadable through the format-version switch, and fail typed (never
- * silently) on a corrupted container.
+ * Port-level tests for the persistence layers kept in the EDDIEARC
+ * artifact store: trained models (which still round-trip
+ * bit-identically with the text format and load through the
+ * format-version switch) and capture-cache spills. A corrupted
+ * container fails typed, never silently. Checkpoint stores are
+ * tested in tests/serve.
  */
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,7 +20,6 @@
 #include "core/capture_io.h"
 #include "core/errors.h"
 #include "core/model.h"
-#include "serve/checkpoint.h"
 #include "../serve/serve_test_util.h"
 
 namespace
@@ -78,14 +75,6 @@ sameSts(const std::vector<core::Sts> &a,
             return false;
     }
     return true;
-}
-
-std::string
-checkpointBytes(const serve::CheckpointData &ckpt)
-{
-    std::ostringstream os(std::ios::binary);
-    serve::saveCheckpoint(ckpt, os);
-    return os.str();
 }
 
 TEST(ModelPort, ArchiveAndTextFilesDecodeIdentically)
@@ -186,141 +175,6 @@ TEST(SpillPort, EvictionRoundTripsThroughTheArchive)
     EXPECT_TRUE(sameSts(stream, *hit));
     EXPECT_EQ(cache.stats().disk_hits, 1u);
     std::remove(arc_path.c_str());
-}
-
-TEST(SpillPort, LegacySpillDirStillConsultedOnArchiveMiss)
-{
-    const std::string dir = tempPath("spill_dir");
-    const std::string arc_path = tempPath("spill_migrate.arc");
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    std::remove(arc_path.c_str());
-    const auto stream = serve_test::eventfulStream(14);
-
-    {
-        // Legacy deployment: spill directory only.
-        core::CaptureCacheConfig cfg;
-        cfg.capacity = 1;
-        cfg.spill_dir = dir;
-        core::CaptureCache cache(cfg);
-        (void)cache.getOrComputeShared("k0", [&] { return stream; });
-        (void)cache.getOrComputeShared(
-            "k1", [&] { return serve_test::eventfulStream(15); });
-    }
-    // Migrated deployment: archive preferred, directory fallback.
-    core::CaptureCacheConfig cfg;
-    cfg.capacity = 4;
-    cfg.spill_dir = dir;
-    cfg.spill_archive = arc_path;
-    core::CaptureCache cache(cfg);
-    const auto hit = cache.getOrComputeShared("k0", [&] {
-        ADD_FAILURE() << "legacy spill file was not consulted";
-        return stream;
-    });
-    EXPECT_TRUE(sameSts(stream, *hit));
-    EXPECT_EQ(cache.stats().disk_hits, 1u);
-    std::filesystem::remove_all(dir);
-    std::remove(arc_path.c_str());
-}
-
-/** Drives one monitor over the eventful stream, cutting deltas into
- *  @p store the way the serving runtime does: anchor with a full
- *  state, then chain delta cuts. */
-void
-driveStore(serve::CheckpointStore &store,
-           const core::TrainedModel &model)
-{
-    core::Monitor monitor(model, core::MonitorConfig());
-    serve::CheckpointData anchor;
-    anchor.monitor = monitor.exportState();
-    anchor.source_pos = anchor.monitor.step_index;
-    store.submitFull(0, std::move(anchor));
-    ASSERT_TRUE(store.flush());
-    const auto stream = serve_test::eventfulStream(16);
-    std::size_t step = 0;
-    for (const auto &sts : stream) {
-        monitor.step(sts);
-        if (++step % 20 == 0) {
-            store.submitDelta(0, monitor.exportDelta());
-            ASSERT_TRUE(store.flush());
-        }
-    }
-}
-
-TEST(CheckpointPort, ArchiveRecoveryBitIdenticalToFilePair)
-{
-    std::mt19937_64 rng(17);
-    const auto model = serve_test::sharpModel(rng);
-
-    const auto runMode = [&](bool use_archive,
-                             const std::string &path) {
-        serve::CheckpointStoreConfig cfg;
-        cfg.path = path;
-        cfg.num_shards = 1;
-        cfg.full_every = 1u << 20; // keep the whole delta chain
-        cfg.use_archive = use_archive;
-        {
-            serve::CheckpointStore store(cfg);
-            driveStore(store, model);
-        }
-        serve::CheckpointStore fresh(cfg);
-        const auto recovered = fresh.recover();
-        EXPECT_EQ(recovered, std::vector<bool>{true});
-        return checkpointBytes(fresh.mirror(0));
-    };
-
-    const std::string file_path = tempPath("ckpt_files");
-    const std::string arc_path = tempPath("ckpt_arc");
-    const std::string from_files = runMode(false, file_path);
-    const std::string from_arc = runMode(true, arc_path);
-    EXPECT_FALSE(from_files.empty());
-    EXPECT_EQ(from_files, from_arc);
-
-    std::remove(file_path.c_str());
-    std::remove((file_path + ".dlt").c_str());
-    std::remove((arc_path + ".arc").c_str());
-}
-
-TEST(CheckpointPort, LegacyFilePairMigratesIntoTheArchive)
-{
-    std::mt19937_64 rng(18);
-    const auto model = serve_test::sharpModel(rng);
-    const std::string path = tempPath("ckpt_migrate");
-    std::remove(path.c_str());
-    std::remove((path + ".dlt").c_str());
-    std::remove((path + ".arc").c_str());
-
-    serve::CheckpointStoreConfig legacy_cfg;
-    legacy_cfg.path = path;
-    legacy_cfg.num_shards = 1;
-    legacy_cfg.full_every = 1u << 20;
-    {
-        serve::CheckpointStore store(legacy_cfg);
-        driveStore(store, model);
-    }
-
-    // Same path with use_archive: recovery reads the legacy files
-    // (the archive is empty), and the next snapshot lands in the
-    // archive.
-    serve::CheckpointStoreConfig arc_cfg = legacy_cfg;
-    arc_cfg.use_archive = true;
-    std::string legacy_state;
-    {
-        serve::CheckpointStore store(arc_cfg);
-        const auto recovered = store.recover();
-        EXPECT_EQ(recovered, std::vector<bool>{true});
-        legacy_state = checkpointBytes(store.mirror(0));
-        store.forceFullSnapshot();
-        store.flush();
-    }
-    // A later run recovers the same state from the archive alone.
-    std::remove(path.c_str());
-    std::remove((path + ".dlt").c_str());
-    serve::CheckpointStore store(arc_cfg);
-    const auto recovered = store.recover();
-    EXPECT_EQ(recovered, std::vector<bool>{true});
-    EXPECT_EQ(checkpointBytes(store.mirror(0)), legacy_state);
-    std::remove((path + ".arc").c_str());
 }
 
 } // namespace

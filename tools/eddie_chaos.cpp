@@ -6,17 +6,16 @@
  *   eddie_chaos [--seed N | --seeds N [--first F]]
  *       [--tenants T] [--sessions S] [--steps W]
  *       [--kill-prob P] [--hang-prob P] [--budget N]
- *       [--arc | --files] [--dir DIR] [--keep]
+ *       [--dir DIR] [--keep]
  *       [--workers M] [--wire] [--require-all-fates]
  *
  * Each seed runs the full scenario: a faulted fleet run (worker
  * kills/hangs on the victim tenant, queue overflow, starvation), a
  * torn-commit resume, and a corrupt-snapshot resume, asserting that
  * healthy tenants' verdicts stay bit-identical to a clean serial run,
- * restarts stay inside the victim's budget, and recovery from disk is
- * clean. Without --arc/--files the checkpoint layout alternates by
- * seed parity so both are covered. Every phase runs on the fair-share
- * scheduler; --workers M fixes its worker pool (default: min(hardware
+ * restarts stay inside the victim's budget, and recovery from the
+ * shared checkpoint archive is clean. Every phase runs on the
+ * fair-share scheduler; --workers M fixes its worker pool (default: min(hardware
  * threads, sessions)). --wire adds phase W: every session streams
  * over a live socket (TCP loopback or AF_UNIX, by seed) through a
  * WireListener, with the client injecting byte-level faults — torn
@@ -50,16 +49,15 @@ run(int argc, char **argv)
 {
     tools::Args args(argc, argv,
                      {"seed", "seeds", "first", "tenants", "sessions",
-                      "steps", "kill-prob", "hang-prob", "budget", "arc",
-                      "files", "dir", "keep", "workers", "wire",
-                      "require-all-fates"});
+                      "steps", "kill-prob", "hang-prob", "budget", "dir",
+                      "keep", "workers", "wire", "require-all-fates"});
     if (!args.positional().empty()) {
         std::fprintf(
             stderr,
             "usage: eddie_chaos [--seed N | --seeds N [--first F]] "
             "[--tenants T] [--sessions S]\n"
             "       [--steps W] [--kill-prob P] [--hang-prob P] "
-            "[--budget N] [--arc | --files]\n"
+            "[--budget N]\n"
             "       [--dir DIR] [--keep] [--workers M] [--wire] "
             "[--require-all-fates]\n");
         return 2;
@@ -121,17 +119,12 @@ run(int argc, char **argv)
     for (long i = 0; i < grid; ++i) {
         serve::ChaosConfig cfg = base;
         cfg.seed = std::uint64_t(first + i);
-        // Cover both checkpoint layouts across the grid.
-        cfg.archive = args.has("files") ? false
-                      : args.has("arc") ? true
-                                        : (cfg.seed % 2 == 0);
         cfg.dir = root + "/s" + std::to_string(cfg.seed);
         std::filesystem::create_directories(cfg.dir);
 
         const serve::ChaosReport rep = serve::runChaos(cfg);
-        std::printf("seed %llu [%s]: %s\n",
+        std::printf("seed %llu: %s\n",
                     static_cast<unsigned long long>(cfg.seed),
-                    cfg.archive ? "arc" : "files",
                     serve::describe(rep).c_str());
         for (const std::string &v : rep.violations)
             std::printf("  VIOLATION: %s\n", v.c_str());

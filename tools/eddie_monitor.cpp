@@ -13,12 +13,14 @@
  * SIGINT/SIGTERM stop the monitoring loop gracefully: the current
  * window finishes, metrics over the processed prefix are flushed, and
  * with --checkpoint a final resumable snapshot is written (a second
- * signal hard-exits).
+ * signal hard-exits). The snapshot goes into the EDDIEARC container
+ * FILE.arc in the layout of eddie_serve's workload mode, so
+ * `eddie_serve ... --resume --checkpoint FILE` continues from it.
  */
 
 #include <cstdio>
-#include <fstream>
 
+#include "core/errors.h"
 #include "core/pipeline.h"
 #include "inject/scenarios.h"
 #include "serve/checkpoint.h"
@@ -42,7 +44,8 @@ run(int argc, char **argv)
                      "[--scale S] [--seed N] [--em] [--snr DB]\n"
                      "       [--threads T] [--inject loop|burst] "
                      "[--payload N] "
-                     "[--contamination R] [--target REGION]\n");
+                     "[--contamination R] [--target REGION]\n"
+                     "       [--checkpoint FILE]\n");
         return 2;
     }
     // Sniffs text vs EDDIEARC archive models.
@@ -107,9 +110,20 @@ run(int argc, char **argv)
         serve::CheckpointData ckpt;
         ckpt.monitor = monitor.exportState();
         ckpt.source_pos = ckpt.monitor.step_index;
-        serve::saveCheckpointFile(ckpt, ckpt_path);
+        store::ArchiveConfig arc_cfg;
+        arc_cfg.path = serve::checkpointArchivePath(ckpt_path);
+        store::Archive arc(arc_cfg);
+        serve::CheckpointStoreConfig store_cfg;
+        store_cfg.key_prefix = serve::tenantKeyPrefix(serve::kRunTenant);
+        store_cfg.archive = &arc;
+        serve::CheckpointStore store(store_cfg);
+        const std::size_t steps = ckpt.monitor.step_index;
+        store.submitFull(0, std::move(ckpt));
+        if (!store.flush())
+            throw core::IoError("checkpoint: write failed: " +
+                                arc_cfg.path);
         std::printf("checkpoint written to %s (%zu steps)\n",
-                    ckpt_path.c_str(), ckpt.monitor.step_index);
+                    arc_cfg.path.c_str(), steps);
     }
     if (interrupted)
         std::printf("interrupted after %zu of %zu STS windows\n",

@@ -14,7 +14,7 @@
  *       [--retries N]
  *       [--queue N] [--drop-oldest]
  *       [--checkpoint FILE] [--ckpt-interval N] [--full-every N]
- *       [--resume] [--ckpt-arc] [--watch-model]
+ *       [--resume] [--watch-model]
  *       [--restart-budget N] [--strict-resume]
  *
  * Wire-ingestion mode replaces the workload with a socket front end
@@ -23,7 +23,11 @@
  *   eddie_serve <model-file> --listen HOST:PORT | --listen-pipe PATH
  *       [--expect N] [--tenant ID] [--idle-timeout-ms MS]
  *       [--checkpoint FILE] [--ckpt-interval N] [--full-every N]
- *       [--resume] [--ckpt-arc] [--restart-budget N]
+ *       [--resume] [--restart-budget N] [--strict-resume]
+ *
+ * Each mode refuses the other's flags (exit 2). Checkpoints live in
+ * the EDDIEARC container FILE.arc; eddie_monitor --checkpoint FILE
+ * writes one that --resume --checkpoint FILE continues from.
  *
  * Every session runs on the fair-share scheduler (serve/scheduler.h),
  * whose worker pool is min(hardware threads, sessions): the thread
@@ -37,9 +41,9 @@
  *
  * Exit codes distinguish failure modes so fleet scripts can branch:
  *   0  clean run, no anomalies
- *   2  usage / bad arguments (an unknown flag, a malformed number, a
- *      contradictory serving config such as --resume without
- *      --checkpoint)
+ *   2  usage / bad arguments (an unknown flag or one the mode does not
+ *      read, a malformed number, a contradictory serving config such
+ *      as --resume without --checkpoint)
  *   3  anomalies reported
  *   4  a shard exhausted its restart budget (escalated; its verdicts
  *      are the state at its last checkpoint)
@@ -68,6 +72,19 @@ using namespace eddie;
 namespace
 {
 
+/** Flags only the workload mode reads. */
+const std::vector<std::string> kWorkloadFlags = {
+    "scale", "seed", "em", "snr", "threads", "inject", "payload",
+    "contamination", "target", "shards", "stall-prob", "error-prob",
+    "source-seed", "retries", "queue", "drop-oldest", "watch-model"};
+/** Flags only the listen mode reads. */
+const std::vector<std::string> kListenFlags = {
+    "listen", "listen-pipe", "expect", "tenant", "idle-timeout-ms"};
+/** Flags both modes read. */
+const std::vector<std::string> kServeFlags = {
+    "checkpoint", "ckpt-interval", "full-every", "resume",
+    "restart-budget", "strict-resume"};
+
 /** A contradictory serving config is a usage error (exit 2). */
 void
 validateConfig(const serve::ServeConfig &cfg)
@@ -77,6 +94,41 @@ validateConfig(const serve::ServeConfig &cfg)
     } catch (const serve::ServeConfigError &e) {
         throw tools::UsageError(e.what());
     }
+}
+
+/** The serving knobs both modes share. */
+serve::ServeConfig
+serveConfig(const tools::Args &args)
+{
+    serve::ServeConfig scfg;
+    scfg.checkpoint_interval =
+        std::size_t(std::max(args.getLong("ckpt-interval", 64), 0L));
+    scfg.checkpoint_path = args.get("checkpoint");
+    scfg.resume = args.has("resume");
+    scfg.full_snapshot_every =
+        std::size_t(std::max(args.getLong("full-every", 16), 1L));
+    scfg.watchdog.restart_budget = std::size_t(std::max(
+        args.getLong("restart-budget",
+                     long(scfg.watchdog.restart_budget)),
+        0L));
+    return scfg;
+}
+
+/** --strict-resume: a resume that hit an unrecoverable checkpoint
+ *  exits 5, ahead of escalation (4) and anomaly verdicts (3). */
+bool
+strictResumeFailed(const tools::Args &args,
+                   const serve::ServeConfig &scfg,
+                   const core::ServeStats &stats)
+{
+    if (!args.has("strict-resume") || !scfg.resume ||
+        stats.snapshot_decode_failures == 0)
+        return false;
+    std::fprintf(stderr,
+                 "eddie_serve: %llu unrecoverable checkpoint "
+                 "snapshot(s) on resume (--strict-resume)\n",
+                 (unsigned long long)stats.snapshot_decode_failures);
+    return true;
 }
 
 /**
@@ -90,18 +142,7 @@ validateConfig(const serve::ServeConfig &cfg)
 int
 runListen(const tools::Args &args)
 {
-    serve::ServeConfig scfg;
-    scfg.checkpoint_interval =
-        std::size_t(std::max(args.getLong("ckpt-interval", 64), 0L));
-    scfg.checkpoint_path = args.get("checkpoint");
-    scfg.resume = args.has("resume");
-    scfg.full_snapshot_every =
-        std::size_t(std::max(args.getLong("full-every", 16), 1L));
-    scfg.checkpoint_archive = args.has("ckpt-arc");
-    scfg.watchdog.restart_budget = std::size_t(std::max(
-        args.getLong("restart-budget",
-                     long(scfg.watchdog.restart_budget)),
-        0L));
+    const serve::ServeConfig scfg = serveConfig(args);
     validateConfig(scfg);
 
     auto model = std::make_shared<const core::TrainedModel>(
@@ -201,7 +242,10 @@ runListen(const tools::Args &args)
                 (unsigned long long)ls.conn_errors,
                 (unsigned long long)ls.idle_closes,
                 (unsigned long long)ls.bytes_received);
-    std::printf("%s\n", core::describe(sup.stats()).c_str());
+    const core::ServeStats stats = sup.stats();
+    std::printf("%s\n", core::describe(stats).c_str());
+    if (strictResumeFailed(args, scfg, stats))
+        return 5;
     if (any_escalated) {
         std::fprintf(stderr,
                      "eddie_serve: escalated wire session(s)\n");
@@ -213,15 +257,18 @@ runListen(const tools::Args &args)
 int
 run(int argc, char **argv)
 {
-    tools::Args args(
-        argc, argv,
-        {"scale", "seed", "em", "snr", "threads", "inject", "payload",
-         "contamination", "target", "shards", "stall-prob", "error-prob",
-         "source-seed", "retries", "queue", "drop-oldest", "checkpoint",
-         "ckpt-interval", "full-every", "resume", "ckpt-arc",
-         "watch-model", "restart-budget", "strict-resume", "listen",
-         "listen-pipe", "expect", "tenant", "idle-timeout-ms"});
-    if (args.has("listen") || args.has("listen-pipe")) {
+    std::vector<std::string> flags = kServeFlags;
+    flags.insert(flags.end(), kWorkloadFlags.begin(), kWorkloadFlags.end());
+    flags.insert(flags.end(), kListenFlags.begin(), kListenFlags.end());
+    tools::Args args(argc, argv, flags);
+    const bool listen = args.has("listen") || args.has("listen-pipe");
+    // A flag the chosen mode never reads would silently do nothing.
+    for (const std::string &flag : listen ? kWorkloadFlags : kListenFlags)
+        if (args.has(flag))
+            throw tools::UsageError("--" + flag + " is not read " +
+                                    (listen ? "with --listen"
+                                            : "without --listen"));
+    if (listen) {
         if (args.positional().size() != 1) {
             std::fprintf(stderr,
                          "usage: eddie_serve <model-file> "
@@ -229,8 +276,9 @@ run(int argc, char **argv)
                          "       [--expect N] [--tenant ID] "
                          "[--idle-timeout-ms MS] [--checkpoint FILE]\n"
                          "       [--ckpt-interval N] [--full-every N] "
-                         "[--resume] [--ckpt-arc]\n"
-                         "       [--restart-budget N]\n");
+                         "[--resume]\n"
+                         "       [--restart-budget N] "
+                         "[--strict-resume]\n");
             return 2;
         }
         return runListen(args);
@@ -246,7 +294,7 @@ run(int argc, char **argv)
             "[--source-seed N] [--retries N]\n"
             "       [--queue N] [--drop-oldest] [--checkpoint FILE] "
             "[--ckpt-interval N] [--full-every N] [--resume]\n"
-            "       [--ckpt-arc] [--watch-model]\n"
+            "       [--watch-model]\n"
             "       [--restart-budget N] [--strict-resume]\n");
         return 2;
     }
@@ -258,26 +306,13 @@ run(int argc, char **argv)
         cfg.channel.snr_db = args.getDouble("snr", 30.0);
         cfg.core.os_irq_rate_hz = 1000.0;
     }
-    serve::ServeConfig scfg;
+    serve::ServeConfig scfg = serveConfig(args);
     scfg.monitor = cfg.monitor;
     scfg.queue.capacity =
         std::size_t(std::max(args.getLong("queue", 64), 1L));
     scfg.queue.policy = args.has("drop-oldest")
                             ? serve::BackpressurePolicy::DropOldest
                             : serve::BackpressurePolicy::Block;
-    scfg.checkpoint_interval =
-        std::size_t(std::max(args.getLong("ckpt-interval", 64), 0L));
-    scfg.checkpoint_path = args.get("checkpoint");
-    scfg.resume = args.has("resume");
-    scfg.full_snapshot_every =
-        std::size_t(std::max(args.getLong("full-every", 16), 1L));
-    // One EDDIEARC container instead of the snapshot + .dlt pair;
-    // legacy checkpoints are still read when the archive is absent.
-    scfg.checkpoint_archive = args.has("ckpt-arc");
-    scfg.watchdog.restart_budget = std::size_t(std::max(
-        args.getLong("restart-budget",
-                     long(scfg.watchdog.restart_budget)),
-        0L));
     if (args.has("watch-model"))
         scfg.model_path = model_path;
     validateConfig(scfg);
@@ -378,16 +413,8 @@ run(int argc, char **argv)
     }
     const core::ServeStats stats = sup.stats();
     std::printf("%s\n", core::describe(stats).c_str());
-    // Severity-ordered: an unrecoverable checkpoint under
-    // --strict-resume beats escalation beats anomaly verdicts.
-    if (args.has("strict-resume") && scfg.resume &&
-        stats.snapshot_decode_failures > 0) {
-        std::fprintf(stderr,
-                     "eddie_serve: %llu unrecoverable checkpoint "
-                     "shard(s) on resume (--strict-resume)\n",
-                     (unsigned long long)stats.snapshot_decode_failures);
+    if (strictResumeFailed(args, scfg, stats))
         return 5;
-    }
     if (any_escalated) {
         std::fprintf(stderr, "eddie_serve: restart budget exhausted; "
                              "escalated shard(s) hold last-checkpoint "
