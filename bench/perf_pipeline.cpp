@@ -229,19 +229,17 @@ referencePassbandCapture(const std::vector<double> &power,
     return iq;
 }
 
-} // namespace
-
+/** The whole bench; main() maps a UsageError to exit 2 and any other
+ *  escaped exception to exit 1 (tools::runTool). */
 int
-main(int argc, char **argv)
+runBench(int argc, char **argv)
 {
     tools::Args args(argc, argv,
                      {"workload", "scale", "runs", "monitor-runs", "out"});
     const std::string workload_name = args.get("workload", "sha");
     const double scale = args.getDouble("scale", 0.5);
-    const std::size_t train_runs =
-        std::size_t(args.getLong("runs", 8));
-    const std::size_t monitor_runs =
-        std::size_t(args.getLong("monitor-runs", 8));
+    const std::size_t train_runs = args.getCount("runs", 8);
+    const std::size_t monitor_runs = args.getCount("monitor-runs", 8);
     const std::string out_path =
         args.get("out", "BENCH_pipeline.json");
 
@@ -506,8 +504,8 @@ main(int argc, char **argv)
         sharded_self_speedup >= 2.0 || host_clamped;
 
     // Stage 6: the supervised serving runtime (src/serve/) over the
-    // same pre-captured streams, one shard per stream behind the
-    // blocking bounded queue. Three measurements: steady-state
+    // same pre-captured streams, one session per stream, each pulled
+    // by the worker that steps it. Three measurements: steady-state
     // throughput with checkpointing off, the same run with periodic
     // disk checkpoints (write overhead), and a single-shard run with
     // one injected worker crash (restart latency). Every variant must
@@ -709,7 +707,7 @@ main(int argc, char **argv)
                 (unsigned long long)serve_ckpt_stats.full_snapshots,
                 (unsigned long long)serve_ckpt_stats.delta_bytes,
                 ckpt_overhead_pct);
-    std::printf("  worker stages: queue wait %8.1f ms, step %8.1f "
+    std::printf("  worker stages: source pull %8.1f ms, step %8.1f "
                 "ms, delta cut %8.1f ms (summed across shards)\n",
                 serve_ckpt_stats.queue_wait_ms,
                 serve_ckpt_stats.step_ms,
@@ -1001,7 +999,6 @@ main(int argc, char **argv)
     std::vector<SchedPoint> sched_points;
     bool sched_verdicts_ok = true;
     double sched_min_deficit = 0.0;
-    std::size_t sched_feeders = 0;
     for (const std::size_t sessions : sched_sweep) {
         SchedPoint pt;
         pt.sessions = sessions;
@@ -1028,7 +1025,6 @@ main(int argc, char **argv)
         pt.preemptions = best.sched.preemptions;
         pt.requeues = best.sched.requeues;
         pt.parks = best.sched.parks;
-        sched_feeders = best.sched.feeders;
         sched_min_deficit =
             std::min(sched_min_deficit, best.sched.min_deficit_steps);
         double worst_p99 = 0.0, best_p99 = -1.0;
@@ -1045,8 +1041,8 @@ main(int argc, char **argv)
     }
     // Machine-independent claims: the debt bound is the DRR fairness
     // invariant; the per-thread figure divides the aggregate STS/s at
-    // 64 sessions by the threads the engine spent (workers +
-    // feeders). Its floor is the thread-pair runtime this engine
+    // 64 sessions by the threads the engine spent (its workers). Its
+    // floor is the thread-pair runtime this engine
     // replaced (two threads per session): the best of three runs at
     // CI smoke scale (sha, --scale 0.15, --runs 3, --monitor-runs 2)
     // on a 4-core host before that runtime was deleted measured
@@ -1056,16 +1052,15 @@ main(int argc, char **argv)
     const bool sched_debt_ok =
         sched_min_deficit >= -double(sched_defaults.batch_steps);
     const SchedPoint &pt64 = sched_points[1];
-    const double sched_threads_64 =
-        double(sched_workers + sched_feeders);
+    const double sched_threads_64 = double(sched_workers);
     const double sched_per_thread_64 =
         pt64.sts_per_s / sched_threads_64;
     const bool sched_per_thread_ok =
         sched_per_thread_64 > kPairPerThreadStsFloor;
     const bool sched_fairness_ok = pt64.fairness_p99_ratio < 3.0;
-    std::printf("fleet scheduler (%zu workers, %zu feeders, %zu "
+    std::printf("fleet scheduler (%zu workers, %zu "
                 "tenants, %zu-window stream)%s:\n",
-                sched_workers, sched_feeders, kSchedTenants,
+                sched_workers, kSchedTenants,
                 sched_len,
                 sched_verdicts_ok ? "" : "  VERDICT MISMATCH");
     for (const SchedPoint &pt : sched_points) {
@@ -1672,7 +1667,6 @@ main(int argc, char **argv)
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"fleet_scheduler\": {\n");
     std::fprintf(f, "    \"workers\": %zu,\n", sched_workers);
-    std::fprintf(f, "    \"feeders\": %zu,\n", sched_feeders);
     std::fprintf(f, "    \"tenants\": %zu,\n", kSchedTenants);
     std::fprintf(f, "    \"stream_len\": %zu,\n", sched_len);
     std::fprintf(f, "    \"batch_steps\": %zu,\n",
@@ -1839,4 +1833,13 @@ main(int argc, char **argv)
     }
     std::printf("wrote %s\n", out_path.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return tools::runTool("perf_pipeline",
+                          [&] { return runBench(argc, argv); });
 }

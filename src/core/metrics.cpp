@@ -194,8 +194,8 @@ describe(const ServeStats &stats)
     char buf[640];
     std::snprintf(
         buf, sizeof buf,
-        "serve: %llu delivered, %llu processed, %llu dropped, "
-        "%llu blocked pushes, %llu retries (%llu stalls, %llu errors, "
+        "serve: %llu delivered, %llu processed, "
+        "%llu retries (%llu stalls, %llu errors, "
         "%llu give-ups), %llu restarts (%llu crashes, %llu hangs, "
         "%llu escalations), %llu checkpoints, %llu restores, "
         "%llu model reloads, %llu group commits (%llu full, "
@@ -204,8 +204,6 @@ describe(const ServeStats &stats)
         "%llu shed, %llu throttled, %llu snapshot decode failures",
         static_cast<unsigned long long>(stats.delivered),
         static_cast<unsigned long long>(stats.processed),
-        static_cast<unsigned long long>(stats.dropped_oldest),
-        static_cast<unsigned long long>(stats.blocked_pushes),
         static_cast<unsigned long long>(stats.source_retries),
         static_cast<unsigned long long>(stats.source_stalls),
         static_cast<unsigned long long>(stats.source_errors),

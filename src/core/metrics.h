@@ -110,23 +110,23 @@ struct CaptureCacheStats
 };
 
 /**
- * Counters of the supervised streaming runtime (src/serve/): queue
- * backpressure, source retry/backoff, worker supervision, and
+ * Counters of the supervised streaming runtime (src/serve/): source
+ * delivery and retry/backoff, worker supervision, and
  * checkpointing. Defined here with the other metric structs so
  * describe() overloads live in one place; core has no dependency on
  * the serve layer.
  */
 struct ServeStats
 {
-    std::uint64_t delivered = 0;  ///< STSs pushed into the queue
+    /** Windows pulled and admitted by the rate quota (a restart's
+     *  replay counts again). */
+    std::uint64_t delivered = 0;
     std::uint64_t processed = 0;  ///< monitor steps completed
-    /** Backpressure: windows evicted by the drop-oldest policy. */
-    std::uint64_t dropped_oldest = 0;
-    /** Backpressure: pushes that had to wait under the block policy. */
+    /** Always 0: no queue sits between a source and its monitor (a
+     *  wire session's receive window counts its own refused pushes in
+     *  WireSourceStats::recv). Kept because the EDDIEBENCH ledger
+     *  still reads it. */
     std::uint64_t blocked_pushes = 0;
-    /** Queue condvar wakeups whose predicate was still false (batched
-     *  push/pop wakeups exist to keep this near zero). */
-    std::uint64_t queue_spurious_wakeups = 0;
     std::uint64_t source_stalls = 0;  ///< pull attempts that stalled
     std::uint64_t source_errors = 0;  ///< transient source errors
     std::uint64_t source_retries = 0; ///< backed-off retry attempts
@@ -157,10 +157,11 @@ struct ServeStats
     std::uint64_t delta_fallbacks = 0;
     /** Delta segments discarded by those fallbacks. */
     std::uint64_t delta_segments_dropped = 0;
-    /** Per-stage worker time, summed across shards: blocking in
-     *  StsQueue::popBatch vs. stepping the monitor vs. cutting
-     *  deltas — the breakdown that makes a flat sharding curve
-     *  attributable instead of mysterious. */
+    /** Per-stage worker time, summed across sessions: inside source
+     *  pulls (queue_wait_ms; the name predates the pull-in-worker
+     *  engine) vs. stepping the monitor vs. cutting deltas — the
+     *  breakdown that makes a flat sharding curve attributable
+     *  instead of mysterious. */
     double queue_wait_ms = 0.0;
     double step_ms = 0.0;
     double checkpoint_ms = 0.0;
@@ -173,8 +174,8 @@ struct ServeStats
     std::uint64_t breaker_trips = 0;
     /** Session opens refused by admission (all ShedReasons). */
     std::uint64_t sessions_rejected = 0;
-    /** Windows dropped / feeder naps taken by per-tenant STS/s rate
-     *  quotas. */
+    /** Windows dropped / session parks taken by per-tenant STS/s
+     *  rate quotas. */
     std::uint64_t windows_shed = 0;
     std::uint64_t windows_throttled = 0;
     /** Tenant snapshots that existed but failed to decode during

@@ -323,18 +323,12 @@ runChaos(const ChaosConfig &cfg)
             spec.quota.restart_budget = cfg.restart_budget;
             spec.quota.restart_window_ms = cfg.restart_window_ms;
             spec.breaker.fault_threshold = cfg.fault_threshold;
-            if (t == 0 && with_quotas) {
-                if (cfg.fates.queue_overflow) {
-                    spec.quota.queue_capacity = 2;
-                    spec.quota.queue_max_bytes = 4096;
-                }
-                if (cfg.fates.starvation) {
-                    spec.quota.sts_per_s = 4000.0;
-                    spec.quota.burst = 8.0;
-                    spec.quota.rate_policy = shed_policy
-                                                 ? RatePolicy::Shed
-                                                 : RatePolicy::Throttle;
-                }
+            if (t == 0 && with_quotas && cfg.fates.starvation) {
+                spec.quota.sts_per_s = 4000.0;
+                spec.quota.burst = 8.0;
+                spec.quota.rate_policy = shed_policy
+                                             ? RatePolicy::Shed
+                                             : RatePolicy::Throttle;
             }
             reg.addTenant(std::move(spec));
         }
@@ -404,7 +398,6 @@ runChaos(const ChaosConfig &cfg)
         const core::ServeStats st = sup.stats();
         rep.kills += kills.load();
         rep.hangs += hangs.load();
-        rep.blocked_pushes += st.blocked_pushes;
         rep.restarts += st.worker_restarts;
         rep.breaker_trips += st.breaker_trips;
         rep.escalations += st.escalations;
@@ -599,10 +592,15 @@ runChaos(const ChaosConfig &cfg)
             lcfg.unix_path = cfg.dir + "/wire.sock";
         else
             lcfg.tcp = "127.0.0.1:0";
-        // Small receive window so backpressure actually engages, and a
+        // Small receive window so backpressure actually engages (the
+        // queue-overflow fate shrinks it to 2 windows / 4096 B), and a
         // short stall budget so a failed client escalates (into a
         // violation) instead of hanging the run.
         lcfg.source.recv_capacity = 32;
+        if (cfg.fates.queue_overflow) {
+            lcfg.source.recv_capacity = 2;
+            lcfg.source.recv_max_bytes = 4096;
+        }
         lcfg.source.stall_timeout_ms = 2000.0;
         lcfg.idle_timeout_ms = 10000.0;
         WireListener listener(reg, lcfg);
@@ -675,6 +673,8 @@ runChaos(const ChaosConfig &cfg)
             const WireListenerStats ls = listener.stats();
             rep.wire_malformed += ls.wire.totalErrors();
             rep.wire_duplicates_dropped += ls.duplicates_dropped;
+            for (const WireSource *src : listener.sources())
+                rep.blocked_pushes += src->wireStats().recv.blocked_pushes;
 
             // Bit-identity: sessions arrive in admission (connection
             // race) order, so map each admitted WireSource back to

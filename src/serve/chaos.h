@@ -26,7 +26,8 @@
  *
  * Fates composed per run (each independently switchable):
  *   worker kill / hang mid-interval  -> FleetStepHook on the victim
- *   queue overflow                   -> tiny victim queue + byte quota
+ *   queue overflow (phase W)         -> 2-window / 4096 B receive
+ *                                       window
  *   slow-tenant starvation           -> victim STS/s quota
  *                                       (Throttle or Shed by seed)
  *   torn group commit                -> archive tail truncation +
@@ -55,8 +56,9 @@ struct ChaosFates
 {
     bool worker_kill = true;
     bool worker_hang = true;
-    /** Tiny victim queue (capacity 2 + byte quota): exercises Block
-     *  backpressure under chaos without breaking bit-identity. */
+    /** Phase W only: every session's receive window shrinks to 2
+     *  windows / 4096 B, exercising backpressure at the peer under
+     *  chaos without breaking bit-identity. */
     bool queue_overflow = true;
     /** Victim STS/s quota; Throttle or Shed chosen by the seed so
      *  both postures appear across a seed grid. */
@@ -147,6 +149,8 @@ struct ChaosReport
      *  prove every class actually fired). */
     std::uint64_t kills = 0;
     std::uint64_t hangs = 0;
+    /** Summed WireSourceStats::recv.blocked_pushes of phase W (the
+     *  queue-overflow fate). */
     std::uint64_t blocked_pushes = 0;
     std::uint64_t windows_throttled = 0;
     std::uint64_t windows_shed = 0;

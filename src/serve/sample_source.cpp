@@ -1,6 +1,5 @@
 #include "sample_source.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <fstream>
@@ -28,29 +27,6 @@ loadStsFile(const std::string &path)
 }
 
 } // namespace
-
-void
-Readiness::raise()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        raised_ = true;
-    }
-    cv_.notify_one();
-}
-
-bool
-Readiness::waitFor(double timeout_ms)
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock,
-                 std::chrono::duration<double, std::milli>(
-                     std::max(timeout_ms, 0.0)),
-                 [this] { return raised_; });
-    const bool raised = raised_;
-    raised_ = false;
-    return raised;
-}
 
 VectorSource::VectorSource(
     std::shared_ptr<const std::vector<core::Sts>> stream)

@@ -19,18 +19,17 @@
  *
  * A live source (serve/wire_source.h) never blocks in next(): with
  * nothing buffered it answers Pending and raises the Readiness it was
- * given by watch() once data, EOF, or a close arrives, so one feeder
- * thread can serve many idle sources.
+ * given by watch() once data, EOF, or a close arrives, so a few
+ * worker threads can serve many idle sources.
  */
 
 #ifndef EDDIE_SERVE_SAMPLE_SOURCE_H
 #define EDDIE_SERVE_SAMPLE_SOURCE_H
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <string>
 #include <vector>
 
 #include "backoff.h"
@@ -76,22 +75,19 @@ struct SourceStats
 };
 
 /**
- * Wakeup a consumer parks on while its sources are Pending. raise()
- * latches until the next wait, so a raise between a Pending pull and
- * the park is not lost.
+ * Wake target of a source that can answer Pending: raise() says a pull
+ * may now deliver (windows, an EOF, or a close arrived). The serving
+ * engine makes each session the target of its own source. A source
+ * may raise while holding its own lock, so raise() never calls back
+ * into a source.
  */
 class Readiness
 {
   public:
-    void raise();
-    /** Waits until raised or @p timeout_ms passes, then clears the
-     *  latch. Returns true when it was raised. */
-    bool waitFor(double timeout_ms);
+    virtual void raise() = 0;
 
-  private:
-    std::mutex mu_;
-    std::condition_variable cv_;
-    bool raised_ = false;
+  protected:
+    ~Readiness() = default;
 };
 
 /** Pull-based window stream. Implementations are single-consumer. */

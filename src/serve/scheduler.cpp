@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -33,11 +34,11 @@ sleepMs(double ms)
 /** Session lifecycle states (stored in an atomic<int>). */
 enum SessionState : int
 {
-    kIdle = 0,  ///< queue empty; feeders will re-enqueue on push
+    kIdle = 0,  ///< parked on a Pending pull or the rate quota
     kReady,     ///< in its tenant's fifo, waiting for a worker
     kRunning,   ///< a worker is executing a batch
     kFailed,    ///< relinquished after crash/hang/dead source
-    kEof,       ///< source exhausted, queue drained, final cut taken
+    kEof,       ///< source exhausted, final cut taken
     kStopped,   ///< graceful stop before EOF
     kEscalated, ///< tenant breaker / budget isolation
 };
@@ -48,47 +49,69 @@ isTerminal(int st)
     return st == kEof || st == kStopped || st == kEscalated;
 }
 
-/** Longest a feeder parks on its Readiness before re-polling its
- *  partition: bounds how late a Pending source's stall timeout is
- *  noticed, and how late a missed wakeup could be. */
+/** Longest a session stays parked on a Pending pull before the
+ *  watchdog re-enqueues it: bounds how late a silent source's stall
+ *  timeout is noticed, and how late a missed wakeup could be. */
 constexpr double kReadinessParkMs = 20.0;
+
+/** A duration knob must be a finite, non-negative millisecond count. */
+void
+checkTime(double ms, const char *field)
+{
+    if (!std::isfinite(ms) || ms < 0.0)
+        throw ServeConfigError(field, "must be finite and >= 0");
+}
 
 } // namespace
 
-/** One multiplexed session. No thread of its own: feeders visit it by
- *  partition, workers by run-queue pick, the watchdog by scan. */
-struct FleetScheduler::Session
+void
+ServeConfig::validate() const
 {
+    checkTime(watchdog.heartbeat_deadline_ms,
+              "watchdog.heartbeat_deadline_ms");
+    checkTime(watchdog.restart_window_ms, "watchdog.restart_window_ms");
+    checkTime(watchdog.poll_interval_ms, "watchdog.poll_interval_ms");
+    checkTime(model_poll_ms, "model_poll_ms");
+    if (watchdog.heartbeat_deadline_ms <= watchdog.poll_interval_ms)
+        throw ServeConfigError("watchdog.heartbeat_deadline_ms",
+                               "must exceed watchdog.poll_interval_ms");
+    if (checkpoint_archive && checkpoint_path.empty())
+        throw ServeConfigError("checkpoint_archive",
+                               "needs checkpoint_path");
+    if (resume && checkpoint_path.empty())
+        throw ServeConfigError("resume", "needs checkpoint_path");
+    if (full_snapshot_every == 0)
+        throw ServeConfigError("full_snapshot_every", "must be >= 1");
+    if (scheduler.batch_steps == 0)
+        throw ServeConfigError("scheduler.batch_steps", "must be >= 1");
+}
+
+/** One multiplexed session. No thread of its own: workers visit it by
+ *  run-queue pick, the watchdog by scan, and its source wakes it
+ *  through raise(). */
+struct FleetScheduler::Session final : Readiness
+{
+    FleetScheduler *engine = nullptr;
     std::size_t index = 0;
     SchedulerSessionSpec spec;
 
     std::shared_ptr<const core::TrainedModel> model;
     std::unique_ptr<core::Monitor> monitor;
-    /** Shared so a feeder can wait on it for room after releasing
-     *  feed_mu, while a restart swaps in a fresh one. */
-    std::shared_ptr<StsQueue> queue;
-    /** Queue counters accumulated across restarts (a restart swaps in
-     *  a fresh queue). Guarded by FleetScheduler::mu_. */
-    QueueStats queue_acc;
-    SourceStats source_snap;
-
-    /**
-     * Serializes the feed side (pending, source position, queue
-     * identity) between the owning feeder and watchdog restarts.
-     * Lock order: feed_mu -> mu_ -> queue's internal lock; the
-     * watchdog never takes feed_mu while holding mu_.
-     */
-    std::mutex feed_mu;
-    /** Pulled-but-not-yet-admitted holdover (feed side). With the
-     *  non-blocking pushBatch this is what keeps one tenant's full
-     *  queue from parking the whole ingestion partition. */
-    std::vector<core::Sts> pending;
-    /** Pulled window the tenant's rate quota has not admitted yet
-     *  (feed side). */
+    /** Pulled window the tenant's rate quota has not admitted yet. */
     std::optional<core::Sts> held;
-    bool feed_eof = false; ///< guarded by feed_mu
+    SourceStats source_snap; ///< guarded by FleetScheduler::mu_
 
     std::atomic<int> state{kIdle};
+    // Park bookkeeping, guarded by FleetScheduler::mu_.
+    /** Parked on a Pending pull (a raise wakes it); false while parked
+     *  on the rate quota (only the watchdog wakes it). */
+    bool parked_pending = false;
+    /** When the watchdog re-enqueues the parked session. */
+    double due_ms = 0.0;
+    /** A raise that found the session not parked on a Pending pull;
+     *  cleared when a worker picks it. */
+    bool raised = false;
+
     /** Teardown/hang-break flag, honored by step hooks. */
     std::atomic<bool> cancel{false};
     std::atomic<bool> in_step{false};
@@ -99,7 +122,9 @@ struct FleetScheduler::Session
      *  the deadline; merely waiting for worker time never advances
      *  in_step, so multiplexing delay cannot look like a hang. */
     std::atomic<std::uint64_t> progress_seq{0};
-    std::atomic<std::uint64_t> processed{0};
+    /** Windows the rate quota admitted to the monitor (a restart's
+     *  replay counts again). */
+    std::atomic<std::uint64_t> delivered{0};
     /** Live longest-quarantine-run for the storm check. */
     std::atomic<std::uint64_t> longest_outage{0};
 
@@ -108,13 +133,15 @@ struct FleetScheduler::Session
     double wd_seen_ms = 0.0;
     bool hang_signaled = false;
 
-    /** Steps since the last delta cut. Touched only by the worker
-     *  currently running the session (Running excludes all others)
-     *  or by the watchdog while the session is Failed. */
+    // Owner-only: touched by the worker running the session (Running
+    // excludes all others) or by the watchdog while it is Failed. The
+    // source and `held` belong to the owner too.
+    /** Steps since the last delta cut. */
     std::size_t since_ckpt = 0;
-    /** Reload generation of this session's model (owner-only, like
-     *  since_ckpt). */
+    /** Reload generation of this session's model. */
     std::uint64_t model_gen = 0;
+
+    void raise() override { engine->raise(*this); }
 };
 
 /** Level-1 run-queue entry: one tenant's runnable sessions plus its
@@ -135,7 +162,7 @@ struct FleetScheduler::TenantLane
     bool escalated = false;
 };
 
-FleetScheduler::FleetScheduler(SchedulerRunConfig cfg,
+FleetScheduler::FleetScheduler(ServeConfig cfg,
                                std::vector<SchedulerSessionSpec> specs,
                                std::vector<Tenant *> tenants,
                                std::atomic<bool> &stop)
@@ -143,12 +170,9 @@ FleetScheduler::FleetScheduler(SchedulerRunConfig cfg,
 {
     const std::size_t hw =
         std::max(1u, std::thread::hardware_concurrency());
-    worker_count_ = cfg_.sched.workers != 0
-                        ? cfg_.sched.workers
+    worker_count_ = cfg_.scheduler.workers != 0
+                        ? cfg_.scheduler.workers
                         : std::clamp<std::size_t>(specs.size(), 1, hw);
-    feeder_count_ = cfg_.sched.feeders != 0
-                        ? cfg_.sched.feeders
-                        : std::min<std::size_t>(2, worker_count_);
     // DRR weight = the tenant's STS/s quota; unlimited tenants (0)
     // weigh in at the largest configured quota so a quota is never a
     // way to out-schedule an uncapped neighbor. All-unlimited fleets
@@ -165,11 +189,12 @@ FleetScheduler::FleetScheduler(SchedulerRunConfig cfg,
         const double rate = t->spec().quota.sts_per_s;
         const double w = rate > 0.0 ? rate : max_rate;
         lane.quantum = std::max(
-            1.0, cfg_.sched.quantum_steps * w / max_rate);
+            1.0, cfg_.scheduler.quantum_steps * w / max_rate);
     }
     sessions_.reserve(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
         auto s = std::make_unique<Session>();
+        s->engine = this;
         s->index = i;
         s->spec = std::move(specs[i]);
         sessions_.push_back(std::move(s));
@@ -182,9 +207,6 @@ FleetScheduler::~FleetScheduler()
     // has no threads.
     wakeForTeardown();
     for (std::thread &t : workers_)
-        if (t.joinable())
-            t.join();
-    for (std::thread &t : feeders_)
         if (t.joinable())
             t.join();
 }
@@ -236,7 +258,7 @@ FleetScheduler::pickLocked()
         // reservation is what makes the -batch_steps debt bound hold
         // under concurrency, not just in the single-worker schedule.
         lane.deficit -=
-            double(std::max<std::size_t>(cfg_.sched.batch_steps, 1));
+            double(std::max<std::size_t>(cfg_.scheduler.batch_steps, 1));
         min_deficit_ = std::min(min_deficit_, lane.deficit);
         return s;
     }
@@ -249,14 +271,6 @@ FleetScheduler::cutDelta(Session &s)
     s.spec.store->submitDelta(s.spec.store_shard,
                               s.monitor->exportDelta());
     checkpoints_written_.fetch_add(1);
-}
-
-void
-FleetScheduler::finishSession(Session &s, int terminal_state)
-{
-    s.state.store(terminal_state);
-    if (s.queue)
-        s.queue->close();
 }
 
 void
@@ -279,7 +293,7 @@ FleetScheduler::escalateTenantLocked(Tenant &tenant)
             continue;
         }
         escalations_.fetch_add(1);
-        finishSession(s, kEscalated);
+        s.state.store(kEscalated);
     }
 }
 
@@ -302,327 +316,214 @@ FleetScheduler::handleFailure(Session &s, double now_ms)
     }
 
     // The store mirror is the session's newest cut (deltas apply to
-    // it synchronously on submit, before any disk latency).
+    // it synchronously on submit, before any disk latency). A Failed
+    // session has no worker, so this thread owns its source: seek
+    // replays every window after the cut, the held one included.
     const CheckpointData ckpt =
         s.spec.store->mirror(s.spec.store_shard);
-    bool restartable = tenant.budget().allow(now_ms);
-
-    // feed_mu freezes the owning feeder while the source is re-seeked
-    // and the holdover + queue are discarded (their windows replay
-    // from the re-seeked source).
-    std::lock_guard<std::mutex> feed(s.feed_mu);
-    if (restartable)
-        restartable = s.spec.source->seek(ckpt.source_pos);
-    if (!restartable) {
+    if (!tenant.budget().allow(now_ms) ||
+        !s.spec.source->seek(ckpt.source_pos)) {
         escalations_.fetch_add(1);
-        std::lock_guard<std::mutex> lock(mu_);
-        finishSession(s, kEscalated);
+        s.state.store(kEscalated);
         return;
     }
-    s.pending.clear();
     s.held.reset();
-    s.feed_eof = false;
+    s.cancel.store(false);
+    s.crashed.store(false);
+    s.source_dead.store(false);
+    s.in_step.store(false);
+    s.hang_signaled = false;
+    s.wd_seen_seq = s.progress_seq.load();
+    s.wd_seen_ms = nowMs();
+    s.since_ckpt = 0;
+    s.monitor = std::make_unique<core::Monitor>(*s.model, cfg_.monitor);
+    s.monitor->restoreState(ckpt.monitor);
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (s.queue) {
-            const QueueStats q = s.queue->stats();
-            s.queue_acc.pushed += q.pushed;
-            s.queue_acc.popped += q.popped;
-            s.queue_acc.dropped_oldest += q.dropped_oldest;
-            s.queue_acc.blocked_pushes += q.blocked_pushes;
-            s.queue_acc.spurious_wakeups += q.spurious_wakeups;
-            s.queue_acc.max_depth =
-                std::max(s.queue_acc.max_depth, q.max_depth);
-        }
-        s.queue = std::make_shared<StsQueue>(s.spec.queue);
-        s.cancel.store(false);
-        s.crashed.store(false);
-        s.source_dead.store(false);
-        s.in_step.store(false);
-        s.hang_signaled = false;
-        s.wd_seen_seq = s.progress_seq.load();
-        s.wd_seen_ms = nowMs();
-        s.since_ckpt = 0;
-        s.monitor = std::make_unique<core::Monitor>(*s.model,
-                                                    cfg_.monitor);
-        s.monitor->restoreState(ckpt.monitor);
-        // Back to Idle: the feeder refills the fresh queue and
-        // re-enqueues on the first push.
-        s.state.store(kIdle);
+        enqueueLocked(s);
     }
-    readiness_[s.index % feeder_count_]->raise();
+    work_cv_.notify_one();
     checkpoint_restores_.fetch_add(1);
     worker_restarts_.fetch_add(1);
     restart_latency_ms_.fetch_add(nowMs() - now_ms);
 }
 
 void
-FleetScheduler::feedSession(Session &s, FeedRound &round)
+FleetScheduler::raise(Session &s)
 {
-    if (s.feed_eof && s.pending.empty())
-        return;
-    if (s.source_dead.load())
-        return;
-    std::size_t pushed = 0;
-    if (!s.pending.empty())
-        pushed = s.queue->pushBatch(s.pending, /*may_block=*/false);
-    if (s.pending.empty() && !s.feed_eof) {
-        Tenant &tenant = *s.spec.tenant;
-        // Block clamps the pull to the queue's headroom; DropOldest
-        // pulls past it so pushBatch evicts (a clamp there would turn
-        // DropOldest into Block).
-        std::size_t want = cfg_.sched.feed_chunk;
-        bool fills = false; // pulling `want` fills the queue
-        if (s.spec.queue.policy == BackpressurePolicy::Block) {
-            const std::size_t room = s.queue->headroom();
-            fills = room <= want;
-            want = std::min(want, room);
-            // Zero headroom on an open queue is where a blocking push
-            // would have parked: count it, so Block backpressure
-            // stays observable.
-            if (want == 0 && !s.queue->closed()) {
-                feed_defers_.fetch_add(1);
-                round.noteFull(s.queue);
-            }
-        }
-        const bool pulling = want > 0;
-        while (want > 0) {
-            if (!s.held) {
-                Pull pull = s.spec.source->next();
-                if (pull.status == PullStatus::Pending)
-                    break; // the source raises our Readiness later
-                if (pull.status == PullStatus::EndOfStream) {
-                    s.feed_eof = true;
-                    break;
-                }
-                if (pull.status == PullStatus::Stalled ||
-                    pull.status == PullStatus::TransientError) {
-                    // Past the retry layer: flag for the watchdog.
-                    s.source_dead.store(true);
-                    break;
-                }
-                s.held = std::move(pull.sts);
-            }
-            // Rate quota on a pulled window, so an idle pull charges
-            // nothing: Throttle holds it back without reordering or
-            // losing windows (verdicts stay bit-identical); Shed drops
-            // it, counted by the tenant.
-            double wait_ms = 0.0;
-            const RateDecision d =
-                tenant.admitWindow(nowMs(), wait_ms);
-            if (d == RateDecision::Throttle) {
-                // Skip to the next session instead of napping: the
-                // feeder is shared, one throttled tenant must not
-                // stall its partition.
-                throttle_skips_.fetch_add(1);
-                round.blocked = true;
-                break;
-            }
-            --want;
-            if (d == RateDecision::Admit)
-                s.pending.push_back(std::move(*s.held));
-            s.held.reset();
-        }
-        if (pulling && want == 0) {
-            // The chunk ran out. If it was the queue's whole headroom,
-            // the queue is now full; otherwise the source may hold more
-            // right now.
-            if (fills)
-                round.noteFull(s.queue);
-            else
-                round.more = true;
-        }
-        if (!s.pending.empty())
-            pushed += s.queue->pushBatch(s.pending, /*may_block=*/false);
-    }
-    if (!s.pending.empty())
-        round.noteFull(s.queue); // the bound refused the rest
-    const bool closing = s.feed_eof && s.pending.empty();
-    if (closing)
-        s.queue->close();
-    if (pushed == 0 && !closing)
-        return; // nothing new for the run queue
-
-    // Wake the run queue. The emptiness check and the Idle->Ready
-    // transition are both under mu_, and the push above happened
-    // before this point, so a worker parking the session Idle
-    // concurrently cannot lose the wakeup. The notify follows the
-    // unlock, so the woken worker does not block on mu_ at once.
-    bool wake = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (s.state.load() == kIdle) {
-            const std::size_t cap =
-                std::max<std::size_t>(s.spec.queue.capacity, 1);
-            if (s.queue->headroom() < cap || s.queue->closed()) {
-                enqueueLocked(s);
-                wake = true;
-            }
+        if (s.state.load() != kIdle || !s.parked_pending) {
+            // The owner (or a throttle wait) decides what happens
+            // next; a Pending pull that raced this raise sees the
+            // latch at its park and requeues instead.
+            s.raised = true;
+            return;
+        }
+        enqueueLocked(s);
+    }
+    work_cv_.notify_one();
+}
+
+void
+FleetScheduler::wakeDueSessions(double now_ms)
+{
+    std::size_t woken = 0;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (auto &sp : sessions_) {
+            Session &s = *sp;
+            if (s.state.load() != kIdle || now_ms < s.due_ms)
+                continue;
+            enqueueLocked(s);
+            ++woken;
         }
     }
-    if (wake)
+    for (woken = std::min(woken, worker_count_); woken > 0; --woken)
         work_cv_.notify_one();
 }
 
 void
-FleetScheduler::feederLoop(std::size_t feeder)
-{
-    Readiness &ready = *readiness_[feeder];
-    while (!done_.load() && !stop_.load()) {
-        FeedRound round;
-        for (std::size_t i = feeder; i < sessions_.size();
-             i += feeder_count_) {
-            if (done_.load() || stop_.load())
-                break;
-            Session &s = *sessions_[i];
-            const int st = s.state.load();
-            if (isTerminal(st) || st == kFailed)
-                continue;
-            // try_lock: the watchdog holds feed_mu across a restart;
-            // skip and revisit rather than queueing behind it.
-            std::unique_lock<std::mutex> feed(s.feed_mu,
-                                              std::try_to_lock);
-            if (!feed.owns_lock()) {
-                round.blocked = true;
-                continue;
-            }
-            feedSession(s, round);
-        }
-        if (round.more)
-            continue;
-        feeder_naps_.fetch_add(1);
-        // A full queue drains on the workers' schedule, which raises
-        // nothing: nap, ending early once the first full queue frees
-        // a slot (a lone session then refills at its worker's pace,
-        // not one queue per nap). Otherwise every source is Pending
-        // or done, and the next window (or a restart, stop, or
-        // teardown) raises the Readiness; a raise since the last pull
-        // is latched, so none is lost.
-        if (round.full)
-            round.full->waitNotFullFor(cfg_.sched.feeder_idle_ms);
-        else if (round.blocked)
-            sleepMs(cfg_.sched.feeder_idle_ms);
-        else
-            ready.waitFor(kReadinessParkMs);
-    }
-}
-
-void
-FleetScheduler::dispatch(Session &s, std::vector<core::Sts> &batch,
-                         double &busy_ms)
+FleetScheduler::dispatch(Session &s, double &busy_ms)
 {
     if (s.model_gen != model_gen_.load())
         swapModel(s);
-    const double t0 = nowMs();
-    const std::size_t max_steps =
-        std::max<std::size_t>(cfg_.sched.batch_steps, 1);
+    const std::size_t max_rounds =
+        std::max<std::size_t>(cfg_.scheduler.batch_steps, 1);
     dispatches_.fetch_add(1);
-    double wait_ms = 0.0, work_ms = 0.0, cut_ms = 0.0;
-    std::size_t executed = 0;
-    // -1 = batch ran to completion; decide Ready/Idle under mu_.
+    Tenant &tenant = *s.spec.tenant;
+
+    // Each interval between two clock reads is pull, step or cut time.
+    const double t0 = nowMs();
+    double t = t0, pull_ms = 0.0, work_ms = 0.0, cut_ms = 0.0;
+    const auto cut = [&] {
+        cutDelta(s);
+        const double t_cut = nowMs();
+        cut_ms += t_cut - t;
+        t = t_cut;
+    };
+    std::size_t executed = 0, admitted = 0;
+    // -1 = the rounds ran out while the source still delivered.
     int next_state = -1;
+    bool park_pending = false;
+    double due_ms = 0.0;
 
-    const double t_wait = nowMs();
-    const std::size_t n = s.queue->popBatch(batch, max_steps, 0.0);
-    wait_ms += nowMs() - t_wait;
-
-    if (n == 0) {
-        if (s.queue->drained()) {
-            // The final cut rides the watchdog's group commit.
-            const double t_cut = nowMs();
-            cutDelta(s);
-            cut_ms += nowMs() - t_cut;
-            next_state = kEof;
+    for (std::size_t round = 0; round < max_rounds; ++round) {
+        if (s.cancel.load()) {
+            next_state = kFailed;
+            break;
         }
-        // else: fall through to the under-lock Ready/Idle decision —
-        // a feeder may have pushed between the pop and here, and only
-        // a check under mu_ can't lose that wakeup.
-    } else {
-        for (core::Sts &sts : batch) {
-            if (s.cancel.load()) {
+        if (stop_.load()) {
+            cut();
+            next_state = kStopped;
+            break;
+        }
+        if (!s.held) {
+            Pull pull = s.spec.source->next();
+            const double t_pull = nowMs();
+            pull_ms += t_pull - t;
+            t = t_pull;
+            if (pull.status == PullStatus::Pending) {
+                // Parks until the source raises this session.
+                next_state = kIdle;
+                park_pending = true;
+                due_ms = t + kReadinessParkMs;
+                break;
+            }
+            if (pull.status == PullStatus::EndOfStream) {
+                // The final cut rides the watchdog's group commit.
+                cut();
+                next_state = kEof;
+                break;
+            }
+            if (pull.status != PullStatus::Ready) {
+                // Stalled or TransientError past the retry layer: the
+                // watchdog restarts the session.
+                s.source_dead.store(true);
                 next_state = kFailed;
                 break;
             }
-            if (stop_.load()) {
-                const double t_cut = nowMs();
-                cutDelta(s);
-                cut_ms += nowMs() - t_cut;
-                s.queue->close(); // unblocks a feeder mid-push
-                next_state = kStopped;
-                break;
-            }
-            s.in_step.store(true);
-            const double t_step = nowMs();
-            try {
-                if (hook_)
-                    hook_(s.index, s.spec.tenant->id(),
-                          s.monitor->records().size(), s.cancel);
-                s.monitor->step(sts);
-            } catch (...) {
-                s.in_step.store(false);
-                s.crashed.store(true);
-                next_state = kFailed;
-                break;
-            }
-            work_ms += nowMs() - t_step;
+            s.held = std::move(pull.sts);
+        }
+        // Rate quota on a pulled window, so an idle pull charges
+        // nothing: Throttle holds it back without reordering or
+        // losing windows (verdicts stay bit-identical); Shed drops
+        // it, counted by the tenant.
+        double wait_ms = 0.0;
+        const RateDecision d = tenant.admitWindow(t, wait_ms);
+        if (d == RateDecision::Throttle) {
+            throttle_skips_.fetch_add(1);
+            next_state = kIdle;
+            due_ms = t + wait_ms;
+            break;
+        }
+        if (d == RateDecision::Shed) {
+            s.held.reset();
+            continue;
+        }
+        ++admitted;
+        s.in_step.store(true);
+        try {
+            if (hook_)
+                hook_(s.index, tenant.id(), s.monitor->records().size(),
+                      s.cancel);
+            s.monitor->step(*s.held);
+        } catch (...) {
             s.in_step.store(false);
-            s.progress_seq.fetch_add(1);
-            s.processed.fetch_add(1);
-            ++executed;
-            s.longest_outage.store(
-                s.monitor->degradedStats().longest_outage);
-            if (cfg_.checkpoint_interval != 0 &&
-                ++s.since_ckpt >= cfg_.checkpoint_interval) {
-                s.since_ckpt = 0;
-                const double t_cut = nowMs();
-                cutDelta(s);
-                cut_ms += nowMs() - t_cut;
-            }
+            s.crashed.store(true);
+            next_state = kFailed;
+            break;
+        }
+        s.held.reset();
+        s.in_step.store(false);
+        const double t_step = nowMs();
+        work_ms += t_step - t;
+        t = t_step;
+        s.progress_seq.fetch_add(1);
+        ++executed;
+        s.longest_outage.store(s.monitor->degradedStats().longest_outage);
+        if (cfg_.checkpoint_interval != 0 &&
+            ++s.since_ckpt >= cfg_.checkpoint_interval) {
+            s.since_ckpt = 0;
+            cut();
         }
     }
 
+    s.delivered.fetch_add(admitted);
     steps_.fetch_add(executed);
-    queue_wait_ms_.fetch_add(wait_ms);
+    pull_ms_.fetch_add(pull_ms);
     step_ms_.fetch_add(work_ms);
     checkpoint_ms_.fetch_add(cut_ms);
-    busy_ms += nowMs() - t0;
+    busy_ms += t - t0;
 
     // Relinquish: refund the unexecuted part of the pick-time batch
     // reservation and hand the session to its next owner (run queue,
-    // feeder, or watchdog).
+    // its source's raise, or the watchdog).
     std::lock_guard<std::mutex> lock(mu_);
-    TenantLane &lane = lanes_[s.spec.tenant->index()];
-    lane.deficit += static_cast<double>(max_steps - executed);
+    TenantLane &lane = lanes_[tenant.index()];
+    lane.deficit += static_cast<double>(max_rounds - executed);
 
     if (lane.escalated) {
         // Tenant was isolated while this batch ran.
         escalations_.fetch_add(1);
-        finishSession(s, kEscalated);
+        s.state.store(kEscalated);
         return;
     }
-    if (next_state == kEof || next_state == kStopped) {
-        finishSession(s, next_state);
+    if (next_state == kEof || next_state == kStopped ||
+        next_state == kFailed) {
+        s.state.store(next_state); // Failed: the watchdog takes over
         return;
     }
-    if (next_state == kFailed) {
-        s.state.store(kFailed); // the watchdog takes it from here
-        return;
-    }
-    // Still-queued work (or a closed queue needing its drained /
-    // final-cut pass) goes back to the run queue; an empty open
-    // queue parks Idle for the feeder. This check runs under mu_ —
-    // the feeder's Idle->Ready wake also runs under mu_ after its
-    // push, so every interleaving either sees the new windows here
-    // or sees our Idle there.
-    const std::size_t cap =
-        std::max<std::size_t>(s.spec.queue.capacity, 1);
-    const bool has_work =
-        s.queue->headroom() < cap || s.queue->closed();
-    if (!has_work) {
+    // A raise since the pick may have come after the Pending pull, so
+    // it requeues instead of parking. The raise takes mu_ too, so it
+    // either set the latch before this check or finds the park.
+    if (next_state == kIdle && !(park_pending && s.raised)) {
+        s.parked_pending = park_pending;
+        s.due_ms = due_ms;
         s.state.store(kIdle);
         return;
     }
-    if (executed == max_steps)
+    if (next_state == -1)
         preemptions_.fetch_add(1);
     requeues_.fetch_add(1);
     // No wakeup: this worker picks again as soon as it returns, so a
@@ -633,8 +534,6 @@ FleetScheduler::dispatch(Session &s, std::vector<core::Sts> &batch,
 void
 FleetScheduler::workerLoop()
 {
-    std::vector<core::Sts> batch;
-    batch.reserve(std::max<std::size_t>(cfg_.sched.batch_steps, 1));
     for (;;) {
         Session *s = nullptr;
         {
@@ -653,18 +552,12 @@ FleetScheduler::workerLoop()
                 waited = true;
             }
             s->state.store(kRunning);
+            s->raised = false;
         }
         double busy_ms = 0.0;
-        dispatch(*s, batch, busy_ms);
+        dispatch(*s, busy_ms);
         busy_ms_.fetch_add(busy_ms);
     }
-}
-
-void
-FleetScheduler::raiseFeeders()
-{
-    for (auto &r : readiness_)
-        r->raise();
 }
 
 void
@@ -678,7 +571,6 @@ FleetScheduler::wakeForTeardown()
         done_.store(true);
     }
     work_cv_.notify_all();
-    raiseFeeders();
 }
 
 void
@@ -727,9 +619,9 @@ FleetScheduler::swapModel(Session &s)
         s.model = served_model_;
         s.model_gen = model_gen_.load();
     }
-    // From the live state, not the last cut: no verdict is lost, the
-    // queued windows stay queued (no re-seek), and the restart budget
-    // is not charged — a reload is an operator action, not a failure.
+    // From the live state, not the last cut: no verdict is lost, a
+    // held window stays held (no re-seek), and the restart budget is
+    // not charged — a reload is an operator action, not a failure.
     CheckpointData ckpt;
     ckpt.monitor = s.monitor->exportState();
     ckpt.source_pos = ckpt.monitor.step_index;
@@ -754,8 +646,8 @@ FleetScheduler::run()
 {
     const double t0 = nowMs();
 
-    // Session setup: monitors, queues, recovery restore, seeded
-    // restart mirrors.
+    // Session setup: monitors, recovery restore, seeded restart
+    // mirrors.
     std::vector<CheckpointStore *> stores;
     for (auto &sp : sessions_) {
         Session &s = *sp;
@@ -772,7 +664,6 @@ FleetScheduler::run()
         s.model = s.spec.tenant->spec().model;
         s.monitor =
             std::make_unique<core::Monitor>(*s.model, cfg_.monitor);
-        s.queue = std::make_shared<StsQueue>(s.spec.queue);
         if (s.spec.recovered) {
             const CheckpointData ckpt =
                 s.spec.store->mirror(s.spec.store_shard);
@@ -795,12 +686,18 @@ FleetScheduler::run()
         model_crc_ = common::crc32File(cfg_.model_path).value_or(0);
     last_model_poll_ms_ = t0;
 
-    // Each source raises its feeder's Readiness while this run lasts.
-    // The guard detaches every source (under the source's own lock)
-    // before run() returns, on every path: sources such as a
-    // WireListener's outlive the scheduler and keep being woken.
-    for (std::size_t f = 0; f < feeder_count_; ++f)
-        readiness_.push_back(std::make_unique<Readiness>());
+    // Every live session starts runnable: its first dispatch pulls.
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (auto &sp : sessions_)
+            if (sp->state.load() == kIdle)
+                enqueueLocked(*sp);
+    }
+    // Each session is its own source's wake target while this run
+    // lasts (attached after the enqueue, so an early raise only
+    // latches). The guard detaches every source (under the source's
+    // own lock) before run() returns, on every path: sources such as
+    // a WireListener's outlive the scheduler and keep being woken.
     struct Detach
     {
         std::vector<std::unique_ptr<Session>> &sessions;
@@ -811,25 +708,20 @@ FleetScheduler::run()
         }
     } detach{sessions_};
     for (auto &sp : sessions_)
-        sp->spec.source->watch(
-            readiness_[sp->index % feeder_count_].get());
+        sp->spec.source->watch(sp.get());
 
     done_.store(false);
     workers_.reserve(worker_count_);
     for (std::size_t w = 0; w < worker_count_; ++w)
         workers_.emplace_back([this] { workerLoop(); });
-    feeders_.reserve(feeder_count_);
-    for (std::size_t f = 0; f < feeder_count_; ++f)
-        feeders_.emplace_back([this, f] { feederLoop(f); });
 
     // The calling thread is the watchdog.
     for (;;) {
-        sleepMs(cfg_.poll_interval_ms);
+        sleepMs(cfg_.watchdog.poll_interval_ms);
         const double now = nowMs();
         if (stop_check_ && stop_check_())
             stop_.store(true);
         if (stop_.load()) {
-            raiseFeeders(); // parked feeders exit on stop_
             // Finalize parked sessions; running ones stop themselves.
             for (auto &sp : sessions_) {
                 Session &s = *sp;
@@ -848,13 +740,12 @@ FleetScheduler::run()
                         finalize = true;
                     }
                 }
-                if (finalize) {
+                if (finalize)
                     cutDelta(s);
-                    s.queue->close();
-                }
             }
         } else {
             maybeReloadModel(now);
+            wakeDueSessions(now);
         }
         bool all_done = true;
         for (auto &sp : sessions_) {
@@ -880,30 +771,6 @@ FleetScheduler::run()
                 handleFailure(s, now);
                 continue;
             }
-            if (s.source_dead.load() &&
-                (st == kIdle || st == kReady)) {
-                // No worker owns it; pull it off the run queue and
-                // fail it here (a Running session relinquishes Failed
-                // on its own once it drains what it has).
-                bool failed = false;
-                {
-                    std::lock_guard<std::mutex> lock(mu_);
-                    const int st2 = s.state.load();
-                    if (st2 == kIdle || st2 == kReady) {
-                        TenantLane &lane =
-                            lanes_[tenant.index()];
-                        auto it = std::find(lane.fifo.begin(),
-                                            lane.fifo.end(), &s);
-                        if (it != lane.fifo.end())
-                            lane.fifo.erase(it);
-                        s.state.store(kFailed);
-                        failed = true;
-                    }
-                }
-                if (failed)
-                    handleFailure(s, now);
-                continue;
-            }
             // Progress-sequence hang detection: refresh while the
             // session advances or rests between steps; a step that
             // holds in_step past the deadline with a frozen sequence
@@ -915,7 +782,7 @@ FleetScheduler::run()
                 s.wd_seen_ms = now;
             } else if (!s.hang_signaled &&
                        now - s.wd_seen_ms >
-                           cfg_.heartbeat_deadline_ms) {
+                           cfg_.watchdog.heartbeat_deadline_ms) {
                 s.hang_signaled = true;
                 s.cancel.store(true);
             }
@@ -934,17 +801,19 @@ FleetScheduler::run()
     wakeForTeardown();
     for (std::thread &t : workers_)
         t.join();
-    for (std::thread &t : feeders_)
-        t.join();
     workers_.clear();
-    feeders_.clear();
 
+    // Sources are read outside mu_ (a source may raise under its own
+    // lock, and the raise takes mu_).
+    std::vector<SourceStats> source_stats;
+    for (auto &sp : sessions_)
+        source_stats.push_back(sp->spec.source->stats());
     std::vector<ShardResult> out(sessions_.size());
     {
         std::lock_guard<std::mutex> lock(mu_);
         for (auto &sp : sessions_) {
             Session &s = *sp;
-            s.source_snap = s.spec.source->stats();
+            s.source_snap = source_stats[s.index];
             ShardResult &o = out[s.index];
             const int st = s.state.load();
             if (st == kEscalated || !s.monitor) {
@@ -980,28 +849,14 @@ FleetScheduler::serveStats() const
     st.breaker_trips = breaker_trips_.load();
     st.model_reloads = model_reloads_.load();
     st.restart_latency_ms = restart_latency_ms_.load();
-    st.queue_wait_ms = queue_wait_ms_.load();
+    st.queue_wait_ms = pull_ms_.load();
     st.step_ms = step_ms_.load();
     st.checkpoint_ms = checkpoint_ms_.load();
-    st.blocked_pushes = feed_defers_.load();
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto &sp : sessions_) {
         const Session &s = *sp;
-        QueueStats q = s.queue_acc;
-        if (s.queue) {
-            const QueueStats live = s.queue->stats();
-            q.pushed += live.pushed;
-            q.popped += live.popped;
-            q.dropped_oldest += live.dropped_oldest;
-            q.blocked_pushes += live.blocked_pushes;
-            q.spurious_wakeups += live.spurious_wakeups;
-            q.max_depth = std::max(q.max_depth, live.max_depth);
-        }
-        st.delivered += q.pushed;
-        st.dropped_oldest += q.dropped_oldest;
-        st.blocked_pushes += q.blocked_pushes;
-        st.queue_spurious_wakeups += q.spurious_wakeups;
-        st.processed += s.processed.load();
+        st.delivered += s.delivered.load();
+        st.processed += s.progress_seq.load();
         st.source_stalls += s.source_snap.stalls;
         st.source_errors += s.source_snap.errors;
         st.source_retries += s.source_snap.retries;
@@ -1015,14 +870,12 @@ FleetScheduler::schedulerStats() const
 {
     SchedulerStats st;
     st.workers = worker_count_;
-    st.feeders = feeder_count_;
     st.dispatches = dispatches_.load();
     st.steps = steps_.load();
     st.requeues = requeues_.load();
     st.preemptions = preemptions_.load();
     st.parks = parks_.load();
     st.spurious_wakeups = spurious_wakeups_.load();
-    st.feeder_naps = feeder_naps_.load();
     st.throttle_skips = throttle_skips_.load();
     st.busy_ms = busy_ms_.load();
     std::lock_guard<std::mutex> lock(mu_);

@@ -19,37 +19,40 @@
  *    batch, so the counter never goes below -batch_steps even with
  *    every worker serving the same tenant concurrently
  *    (property-tested; the minimum observed is in SchedulerStats).
- *  - Workers pull one runnable session at a time, execute a bounded
- *    batch of monitor steps off its StsQueue (popBatch is the
- *    hand-off), re-enqueue the session if it still has work, and park
- *    on a condvar when the run queue is empty — no spinning, wakeups
- *    are counted.
- *  - Feeders collapse into a small ingestion pool: each feeder owns a
- *    static partition of the sessions (preserving the queues'
- *    single-producer invariant), pulls from sources only into
- *    available queue headroom (StsQueue::headroom + pushBatch, one
- *    wakeup per batch; a DropOldest queue pulls past it and evicts),
- *    and enforces the tenant STS/s quota (Throttle delays, Shed drops
- *    and counts). A round starts over at once only when some session
- *    pulled a whole chunk with room left; otherwise it ends in a wait:
- *    on its first full queue's free-space signal, a feeder_idle_ms nap
- *    for a throttled tenant, or, when every source was Pending or
- *    finished, a park on the feeder's Readiness, which live sources
- *    raise on ingest (SampleSource::watch).
- *  - The watchdog (the thread that called run()) keys hang detection
- *    off per-session progress sequence numbers, not thread liveness:
- *    a session is hung only when a worker has been inside one of its
- *    steps past the deadline with no sequence advance. A session that
- *    steps rarely because 1023 neighbors share its worker is slow,
- *    not hung. Failures restore from the tenant store's mirror,
+ *  - Workers pick one runnable session at a time and run a bounded
+ *    batch of rounds: pull one window from the session's SampleSource,
+ *    charge the tenant's STS/s quota (Throttle holds the window and
+ *    parks the session until the bucket refills, Shed drops it,
+ *    counted), and step the monitor. The session goes back to the run
+ *    queue while its source delivers, and parks Idle when the source
+ *    answers Pending. One hop from source to monitor: there is no
+ *    queue and no thread between them.
+ *  - Wakeups. Each session is the Readiness its own source raises
+ *    (SampleSource::watch); a raise makes a parked session Ready and
+ *    wakes one worker, and a raise that lands while a worker owns the
+ *    session is latched, so the park that follows its Pending pull
+ *    requeues instead. Idle workers park on one condvar.
+ *  - The watchdog (the thread that called run()) re-enqueues a
+ *    throttled session once its wait has passed and a Pending one
+ *    after kReadinessParkMs (so a silent source still reaches its own
+ *    stall timeout). It keys hang detection off per-session progress
+ *    sequence numbers, not thread liveness: a session is hung only
+ *    when a worker has been inside one of its steps past the deadline
+ *    with no sequence advance. A session that steps rarely because
+ *    1023 neighbors share its worker is slow, not hung. Failures
+ *    restore from the tenant store's mirror, re-seek the source,
  *    charge the tenant budget, and feed the tenant breaker; a breaker
  *    trip removes every session of the tenant from the run queue
  *    without touching neighbors. The watchdog also polls the model
- *    file for hot reload (SchedulerRunConfig::model_path).
+ *    file for hot reload (ServeConfig::model_path).
+ *
+ * Lock order: a source raises while holding its own lock and the raise
+ * takes mu_, so the engine never calls into a source while holding
+ * mu_.
  *
  * Verdicts are bit-identical to one serial Monitor pass per session:
- * each session's monitor consumes its own stream in order (Block
- * backpressure, Throttle pacing), so scheduling order changes
+ * each session's monitor consumes its own stream in order (Throttle
+ * delays, never reorders or drops), so scheduling order changes
  * interleaving across sessions, never any session's history. Proven
  * by the chaos harness (tools/eddie_chaos).
  */
@@ -69,11 +72,11 @@
 #include <vector>
 
 #include "checkpoint.h"
+#include "core/errors.h"
 #include "core/metrics.h"
 #include "core/model.h"
 #include "core/monitor.h"
 #include "sample_source.h"
-#include "sts_queue.h"
 #include "tenant.h"
 
 namespace eddie::serve
@@ -85,31 +88,91 @@ struct SchedulerConfig
     /** Worker threads the fleet multiplexes over; 0 = min(hardware
      *  threads, sessions). */
     std::size_t workers = 0;
-    /** Ingestion threads; 0 = min(2, workers). */
-    std::size_t feeders = 0;
-    /** Max monitor steps one dispatch executes before the session
-     *  goes back to the run queue (the preemption grain, and the
-     *  deficit debt bound). */
+    /** Max source pulls one dispatch runs before the session goes
+     *  back to the run queue (the preemption grain, and the deficit
+     *  debt bound). */
     std::size_t batch_steps = 16;
     /** Deficit replenished per round for the largest-weight tenant;
      *  other tenants get a proportional share (min 1 step). */
     double quantum_steps = 32.0;
-    /** Windows a feeder pulls per session visit (clamped to queue
-     *  headroom under Block so the ingestion pool never blocks on one
-     *  tenant's full queue). */
-    std::size_t feed_chunk = 16;
-    /** Feeder nap after a round over its partition made no progress
-     *  because a queue was full or a tenant throttled (a full queue
-     *  ends it early once it frees a slot). */
-    double feeder_idle_ms = 0.5;
+};
+
+/** Watchdog and restart policy. */
+struct WatchdogConfig
+{
+    /** A session inside one monitor step for longer than this with no
+     *  progress-sequence advance is hung. (Liveness is per-session
+     *  progress, not per-thread heartbeat: a session that steps
+     *  rarely because it shares a worker is slow, not hung.) */
+    double heartbeat_deadline_ms = 500.0;
+    /** Restarts allowed within restart_window_ms before a session
+     *  escalates to degraded mode. run() charges every session to one
+     *  budget (its implicit tenant's). */
+    std::size_t restart_budget = 3;
+    double restart_window_ms = 10000.0;
+    /** Watchdog poll cadence. */
+    double poll_interval_ms = 2.0;
+};
+
+/** A ServeConfig that contradicts itself or holds an impossible value;
+ *  field() names the offending field. */
+class ServeConfigError : public core::Error
+{
+  public:
+    ServeConfigError(std::string field, const std::string &why)
+        : core::Error("serve config: " + field + ": " + why),
+          field_(std::move(field))
+    {
+    }
+    const std::string &field() const { return field_; }
+
+  private:
+    std::string field_;
+};
+
+/** Everything the runtime needs beyond the model and the sources. */
+struct ServeConfig
+{
+    core::MonitorConfig monitor;
+    WatchdogConfig watchdog;
+    /** Monitor steps between delta-checkpoint cuts (0 disables
+     *  periodic checkpoints; the in-memory restart mirror is still
+     *  kept). */
+    std::size_t checkpoint_interval = 64;
+    /** Checkpoints live in the EDDIEARC container at
+     *  checkpointArchivePath(checkpoint_path), i.e. path + ".arc".
+     *  Empty = in-memory mirrors only (see serve/checkpoint.h). */
+    std::string checkpoint_path;
+    /** Resume from the container at checkpoint_path when it holds a
+     *  snapshot; a container the archive cannot open (FormatError)
+     *  stops the run. Without resume such a file is moved aside to
+     *  path + ".arc.damaged" and a new container started. */
+    bool resume = false;
+    /** Group commits between full-snapshot rewrites (bounds the
+     *  delta chain recovery has to replay). */
+    std::size_t full_snapshot_every = 16;
+    /** No effect: the archive is the only checkpoint layout. Kept
+     *  because the EDDIEBENCH serve_fleet workload still sets it;
+     *  validate() still refuses it without a checkpoint_path. */
+    bool checkpoint_archive = false;
+    /** The serving engine's tuning; scheduler.workers == 0 resolves
+     *  to min(hardware threads, sessions). */
+    SchedulerConfig scheduler;
+    /** Model file watched for hot reload (run() only); empty disables
+     *  watching. */
+    std::string model_path;
+    double model_poll_ms = 200.0;
+
+    /** Throws ServeConfigError on the first rule the config breaks
+     *  (both Supervisor constructors call it). */
+    void validate() const;
 };
 
 /** Counters of one scheduler run (surfaced next to ServeStats). */
 struct SchedulerStats
 {
-    /** Resolved thread counts of the run. */
+    /** Resolved worker count of the run. */
     std::size_t workers = 0;
-    std::size_t feeders = 0;
     std::size_t sessions = 0;
     /** Batches dispatched to workers. */
     std::uint64_t dispatches = 0;
@@ -118,17 +181,17 @@ struct SchedulerStats
     /** Dispatches that ended with the session still runnable (went
      *  back to the run queue). */
     std::uint64_t requeues = 0;
-    /** Dispatches cut short by the batch_steps bound with windows
-     *  still queued — the preemption count. */
+    /** Dispatches cut short by the batch_steps bound while the source
+     *  still delivered — the preemption count. */
     std::uint64_t preemptions = 0;
     /** Times a worker parked on the run-queue condvar. */
     std::uint64_t parks = 0;
     /** Worker wakeups that found nothing runnable. */
     std::uint64_t spurious_wakeups = 0;
-    /** Feeder rounds that ended in a wait: a full-queue wait or nap
-     *  (feeder_idle_ms), or a Readiness park. */
+    /** Always 0: the engine has no feeder threads. Kept because the
+     *  EDDIEBENCH ledger still reads it. */
     std::uint64_t feeder_naps = 0;
-    /** Session visits skipped because the tenant was over its STS/s
+    /** Dispatches that parked their session on the tenant's STS/s
      *  quota (Throttle posture). */
     std::uint64_t throttle_skips = 0;
     /** Most negative tenant deficit observed, in steps. The DRR debt
@@ -148,30 +211,12 @@ struct SchedulerSessionSpec
     /** Tenant checkpoint store and this session's shard id in it. */
     CheckpointStore *store = nullptr;
     std::size_t store_shard = 0;
-    StsQueueConfig queue;
     /** Tenant breaker already open at start (checkpoint rot): the
      *  session is born escalated, result = its recovered mirror. */
     bool born_escalated = false;
     /** recover() restored this session's mirror: seek + restore
      *  before the first dispatch. */
     bool recovered = false;
-};
-
-/** Run-wide knobs the scheduler shares with the supervisor. */
-struct SchedulerRunConfig
-{
-    core::MonitorConfig monitor;
-    SchedulerConfig sched;
-    /** A session inside one step past this with no progress-sequence
-     *  advance is hung. */
-    double heartbeat_deadline_ms = 500.0;
-    double poll_interval_ms = 2.0;
-    /** Monitor steps between delta cuts (0 = mirrors only). */
-    std::size_t checkpoint_interval = 64;
-    /** Model file the watchdog polls for hot reload; empty disables.
-     *  A reload swaps every session's model. */
-    std::string model_path;
-    double model_poll_ms = 200.0;
 };
 
 /** Final verdicts and accounting of one session. */
@@ -193,7 +238,7 @@ struct ShardResult
 /**
  * The event-driven fleet runtime. One-shot: construct, set hooks,
  * run(). The caller (Supervisor) owns tenants, sources and stores;
- * the scheduler owns queues, monitors and threads.
+ * the scheduler owns monitors and threads.
  */
 class FleetScheduler
 {
@@ -204,7 +249,7 @@ class FleetScheduler
                            const std::atomic<bool> &cancel)>;
     using StopCheck = std::function<bool()>;
 
-    FleetScheduler(SchedulerRunConfig cfg,
+    FleetScheduler(ServeConfig cfg,
                    std::vector<SchedulerSessionSpec> specs,
                    std::vector<Tenant *> tenants,
                    std::atomic<bool> &stop);
@@ -221,12 +266,12 @@ class FleetScheduler
 
     /** Runs every session to completion (EOF, graceful stop, or
      *  escalation) and returns one result per session. The calling
-     *  thread becomes the watchdog. Every source is detached from the
-     *  feeders' Readiness before it returns. Not reentrant. */
+     *  thread becomes the watchdog. Every source is detached from its
+     *  session before it returns. Not reentrant. */
     std::vector<ShardResult> run();
 
     /** Serve-layer counters of this run (crashes, hangs, restarts,
-     *  reloads, queue/source accounting, stage timings).
+     *  reloads, source accounting, stage timings).
      *  Thread-safe; valid during and after run(). */
     core::ServeStats serveStats() const;
 
@@ -240,59 +285,40 @@ class FleetScheduler
   private:
     struct Session;
     struct TenantLane;
-    /** What one feeder round saw. */
-    struct FeedRound
-    {
-        /** A session pulled a whole chunk with room to spare: its
-         *  source may hold more, so start the next round at once. */
-        bool more = false;
-        /** A throttled tenant or a session mid-restart: nap, since no
-         *  source will raise the Readiness. */
-        bool blocked = false;
-        /** First queue the round found full (Block backpressure). */
-        std::shared_ptr<StsQueue> full;
-
-        void noteFull(const std::shared_ptr<StsQueue> &q)
-        {
-            if (!full)
-                full = q;
-        }
-    };
 
     void workerLoop();
-    void feederLoop(std::size_t feeder);
-    /** One feeder visit to one session. */
-    void feedSession(Session &s, FeedRound &round);
-    /** Executes one bounded batch; returns under no locks. */
-    void dispatch(Session &s, std::vector<core::Sts> &batch,
-                  double &busy_ms);
+    /** Runs one bounded batch of pull-and-step rounds; returns under
+     *  no locks. */
+    void dispatch(Session &s, double &busy_ms);
     /** Two-level pick; nullptr = nothing runnable. Caller holds mu_. */
     Session *pickLocked();
-    /** Makes s runnable (Idle/Restarting -> Ready); waking a worker
-     *  is the caller's choice. Caller holds mu_. */
+    /** Makes s runnable (-> Ready); waking a worker is the caller's
+     *  choice. Caller holds mu_. */
     void enqueueLocked(Session &s);
+    /** A source raised @p s: a session parked on a Pending pull
+     *  becomes Ready and one worker wakes; any other state latches
+     *  the raise. */
+    void raise(Session &s);
+    /** Watchdog: re-enqueues parked sessions whose wait is over. */
+    void wakeDueSessions(double now_ms);
     void cutDelta(Session &s);
     void handleFailure(Session &s, double now_ms);
     void escalateTenantLocked(Tenant &tenant);
-    void finishSession(Session &s, int terminal_state);
     /** Watchdog: installs a changed, stable model file as the served
      *  model (sessions swap before their next step). */
     void maybeReloadModel(double now_ms);
     /** Moves @p s onto the served model from its live state; called
      *  by the worker that owns it, before its next step. */
     void swapModel(Session &s);
-    /** Wakes every parked feeder (teardown, stop, restarts). */
-    void raiseFeeders();
-    /** Sets done_ and wakes every worker and feeder. */
+    /** Sets done_ and wakes every worker. */
     void wakeForTeardown();
 
-    SchedulerRunConfig cfg_;
+    ServeConfig cfg_;
     std::vector<Tenant *> tenants_;
     FleetStepHook hook_;
     StopCheck stop_check_;
     std::atomic<bool> &stop_;
-    /** Teardown flag for worker/feeder loops (set once run() ends or
-     *  all sessions are terminal). */
+    /** Teardown flag for the worker loops (set once run() ends). */
     std::atomic<bool> done_{false};
 
     mutable std::mutex mu_; ///< run queue, lanes, session states
@@ -301,13 +327,8 @@ class FleetScheduler
     std::vector<TenantLane> lanes_;          ///< index = tenant index
     std::deque<std::size_t> ring_;           ///< active lane indices
     std::vector<std::thread> workers_;
-    std::vector<std::thread> feeders_;
-    /** Resolved thread counts (worker pool; feeder partition
-     *  stride). */
+    /** Resolved worker pool size. */
     std::size_t worker_count_ = 0;
-    std::size_t feeder_count_ = 0;
-    /** One per feeder; its partition's sources raise it. */
-    std::vector<std::unique_ptr<Readiness>> readiness_;
 
     // Hot reload (watchdog-only except where noted).
     std::uint32_t model_crc_ = 0;
@@ -328,7 +349,7 @@ class FleetScheduler
     std::atomic<std::uint64_t> breaker_trips_{0};
     std::atomic<std::uint64_t> model_reloads_{0};
     std::atomic<double> restart_latency_ms_{0.0};
-    std::atomic<double> queue_wait_ms_{0.0};
+    std::atomic<double> pull_ms_{0.0};
     std::atomic<double> step_ms_{0.0};
     std::atomic<double> checkpoint_ms_{0.0};
 
@@ -339,13 +360,7 @@ class FleetScheduler
     std::atomic<std::uint64_t> preemptions_{0};
     std::atomic<std::uint64_t> parks_{0};
     std::atomic<std::uint64_t> spurious_wakeups_{0};
-    std::atomic<std::uint64_t> feeder_naps_{0};
     std::atomic<std::uint64_t> throttle_skips_{0};
-    /** Feeder visits that found a session's queue full (the face of
-     *  Block backpressure here: the pull is deferred to a later round
-     *  instead of parking a thread; folded into
-     *  ServeStats::blocked_pushes). */
-    std::atomic<std::uint64_t> feed_defers_{0};
     std::atomic<double> busy_ms_{0.0};
     double min_deficit_ = 0.0; ///< guarded by mu_
     double wall_ms_ = 0.0;     ///< written by run() before return

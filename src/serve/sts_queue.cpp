@@ -65,8 +65,6 @@ StsQueue::popBatch(std::vector<core::Sts> &out, std::size_t max_items,
         if (not_empty_.wait_until(lock, deadline) ==
             std::cv_status::timeout)
             break;
-        if (ring_.empty() && !closed_)
-            ++stats_.spurious_wakeups;
     }
     while (!ring_.empty() && out.size() < max_items) {
         out.push_back(ring_.popFront());
@@ -80,49 +78,24 @@ StsQueue::popBatch(std::vector<core::Sts> &out, std::size_t max_items,
 }
 
 std::size_t
-StsQueue::pushBatch(std::vector<core::Sts> &in, bool may_block)
+StsQueue::pushBatch(std::vector<core::Sts> &in)
 {
     if (in.empty())
         return 0;
     std::size_t pushed = 0;
     {
-        std::unique_lock<std::mutex> lock(mu_);
+        std::lock_guard<std::mutex> lock(mu_);
         for (core::Sts &sts : in) {
-            const std::size_t cost = stsBytes(sts);
-            const auto over = [this, cost] {
-                return ring_.full() ||
-                       (cfg_.max_bytes != 0 && !ring_.empty() &&
-                        bytes_ + cost > cfg_.max_bytes);
-            };
-            if (over() && !closed_) {
-                if (cfg_.policy == BackpressurePolicy::Block) {
-                    if (!may_block) {
-                        // A deferred push is the non-blocking face of
-                        // Block backpressure: the producer yields and
-                        // holds the window instead of waiting here.
-                        ++stats_.blocked_pushes;
-                        break;
-                    }
-                    ++stats_.blocked_pushes;
-                    // The consumer may be parked unaware of the
-                    // windows already admitted this batch; wake it
-                    // before waiting on it, or the hand-off deadlocks.
-                    not_empty_.notify_one();
-                    while (over() && !closed_) {
-                        not_full_.wait(lock);
-                        if (over() && !closed_)
-                            ++stats_.spurious_wakeups;
-                    }
-                } else {
-                    while (over() && !ring_.empty()) {
-                        const core::Sts victim = ring_.popFront();
-                        bytes_ -= stsBytes(victim);
-                        ++stats_.dropped_oldest;
-                    }
-                }
-            }
             if (closed_)
                 break;
+            const std::size_t cost = stsBytes(sts);
+            if (ring_.full() ||
+                (cfg_.max_bytes != 0 && !ring_.empty() &&
+                 bytes_ + cost > cfg_.max_bytes)) {
+                // The producer holds the rest and waits for room.
+                ++stats_.blocked_pushes;
+                break;
+            }
             ring_.pushBack(std::move(sts));
             bytes_ += cost;
             ++stats_.pushed;
@@ -138,17 +111,6 @@ StsQueue::pushBatch(std::vector<core::Sts> &in, bool may_block)
     in.erase(in.begin(),
              in.begin() + static_cast<std::ptrdiff_t>(pushed));
     return pushed;
-}
-
-std::size_t
-StsQueue::headroom() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_)
-        return 0;
-    const std::size_t cap = std::max<std::size_t>(cfg_.capacity, 1);
-    const std::size_t depth = ring_.size();
-    return depth >= cap ? 0 : cap - depth;
 }
 
 void

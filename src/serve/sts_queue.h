@@ -1,19 +1,16 @@
 /**
  * @file
- * Bounded STS hand-off queue between a feeder (source) thread and a
- * monitor worker, backed by core::RingQueue. The capacity bound is
- * the backpressure point; what happens at the bound is an explicit
- * policy:
+ * Bounded STS hand-off queue between a producer that must never block
+ * and a consumer, backed by core::RingQueue. It is the receive window
+ * of a wire session (serve/wire_source.h): the connection's reader
+ * pushes, the scheduler worker that owns the session pops.
  *
- *  - Block: the feeder waits for space. Nothing is lost, the source
- *    slows to the monitor's pace (correct for seekable/replayable
- *    sources, and the only policy compatible with bit-identical
- *    checkpoint recovery).
- *  - DropOldest: the oldest queued window is discarded to admit the
- *    new one. The monitor stays current at the cost of gaps
- *    (live-capture posture; verdicts are then best-effort).
- *
- * Both outcomes are counted in QueueStats, never silent.
+ * The capacity (windows) and byte bounds are the backpressure point.
+ * A push stops at the first window the bound refuses and hands the
+ * rest back; the producer then waits on the queue's free-space signal
+ * (waitNotFullFor) while it keeps watching its own abort flag.
+ * Nothing is ever evicted, and every refused push is counted in
+ * QueueStats::blocked_pushes.
  */
 
 #ifndef EDDIE_SERVE_STS_QUEUE_H
@@ -30,26 +27,15 @@
 namespace eddie::serve
 {
 
-/** What a full queue does to an incoming push. */
-enum class BackpressurePolicy
-{
-    Block,
-    DropOldest,
-};
-
 struct StsQueueConfig
 {
     std::size_t capacity = 64;
-    BackpressurePolicy policy = BackpressurePolicy::Block;
     /**
      * Byte quota over queued windows (stsBytes sum); 0 = unbounded.
-     * This is the per-tenant memory fence for the fleet runtime:
-     * window *count* alone lets one tenant with huge peak lists eat
-     * the process. The bound applies the same policy as capacity —
-     * Block waits, DropOldest evicts until the new window fits. A
-     * window larger than the whole quota is still admitted when the
-     * queue is empty (otherwise Block would deadlock); the quota then
-     * holds again from the next push.
+     * Window *count* alone lets a peer with huge peak lists eat the
+     * process. A window larger than the whole quota is still admitted
+     * when the queue is empty (otherwise it could never enter); the
+     * quota then holds again from the next push.
      */
     std::size_t max_bytes = 0;
 };
@@ -62,17 +48,10 @@ struct QueueStats
 {
     std::uint64_t pushed = 0;
     std::uint64_t popped = 0;
-    /** Windows discarded by DropOldest. */
-    std::uint64_t dropped_oldest = 0;
-    /** Pushes that had to wait under Block. */
+    /** Pushes the bound refused (the producer had to wait). */
     std::uint64_t blocked_pushes = 0;
     /** High-water mark of queue depth. */
     std::uint64_t max_depth = 0;
-    /** Condvar wakeups that found their predicate still false (a
-     *  blocked push woken while still over the bound, or a pop woken
-     *  to a still-empty ring). Batch wakeups exist to keep this near
-     *  zero; the scheduler bench records it. */
-    std::uint64_t spurious_wakeups = 0;
     /** Bytes currently queued (stsBytes sum). */
     std::uint64_t queued_bytes = 0;
     /** High-water mark of queued_bytes. */
@@ -86,34 +65,18 @@ class StsQueue
     explicit StsQueue(const StsQueueConfig &cfg);
 
     /**
-     * Batched enqueue to match popBatch: one mutex acquisition and
-     * ONE consumer wakeup for the whole batch instead of one per
-     * window. Windows are moved out of @p in front-to-back; the
-     * pushed prefix is erased from @p in (leftovers stay, in order,
-     * for the caller to retry).
-     *
-     * With @p may_block (default), applies the full backpressure
-     * policy per window — the call pushes everything unless the queue
-     * closes mid-batch. With may_block == false, stops at the first
-     * window the bound refuses instead of waiting, so a multiplexed
-     * feeder can never be parked on one slow tenant's queue.
-     * Returns the number of windows enqueued.
+     * Batched enqueue to match popBatch: one mutex acquisition and ONE
+     * consumer wakeup for the whole batch. Windows are moved out of
+     * @p in front-to-back and stop at the first one the bound refuses
+     * (counted as a blocked push); the pushed prefix is erased from
+     * @p in, and leftovers stay, in order, for the caller to retry.
+     * Returns the number of windows enqueued (0 once closed).
      */
-    std::size_t pushBatch(std::vector<core::Sts> &in,
-                          bool may_block = true);
-
-    /**
-     * Free window slots right now (0 once closed). A feeder that
-     * clamps its pull chunk to this and uses pushBatch(.., false)
-     * never blocks; the byte quota can still refuse earlier, which
-     * the non-blocking push surfaces as leftovers.
-     */
-    std::size_t headroom() const;
+    std::size_t pushBatch(std::vector<core::Sts> &in);
 
     /**
      * Waits up to @p timeout_ms for the queue to leave saturation
-     * (ring full, or at the byte quota). The bounded-backpressure
-     * companion of pushBatch(.., false): a producer that must stay
+     * (ring full, or at the byte quota). A producer that must stay
      * responsive to an abort flag parks here instead of napping
      * blind, and wakes the moment the consumer frees a slot — on a
      * saturated queue a fixed nap caps throughput at
@@ -127,10 +90,9 @@ class StsQueue
      * Batched dequeue: waits up to @p timeout_ms for the first
      * window, then drains up to @p max_items under the same lock
      * acquisition — one mutex round-trip and one producer wakeup per
-     * batch instead of per window, the hand-off that keeps sharded
-     * workers off each other's cache lines. @p out is cleared first
-     * and its capacity reused. Returns the number of windows
-     * dequeued (0 = timed out, or closed and drained).
+     * batch instead of per window. @p out is cleared first and its
+     * capacity reused. Returns the number of windows dequeued (0 =
+     * timed out, or closed and drained).
      */
     std::size_t popBatch(std::vector<core::Sts> &out,
                          std::size_t max_items, double timeout_ms);

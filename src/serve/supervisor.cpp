@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -47,40 +46,7 @@ openCheckpointArchive(const std::string &path, bool resume)
     return std::make_unique<store::Archive>(cfg);
 }
 
-/** A duration knob must be a finite, non-negative millisecond count. */
-void
-checkTime(double ms, const char *field)
-{
-    if (!std::isfinite(ms) || ms < 0.0)
-        throw ServeConfigError(field, "must be finite and >= 0");
-}
-
 } // namespace
-
-void
-ServeConfig::validate() const
-{
-    checkTime(watchdog.heartbeat_deadline_ms,
-              "watchdog.heartbeat_deadline_ms");
-    checkTime(watchdog.restart_window_ms, "watchdog.restart_window_ms");
-    checkTime(watchdog.poll_interval_ms, "watchdog.poll_interval_ms");
-    checkTime(model_poll_ms, "model_poll_ms");
-    checkTime(scheduler.feeder_idle_ms, "scheduler.feeder_idle_ms");
-    if (watchdog.heartbeat_deadline_ms <= watchdog.poll_interval_ms)
-        throw ServeConfigError("watchdog.heartbeat_deadline_ms",
-                               "must exceed watchdog.poll_interval_ms");
-    if (checkpoint_archive && checkpoint_path.empty())
-        throw ServeConfigError("checkpoint_archive",
-                               "needs checkpoint_path");
-    if (resume && checkpoint_path.empty())
-        throw ServeConfigError("resume", "needs checkpoint_path");
-    if (full_snapshot_every == 0)
-        throw ServeConfigError("full_snapshot_every", "must be >= 1");
-    if (queue.capacity == 0)
-        throw ServeConfigError("queue.capacity", "must be >= 1");
-    if (scheduler.batch_steps == 0)
-        throw ServeConfigError("scheduler.batch_steps", "must be >= 1");
-}
 
 Supervisor::Supervisor(std::shared_ptr<const core::TrainedModel> model,
                        ServeConfig cfg)
@@ -118,13 +84,11 @@ Supervisor::run(const std::vector<SampleSource *> &sources)
     if (!model_)
         throw core::Error(
             "supervisor: run() on a fleet-mode supervisor");
-    // The implicit tenant: the ServeConfig's queue and budget, no rate
-    // quota, and every breaker threshold 0 (no breaker).
+    // The implicit tenant: the ServeConfig's budget, no rate quota,
+    // and every breaker threshold 0 (no breaker).
     TenantSpec spec;
     spec.id = kRunTenant;
     spec.model = model();
-    spec.quota.queue_capacity = cfg_.queue.capacity;
-    spec.quota.queue_max_bytes = cfg_.queue.max_bytes;
     spec.quota.restart_budget = cfg_.watchdog.restart_budget;
     spec.quota.restart_window_ms = cfg_.watchdog.restart_window_ms;
     spec.breaker.fault_threshold = 0;
@@ -255,26 +219,13 @@ Supervisor::serve(TenantRegistry &registry,
         spec.source = session.source;
         spec.store = stores_[t].get();
         spec.store_shard = session.ordinal;
-        spec.queue = cfg_.queue;
-        const TenantQuota &quota = session.tenant->spec().quota;
-        spec.queue.capacity =
-            std::max<std::size_t>(quota.queue_capacity, 1);
-        spec.queue.max_bytes = quota.queue_max_bytes;
         spec.born_escalated = session.tenant->breaker().tripped();
         spec.recovered = session.ordinal < recovered[t].size() &&
                          recovered[t][session.ordinal];
         specs.push_back(std::move(spec));
     }
-    SchedulerRunConfig rc;
-    rc.monitor = cfg_.monitor;
-    rc.sched = cfg_.scheduler;
-    rc.heartbeat_deadline_ms = cfg_.watchdog.heartbeat_deadline_ms;
-    rc.poll_interval_ms = cfg_.watchdog.poll_interval_ms;
-    rc.checkpoint_interval = cfg_.checkpoint_interval;
-    rc.model_path = cfg_.model_path;
-    rc.model_poll_ms = cfg_.model_poll_ms;
     auto sched = std::make_unique<FleetScheduler>(
-        std::move(rc), std::move(specs), registry.tenants(), stop_);
+        cfg_, std::move(specs), registry.tenants(), stop_);
     sched->setStopCheck(stop_check_);
     sched->setFleetStepHook([this](std::size_t session,
                                    const std::string &tenant,

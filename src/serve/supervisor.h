@@ -10,8 +10,8 @@
  *    sequence advance;
  *  - restarts crashed / hung / source-dead sessions from their last
  *    checkpoint (re-seeking the source, so no window is skipped and
- *    verdicts stay bit-identical under the Block backpressure
- *    policy), charging a restarts-per-window budget;
+ *    verdicts stay bit-identical), charging a restarts-per-window
+ *    budget;
  *  - escalates a session to degraded mode when the budget is
  *    exhausted (its last checkpointed verdicts become its final
  *    result);
@@ -49,86 +49,10 @@
 #include "core/monitor.h"
 #include "sample_source.h"
 #include "scheduler.h"
-#include "sts_queue.h"
 #include "tenant.h"
 
 namespace eddie::serve
 {
-
-/** Watchdog and restart policy. */
-struct WatchdogConfig
-{
-    /** A session inside one monitor step for longer than this with no
-     *  progress-sequence advance is hung. (Liveness is per-session
-     *  progress, not per-thread heartbeat: a session that steps
-     *  rarely because it shares a worker is slow, not hung.) */
-    double heartbeat_deadline_ms = 500.0;
-    /** Restarts allowed within restart_window_ms before a session
-     *  escalates to degraded mode. run() charges every session to one
-     *  budget (its implicit tenant's). */
-    std::size_t restart_budget = 3;
-    double restart_window_ms = 10000.0;
-    /** Watchdog poll cadence. */
-    double poll_interval_ms = 2.0;
-};
-
-/** A ServeConfig that contradicts itself or holds an impossible value;
- *  field() names the offending field. */
-class ServeConfigError : public core::Error
-{
-  public:
-    ServeConfigError(std::string field, const std::string &why)
-        : core::Error("serve config: " + field + ": " + why),
-          field_(std::move(field))
-    {
-    }
-    const std::string &field() const { return field_; }
-
-  private:
-    std::string field_;
-};
-
-/** Everything the runtime needs beyond the model and the sources. */
-struct ServeConfig
-{
-    core::MonitorConfig monitor;
-    /** Per-session queue bound and policy. run() uses all of it; in
-     *  runFleet the capacity and byte quota come from each tenant's
-     *  quota. */
-    StsQueueConfig queue;
-    WatchdogConfig watchdog;
-    /** Monitor steps between delta-checkpoint cuts (0 disables
-     *  periodic checkpoints; the in-memory restart mirror is still
-     *  kept). */
-    std::size_t checkpoint_interval = 64;
-    /** Checkpoints live in the EDDIEARC container at
-     *  checkpointArchivePath(checkpoint_path), i.e. path + ".arc".
-     *  Empty = in-memory mirrors only (see serve/checkpoint.h). */
-    std::string checkpoint_path;
-    /** Resume from the container at checkpoint_path when it holds a
-     *  snapshot; a container the archive cannot open (FormatError)
-     *  stops the run. Without resume such a file is moved aside to
-     *  path + ".arc.damaged" and a new container started. */
-    bool resume = false;
-    /** Group commits between full-snapshot rewrites (bounds the
-     *  delta chain recovery has to replay). */
-    std::size_t full_snapshot_every = 16;
-    /** No effect: the archive is the only checkpoint layout. Kept
-     *  because the EDDIEBENCH serve_fleet workload still sets it;
-     *  validate() still refuses it without a checkpoint_path. */
-    bool checkpoint_archive = false;
-    /** The serving engine's tuning; scheduler.workers == 0 resolves
-     *  to min(hardware threads, sessions). */
-    SchedulerConfig scheduler;
-    /** Model file watched for hot reload (run() only); empty disables
-     *  watching. */
-    std::string model_path;
-    double model_poll_ms = 200.0;
-
-    /** Throws ServeConfigError on the first rule the config breaks
-     *  (both Supervisor constructors call it). */
-    void validate() const;
-};
 
 /** One tenant's outcome of a fleet run. */
 struct TenantResult
@@ -195,8 +119,8 @@ class Supervisor
     /**
      * Runs every source to completion (EOF, graceful stop, or
      * escalation) and returns one result per source. The sources are
-     * the sessions of one implicit tenant: its queues and budget come
-     * from the ServeConfig, and it has no rate quota and no breaker.
+     * the sessions of one implicit tenant: its budget comes from the
+     * ServeConfig, and it has no rate quota and no breaker.
      * It checkpoints under tenantKeyPrefix(kRunTenant). Sources must
      * outlive the call and be seekable for restart/resume to work.
      * Not reentrant.
@@ -217,11 +141,12 @@ class Supervisor
      *    at/above the configured outage length, or a checkpoint
      *    decode failure during resume) escalates ALL the tenant's
      *    sessions at once, and neighbors are untouched;
-     *  - feeders enforce the tenant's STS/s quota (Throttle delays
-     *    preserve verdict bit-identity; Shed drops are counted).
+     *  - workers enforce the tenant's STS/s quota at the pull
+     *    (Throttle delays preserve verdict bit-identity; Shed drops
+     *    are counted).
      *
      * Sessions of healthy tenants finish with verdicts bit-identical
-     * to a clean serial run of the same streams (Block policy).
+     * to a clean serial run of the same streams.
      */
     FleetResult runFleet(TenantRegistry &registry);
 

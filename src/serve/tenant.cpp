@@ -134,6 +134,10 @@ RateDecision
 Tenant::admitWindow(double now_ms, double &wait_ms)
 {
     wait_ms = 0.0;
+    // An unlimited bucket admits everything: skip the lock the
+    // tenant's workers would otherwise contend on for every window.
+    if (spec_.quota.sts_per_s <= 0.0)
+        return RateDecision::Admit;
     std::lock_guard<std::mutex> lock(bucket_mu_);
     if (bucket_.tryTake(now_ms))
         return RateDecision::Admit;

@@ -9,9 +9,9 @@
  *
  *  - TenantRegistry: tenant id → model + quota + runtime state, plus
  *    the session table. Session opening goes through admission.
- *  - Admission: fleet-wide and per-tenant session caps and queue-byte
- *    quotas, enforced at open; per-window rate quotas (STS/s token
- *    bucket) enforced by the feeders. Every rejection is a counted
+ *  - Admission: fleet-wide and per-tenant session caps, enforced at
+ *    open; per-window rate quotas (STS/s token bucket) enforced by the
+ *    scheduler's workers at the pull. Every rejection is a counted
  *    ShedReason, never unbounded growth.
  *  - CircuitBreaker: per-tenant fault accounting. Repeated worker
  *    faults, quality-gate quarantine storms, or checkpoint decode
@@ -39,7 +39,6 @@
 
 #include "core/model.h"
 #include "sample_source.h"
-#include "sts_queue.h"
 
 namespace eddie::serve
 {
@@ -104,8 +103,9 @@ class TokenBucket
 /** What a session over its STS/s quota does with the excess. */
 enum class RatePolicy
 {
-    /** Feeder sleeps until the bucket refills: nothing is lost, the
-     *  tenant slows to its quota, verdicts stay bit-identical. */
+    /** The pulled window is held and its session parks until the
+     *  bucket refills: nothing is lost, the tenant slows to its
+     *  quota, verdicts stay bit-identical. */
     Throttle,
     /** The window is dropped and counted: best-effort posture. */
     Shed,
@@ -116,10 +116,6 @@ struct TenantQuota
 {
     /** Concurrent sessions this tenant may hold open (0 = no cap). */
     std::size_t max_sessions = 0;
-    /** Window capacity of each session's StsQueue. */
-    std::size_t queue_capacity = 64;
-    /** Byte quota of each session's StsQueue (0 = unbounded). */
-    std::size_t queue_max_bytes = 0;
     /** STS windows per second across the tenant's sessions (token
      *  bucket; 0 = unlimited). */
     double sts_per_s = 0.0;
@@ -219,7 +215,7 @@ struct AdmissionStats
     std::uint64_t rejected_breaker_open = 0;
     /** Windows dropped by RatePolicy::Shed. */
     std::uint64_t windows_shed = 0;
-    /** Feeder sleeps taken by RatePolicy::Throttle. */
+    /** Session parks taken by RatePolicy::Throttle. */
     std::uint64_t windows_throttled = 0;
 };
 
@@ -232,11 +228,11 @@ struct TenantSpec
     BreakerConfig breaker;
 };
 
-/** Feeder-side verdict on one window against the rate quota. */
+/** Pull-side verdict on one window against the rate quota. */
 enum class RateDecision
 {
     Admit,
-    /** Sleep wait_ms, then the window is admitted (token charged). */
+    /** Retry after wait_ms; the token is charged on admission. */
     Throttle,
     Shed,
 };
@@ -244,7 +240,7 @@ enum class RateDecision
 /**
  * One tenant's runtime state. Created by TenantRegistry::addTenant;
  * address-stable for the registry's lifetime. The token bucket is
- * shared across the tenant's feeder threads (locked internally);
+ * shared across the workers serving the tenant (locked internally);
  * budget and breaker are only touched by the supervisor's watchdog
  * thread.
  */
@@ -262,9 +258,9 @@ class Tenant
     CircuitBreaker &breaker() { return breaker_; }
 
     /**
-     * Rate-admits one window at @p now_ms. Thread-safe (feeders of
-     * the same tenant race here). Throttle charges nothing yet: the
-     * caller sleeps ~wait_ms and calls again.
+     * Rate-admits one window at @p now_ms. Thread-safe (workers
+     * running the tenant's sessions race here). Throttle charges
+     * nothing yet: the caller waits ~wait_ms and calls again.
      */
     RateDecision admitWindow(double now_ms, double &wait_ms);
 

@@ -540,7 +540,7 @@ WireListener::drainAndClose()
         std::lock_guard<std::mutex> lock(mu_);
         // Supersede and wake every reader: shutdown unblocks reads,
         // closeIngest unblocks a reader parked on a full receive
-        // window (and lets a feeder drain to Stalled).
+        // window (and lets its session drain to Stalled).
         for (auto &entry : sessions_) {
             SessionSlot &slot = *entry.second;
             ++slot.generation;

@@ -34,9 +34,7 @@ WireSource::WireSource(std::string tenant_id,
                        const WireSourceConfig &cfg)
     : tenant_id_(std::move(tenant_id)), session_key_(session_key),
       cfg_(cfg),
-      recv_(StsQueueConfig{cfg.recv_capacity,
-                           BackpressurePolicy::Block,
-                           cfg.recv_max_bytes})
+      recv_(StsQueueConfig{cfg.recv_capacity, cfg.recv_max_bytes})
 {
 }
 
@@ -163,13 +161,13 @@ WireSource::ingest(std::uint64_t first_seq,
     while (!batch.empty()) {
         if (recv_.closed())
             return Ingest::Closed;
-        // Non-blocking push + bounded backpressure wait instead of
-        // the queue's Block wait: a reader superseded by a reconnect
-        // must notice @p abort even while the window is full, so the
-        // wait is capped at kIngestNapMs — but it parks on the
-        // queue's free-space signal, waking the moment the consumer
-        // pops (a blind nap here caps ingest at capacity/nap_ms).
-        const std::size_t pushed = recv_.pushBatch(batch, false);
+        // Non-blocking push + bounded backpressure wait: a reader
+        // superseded by a reconnect must notice @p abort even while
+        // the window is full, so the wait is capped at kIngestNapMs —
+        // but it parks on the queue's free-space signal, waking the
+        // moment the consumer pops (a blind nap here caps ingest at
+        // capacity/nap_ms).
+        const std::size_t pushed = recv_.pushBatch(batch);
         if (pushed > 0) {
             expected_.fetch_add(pushed);
             ingested_.fetch_add(pushed);

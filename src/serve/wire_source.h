@@ -10,11 +10,12 @@
  *    stops draining the socket, and TCP pushes the pressure back to
  *    the producer: slow-consumer backpressure ends at the peer, not
  *    in this process's heap.
- *  - the *consumer* half (a scheduler feeder thread) pulls
- *    windows via next(), which also maintains a bounded replay deque
- *    of delivered windows so seek() — the checkpoint-recovery
- *    contract of SampleSource — rewinds locally without asking the
- *    peer to rewind.
+ *  - the *consumer* half (the scheduler worker that owns the session)
+ *    pulls windows via next() and steps them at once; next() also
+ *    maintains a bounded replay deque of delivered windows so seek()
+ *    — the checkpoint-recovery contract of SampleSource — rewinds
+ *    locally without asking the peer to rewind. The receive window is
+ *    the only queue a wire window crosses.
  *
  * Sequence discipline (the at-most-once/at-least-once meeting point):
  * expected() is the next window index the source will accept. A batch
@@ -28,8 +29,8 @@
  *
  * next() never blocks. With nothing buffered it answers Pending and
  * the ingest half raises the watched Readiness (SampleSource::watch)
- * when windows, an EOF, or a close arrive, so the scheduler's feeder
- * parks instead of polling. Only a peer silent for stall_timeout_ms
+ * when windows, an EOF, or a close arrive, so the session parks
+ * instead of polling. Only a peer silent for stall_timeout_ms
  * surfaces as Stalled, which the scheduler treats as a dead source
  * and spends a restart on.
  */
@@ -53,14 +54,14 @@ namespace eddie::serve
 
 struct WireSourceConfig
 {
-    /** Receive-window bounds (the ingest StsQueue, Block policy). */
+    /** Receive-window bounds (the ingest StsQueue). */
     std::size_t recv_capacity = 256;
     /** Byte quota of the receive window; 0 = unbounded. */
     std::size_t recv_max_bytes = 4u << 20;
     /** Delivered windows retained for seek() replay. Must cover the
-     *  furthest rewind checkpoint recovery can ask for (session queue
-     *  depth + checkpoint interval); seeks below the retained base
-     *  fail and the session escalates. */
+     *  furthest rewind checkpoint recovery can ask for: the checkpoint
+     *  interval plus the one window a throttled session holds. Seeks
+     *  below the retained base fail and the session escalates. */
     std::size_t replay_window = 16384;
     /** How long an idle wire may answer Pending, counted from the
      *  first idle pull after the last delivered window (or seek),
@@ -87,7 +88,7 @@ class WireSource : public SampleSource
     WireSource(std::string tenant_id, std::uint64_t session_key,
                const WireSourceConfig &cfg);
 
-    // Consumer half (scheduler feeder; single consumer).
+    // Consumer half (the session's worker; single consumer).
     Pull next() override;
     bool seek(std::uint64_t pos) override;
     std::uint64_t position() const override { return cursor_.load(); }
@@ -157,7 +158,7 @@ class WireSource : public SampleSource
     std::mutex watch_mu_;
     Readiness *watcher_ = nullptr;
 
-    // Consumer-half state (feeder thread only; cursor_ is atomic so
+    // Consumer-half state (session owner only; cursor_ is atomic so
     // position() reads from other threads are clean).
     std::atomic<std::uint64_t> cursor_{0};
     /** Staging for batched recv_ drains: next() pops up to a batch of

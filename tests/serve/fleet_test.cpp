@@ -10,12 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/errors.h"
@@ -68,8 +66,9 @@ struct FleetFixture
 };
 
 /** Answers Pending @p idle times before its one window, then ends.
- *  Each Pending raises the watched Readiness, so the feeder comes
- *  straight back for the next pull. */
+ *  Each Pending raises the watched Readiness from inside the pull, so
+ *  the latched raise sends its session straight back for the next
+ *  pull. */
 class IdleThenOneSource : public SampleSource
 {
   public:
@@ -246,36 +245,6 @@ TEST(Fleet, SharedArchiveNamespacesResumeBitIdentical)
         EXPECT_EQ(sup.stats().snapshot_decode_failures, 0u);
     }
     std::remove((base + ".arc").c_str());
-}
-
-/** A DropOldest queue behind a slow worker evicts, counts every
- *  eviction, and still terminates: the feeder pulls past the queue's
- *  headroom instead of waiting for room, as Block would. */
-TEST(Fleet, DropOldestQueueEvictsBehindASlowWorker)
-{
-    FleetFixture fx(1);
-    TenantRegistry reg;
-    TenantSpec spec = fx.spec("a");
-    spec.quota.queue_capacity = 2;
-    reg.addTenant(spec);
-    ASSERT_TRUE(reg.openSession("a", fx.sources[0].get()).admitted);
-    ServeConfig cfg = fastServeConfig();
-    cfg.queue.policy = BackpressurePolicy::DropOldest;
-    cfg.scheduler.workers = 2;
-    Supervisor sup(cfg);
-    sup.setFleetStepHook([](std::size_t, const std::string &,
-                            std::size_t, const std::atomic<bool> &) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-    });
-    const FleetResult fr = sup.runFleet(reg);
-    ASSERT_EQ(fr.sessions.size(), 1u);
-    EXPECT_FALSE(fr.sessions[0].escalated);
-    const core::ServeStats st = sup.stats();
-    EXPECT_GT(st.dropped_oldest, 0u);
-    EXPECT_EQ(st.blocked_pushes, 0u);
-    EXPECT_EQ(st.processed + st.dropped_oldest,
-              fx.streams[0]->size());
-    EXPECT_EQ(fr.sessions[0].steps, st.processed);
 }
 
 /** The rate quota is charged per pulled window: an idle (Pending) pull

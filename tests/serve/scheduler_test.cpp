@@ -4,15 +4,20 @@
  * verdict parity with a serial Monitor pass at several worker counts
  * and seeds, the DRR debt bound, crash-loop isolation under shared
  * workers, hang detection via progress sequence numbers, a
- * 1024-session smoke run, and the StsQueue batch-push surface the
- * scheduler feeds through.
+ * 1024-session smoke run, the wakeups of the pull-in-worker engine
+ * (a Pending session resumes on its source's raise, a throttled one
+ * when its wait is over, a restart drops a held window), and the
+ * engine's thread budget: its workers and nothing else.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <filesystem>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -149,7 +154,6 @@ TEST(Scheduler, DefaultWorkerPoolIsBoundedByCoresAndSessions)
         std::max(1u, std::thread::hardware_concurrency());
     const SchedulerStats st = sup.fleetScheduler()->schedulerStats();
     EXPECT_EQ(st.workers, std::min<std::size_t>(hw, 2));
-    EXPECT_EQ(st.feeders, std::min<std::size_t>(st.workers, 2));
 }
 
 TEST(Scheduler, DeficitDebtNeverExceedsOneBatch)
@@ -160,7 +164,7 @@ TEST(Scheduler, DeficitDebtNeverExceedsOneBatch)
     // is where a debt-bound bug would show: the small-quantum tenant
     // is dispatched with a deficit barely above zero, so a dispatch
     // can take it furthest below. Rates are far above the streams'
-    // actual throughput, so the feeder quota never throttles.
+    // actual throughput, so the rate quota never throttles.
     TenantSpec heavy = fx.spec("heavy");
     heavy.quota.sts_per_s = 4e6;
     TenantSpec light = fx.spec("light");
@@ -331,37 +335,271 @@ TEST(Scheduler, ThousandSessionSmoke)
     EXPECT_EQ(ss.workers, 4u);
 }
 
-TEST(Scheduler, PushBatchRespectsHeadroomAndCountsBackpressure)
+namespace
 {
-    StsQueueConfig qcfg;
-    qcfg.capacity = 4;
-    StsQueue q(qcfg);
-    EXPECT_EQ(q.headroom(), 4u);
 
-    std::mt19937_64 rng(7);
-    std::vector<core::Sts> in;
-    for (int i = 0; i < 6; ++i)
-        in.push_back(sharpSts(rng, i * 1e-4, 0));
+/** Answers Pending until its gate opens, then replays its stream.
+ *  open() raises the watched Readiness under the source's own lock,
+ *  the way WireSource raises on ingest. With @p open_in_pull the
+ *  first Pending pull opens the gate itself: data that arrives after
+ *  the pull answered Pending but before the session parks. */
+class GatedSource : public SampleSource
+{
+  public:
+    GatedSource(std::shared_ptr<const std::vector<core::Sts>> s,
+                bool open_in_pull)
+        : stream_(std::move(s)), open_in_pull_(open_in_pull)
+    {
+    }
+    Pull next() override
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (!open_) {
+            ++pending_pulls_;
+            if (open_in_pull_)
+                openLocked();
+            cv_.notify_all();
+            return {PullStatus::Pending, {}};
+        }
+        if (pos_ >= stream_->size())
+            return {PullStatus::EndOfStream, {}};
+        return {PullStatus::Ready, (*stream_)[std::size_t(pos_++)]};
+    }
+    bool seek(std::uint64_t pos) override
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (pos > stream_->size())
+            return false;
+        pos_ = pos;
+        return true;
+    }
+    std::uint64_t position() const override
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return pos_;
+    }
+    void watch(Readiness *r) override
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        ready_ = r;
+    }
 
-    // Non-blocking push against capacity 4: admits 4, defers 2, and
-    // the deferral is counted as Block backpressure.
-    EXPECT_EQ(q.pushBatch(in, /*may_block=*/false), 4u);
-    EXPECT_EQ(in.size(), 2u);
-    EXPECT_EQ(q.headroom(), 0u);
-    EXPECT_GE(q.stats().blocked_pushes, 1u);
+    /** Blocks until the first Pending pull. */
+    void awaitPending()
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [this] { return pending_pulls_ > 0; });
+    }
+    void open()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        openLocked();
+    }
+    std::uint64_t pendingPulls() const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return pending_pulls_;
+    }
+    std::chrono::steady_clock::time_point openedAt() const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return opened_at_;
+    }
 
-    std::vector<core::Sts> out;
-    EXPECT_EQ(q.popBatch(out, 4, 0.0), 4u);
-    EXPECT_EQ(q.headroom(), 4u);
+  private:
+    void openLocked()
+    {
+        open_ = true;
+        opened_at_ = std::chrono::steady_clock::now();
+        if (ready_ != nullptr)
+            ready_->raise();
+    }
 
-    // The deferred tail flushes once there is room again.
-    EXPECT_EQ(q.pushBatch(in, /*may_block=*/false), 2u);
-    EXPECT_TRUE(in.empty());
-    EXPECT_EQ(q.stats().pushed, 6u);
+    std::shared_ptr<const std::vector<core::Sts>> stream_;
+    const bool open_in_pull_;
+    mutable std::mutex mu_;
+    std::condition_variable cv_;
+    std::uint64_t pos_ = 0;
+    std::uint64_t pending_pulls_ = 0;
+    bool open_ = false;
+    std::chrono::steady_clock::time_point opened_at_;
+    Readiness *ready_ = nullptr;
+};
 
-    q.close();
-    EXPECT_EQ(q.headroom(), 0u);
-    std::vector<core::Sts> rest;
-    EXPECT_EQ(q.popBatch(rest, 8, 0.0), 2u);
-    EXPECT_TRUE(q.drained());
+} // namespace
+
+/** A session whose pull answered Pending is pulled again when its
+ *  source raises it, with no pull in between, whether the raise finds
+ *  it parked or lands between its Pending pull and the park (the
+ *  latch). The watchdog polls every 300 ms here, so a session left to
+ *  the watchdog's fallback re-enqueue would take that long to step. */
+TEST(Scheduler, PendingSessionResumesOnItsRaiseWithoutPolling)
+{
+    for (const bool open_in_pull : {false, true}) {
+        SchedFixture fx(1, 1100);
+        TenantRegistry reg;
+        reg.addTenant(fx.spec("a"));
+        GatedSource source(fx.streams[0], open_in_pull);
+        ASSERT_TRUE(reg.openSession("a", &source).admitted);
+        ServeConfig cfg = schedConfig(1);
+        cfg.watchdog.poll_interval_ms = 300.0;
+        cfg.watchdog.heartbeat_deadline_ms = 600.0;
+        Supervisor sup(cfg);
+        std::chrono::steady_clock::time_point first_step;
+        sup.setFleetStepHook([&](std::size_t, const std::string &,
+                                 std::size_t step,
+                                 const std::atomic<bool> &) {
+            if (step == 0)
+                first_step = std::chrono::steady_clock::now();
+        });
+        std::thread opener([&] {
+            if (open_in_pull)
+                return;
+            source.awaitPending();
+            // Let the worker park the session.
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            EXPECT_EQ(source.pendingPulls(), 1u);
+            source.open();
+        });
+        const FleetResult fr = sup.runFleet(reg);
+        opener.join();
+        ASSERT_EQ(fr.sessions.size(), 1u);
+        EXPECT_FALSE(fr.sessions[0].escalated);
+        EXPECT_TRUE(
+            sameRecords(fr.sessions[0].records, fx.serial_records[0]));
+        EXPECT_TRUE(
+            sameReports(fr.sessions[0].reports, fx.serial_reports[0]));
+        // One Pending pull; the raise sent the session straight back
+        // to a pull that delivered.
+        EXPECT_EQ(source.pendingPulls(), 1u) << "open_in_pull "
+                                             << open_in_pull;
+        const double wake_ms = std::chrono::duration<double, std::milli>(
+                                   first_step - source.openedAt())
+                                   .count();
+        EXPECT_LT(wake_ms, 150.0) << "open_in_pull " << open_in_pull;
+    }
+}
+
+/** Tenant "slow" runs under a Throttle quota (4000 STS/s, burst 8):
+ *  its session holds each refused window, parks, and resumes once the
+ *  watchdog sees the wait is over. Nothing is lost or reordered, the
+ *  rate holds, and the parked session does not hold its worker: the
+ *  unthrottled neighbor on the one shared worker finishes too. */
+TEST(Scheduler, ThrottledSessionResumesWhenDue)
+{
+    SchedFixture fx(2, 1200);
+    TenantRegistry reg;
+    TenantSpec slow = fx.spec("slow");
+    slow.quota.sts_per_s = 4000.0;
+    slow.quota.burst = 8.0;
+    slow.quota.rate_policy = RatePolicy::Throttle;
+    reg.addTenant(slow);
+    reg.addTenant(fx.spec("fast"));
+    ASSERT_TRUE(reg.openSession("slow", fx.sources[0].get()).admitted);
+    ASSERT_TRUE(reg.openSession("fast", fx.sources[1].get()).admitted);
+    Supervisor sup(schedConfig(1));
+    const auto t0 = std::chrono::steady_clock::now();
+    const FleetResult fr = sup.runFleet(reg);
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    for (std::size_t s = 0; s < 2; ++s) {
+        EXPECT_FALSE(fr.sessions[s].escalated);
+        EXPECT_TRUE(sameRecords(fr.sessions[s].records,
+                                fx.serial_records[s]));
+        EXPECT_TRUE(sameReports(fr.sessions[s].reports,
+                                fx.serial_reports[s]));
+    }
+    EXPECT_GT(fr.tenants[0].windows_throttled, 0u);
+    EXPECT_EQ(fr.tenants[0].windows_shed, 0u);
+    EXPECT_EQ(fr.tenants[1].windows_throttled, 0u);
+    EXPECT_GT(sup.fleetScheduler()->schedulerStats().throttle_skips, 0u);
+    // 160 windows at 4000/s after a burst of 8 take at least 38 ms.
+    EXPECT_GE(wall_ms, 38.0);
+}
+
+/** A crash restarts a session whose windows each waited out a
+ *  throttle park (burst 1: nearly every pulled window is held before
+ *  it is admitted). The restart drops the held window and re-seeks,
+ *  so the replay is bit-identical to the serial oracle. */
+TEST(Scheduler, RestartWithAThrottledWindowHeldReplaysBitIdentical)
+{
+    SchedFixture fx(1, 1300);
+    TenantRegistry reg;
+    TenantSpec spec = fx.spec("a");
+    spec.quota.sts_per_s = 8000.0;
+    spec.quota.burst = 1.0;
+    spec.quota.rate_policy = RatePolicy::Throttle;
+    reg.addTenant(spec);
+    ASSERT_TRUE(reg.openSession("a", fx.sources[0].get()).admitted);
+    Supervisor sup(schedConfig(1));
+    std::atomic<bool> fired{false};
+    sup.setFleetStepHook([&](std::size_t, const std::string &,
+                             std::size_t step, const std::atomic<bool> &) {
+        if (step == 53 && !fired.exchange(true))
+            throw core::Error("scheduler test: injected crash");
+    });
+    const FleetResult fr = sup.runFleet(reg);
+    ASSERT_EQ(fr.sessions.size(), 1u);
+    EXPECT_FALSE(fr.sessions[0].escalated);
+    EXPECT_TRUE(sameRecords(fr.sessions[0].records, fx.serial_records[0]));
+    EXPECT_TRUE(sameReports(fr.sessions[0].reports, fx.serial_reports[0]));
+    EXPECT_GT(fr.tenants[0].windows_throttled, 0u);
+    const core::ServeStats st = sup.stats();
+    EXPECT_EQ(st.worker_crashes, 1u);
+    EXPECT_EQ(st.worker_restarts, 1u);
+    // The replay re-pulls the windows after the last cut (step 48).
+    EXPECT_GT(st.delivered, fx.streams[0]->size());
+}
+
+namespace
+{
+
+/** Threads of this process right now (Linux: one /proc/self/task
+ *  entry per thread). */
+std::size_t
+threadCount()
+{
+    std::size_t n = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)entry;
+        ++n;
+    }
+    return n;
+}
+
+} // namespace
+
+/** The engine's threads are its workers: the watchdog is the thread
+ *  that called run(), and no source needs a thread of its own. */
+TEST(Scheduler, RunStartsNoThreadBeyondItsWorkers)
+{
+    constexpr std::size_t kWorkers = 3;
+    SchedFixture fx(6, 1400);
+    TenantRegistry reg;
+    reg.addTenant(fx.spec("a"));
+    reg.addTenant(fx.spec("b"));
+    for (std::size_t s = 0; s < 6; ++s)
+        ASSERT_TRUE(reg.openSession(s % 2 == 0 ? "a" : "b",
+                                    fx.sources[s].get())
+                        .admitted);
+    Supervisor sup(schedConfig(kWorkers));
+    const std::size_t before = threadCount();
+    std::atomic<std::size_t> peak{0};
+    sup.setFleetStepHook([&](std::size_t, const std::string &,
+                             std::size_t step, const std::atomic<bool> &) {
+        if (step % 32 != 0)
+            return;
+        const std::size_t n = threadCount();
+        std::size_t seen = peak.load();
+        while (n > seen && !peak.compare_exchange_weak(seen, n)) {
+        }
+    });
+    const FleetResult fr = sup.runFleet(reg);
+    for (std::size_t s = 0; s < 6; ++s)
+        EXPECT_TRUE(sameRecords(fr.sessions[s].records,
+                                fx.serial_records[s]));
+    EXPECT_GT(peak.load(), before);
+    EXPECT_LE(peak.load(), before + kWorkers);
 }

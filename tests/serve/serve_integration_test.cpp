@@ -404,29 +404,6 @@ TEST(Supervisor, ShardedRunWithOneCrashStaysIsolated)
     EXPECT_EQ(sup.stats().worker_restarts, 1u);
 }
 
-/** DropOldest backpressure: a tiny queue with a slow worker drops
- *  windows, counts them, and the run still terminates cleanly. */
-TEST(Supervisor, DropOldestCountsLossesAndTerminates)
-{
-    const Fixture &f = fixture();
-    VectorSource source(f.stream);
-    ServeConfig cfg = f.config();
-    cfg.queue.capacity = 2;
-    cfg.queue.policy = BackpressurePolicy::DropOldest;
-    Supervisor sup(f.model, cfg);
-    sup.setStepHook([](std::size_t, const std::atomic<bool> &) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-    });
-    const auto results = sup.run({&source});
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_FALSE(results[0].escalated);
-    const auto stats = sup.stats();
-    EXPECT_GT(stats.dropped_oldest, 0u);
-    EXPECT_EQ(stats.processed + stats.dropped_oldest,
-              f.stream->size());
-    EXPECT_EQ(results[0].steps, stats.processed);
-}
-
 /** Hot model reload: rewriting the model file mid-run swaps the
  *  served model without losing a single verdict. */
 TEST(Supervisor, HotModelReloadSwapsWithoutVerdictLoss)

@@ -10,7 +10,11 @@
 #ifndef EDDIE_TESTS_SERVE_TEST_UTIL_H
 #define EDDIE_TESTS_SERVE_TEST_UTIL_H
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <vector>
 
@@ -18,11 +22,47 @@
 #include "core/trainer.h"
 #include "prog/builder.h"
 #include "prog/regions.h"
+#include "serve/sample_source.h"
 
 namespace serve_test
 {
 
 constexpr double kSentinel = 2e7;
+
+/** A Readiness a test thread parks on: raise() latches until the next
+ *  waitFor(), so a raise between a Pending pull and the park is not
+ *  lost. */
+class LatchReadiness : public eddie::serve::Readiness
+{
+  public:
+    void raise() override
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            raised_ = true;
+        }
+        cv_.notify_one();
+    }
+
+    /** Waits until raised or @p timeout_ms passes, then clears the
+     *  latch. Returns true when it was raised. */
+    bool waitFor(double timeout_ms)
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait_for(lock,
+                     std::chrono::duration<double, std::milli>(
+                         std::max(timeout_ms, 0.0)),
+                     [this] { return raised_; });
+        const bool raised = raised_;
+        raised_ = false;
+        return raised;
+    }
+
+  private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool raised_ = false;
+};
 
 inline eddie::prog::RegionGraph
 twoLoopGraph()

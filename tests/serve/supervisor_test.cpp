@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit tests of the supervision building blocks: the bounded queue's
- * two backpressure policies, the sliding-window restart budget that
- * decides between restart and escalation, and ServeConfig validation
- * (one test per rule).
+ * Unit tests of the supervision building blocks: the bounded queue
+ * the wire receive window is made of (a push that never blocks and a
+ * producer that waits for room), the sliding-window restart budget
+ * that decides between restart and escalation, and ServeConfig
+ * validation (one test per rule).
  */
 
 #include <chrono>
@@ -31,12 +32,19 @@ numbered(std::size_t i)
     return sts;
 }
 
-/** One window through the blocking batch push; false once closed. */
+/** One window the way WireSource::ingest pushes: retry the
+ *  non-blocking push, parking on the free-space signal while the queue
+ *  is full. False once the queue closes. */
 bool
 push(StsQueue &q, core::Sts sts)
 {
     std::vector<core::Sts> one{std::move(sts)};
-    return q.pushBatch(one) == 1;
+    while (q.pushBatch(one) == 0) {
+        if (q.closed())
+            return false;
+        q.waitNotFullFor(2.0);
+    }
+    return true;
 }
 
 /** One window, waiting up to @p timeout_ms; empty when none came. */
@@ -49,31 +57,10 @@ pop(StsQueue &q, double timeout_ms)
     return std::move(out.front());
 }
 
-TEST(StsQueue, DropOldestEvictsAndCounts)
-{
-    StsQueueConfig cfg;
-    cfg.capacity = 2;
-    cfg.policy = BackpressurePolicy::DropOldest;
-    StsQueue q(cfg);
-    for (std::size_t i = 0; i < 4; ++i)
-        ASSERT_TRUE(push(q, numbered(i)));
-    // 0 and 1 were evicted to admit 2 and 3.
-    EXPECT_DOUBLE_EQ(pop(q, 0.0)->t_start, 2.0);
-    EXPECT_DOUBLE_EQ(pop(q, 0.0)->t_start, 3.0);
-    EXPECT_FALSE(pop(q, 0.0).has_value());
-    const QueueStats stats = q.stats();
-    EXPECT_EQ(stats.dropped_oldest, 2u);
-    EXPECT_EQ(stats.blocked_pushes, 0u);
-    EXPECT_EQ(stats.pushed, 4u);
-    EXPECT_EQ(stats.popped, 2u);
-    EXPECT_EQ(stats.max_depth, 2u);
-}
-
 TEST(StsQueue, BlockPolicyLosesNothingAndCountsTheWait)
 {
     StsQueueConfig cfg;
     cfg.capacity = 2;
-    cfg.policy = BackpressurePolicy::Block;
     StsQueue q(cfg);
     constexpr std::size_t kTotal = 32;
 
@@ -83,10 +70,10 @@ TEST(StsQueue, BlockPolicyLosesNothingAndCountsTheWait)
         q.close();
     });
     // Don't pop until the producer has actually hit backpressure:
-    // with nobody draining a capacity-2 queue it must block, and
-    // waiting for that makes the blocked_pushes assertion immune to
-    // scheduling (a fast consumer could otherwise keep the ring from
-    // ever filling).
+    // with nobody draining a capacity-2 queue its push must be
+    // refused, and waiting for that makes the blocked_pushes
+    // assertion immune to scheduling (a fast consumer could otherwise
+    // keep the ring from ever filling).
     while (q.stats().blocked_pushes == 0)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     std::size_t expected = 0;
@@ -97,14 +84,14 @@ TEST(StsQueue, BlockPolicyLosesNothingAndCountsTheWait)
                 break;
             continue;
         }
-        // Blocking backpressure preserves order and loses nothing.
+        // Backpressure preserves order and loses nothing.
         EXPECT_DOUBLE_EQ(sts->t_start, double(expected));
         ++expected;
     }
     producer.join();
     EXPECT_EQ(expected, kTotal);
     const QueueStats stats = q.stats();
-    EXPECT_EQ(stats.dropped_oldest, 0u);
+    EXPECT_EQ(stats.pushed, kTotal);
     EXPECT_GT(stats.blocked_pushes, 0u);
     EXPECT_LE(stats.max_depth, 2u);
 }
@@ -116,7 +103,8 @@ TEST(StsQueue, CloseUnblocksAndFailsFurtherPushes)
     StsQueue q(cfg);
     ASSERT_TRUE(push(q, numbered(0)));
     std::thread blocked([&q] {
-        // Blocks on the full queue until close() wakes it.
+        // Waits on the full queue until close() wakes it.
+        EXPECT_TRUE(q.waitNotFullFor(60000.0));
         EXPECT_FALSE(push(q, numbered(1)));
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -158,7 +146,6 @@ TEST(StsQueue, PopBatchWakesBlockedProducerAndSeesClose)
 {
     StsQueueConfig cfg;
     cfg.capacity = 2;
-    cfg.policy = BackpressurePolicy::Block;
     StsQueue q(cfg);
     constexpr std::size_t kTotal = 64;
     std::thread producer([&q] {
@@ -184,7 +171,7 @@ TEST(StsQueue, PopBatchWakesBlockedProducerAndSeesClose)
     // The single not_full_ wakeup per batch must keep the producer
     // moving: nothing lost, nothing reordered.
     EXPECT_EQ(expected, kTotal);
-    EXPECT_EQ(q.stats().dropped_oldest, 0u);
+    EXPECT_EQ(q.stats().pushed, kTotal);
 }
 
 TEST(RestartBudget, AllowsUpToBudgetWithinTheWindow)
@@ -264,13 +251,6 @@ TEST(ServeConfigValidate, FullSnapshotEveryMustBePositive)
     EXPECT_EQ(rejectedField(cfg), "full_snapshot_every");
 }
 
-TEST(ServeConfigValidate, QueueCapacityMustBePositive)
-{
-    ServeConfig cfg;
-    cfg.queue.capacity = 0;
-    EXPECT_EQ(rejectedField(cfg), "queue.capacity");
-}
-
 TEST(ServeConfigValidate, BatchStepsMustBePositive)
 {
     ServeConfig cfg;
@@ -303,9 +283,6 @@ TEST(ServeConfigValidate, TimesMustBeFiniteAndNonNegative)
         ServeConfig d;
         d.model_poll_ms = v;
         EXPECT_EQ(rejectedField(d), "model_poll_ms");
-        ServeConfig e;
-        e.scheduler.feeder_idle_ms = v;
-        EXPECT_EQ(rejectedField(e), "scheduler.feeder_idle_ms");
     }
 }
 
@@ -325,7 +302,7 @@ TEST(ServeConfigValidate, ModelPathIsRefusedOnTheFleetConstructor)
 TEST(ServeConfigValidate, BothConstructorsValidate)
 {
     ServeConfig cfg;
-    cfg.queue.capacity = 0;
+    cfg.scheduler.batch_steps = 0;
     EXPECT_THROW(Supervisor{cfg}, ServeConfigError);
     const auto model = std::make_shared<const core::TrainedModel>();
     EXPECT_THROW(Supervisor(model, cfg), ServeConfigError);

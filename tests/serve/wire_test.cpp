@@ -277,7 +277,7 @@ TEST(WireSource, ReadinessIsRaisedByIngestEofAndClose)
 {
     const std::vector<core::Sts> stream = eventfulStream(16);
     WireSourceConfig cfg;
-    Readiness ready;
+    LatchReadiness ready;
 
     WireSource src("default", 1, cfg);
     src.watch(&ready);
@@ -467,7 +467,7 @@ struct ListenerFixture
     std::vector<core::Sts> drainSource()
     {
         WireSource *src = listener->sources().at(0);
-        Readiness ready;
+        LatchReadiness ready;
         src->watch(&ready);
         std::vector<core::Sts> got;
         for (;;) {
@@ -961,10 +961,10 @@ struct ServedFixture
 };
 
 /** The order EDDIEBENCH and eddie_serve tear down in: the Supervisor
- *  (and with it the feeders' Readiness) goes first, then the listener
- *  closes its sources. A source still pointing at a feeder's
- *  Readiness would wake freed memory here: it locks a freed mutex and
- *  the test hangs into its timeout. */
+ *  (and with it every session, each its source's wake target) goes
+ *  first, then the listener closes its sources. A source still
+ *  pointing at a session would wake freed memory here: it locks a
+ *  freed mutex and the test hangs into its timeout. */
 TEST(WireListener, SupervisorDestroyedBeforeListenerLeavesNoDanglingWakeup)
 {
     ServedFixture fx(31);
@@ -1035,7 +1035,7 @@ TEST(WireListener, FleetOf256SessionsAtDefaultsMatchesSerialOracle)
     const std::size_t hw =
         std::max(1u, std::thread::hardware_concurrency());
     EXPECT_EQ(ss.sessions, kSessions);
-    EXPECT_LE(ss.workers + ss.feeders, hw + 2);
+    EXPECT_LE(ss.workers, hw);
     listener.drainAndClose();
 }
 

@@ -2,8 +2,9 @@
  * @file
  * The command-line parser shared by the tools: options must be among
  * the tool's declared flags, numeric options accept only wholly
- * numeric values, negative numbers are values rather than flags, and
- * a malformed command line becomes exit code 2 through runTool().
+ * numeric values, counts only non-negative ones, negative numbers are
+ * values rather than flags, and a malformed command line becomes exit
+ * code 2 through runTool().
  */
 
 #include <stdexcept>
@@ -97,6 +98,30 @@ TEST(ToolArgs, RejectsValuesThatAreNotWhollyNumeric)
     EXPECT_THROW(a.getDouble("snr", 0.0), UsageError);
     EXPECT_THROW(a.getDouble("gain", 0.0), UsageError);
     EXPECT_THROW(a.getLong("huge", 0), UsageError);
+}
+
+TEST(ToolArgs, CountsRejectNegativeValues)
+{
+    const Args a = parse({"--runs", "3", "--threads", "0", "--retries",
+                          "-1", "--payload", "-5", "--batch", "x",
+                          "--seed", "-3"});
+    EXPECT_EQ(a.getCount("runs", 8), 3u);
+    EXPECT_EQ(a.getCount("threads", 4), 0u);
+    EXPECT_EQ(a.getCount("shards", 2), 2u); // absent: the fallback
+    // A negative count is refused, not wrapped to 2^64 - k.
+    EXPECT_THROW(a.getCount("retries", 8), UsageError);
+    EXPECT_THROW(a.getCount("payload", 8), UsageError);
+    EXPECT_THROW(a.getCount("batch", 32), UsageError);
+    // Seeds are not counts: a negative one stays a valid value.
+    EXPECT_EQ(a.getLong("seed", 42), -3);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(runTool("tool",
+                      [&] { return int(a.getCount("retries", 8)); }),
+              2);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("--retries: '-1' is not a count"),
+              std::string::npos)
+        << err;
 }
 
 TEST(ToolArgs, NumericOptionWithoutValueIsAnError)

@@ -48,19 +48,19 @@ run(int argc, char **argv)
         args.positional()[0], args.getDouble("scale", 1.0));
     const auto seed = std::uint64_t(args.getLong("seed", 42));
     const auto target = args.has("target") ?
-        std::size_t(args.getLong("target", 0)) :
+        args.getCount("target", 0) :
         inject::defaultTargetLoop(workload);
 
     cpu::InjectionPlan plan;
     const std::string inject = args.get("inject");
     if (inject == "loop") {
         plan = inject::loopPayload(
-            target, std::size_t(args.getLong("payload", 8)),
+            target, args.getCount("payload", 8),
             args.getDouble("contamination", 1.0), seed);
     } else if (inject == "burst") {
         plan = inject::burstOfSize(
             workload, target,
-            std::uint64_t(args.getLong("payload", 476'000)), 1, seed);
+            std::uint64_t(args.getCount("payload", 476'000)), 1, seed);
     } else if (!inject.empty()) {
         std::fprintf(stderr, "unknown --inject kind '%s'\n",
                      inject.c_str());

@@ -10,7 +10,7 @@
  *       [--workers M] [--wire] [--require-all-fates]
  *
  * Each seed runs the full scenario: a faulted fleet run (worker
- * kills/hangs on the victim tenant, queue overflow, starvation), a
+ * kills/hangs on the victim tenant, starvation), a
  * torn-commit resume, and a corrupt-snapshot resume, asserting that
  * healthy tenants' verdicts stay bit-identical to a clean serial run,
  * restarts stay inside the victim's budget, and recovery from the
@@ -18,13 +18,15 @@
  * fair-share scheduler; --workers M fixes its worker pool (default: min(hardware
  * threads, sessions)). --wire adds phase W: every session streams
  * over a live socket (TCP loopback or AF_UNIX, by seed) through a
- * WireListener, with the client injecting byte-level faults — torn
- * frames, mid-batch disconnects, duplicate/skip-ahead replays,
- * corrupted bytes, hostile length fields — and the harness asserting
- * the wire verdicts stay bit-identical to the serial run anyway. --require-all-fates
- * additionally demands that every fate class actually fired somewhere
- * in the grid (the acceptance bar for the CI soak); with --wire the
- * wire fate classes join the required set.
+ * WireListener whose receive windows hold 2 windows (queue overflow),
+ * with the client injecting byte-level faults — torn frames,
+ * mid-batch disconnects, duplicate/skip-ahead replays, corrupted
+ * bytes, hostile length fields — and the harness asserting the wire
+ * verdicts stay bit-identical to the serial run anyway.
+ * --require-all-fates additionally demands that every fate class
+ * actually fired somewhere in the grid (the acceptance bar for the CI
+ * soak); with --wire queue overflow and the wire fate classes join
+ * the required set.
  *
  * Exit codes: 0 clean, 2 usage, 3 invariant violations, 4 a required
  * fate class never fired.
@@ -65,22 +67,22 @@ run(int argc, char **argv)
 
     // --seed N is the one-seed grid starting at N.
     const bool one = args.has("seed");
-    const long grid = one ? 1L : std::max(args.getLong("seeds", 1), 1L);
+    const long grid =
+        one ? 1L : long(std::max<std::size_t>(args.getCount("seeds", 1), 1));
     const long first =
         one ? args.getLong("seed", 1) : args.getLong("first", 1);
 
     serve::ChaosConfig base;
-    base.tenants =
-        std::size_t(std::max(args.getLong("tenants", 3), 2L));
+    base.tenants = std::max<std::size_t>(args.getCount("tenants", 3), 2);
     base.sessions_per_tenant =
-        std::size_t(std::max(args.getLong("sessions", 1), 1L));
+        std::max<std::size_t>(args.getCount("sessions", 1), 1);
     base.stream_len =
-        std::size_t(std::max(args.getLong("steps", 160), 16L));
+        std::max<std::size_t>(args.getCount("steps", 160), 16);
     base.kill_prob = args.getDouble("kill-prob", base.kill_prob);
     base.hang_prob = args.getDouble("hang-prob", base.hang_prob);
-    base.restart_budget = std::size_t(std::max(
-        args.getLong("budget", long(base.restart_budget)), 1L));
-    base.workers = std::size_t(std::max(args.getLong("workers", 0), 0L));
+    base.restart_budget = std::max<std::size_t>(
+        args.getCount("budget", base.restart_budget), 1);
+    base.workers = args.getCount("workers", 0);
     if (args.has("wire")) {
         base.wire_phase = true;
         // Every wire fate class on, hot enough that a modest grid
@@ -178,13 +180,15 @@ run(int argc, char **argv)
         std::vector<FateClass> classes = {
             {"worker-kill", total.kills},
             {"worker-hang", total.hangs},
-            {"queue-overflow", total.blocked_pushes},
             {"starvation-throttle", total.windows_throttled},
             {"starvation-shed", total.windows_shed},
             {"torn-commit", total.torn_bytes},
             {"corrupt-checkpoint", total.corrupted_snapshots},
         };
         if (args.has("wire")) {
+            // The wire receive window is the engine's only queue, so
+            // its overflow fate fires in phase W.
+            classes.push_back({"queue-overflow", total.blocked_pushes});
             classes.push_back({"wire-tear", total.wire_torn_frames});
             classes.push_back(
                 {"wire-disconnect", total.wire_disconnects});

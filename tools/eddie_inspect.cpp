@@ -51,7 +51,7 @@ run(int argc, char **argv)
     }
 
     if (args.has("histogram")) {
-        const auto idx = std::size_t(args.getLong("histogram", 0));
+        const std::size_t idx = args.getCount("histogram", 0);
         if (idx >= model.regions.size() ||
             !model.regions[idx].trained) {
             std::fprintf(stderr, "region %zu not trained\n", idx);

@@ -52,7 +52,7 @@ run(int argc, char **argv)
     const auto model = core::loadModelFile(args.positional()[0]);
 
     core::PipelineConfig cfg;
-    cfg.threads = std::size_t(args.getLong("threads", 0));
+    cfg.threads = args.getCount("threads", 0);
     if (args.has("em")) {
         cfg.path = core::SignalPath::EmBaseband;
         cfg.channel.snr_db = args.getDouble("snr", 30.0);
@@ -62,7 +62,7 @@ run(int argc, char **argv)
         args.positional()[1], args.getDouble("scale", 1.0));
 
     const auto target = args.has("target") ?
-        std::size_t(args.getLong("target", 0)) :
+        args.getCount("target", 0) :
         inject::defaultTargetLoop(workload);
     const auto seed = std::uint64_t(args.getLong("seed", 42));
 
@@ -70,12 +70,12 @@ run(int argc, char **argv)
     const std::string inject = args.get("inject");
     if (inject == "loop") {
         plan = inject::loopPayload(
-            target, std::size_t(args.getLong("payload", 8)),
+            target, args.getCount("payload", 8),
             args.getDouble("contamination", 1.0), seed);
     } else if (inject == "burst") {
         plan = inject::burstOfSize(
             workload, target,
-            std::uint64_t(args.getLong("payload", 476'000)), 1, seed);
+            std::uint64_t(args.getCount("payload", 476'000)), 1, seed);
     } else if (!inject.empty()) {
         std::fprintf(stderr, "unknown --inject kind '%s'\n",
                      inject.c_str());

@@ -88,19 +88,19 @@ run(int argc, char **argv)
             workload_name, args.getDouble("scale", 1.0));
         const auto target =
             args.has("target")
-                ? std::size_t(args.getLong("target", 0))
+                ? args.getCount("target", 0)
                 : inject::defaultTargetLoop(workload);
         const auto seed = std::uint64_t(args.getLong("seed", 42));
         cpu::InjectionPlan plan;
         const std::string inject = args.get("inject");
         if (inject == "loop") {
             plan = inject::loopPayload(
-                target, std::size_t(args.getLong("payload", 8)),
+                target, args.getCount("payload", 8),
                 args.getDouble("contamination", 1.0), seed);
         } else if (inject == "burst") {
             plan = inject::burstOfSize(
                 workload, target,
-                std::uint64_t(args.getLong("payload", 476'000)), 1,
+                std::uint64_t(args.getCount("payload", 476'000)), 1,
                 seed);
         } else if (!inject.empty()) {
             std::fprintf(stderr, "unknown --inject kind '%s'\n",
@@ -119,7 +119,7 @@ run(int argc, char **argv)
     cfg.tenant = args.get("tenant", "default");
     cfg.session = std::uint64_t(args.getLong("session", 1));
     cfg.batch_windows =
-        std::size_t(std::max(args.getLong("batch", 32), 1L));
+        std::max<std::size_t>(args.getCount("batch", 32), 1);
     if (args.has("chaos-seed")) {
         cfg.chaos.seed = std::uint64_t(args.getLong("chaos-seed", 1));
         cfg.chaos.tear_prob = args.getDouble("tear-prob", 0.05);

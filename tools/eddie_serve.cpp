@@ -2,8 +2,7 @@
  * @file
  * eddie_serve — run the supervised streaming runtime (src/serve) over
  * one or more captured workload streams, with injectable source
- * faults, bounded-queue backpressure, crash-consistent checkpointing,
- * and hot model reload.
+ * faults, crash-consistent checkpointing, and hot model reload.
  *
  *   eddie_serve <model-file> <workload>
  *       [--scale S] [--seed N] [--em] [--snr DB] [--threads T]
@@ -12,7 +11,6 @@
  *       [--shards N]
  *       [--stall-prob P] [--error-prob P] [--source-seed N]
  *       [--retries N]
- *       [--queue N] [--drop-oldest]
  *       [--checkpoint FILE] [--ckpt-interval N] [--full-every N]
  *       [--resume] [--watch-model]
  *       [--restart-budget N] [--strict-resume]
@@ -31,7 +29,10 @@
  *
  * Every session runs on the fair-share scheduler (serve/scheduler.h),
  * whose worker pool is min(hardware threads, sessions): the thread
- * count does not grow with the device count.
+ * count does not grow with the device count. Each worker pulls a
+ * session's windows from its source and steps them at once; in
+ * --listen mode a connection's receive window is the one queue a
+ * window crosses, and it pushes back on the peer when full.
  *
  * Shard i monitors the stream captured with seed + i. SIGINT/SIGTERM
  * request a graceful stop: workers finish their current window, write
@@ -42,8 +43,8 @@
  * Exit codes distinguish failure modes so fleet scripts can branch:
  *   0  clean run, no anomalies
  *   2  usage / bad arguments (an unknown flag or one the mode does not
- *      read, a malformed number, a contradictory serving config such
- *      as --resume without --checkpoint)
+ *      read, a malformed number or a negative count, a contradictory
+ *      serving config such as --resume without --checkpoint)
  *   3  anomalies reported
  *   4  a shard exhausted its restart budget (escalated; its verdicts
  *      are the state at its last checkpoint)
@@ -76,7 +77,7 @@ namespace
 const std::vector<std::string> kWorkloadFlags = {
     "scale", "seed", "em", "snr", "threads", "inject", "payload",
     "contamination", "target", "shards", "stall-prob", "error-prob",
-    "source-seed", "retries", "queue", "drop-oldest", "watch-model"};
+    "source-seed", "retries", "watch-model"};
 /** Flags only the listen mode reads. */
 const std::vector<std::string> kListenFlags = {
     "listen", "listen-pipe", "expect", "tenant", "idle-timeout-ms"};
@@ -101,16 +102,13 @@ serve::ServeConfig
 serveConfig(const tools::Args &args)
 {
     serve::ServeConfig scfg;
-    scfg.checkpoint_interval =
-        std::size_t(std::max(args.getLong("ckpt-interval", 64), 0L));
+    scfg.checkpoint_interval = args.getCount("ckpt-interval", 64);
     scfg.checkpoint_path = args.get("checkpoint");
     scfg.resume = args.has("resume");
     scfg.full_snapshot_every =
-        std::size_t(std::max(args.getLong("full-every", 16), 1L));
-    scfg.watchdog.restart_budget = std::size_t(std::max(
-        args.getLong("restart-budget",
-                     long(scfg.watchdog.restart_budget)),
-        0L));
+        std::max<std::size_t>(args.getCount("full-every", 16), 1);
+    scfg.watchdog.restart_budget =
+        args.getCount("restart-budget", scfg.watchdog.restart_budget);
     return scfg;
 }
 
@@ -179,7 +177,7 @@ runListen(const tools::Args &args)
     // Admission window: wait for --expect sessions (poll slices so a
     // stop signal cuts the wait short), then freeze and run.
     const std::size_t expect =
-        std::size_t(std::max(args.getLong("expect", 1), 1L));
+        std::max<std::size_t>(args.getCount("expect", 1), 1);
     std::size_t admitted = 0;
     while (!tools::stopRequested()) {
         admitted = listener.awaitSessions(expect, 200.0);
@@ -292,15 +290,14 @@ run(int argc, char **argv)
             "[--contamination R] [--target REGION]\n"
             "       [--shards N] [--stall-prob P] [--error-prob P] "
             "[--source-seed N] [--retries N]\n"
-            "       [--queue N] [--drop-oldest] [--checkpoint FILE] "
-            "[--ckpt-interval N] [--full-every N] [--resume]\n"
-            "       [--watch-model]\n"
+            "       [--checkpoint FILE] [--ckpt-interval N] "
+            "[--full-every N] [--resume] [--watch-model]\n"
             "       [--restart-budget N] [--strict-resume]\n");
         return 2;
     }
     const std::string model_path = args.positional()[0];
     core::PipelineConfig cfg;
-    cfg.threads = std::size_t(args.getLong("threads", 0));
+    cfg.threads = args.getCount("threads", 0);
     if (args.has("em")) {
         cfg.path = core::SignalPath::EmBaseband;
         cfg.channel.snr_db = args.getDouble("snr", 30.0);
@@ -308,11 +305,6 @@ run(int argc, char **argv)
     }
     serve::ServeConfig scfg = serveConfig(args);
     scfg.monitor = cfg.monitor;
-    scfg.queue.capacity =
-        std::size_t(std::max(args.getLong("queue", 64), 1L));
-    scfg.queue.policy = args.has("drop-oldest")
-                            ? serve::BackpressurePolicy::DropOldest
-                            : serve::BackpressurePolicy::Block;
     if (args.has("watch-model"))
         scfg.model_path = model_path;
     validateConfig(scfg);
@@ -324,7 +316,7 @@ run(int argc, char **argv)
         args.positional()[1], args.getDouble("scale", 1.0));
 
     const auto target = args.has("target")
-                            ? std::size_t(args.getLong("target", 0))
+                            ? args.getCount("target", 0)
                             : inject::defaultTargetLoop(workload);
     const auto seed = std::uint64_t(args.getLong("seed", 42));
 
@@ -332,12 +324,12 @@ run(int argc, char **argv)
     const std::string inject = args.get("inject");
     if (inject == "loop") {
         plan = inject::loopPayload(
-            target, std::size_t(args.getLong("payload", 8)),
+            target, args.getCount("payload", 8),
             args.getDouble("contamination", 1.0), seed);
     } else if (inject == "burst") {
         plan = inject::burstOfSize(
             workload, target,
-            std::uint64_t(args.getLong("payload", 476'000)), 1, seed);
+            std::uint64_t(args.getCount("payload", 476'000)), 1, seed);
     } else if (!inject.empty()) {
         std::fprintf(stderr, "unknown --inject kind '%s'\n",
                      inject.c_str());
@@ -345,7 +337,7 @@ run(int argc, char **argv)
     }
 
     const std::size_t shards =
-        std::size_t(std::max(args.getLong("shards", 1), 1L));
+        std::max<std::size_t>(args.getCount("shards", 1), 1);
     core::Pipeline pipe(std::move(workload), cfg);
 
     // Capture the streams up front (shard i = seed + i), then serve
@@ -359,7 +351,7 @@ run(int argc, char **argv)
         fault_cfg.stall_prob > 0.0 || fault_cfg.error_prob > 0.0;
 
     serve::RetryConfig retry;
-    retry.max_attempts = std::size_t(args.getLong("retries", 8));
+    retry.max_attempts = args.getCount("retries", 8);
     retry.backoff.seed = fault_cfg.seed ^ 0xB0FF;
 
     std::vector<std::unique_ptr<serve::SampleSource>> owned;

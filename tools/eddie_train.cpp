@@ -51,9 +51,9 @@ run(int argc, char **argv)
     const auto &out_path = args.positional()[1];
 
     core::PipelineConfig cfg;
-    cfg.train_runs = std::size_t(args.getLong("runs", 8));
+    cfg.train_runs = args.getCount("runs", 8);
     cfg.trainer.alpha = args.getDouble("alpha", 0.01);
-    cfg.threads = std::size_t(args.getLong("threads", 0));
+    cfg.threads = args.getCount("threads", 0);
     if (args.has("em")) {
         cfg.path = core::SignalPath::EmBaseband;
         cfg.channel.snr_db = args.getDouble("snr", 30.0);

@@ -61,7 +61,8 @@ runTool(const char *tool, Body &&body)
  * one of the tool's declared @p flags (names without the dashes), or
  * the constructor throws UsageError: a mistyped or removed flag fails
  * instead of being ignored. Numeric getters accept only wholly
- * numeric values and throw UsageError otherwise.
+ * numeric values, and counts only non-negative ones, and throw
+ * UsageError otherwise.
  */
 class Args
 {
@@ -130,6 +131,24 @@ class Args
             throw UsageError("--" + key + ": '" + *v +
                              "' is not a whole number");
         return out;
+    }
+
+    /**
+     * Value of --key as a count (a whole number >= 0); @p fallback when
+     * absent. A negative count is a UsageError instead of a cast that
+     * wraps it to 2^64 - k. Seeds are hash inputs, not counts, and stay
+     * on getLong.
+     */
+    std::size_t
+    getCount(const std::string &key, std::size_t fallback) const
+    {
+        if (find(key) == nullptr)
+            return fallback;
+        const long out = getLong(key, 0);
+        if (out < 0)
+            throw UsageError("--" + key + ": '" + *find(key) +
+                             "' is not a count (negative)");
+        return std::size_t(out);
     }
 
   private:
