@@ -10,8 +10,8 @@
  * filter+decimate passes, measures capture-cache cold/warm
  * throughput, sweeps trainModel and monitorBatch over a thread grid,
  * isolates the Monitor::step hot loop on pre-captured streams
- * (legacy copy-and-sort vs presorted kernels vs sharded
- * monitorBatch, with STS/sec, runs/sec, and K-S calls/sec),
+ * (one thread vs sharded monitorBatch, with STS/sec, runs/sec, and
+ * K-S calls/sec),
  * benchmarks the supervised serving runtime (steady-state STS/s
  * through a Supervisor, delta-checkpoint group-commit overhead, the
  * isolated cost of a full snapshot vs one delta commit, and recovery
@@ -21,9 +21,8 @@
  * WireListener/WireClient vs the same session in-process, plus a
  * byte-level chaos run whose reconnect replay and typed malformed
  * rejections must still converge verdict-identical), measures the
- * EDDIEARC artifact store (model text parse vs archive mmap reload,
- * keyed spill warm hits, recovery after a delta chain, plus the
- * tail-only sector-verification proof), and
+ * EDDIEARC artifact store (keyed spill warm hits, recovery after a
+ * delta chain, plus the tail-only sector-verification proof), and
  * atomically writes a machine-readable BENCH_pipeline.json (tmp +
  * rename) with stage wall-times, before/after kernel speedups,
  * cache hit rates, requested vs resolved thread counts with
@@ -394,14 +393,12 @@ runBench(int argc, char **argv)
 
     // Stage 5: the Monitor::step hot loop in isolation. Streams are
     // captured once up front (the warm shared cache serves every
-    // later lookup from memory), so the three variants time pure
+    // later lookup from memory), so both variants time pure
     // monitoring of the *same* STS streams:
-    //   legacy    — use_presorted=false: copy-and-sort both samples
-    //               on every K-S/MWU call (the pre-PR formulation);
-    //   presorted — the allocation-free kernels, one thread;
-    //   sharded   — monitorBatch over the thread grid against the
-    //               warm cache (read-only shared model, per-worker
-    //               monitors).
+    //   serial  — one thread stepping one Monitor per stream;
+    //   sharded — monitorBatch over the thread grid against the
+    //             warm cache (read-only shared model, per-worker
+    //             monitors).
     std::vector<std::shared_ptr<const std::vector<core::Sts>>> streams;
     std::size_t monitor_total_sts = 0;
     for (std::uint64_t seed : seeds) {
@@ -409,58 +406,27 @@ runBench(int argc, char **argv)
         monitor_total_sts += streams.back()->size();
     }
 
-    struct LoopStats
-    {
+    const auto runMonitorLoop = [&] {
         std::size_t test_calls = 0;
-        std::size_t reports = 0;
-        std::size_t rejected = 0;
-        std::size_t transitioned = 0;
-    };
-    const auto runMonitorLoop = [&](bool presorted) {
-        core::MonitorConfig mc = cfg.monitor;
-        mc.use_presorted = presorted;
-        LoopStats s;
         for (const auto &stream : streams) {
-            core::Monitor m(model, mc);
+            core::Monitor m(model, cfg.monitor);
             for (const auto &sts : *stream)
                 m.step(sts);
-            s.test_calls += m.testCalls();
-            s.reports += m.reports().size();
-            for (const auto &rec : m.records()) {
-                s.rejected += rec.rejected ? 1 : 0;
-                s.transitioned += rec.transitioned ? 1 : 0;
-            }
+            test_calls += m.testCalls();
         }
-        return s;
+        return test_calls;
     };
-    const LoopStats legacy_stats = runMonitorLoop(false);
-    const LoopStats presorted_stats = runMonitorLoop(true);
-    const bool verdicts_identical =
-        legacy_stats.test_calls == presorted_stats.test_calls &&
-        legacy_stats.reports == presorted_stats.reports &&
-        legacy_stats.rejected == presorted_stats.rejected &&
-        legacy_stats.transitioned == presorted_stats.transitioned;
-
-    const double legacy_ms =
-        bestOf(2, [&] { (void)runMonitorLoop(false); });
+    const std::size_t loop_test_calls = runMonitorLoop();
     const double presorted_ms =
-        bestOf(3, [&] { (void)runMonitorLoop(true); });
-    const double monitor_loop_speedup = legacy_ms / presorted_ms;
+        bestOf(3, [&] { (void)runMonitorLoop(); });
     const auto perSec = [](std::size_t count, double ms) {
         return double(count) / (ms * 1e-3);
     };
     std::printf("monitor loop (%zu runs, %zu STSs, %zu tests):\n",
-                monitor_runs, monitor_total_sts,
-                presorted_stats.test_calls);
-    std::printf("  legacy:    %8.1f ms  (%.3g STS/s, %.3g tests/s)\n",
-                legacy_ms, perSec(monitor_total_sts, legacy_ms),
-                perSec(legacy_stats.test_calls, legacy_ms));
-    std::printf("  presorted: %8.1f ms  (%.3g STS/s, %.3g tests/s, "
-                "%.2fx)%s\n",
+                monitor_runs, monitor_total_sts, loop_test_calls);
+    std::printf("  serial:    %8.1f ms  (%.3g STS/s, %.3g tests/s)\n",
                 presorted_ms, perSec(monitor_total_sts, presorted_ms),
-                perSec(presorted_stats.test_calls, presorted_ms),
-                monitor_loop_speedup,
-                verdicts_identical ? "" : "  VERDICT MISMATCH");
+                perSec(loop_test_calls, presorted_ms));
 
     // Sharded: full monitorRun chains (capture lookup + step loop +
     // scoring) distributed over the pool, timed against the same
@@ -484,14 +450,13 @@ runBench(int argc, char **argv)
         resolved_grid.push_back(bt.resolved_threads);
         sharded_stages.push_back(bt);
         std::printf("  sharded x%-2zu threads (resolved %zu): %8.1f ms"
-                    "  (%.3g runs/s, %.2fx vs legacy serial; capture "
-                    "%.1f / setup %.1f / kernel %.1f / score %.1f)\n",
+                    "  (%.3g runs/s; capture %.1f / setup %.1f / "
+                    "kernel %.1f / score %.1f)\n",
                     t, bt.resolved_threads, sharded_ms.back(),
                     perSec(monitor_runs, sharded_ms.back()),
-                    legacy_ms / sharded_ms.back(), bt.capture_ms,
-                    bt.setup_ms, bt.kernel_ms, bt.score_ms);
+                    bt.capture_ms, bt.setup_ms, bt.kernel_ms,
+                    bt.score_ms);
     }
-    const double sharded_8_speedup = legacy_ms / sharded_ms.back();
     const double sharded_self_speedup =
         sharded_ms.front() / sharded_ms.back();
     // The scaling target only binds when >= 4 workers actually ran;
@@ -1298,31 +1263,7 @@ runBench(int argc, char **argv)
 
     // Stage 7: the EDDIEARC artifact store (src/store/).
     //
-    // (a) Model load / hot-reload: the supervisor's reload path is
-    // loadModelFile() end to end, so that is what both variants time —
-    // text parse vs archive open + mmap + CRC-verify + binary decode.
-    const std::string model_text_path = out_path + ".model.txt";
-    const std::string model_arc_path = out_path + ".model.arc";
-    core::saveModelFile(model, model_text_path,
-                        core::ModelFormat::Text);
-    core::saveModelFile(model, model_arc_path,
-                        core::ModelFormat::Archive);
-    const double model_text_load_ms = bestOf(
-        5, [&] { (void)core::loadModelFile(model_text_path); });
-    const double model_arc_load_ms = bestOf(
-        5, [&] { (void)core::loadModelFile(model_arc_path); });
-    const double model_reload_speedup =
-        model_text_load_ms / model_arc_load_ms;
-    // Bit-identity of the port: both files decode to models whose
-    // canonical binary encodings match byte for byte.
-    const bool model_roundtrip_identical =
-        core::encodeModelBinary(
-            core::loadModelFile(model_text_path)) ==
-        core::encodeModelBinary(core::loadModelFile(model_arc_path));
-    std::remove(model_text_path.c_str());
-    std::remove(model_arc_path.c_str());
-
-    // (b) Capture-spill warm hit: evict one stream to the archive,
+    // (a) Capture-spill warm hit: evict one stream to the archive,
     // then time clear() + lookup (a pure disk hit re-inserting into
     // an empty cache).
     const auto timeSpillHit = [&](core::CaptureCacheConfig ccfg) {
@@ -1346,7 +1287,7 @@ runBench(int argc, char **argv)
     const double spill_arc_hit_ms = timeSpillHit(spill_arc_cfg);
     std::remove(spill_arc_cfg.spill_archive.c_str());
 
-    // (c) Recovery latency after a long delta chain, measured over
+    // (b) Recovery latency after a long delta chain, measured over
     // archive open + CheckpointStore::recover() (scan + replay).
     constexpr std::size_t kRecoveryDeltas = 32;
     {
@@ -1373,7 +1314,7 @@ runBench(int argc, char **argv)
     });
     std::remove(snap_arc.path.c_str());
 
-    // (d) Tail-only verification proof: populate an archive with many
+    // (c) Tail-only verification proof: populate an archive with many
     // multi-sector artifacts, reopen (header scan only), read ONE key
     // — the stats must show only that key's payload sectors were
     // CRC-verified, machine-independently.
@@ -1405,11 +1346,6 @@ runBench(int argc, char **argv)
         arc_sectors_verified < arc_sectors_total;
 
     std::printf("artifact store (EDDIEARC):\n");
-    std::printf("  model load:   text %8.3f ms, archive %8.3f ms "
-                "(%.1fx)%s\n",
-                model_text_load_ms, model_arc_load_ms,
-                model_reload_speedup,
-                model_roundtrip_identical ? "" : "  ROUNDTRIP MISMATCH");
     std::printf("  spill hit:    %8.3f ms\n", spill_arc_hit_ms);
     std::printf("  recovery (%zu deltas): %8.3f ms\n", kRecoveryDeltas,
                 recovery_arc_ms);
@@ -1548,20 +1484,12 @@ runBench(int argc, char **argv)
     std::fprintf(f, "  \"monitor_loop\": {\n");
     std::fprintf(f, "    \"runs\": %zu,\n", monitor_runs);
     std::fprintf(f, "    \"total_sts\": %zu,\n", monitor_total_sts);
-    std::fprintf(f, "    \"test_calls\": %zu,\n",
-                 presorted_stats.test_calls);
-    std::fprintf(f, "    \"legacy_ms\": %.3f,\n", legacy_ms);
+    std::fprintf(f, "    \"test_calls\": %zu,\n", loop_test_calls);
     std::fprintf(f, "    \"presorted_ms\": %.3f,\n", presorted_ms);
-    std::fprintf(f, "    \"single_thread_speedup\": %.3f,\n",
-                 monitor_loop_speedup);
-    std::fprintf(f, "    \"legacy_sts_per_sec\": %.1f,\n",
-                 perSec(monitor_total_sts, legacy_ms));
     std::fprintf(f, "    \"presorted_sts_per_sec\": %.1f,\n",
                  perSec(monitor_total_sts, presorted_ms));
-    std::fprintf(f, "    \"legacy_test_calls_per_sec\": %.1f,\n",
-                 perSec(legacy_stats.test_calls, legacy_ms));
     std::fprintf(f, "    \"presorted_test_calls_per_sec\": %.1f,\n",
-                 perSec(presorted_stats.test_calls, presorted_ms));
+                 perSec(loop_test_calls, presorted_ms));
     std::fprintf(f, "    \"sharded_ms\": {");
     for (std::size_t i = 0; i < grid.size(); ++i)
         std::fprintf(f, "%s\"%zu\": %.3f", i == 0 ? "" : ", ",
@@ -1571,11 +1499,6 @@ runBench(int argc, char **argv)
     for (std::size_t i = 0; i < grid.size(); ++i)
         std::fprintf(f, "%s\"%zu\": %.1f", i == 0 ? "" : ", ",
                      grid[i], perSec(monitor_runs, sharded_ms[i]));
-    std::fprintf(f, "},\n");
-    std::fprintf(f, "    \"sharded_speedup_vs_legacy\": {");
-    for (std::size_t i = 0; i < grid.size(); ++i)
-        std::fprintf(f, "%s\"%zu\": %.3f", i == 0 ? "" : ", ",
-                     grid[i], legacy_ms / sharded_ms[i]);
     std::fprintf(f, "},\n");
     std::fprintf(f, "    \"sharded_stages\": {\n");
     for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -1589,9 +1512,7 @@ runBench(int argc, char **argv)
                      t.capture_ms, t.setup_ms, t.kernel_ms,
                      t.score_ms, i + 1 == grid.size() ? "" : ",");
     }
-    std::fprintf(f, "    },\n");
-    std::fprintf(f, "    \"verdicts_identical\": %s\n",
-                 verdicts_identical ? "true" : "false");
+    std::fprintf(f, "    }\n");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"serving\": {\n");
     std::fprintf(f, "    \"shards\": %zu,\n", streams.size());
@@ -1746,14 +1667,6 @@ runBench(int argc, char **argv)
                  wire_verdicts_ok ? "true" : "false");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"artifact_store\": {\n");
-    std::fprintf(f, "    \"model_text_load_ms\": %.3f,\n",
-                 model_text_load_ms);
-    std::fprintf(f, "    \"model_arc_load_ms\": %.3f,\n",
-                 model_arc_load_ms);
-    std::fprintf(f, "    \"model_reload_speedup\": %.3f,\n",
-                 model_reload_speedup);
-    std::fprintf(f, "    \"model_roundtrip_identical\": %s,\n",
-                 model_roundtrip_identical ? "true" : "false");
     std::fprintf(f, "    \"spill_arc_hit_ms\": %.3f,\n",
                  spill_arc_hit_ms);
     std::fprintf(f,
@@ -1767,10 +1680,6 @@ runBench(int argc, char **argv)
                  (unsigned long long)arc_sectors_verified);
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"asserts\": {\n");
-    std::fprintf(f, "    \"monitor_loop_speedup_ge_2\": %s,\n",
-                 monitor_loop_speedup >= 2.0 ? "true" : "false");
-    std::fprintf(f, "    \"sharded_8_speedup_vs_legacy_ge_3\": %s,\n",
-                 sharded_8_speedup >= 3.0 ? "true" : "false");
     std::fprintf(f, "    \"sharded_scaling_ok\": %s,\n",
                  sharded_scaling_ok ? "true" : "false");
     std::fprintf(f, "    \"host_thread_clamped\": %s,\n",
@@ -1787,12 +1696,8 @@ runBench(int argc, char **argv)
                  synth_after.awgn_ms <= synth_before.awgn_ms
                      ? "true"
                      : "false");
-    std::fprintf(f, "    \"model_mmap_reload_ge_2x\": %s,\n",
-                 model_reload_speedup >= 2.0 ? "true" : "false");
     std::fprintf(f, "    \"archive_recovery_tail_only\": %s,\n",
                  recovery_tail_only ? "true" : "false");
-    std::fprintf(f, "    \"verdicts_identical\": %s,\n",
-                 verdicts_identical ? "true" : "false");
     std::fprintf(f, "    \"serving_verdicts_identical\": %s,\n",
                  serving_verdicts_ok ? "true" : "false");
     std::fprintf(f, "    \"fleet_neighbor_degradation_lt_5\": %s,\n",

@@ -19,15 +19,22 @@ constexpr char kMagic[8] = {'E', 'D', 'D', 'I', 'E', 'C', 'A', 'P'};
 constexpr char kStsMagic[8] = {'E', 'D', 'D', 'I', 'E', 'S', 'T', 'S'};
 
 /**
- * Version 2 (both formats) adds integrity framing after the magic and
- * version: u64 payload length, the payload bytes, then a CRC-32 of
- * the payload. A flipped bit fails the checksum and a short file
+ * Version 2 (both formats) carries integrity framing after the magic
+ * and version: u64 payload length, the payload bytes, then a CRC-32
+ * of the payload. A flipped bit fails the checksum and a short file
  * fails the length, so a corrupt artifact is a typed error instead of
- * silently-wrong samples. Version-1 files (no framing, and without
- * the STS quality fields) still load.
+ * silently-wrong samples. Version-1 files (unframed) fail as
+ * FormatError.
  */
 constexpr std::uint32_t kVersion = 2;
 constexpr std::uint32_t kStsVersion = 2;
+
+/** Smallest encoded STS: t_start, t_end, true_region, injected,
+ *  window_energy, peak_energy_frac, faulted and the peak count. */
+constexpr std::size_t kMinStsBytes = 8 + 8 + 8 + 1 + 8 + 8 + 1 + 8;
+/** Bytes per capture sample: power (f64), region id (u64), injection
+ *  flag (u8). */
+constexpr std::size_t kCaptureSampleBytes = 8 + 8 + 1;
 
 /** Payloads are capped before allocation; a capture is bounded by
  *  hours of f64 samples. */
@@ -74,15 +81,16 @@ writeCapturePayload(const cpu::RunResult &run, std::ostream &os)
 }
 
 cpu::RunResult
-readCapturePayload(std::istream &is)
+readCapturePayload(const std::string &payload)
 {
+    std::istringstream is(payload, std::ios::binary);
     cpu::RunResult run;
     run.sample_rate = readRaw<double>(is, "capture");
     if (!(run.sample_rate > 0.0))
         throw FormatError("capture: bad sample rate");
     const auto n = readRaw<std::uint64_t>(is, "capture");
-    // Sanity cap: a capture is bounded by hours of samples.
-    if (n > (std::uint64_t(1) << 34))
+    // A count the payload cannot hold is refused before allocating.
+    if (n > (payload.size() - 16) / kCaptureSampleBytes)
         throw FormatError("capture: implausible size");
 
     run.power.resize(n);
@@ -100,40 +108,6 @@ readCapturePayload(std::istream &is)
     return run;
 }
 
-/** Stream reader kept for version-1 files (unframed, no quality
- *  fields); version-2 payloads go through decodeStsPayload(). */
-std::vector<Sts>
-readStsPayload(std::istream &is, std::uint32_t version)
-{
-    const auto count = readRaw<std::uint64_t>(is, "sts stream");
-    // Sanity cap: days of STSs at the pipeline's hop rate.
-    if (count > (std::uint64_t(1) << 32))
-        throw FormatError("sts stream: implausible size");
-
-    std::vector<Sts> stream(count);
-    for (auto &sts : stream) {
-        sts.t_start = readRaw<double>(is, "sts stream");
-        sts.t_end = readRaw<double>(is, "sts stream");
-        sts.true_region =
-            std::size_t(readRaw<std::uint64_t>(is, "sts stream"));
-        sts.injected = readRaw<std::uint8_t>(is, "sts stream") != 0;
-        if (version >= 2) {
-            sts.window_energy = readRaw<double>(is, "sts stream");
-            sts.peak_energy_frac = readRaw<double>(is, "sts stream");
-            sts.faulted = readRaw<std::uint8_t>(is, "sts stream") != 0;
-        }
-        const auto peaks = readRaw<std::uint64_t>(is, "sts stream");
-        if (peaks > (std::uint64_t(1) << 20))
-            throw FormatError("sts stream: implausible peaks");
-        sts.peak_freqs.resize(peaks);
-        is.read(reinterpret_cast<char *>(sts.peak_freqs.data()),
-                std::streamsize(peaks * sizeof(double)));
-        if (!is)
-            throw IoError("sts stream: truncated input");
-    }
-    return stream;
-}
-
 } // namespace
 
 void
@@ -147,11 +121,9 @@ writeFramed(std::ostream &os, const char (&magic)[8],
     writeRaw(os, common::crc32(payload));
 }
 
-std::uint32_t
+void
 readFramed(std::istream &is, const char (&magic)[8],
-           std::uint32_t current_version,
-           std::uint32_t min_framed_version, const char *what,
-           std::string &payload)
+           std::uint32_t version, const char *what, std::string &payload)
 {
     char stored[8];
     is.read(stored, sizeof stored);
@@ -159,10 +131,7 @@ readFramed(std::istream &is, const char (&magic)[8],
         throw IoError(std::string(what) + ": truncated input");
     if (std::memcmp(stored, magic, sizeof stored) != 0)
         throw FormatError(std::string(what) + ": bad magic");
-    const auto version = readRaw<std::uint32_t>(is, what);
-    if (version < min_framed_version)
-        return version; // legacy: unframed payload follows
-    if (version != current_version)
+    if (readRaw<std::uint32_t>(is, what) != version)
         throw FormatError(std::string(what) + ": unsupported version");
 
     const auto size = readRaw<std::uint64_t>(is, what);
@@ -175,7 +144,6 @@ readFramed(std::istream &is, const char (&magic)[8],
     const auto stored_crc = readRaw<std::uint32_t>(is, what);
     if (stored_crc != common::crc32(payload))
         throw FormatError(std::string(what) + ": checksum mismatch");
-    return version;
 }
 
 void
@@ -190,12 +158,8 @@ cpu::RunResult
 loadCapture(std::istream &is)
 {
     std::string payload;
-    const auto version =
-        readFramed(is, kMagic, kVersion, 2, "capture", payload);
-    if (version == 1)
-        return readCapturePayload(is);
-    std::istringstream ps(payload, std::ios::binary);
-    return readCapturePayload(ps);
+    readFramed(is, kMagic, kVersion, "capture", payload);
+    return readCapturePayload(payload);
 }
 
 void
@@ -211,10 +175,7 @@ std::vector<Sts>
 loadStsStream(std::istream &is)
 {
     std::string payload;
-    const auto version = readFramed(is, kStsMagic, kStsVersion, 2,
-                                    "sts stream", payload);
-    if (version == 1)
-        return readStsPayload(is, version);
+    readFramed(is, kStsMagic, kStsVersion, "sts stream", payload);
     return decodeStsPayload(payload.data(), payload.size());
 }
 
@@ -280,7 +241,9 @@ decodeStsPayload(const char *data, std::size_t size)
     const char *p = data;
     const char *const end = data + size;
     const auto count = takeRaw<std::uint64_t>(p, end);
-    if (count > (std::uint64_t(1) << 32))
+    // Refused before allocating: a count the bytes left cannot hold
+    // (a hostile frame could otherwise ask for hundreds of GiB).
+    if (count > std::uint64_t(end - p) / kMinStsBytes)
         throw FormatError("sts stream: implausible size");
 
     std::vector<Sts> stream{};

@@ -24,14 +24,15 @@ namespace eddie::core
  * Writes a run (power trace + ground-truth annotations) in the
  * binary capture format.
  *
- * Layout: magic "EDDIECAP", u32 version, f64 sample rate, u64 sample
- * count, then the power samples (f64), region ids (u64) and
- * injection flags (u8).
+ * Layout: a v2 frame (writeFramed, magic "EDDIECAP") whose payload
+ * is the f64 sample rate, the u64 sample count, then the power
+ * samples (f64), region ids (u64) and injection flags (u8).
  */
 void saveCapture(const cpu::RunResult &run, std::ostream &os);
 
 /** Reads a capture written by saveCapture(). Throws on malformed
- *  input. Only signal-related fields of RunResult are populated. */
+ *  input, a version-1 file included (FormatError). Only
+ *  signal-related fields of RunResult are populated. */
 cpu::RunResult loadCapture(std::istream &is);
 
 /** Convenience file wrappers; throw std::runtime_error on I/O
@@ -44,14 +45,13 @@ cpu::RunResult loadCaptureFile(const std::string &path);
  * (magic "EDDIESTS"); the capture cache's disk spill and offline STS
  * analysis use this.
  *
- * Layout: magic, u32 version, u64 STS count, then per STS: t_start,
- * t_end (f64), u64 true_region, u8 injected, u64 peak count and the
- * peak frequencies (f64).
+ * Layout: a v2 frame (writeFramed, magic "EDDIESTS") around the
+ * encodeStsPayload() bytes.
  */
 void saveStsStream(const std::vector<Sts> &stream, std::ostream &os);
 
 /** Reads an STS stream written by saveStsStream(). Throws on
- *  malformed input. */
+ *  malformed input, a version-1 file included (FormatError). */
 std::vector<Sts> loadStsStream(std::istream &is);
 
 /**
@@ -59,11 +59,17 @@ std::vector<Sts> loadStsStream(std::istream &is);
  * format of archive-resident streams, e.g. the capture cache's spill
  * segments; integrity comes from the container's per-sector CRCs
  * instead of the stream framing.
+ *
+ * Layout: u64 STS count, then per STS: t_start, t_end (f64), u64
+ * true_region, u8 injected, window_energy, peak_energy_frac (f64),
+ * u8 faulted, u64 peak count and the peak frequencies (f64).
  */
 std::string encodeStsPayload(const std::vector<Sts> &stream);
 
 /** Decodes encodeStsPayload() output straight from a span (zero-copy
- *  from an archive mapping). Throws IoError/FormatError. */
+ *  from an archive mapping). Throws IoError on truncation and
+ *  FormatError on a malformed payload, including any STS or peak
+ *  count the bytes left cannot hold (refused before allocating). */
 std::vector<Sts> decodeStsPayload(const char *data, std::size_t size);
 
 /**
@@ -77,16 +83,14 @@ void writeFramed(std::ostream &os, const char (&magic)[8],
                  std::uint32_t version, const std::string &payload);
 
 /**
- * Reads and verifies one framed artifact. Returns the stored version;
- * versions below @p min_framed_version are returned with @p payload
- * left empty (legacy layout — the caller parses straight from
- * @p is). Throws IoError on truncation, FormatError on bad
- * magic/version/CRC. @p what names the artifact in error messages.
+ * Reads and verifies one framed artifact of exactly @p version into
+ * @p payload. Throws IoError on truncation, FormatError on bad
+ * magic, any other version (an unframed v1 file included) or a CRC
+ * mismatch. @p what names the artifact in error messages.
  */
-std::uint32_t readFramed(std::istream &is, const char (&magic)[8],
-                         std::uint32_t current_version,
-                         std::uint32_t min_framed_version,
-                         const char *what, std::string &payload);
+void readFramed(std::istream &is, const char (&magic)[8],
+                std::uint32_t version, const char *what,
+                std::string &payload);
 
 } // namespace eddie::core
 

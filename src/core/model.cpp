@@ -1,19 +1,11 @@
 #include "model.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iomanip>
-#include <istream>
 #include <limits>
-#include <ostream>
-#include <sstream>
 
-#include "common/crc32.h"
 #include "errors.h"
 #include "store/archive.h"
 
@@ -23,138 +15,22 @@ namespace eddie::core
 namespace
 {
 
-/**
- * Whitespace tokenizer over the model text that tracks the current
- * line, so a malformed file is rejected with a message naming the
- * offending line instead of a bare stream failure. Every numeric
- * token is validated in full — trailing garbage inside a token is an
- * error, not silently ignored.
- */
-class ModelParser
-{
-  public:
-    explicit ModelParser(std::string text) : text_(std::move(text)) {}
-
-    [[noreturn]] void fail(const std::string &what) const
-    {
-        throw FormatError("model: line " + std::to_string(line_) +
-                          ": " + what);
-    }
-
-    bool atEnd()
-    {
-        skipWs();
-        return pos_ >= text_.size();
-    }
-
-    std::string token(const char *what)
-    {
-        skipWs();
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               !std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-        if (pos_ == start)
-            fail(std::string("missing ") + what);
-        return text_.substr(start, pos_ - start);
-    }
-
-    std::size_t u64(const char *what, std::size_t max)
-    {
-        const std::string tok = token(what);
-        char *end = nullptr;
-        const unsigned long long v =
-            std::strtoull(tok.c_str(), &end, 10);
-        if (end != tok.c_str() + tok.size() || tok[0] == '-')
-            fail(std::string("bad ") + what + " '" + tok + "'");
-        if (v > max) {
-            fail(std::string(what) + " " + tok +
-                 " out of range (max " + std::to_string(max) + ")");
-        }
-        return std::size_t(v);
-    }
-
-    double f64(const char *what)
-    {
-        const std::string tok = token(what);
-        char *end = nullptr;
-        const double v = std::strtod(tok.c_str(), &end);
-        if (end != tok.c_str() + tok.size())
-            fail(std::string("bad ") + what + " '" + tok + "'");
-        if (!std::isfinite(v))
-            fail(std::string(what) + " is not finite");
-        return v;
-    }
-
-  private:
-    void skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-            if (text_[pos_] == '\n')
-                ++line_;
-            ++pos_;
-        }
-    }
-
-    std::string text_;
-    std::size_t pos_ = 0;
-    std::size_t line_ = 1;
-};
-
-constexpr const char *kCrcPrefix = "#crc32 ";
-
 /** Caps: beyond these the counts describe no model this pipeline can
- *  produce, so the file is corrupt however plausible each token. */
+ *  produce, so the file is corrupt however plausible each field. */
 constexpr std::size_t kMaxRegions = std::size_t(1) << 20;
 constexpr std::size_t kMaxRanks = std::size_t(1) << 12;
 constexpr std::size_t kMaxRankValues = std::size_t(1) << 24;
 constexpr std::size_t kMaxNameLen = std::size_t(1) << 16;
 
-/** Binary payload layout version (independent of the text format's
- *  "eddie-model 1" header and of the archive container version). */
+/** Smallest encoding of a region: name length, a 1-byte name, the
+ *  trained flag, peak count, group size, successor and rank counts. */
+constexpr std::size_t kMinRegionBytes = 8 + 1 + 1 + 8 + 8 + 8 + 8;
+
+/** Binary payload layout version (independent of the archive
+ *  container version). */
 constexpr std::uint32_t kBinaryVersion = 1;
 /** Archive key the model artifact lives under. */
 constexpr const char *kModelKey = "model";
-
-/**
- * Splits the model text into body and optional integrity trailer and
- * verifies the latter. The trailer is a final "#crc32 <hex> <len>"
- * line over the body bytes; files written before it existed (or by
- * external tools) load without it, and parsers that stop after the
- * last region never see it — the body bytes are unchanged.
- */
-std::string
-verifiedBody(const std::string &text)
-{
-    const std::size_t at = text.rfind(kCrcPrefix);
-    if (at == std::string::npos)
-        return text; // legacy file: no trailer to check
-    if (at != 0 && text[at - 1] != '\n')
-        return text; // "#crc32" inside a token, not a trailer line
-
-    // Strict shape: "#crc32 <hex> <len>\n" ending the file exactly.
-    // The CRC covers the body; the rigid format covers the trailer
-    // itself, so no byte of the file can flip undetected.
-    const char *s = text.c_str() + at + std::strlen(kCrcPrefix);
-    char *end = nullptr;
-    const unsigned long long crc = std::strtoull(s, &end, 16);
-    bool ok = end != s && *end == ' ';
-    unsigned long long len = 0;
-    if (ok) {
-        s = end + 1;
-        len = std::strtoull(s, &end, 10);
-        ok = end != s && end[0] == '\n' && end[1] == '\0';
-    }
-    if (!ok || len != at) {
-        throw FormatError(
-            "model: malformed #crc32 trailer (wrong length or "
-            "unparseable)");
-    }
-    if (common::crc32(text.data(), std::size_t(len)) != crc)
-        throw FormatError("model: checksum mismatch");
-    return text.substr(0, at);
-}
 
 template <typename T>
 void
@@ -193,6 +69,19 @@ class BinCursor
             throw FormatError(std::string("model: ") + what +
                               " out of range");
         return std::size_t(n);
+    }
+
+    /** A count of items that each take at least @p item_bytes of
+     *  the payload: one the bytes left cannot hold is corrupt, and is
+     *  refused before anything is allocated for it. */
+    std::size_t items(const char *what, std::size_t max,
+                      std::size_t item_bytes)
+    {
+        const std::size_t n = count(what, max);
+        if (n > (size_ - off_) / item_bytes)
+            throw FormatError(std::string("model: ") + what +
+                              " exceeds the payload");
+        return n;
     }
 
     double f64(const char *what)
@@ -265,108 +154,6 @@ withAlpha(const TrainedModel &model, double alpha)
     return out;
 }
 
-void
-saveModel(const TrainedModel &model, std::ostream &os)
-{
-    std::ostringstream body;
-    body << std::setprecision(
-        std::numeric_limits<double>::max_digits10);
-    body << "eddie-model 1\n";
-    body << model.alpha << ' ' << model.sentinel << ' '
-         << model.entry_region << ' ' << model.num_loops << ' '
-         << model.regions.size() << '\n';
-    for (const auto &r : model.regions) {
-        body << r.name << ' ' << int(r.trained) << ' ' << r.num_peaks
-             << ' ' << r.group_n << ' ' << r.succs.size();
-        for (auto s : r.succs)
-            body << ' ' << s;
-        body << '\n';
-        body << r.ref.size() << '\n';
-        for (const auto &rank : r.ref) {
-            body << rank.size();
-            for (double v : rank)
-                body << ' ' << v;
-            body << '\n';
-        }
-    }
-    const std::string text = body.str();
-    os << text;
-    char trailer[48];
-    std::snprintf(trailer, sizeof trailer, "%s%08x %zu\n", kCrcPrefix,
-                  common::crc32(text), text.size());
-    os << trailer;
-}
-
-TrainedModel
-loadModel(std::istream &is)
-{
-    std::ostringstream slurp;
-    slurp << is.rdbuf();
-    ModelParser p(verifiedBody(slurp.str()));
-
-    if (p.token("magic") != "eddie-model")
-        throw FormatError("loadModel: bad header");
-    if (p.u64("version", 1000) != 1)
-        throw FormatError("loadModel: bad header");
-
-    TrainedModel m;
-    m.alpha = p.f64("alpha");
-    if (!(m.alpha > 0.0 && m.alpha < 1.0))
-        p.fail("alpha outside (0, 1)");
-    m.sentinel = p.f64("sentinel");
-    if (!(m.sentinel > 0.0))
-        p.fail("sentinel must be positive");
-    m.entry_region = p.u64("entry region", kMaxRegions);
-    m.num_loops = p.u64("loop count", kMaxRegions);
-    const std::size_t num_regions = p.u64("region count", kMaxRegions);
-    if (num_regions > 0 && m.entry_region >= num_regions)
-        p.fail("entry region out of range");
-    if (m.num_loops > num_regions)
-        p.fail("loop count exceeds region count");
-
-    m.regions.resize(num_regions);
-    for (auto &r : m.regions) {
-        r.name = p.token("region name");
-        const std::size_t trained = p.u64("trained flag", 1);
-        r.trained = trained != 0;
-        r.num_peaks = p.u64("peak count", kMaxRanks);
-        r.group_n = p.u64("group size", kMaxRankValues);
-        if (r.trained && r.group_n == 0)
-            p.fail("trained region with zero group size");
-        const std::size_t num_succs =
-            p.u64("successor count", kMaxRegions);
-        r.succs.resize(num_succs);
-        for (auto &s : r.succs) {
-            s = p.u64("successor id", kMaxRegions);
-            if (s >= num_regions)
-                p.fail("successor id out of range");
-        }
-        const std::size_t num_ranks = p.u64("rank count", kMaxRanks);
-        if (r.num_peaks > num_ranks)
-            p.fail("peak count exceeds rank count");
-        r.ref.resize(num_ranks);
-        for (std::size_t rank_idx = 0; rank_idx < num_ranks;
-             ++rank_idx) {
-            auto &rank = r.ref[rank_idx];
-            rank.resize(p.u64("rank size", kMaxRankValues));
-            double prev = -std::numeric_limits<double>::infinity();
-            for (auto &v : rank) {
-                v = p.f64("reference value");
-                // The K-S fast path requires ascending references.
-                if (v < prev)
-                    p.fail("reference values not sorted");
-                prev = v;
-            }
-            if (r.trained && rank_idx < r.num_peaks && rank.empty())
-                p.fail("trained region with empty peak rank");
-        }
-    }
-    if (!p.atEnd())
-        p.fail("trailing data after last region");
-    m.finalize();
-    return m;
-}
-
 std::string
 encodeModelBinary(const TrainedModel &model)
 {
@@ -411,9 +198,6 @@ decodeModelBinary(const char *data, std::size_t size)
     if (c.get<std::uint32_t>("format version") != kBinaryVersion)
         throw FormatError("model: unsupported binary version");
 
-    // Same validation rules as the text loader — the binary decoder
-    // must reject exactly what the parser rejects, so a corrupt
-    // archive value can never admit a model the text path wouldn't.
     TrainedModel m;
     m.alpha = c.f64("alpha");
     if (!(m.alpha > 0.0 && m.alpha < 1.0))
@@ -424,7 +208,7 @@ decodeModelBinary(const char *data, std::size_t size)
     m.entry_region = c.count("entry region", kMaxRegions);
     m.num_loops = c.count("loop count", kMaxRegions);
     const std::size_t num_regions =
-        c.count("region count", kMaxRegions);
+        c.items("region count", kMaxRegions, kMinRegionBytes);
     if (num_regions > 0 && m.entry_region >= num_regions)
         throw FormatError("model: entry region out of range");
     if (m.num_loops > num_regions)
@@ -444,7 +228,7 @@ decodeModelBinary(const char *data, std::size_t size)
             throw FormatError(
                 "model: trained region with zero group size");
         const std::size_t num_succs =
-            c.count("successor count", kMaxRegions);
+            c.items("successor count", kMaxRegions, 8);
         r.succs.resize(num_succs);
         for (auto &s : r.succs) {
             s = c.count("successor id", kMaxRegions);
@@ -453,7 +237,7 @@ decodeModelBinary(const char *data, std::size_t size)
                     "model: successor id out of range");
         }
         const std::size_t num_ranks =
-            c.count("rank count", kMaxRanks);
+            c.items("rank count", kMaxRanks, 8);
         if (r.num_peaks > num_ranks)
             throw FormatError(
                 "model: peak count exceeds rank count");
@@ -461,7 +245,7 @@ decodeModelBinary(const char *data, std::size_t size)
         for (std::size_t rank_idx = 0; rank_idx < num_ranks;
              ++rank_idx) {
             auto &rank = r.ref[rank_idx];
-            rank.resize(c.count("rank size", kMaxRankValues));
+            rank.resize(c.items("rank size", kMaxRankValues, 8));
             double prev = -std::numeric_limits<double>::infinity();
             for (auto &v : rank) {
                 v = c.f64("reference value");
@@ -482,25 +266,16 @@ decodeModelBinary(const char *data, std::size_t size)
 }
 
 void
-saveModelFile(const TrainedModel &model, const std::string &path,
-              ModelFormat format)
+saveModelFile(const TrainedModel &model, const std::string &path)
 {
     const std::string tmp = path + ".tmp";
     std::remove(tmp.c_str());
-    if (format == ModelFormat::Archive) {
+    {
         store::ArchiveConfig cfg;
         cfg.path = tmp;
         store::Archive arc(cfg);
         if (!arc.put(kModelKey, encodeModelBinary(model)))
             throw IoError("model: archive write failed for " + tmp);
-    } else {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            throw IoError("model: cannot open " + tmp);
-        saveModel(model, os);
-        os.flush();
-        if (!os)
-            throw IoError("model: short write to " + tmp);
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
@@ -511,27 +286,18 @@ saveModelFile(const TrainedModel &model, const std::string &path,
 TrainedModel
 loadModelFile(const std::string &path)
 {
-    if (store::Archive::sniff(path)) {
-        store::ArchiveConfig cfg;
-        cfg.path = path;
-        store::Archive arc(cfg);
-        std::span<const char> span;
-        switch (arc.get(kModelKey, span)) {
-        case store::GetStatus::Ok:
-            return decodeModelBinary(span.data(), span.size());
-        case store::GetStatus::Missing:
-            throw FormatError("model: archive " + path +
-                              " has no model artifact");
-        case store::GetStatus::Corrupt:
-        default:
-            throw FormatError("model: archive " + path +
-                              " failed sector checksum");
-        }
+    std::string value;
+    switch (store::Archive::readValue(path, kModelKey, value)) {
+    case store::GetStatus::Ok:
+        return decodeModelBinary(value.data(), value.size());
+    case store::GetStatus::Missing:
+        throw FormatError("model: archive " + path +
+                          " has no model artifact");
+    case store::GetStatus::Corrupt:
+    default:
+        throw FormatError("model: archive " + path +
+                          " failed sector checksum");
     }
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw IoError("model: cannot open " + path);
-    return loadModel(is);
 }
 
 } // namespace eddie::core

@@ -9,7 +9,6 @@
 #define EDDIE_CORE_MODEL_H
 
 #include <cstddef>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -63,8 +62,8 @@ struct RegionModel
     /** Reference peak frequencies per rank, each ascending-sorted. */
     std::vector<std::vector<double>> ref;
     /** Presorted contiguous view of ref — derived, not serialized;
-     *  rebuilt by TrainedModel::finalize() (train() and loadModel()
-     *  call it; hand-assembled models should too, and the Monitor
+     *  rebuilt by TrainedModel::finalize() (train() and
+     *  decodeModelBinary() call it; hand-assembled models should too, and the Monitor
      *  builds a private copy when a region was left unfinalized). */
     SortedReference sorted;
     /** Successor region ids in the state machine. */
@@ -103,13 +102,6 @@ TrainedModel withGroupSize(const TrainedModel &model, std::size_t n);
  *  (confidence-level sweep of Fig. 9). */
 TrainedModel withAlpha(const TrainedModel &model, double alpha);
 
-/** Serializes the model in a plain text format. */
-void saveModel(const TrainedModel &model, std::ostream &os);
-
-/** Parses a model written by saveModel(). Throws on malformed
- *  input. */
-TrainedModel loadModel(std::istream &is);
-
 /**
  * Binary model codec — the payload stored under the "model" key of
  * an EDDIEARC archive (store/archive.h). Fixed-width little-endian
@@ -118,31 +110,24 @@ TrainedModel loadModel(std::istream &is);
  */
 std::string encodeModelBinary(const TrainedModel &model);
 
-/** Decodes encodeModelBinary() output, applying the same validation
- *  rules as the text loader (caps, sorted ranks, finite values) and
- *  finalizing the presorted references. Throws FormatError. */
+/** Decodes encodeModelBinary() output: rejects a count larger than
+ *  the bytes left can hold, non-finite or out-of-range scalars,
+ *  unsorted ranks and trailing bytes, then finalizes the presorted
+ *  references. Throws FormatError. */
 TrainedModel decodeModelBinary(const char *data, std::size_t size);
 
-/** On-disk model flavors saveModelFile() can produce. */
-enum class ModelFormat
-{
-    Text,    ///< legacy "eddie-model 1" text + #crc32 trailer
-    Archive, ///< EDDIEARC container with a binary "model" artifact
-};
-
 /**
- * Writes @p path atomically (tmp + rename) in the requested format.
- * Both flavors load back through loadModelFile(); the text flavor
- * stays readable by every pre-archive tool. Throws IoError.
+ * Writes @p path atomically (tmp + rename) as an EDDIEARC archive
+ * holding one binary "model" artifact. Throws IoError.
  */
-void saveModelFile(const TrainedModel &model, const std::string &path,
-                   ModelFormat format = ModelFormat::Text);
+void saveModelFile(const TrainedModel &model, const std::string &path);
 
 /**
- * Format-version switch: sniffs @p path and loads it as an EDDIEARC
- * archive (mmap + CRC-verify + binary decode) or as a legacy text
- * model (parse). This is the loader every tool and the serving
- * runtime's hot reload go through.
+ * Loads a model written by saveModelFile(), read-only
+ * (store::Archive::readValue: CRC-verify + binary decode; the file
+ * is never written, so read permission suffices). A file whose model
+ * segment is torn or missing throws FormatError. This is the loader
+ * every tool and the serving runtime's hot reload go through.
  */
 TrainedModel loadModelFile(const std::string &path);
 

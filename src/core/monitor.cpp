@@ -243,23 +243,13 @@ bool
 Monitor::testRank(std::span<const double> ref, double &d)
 {
     ++test_calls_;
+    std::sort(scratch_.begin(), scratch_.end());
     if (cfg_.test == TestKind::KolmogorovSmirnov) {
-        if (cfg_.use_presorted) {
-            std::sort(scratch_.begin(), scratch_.end());
-            d = stats::ksStatisticSorted(ref, scratch_);
-        } else {
-            // Legacy formulation: copies and sorts both samples on
-            // every call (kept for the perf_pipeline ablation).
-            d = stats::ksStatistic(ref, scratch_);
-        }
+        d = stats::ksStatisticSorted(ref, scratch_);
         return d > stats::ksCritical(ref.size(), scratch_.size(),
                                      model_.alpha);
     }
-    const auto res =
-        cfg_.use_presorted
-            ? (std::sort(scratch_.begin(), scratch_.end()),
-               stats::mwuTestSorted(ref, scratch_, model_.alpha))
-            : stats::mwuTest(ref, scratch_, model_.alpha);
+    const auto res = stats::mwuTestSorted(ref, scratch_, model_.alpha);
     d = 1.0 - res.p_value; // "distance" proxy for handoff
     return res.reject;
 }

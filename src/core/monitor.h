@@ -87,16 +87,6 @@ struct MonitorConfig
      * returns. A no-op on clean channels at the default thresholds.
      */
     QualityConfig quality;
-    /**
-     * Ablation knob: when false, every group comparison routes
-     * through the legacy copy-and-sort stats::ksStatistic /
-     * stats::mwuTest formulation instead of the presorted
-     * allocation-free kernels. Verdicts are identical (regression-
-     * tested); only the cost differs. perf_pipeline flips this to
-     * report the before/after monitor-loop speedup on the same
-     * machine and streams.
-     */
-    bool use_presorted = true;
 };
 
 /** What the monitor concluded for one STS. */
@@ -346,8 +336,8 @@ class Monitor
     std::vector<const SortedReference *> sorted_;
     std::vector<SortedReference> own_sorted_;
 
-    /** Reusable group scratch; sorted in place on the presorted
-     *  path. Sized once, so steady-state steps never allocate. */
+    /** Reusable group scratch, sorted in place before each test.
+     *  Sized once, so steady-state steps never allocate. */
     std::vector<double> scratch_;
     std::size_t test_calls_ = 0;
 

@@ -352,7 +352,7 @@ decodeDeltaSegment(std::span<const char> bytes)
 {
     store::SpanStream is(bytes.data(), bytes.size());
     std::string payload;
-    core::readFramed(is, kDeltaMagic, kDeltaVersion, 1, "delta segment",
+    core::readFramed(is, kDeltaMagic, kDeltaVersion, "delta segment",
                      payload);
     Cursor c(payload);
     DeltaSegment seg;
@@ -387,8 +387,7 @@ GroupCheckpoint
 loadGroupCheckpoint(std::istream &is)
 {
     std::string payload;
-    core::readFramed(is, kMagic, kGroupVersion, 1, "checkpoint",
-                     payload);
+    core::readFramed(is, kMagic, kGroupVersion, "checkpoint", payload);
     Cursor c(payload);
     GroupCheckpoint group;
     group.epoch = c.get<std::uint64_t>();

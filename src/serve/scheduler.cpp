@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -22,13 +23,6 @@ nowMs()
     return duration<double, std::milli>(
                steady_clock::now().time_since_epoch())
         .count();
-}
-
-void
-sleepMs(double ms)
-{
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(std::max(ms, 0.0)));
 }
 
 /** Session lifecycle states (stored in an atomic<int>). */
@@ -371,16 +365,49 @@ FleetScheduler::wakeDueSessions(double now_ms)
     std::size_t woken = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
+        earliest_due_ms_ = std::numeric_limits<double>::infinity();
         for (auto &sp : sessions_) {
             Session &s = *sp;
-            if (s.state.load() != kIdle || now_ms < s.due_ms)
+            if (s.state.load() != kIdle)
                 continue;
+            if (now_ms < s.due_ms) {
+                earliest_due_ms_ = std::min(earliest_due_ms_, s.due_ms);
+                continue;
+            }
             enqueueLocked(s);
             ++woken;
         }
     }
     for (woken = std::min(woken, worker_count_); woken > 0; --woken)
         work_cv_.notify_one();
+}
+
+void
+FleetScheduler::waitForPoll()
+{
+    const double poll_end = nowMs() + cfg_.watchdog.poll_interval_ms;
+    for (;;) {
+        double now = 0.0;
+        {
+            std::unique_lock<std::mutex> lock(mu_);
+            for (;;) {
+                now = nowMs();
+                // Stopping, the poll finalizes parked sessions instead.
+                watchdog_wake_ms_ =
+                    stop_.load() ? poll_end
+                                 : std::min(poll_end, earliest_due_ms_);
+                if (now >= watchdog_wake_ms_)
+                    break;
+                watchdog_cv_.wait_for(
+                    lock, std::chrono::duration<double, std::milli>(
+                              watchdog_wake_ms_ - now));
+            }
+        }
+        if (now >= poll_end)
+            return;
+        // A throttled session came due between polls.
+        wakeDueSessions(now);
+    }
 }
 
 void
@@ -521,6 +548,13 @@ FleetScheduler::dispatch(Session &s, double &busy_ms)
         s.parked_pending = park_pending;
         s.due_ms = due_ms;
         s.state.store(kIdle);
+        // A quota wait that ends before the watchdog's next wake moves
+        // that wake up, so the tenant's rate holds at any burst.
+        if (due_ms < earliest_due_ms_) {
+            earliest_due_ms_ = due_ms;
+            if (due_ms < watchdog_wake_ms_)
+                watchdog_cv_.notify_one();
+        }
         return;
     }
     if (next_state == -1)
@@ -574,7 +608,7 @@ FleetScheduler::wakeForTeardown()
 }
 
 void
-FleetScheduler::maybeReloadModel(double now_ms)
+FleetScheduler::pollModelFile(double now_ms)
 {
     if (cfg_.model_path.empty() ||
         now_ms - last_model_poll_ms_ < cfg_.model_poll_ms)
@@ -585,9 +619,8 @@ FleetScheduler::maybeReloadModel(double now_ms)
         return;
     std::shared_ptr<const core::TrainedModel> fresh;
     try {
-        // Format-sniffing loader: an EDDIEARC model reloads as mmap +
-        // sector CRC check + binary decode; a text model takes the
-        // legacy parse.
+        // Read-only load (sector CRC check + binary decode): a file
+        // still being written is never cut short by this read.
         fresh = std::make_shared<const core::TrainedModel>(
             core::loadModelFile(cfg_.model_path));
     } catch (const std::exception &) {
@@ -595,10 +628,10 @@ FleetScheduler::maybeReloadModel(double now_ms)
         // model; the next poll re-checks the CRC.
         return;
     }
-    // A file truncated before its #crc32 trailer still parses (the
-    // trailer is optional for legacy models), so require the bytes to
-    // be stable across the load: if the CRC moved, a write is in
-    // flight — skip, and the next poll sees the finished file.
+    // The loaded bytes must be the ones the CRC covers, or the next
+    // poll would count the same model again: if the CRC moved, a
+    // write is in flight — skip, and the next poll sees the finished
+    // file.
     const auto crc_after = common::crc32File(cfg_.model_path);
     if (!crc_after || *crc_after != *crc)
         return;
@@ -717,7 +750,7 @@ FleetScheduler::run()
 
     // The calling thread is the watchdog.
     for (;;) {
-        sleepMs(cfg_.watchdog.poll_interval_ms);
+        waitForPoll();
         const double now = nowMs();
         if (stop_check_ && stop_check_())
             stop_.store(true);
@@ -744,7 +777,7 @@ FleetScheduler::run()
                     cutDelta(s);
             }
         } else {
-            maybeReloadModel(now);
+            pollModelFile(now);
             wakeDueSessions(now);
         }
         bool all_done = true;

@@ -33,18 +33,20 @@
  *    session is latched, so the park that follows its Pending pull
  *    requeues instead. Idle workers park on one condvar.
  *  - The watchdog (the thread that called run()) re-enqueues a
- *    throttled session once its wait has passed and a Pending one
- *    after kReadinessParkMs (so a silent source still reaches its own
- *    stall timeout). It keys hang detection off per-session progress
- *    sequence numbers, not thread liveness: a session is hung only
- *    when a worker has been inside one of its steps past the deadline
- *    with no sequence advance. A session that steps rarely because
- *    1023 neighbors share its worker is slow, not hung. Failures
- *    restore from the tenant store's mirror, re-seek the source,
- *    charge the tenant budget, and feed the tenant breaker; a breaker
- *    trip removes every session of the tenant from the run queue
- *    without touching neighbors. The watchdog also polls the model
- *    file for hot reload (ServeConfig::model_path).
+ *    throttled session when its wait is over, waking between polls if
+ *    it comes due sooner (the parking worker moves the wake up), and
+ *    a Pending one after kReadinessParkMs (so a silent source still
+ *    reaches its own stall timeout). It keys hang detection off
+ *    per-session progress sequence numbers, not thread liveness: a
+ *    session is hung only when a worker has been inside one of its
+ *    steps past the deadline with no sequence advance. A session that
+ *    steps rarely because 1023 neighbors share its worker is slow,
+ *    not hung. Failures restore from the tenant store's mirror,
+ *    re-seek the source, charge the tenant budget, and feed the
+ *    tenant breaker; a breaker trip removes every session of the
+ *    tenant from the run queue without touching neighbors. The
+ *    watchdog also polls the model file for hot reload
+ *    (ServeConfig::model_path).
  *
  * Lock order: a source raises while holding its own lock and the raise
  * takes mu_, so the engine never calls into a source while holding
@@ -65,6 +67,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -299,14 +302,18 @@ class FleetScheduler
      *  becomes Ready and one worker wakes; any other state latches
      *  the raise. */
     void raise(Session &s);
-    /** Watchdog: re-enqueues parked sessions whose wait is over. */
+    /** Watchdog: re-enqueues parked sessions whose wait is over and
+     *  records when the next one comes due. */
     void wakeDueSessions(double now_ms);
+    /** Watchdog: sleeps one poll interval, waking parked sessions as
+     *  they come due in between. */
+    void waitForPoll();
     void cutDelta(Session &s);
     void handleFailure(Session &s, double now_ms);
     void escalateTenantLocked(Tenant &tenant);
     /** Watchdog: installs a changed, stable model file as the served
      *  model (sessions swap before their next step). */
-    void maybeReloadModel(double now_ms);
+    void pollModelFile(double now_ms);
     /** Moves @p s onto the served model from its live state; called
      *  by the worker that owns it, before its next step. */
     void swapModel(Session &s);
@@ -323,6 +330,13 @@ class FleetScheduler
 
     mutable std::mutex mu_; ///< run queue, lanes, session states
     std::condition_variable work_cv_;
+    /** Wakes the watchdog early for a session due before its wake. */
+    std::condition_variable watchdog_cv_;
+    /** Earliest due time of a parked session (guarded by mu_); a
+     *  parking worker lowers it, wakeDueSessions() recomputes it. */
+    double earliest_due_ms_ = std::numeric_limits<double>::infinity();
+    /** When the watchdog's current wait ends (guarded by mu_). */
+    double watchdog_wake_ms_ = 0.0;
     std::vector<std::unique_ptr<Session>> sessions_;
     std::vector<TenantLane> lanes_;          ///< index = tenant index
     std::deque<std::size_t> ring_;           ///< active lane indices

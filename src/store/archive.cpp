@@ -1,10 +1,12 @@
 #include "archive.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <utility>
 
 #include <fcntl.h>
@@ -135,14 +137,33 @@ Archive::~Archive()
         ::close(fd_);
 }
 
-bool
-Archive::sniff(const std::string &path)
+GetStatus
+Archive::readValue(const std::string &path, std::string_view key,
+                   std::string &out)
 {
+    // One read into memory instead of a mapping: a writer replacing
+    // the file in place meanwhile cannot fault a mapped page here.
+    errno = 0;
     std::ifstream is(path, std::ios::binary);
-    char magic[8];
-    is.read(magic, sizeof magic);
-    return bool(is) &&
-           std::memcmp(magic, kMagic, sizeof magic) == 0;
+    if (!is)
+        throw core::ioErrorErrno("archive: open for read", path);
+    const std::string file{std::istreambuf_iterator<char>(is),
+                           std::istreambuf_iterator<char>()};
+    if (is.bad())
+        throw core::ioErrorErrno("archive: read", path);
+
+    Archive arc;
+    arc.cfg_.path = path;
+    std::lock_guard<std::mutex> lock(arc.mu_);
+    arc.scanFileLocked(file.data(), file.size());
+    const auto it = arc.dir_.find(key);
+    if (it == arc.dir_.end())
+        return GetStatus::Missing;
+    if (!arc.verifySlotLocked(file.data(), it->second))
+        return GetStatus::Corrupt;
+    out.assign(file.data() + it->second.payload_off,
+               std::size_t(it->second.value_len));
+    return GetStatus::Ok;
 }
 
 void
@@ -180,35 +201,11 @@ Archive::openLocked(bool creating_ok)
         broken_ = false;
         return;
     }
-    if (fsize < kSuperBytes + 4)
-        throw core::FormatError("archive: truncated superblock in " +
-                                cfg_.path);
-
     // One scan mapping over the whole file; the active mapping is
     // rebuilt lazily (and only up to the verified logical end).
     MappedFile scan;
     scan.open(cfg_.path, std::size_t(fsize));
-    const char *base = scan.data();
-    if (std::memcmp(base, kMagic, sizeof kMagic) != 0)
-        throw core::FormatError("archive: bad magic in " + cfg_.path);
-    if (loadRaw<std::uint32_t>(base + 8) != kVersion)
-        throw core::FormatError("archive: unsupported version in " +
-                                cfg_.path);
-    const std::uint32_t file_sector =
-        loadRaw<std::uint32_t>(base + 12);
-    if (loadRaw<std::uint32_t>(base + kSuperBytes) !=
-        common::crc32(base, kSuperBytes))
-        throw core::FormatError(
-            "archive: superblock checksum mismatch in " + cfg_.path);
-    if (!validSectorSize(file_sector))
-        throw core::FormatError("archive: bad sector size in " +
-                                cfg_.path);
-    sector_ = file_sector; // an existing file's geometry wins
-    if (fsize < sector_)
-        throw core::FormatError("archive: truncated superblock in " +
-                                cfg_.path);
-
-    scanLocked(base, std::size_t(fsize));
+    scanFileLocked(scan.data(), fsize);
     scan.reset();
 
     // Drop any torn tail now so the append descriptor (O_APPEND)
@@ -229,6 +226,33 @@ Archive::openLocked(bool creating_ok)
                                  cfg_.path);
     staged_seq_ = next_seq_;
     broken_ = false;
+}
+
+void
+Archive::scanFileLocked(const char *base, std::uint64_t file_size)
+{
+    if (file_size < kSuperBytes + 4)
+        throw core::FormatError("archive: truncated superblock in " +
+                                cfg_.path);
+    if (std::memcmp(base, kMagic, sizeof kMagic) != 0)
+        throw core::FormatError("archive: bad magic in " + cfg_.path);
+    if (loadRaw<std::uint32_t>(base + 8) != kVersion)
+        throw core::FormatError("archive: unsupported version in " +
+                                cfg_.path);
+    const std::uint32_t file_sector =
+        loadRaw<std::uint32_t>(base + 12);
+    if (loadRaw<std::uint32_t>(base + kSuperBytes) !=
+        common::crc32(base, kSuperBytes))
+        throw core::FormatError(
+            "archive: superblock checksum mismatch in " + cfg_.path);
+    if (!validSectorSize(file_sector))
+        throw core::FormatError("archive: bad sector size in " +
+                                cfg_.path);
+    sector_ = file_sector; // an existing file's geometry wins
+    if (file_size < sector_)
+        throw core::FormatError("archive: truncated superblock in " +
+                                cfg_.path);
+    scanLocked(base, std::size_t(file_size));
 }
 
 void
@@ -487,11 +511,10 @@ Archive::ensureMappedLocked(std::uint64_t need)
 }
 
 bool
-Archive::verifySlotLocked(Slot &slot)
+Archive::verifySlotLocked(const char *base, Slot &slot)
 {
     if (slot.verified)
         return true;
-    const char *base = active_.data();
     for (std::uint32_t i = 0; i < slot.n_sectors; ++i) {
         const std::uint32_t want = loadRaw<std::uint32_t>(
             base + slot.table_off + std::uint64_t(4) * i);
@@ -518,7 +541,7 @@ Archive::get(std::string_view key, std::span<const char> &out)
     Slot &slot = it->second;
     ensureMappedLocked(slot.payload_off +
                        std::uint64_t(slot.n_sectors) * sector_);
-    if (!verifySlotLocked(slot))
+    if (!verifySlotLocked(active_.data(), slot))
         return GetStatus::Corrupt;
     out = {active_.data() + slot.payload_off,
            std::size_t(slot.value_len)};
@@ -592,7 +615,7 @@ Archive::compact()
             Slot &slot = kv.second;
             ensureMappedLocked(slot.payload_off +
                                std::uint64_t(slot.n_sectors) * sector_);
-            verified = verifySlotLocked(slot);
+            verified = verifySlotLocked(active_.data(), slot);
             if (!os || !verified)
                 break;
             seg.clear();

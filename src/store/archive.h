@@ -44,6 +44,10 @@
  *  - Last-write-wins: re-putting a key supersedes the old segment
  *    (counted dead); compact() rewrites the live set into a fresh
  *    file and atomically renames it over the old one.
+ *  - Read-only readers: readValue() answers one lookup without
+ *    opening the file for writing or dropping its torn tail, so a
+ *    model loads from a file its reader may not write, and a copy
+ *    still in progress is never cut short by a reader.
  *
  * Thread-safe: one mutex over directory, staging, and IO.
  */
@@ -130,9 +134,18 @@ class Archive
     Archive(const Archive &) = delete;
     Archive &operator=(const Archive &) = delete;
 
-    /** True when @p path exists and starts with the EDDIEARC magic —
-     *  the switch between archive and text model files. */
-    static bool sniff(const std::string &path);
+    /**
+     * Read-only lookup of one key in the archive at @p path: reads
+     * the file, scans its segment headers, CRC-verifies @p key's
+     * payload sectors and copies the value into @p out. It never
+     * writes: no write descriptor, no torn-tail truncation, so read
+     * permission is enough and the file stays byte for byte as it
+     * was. A value whose batch is torn reads as Missing. Throws
+     * core::IoError when the file cannot be read, core::FormatError
+     * when it is not an EDDIEARC v1 archive or has mid-file damage.
+     */
+    static GetStatus readValue(const std::string &path,
+                               std::string_view key, std::string &out);
 
     /** Stages one put/remove for the next commit(). Staged ops are
      *  invisible to get() until committed. Throws FormatError on an
@@ -209,14 +222,22 @@ class Archive
         Slot slot;
     };
 
+    /** For readValue(): an archive object over no file. */
+    Archive() = default;
+
     void openLocked(bool creating_ok);
+    /** Checks the superblock of the @p file_size bytes at @p base,
+     *  adopts its sector size and scans the segments after it. */
+    void scanFileLocked(const char *base, std::uint64_t file_size);
     void scanLocked(const char *base, std::size_t file_size);
     void encodeSegment(std::string &out, std::uint64_t seq,
                        std::uint32_t kind, std::string_view key,
                        std::string_view value) const;
     bool commitLocked();
     void ensureMappedLocked(std::uint64_t need);
-    bool verifySlotLocked(Slot &slot);
+    /** CRC-checks @p slot's payload sectors in the file bytes at
+     *  @p base (once; the verdict is remembered). */
+    bool verifySlotLocked(const char *base, Slot &slot);
 
     ArchiveConfig cfg_;
     std::uint32_t sector_ = 512;

@@ -2,8 +2,8 @@
  * @file
  * A read-only std::istream over an in-memory byte span — the glue
  * that lets the existing stream codecs (capture_io framing, the
- * checkpoint group/delta readers, the text model parser) consume an
- * archive value without copying it out of the mapping first.
+ * checkpoint group/delta readers) consume an archive value without
+ * copying it out of the mapping first.
  *
  * The span must outlive the stream; the archive guarantees that for
  * values it returned (mappings are retired, not unmapped, until

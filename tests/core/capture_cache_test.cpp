@@ -42,10 +42,7 @@ serializedModel(const PipelineConfig &base, std::size_t threads,
     cfg.threads = threads;
     cfg.capture_cache = std::move(cache);
     Pipeline pipe(workloads::makeWorkload("bitcount", 0.15), cfg);
-    const auto model = pipe.trainModel();
-    std::ostringstream os;
-    core::saveModel(model, os);
-    return os.str();
+    return core::encodeModelBinary(pipe.trainModel());
 }
 
 TEST(CaptureCacheTest, HitReturnsIdenticalStreamAndCounts)

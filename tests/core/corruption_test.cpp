@@ -1,16 +1,19 @@
 /**
  * @file
  * Randomized corruption round-trips over every persistence format:
- * truncate or bit-flip a serialized model, capture, STS stream, or
+ * truncate or bit-flip a model archive, capture, STS stream, or
  * cache spill file at random offsets and prove the loaders answer
  * with a typed error (or, for the cache, a counted miss plus
  * recompute) — never a crash, hang, or silently wrong data.
  */
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -103,79 +106,104 @@ truncate(const std::string &bytes, std::mt19937_64 &rng)
     return bytes.substr(0, len(rng));
 }
 
+std::string
+tempPath(const std::string &name)
+{
+    return (std::filesystem::path(::testing::TempDir()) / name).string();
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), std::streamsize(bytes.size()));
+}
+
+/** Loads @p bytes as a model file: either the identical model comes
+ *  back (the damage hit bytes no checksum needs, such as sector
+ *  padding after a header CRC) or a typed core::Error is thrown. */
+void
+expectIdenticalOrTyped(const std::string &path, const std::string &bytes,
+                       const std::string &want, int trial)
+{
+    writeFile(path, bytes);
+    try {
+        const auto m = loadModelFile(path);
+        EXPECT_EQ(encodeModelBinary(m), want)
+            << "damaged model loaded different, trial " << trial;
+    } catch (const Error &) {
+        // typed: IoError or FormatError
+    }
+}
+
 TEST(CorruptionTest, ModelBitFlipsAreTypedErrors)
 {
-    std::ostringstream os;
-    saveModel(sampleModel(), os);
-    const std::string good = os.str();
+    const std::string path = tempPath("eddie_corrupt_model_flip.arc");
+    saveModelFile(sampleModel(), path);
+    const std::string good = readFile(path);
+    const std::string want = encodeModelBinary(sampleModel());
 
     std::mt19937_64 rng(101);
-    for (int trial = 0; trial < 200; ++trial) {
-        std::istringstream is(flipBit(good, rng));
-        try {
-            // The CRC trailer covers every body byte, so a flipped
-            // model may never load silently.
-            (void)loadModel(is);
-            FAIL() << "bit-flipped model loaded, trial " << trial;
-        } catch (const Error &) {
-            // typed: IoError or FormatError
-        }
-    }
+    for (int trial = 0; trial < 200; ++trial)
+        expectIdenticalOrTyped(path, flipBit(good, rng), want, trial);
+    std::filesystem::remove(path);
 }
 
 TEST(CorruptionTest, ModelTruncationsNeverCrash)
 {
-    std::ostringstream os;
-    saveModel(sampleModel(), os);
-    const std::string good = os.str();
+    const std::string path = tempPath("eddie_corrupt_model_cut.arc");
+    saveModelFile(sampleModel(), path);
+    const std::string good = readFile(path);
+    const std::string want = encodeModelBinary(sampleModel());
 
     std::mt19937_64 rng(102);
     for (int trial = 0; trial < 200; ++trial) {
-        std::istringstream is(truncate(good, rng));
-        try {
-            // A cut that removes the trailer may still leave a
-            // complete, valid body; anything else must be typed.
-            (void)loadModel(is);
-        } catch (const Error &) {
-        }
+        const std::string cut = truncate(good, rng);
+        expectIdenticalOrTyped(path, cut, want, trial);
+        // The load only reads: the cut file keeps every byte.
+        EXPECT_EQ(readFile(path), cut) << "trial " << trial;
     }
+    std::filesystem::remove(path);
 }
 
-TEST(CorruptionTest, ModelWithoutTrailerStillLoads)
+/** Version-1 capture and STS files (unframed, before the integrity
+ *  framing) are refused as FormatError, like any unknown version. */
+TEST(CorruptionTest, VersionOneFilesFailAsFormatError)
 {
-    std::ostringstream os;
-    saveModel(sampleModel(), os);
-    std::string text = os.str();
-    const auto at = text.rfind("#crc32");
-    ASSERT_NE(at, std::string::npos);
-    text.resize(at); // legacy file: body only
-
-    std::istringstream is(text);
-    const auto m = loadModel(is);
-    EXPECT_EQ(m.regions.size(), 2u);
-    EXPECT_EQ(m.regions[0].ref, sampleModel().regions[0].ref);
-}
-
-TEST(CorruptionTest, ModelErrorsNameTheLine)
-{
-    std::ostringstream os;
-    saveModel(sampleModel(), os);
-    std::string text = os.str();
-    text.resize(text.rfind("#crc32"));
-    // Break the trained flag on the first region line (line 3).
-    const auto at = text.find("L0 1");
-    ASSERT_NE(at, std::string::npos);
-    text[at + 3] = '9';
-
-    std::istringstream is(text);
-    try {
-        (void)loadModel(is);
-        FAIL() << "bad trained flag accepted";
-    } catch (const FormatError &e) {
-        EXPECT_NE(std::string(e.what()).find("line 3"),
-                  std::string::npos)
-            << e.what();
-    }
+    const auto v1 = [](const char (&magic)[9], const std::string &body) {
+        std::string out(magic, 8);
+        const std::uint32_t version = 1;
+        out.append(reinterpret_cast<const char *>(&version),
+                   sizeof version);
+        return out + body;
+    };
+    const auto u64 = [](std::uint64_t v) {
+        return std::string(reinterpret_cast<const char *>(&v), sizeof v);
+    };
+    const auto f64 = [](double v) {
+        return std::string(reinterpret_cast<const char *>(&v), sizeof v);
+    };
+    // v1 capture: rate, one sample, its region id and injection flag.
+    std::istringstream capture(
+        v1("EDDIECAP", f64(2e7) + u64(1) + f64(0.5) + u64(0) +
+                           std::string(1, '\0')),
+        std::ios::binary);
+    EXPECT_THROW((void)loadCapture(capture), FormatError);
+    // v1 STS stream: one STS without the quality fields.
+    std::istringstream sts(v1("EDDIESTS", u64(1) + f64(0.0) +
+                                              f64(1e-4) + u64(1) +
+                                              std::string(1, '\0') +
+                                              u64(1) + f64(1e6)),
+                           std::ios::binary);
+    EXPECT_THROW((void)loadStsStream(sts), FormatError);
 }
 
 TEST(CorruptionTest, CaptureCorruptionIsTypedError)
@@ -316,7 +344,9 @@ TEST(CorruptionTest, CorruptSpillIsCountedMissNotError)
     // Targeted damage with deterministic counters: the last value
     // byte is inside the embedded stream's CRC footer, so flipping it
     // is a detected corruption; a spill whose stored stream was cut
-    // in half (written intact into the archive) is a short read.
+    // short (written intact into the archive) is a short read, unless
+    // the cut leaves fewer bytes than its window count needs, which
+    // the decoder refuses as corrupt before allocating.
     {
         std::string bad = good;
         const std::size_t last =
@@ -328,20 +358,23 @@ TEST(CorruptionTest, CorruptSpillIsCountedMissNotError)
         EXPECT_EQ(cache.stats().spill_corrupt, 1u);
         EXPECT_EQ(cache.stats().misses, 1u);
     }
-    {
+    for (const bool half : {false, true}) {
         writeArchive(good);
         {
             store::ArchiveConfig acfg;
             acfg.path = arc_path;
             store::Archive arc(acfg);
+            const std::size_t cut = half
+                ? std::size_t(value.length / 2)
+                : std::size_t(value.length - 4);
             ASSERT_TRUE(arc.put(
                 spill_key,
-                good.substr(std::size_t(value.offset),
-                            std::size_t(value.length / 2))));
+                good.substr(std::size_t(value.offset), cut)));
         }
         CaptureCache cache(cc);
         (void)cache.getOrCompute("key-a", [&] { return stream_a; });
-        EXPECT_EQ(cache.stats().spill_short_read, 1u);
+        EXPECT_EQ(cache.stats().spill_short_read, half ? 0u : 1u);
+        EXPECT_EQ(cache.stats().spill_corrupt, half ? 1u : 0u);
         EXPECT_EQ(cache.stats().misses, 1u);
     }
 

@@ -25,10 +25,7 @@ serializedModel(const PipelineConfig &base, std::size_t threads)
     PipelineConfig cfg = base;
     cfg.threads = threads;
     Pipeline pipe(workloads::makeWorkload("bitcount", 0.15), cfg);
-    const auto model = pipe.trainModel();
-    std::ostringstream os;
-    core::saveModel(model, os);
-    return os.str();
+    return core::encodeModelBinary(pipe.trainModel());
 }
 
 TEST(ParallelDeterminismTest, TrainedModelIsByteIdenticalAcrossThreadCounts)

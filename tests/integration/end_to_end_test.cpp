@@ -4,6 +4,9 @@
  * workloads through the full pipeline, on both signal paths.
  */
 
+#include <cstdio>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/pipeline.h"
@@ -142,9 +145,12 @@ TEST(EndToEndTest, ModelRoundTripPreservesBehaviour)
     Pipeline pipe(workloads::makeWorkload("bitcount", 0.25),
                   smallConfig());
     const auto model = pipe.trainModel();
-    std::stringstream ss;
-    core::saveModel(model, ss);
-    const auto loaded = core::loadModel(ss);
+    const std::string path = testing::TempDir() + "eddie_e2e_model.arc";
+    core::saveModelFile(model, path);
+    const auto loaded = core::loadModelFile(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(core::encodeModelBinary(loaded),
+              core::encodeModelBinary(model));
 
     const auto a = pipe.monitorRun(model, 506);
     const auto b = pipe.monitorRun(loaded, 506);

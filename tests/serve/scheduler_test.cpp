@@ -552,6 +552,42 @@ TEST(Scheduler, RestartWithAThrottledWindowHeldReplaysBitIdentical)
     EXPECT_GT(st.delivered, fx.streams[0]->size());
 }
 
+/** A burst-1 bucket at 2,000 STS/s makes its session due every
+ *  0.5 ms, four times per 2 ms watchdog poll. The worker that parks
+ *  it moves the watchdog's wake up to the due time, so the session
+ *  runs at its quota: its N windows are stepped within about
+ *  N/2,000 s and at most N/1,000 s, where waking only at polls would
+ *  take N/500 s. */
+TEST(Scheduler, ThrottledSessionKeepsItsQuotaBetweenPolls)
+{
+    SchedFixture fx(1, 1400);
+    TenantRegistry reg;
+    TenantSpec spec = fx.spec("a");
+    spec.quota.sts_per_s = 2000.0;
+    spec.quota.burst = 1.0;
+    spec.quota.rate_policy = RatePolicy::Throttle;
+    reg.addTenant(spec);
+    ASSERT_TRUE(reg.openSession("a", fx.sources[0].get()).admitted);
+    Supervisor sup(schedConfig(1));
+    // First to last step, so session setup and teardown do not count.
+    std::chrono::steady_clock::time_point first, last;
+    sup.setFleetStepHook([&](std::size_t, const std::string &,
+                             std::size_t step, const std::atomic<bool> &) {
+        (step == 0 ? first : last) = std::chrono::steady_clock::now();
+    });
+    const FleetResult fr = sup.runFleet(reg);
+    ASSERT_EQ(fr.sessions.size(), 1u);
+    EXPECT_TRUE(sameRecords(fr.sessions[0].records, fx.serial_records[0]));
+    EXPECT_TRUE(sameReports(fr.sessions[0].reports, fx.serial_reports[0]));
+    EXPECT_GT(fr.tenants[0].windows_throttled, 0u);
+    const double n = double(fx.streams[0]->size());
+    const double stepping_s =
+        std::chrono::duration<double>(last - first).count();
+    EXPECT_LE(stepping_s, n / 1000.0);
+    // The quota still binds: one window per 0.5 ms after the first.
+    EXPECT_GE(stepping_s, 0.99 * (n - 1.0) / 2000.0);
+}
+
 namespace
 {
 

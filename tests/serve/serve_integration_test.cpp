@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -410,10 +411,7 @@ TEST(Supervisor, HotModelReloadSwapsWithoutVerdictLoss)
 {
     const Fixture &f = fixture();
     const std::string path = testing::TempDir() + "serve_hot_model";
-    {
-        std::ofstream os(path);
-        core::saveModel(*f.model, os);
-    }
+    core::saveModelFile(*f.model, path);
 
     ServeConfig cfg = f.config();
     cfg.model_path = path;
@@ -427,18 +425,10 @@ TEST(Supervisor, HotModelReloadSwapsWithoutVerdictLoss)
         if (step == 30 && !rewritten.exchange(true)) {
             // Same distributions, different alpha: different bytes
             // (new CRC) but near-identical decisions; the assertions
-            // below only rely on continuity, not equality. The
-            // replacement must be atomic (write + rename) — that is
-            // the operator contract, and a plain in-place rewrite can
-            // race the CRC poll into seeing (and counting) a torn
-            // intermediate file as its own reload.
-            {
-                std::ofstream os(path + ".new");
-                core::saveModel(withAlpha(*f.model, 2e-6), os);
-            }
-            ASSERT_EQ(std::rename((path + ".new").c_str(),
-                                  path.c_str()),
-                      0);
+            // below only rely on continuity, not equality.
+            // saveModelFile replaces the file atomically (tmp +
+            // rename).
+            core::saveModelFile(withAlpha(*f.model, 2e-6), path);
         }
         std::this_thread::sleep_for(std::chrono::microseconds(500));
     });
@@ -451,6 +441,59 @@ TEST(Supervisor, HotModelReloadSwapsWithoutVerdictLoss)
     EXPECT_EQ(sup.stats().model_reloads, 1u);
     EXPECT_NE(sup.model().get(), f.model.get());
     EXPECT_NEAR(sup.model()->alpha, 2e-6, 1e-9);
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is),
+            std::istreambuf_iterator<char>()};
+}
+
+/** A model rewritten in place in two halves, with model polls between
+ *  them: each poll that reads the half-written file loads nothing and
+ *  leaves the file as it is, so the second half completes an intact
+ *  file that reloads exactly once. */
+TEST(Supervisor, InPlaceModelRewriteReloadsOnceWhenComplete)
+{
+    const Fixture &f = fixture();
+    const std::string path = testing::TempDir() + "serve_inplace_model";
+    core::saveModelFile(*f.model, path);
+    core::saveModelFile(withAlpha(*f.model, 2e-6), path + ".next");
+    const std::string next = readFile(path + ".next");
+    std::remove((path + ".next").c_str());
+    const std::size_t half = next.size() / 2;
+
+    ServeConfig cfg = f.config();
+    cfg.model_path = path;
+    cfg.model_poll_ms = 2.0;
+    VectorSource source(f.stream);
+    Supervisor sup(f.model, cfg);
+    std::ofstream writer;
+    std::string seen_between; // the file just before the second half
+    sup.setStepHook([&](std::size_t step, const std::atomic<bool> &) {
+        if (step == 20) {
+            writer.open(path, std::ios::binary | std::ios::trunc);
+            writer.write(next.data(), std::streamsize(half));
+            writer.flush();
+        } else if (step == 80) {
+            // 60 steps of 0.5 ms: many model polls saw the first half.
+            seen_between = readFile(path);
+            writer.write(next.data() + half,
+                         std::streamsize(next.size() - half));
+            writer.close();
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+    });
+    const auto results = sup.run({&source});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].steps, f.stream->size());
+    EXPECT_EQ(seen_between, next.substr(0, half));
+    EXPECT_EQ(readFile(path), next);
+    EXPECT_EQ(sup.stats().model_reloads, 1u);
+    EXPECT_NEAR(sup.model()->alpha, 2e-6, 1e-9);
+    std::remove(path.c_str());
 }
 
 } // namespace

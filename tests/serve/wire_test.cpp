@@ -652,6 +652,55 @@ TEST(WireListener, MalformedFramesAreCountedNackedAndResumable)
     fx.listener->drainAndClose();
 }
 
+/** An admitted peer's CRC-valid STS-BATCH whose 8-byte payload claims
+ *  2^32 windows (about 320 GiB decoded) is refused before anything is
+ *  allocated: one BadPayload count and a NACK, and the listener keeps
+ *  serving the session. */
+TEST(WireListener, HostileWindowCountIsNackedAndTheListenerServesOn)
+{
+    const std::vector<core::Sts> stream = eventfulStream(24);
+    ListenerFixture fx;
+    fx.start();
+    std::string payload;
+    {
+        RawClient c(fx.listener->tcpAddress());
+        ASSERT_TRUE(c.send(helloFrame("default", 1, 0)));
+        ASSERT_EQ(c.read(5000.0).header.type, wire::FrameType::Ack);
+        wire::FrameHeader h;
+        h.type = wire::FrameType::StsBatch;
+        h.tenant = wire::tenantHash("default");
+        h.session = 1;
+        h.sequence = 0;
+        const std::uint64_t count = std::uint64_t(1) << 32;
+        ASSERT_TRUE(c.send(wire::encodeFrame(
+            h, std::string(reinterpret_cast<const char *>(&count),
+                           sizeof count))));
+        const wire::Decoded d = c.read(5000.0, &payload);
+        ASSERT_EQ(d.status, wire::DecodeStatus::Frame);
+        EXPECT_EQ(nackCodeOf(d, payload),
+                  wire::NackCode::MalformedFrame);
+        EXPECT_TRUE(c.readClosed(5000.0));
+    }
+    {
+        RawClient c(fx.listener->tcpAddress());
+        ASSERT_TRUE(c.send(helloFrame("default", 1, 0)));
+        const wire::Decoded ack = c.read(5000.0);
+        ASSERT_EQ(ack.status, wire::DecodeStatus::Frame);
+        ASSERT_EQ(ack.header.type, wire::FrameType::Ack);
+        EXPECT_EQ(ack.header.sequence, 0u);
+        ASSERT_TRUE(c.send(batchFrame("default", 1, 0, stream)));
+        ASSERT_TRUE(c.send(eofFrame("default", 1, 160)));
+        ASSERT_EQ(c.read(5000.0).header.sequence, 160u);
+    }
+    EXPECT_TRUE(streamsEqual(fx.drainSource(), stream));
+
+    const WireListenerStats st = fx.listener->stats();
+    EXPECT_EQ(st.wire.errorCount(wire::WireError::BadPayload), 1u);
+    EXPECT_EQ(st.reattaches, 1u);
+    EXPECT_GE(st.nacks_sent, 1u);
+    fx.listener->drainAndClose();
+}
+
 TEST(WireListener, SequenceGapsAreNackedAndTheSessionResumes)
 {
     const std::vector<core::Sts> stream = eventfulStream(23);

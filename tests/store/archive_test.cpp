@@ -365,19 +365,56 @@ TEST(ArchiveTest, BitFlipsAreDetectedNeverSilent)
     EXPECT_GT(detected, 150);
 }
 
-TEST(ArchiveTest, SniffDistinguishesArchivesFromOtherFiles)
+/** readValue() answers from a file it never writes: a committed key
+ *  reads back, a key whose batch is torn reads as Missing, a flipped
+ *  payload byte as Corrupt, and the file keeps every byte — torn tail
+ *  included — where opening it for writing would cut the tail. */
+TEST(ArchiveTest, ReadValueLeavesTheFileByteIdentical)
 {
-    const std::string arc_path = tempPath("arc_sniff.arc");
-    const std::string txt_path = tempPath("arc_sniff.txt");
-    fs::remove(arc_path);
+    const std::string path = tempPath("arc_read_value.arc");
+    fs::remove(path);
+    const std::string a = pattern(300, 1);
+    const std::string b = pattern(700, 2);
     {
-        Archive arc(smallConfig(arc_path));
-        ASSERT_TRUE(arc.put("k", "v"));
+        Archive arc(smallConfig(path));
+        ASSERT_TRUE(arc.put("a", a));
+        ASSERT_TRUE(arc.put("b", b));
     }
-    writeFile(txt_path, "eddie-model 1\nnot an archive\n");
-    EXPECT_TRUE(Archive::sniff(arc_path));
-    EXPECT_FALSE(Archive::sniff(txt_path));
-    EXPECT_FALSE(Archive::sniff(tempPath("arc_sniff_missing.arc")));
+    // Tear the second batch: keep its header, cut its payload short.
+    const std::string whole = readFile(path);
+    const std::string torn = whole.substr(0, whole.size() - 200);
+    writeFile(path, torn);
+
+    std::string out;
+    EXPECT_EQ(Archive::readValue(path, "a", out), GetStatus::Ok);
+    EXPECT_EQ(out, a);
+    EXPECT_EQ(Archive::readValue(path, "b", out), GetStatus::Missing);
+    EXPECT_EQ(Archive::readValue(path, "zz", out), GetStatus::Missing);
+    EXPECT_EQ(readFile(path), torn);
+
+    // A flipped payload byte of "a" (its first sector follows the
+    // superblock and one header sector).
+    std::string flipped = torn;
+    flipped[2 * 128 + 5] = char(flipped[2 * 128 + 5] ^ 0x10);
+    writeFile(path, flipped);
+    EXPECT_EQ(Archive::readValue(path, "a", out), GetStatus::Corrupt);
+    EXPECT_EQ(readFile(path), flipped);
+
+    // A writer opening the same torn file drops the tail.
+    writeFile(path, torn);
+    {
+        Archive arc(smallConfig(path));
+        EXPECT_EQ(arc.stats().torn_tail_dropped, 1u);
+    }
+    EXPECT_LT(readFile(path).size(), torn.size());
+
+    writeFile(path, "eddie-model 1\nnot an archive\n");
+    EXPECT_THROW(Archive::readValue(path, "a", out),
+                 eddie::core::FormatError);
+    EXPECT_THROW(Archive::readValue(tempPath("arc_read_missing.arc"),
+                                    "a", out),
+                 eddie::core::IoError);
+    fs::remove(path);
 }
 
 TEST(ArchiveTest, SpanStreamReadsArchiveValuesInPlace)

@@ -1,16 +1,16 @@
 /**
  * @file
  * Port-level tests for the persistence layers kept in the EDDIEARC
- * artifact store: trained models (which still round-trip
- * bit-identically with the text format and load through the
- * format-version switch) and capture-cache spills. A corrupted
- * container fails typed, never silently. Checkpoint stores are
- * tested in tests/serve.
+ * artifact store: trained models (written atomically, loaded
+ * read-only) and capture-cache spills. A corrupted or torn container
+ * fails typed, never silently, and a reader never changes the file.
+ * Checkpoint stores are tested in tests/serve.
  */
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -77,47 +77,58 @@ sameSts(const std::vector<core::Sts> &a,
     return true;
 }
 
-TEST(ModelPort, ArchiveAndTextFilesDecodeIdentically)
+std::string
+readFile(const std::string &path)
 {
-    const auto m = sampleModel();
-    const std::string text_path = tempPath("model.txt");
-    const std::string arc_path = tempPath("model.arc");
-    core::saveModelFile(m, text_path, core::ModelFormat::Text);
-    core::saveModelFile(m, arc_path, core::ModelFormat::Archive);
-
-    const auto from_text = core::loadModelFile(text_path);
-    const auto from_arc = core::loadModelFile(arc_path);
-    // Bit-identity through the canonical binary encoding: both files
-    // describe the exact same model.
-    EXPECT_EQ(core::encodeModelBinary(from_text),
-              core::encodeModelBinary(from_arc));
-    EXPECT_EQ(core::encodeModelBinary(m),
-              core::encodeModelBinary(from_arc));
-
-    std::remove(text_path.c_str());
-    std::remove(arc_path.c_str());
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is),
+            std::istreambuf_iterator<char>()};
 }
 
-TEST(ModelPort, LegacyTextModelLoadsThroughTheSwitch)
+TEST(ModelPort, ModelFileRoundTripsExactly)
 {
     const auto m = sampleModel();
-    const std::string path = tempPath("legacy_model.txt");
-    {
-        // The pre-archive writer: plain text straight to the file.
-        std::ofstream os(path);
-        core::saveModel(m, os);
-    }
-    const auto loaded = core::loadModelFile(path);
-    EXPECT_EQ(core::encodeModelBinary(m),
-              core::encodeModelBinary(loaded));
+    const std::string path = tempPath("model.arc");
+    core::saveModelFile(m, path);
+    EXPECT_EQ(core::encodeModelBinary(core::loadModelFile(path)),
+              core::encodeModelBinary(m));
     std::remove(path.c_str());
+}
+
+/** A model copy still in progress (its first 700 bytes) loads as "no
+ *  model" and keeps every byte: the reader neither cuts the torn tail
+ *  nor opens the file for writing, so the copy can still finish. */
+TEST(ModelPort, TornCopyLoadsAsNoModelAndStaysByteIdentical)
+{
+    const std::string src = tempPath("torn_src.arc");
+    const std::string dst = tempPath("torn_copy.arc");
+    core::saveModelFile(sampleModel(), src);
+    const std::string whole = readFile(src);
+    ASSERT_GT(whole.size(), 700u);
+    {
+        std::ofstream os(dst, std::ios::binary | std::ios::trunc);
+        os.write(whole.data(), 700);
+    }
+    EXPECT_THROW((void)core::loadModelFile(dst), core::FormatError);
+    EXPECT_EQ(readFile(dst), whole.substr(0, 700));
+
+    // The writer finishes the copy; the model then loads.
+    {
+        std::ofstream os(dst, std::ios::binary | std::ios::app);
+        os.write(whole.data() + 700,
+                 std::streamsize(whole.size() - 700));
+    }
+    EXPECT_EQ(core::encodeModelBinary(core::loadModelFile(dst)),
+              core::encodeModelBinary(sampleModel()));
+    std::remove(src.c_str());
+    std::remove(dst.c_str());
 }
 
 TEST(ModelPort, CorruptArchiveModelFailsTyped)
 {
     const auto m = sampleModel();
     const std::string path = tempPath("corrupt_model.arc");
-    core::saveModelFile(m, path, core::ModelFormat::Archive);
+    core::saveModelFile(m, path);
 
     // Flip one byte in the payload region (past superblock + segment
     // header); the sector CRC must turn it into a typed error.

@@ -34,7 +34,6 @@ run(int argc, char **argv)
                      "[--snr DB]\n");
         return 2;
     }
-    // Sniffs text vs EDDIEARC archive models.
     const auto model = core::loadModelFile(args.positional()[0]);
     const auto capture = core::loadCaptureFile(args.positional()[1]);
 

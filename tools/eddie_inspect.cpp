@@ -27,7 +27,6 @@ run(int argc, char **argv)
                              "[--histogram REGION]\n");
         return 2;
     }
-    // Sniffs text vs EDDIEARC archive models.
     const auto model = core::loadModelFile(args.positional()[0]);
 
     std::printf("EDDIE model: %zu regions (%zu loop regions), "

@@ -48,7 +48,6 @@ run(int argc, char **argv)
                      "       [--checkpoint FILE]\n");
         return 2;
     }
-    // Sniffs text vs EDDIEARC archive models.
     const auto model = core::loadModelFile(args.positional()[0]);
 
     core::PipelineConfig cfg;

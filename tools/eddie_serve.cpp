@@ -309,7 +309,6 @@ run(int argc, char **argv)
         scfg.model_path = model_path;
     validateConfig(scfg);
 
-    // Sniffs text vs EDDIEARC archive models.
     auto model = std::make_shared<const core::TrainedModel>(
         core::loadModelFile(model_path));
     auto workload = workloads::makeWorkload(

@@ -5,17 +5,15 @@
  *
  *   eddie_train <workload> <model-file>
  *       [--scale S] [--runs N] [--em] [--snr DB] [--alpha A]
- *       [--threads T] [--arc]
+ *       [--threads T]
  *
- * By default the model file is the legacy plain-text artifact; with
- * --arc it is written as an EDDIEARC archive (binary model segment,
- * mmap + CRC-verified load). Either flavor is consumed by
- * eddie_monitor, eddie_inspect, eddie_analyze, and eddie_serve —
- * they all load through the format-sniffing core::loadModelFile().
+ * The model file is an EDDIEARC archive holding one binary model
+ * segment. eddie_monitor, eddie_inspect, eddie_analyze and
+ * eddie_serve read it through core::loadModelFile(), which never
+ * writes to it.
  */
 
 #include <cstdio>
-#include <fstream>
 
 #include "common/thread_pool.h"
 #include "core/pipeline.h"
@@ -30,17 +28,14 @@ int
 run(int argc, char **argv)
 {
     tools::Args args(argc, argv,
-                     {"scale", "runs", "em", "snr", "alpha", "threads",
-                      "arc"});
+                     {"scale", "runs", "em", "snr", "alpha", "threads"});
     if (args.positional().size() != 2) {
         std::fprintf(stderr,
                      "usage: eddie_train <workload> <model-file> "
                      "[--scale S] [--runs N] [--em] [--snr DB] "
-                     "[--alpha A] [--threads T] [--arc]\n"
+                     "[--alpha A] [--threads T]\n"
                      "  --threads 0 (default) uses all hardware "
                      "threads; any value yields the same model\n"
-                     "  --arc writes an EDDIEARC archive instead of "
-                     "the legacy text format\n"
                      "  workloads:");
         for (const auto &n : workloads::workloadNames())
             std::fprintf(stderr, " %s", n.c_str());
@@ -76,11 +71,8 @@ run(int argc, char **argv)
     std::printf("trained %zu of %zu regions\n", trained,
                 model.regions.size());
 
-    const auto format = args.has("arc") ? core::ModelFormat::Archive
-                                        : core::ModelFormat::Text;
-    core::saveModelFile(model, out_path, format);
-    std::printf("model written to %s (%s)\n", out_path.c_str(),
-                args.has("arc") ? "archive" : "text");
+    core::saveModelFile(model, out_path);
+    std::printf("model written to %s\n", out_path.c_str());
     return 0;
 }
 
