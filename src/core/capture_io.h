@@ -9,7 +9,7 @@
 #ifndef EDDIE_CORE_CAPTURE_IO_H
 #define EDDIE_CORE_CAPTURE_IO_H
 
-#include <cstdint>
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -24,41 +24,46 @@ namespace eddie::core
  * Writes a run (power trace + ground-truth annotations) in the
  * binary capture format.
  *
- * Layout: a v2 frame (writeFramed, magic "EDDIECAP") whose payload
- * is the f64 sample rate, the u64 sample count, then the power
- * samples (f64), region ids (u64) and injection flags (u8).
+ * Layout: a v2 frame (common::frame(), magic "EDDIECAP": magic, u32
+ * version, u64 payload length, payload, CRC-32 of the payload) whose
+ * payload is the f64 sample rate, the u64 sample count, then the
+ * power samples (f64), region ids (u64) and injection flags (u8).
  */
 void saveCapture(const cpu::RunResult &run, std::ostream &os);
 
-/** Reads a capture written by saveCapture(). Throws on malformed
- *  input, a version-1 file included (FormatError). Only
- *  signal-related fields of RunResult are populated. */
+/**
+ * Reads a capture written by saveCapture(). Reads all of @p is first,
+ * so a frame or sample count is checked against the bytes present and
+ * never allocated. Throws IoError when the input ends early and
+ * FormatError on a malformed frame or payload (bad magic, any other
+ * version, a version-1 file included, a CRC mismatch, a count the
+ * bytes cannot hold, trailing bytes). Only signal-related fields of
+ * RunResult are populated.
+ */
 cpu::RunResult loadCapture(std::istream &is);
 
-/** Convenience file wrappers; throw std::runtime_error on I/O
- *  failure. */
+/** File wrappers; an open or write failure throws IoError. */
 void saveCaptureFile(const cpu::RunResult &run, const std::string &path);
 cpu::RunResult loadCaptureFile(const std::string &path);
 
 /**
- * Writes an extracted STS stream in the binary capture format
- * (magic "EDDIESTS"); the capture cache's disk spill and offline STS
- * analysis use this.
+ * Writes an extracted STS stream in the binary capture format; offline
+ * STS analysis and eddie_capture --sts use this.
  *
- * Layout: a v2 frame (writeFramed, magic "EDDIESTS") around the
+ * Layout: a v2 frame (common::frame(), magic "EDDIESTS") around the
  * encodeStsPayload() bytes.
  */
 void saveStsStream(const std::vector<Sts> &stream, std::ostream &os);
 
-/** Reads an STS stream written by saveStsStream(). Throws on
- *  malformed input, a version-1 file included (FormatError). */
+/** Reads an STS stream written by saveStsStream(), with the same
+ *  whole-input read and throw contract as loadCapture(). */
 std::vector<Sts> loadStsStream(std::istream &is);
 
 /**
- * Encodes an STS stream as the raw (unframed) v2 payload — the value
- * format of archive-resident streams, e.g. the capture cache's spill
- * segments; integrity comes from the container's per-sector CRCs
- * instead of the stream framing.
+ * Encodes an STS stream as the raw (unframed) v2 payload: the value
+ * format of archive-resident streams (the capture cache's spill
+ * segments, whose integrity comes from the container's per-sector
+ * CRCs) and of wire STS-BATCH frames.
  *
  * Layout: u64 STS count, then per STS: t_start, t_end (f64), u64
  * true_region, u8 injected, window_energy, peak_energy_frac (f64),
@@ -67,30 +72,11 @@ std::vector<Sts> loadStsStream(std::istream &is);
 std::string encodeStsPayload(const std::vector<Sts> &stream);
 
 /** Decodes encodeStsPayload() output straight from a span (zero-copy
- *  from an archive mapping). Throws IoError on truncation and
- *  FormatError on a malformed payload, including any STS or peak
- *  count the bytes left cannot hold (refused before allocating). */
+ *  from an archive mapping). Throws IoError when the bytes end inside
+ *  a field or a peak run, FormatError on a malformed payload: an STS
+ *  count the bytes left cannot hold or a peak count above its cap
+ *  (both refused before allocating), or trailing bytes. */
 std::vector<Sts> decodeStsPayload(const char *data, std::size_t size);
-
-/**
- * Shared v2 integrity framing (capture, STS stream, checkpoint
- * files): magic, u32 version, u64 payload length, payload bytes,
- * CRC-32 of the payload. A flipped bit fails the checksum and a short
- * file fails the length, so a corrupt artifact is a typed error
- * instead of silently-wrong state.
- */
-void writeFramed(std::ostream &os, const char (&magic)[8],
-                 std::uint32_t version, const std::string &payload);
-
-/**
- * Reads and verifies one framed artifact of exactly @p version into
- * @p payload. Throws IoError on truncation, FormatError on bad
- * magic, any other version (an unframed v1 file included) or a CRC
- * mismatch. @p what names the artifact in error messages.
- */
-void readFramed(std::istream &is, const char (&magic)[8],
-                std::uint32_t version, const char *what,
-                std::string &payload);
 
 } // namespace eddie::core
 

@@ -1,11 +1,10 @@
 #include "model.h"
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 
+#include "common/bytes.h"
 #include "errors.h"
 #include "store/archive.h"
 
@@ -31,85 +30,6 @@ constexpr std::size_t kMinRegionBytes = 8 + 1 + 1 + 8 + 8 + 8 + 8;
 constexpr std::uint32_t kBinaryVersion = 1;
 /** Archive key the model artifact lives under. */
 constexpr const char *kModelKey = "model";
-
-template <typename T>
-void
-putRaw(std::string &out, T value)
-{
-    out.append(reinterpret_cast<const char *>(&value), sizeof value);
-}
-
-/** Bounds-checked reader over the binary model payload. Underruns
- *  are format errors: the container's CRC already passed, so a lying
- *  length field is corruption the checksum cannot see. */
-class BinCursor
-{
-  public:
-    BinCursor(const char *data, std::size_t size)
-        : data_(data), size_(size)
-    {
-    }
-
-    template <typename T>
-    T get(const char *what)
-    {
-        T value;
-        if (size_ - off_ < sizeof value)
-            throw FormatError(std::string("model: truncated ") +
-                              what);
-        std::memcpy(&value, data_ + off_, sizeof value);
-        off_ += sizeof value;
-        return value;
-    }
-
-    std::size_t count(const char *what, std::size_t max)
-    {
-        const auto n = get<std::uint64_t>(what);
-        if (n > max)
-            throw FormatError(std::string("model: ") + what +
-                              " out of range");
-        return std::size_t(n);
-    }
-
-    /** A count of items that each take at least @p item_bytes of
-     *  the payload: one the bytes left cannot hold is corrupt, and is
-     *  refused before anything is allocated for it. */
-    std::size_t items(const char *what, std::size_t max,
-                      std::size_t item_bytes)
-    {
-        const std::size_t n = count(what, max);
-        if (n > (size_ - off_) / item_bytes)
-            throw FormatError(std::string("model: ") + what +
-                              " exceeds the payload");
-        return n;
-    }
-
-    double f64(const char *what)
-    {
-        const double v = get<double>(what);
-        if (!std::isfinite(v))
-            throw FormatError(std::string("model: ") + what +
-                              " is not finite");
-        return v;
-    }
-
-    std::string bytes(const char *what, std::size_t n)
-    {
-        if (size_ - off_ < n)
-            throw FormatError(std::string("model: truncated ") +
-                              what);
-        std::string out(data_ + off_, n);
-        off_ += n;
-        return out;
-    }
-
-    bool exhausted() const { return off_ == size_; }
-
-  private:
-    const char *data_;
-    std::size_t size_;
-    std::size_t off_ = 0;
-};
 
 } // namespace
 
@@ -165,27 +85,26 @@ encodeModelBinary(const TrainedModel &model)
             doubles += rank.size();
     out.reserve(64 + model.regions.size() * 96 + doubles * 8);
 
-    putRaw<std::uint32_t>(out, kBinaryVersion);
-    putRaw<double>(out, model.alpha);
-    putRaw<double>(out, model.sentinel);
-    putRaw<std::uint64_t>(out, model.entry_region);
-    putRaw<std::uint64_t>(out, model.num_loops);
-    putRaw<std::uint64_t>(out, model.regions.size());
+    common::ByteWriter w(out);
+    w.put(kBinaryVersion);
+    w.put(model.alpha);
+    w.put(model.sentinel);
+    w.put<std::uint64_t>(model.entry_region);
+    w.put<std::uint64_t>(model.num_loops);
+    w.put<std::uint64_t>(model.regions.size());
     for (const auto &r : model.regions) {
-        putRaw<std::uint64_t>(out, r.name.size());
-        out.append(r.name);
-        putRaw<std::uint8_t>(out, r.trained ? 1 : 0);
-        putRaw<std::uint64_t>(out, r.num_peaks);
-        putRaw<std::uint64_t>(out, r.group_n);
-        putRaw<std::uint64_t>(out, r.succs.size());
+        w.put<std::uint64_t>(r.name.size());
+        w.bytes(r.name);
+        w.put<std::uint8_t>(r.trained ? 1 : 0);
+        w.put<std::uint64_t>(r.num_peaks);
+        w.put<std::uint64_t>(r.group_n);
+        w.put<std::uint64_t>(r.succs.size());
         for (auto s : r.succs)
-            putRaw<std::uint64_t>(out, s);
-        putRaw<std::uint64_t>(out, r.ref.size());
+            w.put<std::uint64_t>(s);
+        w.put<std::uint64_t>(r.ref.size());
         for (const auto &rank : r.ref) {
-            putRaw<std::uint64_t>(out, rank.size());
-            out.append(
-                reinterpret_cast<const char *>(rank.data()),
-                rank.size() * sizeof(double));
+            w.put<std::uint64_t>(rank.size());
+            w.array(rank.data(), rank.size());
         }
     }
     return out;
@@ -194,7 +113,7 @@ encodeModelBinary(const TrainedModel &model)
 TrainedModel
 decodeModelBinary(const char *data, std::size_t size)
 {
-    BinCursor c(data, size);
+    common::ByteReader c(data, size, "model");
     if (c.get<std::uint32_t>("format version") != kBinaryVersion)
         throw FormatError("model: unsupported binary version");
 
@@ -220,7 +139,7 @@ decodeModelBinary(const char *data, std::size_t size)
             c.count("region name length", kMaxNameLen);
         if (name_len == 0)
             throw FormatError("model: empty region name");
-        r.name = c.bytes("region name", name_len);
+        r.name = c.bytes(name_len, "region name");
         r.trained = c.get<std::uint8_t>("trained flag") != 0;
         r.num_peaks = c.count("peak count", kMaxRanks);
         r.group_n = c.count("group size", kMaxRankValues);
@@ -259,8 +178,7 @@ decodeModelBinary(const char *data, std::size_t size)
                     "model: trained region with empty peak rank");
         }
     }
-    if (!c.exhausted())
-        throw FormatError("model: trailing payload bytes");
+    c.finish();
     m.finalize();
     return m;
 }

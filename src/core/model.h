@@ -105,15 +105,16 @@ TrainedModel withAlpha(const TrainedModel &model, double alpha);
 /**
  * Binary model codec — the payload stored under the "model" key of
  * an EDDIEARC archive (store/archive.h). Fixed-width little-endian
- * fields, so loading is bounds-checked memcpy instead of strtod
- * parsing; integrity comes from the archive's per-sector CRCs.
+ * fields in the one byte codec (common/bytes.h); integrity comes from
+ * the archive's per-sector CRCs.
  */
 std::string encodeModelBinary(const TrainedModel &model);
 
 /** Decodes encodeModelBinary() output: rejects a count larger than
  *  the bytes left can hold, non-finite or out-of-range scalars,
  *  unsorted ranks and trailing bytes, then finalizes the presorted
- *  references. Throws FormatError. */
+ *  references. Throws IoError when the payload ends inside a field,
+ *  FormatError on any other malformed payload. */
 TrainedModel decodeModelBinary(const char *data, std::size_t size);
 
 /**

@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <span>
-#include <sstream>
 #include <utility>
 
-#include "common/crc32.h"
-#include "core/capture_io.h"
+#include "common/bytes.h"
 #include "core/errors.h"
-#include "store/span_stream.h"
 
 namespace eddie::serve
 {
@@ -24,9 +20,18 @@ constexpr char kDeltaMagic[8] = {'E', 'D', 'D', 'I',
                                  'E', 'D', 'L', 'T'};
 constexpr std::uint32_t kGroupVersion = 2; ///< epoch + all shards
 constexpr std::uint32_t kDeltaVersion = 1; ///< delta segment
-/** Element-count sanity cap; a corrupt length field must fail as
- *  FormatError, not as a giant allocation. */
-constexpr std::uint64_t kMaxElements = std::uint64_t(1) << 32;
+
+/** Smallest encodings, the divisors of the bytes-left rule. A full
+ *  state is seven u64 scalars, the resync flag, the degraded block and
+ *  five u64 counts and widths; a delta entry is the shard id, seven
+ *  u64 scalars, the flag, the degraded block and nine u64 counts,
+ *  widths and history and rewrite indices. */
+constexpr std::size_t kDegradedBytes = 8 * (4 + core::kNumWindowQualities);
+constexpr std::size_t kMinStateBytes = 8 * 7 + 1 + kDegradedBytes + 8 * 5;
+constexpr std::size_t kMinEntryBytes =
+    8 + 8 * 7 + 1 + kDegradedBytes + 8 * 9;
+constexpr std::size_t kReportBytes = 8 + 8 + 8;
+constexpr std::size_t kRecordBytes = 8 + 1;
 
 /** Archive keys: the snapshot image and the numbered delta segments
  *  ("ckpt/dlt/00000000", …; zero-padded so the archive's
@@ -50,354 +55,278 @@ constexpr std::uint8_t kReported = 1 << 2;
 constexpr std::uint8_t kTransitioned = 1 << 3;
 constexpr std::uint8_t kDegraded = 1 << 4;
 
-template <typename T>
+// The field codec of the sections a full state and a delta share.
+// Each count is refused before allocating when the bytes left cannot
+// hold its items.
+
+using common::ByteReader;
+using common::ByteWriter;
+
 void
-put(std::string &out, T value)
+putDegraded(ByteWriter &w, const core::DegradedStats &d)
 {
-    out.append(reinterpret_cast<const char *>(&value), sizeof value);
+    w.put<std::uint64_t>(d.quarantined);
+    w.put<std::uint64_t>(d.outages);
+    w.put<std::uint64_t>(d.resyncs);
+    w.put<std::uint64_t>(d.longest_outage);
+    for (std::size_t kind : d.by_kind)
+        w.put<std::uint64_t>(kind);
 }
 
-/** Bounds-checked payload cursor; running past the end means the
- *  payload lied about its own structure (CRC passed, so this is a
- *  format bug, not line noise). */
-class Cursor
+void
+getDegraded(ByteReader &r, core::DegradedStats &d)
 {
-  public:
-    explicit Cursor(const std::string &payload) : payload_(payload) {}
-
-    template <typename T>
-    T get()
-    {
-        T value;
-        if (off_ + sizeof value > payload_.size())
-            throw core::FormatError("checkpoint: payload underrun");
-        std::memcpy(&value, payload_.data() + off_, sizeof value);
-        off_ += sizeof value;
-        return value;
-    }
-
-    std::uint64_t count(const char *what)
-    {
-        const std::uint64_t n = get<std::uint64_t>();
-        if (n > kMaxElements)
-            throw core::FormatError(
-                std::string("checkpoint: implausible ") + what +
-                " count");
-        return n;
-    }
-
-    bool exhausted() const { return off_ == payload_.size(); }
-
-  private:
-    const std::string &payload_;
-    std::size_t off_ = 0;
-};
+    d.quarantined = r.get<std::uint64_t>("quarantined count");
+    d.outages = r.get<std::uint64_t>("outage count");
+    d.resyncs = r.get<std::uint64_t>("resync count");
+    d.longest_outage = r.get<std::uint64_t>("longest outage");
+    for (std::size_t &kind : d.by_kind)
+        kind = r.get<std::uint64_t>("quarantine kind count");
+}
 
 void
-encodeInto(std::string &out, const CheckpointData &ckpt)
+putEnergies(ByteWriter &w, const std::vector<double> &energies)
+{
+    w.put<std::uint64_t>(energies.size());
+    w.array(energies.data(), energies.size());
+}
+
+void
+getEnergies(ByteReader &r, std::vector<double> &energies)
+{
+    const std::size_t n = r.items("gate energy", common::kAnyCount, 8);
+    r.array(energies, n, "gate energies");
+}
+
+/** History rows as a row count, a width and rows x width doubles
+ *  (short rows padded with 0). */
+void
+putRows(ByteWriter &w, const std::vector<std::vector<double>> &rows)
+{
+    const std::uint64_t width = rows.empty() ? 0 : rows.front().size();
+    w.put<std::uint64_t>(rows.size());
+    w.put(width);
+    for (const auto &row : rows)
+        for (std::size_t p = 0; p < width; ++p)
+            w.put<double>(p < row.size() ? row[p] : 0.0);
+}
+
+void
+getRows(ByteReader &r, std::vector<std::vector<double>> &rows,
+        const char *row_what, const char *width_what)
+{
+    const std::uint64_t n = r.get<std::uint64_t>(row_what);
+    const std::uint64_t width = r.get<std::uint64_t>(width_what);
+    // A zero-width row holds no bytes, so the row count is bounded by
+    // the bytes left on its own (fits() counts an empty item as one
+    // byte) rather than by dividing them by the width.
+    if (n > 0) {
+        r.fits(width_what, width, 8);
+        r.fits(row_what, n, width * 8);
+    }
+    rows.resize(std::size_t(n));
+    for (auto &row : rows)
+        r.array(row, width, "history values");
+}
+
+void
+putReports(ByteWriter &w, const std::vector<core::AnomalyReport> &reports)
+{
+    w.put<std::uint64_t>(reports.size());
+    for (const auto &rep : reports) {
+        w.put<std::uint64_t>(rep.step);
+        w.put(rep.time);
+        w.put<std::uint64_t>(rep.region);
+    }
+}
+
+void
+getReports(ByteReader &r, std::vector<core::AnomalyReport> &reports)
+{
+    reports.resize(r.items("report", common::kAnyCount, kReportBytes));
+    for (auto &rep : reports) {
+        rep.step = r.get<std::uint64_t>("report step");
+        rep.time = r.get<double>("report time");
+        rep.region = r.get<std::uint64_t>("report region");
+    }
+}
+
+void
+putRecords(ByteWriter &w, const std::vector<core::StepRecord> &records)
+{
+    w.put<std::uint64_t>(records.size());
+    for (const auto &rec : records) {
+        w.put<std::uint64_t>(rec.region);
+        w.put<std::uint8_t>((rec.tested ? kTested : 0) |
+                            (rec.rejected ? kRejected : 0) |
+                            (rec.reported ? kReported : 0) |
+                            (rec.transitioned ? kTransitioned : 0) |
+                            (rec.degraded ? kDegraded : 0));
+    }
+}
+
+void
+getRecords(ByteReader &r, std::vector<core::StepRecord> &records)
+{
+    records.resize(r.items("record", common::kAnyCount, kRecordBytes));
+    for (auto &rec : records) {
+        rec.region = r.get<std::uint64_t>("record region");
+        const auto flags = r.get<std::uint8_t>("record flags");
+        rec.tested = (flags & kTested) != 0;
+        rec.rejected = (flags & kRejected) != 0;
+        rec.reported = (flags & kReported) != 0;
+        rec.transitioned = (flags & kTransitioned) != 0;
+        rec.degraded = (flags & kDegraded) != 0;
+    }
+}
+
+void
+putState(ByteWriter &w, const CheckpointData &ckpt)
 {
     const core::MonitorState &m = ckpt.monitor;
-    put<std::uint64_t>(out, ckpt.source_pos);
-    put<std::uint64_t>(out, m.current);
-    put<std::uint64_t>(out, m.steps_since_change);
-    put<std::uint64_t>(out, m.anomaly_count);
-    put<std::uint64_t>(out, m.step_index);
-    put<std::uint64_t>(out, m.test_calls);
-    put<std::uint64_t>(out, m.outage_len);
-    put<std::uint8_t>(out, m.resync_pending ? 1 : 0);
-
-    put<std::uint64_t>(out, m.degraded.quarantined);
-    put<std::uint64_t>(out, m.degraded.outages);
-    put<std::uint64_t>(out, m.degraded.resyncs);
-    put<std::uint64_t>(out, m.degraded.longest_outage);
-    for (std::size_t kind : m.degraded.by_kind)
-        put<std::uint64_t>(out, kind);
-
-    put<std::uint64_t>(out, m.gate_energies.size());
-    for (double e : m.gate_energies)
-        put<double>(out, e);
-
-    const std::uint64_t width =
-        m.history.empty() ? 0 : m.history.front().size();
-    put<std::uint64_t>(out, m.history.size());
-    put<std::uint64_t>(out, width);
-    for (const auto &row : m.history)
-        for (std::size_t p = 0; p < width; ++p)
-            put<double>(out, p < row.size() ? row[p] : 0.0);
-
-    put<std::uint64_t>(out, m.reports.size());
-    for (const auto &r : m.reports) {
-        put<std::uint64_t>(out, r.step);
-        put<double>(out, r.time);
-        put<std::uint64_t>(out, r.region);
-    }
-
-    put<std::uint64_t>(out, m.records.size());
-    for (const auto &r : m.records) {
-        put<std::uint64_t>(out, r.region);
-        std::uint8_t flags = 0;
-        if (r.tested)
-            flags |= kTested;
-        if (r.rejected)
-            flags |= kRejected;
-        if (r.reported)
-            flags |= kReported;
-        if (r.transitioned)
-            flags |= kTransitioned;
-        if (r.degraded)
-            flags |= kDegraded;
-        put<std::uint8_t>(out, flags);
-    }
+    w.put<std::uint64_t>(ckpt.source_pos);
+    w.put<std::uint64_t>(m.current);
+    w.put<std::uint64_t>(m.steps_since_change);
+    w.put<std::uint64_t>(m.anomaly_count);
+    w.put<std::uint64_t>(m.step_index);
+    w.put<std::uint64_t>(m.test_calls);
+    w.put<std::uint64_t>(m.outage_len);
+    w.put<std::uint8_t>(m.resync_pending ? 1 : 0);
+    putDegraded(w, m.degraded);
+    putEnergies(w, m.gate_energies);
+    putRows(w, m.history);
+    putReports(w, m.reports);
+    putRecords(w, m.records);
 }
 
 CheckpointData
-decodeFrom(Cursor &c)
+getState(ByteReader &r)
 {
     CheckpointData ckpt;
     core::MonitorState &m = ckpt.monitor;
-    ckpt.source_pos = c.get<std::uint64_t>();
-    m.current = std::size_t(c.get<std::uint64_t>());
-    m.steps_since_change = std::size_t(c.get<std::uint64_t>());
-    m.anomaly_count = std::size_t(c.get<std::uint64_t>());
-    m.step_index = std::size_t(c.get<std::uint64_t>());
-    m.test_calls = std::size_t(c.get<std::uint64_t>());
-    m.outage_len = std::size_t(c.get<std::uint64_t>());
-    m.resync_pending = c.get<std::uint8_t>() != 0;
-
-    m.degraded.quarantined = std::size_t(c.get<std::uint64_t>());
-    m.degraded.outages = std::size_t(c.get<std::uint64_t>());
-    m.degraded.resyncs = std::size_t(c.get<std::uint64_t>());
-    m.degraded.longest_outage = std::size_t(c.get<std::uint64_t>());
-    for (std::size_t &kind : m.degraded.by_kind)
-        kind = std::size_t(c.get<std::uint64_t>());
-
-    const std::uint64_t n_energies = c.count("gate energy");
-    m.gate_energies.resize(std::size_t(n_energies));
-    for (double &e : m.gate_energies)
-        e = c.get<double>();
-
-    const std::uint64_t rows = c.count("history row");
-    const std::uint64_t width = c.count("history width");
-    m.history.resize(std::size_t(rows));
-    for (auto &row : m.history) {
-        row.resize(std::size_t(width));
-        for (double &v : row)
-            v = c.get<double>();
-    }
-
-    const std::uint64_t n_reports = c.count("report");
-    m.reports.resize(std::size_t(n_reports));
-    for (auto &r : m.reports) {
-        r.step = std::size_t(c.get<std::uint64_t>());
-        r.time = c.get<double>();
-        r.region = std::size_t(c.get<std::uint64_t>());
-    }
-
-    const std::uint64_t n_records = c.count("record");
-    m.records.resize(std::size_t(n_records));
-    for (auto &r : m.records) {
-        r.region = std::size_t(c.get<std::uint64_t>());
-        const std::uint8_t flags = c.get<std::uint8_t>();
-        r.tested = (flags & kTested) != 0;
-        r.rejected = (flags & kRejected) != 0;
-        r.reported = (flags & kReported) != 0;
-        r.transitioned = (flags & kTransitioned) != 0;
-        r.degraded = (flags & kDegraded) != 0;
-    }
+    ckpt.source_pos = r.get<std::uint64_t>("source position");
+    m.current = r.get<std::uint64_t>("current region");
+    m.steps_since_change = r.get<std::uint64_t>("steps since change");
+    m.anomaly_count = r.get<std::uint64_t>("anomaly count");
+    m.step_index = r.get<std::uint64_t>("step index");
+    m.test_calls = r.get<std::uint64_t>("test calls");
+    m.outage_len = r.get<std::uint64_t>("outage length");
+    m.resync_pending = r.get<std::uint8_t>("resync flag") != 0;
+    getDegraded(r, m.degraded);
+    getEnergies(r, m.gate_energies);
+    getRows(r, m.history, "history row", "history width");
+    getReports(r, m.reports);
+    getRecords(r, m.records);
     return ckpt;
 }
 
 void
-encodeDeltaInto(std::string &out, const core::MonitorStateDelta &d)
+putDelta(ByteWriter &w, const core::MonitorStateDelta &d)
 {
-    put<std::uint64_t>(out, d.base_step);
-    put<std::uint64_t>(out, d.step);
-    put<std::uint64_t>(out, d.current);
-    put<std::uint64_t>(out, d.steps_since_change);
-    put<std::uint64_t>(out, d.anomaly_count);
-    put<std::uint64_t>(out, d.test_calls);
-    put<std::uint64_t>(out, d.outage_len);
-    put<std::uint8_t>(out, d.resync_pending ? 1 : 0);
-
-    put<std::uint64_t>(out, d.degraded.quarantined);
-    put<std::uint64_t>(out, d.degraded.outages);
-    put<std::uint64_t>(out, d.degraded.resyncs);
-    put<std::uint64_t>(out, d.degraded.longest_outage);
-    for (std::size_t kind : d.degraded.by_kind)
-        put<std::uint64_t>(out, kind);
-
-    put<std::uint64_t>(out, d.gate_energies.size());
-    for (double e : d.gate_energies)
-        put<double>(out, e);
-
-    put<std::uint64_t>(out, d.history_pushes);
-    put<std::uint64_t>(out, d.history_count);
-    const std::uint64_t width =
-        d.history_tail.empty() ? 0 : d.history_tail.front().size();
-    put<std::uint64_t>(out, d.history_tail.size());
-    put<std::uint64_t>(out, width);
-    for (const auto &row : d.history_tail)
-        for (std::size_t p = 0; p < width; ++p)
-            put<double>(out, p < row.size() ? row[p] : 0.0);
-
-    put<std::uint64_t>(out, d.records_from);
-    put<std::uint64_t>(out, d.records.size());
-    for (const auto &r : d.records) {
-        put<std::uint64_t>(out, r.region);
-        std::uint8_t flags = 0;
-        if (r.tested)
-            flags |= kTested;
-        if (r.rejected)
-            flags |= kRejected;
-        if (r.reported)
-            flags |= kReported;
-        if (r.transitioned)
-            flags |= kTransitioned;
-        if (r.degraded)
-            flags |= kDegraded;
-        put<std::uint8_t>(out, flags);
-    }
-
-    put<std::uint64_t>(out, d.reports_from);
-    put<std::uint64_t>(out, d.reports.size());
-    for (const auto &r : d.reports) {
-        put<std::uint64_t>(out, r.step);
-        put<double>(out, r.time);
-        put<std::uint64_t>(out, r.region);
-    }
+    w.put<std::uint64_t>(d.base_step);
+    w.put<std::uint64_t>(d.step);
+    w.put<std::uint64_t>(d.current);
+    w.put<std::uint64_t>(d.steps_since_change);
+    w.put<std::uint64_t>(d.anomaly_count);
+    w.put<std::uint64_t>(d.test_calls);
+    w.put<std::uint64_t>(d.outage_len);
+    w.put<std::uint8_t>(d.resync_pending ? 1 : 0);
+    putDegraded(w, d.degraded);
+    putEnergies(w, d.gate_energies);
+    w.put<std::uint64_t>(d.history_pushes);
+    w.put<std::uint64_t>(d.history_count);
+    putRows(w, d.history_tail);
+    w.put<std::uint64_t>(d.records_from);
+    putRecords(w, d.records);
+    w.put<std::uint64_t>(d.reports_from);
+    putReports(w, d.reports);
 }
 
 core::MonitorStateDelta
-decodeDeltaFrom(Cursor &c)
+getDelta(ByteReader &r)
 {
     core::MonitorStateDelta d;
-    d.base_step = c.get<std::uint64_t>();
-    d.step = c.get<std::uint64_t>();
-    d.current = std::size_t(c.get<std::uint64_t>());
-    d.steps_since_change = std::size_t(c.get<std::uint64_t>());
-    d.anomaly_count = std::size_t(c.get<std::uint64_t>());
-    d.test_calls = std::size_t(c.get<std::uint64_t>());
-    d.outage_len = std::size_t(c.get<std::uint64_t>());
-    d.resync_pending = c.get<std::uint8_t>() != 0;
-
-    d.degraded.quarantined = std::size_t(c.get<std::uint64_t>());
-    d.degraded.outages = std::size_t(c.get<std::uint64_t>());
-    d.degraded.resyncs = std::size_t(c.get<std::uint64_t>());
-    d.degraded.longest_outage = std::size_t(c.get<std::uint64_t>());
-    for (std::size_t &kind : d.degraded.by_kind)
-        kind = std::size_t(c.get<std::uint64_t>());
-
-    const std::uint64_t n_energies = c.count("gate energy");
-    d.gate_energies.resize(std::size_t(n_energies));
-    for (double &e : d.gate_energies)
-        e = c.get<double>();
-
-    d.history_pushes = c.get<std::uint64_t>();
-    d.history_count = c.count("ring row");
-    const std::uint64_t rows = c.count("tail row");
-    const std::uint64_t width = c.count("tail width");
-    d.history_tail.resize(std::size_t(rows));
-    for (auto &row : d.history_tail) {
-        row.resize(std::size_t(width));
-        for (double &v : row)
-            v = c.get<double>();
-    }
-
-    d.records_from = c.count("record rewrite index");
-    const std::uint64_t n_records = c.count("record");
-    d.records.resize(std::size_t(n_records));
-    for (auto &r : d.records) {
-        r.region = std::size_t(c.get<std::uint64_t>());
-        const std::uint8_t flags = c.get<std::uint8_t>();
-        r.tested = (flags & kTested) != 0;
-        r.rejected = (flags & kRejected) != 0;
-        r.reported = (flags & kReported) != 0;
-        r.transitioned = (flags & kTransitioned) != 0;
-        r.degraded = (flags & kDegraded) != 0;
-    }
-
-    d.reports_from = c.count("report rewrite index");
-    const std::uint64_t n_reports = c.count("report");
-    d.reports.resize(std::size_t(n_reports));
-    for (auto &r : d.reports) {
-        r.step = std::size_t(c.get<std::uint64_t>());
-        r.time = c.get<double>();
-        r.region = std::size_t(c.get<std::uint64_t>());
-    }
+    d.base_step = r.get<std::uint64_t>("base step");
+    d.step = r.get<std::uint64_t>("step");
+    d.current = r.get<std::uint64_t>("current region");
+    d.steps_since_change = r.get<std::uint64_t>("steps since change");
+    d.anomaly_count = r.get<std::uint64_t>("anomaly count");
+    d.test_calls = r.get<std::uint64_t>("test calls");
+    d.outage_len = r.get<std::uint64_t>("outage length");
+    d.resync_pending = r.get<std::uint8_t>("resync flag") != 0;
+    getDegraded(r, d.degraded);
+    getEnergies(r, d.gate_energies);
+    d.history_pushes = r.get<std::uint64_t>("history pushes");
+    d.history_count = r.get<std::uint64_t>("ring row count");
+    getRows(r, d.history_tail, "tail row", "tail width");
+    d.records_from = r.get<std::uint64_t>("record rewrite index");
+    getRecords(r, d.records);
+    d.reports_from = r.get<std::uint64_t>("report rewrite index");
+    getReports(r, d.reports);
     return d;
 }
 
-/** One framed delta segment (magic "EDDIEDLT"): the value of one
- *  "<prefix>ckpt/dlt/<n>" key. */
+} // namespace
+
+std::string
+encodeGroupCheckpoint(const GroupCheckpoint &group)
+{
+    std::string payload;
+    ByteWriter w(payload);
+    w.put<std::uint64_t>(group.epoch);
+    w.put<std::uint64_t>(group.shards.size());
+    for (const auto &shard : group.shards)
+        putState(w, shard);
+    return common::frame(kMagic, kGroupVersion, payload);
+}
+
+GroupCheckpoint
+decodeGroupCheckpoint(const char *data, std::size_t size)
+{
+    const std::string_view payload =
+        common::unframe(data, size, kMagic, kGroupVersion, "checkpoint");
+    ByteReader r(payload.data(), payload.size(), "checkpoint");
+    GroupCheckpoint group;
+    group.epoch = r.get<std::uint64_t>("epoch");
+    group.shards.resize(
+        r.items("shard", common::kAnyCount, kMinStateBytes));
+    for (auto &shard : group.shards)
+        shard = getState(r);
+    r.finish();
+    return group;
+}
+
 std::string
 encodeDeltaSegment(const DeltaSegment &seg)
 {
     std::string payload;
     payload.reserve(512 * (seg.entries.size() + 1));
-    put<std::uint64_t>(payload, seg.epoch);
-    put<std::uint64_t>(payload, seg.entries.size());
+    ByteWriter w(payload);
+    w.put<std::uint64_t>(seg.epoch);
+    w.put<std::uint64_t>(seg.entries.size());
     for (const auto &entry : seg.entries) {
-        put<std::uint64_t>(payload, entry.shard);
-        encodeDeltaInto(payload, entry.delta);
+        w.put<std::uint64_t>(entry.shard);
+        putDelta(w, entry.delta);
     }
-    std::ostringstream framed(std::ios::binary);
-    core::writeFramed(framed, kDeltaMagic, kDeltaVersion, payload);
-    return framed.str();
+    return common::frame(kDeltaMagic, kDeltaVersion, payload);
 }
 
-/** Decodes encodeDeltaSegment() bytes; throws IoError on truncation,
- *  FormatError on corruption. */
 DeltaSegment
-decodeDeltaSegment(std::span<const char> bytes)
+decodeDeltaSegment(const char *data, std::size_t size)
 {
-    store::SpanStream is(bytes.data(), bytes.size());
-    std::string payload;
-    core::readFramed(is, kDeltaMagic, kDeltaVersion, "delta segment",
-                     payload);
-    Cursor c(payload);
+    const std::string_view payload = common::unframe(
+        data, size, kDeltaMagic, kDeltaVersion, "delta segment");
+    ByteReader r(payload.data(), payload.size(), "delta segment");
     DeltaSegment seg;
-    seg.epoch = c.get<std::uint64_t>();
-    const std::uint64_t n = c.count("delta entry");
-    seg.entries.reserve(std::size_t(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        DeltaEntry entry;
-        entry.shard = c.get<std::uint64_t>();
-        entry.delta = decodeDeltaFrom(c);
-        seg.entries.push_back(std::move(entry));
+    seg.epoch = r.get<std::uint64_t>("epoch");
+    seg.entries.resize(
+        r.items("delta entry", common::kAnyCount, kMinEntryBytes));
+    for (auto &entry : seg.entries) {
+        entry.shard = r.get<std::uint64_t>("shard");
+        entry.delta = getDelta(r);
     }
-    if (!c.exhausted())
-        throw core::FormatError("delta segment: trailing payload bytes");
+    r.finish();
     return seg;
-}
-
-} // namespace
-
-void
-saveGroupCheckpoint(const GroupCheckpoint &group, std::ostream &os)
-{
-    std::string payload;
-    put<std::uint64_t>(payload, group.epoch);
-    put<std::uint64_t>(payload, group.shards.size());
-    for (const auto &shard : group.shards)
-        encodeInto(payload, shard);
-    core::writeFramed(os, kMagic, kGroupVersion, payload);
-}
-
-GroupCheckpoint
-loadGroupCheckpoint(std::istream &is)
-{
-    std::string payload;
-    core::readFramed(is, kMagic, kGroupVersion, "checkpoint", payload);
-    Cursor c(payload);
-    GroupCheckpoint group;
-    group.epoch = c.get<std::uint64_t>();
-    const std::uint64_t n = c.count("shard");
-    group.shards.reserve(std::size_t(n));
-    for (std::uint64_t i = 0; i < n; ++i)
-        group.shards.push_back(decodeFrom(c));
-    if (!c.exhausted())
-        throw core::FormatError("checkpoint: trailing payload bytes");
-    return group;
 }
 
 std::string
@@ -486,8 +415,7 @@ CheckpointStore::recover()
     }
     GroupCheckpoint group;
     try {
-        store::SpanStream is(snap.data(), snap.size());
-        group = loadGroupCheckpoint(is);
+        group = decodeGroupCheckpoint(snap.data(), snap.size());
     } catch (const core::Error &) {
         ++stats_.snapshot_decode_failures;
         return recovered;
@@ -518,7 +446,7 @@ CheckpointStore::recover()
             std::span<const char> span;
             if (arc->get(key, span) != store::GetStatus::Ok)
                 throw core::FormatError("delta segment: corrupt");
-            seg = decodeDeltaSegment(span);
+            seg = decodeDeltaSegment(span.data(), span.size());
         } catch (const core::Error &) {
             ++stats_.delta_fallbacks;
             ++stats_.delta_segments_dropped;
@@ -637,15 +565,14 @@ CheckpointStore::writeFullSnapshotLocked()
     GroupCheckpoint group;
     group.epoch = epoch_ + 1;
     group.shards = mirrors_;
-    std::ostringstream framed(std::ios::binary);
-    saveGroupCheckpoint(group, framed);
     // The new snapshot image and the removal of every delta key land
     // in ONE group commit: either the whole rewrite is visible to a
     // later scan or none of it is, so stale-epoch delta segments
     // structurally cannot survive a crash.
     bool wrote = false;
     try {
-        cfg_.archive->stagePut(snapshotKey(cfg_.key_prefix), framed.str());
+        cfg_.archive->stagePut(snapshotKey(cfg_.key_prefix),
+                               encodeGroupCheckpoint(group));
         // Only THIS store's delta keys: in a shared multi-tenant
         // container, removing another prefix would tear a neighbor's
         // chain out from under its snapshot.

@@ -2,8 +2,9 @@
  * @file
  * Crash-consistent checkpoints of running monitors (DESIGN.md §7).
  *
- * Two framed formats, both in the shared CRC32+length framing
- * (core/capture_io.h):
+ * Two framed formats, both in the one byte codec's framing
+ * (common/bytes.h: magic, u32 version, u64 payload length, payload,
+ * CRC-32 of the payload):
  *
  *  - A *group snapshot* (magic "EDDIECKP", version 2) holds an epoch
  *    number and every shard's source position plus its complete
@@ -29,7 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -58,14 +58,6 @@ struct GroupCheckpoint
     std::vector<CheckpointData> shards;
 };
 
-/** Writes one framed group snapshot (magic "EDDIECKP", version 2). */
-void saveGroupCheckpoint(const GroupCheckpoint &group, std::ostream &os);
-
-/** Reads a group snapshot written by saveGroupCheckpoint(). Throws
- *  IoError on truncation, FormatError on corruption or on any other
- *  frame version. */
-GroupCheckpoint loadGroupCheckpoint(std::istream &is);
-
 /** One shard's delta within a group commit. */
 struct DeltaEntry
 {
@@ -81,6 +73,31 @@ struct DeltaSegment
     std::uint64_t epoch = 0;
     std::vector<DeltaEntry> entries;
 };
+
+/** One framed group snapshot (magic "EDDIECKP", version 2): the epoch,
+ *  the shard count, then each shard's source position and full
+ *  monitor state. */
+std::string encodeGroupCheckpoint(const GroupCheckpoint &group);
+
+/**
+ * Decodes encodeGroupCheckpoint() bytes, which must fill
+ * [data, data + size) exactly. Throws IoError when the bytes end
+ * before the frame or a field does, FormatError on any other magic or
+ * version, a CRC mismatch, trailing bytes, or a count (shards, gate
+ * energies, history rows, reports, records) that the bytes left
+ * cannot hold; such a count is refused before anything is allocated
+ * for it, so a CRC-valid but lying snapshot is a typed error, never
+ * an out-of-memory abort.
+ */
+GroupCheckpoint decodeGroupCheckpoint(const char *data, std::size_t size);
+
+/** One framed delta segment (magic "EDDIEDLT", version 1): the epoch
+ *  and each entry's shard id and core::MonitorStateDelta. */
+std::string encodeDeltaSegment(const DeltaSegment &seg);
+
+/** Decodes encodeDeltaSegment() bytes, with the throw contract of
+ *  decodeGroupCheckpoint(). */
+DeltaSegment decodeDeltaSegment(const char *data, std::size_t size);
 
 /**
  * The one on-disk checkpoint layout: every store of a run keys into

@@ -13,7 +13,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "common/crc32.h"
+#include "common/bytes.h"
 #include "core/errors.h"
 
 namespace eddie::store
@@ -34,24 +34,8 @@ constexpr std::size_t kFixedHeader = 32;
 constexpr std::size_t kSuperBytes = 8 + 4 + 4 + 8;
 
 constexpr std::uint64_t kMaxKeyLen = std::uint64_t(1) << 20;
-/** Matches core::capture_io's framed-payload cap. */
-constexpr std::uint64_t kMaxValueLen = std::uint64_t(1) << 37;
 
-template <typename T>
-void
-putRaw(std::string &out, T value)
-{
-    out.append(reinterpret_cast<const char *>(&value), sizeof value);
-}
-
-template <typename T>
-T
-loadRaw(const char *p)
-{
-    T value;
-    std::memcpy(&value, p, sizeof value);
-    return value;
-}
+using common::load;
 
 std::uint64_t
 ceilDiv(std::uint64_t a, std::uint64_t b)
@@ -71,12 +55,12 @@ std::string
 superblock(std::uint32_t sector)
 {
     std::string block;
-    block.append(kMagic, sizeof kMagic);
-    putRaw<std::uint32_t>(block, kVersion);
-    putRaw<std::uint32_t>(block, sector);
-    putRaw<std::uint64_t>(block, 0);
-    putRaw<std::uint32_t>(block,
-                          common::crc32(block.data(), block.size()));
+    common::ByteWriter w(block);
+    w.bytes(std::string_view(kMagic, sizeof kMagic));
+    w.put(kVersion);
+    w.put(sector);
+    w.put<std::uint64_t>(0);
+    w.put(common::crc32(block.data(), block.size()));
     block.resize(sector, '\0');
     return block;
 }
@@ -101,12 +85,12 @@ readHeader(const char *base, std::uint64_t off, std::uint64_t file_size,
 {
     if (off + kFixedHeader > file_size)
         return false;
-    h.seq = loadRaw<std::uint64_t>(base + off);
-    h.kind = loadRaw<std::uint32_t>(base + off + 8);
-    h.key_len = loadRaw<std::uint64_t>(base + off + 16);
-    h.value_len = loadRaw<std::uint64_t>(base + off + 24);
+    h.seq = load<std::uint64_t>(base + off);
+    h.kind = load<std::uint32_t>(base + off + 8);
+    h.key_len = load<std::uint64_t>(base + off + 16);
+    h.value_len = load<std::uint64_t>(base + off + 24);
     if ((h.kind != kKindPut && h.kind != kKindRemove) || h.key_len == 0 ||
-        h.key_len > kMaxKeyLen || h.value_len > kMaxValueLen ||
+        h.key_len > kMaxKeyLen || h.value_len > common::kMaxPayloadBytes ||
         (h.kind == kKindRemove && h.value_len != 0))
         return false;
     h.n_psec = ceilDiv(h.value_len, sector);
@@ -114,7 +98,7 @@ readHeader(const char *base, std::uint64_t off, std::uint64_t file_size,
     h.header_secs = ceilDiv(h.header_bytes, sector);
     if (h.header_bytes > file_size - off)
         return false;
-    return loadRaw<std::uint32_t>(base + off + h.header_bytes - 4) ==
+    return load<std::uint32_t>(base + off + h.header_bytes - 4) ==
            common::crc32(base + off, std::size_t(h.header_bytes - 4));
 }
 
@@ -236,12 +220,12 @@ Archive::scanFileLocked(const char *base, std::uint64_t file_size)
                                 cfg_.path);
     if (std::memcmp(base, kMagic, sizeof kMagic) != 0)
         throw core::FormatError("archive: bad magic in " + cfg_.path);
-    if (loadRaw<std::uint32_t>(base + 8) != kVersion)
+    if (load<std::uint32_t>(base + 8) != kVersion)
         throw core::FormatError("archive: unsupported version in " +
                                 cfg_.path);
     const std::uint32_t file_sector =
-        loadRaw<std::uint32_t>(base + 12);
-    if (loadRaw<std::uint32_t>(base + kSuperBytes) !=
+        load<std::uint32_t>(base + 12);
+    if (load<std::uint32_t>(base + kSuperBytes) !=
         common::crc32(base, kSuperBytes))
         throw core::FormatError(
             "archive: superblock checksum mismatch in " + cfg_.path);
@@ -328,12 +312,13 @@ Archive::encodeSegment(std::string &out, std::uint64_t seq,
         kFixedHeader + key.size() + 4 * n_psec + 4, sector_);
     const std::size_t start = out.size();
 
-    putRaw<std::uint64_t>(out, seq);
-    putRaw<std::uint32_t>(out, kind);
-    putRaw<std::uint32_t>(out, 0);
-    putRaw<std::uint64_t>(out, key.size());
-    putRaw<std::uint64_t>(out, value.size());
-    out.append(key);
+    common::ByteWriter w(out);
+    w.put(seq);
+    w.put(kind);
+    w.put<std::uint32_t>(0);
+    w.put<std::uint64_t>(key.size());
+    w.put<std::uint64_t>(value.size());
+    w.bytes(key);
     // Per-sector CRC table; each entry covers one full payload
     // sector, zero padding included, so torn last sectors cannot
     // hide behind their padding.
@@ -346,10 +331,9 @@ Archive::encodeSegment(std::string &out, std::uint64_t seq,
             const std::string zeros(sector_ - len, '\0');
             c = common::crc32(zeros.data(), zeros.size(), c);
         }
-        putRaw<std::uint32_t>(out, c);
+        w.put(c);
     }
-    putRaw<std::uint32_t>(
-        out, common::crc32(out.data() + start, out.size() - start));
+    w.put(common::crc32(out.data() + start, out.size() - start));
     out.resize(start + std::size_t(header_secs) * sector_, '\0');
     out.append(value);
     out.resize(start + std::size_t(header_secs + n_psec) * sector_,
@@ -362,7 +346,7 @@ Archive::stagePut(std::string_view key, std::string_view value)
     std::lock_guard<std::mutex> lock(mu_);
     if (key.empty() || key.size() > kMaxKeyLen)
         throw core::FormatError("archive: bad key length");
-    if (value.size() > kMaxValueLen)
+    if (value.size() > common::kMaxPayloadBytes)
         throw core::FormatError("archive: oversized value");
 
     const std::uint64_t off = end_ + staging_.size();
@@ -516,7 +500,7 @@ Archive::verifySlotLocked(const char *base, Slot &slot)
     if (slot.verified)
         return true;
     for (std::uint32_t i = 0; i < slot.n_sectors; ++i) {
-        const std::uint32_t want = loadRaw<std::uint32_t>(
+        const std::uint32_t want = load<std::uint32_t>(
             base + slot.table_off + std::uint64_t(4) * i);
         const std::uint32_t got = common::crc32(
             base + slot.payload_off + std::uint64_t(i) * sector_,

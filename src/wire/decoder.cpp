@@ -1,33 +1,11 @@
 #include "decoder.h"
 
-#include "common/crc32.h"
+#include "common/bytes.h"
 
 namespace eddie::wire
 {
 
-namespace
-{
-
-std::uint16_t getU16(const char *p)
-{
-    const auto *u = reinterpret_cast<const unsigned char *>(p);
-    return std::uint16_t(u[0] | (u[1] << 8));
-}
-
-std::uint32_t getU32(const char *p)
-{
-    const auto *u = reinterpret_cast<const unsigned char *>(p);
-    return std::uint32_t(u[0]) | (std::uint32_t(u[1]) << 8) |
-           (std::uint32_t(u[2]) << 16) | (std::uint32_t(u[3]) << 24);
-}
-
-std::uint64_t getU64(const char *p)
-{
-    return std::uint64_t(getU32(p)) |
-           (std::uint64_t(getU32(p + 4)) << 32);
-}
-
-} // namespace
+using common::load;
 
 FrameDecoder::FrameDecoder(FrameDecoderConfig cfg) : cfg_(cfg)
 {
@@ -80,14 +58,14 @@ FrameDecoder::next()
         return out; // NeedMore
     }
     const char *p = buf_.data() + head_;
-    if (getU32(p) != kMagic)
+    if (load<std::uint32_t>(p) != kMagic)
         return poison(WireError::BadMagic);
     // Version precedes the CRC check on purpose: a future version may
     // move the header CRC, so its location can only be trusted for
     // versions this decoder knows.
-    if (getU16(p + 4) != kWireVersion)
+    if (load<std::uint16_t>(p + 4) != kWireVersion)
         return poison(WireError::BadVersion);
-    if (common::crc32(p, 40) != getU32(p + 40))
+    if (common::crc32(p, 40) != load<std::uint32_t>(p + 40))
         return poison(WireError::HeaderCrc);
     // Past here the header fields are CRC-verified.
     const std::uint8_t type = std::uint8_t(p[6]);
@@ -96,7 +74,7 @@ FrameDecoder::next()
         type < static_cast<std::uint8_t>(FrameType::Hello) ||
         type > static_cast<std::uint8_t>(FrameType::Nack))
         return poison(WireError::BadType);
-    const std::uint32_t payload_len = getU32(p + 32);
+    const std::uint32_t payload_len = load<std::uint32_t>(p + 32);
     if (std::size_t(payload_len) > cfg_.max_payload)
         return poison(WireError::Oversized);
     const std::size_t total = kHeaderSize + payload_len;
@@ -106,14 +84,14 @@ FrameDecoder::next()
         return out; // NeedMore
     }
     if (common::crc32(p + kHeaderSize, std::size_t(payload_len)) !=
-        getU32(p + 36))
+        load<std::uint32_t>(p + 36))
         return poison(WireError::PayloadCrc);
 
     out.status = DecodeStatus::Frame;
     out.header.type = static_cast<FrameType>(type);
-    out.header.tenant = getU64(p + 8);
-    out.header.session = getU64(p + 16);
-    out.header.sequence = getU64(p + 24);
+    out.header.tenant = load<std::uint64_t>(p + 8);
+    out.header.session = load<std::uint64_t>(p + 16);
+    out.header.sequence = load<std::uint64_t>(p + 24);
     out.header.payload_len = payload_len;
     out.payload = p + kHeaderSize;
     ++stats_.frames_decoded;

@@ -1,39 +1,11 @@
 #include "frame.h"
 
-#include "common/crc32.h"
+#include "common/bytes.h"
 
 namespace eddie::wire
 {
 
-namespace
-{
-
-void putU16(std::string &out, std::uint16_t v)
-{
-    out.push_back(char(v & 0xFF));
-    out.push_back(char((v >> 8) & 0xFF));
-}
-
-void putU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(char((v >> (8 * i)) & 0xFF));
-}
-
-void putU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(char((v >> (8 * i)) & 0xFF));
-}
-
-std::uint32_t getU32(const char *p)
-{
-    const auto *u = reinterpret_cast<const unsigned char *>(p);
-    return std::uint32_t(u[0]) | (std::uint32_t(u[1]) << 8) |
-           (std::uint32_t(u[2]) << 16) | (std::uint32_t(u[3]) << 24);
-}
-
-} // namespace
+using common::load;
 
 const char *
 name(WireError err)
@@ -143,16 +115,17 @@ encodeHeaderRaw(const FrameHeader &header, std::uint32_t payload_crc)
 {
     std::string out;
     out.reserve(kHeaderSize);
-    putU32(out, kMagic);
-    putU16(out, kWireVersion);
-    out.push_back(char(static_cast<std::uint8_t>(header.type)));
-    out.push_back(char(0)); // reserved
-    putU64(out, header.tenant);
-    putU64(out, header.session);
-    putU64(out, header.sequence);
-    putU32(out, header.payload_len);
-    putU32(out, payload_crc);
-    putU32(out, common::crc32(out.data(), out.size()));
+    common::ByteWriter w(out);
+    w.put(kMagic);
+    w.put(kWireVersion);
+    w.put(static_cast<std::uint8_t>(header.type));
+    w.put<std::uint8_t>(0); // reserved
+    w.put(header.tenant);
+    w.put(header.session);
+    w.put(header.sequence);
+    w.put(header.payload_len);
+    w.put(payload_crc);
+    w.put(common::crc32(out.data(), out.size()));
     return out;
 }
 
@@ -172,8 +145,9 @@ std::string
 encodeHelloPayload(const std::string &tenant_id)
 {
     std::string out;
-    putU32(out, std::uint32_t(tenant_id.size()));
-    out.append(tenant_id);
+    common::ByteWriter w(out);
+    w.put(std::uint32_t(tenant_id.size()));
+    w.bytes(tenant_id);
     return out;
 }
 
@@ -183,7 +157,7 @@ decodeHelloPayload(const char *payload, std::size_t size,
 {
     if (size < 4)
         return false;
-    const std::uint32_t len = getU32(payload);
+    const auto len = load<std::uint32_t>(payload);
     if (len > kMaxTenantIdLen || std::size_t(len) + 4 != size ||
         len == 0)
         return false;
@@ -195,9 +169,10 @@ std::string
 encodeNackPayload(NackCode code, const std::string &msg)
 {
     std::string out;
-    putU32(out, static_cast<std::uint32_t>(code));
-    putU32(out, std::uint32_t(msg.size()));
-    out.append(msg);
+    common::ByteWriter w(out);
+    w.put(static_cast<std::uint32_t>(code));
+    w.put(std::uint32_t(msg.size()));
+    w.bytes(msg);
     return out;
 }
 
@@ -207,8 +182,8 @@ decodeNackPayload(const char *payload, std::size_t size,
 {
     if (size < 8)
         return false;
-    const std::uint32_t raw = getU32(payload);
-    const std::uint32_t len = getU32(payload + 4);
+    const auto raw = load<std::uint32_t>(payload);
+    const auto len = load<std::uint32_t>(payload + 4);
     if (std::size_t(len) + 8 != size ||
         raw > static_cast<std::uint32_t>(NackCode::ProtocolError))
         return false;

@@ -14,8 +14,10 @@
  *    truncated rather than silently resynchronized.
  *  - *Cheap.* Checksums reuse the store layer's CRC32 kernel
  *    (common/crc32.h, PCLMUL-dispatched with a slice-by-8 table
- *    fallback); header fields are little-endian and
- *    byte-assembled, so the format is identical across hosts.
+ *    fallback); header fields are little-endian, written and read by
+ *    the one byte codec (common/bytes.h), which decides the byte
+ *    order for every format, so the format is identical across
+ *    hosts.
  *
  * Frame grammar (all integers little-endian):
  *

@@ -67,7 +67,7 @@ TEST(ModelTest, LoadRejectsGarbage)
 {
     const std::string garbage = "not-a-model 7";
     EXPECT_THROW(decode(garbage), FormatError);
-    EXPECT_THROW(decode(std::string()), FormatError);
+    EXPECT_THROW(decode(std::string()), IoError);
 }
 
 /** Overwrites the u64 at byte @p at of an encoded model. */
@@ -79,8 +79,9 @@ pokeU64(std::string &bytes, std::size_t at, std::uint64_t v)
 }
 
 /** Every validation rule of the binary decoder, one broken field at a
- *  time: each must fail as FormatError naming the rule, never load a
- *  model and never allocate what a lying count claims. */
+ *  time: each must fail as FormatError naming the rule (IoError for a
+ *  payload that ends inside a field), never load a model and never
+ *  allocate what a lying count claims. */
 TEST(ModelTest, DecodeRejectsEachBrokenField)
 {
     // Byte offsets in sampleModel()'s encoding: u32 version, alpha,
@@ -96,6 +97,7 @@ TEST(ModelTest, DecodeRejectsEachBrokenField)
         std::function<void(TrainedModel &)> model;
         std::function<void(std::string &)> bytes;
         const char *message;
+        bool short_input = false; ///< IoError instead of FormatError
     };
     const Rule rules[] = {
         {"alpha", [](TrainedModel &m) { m.alpha = 1.5; }, nullptr,
@@ -142,7 +144,7 @@ TEST(ModelTest, DecodeRejectsEachBrokenField)
          "rank size exceeds the payload"},
         {"truncated", nullptr,
          [](std::string &b) { b.resize(b.size() - 4); },
-         "truncated rank count"},
+         "truncated rank count", true},
     };
     for (const Rule &rule : rules) {
         TrainedModel m = sampleModel();
@@ -154,7 +156,13 @@ TEST(ModelTest, DecodeRejectsEachBrokenField)
         try {
             (void)decode(bytes);
             ADD_FAILURE() << rule.name << ": broken model decoded";
-        } catch (const FormatError &e) {
+        } catch (const Error &e) {
+            EXPECT_EQ(dynamic_cast<const IoError *>(&e) != nullptr,
+                      rule.short_input)
+                << rule.name << ": " << e.what();
+            EXPECT_EQ(dynamic_cast<const FormatError *>(&e) != nullptr,
+                      !rule.short_input)
+                << rule.name << ": " << e.what();
             EXPECT_NE(std::string(e.what()).find(rule.message),
                       std::string::npos)
                 << rule.name << ": " << e.what();

@@ -9,7 +9,7 @@
  */
 
 #include <random>
-#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -79,16 +79,15 @@ bytes(const CheckpointData &ckpt)
 {
     GroupCheckpoint group;
     group.shards.push_back(ckpt);
-    std::ostringstream os;
-    saveGroupCheckpoint(group, os);
-    return os.str();
+    return encodeGroupCheckpoint(group);
 }
 
-/** The one shard of a group snapshot read from @p is. */
+/** The one shard of the group snapshot @p bytes. */
 CheckpointData
-loadOne(std::istream &is)
+loadOne(const std::string &bytes)
 {
-    GroupCheckpoint group = loadGroupCheckpoint(is);
+    GroupCheckpoint group =
+        decodeGroupCheckpoint(bytes.data(), bytes.size());
     if (group.shards.size() != 1)
         throw core::FormatError("expected a one-shard snapshot");
     return std::move(group.shards.front());
@@ -100,8 +99,7 @@ TEST(CheckpointRoundTrip, RandomizedStatesSurviveByteForByte)
     for (int iter = 0; iter < 50; ++iter) {
         const CheckpointData original = randomCheckpoint(rng);
         const std::string serialized = bytes(original);
-        std::istringstream is(serialized);
-        const CheckpointData loaded = loadOne(is);
+        const CheckpointData loaded = loadOne(serialized);
 
         EXPECT_EQ(loaded.source_pos, original.source_pos);
         EXPECT_EQ(loaded.monitor.current, original.monitor.current);
@@ -131,17 +129,14 @@ TEST(CheckpointRoundTrip, CorruptionFailsTyped)
          pos += 1 + good.size() / 23) {
         std::string bad = good;
         bad[pos] = char(bad[pos] ^ 0x20);
-        std::istringstream is(bad);
-        EXPECT_THROW(loadOne(is), core::Error)
+        EXPECT_THROW(loadOne(bad), core::Error)
             << "flip at byte " << pos << " went undetected";
     }
 
     // Truncation is an I/O-shaped failure.
-    std::istringstream trunc(good.substr(0, good.size() / 2));
-    EXPECT_THROW(loadOne(trunc), core::IoError);
-
-    std::istringstream empty{std::string()};
-    EXPECT_THROW(loadOne(empty), core::IoError);
+    EXPECT_THROW(loadOne(good.substr(0, good.size() / 2)),
+                 core::IoError);
+    EXPECT_THROW(loadOne(std::string()), core::IoError);
 }
 
 /** The tentpole property: resume-from-checkpoint == uninterrupted,
@@ -174,8 +169,7 @@ TEST(CheckpointRecovery, ResumeIsBitIdenticalAtEveryCutPoint)
         CheckpointData ckpt;
         ckpt.monitor = first.exportState();
         ckpt.source_pos = ckpt.monitor.step_index;
-        std::istringstream is(bytes(ckpt));
-        const CheckpointData loaded = loadOne(is);
+        const CheckpointData loaded = loadOne(bytes(ckpt));
         ASSERT_EQ(loaded.source_pos, cut);
 
         core::Monitor resumed(model, mcfg);

@@ -14,14 +14,17 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <random>
-#include <sstream>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/capture_io.h"
+#include "../store/codec_samples.h"
+#include "common/bytes.h"
 #include "core/errors.h"
 #include "serve/checkpoint.h"
 #include "serve_test_util.h"
@@ -41,9 +44,7 @@ bytes(const CheckpointData &ckpt)
 {
     GroupCheckpoint group;
     group.shards.push_back(ckpt);
-    std::ostringstream os;
-    saveGroupCheckpoint(group, os);
-    return os.str();
+    return encodeGroupCheckpoint(group);
 }
 
 CheckpointData
@@ -100,10 +101,9 @@ TEST(GroupCheckpointTest, RoundTripPreservesEveryShard)
         group.shards.push_back(stateAt(m));
     }
 
-    std::ostringstream os;
-    saveGroupCheckpoint(group, os);
-    std::istringstream is(os.str());
-    const auto loaded = loadGroupCheckpoint(is);
+    const std::string encoded = encodeGroupCheckpoint(group);
+    const auto loaded =
+        decodeGroupCheckpoint(encoded.data(), encoded.size());
     EXPECT_EQ(loaded.epoch, 5u);
     ASSERT_EQ(loaded.shards.size(), group.shards.size());
     for (std::size_t i = 0; i < group.shards.size(); ++i)
@@ -126,11 +126,9 @@ TEST(GroupCheckpointTest, V1FrameFailsAsFormatError)
     const std::string v1_payload =
         v2.substr(frame_head + 16, v2.size() - frame_head - 16 - 4);
     const char magic[8] = {'E', 'D', 'D', 'I', 'E', 'C', 'K', 'P'};
-    std::ostringstream os;
-    core::writeFramed(os, magic, 1, v1_payload);
-    const std::string v1 = os.str();
-    std::istringstream is(v1);
-    EXPECT_THROW(loadGroupCheckpoint(is), core::FormatError);
+    const std::string v1 = common::frame(magic, 1, v1_payload);
+    EXPECT_THROW(decodeGroupCheckpoint(v1.data(), v1.size()),
+                 core::FormatError);
 
     // Recovery treats a v1 image under the snapshot key as rot, not
     // as a cold start.
@@ -354,6 +352,100 @@ TEST(CheckpointStoreTest, BitFlippedSegmentFallsBackToSnapshot)
     EXPECT_EQ(bytes(fresh.mirror(0)), cut_bytes[0]);
     EXPECT_EQ(fresh.stats().delta_fallbacks, 1u);
     EXPECT_GE(fresh.stats().delta_segments_dropped, 1u);
+    std::remove(path.c_str());
+}
+
+/** The counted sections of a state or delta, each grown by one item:
+ *  the first byte where the grown encoding differs from the original
+ *  is that section's count. */
+template <typename State>
+std::vector<std::function<void(State &)>>
+growEachSection()
+{
+    return {
+        [](State &s) { s.gate_energies.push_back(1.0); },
+        [](State &s) {
+            if constexpr (std::is_same_v<State, core::MonitorState>) {
+                s.history.push_back(s.history.back());
+            } else {
+                s.history_tail.push_back(s.history_tail.back());
+            }
+        },
+        [](State &s) { s.reports.emplace_back(); },
+        [](State &s) { s.records.emplace_back(); },
+    };
+}
+
+/** A snapshot or delta segment whose CRC is valid but whose gate
+ *  energy, history row, report or record count claims 2^32 items is a
+ *  counted decode failure that falls back, never an out-of-memory
+ *  abort. The lying bytes go in through Archive::put, so the archive's
+ *  sector CRCs are fresh and only the decoder can refuse them. */
+TEST(CheckpointStoreTest, LyingCountsAreCountedDecodeFailures)
+{
+    using codec_samples::firstDifference;
+    std::mt19937_64 rng(7);
+    const auto model = sharpModel(rng);
+    const auto stream = eventfulStream(77);
+    core::Monitor m(model, core::MonitorConfig());
+    for (std::size_t i = 0; i < 40; ++i)
+        m.step(stream[i]);
+    const CheckpointData snap = stateAt(m);
+    ASSERT_FALSE(snap.monitor.history.empty());
+    m.resetDeltaBaseline();
+    for (std::size_t i = 40; i < 60; ++i)
+        m.step(stream[i]);
+    DeltaSegment seg;
+    seg.entries.push_back({0, m.exportDelta()});
+    ASSERT_FALSE(seg.entries[0].delta.history_tail.empty());
+
+    const std::string path = arcPath("delta_ckpt_lying");
+    const auto recoverFrom = [&](const std::string &snapshot,
+                                 const std::string &segment) {
+        std::remove(path.c_str());
+        store::Archive arc = openArchive(path);
+        EXPECT_TRUE(arc.put(snapshotKey(kPrefix), snapshot));
+        if (!segment.empty()) {
+            EXPECT_TRUE(arc.put(kPrefix + "ckpt/dlt/00000000", segment));
+        }
+        CheckpointStore store(storeConfig(arc, 16));
+        const bool recovered = store.recover()[0];
+        return std::make_tuple(recovered, store.stats(),
+                               bytes(store.mirror(0)));
+    };
+    const auto lie = [](std::string good, const std::string &grown) {
+        codec_samples::poke(good, firstDifference(good, grown),
+                            std::uint64_t(1) << 32);
+        codec_samples::reseal(good);
+        return good;
+    };
+
+    // Honest bytes: the segment applies on top of the snapshot.
+    const std::string good_snap = bytes(snap);
+    const std::string good_seg = encodeDeltaSegment(seg);
+    {
+        const auto [ok, st, mirror] = recoverFrom(good_snap, good_seg);
+        EXPECT_TRUE(ok);
+        EXPECT_EQ(st.delta_fallbacks, 0u);
+        EXPECT_EQ(mirror, bytes(stateAt(m)));
+    }
+    for (const auto &grow : growEachSection<core::MonitorState>()) {
+        CheckpointData grown = snap;
+        grow(grown.monitor);
+        const auto [ok, st, mirror] =
+            recoverFrom(lie(good_snap, bytes(grown)), std::string());
+        EXPECT_FALSE(ok);
+        EXPECT_EQ(st.snapshot_decode_failures, 1u);
+    }
+    for (const auto &grow : growEachSection<core::MonitorStateDelta>()) {
+        DeltaSegment grown = seg;
+        grow(grown.entries[0].delta);
+        const auto [ok, st, mirror] = recoverFrom(
+            good_snap, lie(good_seg, encodeDeltaSegment(grown)));
+        EXPECT_TRUE(ok);
+        EXPECT_EQ(st.delta_fallbacks, 1u);
+        EXPECT_EQ(mirror, good_snap);
+    }
     std::remove(path.c_str());
 }
 

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "../store/codec_samples.h"
 #include "core/errors.h"
 #include "serve/chaos.h"
 #include "serve/sample_source.h"
@@ -245,6 +246,49 @@ TEST(Fleet, SharedArchiveNamespacesResumeBitIdentical)
         EXPECT_EQ(sup.stats().snapshot_decode_failures, 0u);
     }
     std::remove((base + ".arc").c_str());
+}
+
+/** A resume over a snapshot whose CRCs are all valid but whose record
+ *  count claims 2^32 records: the decoder refuses the count before
+ *  allocating, the run completes, and the tenant counts one checkpoint
+ *  decode failure, which trips its breaker like any corrupt snapshot
+ *  (its session is isolated rather than served off the snapshot). */
+TEST(Supervisor, ResumeOverALyingSnapshotCountsADecodeFailure)
+{
+    const std::string base =
+        testing::TempDir() + "fleet_lying_snapshot_test";
+    std::remove(checkpointArchivePath(base).c_str());
+    {
+        GroupCheckpoint group;
+        group.shards.resize(1);
+        std::string lying = encodeGroupCheckpoint(group);
+        // An empty state's record count is the payload's last field.
+        codec_samples::poke(lying, lying.size() - 4 - 8,
+                            std::uint64_t(1) << 32);
+        codec_samples::reseal(lying);
+        store::ArchiveConfig acfg;
+        acfg.path = checkpointArchivePath(base);
+        store::Archive arc(acfg);
+        ASSERT_TRUE(arc.put(snapshotKey(tenantKeyPrefix("a")), lying));
+    }
+
+    FleetFixture fx(1);
+    ServeConfig cfg = fastServeConfig();
+    cfg.checkpoint_path = base;
+    cfg.resume = true;
+    TenantRegistry reg;
+    reg.addTenant(fx.spec("a"));
+    ASSERT_TRUE(reg.openSession("a", fx.sources[0].get()).admitted);
+    Supervisor sup(cfg);
+    const FleetResult fr = sup.runFleet(reg);
+    ASSERT_EQ(fr.tenants.size(), 1u);
+    EXPECT_EQ(fr.tenants[0].checkpoint_decode_failures, 1u);
+    EXPECT_TRUE(fr.tenants[0].breaker_tripped);
+    EXPECT_EQ(fr.tenants[0].breaker_cause, FaultClass::CheckpointDecode);
+    EXPECT_EQ(sup.stats().snapshot_decode_failures, 1u);
+    ASSERT_EQ(fr.sessions.size(), 1u);
+    EXPECT_TRUE(fr.sessions[0].escalated);
+    std::remove(checkpointArchivePath(base).c_str());
 }
 
 /** The rate quota is charged per pulled window: an idle (Pending) pull

@@ -19,7 +19,6 @@
 
 #include "core/errors.h"
 #include "store/archive.h"
-#include "store/span_stream.h"
 
 namespace fs = std::filesystem;
 using eddie::store::Archive;
@@ -415,28 +414,6 @@ TEST(ArchiveTest, ReadValueLeavesTheFileByteIdentical)
                                     "a", out),
                  eddie::core::IoError);
     fs::remove(path);
-}
-
-TEST(ArchiveTest, SpanStreamReadsArchiveValuesInPlace)
-{
-    const std::string path = tempPath("arc_stream.arc");
-    fs::remove(path);
-    Archive arc(smallConfig(path));
-    const std::string v = pattern(513, 9);
-    ASSERT_TRUE(arc.put("blob", v));
-    std::span<const char> span;
-    ASSERT_EQ(arc.get("blob", span), GetStatus::Ok);
-
-    eddie::store::SpanStream is(span.data(), span.size());
-    std::string out(v.size(), '\0');
-    is.read(out.data(), std::streamsize(out.size()));
-    ASSERT_TRUE(bool(is));
-    EXPECT_EQ(out, v);
-    // Seek support for codecs that rewind.
-    is.clear();
-    is.seekg(0);
-    EXPECT_EQ(is.get(), int(static_cast<unsigned char>(v[0])));
-    EXPECT_EQ(is.peek(), int(static_cast<unsigned char>(v[1])));
 }
 
 TEST(ArchiveTest, RejectsNonArchiveFilesWithTypedError)
