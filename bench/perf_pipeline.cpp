@@ -1052,35 +1052,46 @@ runBench(int argc, char **argv)
     // in-process VectorSource session, and a loopback TCP session fed
     // by a WireClient thread through WireListener -> WireSource
     // (frame encode, CRC, syscalls, and the receive window all on the
-    // clock — the timer starts before the client connects, so
-    // handshake cost is charged to the wire). The serving-bench tile
-    // is re-tiled 8x further: connect + handshake + thread spawn are
-    // one-time costs of a few ms, and the throughput claim is about
-    // steady state, so the run must be long enough that those
-    // constants do not masquerade as per-window cost. Interleaved
-    // best-of pairs, same discipline (and reason) as the
-    // steady/checkpointed comparison above. A third, single-shot run
-    // streams under byte-level chaos (torn frames, disconnects,
-    // duplicates, reorders, corruption, hostile lengths): its wall
-    // time prices reconnect replay, and its listener counters prove
-    // every injected fault landed in a typed bucket. All three paths
-    // must reproduce the bare monitor's verdicts bit-for-bit.
-    constexpr std::size_t kWireTile = 8;
-    auto wire_stream = std::make_shared<std::vector<core::Sts>>();
-    wire_stream->reserve(serve_streams[0]->size() * kWireTile);
-    for (std::size_t r = 0; r < kWireTile; ++r)
-        wire_stream->insert(wire_stream->end(),
-                            serve_streams[0]->begin(),
-                            serve_streams[0]->end());
-    std::vector<core::StepRecord> wire_base_records;
-    std::vector<core::AnomalyReport> wire_base_reports;
+    // clock). Both time the supervised fleet drain, so the ratio
+    // prices steady-state ingest, not the one-time connect and
+    // handshake. The ratio is the median, over kWirePairs interleaved
+    // pairs (the first run of each pair alternates), of each pair's
+    // in-process/loopback wall-time ratio, on a stream of at least
+    // kWireRatioWindows windows: with runs of a few milliseconds one
+    // late wakeup moved a best-of ratio by 40 % or more, so each run
+    // here lasts at least ~50 ms even at CI's smoke scale, and
+    // one slow pair moves the median by one rank at most. A single
+    // run streams a shorter stream (the serving tile re-tiled 8x)
+    // under byte-level chaos (torn frames, disconnects, duplicates,
+    // reorders, corruption, hostile lengths): its wall time prices
+    // reconnect replay, and its listener counters prove every
+    // injected fault landed in a typed bucket. Every run must
+    // reproduce the bare monitor's verdicts bit-for-bit.
+    constexpr std::size_t kWirePairs = 9;
+    constexpr std::size_t kWireRatioWindows = 73728;
+    struct WireStream
     {
+        std::shared_ptr<std::vector<core::Sts>> sts;
+        std::vector<core::StepRecord> records;
+        std::vector<core::AnomalyReport> reports;
+    };
+    const auto tileWireStream = [&](std::size_t min_windows) {
+        WireStream w;
+        w.sts = std::make_shared<std::vector<core::Sts>>();
+        while (w.sts->size() < min_windows)
+            w.sts->insert(w.sts->end(), serve_streams[0]->begin(),
+                          serve_streams[0]->end());
         core::Monitor m(model, cfg.monitor);
-        for (const auto &sts : *wire_stream)
+        for (const auto &sts : *w.sts)
             m.step(sts);
-        wire_base_records = m.records();
-        wire_base_reports = m.reports();
-    }
+        w.records = m.records();
+        w.reports = m.reports();
+        return w;
+    };
+    const WireStream wire_ratio_stream =
+        tileWireStream(kWireRatioWindows);
+    const WireStream wire_chaos_stream =
+        tileWireStream(serve_streams[0]->size() * 8);
     struct WireBenchOut
     {
         double wall_ms = 0.0;
@@ -1096,7 +1107,8 @@ runBench(int argc, char **argv)
     // class even at CI's smoke scale.
     constexpr std::size_t kWireCleanBatch = 256;
     constexpr std::size_t kWireChaosBatch = 32;
-    const auto runWireBench = [&](const serve::WireChaosConfig
+    const auto runWireBench = [&](const WireStream &stream,
+                                  const serve::WireChaosConfig
                                       *chaos) {
         serve::TenantRegistry reg;
         serve::TenantSpec spec;
@@ -1105,8 +1117,6 @@ runBench(int argc, char **argv)
         reg.addTenant(spec);
         serve::WireListenerConfig lcfg;
         lcfg.tcp = "127.0.0.1:0";
-        lcfg.accept_poll_ms = 2.0;
-        lcfg.read_poll_ms = 10.0;
         serve::WireListener lst(reg, lcfg);
         lst.start();
         serve::WireClientConfig ccfg;
@@ -1121,7 +1131,7 @@ runBench(int argc, char **argv)
         }
         WireBenchOut out;
         std::thread client([&] {
-            serve::VectorSource src(wire_stream);
+            serve::VectorSource src(stream.sts);
             serve::WireClient c(ccfg);
             out.rep = c.stream(src);
         });
@@ -1136,11 +1146,6 @@ runBench(int argc, char **argv)
         wcfg.monitor = cfg.monitor;
         wcfg.checkpoint_interval = 0;
         serve::Supervisor sup(wcfg);
-        // Timed span = the supervised fleet drain, the same span the
-        // in-process variant times — the ratio prices steady-state
-        // ingest, not the one-time connect/handshake (whose cost
-        // under faults is priced separately by the chaos run's
-        // per-reconnect recovery figure).
         const auto t0 = Clock::now();
         const serve::FleetResult fr = sup.runFleet(reg);
         out.wall_ms = msSince(t0);
@@ -1149,19 +1154,17 @@ runBench(int argc, char **argv)
         out.st = lst.stats();
         out.verdicts_ok =
             out.rep.delivered_all && fr.sessions.size() == 1 &&
-            recordsEqual(fr.sessions[0].records,
-                         wire_base_records) &&
-            reportsEqual(fr.sessions[0].reports,
-                         wire_base_reports);
+            recordsEqual(fr.sessions[0].records, stream.records) &&
+            reportsEqual(fr.sessions[0].reports, stream.reports);
         return out;
     };
-    const auto runWireInproc = [&] {
+    const auto runWireInproc = [&](const WireStream &stream) {
         serve::TenantRegistry reg;
         serve::TenantSpec spec;
         spec.id = "wire";
         spec.model = shared_model;
         reg.addTenant(spec);
-        serve::VectorSource src(wire_stream);
+        serve::VectorSource src(stream.sts);
         if (!reg.openSession("wire", &src).admitted)
             throw std::runtime_error(
                 "wire bench: in-process session not admitted");
@@ -1173,31 +1176,44 @@ runBench(int argc, char **argv)
         const serve::FleetResult fr = sup.runFleet(reg);
         const double ms = msSince(t0);
         if (fr.sessions.size() != 1 ||
-            !recordsEqual(fr.sessions[0].records,
-                          wire_base_records) ||
-            !reportsEqual(fr.sessions[0].reports,
-                          wire_base_reports))
+            !recordsEqual(fr.sessions[0].records, stream.records) ||
+            !reportsEqual(fr.sessions[0].reports, stream.reports))
             return -ms; // sign smuggles the verdict check
         return ms;
     };
-    const std::size_t wire_sts = wire_stream->size();
+    const auto median = [](std::vector<double> v) {
+        std::sort(v.begin(), v.end());
+        return v[v.size() / 2];
+    };
+    const std::size_t wire_sts = wire_ratio_stream.sts->size();
     bool wire_verdicts_ok = true;
-    double wire_inproc_ms = -1.0;
-    double wire_loop_ms = -1.0;
-    WireBenchOut wire_best;
-    for (int rep = 0; rep < 3; ++rep) {
-        double ms = runWireInproc();
-        wire_verdicts_ok &= ms > 0.0;
-        ms = std::abs(ms);
-        if (wire_inproc_ms < 0.0 || ms < wire_inproc_ms)
-            wire_inproc_ms = ms;
-        WireBenchOut w = runWireBench(nullptr);
-        wire_verdicts_ok &= w.verdicts_ok;
-        if (wire_loop_ms < 0.0 || w.wall_ms < wire_loop_ms) {
-            wire_loop_ms = w.wall_ms;
-            wire_best = std::move(w);
+    std::vector<double> wire_inproc_runs, wire_loop_runs, wire_ratios;
+    WireBenchOut wire_clean;
+    for (std::size_t pair = 0; pair < kWirePairs; ++pair) {
+        double inproc_ms = 0.0;
+        WireBenchOut w;
+        if (pair % 2 == 0) {
+            inproc_ms = runWireInproc(wire_ratio_stream);
+            w = runWireBench(wire_ratio_stream, nullptr);
+        } else {
+            w = runWireBench(wire_ratio_stream, nullptr);
+            inproc_ms = runWireInproc(wire_ratio_stream);
         }
+        wire_verdicts_ok &= inproc_ms > 0.0 && w.verdicts_ok;
+        inproc_ms = std::abs(inproc_ms);
+        wire_inproc_runs.push_back(inproc_ms);
+        wire_loop_runs.push_back(w.wall_ms);
+        wire_ratios.push_back(w.wall_ms > 0.0 ? inproc_ms / w.wall_ms
+                                              : 0.0);
+        wire_clean = std::move(w);
     }
+    const double wire_inproc_ms = median(wire_inproc_runs);
+    const double wire_loop_ms = median(wire_loop_runs);
+    const double wire_throughput_ratio = median(wire_ratios);
+    const double wire_ratio_min =
+        *std::min_element(wire_ratios.begin(), wire_ratios.end());
+    const double wire_ratio_max =
+        *std::max_element(wire_ratios.begin(), wire_ratios.end());
     serve::WireChaosConfig wire_chaos;
     wire_chaos.seed = 0xEDD1E;
     wire_chaos.tear_prob = 0.10;
@@ -1206,7 +1222,8 @@ runBench(int argc, char **argv)
     wire_chaos.reorder_prob = 0.08;
     wire_chaos.corrupt_prob = 0.08;
     wire_chaos.hostile_len_prob = 0.05;
-    const WireBenchOut wire_chaotic = runWireBench(&wire_chaos);
+    const WireBenchOut wire_chaotic =
+        runWireBench(wire_chaos_stream, &wire_chaos);
     wire_verdicts_ok &= wire_chaotic.verdicts_ok;
     const std::uint64_t wire_chaos_faults =
         wire_chaotic.rep.torn_frames +
@@ -1218,33 +1235,38 @@ runBench(int argc, char **argv)
     const std::uint64_t wire_malformed =
         wire_chaotic.st.wire.totalErrors();
     const double wire_sts_per_sec = perSec(wire_sts, wire_loop_ms);
-    const double wire_throughput_ratio =
-        wire_loop_ms > 0.0 ? wire_inproc_ms / wire_loop_ms : 0.0;
     // Replay under chaos is priced per reconnect: the wall-clock the
-    // chaotic run lost versus the clean wire run, amortized over the
+    // chaotic run lost versus a clean loopback run of the same length
+    // (scaled from the median clean run), amortized over the
     // reconnects that caused it (0 reconnects would mean chaos never
     // cut the link — the probabilities above make that effectively
     // impossible over this many batches).
+    const std::size_t wire_chaos_sts = wire_chaos_stream.sts->size();
     const double wire_reconnect_ms =
         wire_chaotic.rep.reconnects > 0
-            ? std::max(0.0, wire_chaotic.wall_ms - wire_loop_ms) /
+            ? std::max(0.0, wire_chaotic.wall_ms -
+                                wire_loop_ms * double(wire_chaos_sts) /
+                                    double(wire_sts)) /
                   double(wire_chaotic.rep.reconnects)
             : 0.0;
     const bool wire_throughput_ok = wire_throughput_ratio >= 0.75;
-    std::printf("wire ingestion (loopback TCP, %zu windows, "
-                "batch %zu clean / %zu chaos)%s:\n",
-                wire_sts, kWireCleanBatch, kWireChaosBatch,
+    std::printf("wire ingestion (loopback TCP, %zu windows clean / "
+                "%zu chaos, batch %zu clean / %zu chaos)%s:\n",
+                wire_sts, wire_chaos_sts, kWireCleanBatch,
+                kWireChaosBatch,
                 wire_verdicts_ok ? "" : "  VERDICT MISMATCH");
     std::printf("  in-process:   %8.1f ms;  loopback: %8.1f ms "
-                "(%.3g STS/s, %.2fx of in-process)\n",
-                wire_inproc_ms, wire_loop_ms, wire_sts_per_sec,
-                wire_throughput_ratio);
+                "(medians of %zu pairs; %.3g STS/s); median pair "
+                "ratio %.2fx of in-process (range %.2f-%.2f)\n",
+                wire_inproc_ms, wire_loop_ms, kWirePairs,
+                wire_sts_per_sec, wire_throughput_ratio,
+                wire_ratio_min, wire_ratio_max);
     std::printf("  clean run:    %llu batches, %llu bytes, "
                 "%llu acks, %llu nacks\n",
-                (unsigned long long)wire_best.rep.batches_sent,
-                (unsigned long long)wire_best.rep.bytes_sent,
-                (unsigned long long)wire_best.st.acks_sent,
-                (unsigned long long)wire_best.st.nacks_sent);
+                (unsigned long long)wire_clean.rep.batches_sent,
+                (unsigned long long)wire_clean.rep.bytes_sent,
+                (unsigned long long)wire_clean.st.acks_sent,
+                (unsigned long long)wire_clean.st.nacks_sent);
     std::printf("  chaos run:    %8.1f ms; %llu faults injected, "
                 "%llu reconnects (%.2f ms each), %llu replayed, "
                 "%llu malformed rejected, %llu gaps, %llu dup "
@@ -1629,6 +1651,8 @@ runBench(int argc, char **argv)
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"wire_ingestion\": {\n");
     std::fprintf(f, "    \"windows\": %zu,\n", wire_sts);
+    std::fprintf(f, "    \"chaos_windows\": %zu,\n", wire_chaos_sts);
+    std::fprintf(f, "    \"ratio_pairs\": %zu,\n", kWirePairs);
     std::fprintf(f, "    \"batch_windows\": %zu,\n",
                  kWireCleanBatch);
     std::fprintf(f, "    \"chaos_batch_windows\": %zu,\n",
@@ -1639,10 +1663,14 @@ runBench(int argc, char **argv)
                  wire_sts_per_sec);
     std::fprintf(f, "    \"throughput_ratio\": %.4f,\n",
                  wire_throughput_ratio);
+    std::fprintf(f, "    \"throughput_ratio_min\": %.4f,\n",
+                 wire_ratio_min);
+    std::fprintf(f, "    \"throughput_ratio_max\": %.4f,\n",
+                 wire_ratio_max);
     std::fprintf(f, "    \"clean_batches\": %llu,\n",
-                 (unsigned long long)wire_best.rep.batches_sent);
+                 (unsigned long long)wire_clean.rep.batches_sent);
     std::fprintf(f, "    \"clean_bytes\": %llu,\n",
-                 (unsigned long long)wire_best.rep.bytes_sent);
+                 (unsigned long long)wire_clean.rep.bytes_sent);
     std::fprintf(f, "    \"chaos_ms\": %.3f,\n",
                  wire_chaotic.wall_ms);
     std::fprintf(f, "    \"chaos_faults_injected\": %llu,\n",

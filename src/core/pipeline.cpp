@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
 
 #include "capture_cache.h"
+#include "common/bytes.h"
 #include "common/thread_pool.h"
 #include "faults/fault_injector.h"
 #include "sig/stft.h"
@@ -19,42 +19,18 @@ namespace eddie::core
 namespace
 {
 
-/**
- * Endianness-stable byte serializer for cache keys. Every field is
- * appended explicitly — struct padding never reaches the key, so the
- * same capture always produces the same bytes.
- */
-class KeyBuilder
+using common::ByteWriter;
+
+/** Appends a length-prefixed string to a cache key. Every key field
+ *  goes through the one byte codec (common/bytes.h), appended one by
+ *  one, so struct padding never reaches the key and the same capture
+ *  always produces the same bytes. */
+void
+keyString(ByteWriter &kb, const std::string &s)
 {
-  public:
-    void u8(std::uint8_t v) { buf_.push_back(char(v)); }
-
-    void u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            buf_.push_back(char((v >> (8 * i)) & 0xff));
-    }
-
-    void i64(std::int64_t v) { u64(std::uint64_t(v)); }
-
-    void f64(double v)
-    {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof bits);
-        u64(bits);
-    }
-
-    void str(const std::string &s)
-    {
-        u64(s.size());
-        buf_.append(s);
-    }
-
-    std::string take() { return std::move(buf_); }
-
-  private:
-    std::string buf_;
-};
+    kb.put<std::uint64_t>(s.size());
+    kb.bytes(s);
+}
 
 std::uint64_t
 fnv1aWords(const std::vector<std::int64_t> &words, std::uint64_t h)
@@ -70,161 +46,161 @@ fnv1aWords(const std::vector<std::int64_t> &words, std::uint64_t h)
 }
 
 void
-keyProgram(KeyBuilder &kb, const prog::Program &program)
+keyProgram(ByteWriter &kb, const prog::Program &program)
 {
-    kb.str(program.name);
-    kb.u64(program.code.size());
+    keyString(kb, program.name);
+    kb.put<std::uint64_t>(program.code.size());
     for (const auto &instr : program.code) {
-        kb.u8(std::uint8_t(instr.op));
-        kb.u8(instr.rd);
-        kb.u8(instr.rs1);
-        kb.u8(instr.rs2);
-        kb.i64(instr.imm);
+        kb.put<std::uint8_t>(std::uint8_t(instr.op));
+        kb.put<std::uint8_t>(instr.rd);
+        kb.put<std::uint8_t>(instr.rs1);
+        kb.put<std::uint8_t>(instr.rs2);
+        kb.put<std::int64_t>(instr.imm);
     }
 }
 
 void
-keyRegions(KeyBuilder &kb, const prog::RegionGraph &regions)
+keyRegions(ByteWriter &kb, const prog::RegionGraph &regions)
 {
-    kb.u64(regions.num_loops);
-    kb.u64(regions.regions.size());
+    kb.put<std::uint64_t>(regions.num_loops);
+    kb.put<std::uint64_t>(regions.regions.size());
     for (const auto &r : regions.regions) {
-        kb.u8(std::uint8_t(r.kind));
-        kb.u64(r.loop);
-        kb.u64(r.from_loop);
-        kb.u64(r.to_loop);
-        kb.u64(r.header_instr);
-        kb.u64(r.hot_header_instr);
-        kb.u64(r.succs.size());
+        kb.put<std::uint8_t>(std::uint8_t(r.kind));
+        kb.put<std::uint64_t>(r.loop);
+        kb.put<std::uint64_t>(r.from_loop);
+        kb.put<std::uint64_t>(r.to_loop);
+        kb.put<std::uint64_t>(r.header_instr);
+        kb.put<std::uint64_t>(r.hot_header_instr);
+        kb.put<std::uint64_t>(r.succs.size());
         for (std::size_t s : r.succs)
-            kb.u64(s);
+            kb.put<std::uint64_t>(s);
     }
 }
 
 void
-keyInput(KeyBuilder &kb, const cpu::MemoryImage &image)
+keyInput(ByteWriter &kb, const cpu::MemoryImage &image)
 {
     // The image can be megabytes; fold it to a hash instead of
     // embedding it. Everything else in the key is exact bytes.
     std::uint64_t h = 1469598103934665603ULL;
     std::uint64_t words = 0;
-    kb.u64(image.size());
+    kb.put<std::uint64_t>(image.size());
     for (const auto &[addr, data] : image) {
-        kb.u64(addr);
+        kb.put<std::uint64_t>(addr);
         h = fnv1aWords(data, h);
         words += data.size();
     }
-    kb.u64(words);
-    kb.u64(h);
+    kb.put<std::uint64_t>(words);
+    kb.put<std::uint64_t>(h);
 }
 
 void
-keyCoreConfig(KeyBuilder &kb, const cpu::CoreConfig &c)
+keyCoreConfig(ByteWriter &kb, const cpu::CoreConfig &c)
 {
-    kb.u8(c.out_of_order ? 1 : 0);
-    kb.u64(c.issue_width);
-    kb.u64(c.pipeline_depth);
-    kb.u64(c.rob_size);
-    kb.f64(c.clock_hz);
+    kb.put<std::uint8_t>(c.out_of_order ? 1 : 0);
+    kb.put<std::uint64_t>(c.issue_width);
+    kb.put<std::uint64_t>(c.pipeline_depth);
+    kb.put<std::uint64_t>(c.rob_size);
+    kb.put<double>(c.clock_hz);
     for (const auto *cache : {&c.l1, &c.l2}) {
-        kb.u64(cache->size_bytes);
-        kb.u64(cache->assoc);
-        kb.u64(cache->line_bytes);
+        kb.put<std::uint64_t>(cache->size_bytes);
+        kb.put<std::uint64_t>(cache->assoc);
+        kb.put<std::uint64_t>(cache->line_bytes);
     }
-    kb.u64(c.l1_latency);
-    kb.u64(c.l2_latency);
-    kb.u64(c.dram_latency);
-    kb.u64(c.mul_latency);
-    kb.u64(c.div_latency);
-    kb.u64(c.memory_words);
-    kb.u64(c.cycles_per_sample);
-    kb.f64(c.schedule_jitter);
-    kb.u64(c.jitter_epoch_instrs);
-    kb.f64(c.os_irq_rate_hz);
-    kb.u64(c.os_irq_ops);
-    kb.u64(c.max_instructions);
-    kb.u64(c.snapshot_words);
+    kb.put<std::uint64_t>(c.l1_latency);
+    kb.put<std::uint64_t>(c.l2_latency);
+    kb.put<std::uint64_t>(c.dram_latency);
+    kb.put<std::uint64_t>(c.mul_latency);
+    kb.put<std::uint64_t>(c.div_latency);
+    kb.put<std::uint64_t>(c.memory_words);
+    kb.put<std::uint64_t>(c.cycles_per_sample);
+    kb.put<double>(c.schedule_jitter);
+    kb.put<std::uint64_t>(c.jitter_epoch_instrs);
+    kb.put<double>(c.os_irq_rate_hz);
+    kb.put<std::uint64_t>(c.os_irq_ops);
+    kb.put<std::uint64_t>(c.max_instructions);
+    kb.put<std::uint64_t>(c.snapshot_words);
 }
 
 void
-keyEnergy(KeyBuilder &kb, const power::EnergyParams &e)
+keyEnergy(ByteWriter &kb, const power::EnergyParams &e)
 {
-    kb.f64(e.issue_base);
-    kb.f64(e.alu);
-    kb.f64(e.mul);
-    kb.f64(e.div);
-    kb.f64(e.branch);
-    kb.f64(e.l1_ref);
-    kb.f64(e.l2_ref);
-    kb.f64(e.dram);
-    kb.f64(e.flush_per_stage);
-    kb.f64(e.baseline_per_cycle);
+    kb.put<double>(e.issue_base);
+    kb.put<double>(e.alu);
+    kb.put<double>(e.mul);
+    kb.put<double>(e.div);
+    kb.put<double>(e.branch);
+    kb.put<double>(e.l1_ref);
+    kb.put<double>(e.l2_ref);
+    kb.put<double>(e.dram);
+    kb.put<double>(e.flush_per_stage);
+    kb.put<double>(e.baseline_per_cycle);
 }
 
 void
-keySignalChain(KeyBuilder &kb, const PipelineConfig &config)
+keySignalChain(ByteWriter &kb, const PipelineConfig &config)
 {
-    kb.u64(config.stft_window);
-    kb.u64(config.stft_hop);
-    kb.u8(std::uint8_t(config.stft_window_fn));
+    kb.put<std::uint64_t>(config.stft_window);
+    kb.put<std::uint64_t>(config.stft_hop);
+    kb.put<std::uint8_t>(std::uint8_t(config.stft_window_fn));
 
     const auto &p = config.features.peaks;
-    kb.f64(p.min_energy_frac);
-    kb.u64(p.max_peaks);
-    kb.u8(p.skip_dc ? 1 : 0);
-    kb.u64(p.dc_guard_bins);
-    kb.u64(p.neighborhood);
-    kb.u64(config.features.max_peaks);
-    kb.u8(config.features.positive_only ? 1 : 0);
+    kb.put<double>(p.min_energy_frac);
+    kb.put<std::uint64_t>(p.max_peaks);
+    kb.put<std::uint8_t>(p.skip_dc ? 1 : 0);
+    kb.put<std::uint64_t>(p.dc_guard_bins);
+    kb.put<std::uint64_t>(p.neighborhood);
+    kb.put<std::uint64_t>(config.features.max_peaks);
+    kb.put<std::uint8_t>(config.features.positive_only ? 1 : 0);
 
-    kb.u8(std::uint8_t(config.path));
-    kb.f64(config.channel.depth);
-    kb.f64(config.channel.snr_db);
-    kb.u64(config.channel.interferers.size());
+    kb.put<std::uint8_t>(std::uint8_t(config.path));
+    kb.put<double>(config.channel.depth);
+    kb.put<double>(config.channel.snr_db);
+    kb.put<std::uint64_t>(config.channel.interferers.size());
     for (const auto &tone : config.channel.interferers) {
-        kb.f64(tone.offset_hz);
-        kb.f64(tone.amplitude);
+        kb.put<double>(tone.offset_hz);
+        kb.put<double>(tone.amplitude);
     }
 
     // Fault injection changes the captured stream, so every knob is
     // part of the capture identity.
     const auto &f = config.channel.faults;
-    kb.u8(f.enabled ? 1 : 0);
-    kb.u64(f.seed);
+    kb.put<std::uint8_t>(f.enabled ? 1 : 0);
+    kb.put<std::uint64_t>(f.seed);
     for (const auto *ep :
          {&f.dropout, &f.snr_collapse, &f.interference}) {
-        kb.f64(ep->rate_hz);
-        kb.f64(ep->mean_duration_s);
+        kb.put<double>(ep->rate_hz);
+        kb.put<double>(ep->mean_duration_s);
     }
-    kb.f64(f.snr_collapse_db);
-    kb.f64(f.interference_amplitude);
-    kb.f64(f.interference_density);
-    kb.f64(f.drift_max_hz);
-    kb.f64(f.drift_period_s);
-    kb.f64(f.frame_truncate_prob);
-    kb.f64(f.frame_corrupt_prob);
+    kb.put<double>(f.snr_collapse_db);
+    kb.put<double>(f.interference_amplitude);
+    kb.put<double>(f.interference_density);
+    kb.put<double>(f.drift_max_hz);
+    kb.put<double>(f.drift_period_s);
+    kb.put<double>(f.frame_truncate_prob);
+    kb.put<double>(f.frame_corrupt_prob);
 }
 
 void
-keyPlan(KeyBuilder &kb, const cpu::InjectionPlan &plan)
+keyPlan(ByteWriter &kb, const cpu::InjectionPlan &plan)
 {
-    kb.u64(plan.seed);
-    kb.u64(plan.loops.size());
+    kb.put<std::uint64_t>(plan.seed);
+    kb.put<std::uint64_t>(plan.loops.size());
     for (const auto &loop : plan.loops) {
-        kb.u64(loop.loop_region);
-        kb.f64(loop.contamination);
-        kb.u64(loop.ops.size());
+        kb.put<std::uint64_t>(loop.loop_region);
+        kb.put<double>(loop.contamination);
+        kb.put<std::uint64_t>(loop.ops.size());
         for (auto op : loop.ops)
-            kb.u8(std::uint8_t(op));
+            kb.put<std::uint8_t>(std::uint8_t(op));
     }
-    kb.u64(plan.bursts.size());
+    kb.put<std::uint64_t>(plan.bursts.size());
     for (const auto &burst : plan.bursts) {
-        kb.u64(burst.trigger_region);
-        kb.u64(burst.occurrence);
-        kb.u64(burst.total_ops);
-        kb.u64(burst.body.size());
+        kb.put<std::uint64_t>(burst.trigger_region);
+        kb.put<std::uint64_t>(burst.occurrence);
+        kb.put<std::uint64_t>(burst.total_ops);
+        kb.put<std::uint64_t>(burst.body.size());
         for (auto op : burst.body)
-            kb.u8(std::uint8_t(op));
+            kb.put<std::uint8_t>(std::uint8_t(op));
     }
 }
 
@@ -238,14 +214,15 @@ std::string
 captureKeyPrefix(const workloads::Workload &workload,
                  const PipelineConfig &config)
 {
-    KeyBuilder kb;
-    kb.str("EDDIE-CKEY-v3");
+    std::string key;
+    ByteWriter kb(key);
+    keyString(kb, "EDDIE-CKEY-v3");
     keyProgram(kb, workload.program);
     keyRegions(kb, workload.regions);
     keyCoreConfig(kb, config.core);
     keyEnergy(kb, config.energy);
     keySignalChain(kb, config);
-    return kb.take();
+    return key;
 }
 
 /** Per-invocation half: input image, seed, and injection plan. */
@@ -253,11 +230,12 @@ std::string
 captureKeySuffix(const workloads::Workload &workload,
                  std::uint64_t seed, const cpu::InjectionPlan &plan)
 {
-    KeyBuilder kb;
+    std::string key;
+    ByteWriter kb(key);
     keyInput(kb, workload.make_input(seed));
-    kb.u64(seed);
+    kb.put<std::uint64_t>(seed);
     keyPlan(kb, plan);
-    return kb.take();
+    return key;
 }
 
 } // namespace

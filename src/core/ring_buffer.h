@@ -1,11 +1,9 @@
 /**
  * @file
- * Fixed-capacity ring buffers: PeakHistory, the monitor's history of
+ * Fixed-capacity ring buffer: PeakHistory, the monitor's history of
  * observed peak vectors (fixed-width double rows, one contiguous
  * allocation, zero allocation per step, rank-major reads that stay in
- * cache while the K-S loop gathers groups), and the generic
- * RingQueue<T> backing the serving runtime's bounded STS queue
- * (src/serve/sts_queue.h).
+ * cache while the K-S loop gathers groups).
  */
 
 #ifndef EDDIE_CORE_RING_BUFFER_H
@@ -14,60 +12,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace eddie::core
 {
-
-/**
- * Fixed-capacity FIFO ring of T. Capacity is set at construction and
- * never reallocated afterwards; the caller enforces the full/empty
- * preconditions (the serving queue wraps this with its own locking
- * and backpressure policy).
- */
-template <typename T>
-class RingQueue
-{
-  public:
-    explicit RingQueue(std::size_t capacity)
-        : slots_(std::max<std::size_t>(capacity, 1))
-    {
-    }
-
-    std::size_t capacity() const { return slots_.size(); }
-    std::size_t size() const { return count_; }
-    bool empty() const { return count_ == 0; }
-    bool full() const { return count_ == slots_.size(); }
-
-    /** Appends one element; precondition: !full(). */
-    void pushBack(T value)
-    {
-        slots_[(head_ + count_) % slots_.size()] = std::move(value);
-        ++count_;
-    }
-
-    /** Removes and returns the oldest element; precondition:
-     *  !empty(). */
-    T popFront()
-    {
-        T value = std::move(slots_[head_]);
-        head_ = (head_ + 1) % slots_.size();
-        --count_;
-        return value;
-    }
-
-    void clear()
-    {
-        head_ = 0;
-        count_ = 0;
-    }
-
-  private:
-    std::vector<T> slots_;
-    std::size_t head_ = 0;  ///< slot of the oldest element
-    std::size_t count_ = 0;
-};
 
 /**
  * Ring of up to `capacity` rows of `width` doubles, oldest evicted

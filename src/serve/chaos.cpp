@@ -674,7 +674,7 @@ runChaos(const ChaosConfig &cfg)
             rep.wire_malformed += ls.wire.totalErrors();
             rep.wire_duplicates_dropped += ls.duplicates_dropped;
             for (const WireSource *src : listener.sources())
-                rep.blocked_pushes += src->wireStats().recv.blocked_pushes;
+                rep.blocked_pushes += src->wireStats().refused_pushes;
 
             // Bit-identity: sessions arrive in admission (connection
             // race) order, so map each admitted WireSource back to

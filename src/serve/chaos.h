@@ -149,7 +149,7 @@ struct ChaosReport
      *  prove every class actually fired). */
     std::uint64_t kills = 0;
     std::uint64_t hangs = 0;
-    /** Summed WireSourceStats::recv.blocked_pushes of phase W (the
+    /** Summed WireSourceStats::refused_pushes of phase W (the
      *  queue-overflow fate). */
     std::uint64_t blocked_pushes = 0;
     std::uint64_t windows_throttled = 0;

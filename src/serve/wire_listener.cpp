@@ -1,6 +1,9 @@
 #include "wire_listener.h"
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <limits>
 
 #include "core/capture_io.h"
 #include "core/errors.h"
@@ -14,6 +17,23 @@ using wire::NackCode;
 
 namespace
 {
+
+constexpr std::uint64_t kTcpTag = 1;
+constexpr std::uint64_t kPipeTag = 2;
+constexpr std::uint64_t kFirstConnTag = 3;
+/** Most bytes one read takes from a ready socket. */
+constexpr std::size_t kReadChunk = 64 * 1024;
+constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+
+/** Steady-clock milliseconds (monotonic; only differences matter). */
+double
+nowMs()
+{
+    using namespace std::chrono;
+    return duration<double, std::milli>(
+               steady_clock::now().time_since_epoch())
+        .count();
+}
 
 NackCode
 nackCodeFor(ShedReason reason)
@@ -35,71 +55,36 @@ nackCodeFor(ShedReason reason)
 
 } // namespace
 
-/**
- * Per-connection read pump: one carry buffer + decoder feed loop, so
- * bytes read during the handshake are never lost when the connection
- * moves on to streaming (a pipelining client may send HELLO and its
- * first batch in one segment).
- */
-struct WireListener::Pump
+/** One accepted socket: its decoder, its deadline, and the tail of an
+ *  STS-BATCH the receive window refused. */
+struct WireListener::Connection
 {
-    wire::Conn &conn;
-    wire::FrameDecoder &dec;
-    std::vector<char> buf;
-    std::size_t off = 0;
-    std::size_t len = 0;
+    std::uint64_t tag = 0;
+    wire::Conn conn;
+    wire::FrameDecoder dec;
+    /** Null until a HELLO attaches the connection to a session. */
+    SessionSlot *slot = nullptr;
+    /** HELLO deadline while handshaking, then the idle deadline;
+     *  none while paused. */
+    double deadline_ms = kNoDeadline;
+    /** Refused tail of an STS-BATCH; while it is held the connection
+     *  is paused: unwatched, so nothing more is read from it. */
+    std::vector<core::Sts> held;
+    bool paused = false;
     bool peer_closed = false;
-    bool io_error = false;
     std::uint64_t bytes = 0;
 
-    Pump(wire::Conn &c, wire::FrameDecoder &d, std::size_t chunk)
-        : conn(c), dec(d), buf(chunk)
+    Connection(std::uint64_t t, wire::Conn c, std::size_t max_payload)
+        : tag(t), conn(std::move(c)),
+          dec(wire::FrameDecoderConfig{max_payload})
     {
-    }
-
-    /** One decode attempt, waiting at most @p slice_ms for bytes.
-     *  NeedMore means timeout, peer close, or I/O error — the flags
-     *  say which. */
-    wire::Decoded step(double slice_ms)
-    {
-        for (;;) {
-            wire::Decoded d = dec.next();
-            if (d.status != DecodeStatus::NeedMore)
-                return d;
-            if (off < len) {
-                // A full decoder always yields Frame/Error on the
-                // next next(), so feed() == 0 cannot livelock here.
-                off += dec.feed(buf.data() + off, len - off);
-                continue;
-            }
-            if (peer_closed) {
-                dec.endOfInput();
-                return dec.next();
-            }
-            std::size_t got = 0;
-            switch (conn.recvSome(buf.data(), buf.size(), slice_ms,
-                                  got)) {
-            case wire::Conn::RecvStatus::Data:
-                off = 0;
-                len = got;
-                bytes += got;
-                continue;
-            case wire::Conn::RecvStatus::Timeout:
-                return d;
-            case wire::Conn::RecvStatus::Closed:
-                peer_closed = true;
-                continue;
-            case wire::Conn::RecvStatus::Error:
-                io_error = true;
-                return d;
-            }
-        }
     }
 };
 
 WireListener::WireListener(TenantRegistry &registry,
                            WireListenerConfig cfg)
-    : registry_(registry), cfg_(std::move(cfg))
+    : registry_(registry), cfg_(std::move(cfg)),
+      next_tag_(kFirstConnTag), read_buf_(kReadChunk)
 {
 }
 
@@ -121,13 +106,13 @@ WireListener::start()
         tcp_listener_ = wire::Listener::tcp(cfg_.tcp);
     if (!cfg_.unix_path.empty())
         pipe_listener_ = wire::Listener::unixPath(cfg_.unix_path);
+    if ((tcp_listener_.valid() &&
+         !poller_.add(tcp_listener_.fd(), kTcpTag)) ||
+        (pipe_listener_.valid() &&
+         !poller_.add(pipe_listener_.fd(), kPipeTag)))
+        throw core::ioErrorErrno("wire: epoll_ctl", "<listener>");
     std::lock_guard<std::mutex> lock(mu_);
-    if (tcp_listener_.valid())
-        accept_threads_.emplace_back(&WireListener::acceptLoop, this,
-                                     &tcp_listener_);
-    if (pipe_listener_.valid())
-        accept_threads_.emplace_back(&WireListener::acceptLoop, this,
-                                     &pipe_listener_);
+    loop_ = std::thread(&WireListener::loop, this);
 }
 
 std::string
@@ -145,87 +130,163 @@ WireListener::pipeAddress() const
 }
 
 void
-WireListener::acceptLoop(wire::Listener *listener)
+WireListener::loop()
 {
+    next_deadline_ms_ = kNoDeadline;
+    std::vector<std::uint64_t> ready;
     for (;;) {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (stopping_)
-                return;
+        poller_.wait(next_deadline_ms_ == kNoDeadline
+                         ? -1.0
+                         : std::max(0.0, next_deadline_ms_ - nowMs()),
+                     ready);
+        for (const std::uint64_t tag : ready) {
+            if (tag == wire::Poller::kWakeTag) {
+                bool stopping = false;
+                {
+                    std::lock_guard<std::mutex> lock(mu_);
+                    stopping = stopping_;
+                }
+                if (stopping) {
+                    closeAll();
+                    return;
+                }
+                resumePaused();
+            } else if (tag == kTcpTag) {
+                acceptAll(tcp_listener_);
+            } else if (tag == kPipeTag) {
+                acceptAll(pipe_listener_);
+            } else {
+                // A tag closed earlier in this batch is simply gone.
+                const auto it = conns_.find(tag);
+                if (it != conns_.end())
+                    onReadable(*it->second);
+            }
         }
-        wire::Conn conn = listener->accept(cfg_.accept_poll_ms);
-        if (!conn.valid())
-            continue;
-        std::lock_guard<std::mutex> lock(mu_);
-        if (stopping_)
-            return; // conn closes on scope exit
-        ++stats_.connections_accepted;
-        readers_.emplace_back(&WireListener::handleConnection, this,
-                              std::move(conn));
+        const double now = nowMs();
+        if (now >= next_deadline_ms_)
+            expireDeadlines(now);
     }
 }
 
 void
-WireListener::handleConnection(wire::Conn conn)
+WireListener::acceptAll(wire::Listener &listener)
 {
-    wire::FrameDecoder dec(
-        wire::FrameDecoderConfig{cfg_.max_payload});
-    Pump pump(conn, dec, cfg_.read_chunk);
-    std::uint64_t generation = 0;
-    SessionSlot *slot = handshake(conn, pump, generation);
-    if (slot != nullptr)
-        streamLoop(conn, pump, *slot, generation);
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.wire.merge(dec.stats());
-    stats_.bytes_received += pump.bytes;
-    ++stats_.connections_closed;
-    if (slot != nullptr) {
-        // We were the session's active reader; hand the slot back so
-        // a reconnect can take over.
-        slot->reader_active = false;
-        slot->active_conn = nullptr;
-        cv_.notify_all();
+    for (;;) {
+        wire::Conn conn = listener.accept();
+        if (!conn.valid()) {
+            const int err = listener.lastErrno();
+            if (err == EINTR || err == ECONNABORTED)
+                continue;
+            if (err != EAGAIN && err != EWOULDBLOCK) {
+                // Out of fds or buffers: a still-readable listening
+                // socket would spin the loop, so stop watching both
+                // until a connection closes.
+                poller_.remove(tcp_listener_.fd());
+                poller_.remove(pipe_listener_.fd());
+                accept_paused_ = true;
+            }
+            return;
+        }
+        const std::uint64_t tag = next_tag_++;
+        const int fd = conn.fd();
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.connections_accepted;
+        }
+        if (!poller_.add(fd, tag)) {
+            std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.conn_errors;
+            ++stats_.connections_closed;
+            continue; // conn closes on scope exit
+        }
+        auto c = std::make_unique<Connection>(tag, std::move(conn),
+                                              cfg_.max_payload);
+        setDeadline(*c, nowMs() + cfg_.hello_deadline_ms);
+        conns_.emplace(tag, std::move(c));
     }
 }
 
-WireListener::SessionSlot *
-WireListener::handshake(wire::Conn &conn, Pump &pump,
-                        std::uint64_t &generation)
+void
+WireListener::onReadable(Connection &c)
 {
-    wire::Decoded d;
-    double waited_ms = 0.0;
+    // pump() leaves a watched connection's decoder short of one whole
+    // frame, so it has room, and a read never takes more than fits:
+    // no bytes wait outside the decoder.
+    const std::size_t room =
+        std::min(read_buf_.size(), c.dec.capacity() - c.dec.buffered());
+    std::size_t got = 0;
+    switch (c.conn.recvSome(read_buf_.data(), room, 0.0, got)) {
+    case wire::Conn::RecvStatus::Data:
+        c.bytes += got;
+        c.dec.feed(read_buf_.data(), got);
+        if (c.slot != nullptr)
+            setDeadline(c, nowMs() + cfg_.idle_timeout_ms);
+        break;
+    case wire::Conn::RecvStatus::Timeout:
+        return; // nothing to read after all
+    case wire::Conn::RecvStatus::Closed:
+        c.peer_closed = true;
+        c.dec.endOfInput();
+        break;
+    case wire::Conn::RecvStatus::Error: {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.conn_errors;
+            if (c.slot == nullptr)
+                ++stats_.handshake_failures;
+        }
+        closeConn(c);
+        return;
+    }
+    }
+    pump(c);
+}
+
+void
+WireListener::pump(Connection &c)
+{
     for (;;) {
-        d = pump.step(cfg_.read_poll_ms);
-        if (d.status != DecodeStatus::NeedMore)
-            break;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (stopping_)
-                return nullptr;
+        const wire::Decoded d = c.dec.next();
+        if (d.status == DecodeStatus::NeedMore) {
+            if (c.peer_closed) {
+                // Clean EOF; a truncated frame was counted above.
+                if (c.slot == nullptr) {
+                    std::lock_guard<std::mutex> lock(mu_);
+                    ++stats_.handshake_failures;
+                }
+                closeConn(c);
+            }
+            return;
         }
-        if (pump.io_error || pump.peer_closed) {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.handshake_failures;
-            if (pump.io_error)
-                ++stats_.conn_errors;
-            return nullptr;
+        if (d.status == DecodeStatus::Error) {
+            // The decoder counted the typed error; answer and drop.
+            std::uint64_t tenant = 0, session = 0;
+            if (c.slot == nullptr) {
+                std::lock_guard<std::mutex> lock(mu_);
+                ++stats_.handshake_failures;
+            } else {
+                tenant = c.slot->tenant_hash;
+                session = c.slot->source->sessionKey();
+            }
+            sendNack(c, tenant, session, 0, NackCode::MalformedFrame,
+                     wire::name(d.error));
+            closeConn(c);
+            return;
         }
-        waited_ms += cfg_.read_poll_ms;
-        if (waited_ms >= cfg_.hello_deadline_ms) {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.handshake_failures;
-            return nullptr;
+        const bool keep =
+            c.slot == nullptr ? handshake(c, d) : dispatch(c, d);
+        if (!keep) {
+            closeConn(c);
+            return;
         }
+        if (c.paused)
+            return;
     }
-    if (d.status == DecodeStatus::Error) {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.handshake_failures;
-        }
-        sendNack(conn, 0, 0, 0, NackCode::MalformedFrame,
-                 wire::name(d.error));
-        return nullptr;
-    }
+}
+
+bool
+WireListener::handshake(Connection &c, const wire::Decoded &d)
+{
     std::string tenant_id;
     if (d.header.type != FrameType::Hello ||
         !wire::decodeHelloPayload(d.payload, d.header.payload_len,
@@ -238,178 +299,86 @@ WireListener::handshake(wire::Conn &conn, Pump &pump,
                                   ? wire::WireError::BadPayload
                                   : wire::WireError::Protocol);
         }
-        sendNack(conn, d.header.tenant, d.header.session, 0,
+        sendNack(c, d.header.tenant, d.header.session, 0,
                  NackCode::ProtocolError, "bad hello");
-        return nullptr;
+        return false;
     }
 
     const std::pair<std::uint64_t, std::uint64_t> key{
         d.header.tenant, d.header.session};
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = sessions_.find(key);
-    if (it == sessions_.end()) {
-        if (frozen_ || stopping_) {
+    SessionSlot *slot = nullptr;
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        const auto it = sessions_.find(key);
+        if (it != sessions_.end()) {
+            slot = it->second.get();
+            ++stats_.reattaches;
+        } else if (frozen_ || stopping_) {
             ++stats_.late_rejects;
             lock.unlock();
-            sendNack(conn, d.header.tenant, d.header.session, 0,
+            sendNack(c, d.header.tenant, d.header.session, 0,
                      NackCode::AdmissionClosed, "admission closed");
-            return nullptr;
-        }
-        auto slot = std::make_unique<SessionSlot>();
-        slot->tenant_id = tenant_id;
-        slot->tenant_hash = d.header.tenant;
-        slot->session_key = d.header.session;
-        slot->source = std::make_unique<WireSource>(
-            tenant_id, d.header.session, cfg_.source);
-        const TenantRegistry::OpenResult res =
-            registry_.openSession(tenant_id, slot->source.get());
-        if (!res.admitted) {
-            ++stats_.admission_refusals;
-            const NackCode code = nackCodeFor(res.reason);
-            lock.unlock();
-            sendNack(conn, d.header.tenant, d.header.session, 0,
-                     code, name(res.reason));
-            return nullptr;
-        }
-        SessionSlot *raw = slot.get();
-        sources_.push_back(raw->source.get());
-        raw->generation = 1;
-        raw->reader_active = true;
-        raw->active_conn = &conn;
-        sessions_.emplace(key, std::move(slot));
-        cv_.notify_all();
-        generation = raw->generation;
-        lock.unlock();
-        sendAck(conn, *raw, raw->source->expected());
-        return raw;
-    }
-
-    // Known session: take over from the previous reader (reconnect).
-    SessionSlot &slot = *it->second;
-    ++slot.generation;
-    generation = slot.generation;
-    if (slot.active_conn != nullptr)
-        slot.active_conn->shutdownBoth();
-    while (slot.reader_active) {
-        if (stopping_)
-            return nullptr;
-        cv_.wait_for(lock, std::chrono::milliseconds(20));
-    }
-    slot.reader_active = true;
-    slot.active_conn = &conn;
-    ++stats_.reattaches;
-    lock.unlock();
-    sendAck(conn, slot, slot.source->expected());
-    return &slot;
-}
-
-void
-WireListener::streamLoop(wire::Conn &conn, Pump &pump,
-                         SessionSlot &slot, std::uint64_t generation)
-{
-    const auto superseded = [this, &slot, generation]() {
-        std::lock_guard<std::mutex> lock(mu_);
-        return stopping_ || slot.generation != generation;
-    };
-    double idle_ms = 0.0;
-    for (;;) {
-        if (superseded())
-            return;
-        const std::uint64_t bytes_before = pump.bytes;
-        const wire::Decoded d = pump.step(cfg_.read_poll_ms);
-        if (d.status == DecodeStatus::Error) {
-            // Decoder counted the typed error; answer and drop.
-            sendNack(conn, slot.tenant_hash, slot.session_key, 0,
-                     NackCode::MalformedFrame, wire::name(d.error));
-            return;
-        }
-        if (d.status == DecodeStatus::Frame) {
-            idle_ms = 0.0;
-            if (!dispatch(conn, slot, generation, d))
-                return;
-            continue;
-        }
-        if (pump.io_error) {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.conn_errors;
-            return;
-        }
-        if (pump.peer_closed)
-            return; // clean EOF; truncation already counted
-        if (pump.bytes != bytes_before) {
-            idle_ms = 0.0;
-            continue;
-        }
-        idle_ms += cfg_.read_poll_ms;
-        if (idle_ms >= cfg_.idle_timeout_ms) {
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.idle_closes;
+            return false;
+        } else {
+            auto fresh = std::make_unique<SessionSlot>();
+            fresh->tenant_hash = d.header.tenant;
+            fresh->source = std::make_unique<WireSource>(
+                tenant_id, d.header.session, cfg_.source, &wake_);
+            const TenantRegistry::OpenResult res =
+                registry_.openSession(tenant_id, fresh->source.get());
+            if (!res.admitted) {
+                ++stats_.admission_refusals;
+                lock.unlock();
+                sendNack(c, d.header.tenant, d.header.session, 0,
+                         nackCodeFor(res.reason), name(res.reason));
+                return false;
             }
-            return;
+            slot = fresh.get();
+            sources_.push_back(slot->source.get());
+            sessions_.emplace(key, std::move(fresh));
+            cv_.notify_all();
         }
     }
+    // Reconnect takeover: the session's previous connection closes
+    // here, on this thread, with whatever tail it held (the client
+    // replays from the ACK below).
+    if (slot->conn != nullptr)
+        closeConn(*slot->conn);
+    slot->conn = &c;
+    c.slot = slot;
+    setDeadline(c, nowMs() + cfg_.idle_timeout_ms);
+    return sendAck(c, slot->source->expected());
 }
 
 bool
-WireListener::dispatch(wire::Conn &conn, SessionSlot &slot,
-                       std::uint64_t generation,
-                       const wire::Decoded &d)
+WireListener::dispatch(Connection &c, const wire::Decoded &d)
 {
-    if (d.header.tenant != slot.tenant_hash ||
-        d.header.session != slot.session_key) {
+    const std::uint64_t tenant = c.slot->tenant_hash;
+    const std::uint64_t session = c.slot->source->sessionKey();
+    if (d.header.tenant != tenant || d.header.session != session) {
         {
             std::lock_guard<std::mutex> lock(mu_);
             stats_.wire.count(wire::WireError::Protocol);
         }
-        sendNack(conn, slot.tenant_hash, slot.session_key,
-                 d.header.sequence, NackCode::ProtocolError,
-                 "session mismatch");
+        sendNack(c, tenant, session, d.header.sequence,
+                 NackCode::ProtocolError, "session mismatch");
         return false;
     }
     switch (d.header.type) {
     case FrameType::StsBatch: {
-        std::vector<core::Sts> batch;
         try {
-            batch = core::decodeStsPayload(d.payload,
-                                           d.header.payload_len);
+            c.held = core::decodeStsPayload(d.payload,
+                                            d.header.payload_len);
         } catch (const core::Error &) {
             {
                 std::lock_guard<std::mutex> lock(mu_);
                 stats_.wire.count(wire::WireError::BadPayload);
             }
-            sendNack(conn, slot.tenant_hash, slot.session_key,
-                     d.header.sequence, NackCode::MalformedFrame,
-                     "bad sts payload");
+            sendNack(c, tenant, session, d.header.sequence,
+                     NackCode::MalformedFrame, "bad sts payload");
             return false;
         }
-        const auto abort = [this, &slot, generation]() {
-            std::lock_guard<std::mutex> lock(mu_);
-            return stopping_ || slot.generation != generation;
-        };
-        switch (slot.source->ingest(d.header.sequence,
-                                    std::move(batch), abort)) {
-        case WireSource::Ingest::Ok: {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.batches;
-            return true;
-        }
-        case WireSource::Ingest::Gap: {
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.sequence_gaps;
-                stats_.wire.count(wire::WireError::SequenceGap);
-            }
-            sendNack(conn, slot.tenant_hash, slot.session_key,
-                     d.header.sequence, NackCode::SequenceGap,
-                     "sequence gap");
-            return false;
-        }
-        case WireSource::Ingest::Closed:
-        case WireSource::Ingest::Aborted:
-            return false;
-        }
-        return false;
+        return offerHeld(c, d.header.sequence);
     }
     case FrameType::Heartbeat: {
         std::lock_guard<std::mutex> lock(mu_);
@@ -417,27 +386,23 @@ WireListener::dispatch(wire::Conn &conn, SessionSlot &slot,
         return true;
     }
     case FrameType::Eof: {
-        switch (slot.source->noteEof(d.header.sequence)) {
-        case WireSource::Ingest::Ok: {
+        if (c.slot->source->noteEof(d.header.sequence) ==
+            WireSource::Ingest::Ok) {
             {
                 std::lock_guard<std::mutex> lock(mu_);
                 ++stats_.eofs;
             }
-            sendAck(conn, slot, d.header.sequence);
+            sendAck(c, d.header.sequence);
             return false; // stream complete; close
         }
-        default: {
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.sequence_gaps;
-                stats_.wire.count(wire::WireError::SequenceGap);
-            }
-            sendNack(conn, slot.tenant_hash, slot.session_key,
-                     d.header.sequence, NackCode::SequenceGap,
-                     "eof below expected");
-            return false;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.sequence_gaps;
+            stats_.wire.count(wire::WireError::SequenceGap);
         }
-        }
+        sendNack(c, tenant, session, d.header.sequence,
+                 NackCode::SequenceGap, "eof below expected");
+        return false;
     }
     case FrameType::Hello:
     case FrameType::Ack:
@@ -446,37 +411,174 @@ WireListener::dispatch(wire::Conn &conn, SessionSlot &slot,
             std::lock_guard<std::mutex> lock(mu_);
             stats_.wire.count(wire::WireError::Protocol);
         }
-        sendNack(conn, slot.tenant_hash, slot.session_key,
-                 d.header.sequence, NackCode::ProtocolError,
-                 "unexpected frame type");
+        sendNack(c, tenant, session, d.header.sequence,
+                 NackCode::ProtocolError, "unexpected frame type");
         return false;
     }
     }
     return false;
 }
 
+bool
+WireListener::offerHeld(Connection &c, std::uint64_t first_seq)
+{
+    switch (c.slot->source->ingest(first_seq, c.held)) {
+    case WireSource::Ingest::Ok: {
+        if (c.paused) {
+            // The window took the rest: read the socket again.
+            c.paused = false;
+            paused_.erase(
+                std::find(paused_.begin(), paused_.end(), c.tag));
+            if (!poller_.add(c.conn.fd(), c.tag)) {
+                std::lock_guard<std::mutex> lock(mu_);
+                ++stats_.conn_errors;
+                return false;
+            }
+            setDeadline(c, nowMs() + cfg_.idle_timeout_ms);
+        }
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.batches;
+        return true;
+    }
+    case WireSource::Ingest::Full:
+        if (!c.paused) {
+            // Stop reading: TCP pushes back on the sender until the
+            // consumer frees half the window and raises wake_.
+            c.paused = true;
+            paused_.push_back(c.tag);
+            poller_.remove(c.conn.fd());
+            c.deadline_ms = kNoDeadline;
+        }
+        return true;
+    case WireSource::Ingest::Gap: {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.sequence_gaps;
+            stats_.wire.count(wire::WireError::SequenceGap);
+        }
+        sendNack(c, c.slot->tenant_hash, c.slot->source->sessionKey(),
+                 first_seq, NackCode::SequenceGap, "sequence gap");
+        return false;
+    }
+    case WireSource::Ingest::Closed:
+        return false;
+    }
+    return false;
+}
+
 void
-WireListener::sendAck(wire::Conn &conn, const SessionSlot &slot,
-                      std::uint64_t sequence)
+WireListener::resumePaused()
+{
+    // A copy: an offer may close its connection.
+    const std::vector<std::uint64_t> tags = paused_;
+    for (const std::uint64_t tag : tags) {
+        const auto it = conns_.find(tag);
+        if (it == conns_.end())
+            continue;
+        Connection &c = *it->second;
+        // The held tail starts at expected(): only this connection
+        // ingests into the session while it holds one.
+        if (!offerHeld(c, c.slot->source->expected()))
+            closeConn(c);
+        else if (!c.paused)
+            pump(c);
+    }
+}
+
+void
+WireListener::expireDeadlines(double now_ms)
+{
+    std::vector<std::uint64_t> expired;
+    next_deadline_ms_ = kNoDeadline;
+    for (const auto &entry : conns_) {
+        const double deadline = entry.second->deadline_ms;
+        if (deadline <= now_ms)
+            expired.push_back(entry.first);
+        else
+            next_deadline_ms_ = std::min(next_deadline_ms_, deadline);
+    }
+    for (const std::uint64_t tag : expired) {
+        Connection &c = *conns_.at(tag);
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            if (c.slot == nullptr)
+                ++stats_.handshake_failures;
+            else
+                ++stats_.idle_closes;
+        }
+        closeConn(c);
+    }
+}
+
+void
+WireListener::setDeadline(Connection &c, double deadline_ms)
+{
+    c.deadline_ms = deadline_ms;
+    next_deadline_ms_ = std::min(next_deadline_ms_, deadline_ms);
+}
+
+void
+WireListener::closeConn(Connection &c)
+{
+    if (c.paused)
+        paused_.erase(std::find(paused_.begin(), paused_.end(), c.tag));
+    else
+        poller_.remove(c.conn.fd());
+    if (c.slot != nullptr && c.slot->conn == &c)
+        c.slot->conn = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        stats_.wire.merge(c.dec.stats());
+        stats_.bytes_received += c.bytes;
+        ++stats_.connections_closed;
+    }
+    if (accept_paused_) {
+        accept_paused_ = false;
+        if (tcp_listener_.valid())
+            poller_.add(tcp_listener_.fd(), kTcpTag);
+        if (pipe_listener_.valid())
+            poller_.add(pipe_listener_.fd(), kPipeTag);
+    }
+    const std::uint64_t tag = c.tag;
+    conns_.erase(tag); // closes the socket
+}
+
+void
+WireListener::closeAll()
+{
+    while (!conns_.empty())
+        closeConn(*conns_.begin()->second);
+    tcp_listener_.close();
+    pipe_listener_.close();
+    // Closing a receive window lets its session drain to Stalled (or
+    // EndOfStream) and detaches the source from wake_.
+    std::lock_guard<std::mutex> lock(mu_);
+    for (WireSource *src : sources_)
+        src->closeIngest();
+}
+
+bool
+WireListener::sendAck(Connection &c, std::uint64_t sequence)
 {
     wire::FrameHeader h;
     h.type = FrameType::Ack;
-    h.tenant = slot.tenant_hash;
-    h.session = slot.session_key;
+    h.tenant = c.slot->tenant_hash;
+    h.session = c.slot->source->sessionKey();
     h.sequence = sequence;
     const std::string bytes = wire::encodeFrame(h, std::string());
-    // Send outside mu_: a non-reading peer may block sendAll, and
-    // drainAndClose needs the lock to shut that very peer down.
-    const bool sent = conn.sendAll(bytes.data(), bytes.size());
+    // The socket is non-blocking: an ACK that does not fit its send
+    // buffer fails like a lost peer, and the connection closes.
+    const bool sent = c.conn.sendAll(bytes.data(), bytes.size());
     std::lock_guard<std::mutex> lock(mu_);
     if (sent)
         ++stats_.acks_sent;
     else
         ++stats_.conn_errors;
+    return sent;
 }
 
 void
-WireListener::sendNack(wire::Conn &conn, std::uint64_t tenant,
+WireListener::sendNack(Connection &c, std::uint64_t tenant,
                        std::uint64_t session, std::uint64_t sequence,
                        NackCode code, const std::string &msg)
 {
@@ -487,7 +589,7 @@ WireListener::sendNack(wire::Conn &conn, std::uint64_t tenant,
     h.sequence = sequence;
     const std::string bytes =
         wire::encodeFrame(h, wire::encodeNackPayload(code, msg));
-    const bool sent = conn.sendAll(bytes.data(), bytes.size());
+    const bool sent = c.conn.sendAll(bytes.data(), bytes.size());
     std::lock_guard<std::mutex> lock(mu_);
     if (sent)
         ++stats_.nacks_sent;
@@ -519,40 +621,17 @@ WireListener::freezeAdmission()
 void
 WireListener::drainAndClose()
 {
-    std::vector<std::thread> accepters;
+    std::thread loop;
     {
         std::lock_guard<std::mutex> lock(mu_);
         stopping_ = true;
-        accepters.swap(accept_threads_);
+        loop.swap(loop_);
         cv_.notify_all();
     }
-    // Wake the accept threads with shutdown() only, and close the
-    // listeners once they are joined: close() writes the fd that
-    // accept() is polling and frees its number for reuse.
-    tcp_listener_.shutdown();
-    pipe_listener_.shutdown();
-    for (std::thread &t : accepters)
-        t.join();
-    tcp_listener_.close();
-    pipe_listener_.close();
-    std::vector<std::thread> readers;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        // Supersede and wake every reader: shutdown unblocks reads,
-        // closeIngest unblocks a reader parked on a full receive
-        // window (and lets its session drain to Stalled).
-        for (auto &entry : sessions_) {
-            SessionSlot &slot = *entry.second;
-            ++slot.generation;
-            if (slot.active_conn != nullptr)
-                slot.active_conn->shutdownBoth();
-            slot.source->closeIngest();
-        }
-        readers.swap(readers_);
-        cv_.notify_all();
-    }
-    for (std::thread &t : readers)
-        t.join();
+    // The loop closes every socket and receive window on this wakeup.
+    poller_.wake();
+    if (loop.joinable())
+        loop.join();
 }
 
 WireListenerStats

@@ -9,32 +9,42 @@
  *
  * Connection state machine (per connection; §11 has the diagram):
  *
- *   accept → [HELLO within hello_deadline_ms]
- *     bad/late HELLO ............ counted handshake failure, close
+ *   accept → [HELLO before hello_deadline_ms]
+ *     silent/partial/bad HELLO .. counted handshake failure, close
  *     unknown/over-quota tenant . NACK(reason) + close, counted
  *     new session, admitted ..... ACK(0), stream
- *     known session ............. take over from the previous reader
- *                                 (reconnect), ACK(expected), stream
+ *     known session ............. close the session's previous
+ *                                 connection (reconnect takeover),
+ *                                 ACK(expected), stream
  *     new session after freeze .. NACK(admission_closed) + close
  *   stream: STS-BATCH (in order; duplicates dropped, gaps NACKed) |
  *           HEARTBEAT | EOF → ACK(total) + close
+ *     full receive window ....... hold the refused tail, stop reading
+ *                                 (TCP pushes back); resume when the
+ *                                 consumer frees half the window
  *   any malformed frame → NACK(malformed) + close (decoder poisons
  *   the connection; there is no resync — the client reconnects and
  *   replays from its ACK)
  *
- * Liveness: per-connection read deadlines (poll slices) and an idle
- * timeout; a silent peer is closed and counted, its session left
- * resumable. Teardown: drainAndClose() stops accepting, closes every
- * connection and receive window, and joins all threads — called from
- * the SIGINT/SIGTERM path *before* the supervisor writes its final
- * checkpoint, so every session sees its wire end first. Closing a
- * receive window raises the Readiness a source is watched by, so the
- * Supervisor (which owns those) must have returned from its run
- * before; a finished run detaches every source.
+ * Threading: one event-loop thread per listener, from start() to
+ * drainAndClose(). It owns both listening sockets and every accepted
+ * socket (all non-blocking, watched by one wire::Poller), so the
+ * listener's thread count does not grow with its connections. The
+ * HELLO and idle deadlines are absolute times, and the loop sleeps
+ * until the earliest one. A connection that holds a refused tail has
+ * no idle deadline: it is waiting for the consumer, not the peer. A
+ * silent peer is closed and counted, its session left resumable.
  *
- * Threading: one accept thread per transport, one reader thread per
- * live connection. Admission (registry mutation) happens only under
- * the listener mutex and only until freezeAdmission(); the supervisor
+ * Teardown: drainAndClose() wakes the loop, which closes every
+ * connection, listening socket and receive window before it exits —
+ * called from the SIGINT/SIGTERM path *before* the supervisor writes
+ * its final checkpoint, so every session sees its wire end first.
+ * Closing a receive window raises the Readiness a source is watched
+ * by, so the Supervisor (which owns those) must have returned from
+ * its run before; a finished run detaches every source.
+ *
+ * Admission (registry mutation) happens only on the loop, under the
+ * listener mutex, and only until freezeAdmission(); the supervisor
  * requires the session table frozen during runFleet, hence the
  * awaitSessions() → freezeAdmission() → runFleet() call order that
  * tools/eddie_serve.cpp uses. Reconnects of known sessions never
@@ -51,6 +61,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -69,17 +80,16 @@ struct WireListenerConfig
     std::string tcp;
     /** AF_UNIX socket path; empty disables the pipe transport. */
     std::string unix_path;
-    /** Accept-poll slice (bounds drainAndClose latency). */
+    /** No effect: the event loop accepts as soon as a connection is
+     *  pending. Kept only because EDDIEBENCH's serve_wire workload
+     *  sets it; it goes with the next benchmark change. */
     double accept_poll_ms = 50.0;
-    /** A connection must complete its HELLO within this. */
+    /** A connection must complete its HELLO within this, counted from
+     *  its accept. */
     double hello_deadline_ms = 5000.0;
-    /** Read-poll slice of the per-connection reader. */
-    double read_poll_ms = 50.0;
     /** A connection with no traffic (frames or bytes) for this long
      *  is closed (counted; the session stays resumable). */
     double idle_timeout_ms = 30000.0;
-    /** recv() chunk size. */
-    std::size_t read_chunk = 64 * 1024;
     /** Frame payload cap (decoder buffering bound per connection). */
     std::size_t max_payload = wire::kDefaultMaxPayload;
     /** Receive window / replay tuning of each session's WireSource. */
@@ -91,7 +101,8 @@ struct WireListenerConfig
 struct WireListenerStats
 {
     std::uint64_t connections_accepted = 0;
-    /** Reader exits (every accepted connection eventually counts). */
+    /** Closed connections (every accepted connection eventually
+     *  counts). */
     std::uint64_t connections_closed = 0;
     /** No valid HELLO inside hello_deadline_ms. */
     std::uint64_t handshake_failures = 0;
@@ -124,12 +135,12 @@ class WireListener
 {
   public:
     /** @p registry must outlive the listener; admission calls happen
-     *  on listener threads until freezeAdmission(). */
+     *  on the loop thread until freezeAdmission(). */
     WireListener(TenantRegistry &registry, WireListenerConfig cfg);
     ~WireListener();
 
-    /** Binds the configured transports and starts accepting. Throws
-     *  core::IoError when a bind fails. */
+    /** Binds the configured transports and starts the event loop.
+     *  Throws core::IoError when a bind fails. */
     void start();
 
     /** Resolved TCP address (ephemeral port filled in); empty when
@@ -148,8 +159,8 @@ class WireListener
     void freezeAdmission();
 
     /** Stops accepting, closes every connection and receive window,
-     *  joins all listener threads. Idempotent, thread-safe; called
-     *  from the signal path before the final checkpoint. */
+     *  joins the loop. Idempotent, thread-safe; called from the
+     *  signal path before the final checkpoint. */
     void drainAndClose();
 
     WireListenerStats stats() const;
@@ -159,42 +170,64 @@ class WireListener
     std::vector<WireSource *> sources() const;
 
   private:
+    /** One accepted socket and its decoder (defined in the .cpp). */
+    struct Connection;
+
     struct SessionSlot
     {
-        std::string tenant_id;
         std::uint64_t tenant_hash = 0;
-        std::uint64_t session_key = 0;
         std::unique_ptr<WireSource> source;
-        /** Generation of the connection allowed to ingest; bumping
-         *  it (reconnect takeover, drain) aborts the old reader. */
-        std::uint64_t generation = 0;
-        bool reader_active = false;
-        /** Live connection of the active reader (shutdown target). */
-        wire::Conn *active_conn = nullptr;
+        /** The connection streaming into the session, if any; a
+         *  reconnect closes it (loop thread only). */
+        Connection *conn = nullptr;
     };
 
-    /** Per-connection carry-buffer read pump (defined in the .cpp). */
-    struct Pump;
+    /** Raises the loop's wakeup: the ingest wake target of every
+     *  source, raised once a refused push has drained to half. */
+    struct LoopWake final : Readiness
+    {
+        wire::Poller &poller;
+        explicit LoopWake(wire::Poller &p) : poller(p) {}
+        void raise() override { poller.wake(); }
+    };
 
-    void acceptLoop(wire::Listener *listener);
-    void handleConnection(wire::Conn conn);
-    /** HELLO → session slot (admission or takeover); nullptr when
-     *  the connection was refused and closed. */
-    SessionSlot *handshake(wire::Conn &conn, Pump &pump,
-                           std::uint64_t &generation);
-    void streamLoop(wire::Conn &conn, Pump &pump, SessionSlot &slot,
-                    std::uint64_t generation);
-    /** One frame's state transition; false ends the connection. */
-    bool dispatch(wire::Conn &conn, SessionSlot &slot,
-                  std::uint64_t generation, const wire::Decoded &d);
-    void sendAck(wire::Conn &conn, const SessionSlot &slot,
-                 std::uint64_t sequence);
-    void sendNack(wire::Conn &conn, std::uint64_t tenant,
+    void loop();
+    void acceptAll(wire::Listener &listener);
+    /** One read from a ready socket, then every frame it completes. */
+    void onReadable(Connection &c);
+    /** Dispatches buffered frames until the decoder needs bytes, the
+     *  receive window refuses a batch, or the connection closes. */
+    void pump(Connection &c);
+    /** HELLO → session slot (admission or takeover); false when the
+     *  connection was refused and closed. */
+    bool handshake(Connection &c, const wire::Decoded &d);
+    /** One streaming frame's state transition; false ends the
+     *  connection. */
+    bool dispatch(Connection &c, const wire::Decoded &d);
+    /** Offers the held batch (first window @p first_seq) to the
+     *  session's receive window; pauses the connection while the
+     *  window refuses part of it, resumes it once all is taken. False
+     *  ends the connection. */
+    bool offerHeld(Connection &c, std::uint64_t first_seq);
+    /** Retries the held tail of every paused connection. */
+    void resumePaused();
+    /** Closes connections whose HELLO or idle deadline has passed. */
+    void expireDeadlines(double now_ms);
+    /** Sets @p c's deadline and pulls the loop's next wake-up in. */
+    void setDeadline(Connection &c, double deadline_ms);
+    void closeConn(Connection &c);
+    void closeAll();
+    bool sendAck(Connection &c, std::uint64_t sequence);
+    void sendNack(Connection &c, std::uint64_t tenant,
                   std::uint64_t session, std::uint64_t sequence,
                   wire::NackCode code, const std::string &msg);
 
     TenantRegistry &registry_;
     const WireListenerConfig cfg_;
+
+    /** Declared before sessions_, whose sources raise wake_. */
+    wire::Poller poller_;
+    LoopWake wake_{poller_};
 
     mutable std::mutex mu_;
     std::condition_variable cv_;
@@ -209,8 +242,21 @@ class WireListener
 
     wire::Listener tcp_listener_;
     wire::Listener pipe_listener_;
-    std::vector<std::thread> accept_threads_;
-    std::vector<std::thread> readers_;
+    std::thread loop_;
+
+    // Loop-thread state.
+    std::unordered_map<std::uint64_t, std::unique_ptr<Connection>>
+        conns_;
+    std::uint64_t next_tag_ = 0;
+    /** Connections holding a refused tail, by tag. */
+    std::vector<std::uint64_t> paused_;
+    /** Earliest deadline of any connection (a lower bound: deadlines
+     *  only move later between scans). */
+    double next_deadline_ms_ = 0.0;
+    /** A listening socket stopped after a failed accept (EMFILE):
+     *  watched again once a connection closes. */
+    bool accept_paused_ = false;
+    std::vector<char> read_buf_;
 };
 
 } // namespace eddie::serve

@@ -18,90 +18,79 @@ nowMs()
         .count();
 }
 
-/** Reader-side nap while the receive window is full; short enough to
- *  notice an abort promptly, long enough not to spin. */
-constexpr double kIngestNapMs = 2.0;
-
-/** Windows next() drains from the receive queue per lock
- *  acquisition. Bounds the extra buffering past recv_capacity to one
- *  batch while amortizing the mutex + wakeup across it. */
-constexpr std::size_t kDrainBatch = 32;
+/** Accounting size of one window: the struct plus its peak list. */
+std::size_t
+stsBytes(const core::Sts &sts)
+{
+    return sizeof(core::Sts) + sts.peak_freqs.size() * sizeof(double);
+}
 
 } // namespace
 
 WireSource::WireSource(std::string tenant_id,
                        std::uint64_t session_key,
-                       const WireSourceConfig &cfg)
+                       const WireSourceConfig &cfg,
+                       Readiness *ingest_wake)
     : tenant_id_(std::move(tenant_id)), session_key_(session_key),
-      cfg_(cfg),
-      recv_(StsQueueConfig{cfg.recv_capacity, cfg.recv_max_bytes})
+      cfg_(cfg), ingest_wake_(ingest_wake)
 {
-}
-
-void
-WireSource::retain(core::Sts sts)
-{
-    retained_.push_back(std::move(sts));
-    while (retained_.size() > cfg_.replay_window) {
-        retained_.pop_front();
-        ++retained_base_;
-    }
 }
 
 Pull
 WireSource::next()
 {
     Pull out;
-    for (;;) {
-        const std::uint64_t cursor = cursor_.load();
-        // Replay from the retained deque first (post-seek rewind).
-        if (cursor < retained_base_ + retained_.size()) {
-            out.status = PullStatus::Ready;
-            out.sts = retained_[std::size_t(cursor - retained_base_)];
-            cursor_.store(cursor + 1);
-            delivered_.fetch_add(1);
-            idle_since_ms_ = -1.0;
-            return out;
+    std::unique_lock<std::mutex> lock(mu_);
+    // Replay delivered windows first (post-seek rewind).
+    if (cursor_ < delivered_) {
+        out.status = PullStatus::Ready;
+        out.sts = windows_[std::size_t(cursor_ - base_)];
+        ++cursor_;
+        ++source_.delivered;
+        idle_since_ms_ = -1.0;
+        return out;
+    }
+    if (eof_total_ >= 0 && cursor_ >= std::uint64_t(eof_total_)) {
+        out.status = PullStatus::EndOfStream;
+        return out;
+    }
+    if (cursor_ < expected_) {
+        const core::Sts &sts = windows_[std::size_t(cursor_ - base_)];
+        out.status = PullStatus::Ready;
+        out.sts = sts;
+        recv_bytes_ -= stsBytes(sts);
+        delivered_ = ++cursor_;
+        ++source_.delivered;
+        idle_since_ms_ = -1.0;
+        while (delivered_ - base_ > cfg_.replay_window) {
+            windows_.pop_front();
+            ++base_;
         }
-        const std::int64_t eof = eof_total_.load();
-        if (eof >= 0 && cursor >= std::uint64_t(eof)) {
-            out.status = PullStatus::EndOfStream;
-            return out;
+        // Wake the loop holding a refused tail once half the window
+        // is free again: one wakeup per half window, not per window.
+        const std::uint64_t undelivered = expected_ - delivered_;
+        if (ingest_waiting_ && ingest_wake_ != nullptr &&
+            2 * undelivered <= cfg_.recv_capacity &&
+            (cfg_.recv_max_bytes == 0 ||
+             2 * recv_bytes_ <= cfg_.recv_max_bytes)) {
+            ingest_waiting_ = false;
+            lock.unlock();
+            ingest_wake_->raise();
         }
-        // Serve from the staged drain batch, refilling it from the
-        // queue (one lock per batch) only once it runs dry.
-        if (pending_pos_ < pending_.size()) {
-            out.status = PullStatus::Ready;
-            out.sts = pending_[pending_pos_];
-            retain(std::move(pending_[pending_pos_]));
-            ++pending_pos_;
-            cursor_.store(cursor + 1);
-            delivered_.fetch_add(1);
-            idle_since_ms_ = -1.0;
-            return out;
-        }
-        if (recv_.popBatch(pending_, kDrainBatch, 0.0) > 0) {
-            pending_pos_ = 0;
-            continue;
-        }
-        // A closed, drained window will never deliver: Stalled at once
-        // unless EOF made it terminal (EOF may have landed between the
-        // checks above; the next iteration decides).
-        if (recv_.drained()) {
-            if (eof_total_.load() < 0) {
-                stalls_.fetch_add(1);
-                out.status = PullStatus::Stalled;
-                return out;
-            }
-            continue;
-        }
-        break;
+        return out;
+    }
+    // A closed, drained window will never deliver: Stalled at once
+    // (an accepted EOF ended the stream above).
+    if (closed_) {
+        ++source_.stalls;
+        out.status = PullStatus::Stalled;
+        return out;
     }
     const double now = nowMs();
     if (idle_since_ms_ < 0.0)
         idle_since_ms_ = now;
     if (now - idle_since_ms_ >= cfg_.stall_timeout_ms) {
-        stalls_.fetch_add(1);
+        ++source_.stalls;
         out.status = PullStatus::Stalled;
         return out;
     }
@@ -112,93 +101,121 @@ WireSource::next()
 bool
 WireSource::seek(std::uint64_t pos)
 {
+    std::lock_guard<std::mutex> lock(mu_);
     // A restart re-seeks: the peer gets a full stall timeout again.
     idle_since_ms_ = -1.0;
-    const std::uint64_t end = retained_base_ + retained_.size();
-    if (pos == cursor_.load())
-        return true;
     // Rewind (or fast-forward within delivered history) served from
-    // the replay deque. Beyond it the wire cannot help: the peer
-    // replays from its ACK, not from arbitrary positions.
-    if (pos >= retained_base_ && pos <= end) {
-        cursor_.store(pos);
+    // the retained windows. Beyond them the wire cannot help: the
+    // peer replays from its ACK, not from arbitrary positions.
+    if (pos == cursor_ || (pos >= base_ && pos <= delivered_)) {
+        cursor_ = pos;
         return true;
     }
     return false;
 }
 
+std::uint64_t
+WireSource::position() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return cursor_;
+}
+
 SourceStats
 WireSource::stats() const
 {
-    SourceStats out;
-    out.delivered = delivered_.load();
-    out.stalls = stalls_.load();
-    return out;
+    std::lock_guard<std::mutex> lock(mu_);
+    return source_;
 }
 
 WireSource::Ingest
-WireSource::ingest(std::uint64_t first_seq,
-                   std::vector<core::Sts> &&batch,
-                   const std::function<bool()> &abort)
+WireSource::ingest(std::uint64_t first_seq, std::vector<core::Sts> &batch)
 {
+    std::unique_lock<std::mutex> lock(mu_);
     if (batch.empty())
         return Ingest::Ok;
-    const std::uint64_t expected = expected_.load();
-    if (first_seq > expected) {
-        gaps_.fetch_add(1);
+    if (first_seq > expected_) {
+        ++wire_.gaps_refused;
         return Ingest::Gap;
     }
-    const std::uint64_t skip = expected - first_seq;
+    const std::uint64_t skip = expected_ - first_seq;
     if (skip >= batch.size()) {
-        duplicates_.fetch_add(batch.size());
+        wire_.duplicates_dropped += batch.size();
+        batch.clear();
         return Ingest::Ok; // pure replay, nothing new
     }
-    if (skip > 0) {
-        duplicates_.fetch_add(skip);
-        batch.erase(batch.begin(),
-                    batch.begin() + std::ptrdiff_t(skip));
+    if (closed_)
+        return Ingest::Closed;
+    wire_.duplicates_dropped += skip;
+    std::size_t taken = std::size_t(skip);
+    for (; taken < batch.size(); ++taken) {
+        // An empty window always takes one window, however large, so
+        // no window is refused forever.
+        const std::uint64_t undelivered = expected_ - delivered_;
+        const std::size_t cost = stsBytes(batch[taken]);
+        if (undelivered != 0 &&
+            (undelivered >= cfg_.recv_capacity ||
+             (cfg_.recv_max_bytes != 0 &&
+              recv_bytes_ + cost > cfg_.recv_max_bytes)))
+            break;
+        windows_.push_back(std::move(batch[taken]));
+        recv_bytes_ += cost;
+        ++expected_;
+        ++wire_.ingested;
     }
-    while (!batch.empty()) {
-        if (recv_.closed())
-            return Ingest::Closed;
-        // Non-blocking push + bounded backpressure wait: a reader
-        // superseded by a reconnect must notice @p abort even while
-        // the window is full, so the wait is capped at kIngestNapMs —
-        // but it parks on the queue's free-space signal, waking the
-        // moment the consumer pops (a blind nap here caps ingest at
-        // capacity/nap_ms).
-        const std::size_t pushed = recv_.pushBatch(batch);
-        if (pushed > 0) {
-            expected_.fetch_add(pushed);
-            ingested_.fetch_add(pushed);
-            wake();
-            continue;
-        }
-        if (abort && abort())
-            return Ingest::Aborted;
-        recv_.waitNotFullFor(kIngestNapMs);
+    const bool pushed = taken > skip;
+    batch.erase(batch.begin(), batch.begin() + std::ptrdiff_t(taken));
+    Ingest result = Ingest::Ok;
+    if (!batch.empty()) {
+        ++wire_.refused_pushes;
+        ingest_waiting_ = true;
+        result = Ingest::Full;
     }
-    return Ingest::Ok;
+    lock.unlock();
+    if (pushed)
+        wake();
+    return result;
 }
 
 WireSource::Ingest
 WireSource::noteEof(std::uint64_t total)
 {
-    if (total != expected_.load()) {
-        gaps_.fetch_add(1);
-        return Ingest::Gap;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (total != expected_) {
+            ++wire_.gaps_refused;
+            return Ingest::Gap;
+        }
+        eof_total_ = std::int64_t(total);
+        closed_ = true;
     }
-    eof_total_.store(std::int64_t(total));
-    recv_.close();
     wake();
     return Ingest::Ok;
+}
+
+std::uint64_t
+WireSource::expected() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return expected_;
 }
 
 void
 WireSource::closeIngest()
 {
-    recv_.close();
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        closed_ = true;
+        ingest_waiting_ = false;
+    }
     wake();
+}
+
+bool
+WireSource::eofKnown() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return eof_total_ >= 0;
 }
 
 void
@@ -219,12 +236,8 @@ WireSource::wake()
 WireSourceStats
 WireSource::wireStats() const
 {
-    WireSourceStats out;
-    out.ingested = ingested_.load();
-    out.duplicates_dropped = duplicates_.load();
-    out.gaps_refused = gaps_.load();
-    out.recv = recv_.stats();
-    return out;
+    std::lock_guard<std::mutex> lock(mu_);
+    return wire_;
 }
 
 } // namespace eddie::serve

@@ -4,10 +4,13 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -152,16 +155,18 @@ Conn::recvSome(void *buf, std::size_t cap, double deadline_ms,
         last_errno_ = EBADF;
         return RecvStatus::Error;
     }
-    const int ready = pollFd(fd_, POLLIN, deadline_ms);
-    if (ready < 0) {
-        if (errno == EINTR)
+    if (deadline_ms != 0.0) {
+        const int ready = pollFd(fd_, POLLIN, deadline_ms);
+        if (ready < 0) {
+            if (errno == EINTR)
+                return RecvStatus::Timeout;
+            last_errno_ = errno;
+            return RecvStatus::Error;
+        }
+        if (ready == 0)
             return RecvStatus::Timeout;
-        last_errno_ = errno;
-        return RecvStatus::Error;
     }
-    if (ready == 0)
-        return RecvStatus::Timeout;
-    const ssize_t n = ::recv(fd_, buf, cap, 0);
+    const ssize_t n = ::recv(fd_, buf, cap, MSG_DONTWAIT);
     if (n < 0) {
         if (errno == EINTR || errno == EAGAIN ||
             errno == EWOULDBLOCK)
@@ -173,20 +178,6 @@ Conn::recvSome(void *buf, std::size_t cap, double deadline_ms,
         return RecvStatus::Closed;
     got = std::size_t(n);
     return RecvStatus::Data;
-}
-
-void
-Conn::shutdownSend()
-{
-    if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_WR);
-}
-
-void
-Conn::shutdownBoth()
-{
-    if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_RDWR);
 }
 
 void
@@ -204,7 +195,8 @@ Listener::~Listener()
 }
 
 Listener::Listener(Listener &&other) noexcept
-    : fd_(other.fd_), address_(std::move(other.address_)),
+    : fd_(other.fd_), last_errno_(other.last_errno_),
+      address_(std::move(other.address_)),
       unlink_path_(std::move(other.unlink_path_))
 {
     other.fd_ = -1;
@@ -217,6 +209,7 @@ Listener::operator=(Listener &&other) noexcept
     if (this != &other) {
         close();
         fd_ = other.fd_;
+        last_errno_ = other.last_errno_;
         address_ = std::move(other.address_);
         unlink_path_ = std::move(other.unlink_path_);
         other.fd_ = -1;
@@ -229,7 +222,8 @@ Listener
 Listener::tcp(const std::string &addr)
 {
     struct sockaddr_in sa = tcpAddr(addr);
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd =
+        ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
     if (fd < 0)
         throw core::ioErrorErrno("wire: socket", addr);
     const int one = 1;
@@ -272,7 +266,8 @@ Listener
 Listener::unixPath(const std::string &path)
 {
     struct sockaddr_un sa = unixAddr(path);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd =
+        ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
     if (fd < 0)
         throw core::ioErrorErrno("wire: socket", path);
     // A stale socket file from a dead listener would make bind fail
@@ -301,31 +296,21 @@ Listener::unixPath(const std::string &path)
 }
 
 Conn
-Listener::accept(double deadline_ms)
+Listener::accept()
 {
-    if (fd_ < 0)
+    const int fd =
+        ::accept4(fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+        last_errno_ = errno;
         return Conn();
-    const int ready = pollFd(fd_, POLLIN, deadline_ms);
-    if (ready <= 0)
-        return Conn();
-    const int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd < 0)
-        return Conn();
+    }
     return Conn(fd);
-}
-
-void
-Listener::shutdown()
-{
-    if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_RDWR);
 }
 
 void
 Listener::close()
 {
     if (fd_ >= 0) {
-        ::shutdown(fd_, SHUT_RDWR);
         ::close(fd_);
         fd_ = -1;
     }
@@ -333,6 +318,68 @@ Listener::close()
         ::unlink(unlink_path_.c_str());
         unlink_path_.clear();
     }
+}
+
+Poller::Poller()
+    : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)),
+      wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC))
+{
+    if (epoll_fd_ < 0 || wake_fd_ < 0 || !add(wake_fd_, kWakeTag)) {
+        const int saved = errno;
+        if (wake_fd_ >= 0)
+            ::close(wake_fd_);
+        if (epoll_fd_ >= 0)
+            ::close(epoll_fd_);
+        errno = saved;
+        throw core::ioErrorErrno("wire: epoll/eventfd", "<poller>");
+    }
+}
+
+Poller::~Poller()
+{
+    ::close(wake_fd_);
+    ::close(epoll_fd_);
+}
+
+bool
+Poller::add(int fd, std::uint64_t tag)
+{
+    struct epoll_event ev;
+    std::memset(&ev, 0, sizeof ev);
+    ev.events = EPOLLIN;
+    ev.data.u64 = tag;
+    return ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0;
+}
+
+void
+Poller::remove(int fd)
+{
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+}
+
+void
+Poller::wait(double timeout_ms, std::vector<std::uint64_t> &tags)
+{
+    tags.clear();
+    int timeout = -1;
+    if (timeout_ms >= 0.0)
+        timeout = int(std::ceil(std::min(timeout_ms, 2147483647.0)));
+    struct epoll_event events[64];
+    const int n = ::epoll_wait(epoll_fd_, events, 64, timeout);
+    for (int i = 0; i < n; ++i) {
+        if (events[i].data.u64 == kWakeTag) {
+            std::uint64_t count = 0;
+            (void)!::read(wake_fd_, &count, sizeof count);
+        }
+        tags.push_back(events[i].data.u64);
+    }
+}
+
+void
+Poller::wake()
+{
+    const std::uint64_t one = 1;
+    (void)!::write(wake_fd_, &one, sizeof one);
 }
 
 Conn
@@ -369,15 +416,6 @@ connectUnix(const std::string &path)
         throw core::ioErrorErrno("wire: connect", path);
     }
     return Conn(fd);
-}
-
-std::pair<Conn, Conn>
-socketPair()
-{
-    int fds[2] = {-1, -1};
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
-        throw core::ioErrorErrno("wire: socketpair", "<pair>");
-    return {Conn(fds[0]), Conn(fds[1])};
 }
 
 } // namespace eddie::wire

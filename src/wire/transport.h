@@ -3,14 +3,17 @@
  * Byte transports for the EDDIEWIRE protocol: TCP sockets (loopback
  * or remote) and AF_UNIX stream sockets (the "named pipe" transport —
  * a filesystem path, but bidirectional, which NACK/ACK handshakes
- * require), plus socketpair() for in-process tests.
+ * require).
  *
  * Design rules, shared with the rest of the serve layer:
  *
- *  - Blocking fds + poll() deadlines, no global event loop: each
- *    connection already has a dedicated reader thread (the listener's
- *    per-session feeder), so readiness multiplexing would buy
- *    complexity, not throughput, at fleet sizes the scheduler caps.
+ *  - The server side is one event loop (serve/wire_listener.h): its
+ *    listening and accepted sockets are non-blocking, and a Poller
+ *    (level-triggered epoll plus one eventfd) tells the loop which of
+ *    them are ready, so a listener's threads do not grow with its
+ *    connections. The client side (serve/wire_client.h) is one
+ *    connection on its own thread and keeps blocking sends with
+ *    poll() read deadlines.
  *  - Sends use MSG_NOSIGNAL: a vanished peer yields EPIPE/ECONNRESET
  *    through lastErrno(), a *counted connection error*, never a
  *    process-killing SIGPIPE (tools also ignore SIGPIPE for the
@@ -27,7 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
+#include <vector>
 
 namespace eddie::wire
 {
@@ -47,10 +50,12 @@ class Conn
     bool valid() const { return fd_ >= 0; }
     int fd() const { return fd_; }
 
-    /** Writes all @p size bytes (retrying short writes / EINTR).
-     *  Blocking — this is where receive-window backpressure lands on
-     *  a producer. False on failure with lastErrno() set (EPIPE and
-     *  ECONNRESET are the lost-peer cases). */
+    /** Writes all @p size bytes (retrying short writes / EINTR). On a
+     *  blocking socket (the client's) this is where receive-window
+     *  backpressure lands on a producer; on a non-blocking one (the
+     *  listener's) a full send buffer fails with EAGAIN. False on
+     *  failure with lastErrno() set (EPIPE and ECONNRESET are the
+     *  lost-peer cases). */
     bool sendAll(const void *data, std::size_t size);
 
     enum class RecvStatus
@@ -66,15 +71,10 @@ class Conn
     };
 
     /** Waits up to @p deadline_ms for readability, then reads once
-     *  (up to @p cap bytes). */
+     *  (up to @p cap bytes). A zero deadline reads without waiting. */
     RecvStatus recvSome(void *buf, std::size_t cap, double deadline_ms,
                         std::size_t &got);
 
-    /** Half-close of the send side (peer sees EOF after draining). */
-    void shutdownSend();
-    /** Full shutdown: wakes a thread blocked in recv/send on this fd
-     *  from another thread (reader teardown path). */
-    void shutdownBoth();
     void close();
 
     int lastErrno() const { return last_errno_; }
@@ -84,7 +84,7 @@ class Conn
     int last_errno_ = 0;
 };
 
-/** A bound, listening endpoint (TCP or AF_UNIX). */
+/** A bound, listening, non-blocking endpoint (TCP or AF_UNIX). */
 class Listener
 {
   public:
@@ -104,33 +104,69 @@ class Listener
     static Listener unixPath(const std::string &path);
 
     bool valid() const { return fd_ >= 0; }
+    int fd() const { return fd_; }
 
-    /** Accepts one connection, waiting up to @p deadline_ms; an
-     *  invalid Conn means timeout or a closed listener. */
-    Conn accept(double deadline_ms);
+    /** Accepts one pending connection without waiting, as a
+     *  non-blocking socket. An invalid Conn means none was pending
+     *  (lastErrno() EAGAIN) or the accept failed (e.g. EMFILE). */
+    Conn accept();
+
+    int lastErrno() const { return last_errno_; }
 
     /** Resolved address: "host:port" for TCP (the ephemeral port is
      *  filled in), the path for AF_UNIX. */
     const std::string &address() const { return address_; }
 
-    /**
-     * Wakes every thread inside accept() without releasing the fd:
-     * their accept() returns an invalid Conn, and so does every later
-     * call. Safe while another thread is inside accept(), which
-     * close() is not (it writes the fd and frees its number for
-     * reuse). To stop an accepting thread: shutdown(), join, close().
-     */
-    void shutdown();
-
-    /** Wakes a blocked accept() and closes the fd. The bound socket
-     *  file of an AF_UNIX listener is unlinked. Idempotent. Not safe
-     *  while another thread is inside accept(); see shutdown(). */
+    /** Closes the fd; the bound socket file of an AF_UNIX listener is
+     *  unlinked. Idempotent. */
     void close();
 
   private:
     int fd_ = -1;
+    int last_errno_ = 0;
     std::string address_;
     std::string unlink_path_;
+};
+
+/**
+ * Level-triggered readiness over many fds plus one cross-thread
+ * wakeup: epoll and an eventfd, the event loop of a WireListener.
+ * Every watched fd carries a tag that wait() reports when the fd is
+ * readable, hung up or in error; the wakeup reports kWakeTag. An fd
+ * that is not watched reports nothing, so a reader that stops
+ * watching a socket stops reading it and TCP pushes back on the peer.
+ */
+class Poller
+{
+  public:
+    /** Reported by wait() after wake(); never a watched fd's tag. */
+    static constexpr std::uint64_t kWakeTag = 0;
+
+    /** Throws core::IoError when epoll or the eventfd cannot be
+     *  created. */
+    Poller();
+    ~Poller();
+    Poller(const Poller &) = delete;
+    Poller &operator=(const Poller &) = delete;
+
+    /** Watches @p fd for reads under @p tag (not kWakeTag); false
+     *  with errno set when epoll refuses it. */
+    bool add(int fd, std::uint64_t tag);
+    /** Stops watching @p fd (before it is closed, or to pause it). */
+    void remove(int fd);
+
+    /** Waits up to @p timeout_ms (negative: no limit) for ready fds
+     *  and replaces @p tags with theirs; an interrupted wait reports
+     *  none. */
+    void wait(double timeout_ms, std::vector<std::uint64_t> &tags);
+
+    /** Makes the current or the next wait() report kWakeTag.
+     *  Callable from any thread. */
+    void wake();
+
+  private:
+    int epoll_fd_ = -1;
+    int wake_fd_ = -1;
 };
 
 /** Connects to a TCP "host:port". Throws core::IoError on failure. */
@@ -138,9 +174,6 @@ Conn connectTcp(const std::string &addr);
 
 /** Connects to an AF_UNIX socket path. Throws core::IoError. */
 Conn connectUnix(const std::string &path);
-
-/** Connected AF_UNIX pair (in-process tests; .first ↔ .second). */
-std::pair<Conn, Conn> socketPair();
 
 } // namespace eddie::wire
 

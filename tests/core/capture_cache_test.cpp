@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "core/capture_cache.h"
 #include "core/capture_io.h"
 #include "core/pipeline.h"
+#include "cpu/injection.h"
 #include "inject/scenarios.h"
 
 namespace
@@ -160,6 +162,46 @@ TEST(CaptureCacheTest, KeySeparatesEveryCaptureInput)
     trainer.threads = 8;
     EXPECT_EQ(core::captureCacheKey(workload, trainer, 1, empty),
               base);
+}
+
+/** CRC-32 and length of captureCacheKey() for three workloads, each
+ *  with an empty plan and with a loop + burst injection plan. The
+ *  digests were recorded before the key writer moved onto
+ *  common::ByteWriter: every key byte must stay the same, or every
+ *  spilled capture silently misses. */
+TEST(CaptureCacheTest, KeyBytesMatchTheirGolden)
+{
+    struct Golden
+    {
+        const char *workload;
+        bool injected;
+        std::uint32_t crc;
+        std::size_t size;
+    };
+    const Golden goldens[] = {
+        {"sha", false, 0x29d282f5u, 2649},
+        {"sha", true, 0xa221b093u, 2721},
+        {"bitcount", false, 0xdba038fdu, 3910},
+        {"bitcount", true, 0x85c2cf65u, 3982},
+        {"susan", false, 0xe164dc3du, 2307},
+        {"susan", true, 0xc3745a6du, 2379},
+    };
+    cpu::InjectionPlan plan;
+    plan.seed = 77;
+    plan.loops.push_back({1, cpu::canonicalLoopPayload(), 0.5});
+    cpu::BurstInjection burst;
+    burst.trigger_region = 2;
+    burst.occurrence = 3;
+    burst.total_ops = 1000;
+    plan.bursts.push_back(burst);
+    const PipelineConfig cfg;
+    for (const Golden &g : goldens) {
+        const auto workload = workloads::makeWorkload(g.workload, 0.15);
+        const std::string key = core::captureCacheKey(
+            workload, cfg, 5, g.injected ? plan : cpu::InjectionPlan{});
+        EXPECT_EQ(common::crc32(key), g.crc) << g.workload;
+        EXPECT_EQ(key.size(), g.size) << g.workload;
+    }
 }
 
 TEST(CaptureCacheTest, EvictionSpillsToDiskAndReloads)

@@ -12,10 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <random>
@@ -90,7 +93,29 @@ waitFor(const std::function<bool()> &pred, double timeout_ms = 5000.0)
     return pred();
 }
 
-constexpr auto kNever = []() { return false; };
+double
+msSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+/** Offers @p batch (first window @p first_seq) to the receive window
+ *  once, as the listener's loop does; a refused tail is dropped. */
+WireSource::Ingest
+offer(WireSource &src, std::uint64_t first_seq,
+      std::vector<core::Sts> batch)
+{
+    return src.ingest(first_seq, batch);
+}
+
+/** Counts raises (the ingest wake target of a WireSource). */
+struct CountingReadiness final : Readiness
+{
+    std::atomic<int> raised{0};
+    void raise() override { raised.fetch_add(1); }
+};
 
 // ----------------------------------------------------------------
 // WireSource: the sequence-discipline unit.
@@ -102,23 +127,23 @@ TEST(WireSource, IngestsInOrderDropsDuplicatesRefusesGaps)
     WireSourceConfig cfg;
     WireSource src("default", 1, cfg);
 
-    EXPECT_EQ(src.ingest(0, slice(stream, 0, 5), kNever),
+    EXPECT_EQ(offer(src, 0, slice(stream, 0, 5)),
               WireSource::Ingest::Ok);
     EXPECT_EQ(src.expected(), 5u);
 
     // Overlapping replay (a reconnecting client resends from its last
     // ACK): the already-ingested prefix is dropped, the tail lands.
-    EXPECT_EQ(src.ingest(3, slice(stream, 3, 8), kNever),
+    EXPECT_EQ(offer(src, 3, slice(stream, 3, 8)),
               WireSource::Ingest::Ok);
     EXPECT_EQ(src.expected(), 8u);
 
     // Fully duplicate batch: dropped whole, still Ok.
-    EXPECT_EQ(src.ingest(0, slice(stream, 0, 3), kNever),
+    EXPECT_EQ(offer(src, 0, slice(stream, 0, 3)),
               WireSource::Ingest::Ok);
     EXPECT_EQ(src.expected(), 8u);
 
     // A batch starting above expected() would fabricate a hole.
-    EXPECT_EQ(src.ingest(10, slice(stream, 10, 12), kNever),
+    EXPECT_EQ(offer(src, 10, slice(stream, 10, 12)),
               WireSource::Ingest::Gap);
     EXPECT_EQ(src.expected(), 8u);
 
@@ -150,7 +175,7 @@ TEST(WireSource, SeekReplaysOnlyWithinRetainedWindow)
     WireSourceConfig cfg;
     cfg.replay_window = 4;
     WireSource src("default", 1, cfg);
-    ASSERT_EQ(src.ingest(0, slice(stream, 0, 10), kNever),
+    ASSERT_EQ(offer(src, 0, slice(stream, 0, 10)),
               WireSource::Ingest::Ok);
     ASSERT_EQ(src.noteEof(10), WireSource::Ingest::Ok);
 
@@ -191,20 +216,20 @@ TEST(WireSource, StallsWhenIdleAbortsAndClosesCleanly)
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
     EXPECT_EQ(src.next().status, PullStatus::Stalled);
 
-    // Ingest blocked on a full receive window polls its abort.
-    ASSERT_EQ(src.ingest(0, slice(stream, 0, 2), kNever),
+    // A full receive window never blocks the ingest half: it refuses
+    // the push at once and hands the whole batch back.
+    ASSERT_EQ(offer(src, 0, slice(stream, 0, 2)),
               WireSource::Ingest::Ok);
-    std::atomic<int> polls{0};
-    EXPECT_EQ(src.ingest(2, slice(stream, 2, 6),
-                         [&]() { return ++polls > 2; }),
-              WireSource::Ingest::Aborted);
-    EXPECT_GT(polls.load(), 2);
+    std::vector<core::Sts> tail = slice(stream, 2, 6);
+    EXPECT_EQ(src.ingest(2, tail), WireSource::Ingest::Full);
+    EXPECT_EQ(tail.size(), 4u);
+    EXPECT_EQ(src.wireStats().refused_pushes, 1u);
 
-    // closeIngest(): blocked producers see Closed, the consumer can
-    // drain what arrived and then stalls (no EOF was accepted).
+    // closeIngest() aborts the ingest half: further pushes see Closed,
+    // the consumer drains what arrived and then stalls (no EOF was
+    // accepted).
     src.closeIngest();
-    EXPECT_EQ(src.ingest(2, slice(stream, 2, 4), kNever),
-              WireSource::Ingest::Closed);
+    EXPECT_EQ(src.ingest(2, tail), WireSource::Ingest::Closed);
     std::size_t drained = 0;
     for (;;) {
         const Pull p = src.next();
@@ -212,8 +237,164 @@ TEST(WireSource, StallsWhenIdleAbortsAndClosesCleanly)
             break;
         ++drained;
     }
-    EXPECT_GE(drained, 2u);
+    EXPECT_EQ(drained, 2u);
     EXPECT_EQ(src.next().status, PullStatus::Stalled);
+}
+
+/** The receive window takes the prefix that fits, in order, and hands
+ *  back exactly the rest; offering that tail again at expected() once
+ *  the consumer made room delivers the stream unchanged. */
+TEST(WireSource, FullWindowTakesWhatFitsAndHandsBackTheTail)
+{
+    const std::vector<core::Sts> stream = eventfulStream(17);
+    WireSourceConfig cfg;
+    cfg.recv_capacity = 4;
+    cfg.recv_max_bytes = 0;
+    WireSource src("default", 1, cfg);
+
+    std::vector<core::Sts> batch = slice(stream, 0, 10);
+    ASSERT_EQ(src.ingest(0, batch), WireSource::Ingest::Full);
+    EXPECT_EQ(src.expected(), 4u);
+    ASSERT_EQ(batch.size(), 6u);
+    EXPECT_TRUE(stsEqual(batch.front(), stream[4]));
+    // Still full: nothing taken, nothing lost, the refusal counted.
+    ASSERT_EQ(src.ingest(src.expected(), batch),
+              WireSource::Ingest::Full);
+    EXPECT_EQ(batch.size(), 6u);
+
+    std::vector<core::Sts> got;
+    while (src.expected() < 10) {
+        const Pull p = src.next();
+        ASSERT_EQ(p.status, PullStatus::Ready);
+        got.push_back(p.sts);
+        const WireSource::Ingest r = src.ingest(src.expected(), batch);
+        ASSERT_TRUE(r == WireSource::Ingest::Ok ||
+                    r == WireSource::Ingest::Full);
+    }
+    EXPECT_TRUE(batch.empty());
+    ASSERT_EQ(src.noteEof(10), WireSource::Ingest::Ok);
+    for (;;) {
+        const Pull p = src.next();
+        if (p.status != PullStatus::Ready)
+            break;
+        got.push_back(p.sts);
+    }
+    EXPECT_TRUE(streamsEqual(got, slice(stream, 0, 10)));
+    const WireSourceStats ws = src.wireStats();
+    EXPECT_EQ(ws.ingested, 10u);
+    EXPECT_GE(ws.refused_pushes, 2u);
+    EXPECT_EQ(ws.duplicates_dropped, 0u);
+}
+
+/** The byte quota bounds the receive window too, but an empty window
+ *  takes one window however large, so no window is refused forever. */
+TEST(WireSource, ByteQuotaBoundsTheWindowButAnEmptyOneTakesAnyWindow)
+{
+    std::vector<core::Sts> stream = eventfulStream(18);
+    stream.resize(3);
+    for (core::Sts &sts : stream)
+        sts.peak_freqs.assign(100, 1.0);
+    WireSourceConfig cfg;
+    cfg.recv_max_bytes = 64; // below one window's cost
+    WireSource src("default", 1, cfg);
+
+    std::vector<core::Sts> batch = stream;
+    ASSERT_EQ(src.ingest(0, batch), WireSource::Ingest::Full);
+    EXPECT_EQ(src.expected(), 1u);
+    ASSERT_EQ(src.next().status, PullStatus::Ready);
+    ASSERT_EQ(src.ingest(1, batch), WireSource::Ingest::Full);
+    EXPECT_EQ(src.expected(), 2u);
+    ASSERT_EQ(src.next().status, PullStatus::Ready);
+    ASSERT_EQ(src.ingest(2, batch), WireSource::Ingest::Ok);
+    EXPECT_EQ(src.expected(), 3u);
+    EXPECT_EQ(src.wireStats().refused_pushes, 2u);
+}
+
+/** A refused push arms one wakeup of the ingest half: the consumer
+ *  raises it once the window has drained to half its bound, not per
+ *  window, and closeIngest() detaches it. */
+TEST(WireSource, HalfDrainedWindowRaisesTheIngestWakeOnce)
+{
+    const std::vector<core::Sts> stream = eventfulStream(19);
+    WireSourceConfig cfg;
+    cfg.recv_capacity = 8;
+    cfg.recv_max_bytes = 0;
+    CountingReadiness wake;
+    WireSource src("default", 1, cfg, &wake);
+
+    // A window that never filled raises nothing.
+    ASSERT_EQ(offer(src, 0, slice(stream, 0, 8)), WireSource::Ingest::Ok);
+    ASSERT_EQ(src.next().status, PullStatus::Ready);
+    EXPECT_EQ(wake.raised.load(), 0);
+
+    std::vector<core::Sts> tail = slice(stream, 8, 20);
+    ASSERT_EQ(src.ingest(8, tail), WireSource::Ingest::Full);
+    EXPECT_EQ(src.expected(), 9u);
+    // 8 undelivered: the wake fires when 4 are left, once.
+    for (int i = 0; i < 3; ++i)
+        ASSERT_EQ(src.next().status, PullStatus::Ready);
+    EXPECT_EQ(wake.raised.load(), 0);
+    ASSERT_EQ(src.next().status, PullStatus::Ready);
+    EXPECT_EQ(wake.raised.load(), 1);
+    for (int i = 0; i < 4; ++i)
+        ASSERT_EQ(src.next().status, PullStatus::Ready);
+    EXPECT_EQ(wake.raised.load(), 1);
+
+    // Refused again, then closed: the drain raises nothing more.
+    ASSERT_EQ(src.ingest(9, tail), WireSource::Ingest::Full);
+    src.closeIngest();
+    while (src.next().status == PullStatus::Ready) {
+    }
+    EXPECT_EQ(wake.raised.load(), 1);
+}
+
+/** Producer and consumer on two threads through a 2-window receive
+ *  window: the producer offers, holds the refused tail and waits for
+ *  the ingest wake, as the listener's loop does. Backpressure keeps
+ *  the order and loses nothing. */
+TEST(WireSource, BackpressureLosesNothingAndCountsRefusedPushes)
+{
+    const std::vector<core::Sts> stream = eventfulStream(20);
+    WireSourceConfig cfg;
+    cfg.recv_capacity = 2;
+    LatchReadiness ingest_wake;
+    LatchReadiness consumer_wake;
+    WireSource src("default", 1, cfg, &ingest_wake);
+    src.watch(&consumer_wake);
+
+    std::thread producer([&] {
+        for (std::size_t at = 0; at < stream.size(); at += 8) {
+            std::vector<core::Sts> batch = slice(
+                stream, at, std::min(stream.size(), at + 8));
+            while (src.ingest(src.expected(), batch) ==
+                   WireSource::Ingest::Full)
+                ingest_wake.waitFor(50.0);
+        }
+        ASSERT_EQ(src.noteEof(stream.size()), WireSource::Ingest::Ok);
+    });
+    // Consume only once the producer has been refused, so the
+    // refusal is certain whatever the scheduling.
+    ASSERT_TRUE(waitFor(
+        [&] { return src.wireStats().refused_pushes > 0; }));
+    std::vector<core::Sts> got;
+    for (;;) {
+        const Pull p = src.next();
+        if (p.status == PullStatus::Ready) {
+            got.push_back(p.sts);
+            continue;
+        }
+        if (p.status == PullStatus::Pending) {
+            consumer_wake.waitFor(50.0);
+            continue;
+        }
+        EXPECT_EQ(p.status, PullStatus::EndOfStream);
+        break;
+    }
+    producer.join();
+    src.watch(nullptr);
+    EXPECT_TRUE(streamsEqual(got, stream));
+    EXPECT_EQ(src.wireStats().ingested, stream.size());
+    EXPECT_GT(src.wireStats().refused_pushes, 0u);
 }
 
 TEST(WireSource, PendingWhileIdleStalledOnlyAfterTimeoutSinceLastWindow)
@@ -223,7 +404,7 @@ TEST(WireSource, PendingWhileIdleStalledOnlyAfterTimeoutSinceLastWindow)
     cfg.stall_timeout_ms = 300.0;
     WireSource src("default", 1, cfg);
 
-    ASSERT_EQ(src.ingest(0, slice(stream, 0, 3), kNever),
+    ASSERT_EQ(offer(src, 0, slice(stream, 0, 3)),
               WireSource::Ingest::Ok);
     for (int i = 0; i < 3; ++i)
         ASSERT_EQ(src.next().status, PullStatus::Ready);
@@ -233,7 +414,7 @@ TEST(WireSource, PendingWhileIdleStalledOnlyAfterTimeoutSinceLastWindow)
     EXPECT_EQ(src.next().status, PullStatus::Pending);
 
     // A delivered window restarts the clock.
-    ASSERT_EQ(src.ingest(3, slice(stream, 3, 4), kNever),
+    ASSERT_EQ(offer(src, 3, slice(stream, 3, 4)),
               WireSource::Ingest::Ok);
     EXPECT_EQ(src.next().status, PullStatus::Ready);
     EXPECT_EQ(src.next().status, PullStatus::Pending);
@@ -256,7 +437,7 @@ TEST(WireSource, EndOfStreamAfterAcceptedEof)
     const std::vector<core::Sts> stream = eventfulStream(15);
     WireSourceConfig cfg;
     WireSource src("default", 1, cfg);
-    ASSERT_EQ(src.ingest(0, slice(stream, 0, 2), kNever),
+    ASSERT_EQ(offer(src, 0, slice(stream, 0, 2)),
               WireSource::Ingest::Ok);
     // Windows still queued: EOF does not cut them off.
     ASSERT_EQ(src.noteEof(2), WireSource::Ingest::Ok);
@@ -286,7 +467,7 @@ TEST(WireSource, ReadinessIsRaisedByIngestEofAndClose)
     const auto t0 = std::chrono::steady_clock::now();
     std::thread producer([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        src.ingest(0, slice(stream, 0, 4), kNever);
+        offer(src, 0, slice(stream, 0, 4));
     });
     EXPECT_TRUE(ready.waitFor(10000.0));
     const double waited_ms =
@@ -308,7 +489,7 @@ TEST(WireSource, ReadinessIsRaisedByIngestEofAndClose)
     WireSource detached("default", 3, cfg);
     detached.watch(&ready);
     detached.watch(nullptr);
-    detached.ingest(0, slice(stream, 0, 2), kNever);
+    offer(detached, 0, slice(stream, 0, 2));
     detached.closeIngest();
     EXPECT_FALSE(ready.waitFor(0.0));
     src.watch(nullptr);
@@ -452,8 +633,6 @@ struct ListenerFixture
         spec.quota.max_sessions = max_sessions;
         registry.addTenant(std::move(spec));
         cfg.tcp = "127.0.0.1:0";
-        cfg.read_poll_ms = 10.0;
-        cfg.accept_poll_ms = 10.0;
     }
 
     void start()
@@ -862,8 +1041,8 @@ TEST(WireListener, DrainAndCloseUnblocksABlockedProducer)
     fx.start();
 
     // A producer that outruns the (absent) consumer: the receive
-    // window fills, ingest blocks the reader, TCP fills, and the
-    // client wedges in sendAll.
+    // window fills, the loop holds the refused tail and stops reading
+    // the socket, TCP fills, and the client wedges in sendAll.
     std::thread producer([&]() {
         RawClient c(fx.listener->tcpAddress());
         if (!c.send(helloFrame("default", 1, 0)))
@@ -901,40 +1080,61 @@ TEST(WireListener, DrainAndCloseUnblocksABlockedProducer)
     EXPECT_GE(st.connections_closed, 1u);
 }
 
-TEST(WireTransport, ShutdownWakesAcceptAndKeepsTheFd)
+/** The event loop's primitives: a non-blocking accept that returns at
+ *  once with nothing pending, a Poller that reports a pending
+ *  connection and a readable socket under their tags, stays silent for
+ *  an unwatched socket, and ends a wait with no time limit on a wake()
+ *  from another thread. */
+TEST(WireTransport, PollerReportsAcceptsReadsAndWakeups)
 {
     const std::string path =
         (std::filesystem::temp_directory_path() /
-         ("eddie_wire_shutdown_" + std::to_string(::getpid()) + ".sock"))
+         ("eddie_wire_poller_" + std::to_string(::getpid()) + ".sock"))
             .string();
     for (const bool unix_socket : {false, true}) {
         wire::Listener listener = unix_socket
             ? wire::Listener::unixPath(path)
             : wire::Listener::tcp("127.0.0.1:0");
-        std::atomic<bool> returned{false};
-        bool got_conn = true;
-        std::thread accepter([&]() {
-            got_conn = listener.accept(20000.0).valid();
-            returned = true;
-        });
-        // Let the accepter get inside poll().
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        EXPECT_FALSE(listener.accept().valid());
+        EXPECT_EQ(listener.lastErrno(), EAGAIN);
+
+        wire::Poller poller;
+        ASSERT_TRUE(poller.add(listener.fd(), 1));
+        std::vector<std::uint64_t> tags;
+        poller.wait(0.0, tags);
+        EXPECT_TRUE(tags.empty());
+
+        wire::Conn client = unix_socket
+            ? wire::connectUnix(path)
+            : wire::connectTcp(listener.address());
+        poller.wait(5000.0, tags);
+        ASSERT_EQ(tags, std::vector<std::uint64_t>{1});
+        wire::Conn server = listener.accept();
+        ASSERT_TRUE(server.valid());
+
+        // Readable under its tag; an unwatched socket reports nothing.
+        ASSERT_TRUE(poller.add(server.fd(), 7));
+        ASSERT_TRUE(client.sendAll("x", 1));
+        poller.wait(5000.0, tags);
+        EXPECT_EQ(tags, std::vector<std::uint64_t>{7});
+        poller.remove(server.fd());
+        poller.wait(0.0, tags);
+        EXPECT_TRUE(tags.empty());
+
         const auto t0 = std::chrono::steady_clock::now();
-        listener.shutdown();
-        accepter.join();
-        const double wake_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        EXPECT_TRUE(returned);
-        EXPECT_FALSE(got_conn);
-        EXPECT_LT(wake_ms, 5000.0) << "accept() slept out its deadline";
-        // The fd stays owned until close(); later accepts return at once.
-        EXPECT_TRUE(listener.valid());
-        EXPECT_FALSE(listener.accept(20000.0).valid());
+        std::thread waker([&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            poller.wake();
+        });
+        poller.wait(-1.0, tags);
+        waker.join();
+        EXPECT_EQ(tags, std::vector<std::uint64_t>{
+                            wire::Poller::kWakeTag});
+        EXPECT_LT(msSince(t0), 5000.0);
         listener.close();
         EXPECT_FALSE(listener.valid());
     }
+    EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(WireListener, DrainAndCloseWhileAcceptIsPolling)
@@ -944,9 +1144,8 @@ TEST(WireListener, DrainAndCloseWhileAcceptIsPolling)
         (std::filesystem::temp_directory_path() /
          ("eddie_wire_drain_" + std::to_string(::getpid()) + ".sock"))
             .string();
-    // A poll slice far longer than the drain may take: only the
-    // shutdown wake-up can end the accept threads in time.
-    fx.cfg.accept_poll_ms = 20000.0;
+    // With no connection the loop waits with no time limit: only the
+    // drain's wakeup can end it in time.
     fx.start();
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
@@ -959,6 +1158,157 @@ TEST(WireListener, DrainAndCloseWhileAcceptIsPolling)
     EXPECT_LT(drain_ms, 5000.0);
     EXPECT_EQ(fx.listener->stats().connections_accepted, 0u);
     fx.listener->drainAndClose(); // idempotent
+}
+
+/** Threads of this process (entries of /proc/self/task). */
+std::size_t
+threadCount()
+{
+    std::size_t n = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)entry;
+        ++n;
+    }
+    return n;
+}
+
+/** Memory mappings of this process (lines of /proc/self/maps). */
+std::size_t
+mappingCount()
+{
+    std::ifstream maps("/proc/self/maps");
+    std::size_t n = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++n;
+    return n;
+}
+
+/** The listener's threads and mappings do not grow with its
+ *  connections: 256 HELLO'd connections held open at once add no
+ *  thread beyond the event loop, and one session reconnected 500
+ *  times (each reconnect closing the previous connection) leaves
+ *  neither a thread nor a mapping behind. */
+TEST(WireListener, ConnectionChurnKeepsThreadsAndMappingsFlat)
+{
+    constexpr std::size_t kFanIn = 256;
+    constexpr std::size_t kReconnects = 500;
+    ListenerFixture fx;
+    const std::size_t threads_before = threadCount();
+    fx.start();
+    const std::string address = fx.listener->tcpAddress();
+
+    std::vector<std::unique_ptr<RawClient>> clients;
+    for (std::size_t s = 0; s < kFanIn; ++s) {
+        clients.push_back(std::make_unique<RawClient>(address));
+        ASSERT_TRUE(clients.back()->send(helloFrame("default", s + 1, 0)));
+    }
+    for (const auto &c : clients)
+        ASSERT_EQ(c->read(5000.0).header.type, wire::FrameType::Ack);
+    ASSERT_EQ(fx.listener->awaitSessions(kFanIn, 5000.0), kFanIn);
+    EXPECT_EQ(threadCount(), threads_before + 1);
+
+    const std::size_t maps_before = mappingCount();
+    for (std::size_t i = 0; i < kReconnects; ++i) {
+        auto c = std::make_unique<RawClient>(address);
+        ASSERT_TRUE(c->send(helloFrame("default", 1, 0)));
+        const wire::Decoded ack = c->read(5000.0);
+        ASSERT_EQ(ack.status, wire::DecodeStatus::Frame);
+        ASSERT_EQ(ack.header.type, wire::FrameType::Ack);
+        clients[0] = std::move(c);
+    }
+    EXPECT_EQ(threadCount(), threads_before + 1);
+    EXPECT_LT(mappingCount(), maps_before + 50);
+
+    const WireListenerStats st = fx.listener->stats();
+    EXPECT_EQ(st.connections_accepted, kFanIn + kReconnects);
+    EXPECT_EQ(st.reattaches, kReconnects);
+    EXPECT_EQ(st.handshake_failures, 0u);
+    fx.listener->drainAndClose();
+    EXPECT_EQ(fx.listener->stats().connections_closed,
+              kFanIn + kReconnects);
+}
+
+/** A connection that sends nothing is closed once its HELLO deadline
+ *  passes and counted as a handshake failure. */
+TEST(WireListener, HelloDeadlineClosesASilentConnection)
+{
+    ListenerFixture fx;
+    fx.cfg.hello_deadline_ms = 100.0;
+    fx.start();
+
+    RawClient c(fx.listener->tcpAddress());
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_TRUE(c.readClosed(5000.0));
+    EXPECT_GE(msSince(t0), 50.0);
+    ASSERT_TRUE(waitFor([&]() {
+        return fx.listener->stats().connections_closed >= 1;
+    }));
+    const WireListenerStats st = fx.listener->stats();
+    EXPECT_EQ(st.handshake_failures, 1u);
+    EXPECT_EQ(st.idle_closes, 0u);
+    EXPECT_EQ(st.nacks_sent, 0u);
+    fx.listener->drainAndClose();
+}
+
+/** Half a HELLO and then silence: the bytes that did arrive do not
+ *  extend the deadline, and the connection is closed and counted the
+ *  same way. */
+TEST(WireListener, HelloDeadlineClosesAHalfSentHello)
+{
+    ListenerFixture fx;
+    fx.cfg.hello_deadline_ms = 100.0;
+    fx.start();
+
+    RawClient c(fx.listener->tcpAddress());
+    const std::string hello = helloFrame("default", 1, 0);
+    ASSERT_TRUE(c.send(hello.substr(0, hello.size() / 2)));
+    EXPECT_TRUE(c.readClosed(5000.0));
+    ASSERT_TRUE(waitFor([&]() {
+        return fx.listener->stats().connections_closed >= 1;
+    }));
+    const WireListenerStats st = fx.listener->stats();
+    EXPECT_EQ(st.handshake_failures, 1u);
+    EXPECT_EQ(st.idle_closes, 0u);
+    EXPECT_EQ(fx.listener->awaitSessions(1, 0.0), 0u);
+    fx.listener->drainAndClose();
+}
+
+/** A connection paused on a full receive window waits for the
+ *  consumer, not the peer: an idle timeout far shorter than the pause
+ *  does not close it, and the stream then completes bit-identically
+ *  on the same connection. */
+TEST(WireListener, PausedOnAFullWindowIsNotIdleClosed)
+{
+    const std::vector<core::Sts> stream = eventfulStream(27);
+    ListenerFixture fx;
+    fx.cfg.idle_timeout_ms = 100.0;
+    fx.cfg.source.recv_capacity = 2;
+    fx.start();
+
+    RawClient c(fx.listener->tcpAddress());
+    ASSERT_TRUE(c.send(helloFrame("default", 1, 0)));
+    ASSERT_EQ(c.read(5000.0).header.type, wire::FrameType::Ack);
+    ASSERT_TRUE(c.send(batchFrame("default", 1, 0, stream)));
+    ASSERT_TRUE(c.send(eofFrame("default", 1, stream.size())));
+    ASSERT_TRUE(waitFor([&]() {
+        return fx.listener->sources().at(0)->wireStats().refused_pushes >=
+               1;
+    }));
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    EXPECT_EQ(fx.listener->stats().idle_closes, 0u);
+    EXPECT_EQ(fx.listener->stats().connections_closed, 0u);
+
+    EXPECT_TRUE(streamsEqual(fx.drainSource(), stream));
+    const wire::Decoded fin = c.read(5000.0);
+    ASSERT_EQ(fin.status, wire::DecodeStatus::Frame);
+    EXPECT_EQ(fin.header.type, wire::FrameType::Ack);
+    EXPECT_EQ(fin.header.sequence, stream.size());
+    const WireListenerStats st = fx.listener->stats();
+    EXPECT_EQ(st.idle_closes, 0u);
+    EXPECT_EQ(st.reattaches, 0u);
+    EXPECT_EQ(st.batches, 1u);
+    fx.listener->drainAndClose();
 }
 
 // ----------------------------------------------------------------
@@ -993,8 +1343,6 @@ struct ServedFixture
         spec.model = model;
         registry.addTenant(std::move(spec));
         cfg.tcp = "127.0.0.1:0";
-        cfg.accept_poll_ms = 10.0;
-        cfg.read_poll_ms = 10.0;
     }
 
     WireClientReport send(const std::string &address,
