@@ -535,21 +535,29 @@ runBench(int argc, char **argv)
         std::make_shared<const core::TrainedModel>(model);
     const auto runServe = [&](const serve::ServeConfig &sc,
                               std::size_t num_shards,
-                              serve::Supervisor::StepHook hook,
+                              serve::Supervisor::FleetStepHook hook,
                               double &out_ms,
                               core::ServeStats &out_stats) {
+        // One tenant, kRunTenant, with no rate quota and no breaker.
+        serve::TenantSpec spec;
+        spec.id = serve::kRunTenant;
+        spec.model = shared_model;
+        spec.breaker.fault_threshold = 0;
+        spec.breaker.storm_outage_windows = 0;
+        spec.breaker.decode_failure_threshold = 0;
+        serve::TenantRegistry reg;
+        reg.addTenant(std::move(spec));
         std::vector<std::unique_ptr<serve::VectorSource>> owned;
-        std::vector<serve::SampleSource *> sources;
         for (std::size_t i = 0; i < num_shards; ++i) {
             owned.push_back(std::make_unique<serve::VectorSource>(
                 serve_streams[i]));
-            sources.push_back(owned.back().get());
+            reg.openSession(serve::kRunTenant, owned.back().get());
         }
-        serve::Supervisor sup(shared_model, sc);
+        serve::Supervisor sup(sc);
         if (hook)
-            sup.setStepHook(std::move(hook));
+            sup.setFleetStepHook(std::move(hook));
         const auto t0 = Clock::now();
-        auto results = sup.run(sources);
+        auto results = sup.runFleet(reg).sessions;
         out_ms = msSince(t0);
         out_stats = sup.stats();
         return results;
@@ -647,7 +655,8 @@ runBench(int argc, char **argv)
     core::ServeStats serve_rec_stats;
     const auto rec_results = runServe(
         rec_cfg, 1,
-        [crash_step, crash_fired](std::size_t step,
+        [crash_step, crash_fired](std::size_t, const std::string &,
+                                  std::size_t step,
                                   const std::atomic<bool> &) {
             if (step == crash_step && !crash_fired->exchange(true))
                 throw std::runtime_error("injected worker crash");

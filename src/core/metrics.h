@@ -166,7 +166,7 @@ struct ServeStats
     double step_ms = 0.0;
     double checkpoint_ms = 0.0;
     /** Fleet runtime (serve/tenant.h): tenants and sessions the last
-     *  runFleet multiplexed. Zero in single-tenant mode. */
+     *  runFleet multiplexed (a single stream is one tenant). */
     std::uint64_t tenants = 0;
     std::uint64_t sessions = 0;
     /** Per-tenant circuit breakers tripped (each isolates one tenant

@@ -548,13 +548,6 @@ CheckpointStore::mirror(std::size_t shard)
     return out;
 }
 
-void
-CheckpointStore::forceFullSnapshot()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    full_dirty_ = true;
-}
-
 bool
 CheckpointStore::writeFullSnapshotLocked()
 {

@@ -102,9 +102,10 @@ DeltaSegment decodeDeltaSegment(const char *data, std::size_t size);
 /**
  * The one on-disk checkpoint layout: every store of a run keys into
  * one EDDIEARC container at checkpointArchivePath(checkpoint_path),
- * each tenant under tenantKeyPrefix(tenant_id). Supervisor::run()
- * files its implicit tenant as kRunTenant, so a store written under
- * tenantKeyPrefix(kRunTenant) is what run() resumes from.
+ * each tenant under tenantKeyPrefix(tenant_id). kRunTenant is the
+ * tenant of a single-stream run (eddie_serve's workload mode), so a
+ * store written under tenantKeyPrefix(kRunTenant), as eddie_monitor
+ * --checkpoint writes it, is what such a run resumes from.
  */
 std::string checkpointArchivePath(const std::string &checkpoint_path);
 std::string tenantKeyPrefix(const std::string &tenant_id);
@@ -206,10 +207,6 @@ class CheckpointStore
      *  rewriting the full snapshot instead when due. Returns false
      *  when an I/O failure was swallowed. */
     bool flush();
-
-    /** Forces the next flush to rewrite the full snapshot (hot model
-     *  reload re-anchors every shard's chain). */
-    void forceFullSnapshot();
 
     CheckpointStoreStats stats() const;
 

@@ -63,7 +63,6 @@ ServeConfig::validate() const
 {
     checkTime(watchdog.heartbeat_deadline_ms,
               "watchdog.heartbeat_deadline_ms");
-    checkTime(watchdog.restart_window_ms, "watchdog.restart_window_ms");
     checkTime(watchdog.poll_interval_ms, "watchdog.poll_interval_ms");
     checkTime(model_poll_ms, "model_poll_ms");
     if (watchdog.heartbeat_deadline_ms <= watchdog.poll_interval_ms)
@@ -132,17 +131,27 @@ struct FleetScheduler::Session final : Readiness
     // source and `held` belong to the owner too.
     /** Steps since the last delta cut. */
     std::size_t since_ckpt = 0;
-    /** Reload generation of this session's model. */
+    /** Reload generation of this session's model (its tenant lane's
+     *  model_gen when it took it). */
     std::uint64_t model_gen = 0;
 
     void raise() override { engine->raise(*this); }
 };
 
 /** Level-1 run-queue entry: one tenant's runnable sessions plus its
- *  DRR account. Guarded by mu_. */
+ *  DRR account and its served model. Guarded by mu_ except where
+ *  noted. */
 struct FleetScheduler::TenantLane
 {
     Tenant *tenant = nullptr;
+    /** The tenant's model: its spec's until a hot reload of
+     *  TenantSpec::model_path replaces it. */
+    std::shared_ptr<const core::TrainedModel> model;
+    /** Bumped (under mu_) per reload; a session whose own generation
+     *  lags swaps before its next step. */
+    std::atomic<std::uint64_t> model_gen{0};
+    /** CRC-32 of the model file last loaded (watchdog-only). */
+    std::uint32_t model_crc = 0;
     std::deque<Session *> fifo;
     /** Steps this tenant may still spend before the ring rotates past
      *  it. Replenished by quantum when its turn comes up with a
@@ -160,7 +169,8 @@ FleetScheduler::FleetScheduler(ServeConfig cfg,
                                std::vector<SchedulerSessionSpec> specs,
                                std::vector<Tenant *> tenants,
                                std::atomic<bool> &stop)
-    : cfg_(std::move(cfg)), tenants_(std::move(tenants)), stop_(stop)
+    : cfg_(std::move(cfg)), tenants_(std::move(tenants)), stop_(stop),
+      lanes_(tenants_.size())
 {
     const std::size_t hw =
         std::max(1u, std::thread::hardware_concurrency());
@@ -176,10 +186,13 @@ FleetScheduler::FleetScheduler(ServeConfig cfg,
         max_rate = std::max(max_rate, t->spec().quota.sts_per_s);
     if (max_rate <= 0.0)
         max_rate = 1.0;
-    lanes_.resize(tenants_.size());
     for (Tenant *t : tenants_) {
         TenantLane &lane = lanes_[t->index()];
         lane.tenant = t;
+        lane.model = t->spec().model;
+        if (!t->spec().model_path.empty())
+            lane.model_crc =
+                common::crc32File(t->spec().model_path).value_or(0);
         const double rate = t->spec().quota.sts_per_s;
         const double w = rate > 0.0 ? rate : max_rate;
         lane.quantum = std::max(
@@ -413,12 +426,12 @@ FleetScheduler::waitForPoll()
 void
 FleetScheduler::dispatch(Session &s, double &busy_ms)
 {
-    if (s.model_gen != model_gen_.load())
+    Tenant &tenant = *s.spec.tenant;
+    if (s.model_gen != lanes_[tenant.index()].model_gen.load())
         swapModel(s);
     const std::size_t max_rounds =
         std::max<std::size_t>(cfg_.scheduler.batch_steps, 1);
     dispatches_.fetch_add(1);
-    Tenant &tenant = *s.spec.tenant;
 
     // Each interval between two clock reads is pull, step or cut time.
     const double t0 = nowMs();
@@ -608,40 +621,44 @@ FleetScheduler::wakeForTeardown()
 }
 
 void
-FleetScheduler::pollModelFile(double now_ms)
+FleetScheduler::pollModelFiles(double now_ms)
 {
-    if (cfg_.model_path.empty() ||
-        now_ms - last_model_poll_ms_ < cfg_.model_poll_ms)
+    if (now_ms - last_model_poll_ms_ < cfg_.model_poll_ms)
         return;
     last_model_poll_ms_ = now_ms;
-    const auto crc = common::crc32File(cfg_.model_path);
-    if (!crc || *crc == model_crc_)
-        return;
-    std::shared_ptr<const core::TrainedModel> fresh;
-    try {
-        // Read-only load (sector CRC check + binary decode): a file
-        // still being written is never cut short by this read.
-        fresh = std::make_shared<const core::TrainedModel>(
-            core::loadModelFile(cfg_.model_path));
-    } catch (const std::exception &) {
-        // Half-written or corrupt artifact: keep serving the current
-        // model; the next poll re-checks the CRC.
-        return;
+    for (TenantLane &lane : lanes_) {
+        const std::string &path = lane.tenant->spec().model_path;
+        if (path.empty())
+            continue;
+        const auto crc = common::crc32File(path);
+        if (!crc || *crc == lane.model_crc)
+            continue;
+        std::shared_ptr<const core::TrainedModel> fresh;
+        try {
+            // Read-only load (sector CRC check + binary decode): a
+            // file still being written is never cut short by this read.
+            fresh = std::make_shared<const core::TrainedModel>(
+                core::loadModelFile(path));
+        } catch (const std::exception &) {
+            // Half-written or corrupt artifact: keep serving the
+            // current model; the next poll re-checks the CRC.
+            continue;
+        }
+        // The loaded bytes must be the ones the CRC covers, or the
+        // next poll would count the same model again: if the CRC
+        // moved, a write is in flight — skip, and the next poll sees
+        // the finished file.
+        const auto crc_after = common::crc32File(path);
+        if (!crc_after || *crc_after != *crc)
+            continue;
+        lane.model_crc = *crc;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            lane.model = std::move(fresh);
+            lane.model_gen.fetch_add(1);
+        }
+        model_reloads_.fetch_add(1);
     }
-    // The loaded bytes must be the ones the CRC covers, or the next
-    // poll would count the same model again: if the CRC moved, a
-    // write is in flight — skip, and the next poll sees the finished
-    // file.
-    const auto crc_after = common::crc32File(cfg_.model_path);
-    if (!crc_after || *crc_after != *crc)
-        return;
-    model_crc_ = *crc;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        served_model_ = std::move(fresh);
-        model_gen_.fetch_add(1);
-    }
-    model_reloads_.fetch_add(1);
 }
 
 void
@@ -649,8 +666,9 @@ FleetScheduler::swapModel(Session &s)
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
-        s.model = served_model_;
-        s.model_gen = model_gen_.load();
+        const TenantLane &lane = lanes_[s.spec.tenant->index()];
+        s.model = lane.model;
+        s.model_gen = lane.model_gen.load();
     }
     // From the live state, not the last cut: no verdict is lost, a
     // held window stays held (no re-seek), and the restart budget is
@@ -668,10 +686,10 @@ FleetScheduler::swapModel(Session &s)
 }
 
 std::shared_ptr<const core::TrainedModel>
-FleetScheduler::reloadedModel() const
+FleetScheduler::tenantModel(std::size_t tenant) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return served_model_;
+    return lanes_[tenant].model;
 }
 
 std::vector<ShardResult>
@@ -715,8 +733,6 @@ FleetScheduler::run()
         s.spec.store->submitFull(s.spec.store_shard, std::move(seed));
         s.wd_seen_ms = t0;
     }
-    if (!cfg_.model_path.empty())
-        model_crc_ = common::crc32File(cfg_.model_path).value_or(0);
     last_model_poll_ms_ = t0;
 
     // Every live session starts runnable: its first dispatch pulls.
@@ -777,7 +793,7 @@ FleetScheduler::run()
                     cutDelta(s);
             }
         } else {
-            pollModelFile(now);
+            pollModelFiles(now);
             wakeDueSessions(now);
         }
         bool all_done = true;

@@ -45,8 +45,9 @@
  *    re-seek the source, charge the tenant budget, and feed the
  *    tenant breaker; a breaker trip removes every session of the
  *    tenant from the run queue without touching neighbors. The
- *    watchdog also polls the model file for hot reload
- *    (ServeConfig::model_path).
+ *    watchdog also polls each tenant's model file for hot reload
+ *    (TenantSpec::model_path); a reload moves only that tenant's
+ *    sessions.
  *
  * Lock order: a source raises while holding its own lock and the raise
  * takes mu_, so the engine never calls into a source while holding
@@ -108,12 +109,8 @@ struct WatchdogConfig
      *  progress, not per-thread heartbeat: a session that steps
      *  rarely because it shares a worker is slow, not hung.) */
     double heartbeat_deadline_ms = 500.0;
-    /** Restarts allowed within restart_window_ms before a session
-     *  escalates to degraded mode. run() charges every session to one
-     *  budget (its implicit tenant's). */
-    std::size_t restart_budget = 3;
-    double restart_window_ms = 10000.0;
-    /** Watchdog poll cadence. */
+    /** Watchdog poll cadence. (Restart budgets are per tenant:
+     *  TenantQuota.) */
     double poll_interval_ms = 2.0;
 };
 
@@ -133,7 +130,7 @@ class ServeConfigError : public core::Error
     std::string field_;
 };
 
-/** Everything the runtime needs beyond the model and the sources. */
+/** Everything the runtime needs beyond its tenants and sessions. */
 struct ServeConfig
 {
     core::MonitorConfig monitor;
@@ -161,13 +158,12 @@ struct ServeConfig
     /** The serving engine's tuning; scheduler.workers == 0 resolves
      *  to min(hardware threads, sessions). */
     SchedulerConfig scheduler;
-    /** Model file watched for hot reload (run() only); empty disables
-     *  watching. */
-    std::string model_path;
+    /** How often the watchdog polls every watched model file
+     *  (TenantSpec::model_path). */
     double model_poll_ms = 200.0;
 
     /** Throws ServeConfigError on the first rule the config breaks
-     *  (both Supervisor constructors call it). */
+     *  (the Supervisor constructor calls it). */
     void validate() const;
 };
 
@@ -281,9 +277,10 @@ class FleetScheduler
     /** Scheduler-specific counters. Thread-safe. */
     SchedulerStats schedulerStats() const;
 
-    /** The model the last hot reload installed; nullptr before any
-     *  reload. Thread-safe. */
-    std::shared_ptr<const core::TrainedModel> reloadedModel() const;
+    /** The model tenant @p tenant (its Tenant::index()) serves: its
+     *  spec's model until a hot reload replaces it. Thread-safe. */
+    std::shared_ptr<const core::TrainedModel>
+    tenantModel(std::size_t tenant) const;
 
   private:
     struct Session;
@@ -311,10 +308,11 @@ class FleetScheduler
     void cutDelta(Session &s);
     void handleFailure(Session &s, double now_ms);
     void escalateTenantLocked(Tenant &tenant);
-    /** Watchdog: installs a changed, stable model file as the served
-     *  model (sessions swap before their next step). */
-    void pollModelFile(double now_ms);
-    /** Moves @p s onto the served model from its live state; called
+    /** Watchdog: installs each watched tenant's changed, stable model
+     *  file as that tenant's model (its sessions swap before their
+     *  next step). */
+    void pollModelFiles(double now_ms);
+    /** Moves @p s onto its tenant's model from its live state; called
      *  by the worker that owns it, before its next step. */
     void swapModel(Session &s);
     /** Sets done_ and wakes every worker. */
@@ -344,14 +342,8 @@ class FleetScheduler
     /** Resolved worker pool size. */
     std::size_t worker_count_ = 0;
 
-    // Hot reload (watchdog-only except where noted).
-    std::uint32_t model_crc_ = 0;
+    /** When the watchdog last polled the watched model files. */
     double last_model_poll_ms_ = 0.0;
-    /** Last reloaded model; guarded by mu_. */
-    std::shared_ptr<const core::TrainedModel> served_model_;
-    /** Bumped (under mu_) per reload; a session whose own generation
-     *  lags swaps before its next step. */
-    std::atomic<std::uint64_t> model_gen_{0};
 
     // Serve-layer counters.
     std::atomic<std::uint64_t> worker_crashes_{0};

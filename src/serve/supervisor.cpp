@@ -48,65 +48,12 @@ openCheckpointArchive(const std::string &path, bool resume)
 
 } // namespace
 
-Supervisor::Supervisor(std::shared_ptr<const core::TrainedModel> model,
-                       ServeConfig cfg)
-    : model_(std::move(model)), cfg_(std::move(cfg))
-{
-    cfg_.validate();
-    if (!model_)
-        throw core::Error("supervisor: null model");
-}
-
 Supervisor::Supervisor(ServeConfig cfg) : cfg_(std::move(cfg))
 {
     cfg_.validate();
-    if (!cfg_.model_path.empty())
-        throw ServeConfigError("model_path",
-                               "hot reload belongs to run(); fleet "
-                               "tenants bring their own models");
 }
 
 Supervisor::~Supervisor() = default;
-
-std::shared_ptr<const core::TrainedModel>
-Supervisor::model() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (sched_)
-        if (auto reloaded = sched_->reloadedModel())
-            return reloaded;
-    return model_;
-}
-
-std::vector<ShardResult>
-Supervisor::run(const std::vector<SampleSource *> &sources)
-{
-    if (!model_)
-        throw core::Error(
-            "supervisor: run() on a fleet-mode supervisor");
-    // The implicit tenant: the ServeConfig's budget, no rate quota,
-    // and every breaker threshold 0 (no breaker).
-    TenantSpec spec;
-    spec.id = kRunTenant;
-    spec.model = model();
-    spec.quota.restart_budget = cfg_.watchdog.restart_budget;
-    spec.quota.restart_window_ms = cfg_.watchdog.restart_window_ms;
-    spec.breaker.fault_threshold = 0;
-    spec.breaker.storm_outage_windows = 0;
-    spec.breaker.decode_failure_threshold = 0;
-    auto reg = std::make_unique<TenantRegistry>();
-    reg->addTenant(std::move(spec));
-    for (SampleSource *source : sources)
-        reg->openSession(kRunTenant, source);
-
-    const auto recovered = openStores(*reg);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        registry_ = nullptr;
-        run_registry_ = std::move(reg);
-    }
-    return serve(*run_registry_, recovered);
-}
 
 std::vector<std::vector<bool>>
 Supervisor::openStores(TenantRegistry &registry)
@@ -172,11 +119,17 @@ Supervisor::openStores(TenantRegistry &registry)
 FleetResult
 Supervisor::runFleet(TenantRegistry &registry)
 {
+    // A tenant with no sessions may lack a model (a listener's tenant
+    // before any device connects); a session needs one.
+    for (const TenantSession &session : registry.sessions())
+        if (!session.tenant->spec().model)
+            throw core::Error("supervisor: tenant " +
+                              session.tenant->id() +
+                              " has a session but no model");
     const auto recovered = openStores(registry);
     {
         std::lock_guard<std::mutex> lock(mu_);
         registry_ = &registry;
-        run_registry_.reset();
     }
 
     FleetResult fleet;
@@ -197,6 +150,7 @@ Supervisor::runFleet(TenantRegistry &registry)
         tr.budget_escalated = tenant->budget().escalated();
         tr.windows_shed = tenant->windowsShed();
         tr.windows_throttled = tenant->windowsThrottled();
+        tr.model = sched_->tenantModel(tenant->index());
         registry.noteRateCounters(tr.windows_shed,
                                   tr.windows_throttled);
         fleet.tenants.push_back(std::move(tr));
@@ -227,15 +181,7 @@ Supervisor::serve(TenantRegistry &registry,
     auto sched = std::make_unique<FleetScheduler>(
         cfg_, std::move(specs), registry.tenants(), stop_);
     sched->setStopCheck(stop_check_);
-    sched->setFleetStepHook([this](std::size_t session,
-                                   const std::string &tenant,
-                                   std::size_t step,
-                                   const std::atomic<bool> &cancel) {
-        if (hook_)
-            hook_(step, cancel);
-        if (fleet_hook_)
-            fleet_hook_(session, tenant, step, cancel);
-    });
+    sched->setFleetStepHook(fleet_hook_);
     FleetScheduler *engine = sched.get();
     {
         std::lock_guard<std::mutex> lock(mu_);

@@ -1,34 +1,35 @@
 /**
  * @file
- * Supervised streaming runtime (DESIGN.md §7). A Supervisor owns the
- * checkpoint stores of a run and serves every session on one
- * FleetScheduler (serve/scheduler.h), the only serving engine. Its
- * watchdog:
+ * Supervised streaming runtime (DESIGN.md §7). A Supervisor serves the
+ * sessions of a TenantRegistry through one entry point, runFleet(),
+ * on one FleetScheduler (serve/scheduler.h), the only serving engine.
+ * It owns the run's checkpoint stores. Its watchdog:
  *
  *  - tracks per-session progress sequence numbers and declares a
  *    hang when a step has held in_step past the deadline with no
  *    sequence advance;
  *  - restarts crashed / hung / source-dead sessions from their last
  *    checkpoint (re-seeking the source, so no window is skipped and
- *    verdicts stay bit-identical), charging a restarts-per-window
- *    budget;
+ *    verdicts stay bit-identical), charging the tenant's
+ *    restarts-per-window budget (TenantQuota);
  *  - escalates a session to degraded mode when the budget is
  *    exhausted (its last checkpointed verdicts become its final
  *    result);
- *  - hot-reloads the model when the model file's CRC changes (run()
- *    only): each session moves to the new model from its live state
- *    before its next step (no verdict loss, not charged to the
- *    budget).
+ *  - hot-reloads a tenant's model when the CRC of its
+ *    TenantSpec::model_path changes: each of that tenant's sessions
+ *    moves to the new model from its live state before its next step
+ *    (no verdict loss, not charged to the budget); other tenants keep
+ *    theirs.
  *
- * run(sources) serves one model: it registers one implicit tenant,
- * kRunTenant. runFleet(registry) serves many tenants, each its own
- * fault domain (DESIGN.md §9). Both checkpoint into one EDDIEARC
- * container, one key prefix per tenant (serve/checkpoint.h).
+ * Each tenant is its own fault domain (DESIGN.md §9). All of them
+ * checkpoint into one EDDIEARC container, one key prefix per tenant
+ * (serve/checkpoint.h). A single stream is a one-tenant fleet.
  *
- * Failure injection for tests goes through a cancel-aware StepHook:
- * throwing simulates a worker crash, blocking until the cancel flag
- * simulates a hang the watchdog must detect. Real recovery machinery,
- * simulated faults — the same split as faults/fault_injector.h.
+ * Failure injection for tests goes through a cancel-aware
+ * FleetStepHook: throwing simulates a worker crash, blocking until
+ * the cancel flag simulates a hang the watchdog must detect. Real
+ * recovery machinery, simulated faults — the same split as
+ * faults/fault_injector.h.
  */
 
 #ifndef EDDIE_SERVE_SUPERVISOR_H
@@ -36,7 +37,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -70,6 +70,9 @@ struct TenantResult
     bool budget_escalated = false;
     std::uint64_t windows_shed = 0;
     std::uint64_t windows_throttled = 0;
+    /** The model the tenant ended on: its spec's, or the last hot
+     *  reload of its model_path. */
+    std::shared_ptr<const core::TrainedModel> model;
 };
 
 /** Everything a fleet run produced. */
@@ -88,51 +91,31 @@ class Supervisor
   public:
     /**
      * Test/bench hook invoked before every monitor step with the
-     * session-local step ordinal. Throwing simulates a crash;
-     * blocking until @p cancel becomes true simulates a hang (hooks
-     * MUST honor cancel, or teardown joins would deadlock).
+     * session index (into TenantRegistry::sessions()), its tenant's
+     * id and the session-local step ordinal, so harnesses can target
+     * one tenant's sessions while its neighbors run clean. Throwing
+     * simulates a crash; blocking until the cancel flag becomes true
+     * simulates a hang (hooks MUST honor cancel, or teardown joins
+     * would deadlock).
      */
-    using StepHook = std::function<void(std::size_t step,
-                                        const std::atomic<bool> &cancel)>;
-    /**
-     * Fleet-mode hook: like StepHook but also names the session and
-     * tenant, so chaos/bench harnesses can target one tenant's
-     * sessions while its neighbors run clean.
-     */
-    using FleetStepHook =
-        std::function<void(std::size_t session,
-                           const std::string &tenant, std::size_t step,
-                           const std::atomic<bool> &cancel)>;
+    using FleetStepHook = FleetScheduler::FleetStepHook;
     /** Polled by the watchdog; returning true requests a graceful
      *  stop (signal handlers hook in here). */
-    using StopCheck = std::function<bool()>;
+    using StopCheck = FleetScheduler::StopCheck;
 
     /** Throws ServeConfigError when cfg.validate() does. */
-    Supervisor(std::shared_ptr<const core::TrainedModel> model,
-               ServeConfig cfg);
-    /** Fleet-mode constructor: models come from the tenants, so no
-     *  process-wide model is held (run() then throws; use
-     *  runFleet()), and model_path is refused. */
     explicit Supervisor(ServeConfig cfg);
     ~Supervisor();
 
     /**
-     * Runs every source to completion (EOF, graceful stop, or
-     * escalation) and returns one result per source. The sources are
-     * the sessions of one implicit tenant: its budget comes from the
-     * ServeConfig, and it has no rate quota and no breaker.
-     * It checkpoints under tenantKeyPrefix(kRunTenant). Sources must
-     * outlive the call and be seekable for restart/resume to work.
-     * Not reentrant.
-     */
-    std::vector<ShardResult>
-    run(const std::vector<SampleSource *> &sources);
-
-    /**
-     * Multi-tenant fleet run (DESIGN.md §9): one session per admitted
-     * session in @p registry, each checkpointing into its tenant's
-     * own store — a per-tenant key namespace of one shared EDDIEARC
-     * container. Per-tenant fault domains:
+     * Runs every admitted session of @p registry to completion (EOF,
+     * graceful stop, or escalation), each checkpointing into its
+     * tenant's own store — a per-tenant key namespace of one shared
+     * EDDIEARC container. Throws core::Error, before any store is
+     * opened, when a session's tenant has no model. Sources must
+     * outlive the call and be seekable for restart/resume to work;
+     * @p registry must outlive stats() calls. Not reentrant.
+     * Per-tenant fault domains (DESIGN.md §9):
      *
      *  - the RestartBudget is the tenant's (all its sessions draw
      *    from one pool; exhaustion escalates the failing session);
@@ -155,7 +138,6 @@ class Supervisor
     void requestStop() { stop_.store(true); }
 
     void setStopCheck(StopCheck check) { stop_check_ = std::move(check); }
-    void setStepHook(StepHook hook) { hook_ = std::move(hook); }
     void setFleetStepHook(FleetStepHook hook)
     {
         fleet_hook_ = std::move(hook);
@@ -173,9 +155,6 @@ class Supervisor
         return sched_.get();
     }
 
-    /** Currently served model (changes after a hot reload). */
-    std::shared_ptr<const core::TrainedModel> model() const;
-
   private:
     /** Opens the checkpoint container and one store per tenant of
      *  @p registry into stores_ (index = Tenant::index()); on resume
@@ -191,9 +170,7 @@ class Supervisor
     serve(TenantRegistry &registry,
           const std::vector<std::vector<bool>> &recovered);
 
-    std::shared_ptr<const core::TrainedModel> model_;
     ServeConfig cfg_;
-    StepHook hook_;
     FleetStepHook fleet_hook_;
     StopCheck stop_check_;
     std::atomic<bool> stop_{false};
@@ -207,10 +184,7 @@ class Supervisor
      *  the watchdog flushes, so the shared container never sees
      *  interleaved stage/commit batches. */
     std::vector<std::unique_ptr<CheckpointStore>> stores_;
-    /** run()'s implicit tenant (outlives the scheduler's pointers). */
-    std::unique_ptr<TenantRegistry> run_registry_;
-    /** Registry of the current/last runFleet, for stats(); nullptr
-     *  after a run(). */
+    /** Registry of the current/last runFleet, for stats(). */
     TenantRegistry *registry_ = nullptr;
     std::unique_ptr<FleetScheduler> sched_;
     /** Breakers tripped by checkpoint rot during resume, before the

@@ -1,6 +1,7 @@
 #include "tenant.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -166,6 +167,11 @@ TenantRegistry::addTenant(TenantSpec spec)
         throw std::invalid_argument("tenant: '/' in id " + spec.id);
     if (tenants_.count(spec.id) != 0)
         throw std::invalid_argument("tenant: duplicate id " + spec.id);
+    if (!std::isfinite(spec.quota.restart_window_ms) ||
+        spec.quota.restart_window_ms < 0.0)
+        throw std::invalid_argument(
+            "tenant: " + spec.id +
+            ": quota.restart_window_ms must be finite and >= 0");
     auto tenant =
         std::make_unique<Tenant>(std::move(spec), order_.size());
     Tenant &ref = *tenant;

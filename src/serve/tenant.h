@@ -17,8 +17,8 @@
  *    faults, quality-gate quarantine storms, or checkpoint decode
  *    failures trip the breaker; a tripped tenant's sessions are
  *    escalated into degraded mode while neighbors keep running. The
- *    RestartBudget is per-tenant in fleet mode, so one tenant's
- *    crash loop cannot drain a shared budget.
+ *    RestartBudget is per tenant, so one tenant's crash loop cannot
+ *    drain a shared budget.
  *
  * Everything here is pure state over injected timestamps (no threads,
  * no clocks), so policies are unit-testable and the chaos harness can
@@ -46,9 +46,8 @@ namespace eddie::serve
 /**
  * Sliding-window restart budget, factored out of the supervisor so
  * the escalation policy is unit-testable with synthetic clocks: pure
- * state over injected timestamps, no threads. One per tenant: all of
- * a tenant's sessions draw from it (run()'s sessions share the budget
- * of its implicit tenant).
+ * state over injected timestamps, no threads. One per tenant, sized
+ * by its TenantQuota: all of a tenant's sessions draw from it.
  */
 class RestartBudget
 {
@@ -123,7 +122,9 @@ struct TenantQuota
     double burst = 32.0;
     RatePolicy rate_policy = RatePolicy::Throttle;
     /** Per-tenant restart budget: all of a tenant's sessions draw
-     *  from one pool. */
+     *  from one pool of restart_budget restarts per trailing
+     *  restart_window_ms (finite, >= 0) before a failing session
+     *  escalates to degraded mode. */
     std::size_t restart_budget = 3;
     double restart_window_ms = 10000.0;
 };
@@ -223,7 +224,12 @@ struct AdmissionStats
 struct TenantSpec
 {
     std::string id;
+    /** Needed once the tenant has a session (Supervisor::runFleet). */
     std::shared_ptr<const core::TrainedModel> model;
+    /** Model file the watchdog polls for hot reload (every
+     *  ServeConfig::model_poll_ms); a reload moves only this tenant's
+     *  sessions. Empty disables watching. */
+    std::string model_path;
     TenantQuota quota;
     BreakerConfig breaker;
 };
@@ -303,9 +309,10 @@ class TenantRegistry
     explicit TenantRegistry(AdmissionConfig cfg = {});
 
     /** Registers a tenant; throws std::invalid_argument on a
-     *  duplicate or empty id, or one containing '/' (the id names the
-     *  tenant's checkpoint key prefix). The reference stays valid for
-     *  the registry's lifetime. */
+     *  duplicate or empty id, one containing '/' (the id names the
+     *  tenant's checkpoint key prefix), or a negative or non-finite
+     *  quota.restart_window_ms. The reference stays valid for the
+     *  registry's lifetime. */
     Tenant &addTenant(TenantSpec spec);
 
     Tenant *find(const std::string &id);

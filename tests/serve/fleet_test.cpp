@@ -3,17 +3,20 @@
  * Integration tests of the multi-tenant fleet runtime: per-tenant
  * fault domains under runFleet (a crashing tenant's breaker isolates
  * it while neighbors' verdicts stay bit-identical), per-tenant
- * checkpoint namespaces in one shared archive, and the deterministic
- * chaos harness end to end (tests/serve/serve_test_util.h fixtures).
+ * checkpoint namespaces in one shared archive, per-tenant hot model
+ * reload, and the deterministic chaos harness end to end
+ * (tests/serve/serve_test_util.h fixtures).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../store/codec_samples.h"
@@ -311,10 +314,95 @@ TEST(Fleet, IdlePullsChargeNoRateQuota)
     EXPECT_EQ(fr.sessions[0].steps, 1u);
 }
 
-TEST(Fleet, LegacyRunRefusedOnFleetSupervisor)
+/** A session needs its tenant's model: runFleet refuses a session of
+ *  a tenant registered without one, naming the tenant, before it opens
+ *  any store. A tenant with no sessions may lack a model. */
+TEST(Fleet, SessionOfATenantWithoutAModelIsRefused)
 {
+    const std::string base = testing::TempDir() + "fleet_no_model_test";
+    std::remove(checkpointArchivePath(base).c_str());
+    FleetFixture fx(1);
+    TenantSpec bare;
+    bare.id = "bare";
+    {
+        TenantRegistry reg;
+        reg.addTenant(bare);
+        ASSERT_TRUE(reg.openSession("bare", fx.sources[0].get()).admitted);
+        ServeConfig cfg = fastServeConfig();
+        cfg.checkpoint_path = base;
+        Supervisor sup(cfg);
+        try {
+            sup.runFleet(reg);
+            ADD_FAILURE() << "served a session without a model";
+        } catch (const core::Error &e) {
+            EXPECT_NE(std::string(e.what()).find("tenant bare"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_FALSE(
+            std::filesystem::exists(checkpointArchivePath(base)));
+    }
+    TenantRegistry reg;
+    reg.addTenant(bare);
+    reg.addTenant(fx.spec("a"));
+    ASSERT_TRUE(reg.openSession("a", fx.sources[0].get()).admitted);
     Supervisor sup(fastServeConfig());
-    EXPECT_THROW(sup.run({}), core::Error);
+    const FleetResult fr = sup.runFleet(reg);
+    ASSERT_EQ(fr.sessions.size(), 1u);
+    EXPECT_TRUE(sameRecords(fr.sessions[0].records, fx.serial_records[0]));
+    EXPECT_EQ(fr.tenants[0].model, nullptr);
+}
+
+/** Hot reload is per tenant: only tenant a watches its model file, and
+ *  a rewrite mid-run swaps a's session alone. b's verdicts stay
+ *  bit-identical to its serial pass, which the reloaded model would
+ *  have changed, and b ends on its original model. */
+TEST(Fleet, HotReloadSwapsOnlyTheWatchedTenant)
+{
+    const std::string path = testing::TempDir() + "fleet_hot_model_a";
+    FleetFixture fx(2);
+    core::saveModelFile(*fx.model, path);
+    // alpha 0.5 rejects about half of the clean windows that 1e-6
+    // accepts: a session that swaps shows it in its records.
+    const core::TrainedModel loose = withAlpha(*fx.model, 0.5);
+    core::Monitor loose_b(loose, core::MonitorConfig{});
+    for (const core::Sts &sts : *fx.streams[1])
+        loose_b.step(sts);
+    ASSERT_FALSE(sameRecords(loose_b.records(), fx.serial_records[1]));
+
+    TenantRegistry reg;
+    TenantSpec a = fx.spec("a");
+    a.model_path = path;
+    reg.addTenant(a);
+    reg.addTenant(fx.spec("b"));
+    ASSERT_TRUE(reg.openSession("a", fx.sources[0].get()).admitted);
+    ASSERT_TRUE(reg.openSession("b", fx.sources[1].get()).admitted);
+    ServeConfig cfg = fastServeConfig();
+    cfg.model_poll_ms = 2.0;
+    Supervisor sup(cfg);
+    std::atomic<bool> rewritten{false};
+    sup.setFleetStepHook([&](std::size_t, const std::string &tenant,
+                             std::size_t step, const std::atomic<bool> &) {
+        // saveModelFile replaces the file atomically (tmp + rename).
+        if (tenant == "a" && step == 30 && !rewritten.exchange(true))
+            core::saveModelFile(loose, path);
+        // Slow both streams so that model polls land mid-run.
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+    });
+    const FleetResult fr = sup.runFleet(reg);
+    std::remove(path.c_str());
+
+    ASSERT_EQ(fr.sessions.size(), 2u);
+    EXPECT_EQ(sup.stats().model_reloads, 1u);
+    EXPECT_FALSE(fr.sessions[0].escalated);
+    EXPECT_EQ(fr.sessions[0].steps, fx.streams[0]->size());
+    EXPECT_FALSE(sameRecords(fr.sessions[0].records, fx.serial_records[0]));
+    ASSERT_NE(fr.tenants[0].model, nullptr);
+    EXPECT_DOUBLE_EQ(fr.tenants[0].model->alpha, 0.5);
+    EXPECT_FALSE(fr.sessions[1].escalated);
+    EXPECT_TRUE(sameRecords(fr.sessions[1].records, fx.serial_records[1]));
+    EXPECT_TRUE(sameReports(fr.sessions[1].reports, fx.serial_reports[1]));
+    EXPECT_EQ(fr.tenants[1].model, fx.model);
 }
 
 TEST(Chaos, SmokeSeedsHoldEveryInvariant)

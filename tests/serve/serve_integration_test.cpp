@@ -1,12 +1,14 @@
 /**
  * @file
- * End-to-end supervision tests: the runtime is killed mid-stream
- * (worker crash, worker hang, in-process teardown with on-disk
- * checkpoints) and must recover to the exact verdict sequence of an
- * uninterrupted run; a torn or damaged checkpoint archive must be
- * counted or refused, never silently lost; a flaky source behind
- * retry/backoff must cause zero verdict divergence; an unrecoverable
- * shard must escalate.
+ * End-to-end supervision tests on one tenant (kRunTenant, no rate
+ * quota, no breaker — what eddie_serve's workload mode serves): the
+ * runtime is killed mid-stream (worker crash, worker hang, in-process
+ * teardown with on-disk checkpoints) and must recover to the exact
+ * verdict sequence of an uninterrupted run; a torn or damaged
+ * checkpoint archive must be counted or refused, never silently lost;
+ * a flaky source behind retry/backoff must cause zero verdict
+ * divergence; an unrecoverable shard must escalate; a rewritten model
+ * file hot-reloads without verdict loss.
  */
 
 #include <atomic>
@@ -60,8 +62,28 @@ struct Fixture
         cfg.checkpoint_interval = 8;
         cfg.watchdog.heartbeat_deadline_ms = 60.0;
         cfg.watchdog.poll_interval_ms = 1.0;
-        cfg.watchdog.restart_budget = 3;
         return cfg;
+    }
+
+    /** Registers kRunTenant in @p reg (no rate quota, every breaker
+     *  threshold 0, @p budget restarts, hot reload of @p model_path)
+     *  with one session per source. */
+    void addTenant(TenantRegistry &reg,
+                   const std::vector<SampleSource *> &sources,
+                   std::size_t budget = 3,
+                   const std::string &model_path = "") const
+    {
+        TenantSpec spec;
+        spec.id = kRunTenant;
+        spec.model = model;
+        spec.model_path = model_path;
+        spec.quota.restart_budget = budget;
+        spec.breaker.fault_threshold = 0;
+        spec.breaker.storm_outage_windows = 0;
+        spec.breaker.decode_failure_threshold = 0;
+        reg.addTenant(spec);
+        for (SampleSource *source : sources)
+            ASSERT_TRUE(reg.openSession(kRunTenant, source).admitted);
     }
 };
 
@@ -76,8 +98,10 @@ TEST(Supervisor, CleanRunMatchesBareMonitor)
 {
     const Fixture &f = fixture();
     VectorSource source(f.stream);
-    Supervisor sup(f.model, f.config());
-    const auto results = sup.run({&source});
+    TenantRegistry reg;
+    f.addTenant(reg, {&source});
+    Supervisor sup(f.config());
+    const auto results = sup.runFleet(reg).sessions;
     ASSERT_EQ(results.size(), 1u);
     EXPECT_FALSE(results[0].escalated);
     EXPECT_TRUE(sameRecords(results[0].records, f.baseline_records));
@@ -94,14 +118,17 @@ TEST(Supervisor, CrashRecoveryIsBitIdentical)
 {
     const Fixture &f = fixture();
     VectorSource source(f.stream);
-    Supervisor sup(f.model, f.config());
+    TenantRegistry reg;
+    f.addTenant(reg, {&source});
+    Supervisor sup(f.config());
     std::atomic<bool> fired{false};
-    sup.setStepHook([&fired](std::size_t step,
-                             const std::atomic<bool> &) {
+    sup.setFleetStepHook([&fired](std::size_t, const std::string &,
+                                  std::size_t step,
+                                  const std::atomic<bool> &) {
         if (step == 95 && !fired.exchange(true))
             throw std::runtime_error("injected worker crash");
     });
-    const auto results = sup.run({&source});
+    const auto results = sup.runFleet(reg).sessions;
     ASSERT_EQ(results.size(), 1u);
     EXPECT_FALSE(results[0].escalated);
     EXPECT_TRUE(sameRecords(results[0].records, f.baseline_records));
@@ -122,17 +149,20 @@ TEST(Supervisor, HangDetectionRestartsAndRecovers)
 {
     const Fixture &f = fixture();
     VectorSource source(f.stream);
-    Supervisor sup(f.model, f.config());
+    TenantRegistry reg;
+    f.addTenant(reg, {&source});
+    Supervisor sup(f.config());
     std::atomic<bool> fired{false};
-    sup.setStepHook([&fired](std::size_t step,
-                             const std::atomic<bool> &cancel) {
+    sup.setFleetStepHook([&fired](std::size_t, const std::string &,
+                                  std::size_t step,
+                                  const std::atomic<bool> &cancel) {
         if (step == 40 && !fired.exchange(true)) {
             while (!cancel.load())
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(1));
         }
     });
-    const auto results = sup.run({&source});
+    const auto results = sup.runFleet(reg).sessions;
     ASSERT_EQ(results.size(), 1u);
     EXPECT_FALSE(results[0].escalated);
     EXPECT_TRUE(sameRecords(results[0].records, f.baseline_records));
@@ -149,14 +179,15 @@ TEST(Supervisor, RestartBudgetExhaustionEscalates)
 {
     const Fixture &f = fixture();
     VectorSource source(f.stream);
-    ServeConfig cfg = fixture().config();
-    cfg.watchdog.restart_budget = 2;
-    Supervisor sup(f.model, cfg);
-    sup.setStepHook([](std::size_t step, const std::atomic<bool> &) {
+    TenantRegistry reg;
+    f.addTenant(reg, {&source}, 2);
+    Supervisor sup(f.config());
+    sup.setFleetStepHook([](std::size_t, const std::string &,
+                            std::size_t step, const std::atomic<bool> &) {
         if (step == 20)
             throw std::runtime_error("deterministic crash");
     });
-    const auto results = sup.run({&source});
+    const auto results = sup.runFleet(reg).sessions;
     ASSERT_EQ(results.size(), 1u);
     EXPECT_TRUE(results[0].escalated);
     // Degraded mode serves the state of the last checkpoint: a prefix
@@ -185,16 +216,18 @@ TEST(Supervisor, KillThenResumeFromDiskIsBitIdentical)
 
     ServeConfig cfg = f.config();
     cfg.checkpoint_path = path;
-    cfg.watchdog.restart_budget = 0; // first crash is fatal
     {
         VectorSource source(f.stream);
-        Supervisor sup(f.model, cfg);
-        sup.setStepHook([](std::size_t step,
-                           const std::atomic<bool> &) {
+        TenantRegistry reg;
+        f.addTenant(reg, {&source}, 0); // first crash is fatal
+        Supervisor sup(cfg);
+        sup.setFleetStepHook([](std::size_t, const std::string &,
+                                std::size_t step,
+                                const std::atomic<bool> &) {
             if (step == 101) // inside the anomaly burst
                 throw std::runtime_error("killed mid-stream");
         });
-        const auto results = sup.run({&source});
+        const auto results = sup.runFleet(reg).sessions;
         ASSERT_EQ(results.size(), 1u);
         ASSERT_TRUE(results[0].escalated);
     }
@@ -203,8 +236,10 @@ TEST(Supervisor, KillThenResumeFromDiskIsBitIdentical)
     resume_cfg.checkpoint_path = path;
     resume_cfg.resume = true;
     VectorSource source(f.stream);
-    Supervisor sup(f.model, resume_cfg);
-    const auto results = sup.run({&source});
+    TenantRegistry reg;
+    f.addTenant(reg, {&source});
+    Supervisor sup(resume_cfg);
+    const auto results = sup.runFleet(reg).sessions;
     ASSERT_EQ(results.size(), 1u);
     EXPECT_FALSE(results[0].escalated);
     EXPECT_TRUE(sameRecords(results[0].records, f.baseline_records));
@@ -227,13 +262,16 @@ TEST(Supervisor, GracefulStopThenResumeIsBitIdentical)
     cfg.checkpoint_path = path;
     {
         VectorSource source(f.stream);
-        Supervisor sup(f.model, cfg);
-        sup.setStepHook([&sup](std::size_t step,
-                               const std::atomic<bool> &) {
+        TenantRegistry reg;
+        f.addTenant(reg, {&source});
+        Supervisor sup(cfg);
+        sup.setFleetStepHook([&sup](std::size_t, const std::string &,
+                                    std::size_t step,
+                                    const std::atomic<bool> &) {
             if (step == 70)
                 sup.requestStop();
         });
-        const auto results = sup.run({&source});
+        const auto results = sup.runFleet(reg).sessions;
         ASSERT_EQ(results.size(), 1u);
         ASSERT_TRUE(results[0].stopped);
         ASSERT_LT(results[0].steps, f.stream->size());
@@ -247,8 +285,10 @@ TEST(Supervisor, GracefulStopThenResumeIsBitIdentical)
     resume_cfg.checkpoint_path = path;
     resume_cfg.resume = true;
     VectorSource source(f.stream);
-    Supervisor sup(f.model, resume_cfg);
-    const auto results = sup.run({&source});
+    TenantRegistry reg;
+    f.addTenant(reg, {&source});
+    Supervisor sup(resume_cfg);
+    const auto results = sup.runFleet(reg).sessions;
     ASSERT_EQ(results.size(), 1u);
     EXPECT_TRUE(sameRecords(results[0].records, f.baseline_records));
     EXPECT_TRUE(sameReports(results[0].reports, f.baseline_reports));
@@ -269,21 +309,26 @@ TEST(Supervisor, TornArchiveTailIsACountedFallbackOnResume)
     cfg.checkpoint_path = path;
     {
         VectorSource source(f.stream);
-        Supervisor sup(f.model, cfg);
-        sup.setStepHook([&sup](std::size_t step,
-                               const std::atomic<bool> &) {
+        TenantRegistry reg;
+        f.addTenant(reg, {&source});
+        Supervisor sup(cfg);
+        sup.setFleetStepHook([&sup](std::size_t, const std::string &,
+                                    std::size_t step,
+                                    const std::atomic<bool> &) {
             if (step == 70)
                 sup.requestStop();
         });
-        ASSERT_TRUE(sup.run({&source})[0].stopped);
+        ASSERT_TRUE(sup.runFleet(reg).sessions[0].stopped);
         EXPECT_EQ(sup.stats().delta_fallbacks, 0u);
     }
     std::filesystem::resize_file(arc, std::filesystem::file_size(arc) - 1);
 
     cfg.resume = true;
     VectorSource source(f.stream);
-    Supervisor sup(f.model, cfg);
-    const auto results = sup.run({&source});
+    TenantRegistry reg;
+    f.addTenant(reg, {&source});
+    Supervisor sup(cfg);
+    const auto results = sup.runFleet(reg).sessions;
     ASSERT_EQ(results.size(), 1u);
     EXPECT_TRUE(sameRecords(results[0].records, f.baseline_records));
     EXPECT_TRUE(sameReports(results[0].reports, f.baseline_reports));
@@ -326,15 +371,19 @@ TEST(Supervisor, FreshRunMovesADamagedArchiveAside)
     cfg.resume = true;
     {
         VectorSource source(f.stream);
-        Supervisor sup(f.model, cfg);
-        EXPECT_THROW(sup.run({&source}), core::FormatError);
+        TenantRegistry reg;
+        f.addTenant(reg, {&source});
+        Supervisor sup(cfg);
+        EXPECT_THROW(sup.runFleet(reg), core::FormatError);
     }
     EXPECT_EQ(std::filesystem::file_size(arc), damaged_size);
 
     cfg.resume = false;
     VectorSource source(f.stream);
-    Supervisor sup(f.model, cfg);
-    const auto results = sup.run({&source});
+    TenantRegistry reg;
+    f.addTenant(reg, {&source});
+    Supervisor sup(cfg);
+    const auto results = sup.runFleet(reg).sessions;
     ASSERT_EQ(results.size(), 1u);
     EXPECT_TRUE(sameRecords(results[0].records, f.baseline_records));
     EXPECT_EQ(std::filesystem::file_size(aside), damaged_size);
@@ -365,8 +414,10 @@ TEST(Supervisor, FlakySourceBehindRetryDivergesNowhere)
     // test just does not wait out the delays.
     RetryingSource retrying(flaky, retry_cfg, [](double) {});
 
-    Supervisor sup(f.model, f.config());
-    const auto results = sup.run({&retrying});
+    TenantRegistry reg;
+    f.addTenant(reg, {&retrying});
+    Supervisor sup(f.config());
+    const auto results = sup.runFleet(reg).sessions;
     ASSERT_EQ(results.size(), 1u);
     EXPECT_FALSE(results[0].escalated);
     EXPECT_TRUE(sameRecords(results[0].records, f.baseline_records));
@@ -378,23 +429,26 @@ TEST(Supervisor, FlakySourceBehindRetryDivergesNowhere)
     EXPECT_EQ(stats.worker_restarts, 0u);
 }
 
-/** Several shards under one supervisor, one of them crashing, each
- *  with independent fault schedules: per-shard verdicts all match. */
+/** Several shards of one tenant, one of them crashing, each with
+ *  independent fault schedules: per-shard verdicts all match. */
 TEST(Supervisor, ShardedRunWithOneCrashStaysIsolated)
 {
     const Fixture &f = fixture();
     VectorSource s0(f.stream);
     VectorSource s1(f.stream);
     VectorSource s2(f.stream);
-    Supervisor sup(f.model, f.config());
+    TenantRegistry reg;
+    f.addTenant(reg, {&s0, &s1, &s2});
+    Supervisor sup(f.config());
     std::atomic<int> crashes{0};
-    sup.setStepHook([&crashes](std::size_t step,
-                               const std::atomic<bool> &) {
+    sup.setFleetStepHook([&crashes](std::size_t, const std::string &,
+                                    std::size_t step,
+                                    const std::atomic<bool> &) {
         // Exactly one crash total; whichever shard draws it first.
         if (step == 50 && crashes.fetch_add(1) == 0)
             throw std::runtime_error("one shard crashes");
     });
-    const auto results = sup.run({&s0, &s1, &s2});
+    const auto results = sup.runFleet(reg).sessions;
     ASSERT_EQ(results.size(), 3u);
     for (const auto &r : results) {
         EXPECT_FALSE(r.escalated);
@@ -405,8 +459,8 @@ TEST(Supervisor, ShardedRunWithOneCrashStaysIsolated)
     EXPECT_EQ(sup.stats().worker_restarts, 1u);
 }
 
-/** Hot model reload: rewriting the model file mid-run swaps the
- *  served model without losing a single verdict. */
+/** Hot model reload: rewriting the tenant's model file mid-run swaps
+ *  its model without losing a single verdict. */
 TEST(Supervisor, HotModelReloadSwapsWithoutVerdictLoss)
 {
     const Fixture &f = fixture();
@@ -414,14 +468,16 @@ TEST(Supervisor, HotModelReloadSwapsWithoutVerdictLoss)
     core::saveModelFile(*f.model, path);
 
     ServeConfig cfg = f.config();
-    cfg.model_path = path;
     cfg.model_poll_ms = 2.0;
     VectorSource source(f.stream);
-    Supervisor sup(f.model, cfg);
+    TenantRegistry reg;
+    f.addTenant(reg, {&source}, 3, path);
+    Supervisor sup(cfg);
     // Slow the stream down enough for at least one poll to land
     // mid-run; the hook also rewrites the model file once early on.
     std::atomic<bool> rewritten{false};
-    sup.setStepHook([&](std::size_t step, const std::atomic<bool> &) {
+    sup.setFleetStepHook([&](std::size_t, const std::string &,
+                             std::size_t step, const std::atomic<bool> &) {
         if (step == 30 && !rewritten.exchange(true)) {
             // Same distributions, different alpha: different bytes
             // (new CRC) but near-identical decisions; the assertions
@@ -432,15 +488,15 @@ TEST(Supervisor, HotModelReloadSwapsWithoutVerdictLoss)
         }
         std::this_thread::sleep_for(std::chrono::microseconds(500));
     });
-    const auto results = sup.run({&source});
+    const FleetResult fr = sup.runFleet(reg);
     std::remove(path.c_str());
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_FALSE(results[0].escalated);
+    ASSERT_EQ(fr.sessions.size(), 1u);
+    EXPECT_FALSE(fr.sessions[0].escalated);
     // Every window got exactly one verdict despite the mid-run swap.
-    EXPECT_EQ(results[0].steps, f.stream->size());
+    EXPECT_EQ(fr.sessions[0].steps, f.stream->size());
     EXPECT_EQ(sup.stats().model_reloads, 1u);
-    EXPECT_NE(sup.model().get(), f.model.get());
-    EXPECT_NEAR(sup.model()->alpha, 2e-6, 1e-9);
+    EXPECT_NE(fr.tenants[0].model.get(), f.model.get());
+    EXPECT_NEAR(fr.tenants[0].model->alpha, 2e-6, 1e-9);
 }
 
 std::string
@@ -466,13 +522,15 @@ TEST(Supervisor, InPlaceModelRewriteReloadsOnceWhenComplete)
     const std::size_t half = next.size() / 2;
 
     ServeConfig cfg = f.config();
-    cfg.model_path = path;
     cfg.model_poll_ms = 2.0;
     VectorSource source(f.stream);
-    Supervisor sup(f.model, cfg);
+    TenantRegistry reg;
+    f.addTenant(reg, {&source}, 3, path);
+    Supervisor sup(cfg);
     std::ofstream writer;
     std::string seen_between; // the file just before the second half
-    sup.setStepHook([&](std::size_t step, const std::atomic<bool> &) {
+    sup.setFleetStepHook([&](std::size_t, const std::string &,
+                             std::size_t step, const std::atomic<bool> &) {
         if (step == 20) {
             writer.open(path, std::ios::binary | std::ios::trunc);
             writer.write(next.data(), std::streamsize(half));
@@ -486,13 +544,13 @@ TEST(Supervisor, InPlaceModelRewriteReloadsOnceWhenComplete)
         }
         std::this_thread::sleep_for(std::chrono::microseconds(500));
     });
-    const auto results = sup.run({&source});
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].steps, f.stream->size());
+    const FleetResult fr = sup.runFleet(reg);
+    ASSERT_EQ(fr.sessions.size(), 1u);
+    EXPECT_EQ(fr.sessions[0].steps, f.stream->size());
     EXPECT_EQ(seen_between, next.substr(0, half));
     EXPECT_EQ(readFile(path), next);
     EXPECT_EQ(sup.stats().model_reloads, 1u);
-    EXPECT_NEAR(sup.model()->alpha, 2e-6, 1e-9);
+    EXPECT_NEAR(fr.tenants[0].model->alpha, 2e-6, 1e-9);
     std::remove(path.c_str());
 }
 

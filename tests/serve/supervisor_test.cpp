@@ -118,9 +118,6 @@ TEST(ServeConfigValidate, TimesMustBeFiniteAndNonNegative)
         ServeConfig a;
         a.watchdog.heartbeat_deadline_ms = v;
         EXPECT_EQ(rejectedField(a), "watchdog.heartbeat_deadline_ms");
-        ServeConfig b;
-        b.watchdog.restart_window_ms = v;
-        EXPECT_EQ(rejectedField(b), "watchdog.restart_window_ms");
         ServeConfig c;
         c.watchdog.poll_interval_ms = v;
         EXPECT_EQ(rejectedField(c), "watchdog.poll_interval_ms");
@@ -130,26 +127,11 @@ TEST(ServeConfigValidate, TimesMustBeFiniteAndNonNegative)
     }
 }
 
-TEST(ServeConfigValidate, ModelPathIsRefusedOnTheFleetConstructor)
-{
-    ServeConfig cfg;
-    cfg.model_path = "/nonexistent/model";
-    EXPECT_EQ(rejectedField(cfg), ""); // fine for run()
-    try {
-        Supervisor sup(cfg);
-        ADD_FAILURE() << "fleet supervisor accepted model_path";
-    } catch (const ServeConfigError &e) {
-        EXPECT_EQ(e.field(), "model_path");
-    }
-}
-
-TEST(ServeConfigValidate, BothConstructorsValidate)
+TEST(ServeConfigValidate, TheConstructorValidates)
 {
     ServeConfig cfg;
     cfg.scheduler.batch_steps = 0;
     EXPECT_THROW(Supervisor{cfg}, ServeConfigError);
-    const auto model = std::make_shared<const core::TrainedModel>();
-    EXPECT_THROW(Supervisor(model, cfg), ServeConfigError);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -186,6 +187,21 @@ TEST(TenantRegistry, RejectsIdsContainingASlash)
         spec.id = id;
         EXPECT_THROW(reg.addTenant(spec), std::invalid_argument) << id;
     }
+    EXPECT_EQ(reg.tenants().size(), 1u);
+}
+
+TEST(TenantRegistry, RejectsANegativeOrNonFiniteRestartWindow)
+{
+    TenantRegistry reg;
+    TenantSpec spec;
+    spec.id = "a";
+    for (const double v : {-1.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+        spec.quota.restart_window_ms = v;
+        EXPECT_THROW(reg.addTenant(spec), std::invalid_argument) << v;
+    }
+    spec.quota.restart_window_ms = 0.0;
+    reg.addTenant(spec);
     EXPECT_EQ(reg.tenants().size(), 1u);
 }
 

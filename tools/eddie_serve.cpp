@@ -21,11 +21,17 @@
  *   eddie_serve <model-file> --listen HOST:PORT | --listen-pipe PATH
  *       [--expect N] [--tenant ID] [--idle-timeout-ms MS]
  *       [--checkpoint FILE] [--ckpt-interval N] [--full-every N]
- *       [--resume] [--restart-budget N] [--strict-resume]
+ *       [--resume] [--watch-model]
+ *       [--restart-budget N] [--strict-resume]
  *
- * Each mode refuses the other's flags (exit 2). Checkpoints live in
- * the EDDIEARC container FILE.arc; eddie_monitor --checkpoint FILE
- * writes one that --resume --checkpoint FILE continues from.
+ * Each mode refuses the other's flags (exit 2). Both serve one tenant
+ * through Supervisor::runFleet: kRunTenant in workload mode (no rate
+ * quota, no breaker), --tenant (default "default") in listen mode.
+ * --restart-budget sizes that tenant's restart budget, and
+ * --watch-model reloads its model whenever the model file changes.
+ * Checkpoints live in the EDDIEARC container FILE.arc; eddie_monitor
+ * --checkpoint FILE writes one that --resume --checkpoint FILE
+ * continues from.
  *
  * Every session runs on the fair-share scheduler (serve/scheduler.h),
  * whose worker pool is min(hardware threads, sessions): the thread
@@ -43,19 +49,19 @@
  * Exit codes distinguish failure modes so fleet scripts can branch:
  *   0  clean run, no anomalies
  *   2  usage / bad arguments (an unknown flag or one the mode does not
- *      read, a malformed number or a negative count, a contradictory
- *      serving config such as --resume without --checkpoint)
+ *      read, a malformed number, a negative count, a zero --shards or
+ *      --expect, a contradictory serving config such as --resume
+ *      without --checkpoint or --full-every 0)
  *   3  anomalies reported
- *   4  a shard exhausted its restart budget (escalated; its verdicts
- *      are the state at its last checkpoint)
+ *   4  a session escalated (restart budget exhausted or breaker
+ *      tripped; its verdicts are the state at its last checkpoint)
  *   5  --strict-resume: a resume hit an unrecoverable checkpoint
  *      (snapshot decode failures; the run started cold instead)
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -77,27 +83,17 @@ namespace
 const std::vector<std::string> kWorkloadFlags = {
     "scale", "seed", "em", "snr", "threads", "inject", "payload",
     "contamination", "target", "shards", "stall-prob", "error-prob",
-    "source-seed", "retries", "watch-model"};
+    "source-seed", "retries"};
 /** Flags only the listen mode reads. */
 const std::vector<std::string> kListenFlags = {
     "listen", "listen-pipe", "expect", "tenant", "idle-timeout-ms"};
 /** Flags both modes read. */
 const std::vector<std::string> kServeFlags = {
     "checkpoint", "ckpt-interval", "full-every", "resume",
-    "restart-budget", "strict-resume"};
+    "restart-budget", "strict-resume", "watch-model"};
 
-/** A contradictory serving config is a usage error (exit 2). */
-void
-validateConfig(const serve::ServeConfig &cfg)
-{
-    try {
-        cfg.validate();
-    } catch (const serve::ServeConfigError &e) {
-        throw tools::UsageError(e.what());
-    }
-}
-
-/** The serving knobs both modes share. */
+/** The serving knobs both modes share; a contradictory config is a
+ *  usage error (exit 2). */
 serve::ServeConfig
 serveConfig(const tools::Args &args)
 {
@@ -105,35 +101,76 @@ serveConfig(const tools::Args &args)
     scfg.checkpoint_interval = args.getCount("ckpt-interval", 64);
     scfg.checkpoint_path = args.get("checkpoint");
     scfg.resume = args.has("resume");
-    scfg.full_snapshot_every =
-        std::max<std::size_t>(args.getCount("full-every", 16), 1);
-    scfg.watchdog.restart_budget =
-        args.getCount("restart-budget", scfg.watchdog.restart_budget);
+    scfg.full_snapshot_every = args.getCount("full-every", 16);
+    try {
+        scfg.validate();
+    } catch (const serve::ServeConfigError &e) {
+        throw tools::UsageError(e.what());
+    }
     return scfg;
 }
 
-/** --strict-resume: a resume that hit an unrecoverable checkpoint
- *  exits 5, ahead of escalation (4) and anomaly verdicts (3). */
-bool
-strictResumeFailed(const tools::Args &args,
-                   const serve::ServeConfig &scfg,
-                   const core::ServeStats &stats)
+/** The one tenant either mode serves, over the model file the first
+ *  argument names. */
+serve::TenantSpec
+servedTenant(const tools::Args &args, const std::string &id)
 {
-    if (!args.has("strict-resume") || !scfg.resume ||
-        stats.snapshot_decode_failures == 0)
-        return false;
-    std::fprintf(stderr,
-                 "eddie_serve: %llu unrecoverable checkpoint "
-                 "snapshot(s) on resume (--strict-resume)\n",
-                 (unsigned long long)stats.snapshot_decode_failures);
-    return true;
+    serve::TenantSpec spec;
+    spec.id = id;
+    spec.quota.restart_budget =
+        args.getCount("restart-budget", spec.quota.restart_budget);
+    if (args.has("watch-model"))
+        spec.model_path = args.positional()[0];
+    spec.model = std::make_shared<const core::TrainedModel>(
+        core::loadModelFile(args.positional()[0]));
+    return spec;
+}
+
+/**
+ * The serving half both modes share: runs every session of @p reg
+ * with SIGINT/SIGTERM as the stop check, lets @p report print the
+ * per-session lines, prints the serving counters, and picks the exit
+ * code: 5 (--strict-resume hit an unrecoverable checkpoint), then 4
+ * (a session escalated), then 3 (anomalies reported), else 0.
+ */
+int
+serveFleet(const tools::Args &args, const serve::ServeConfig &scfg,
+           serve::TenantRegistry &reg,
+           const std::function<void(const serve::FleetResult &)> &report)
+{
+    serve::Supervisor sup(scfg);
+    sup.setStopCheck([] { return tools::stopRequested(); });
+    const serve::FleetResult fr = sup.runFleet(reg);
+    report(fr);
+    const core::ServeStats stats = sup.stats();
+    std::printf("%s\n", core::describe(stats).c_str());
+    if (args.has("strict-resume") && scfg.resume &&
+        stats.snapshot_decode_failures != 0) {
+        std::fprintf(stderr,
+                     "eddie_serve: %llu unrecoverable checkpoint "
+                     "snapshot(s) on resume (--strict-resume)\n",
+                     (unsigned long long)stats.snapshot_decode_failures);
+        return 5;
+    }
+    std::size_t total_reports = 0;
+    bool any_escalated = false;
+    for (const serve::ShardResult &r : fr.sessions) {
+        total_reports += r.reports.size();
+        any_escalated = any_escalated || r.escalated;
+    }
+    if (any_escalated) {
+        std::fprintf(stderr, "eddie_serve: escalated session(s) hold "
+                             "last-checkpoint verdicts\n");
+        return 4;
+    }
+    return total_reports == 0 ? 0 : 3;
 }
 
 /**
  * Wire-ingestion mode (--listen / --listen-pipe): no workload is
  * captured locally — admitted eddie_replay clients stream STS windows
  * over the EDDIEWIRE protocol into per-session WireSources, and the
- * fleet supervisor monitors those on a fixed worker pool.
+ * supervisor monitors those on a fixed worker pool.
  * SIGINT/SIGTERM drains and closes the listener first, so every
  * session sees its wire end before the final checkpoint is written.
  */
@@ -141,19 +178,12 @@ int
 runListen(const tools::Args &args)
 {
     const serve::ServeConfig scfg = serveConfig(args);
-    validateConfig(scfg);
-
-    auto model = std::make_shared<const core::TrainedModel>(
-        core::loadModelFile(args.positional()[0]));
-
+    const std::size_t expect = args.getCount("expect", 1);
+    if (expect == 0)
+        throw tools::UsageError("--expect: '0' is not >= 1");
+    const std::string tenant = args.get("tenant");
     serve::TenantRegistry reg;
-    std::string tenant = args.get("tenant");
-    if (tenant.empty())
-        tenant.assign("default");
-    serve::TenantSpec spec;
-    spec.id = tenant;
-    spec.model = model;
-    reg.addTenant(std::move(spec));
+    reg.addTenant(servedTenant(args, tenant.empty() ? "default" : tenant));
 
     serve::WireListenerConfig lcfg;
     lcfg.tcp = args.get("listen");
@@ -176,8 +206,6 @@ runListen(const tools::Args &args)
 
     // Admission window: wait for --expect sessions (poll slices so a
     // stop signal cuts the wait short), then freeze and run.
-    const std::size_t expect =
-        std::max<std::size_t>(args.getCount("expect", 1), 1);
     std::size_t admitted = 0;
     while (!tools::stopRequested()) {
         admitted = listener.awaitSessions(expect, 200.0);
@@ -191,111 +219,55 @@ runListen(const tools::Args &args)
     }
     listener.freezeAdmission();
 
-    serve::Supervisor sup(scfg);
-    sup.setStopCheck([] { return tools::stopRequested(); });
-
     // Drain watcher: on a stop signal, close the wire before the
-    // supervisor writes its final checkpoint.
-    std::atomic<bool> done{false};
-    std::thread drainer([&] {
-        while (!done.load() && !tools::stopRequested())
+    // supervisor writes its final checkpoint. Stopped and joined by
+    // the report, or by its destructor if the run throws.
+    std::jthread drainer([&listener](std::stop_token done) {
+        while (!done.stop_requested() && !tools::stopRequested())
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(50));
-        if (!done.load())
+        if (!done.stop_requested())
             listener.drainAndClose();
     });
 
-    const serve::FleetResult fr = sup.runFleet(reg);
-    done.store(true);
-    listener.drainAndClose();
-    drainer.join();
-
-    std::size_t total_reports = 0;
-    bool any_escalated = false;
-    const std::vector<serve::WireSource *> srcs = listener.sources();
-    for (std::size_t i = 0; i < fr.sessions.size(); ++i) {
-        const auto &r = fr.sessions[i];
-        total_reports += r.reports.size();
-        any_escalated = any_escalated || r.escalated;
-        const serve::WireSourceStats ws =
-            i < srcs.size() ? srcs[i]->wireStats()
-                            : serve::WireSourceStats{};
-        std::printf("session %zu: %zu steps, %zu reports, "
-                    "%llu ingested, %llu duplicates dropped%s%s\n",
-                    i, r.steps, r.reports.size(),
-                    (unsigned long long)ws.ingested,
-                    (unsigned long long)ws.duplicates_dropped,
-                    r.escalated ? " [escalated]" : "",
-                    r.stopped ? " [stopped]" : "");
-    }
-    const serve::WireListenerStats ls = listener.stats();
-    std::printf("wire: %llu accepted, %llu reattaches, %llu acks, "
-                "%llu nacks, %llu malformed rejected, %llu conn "
-                "errors, %llu idle closes, %llu bytes\n",
-                (unsigned long long)ls.connections_accepted,
-                (unsigned long long)ls.reattaches,
-                (unsigned long long)ls.acks_sent,
-                (unsigned long long)ls.nacks_sent,
-                (unsigned long long)ls.wire.totalErrors(),
-                (unsigned long long)ls.conn_errors,
-                (unsigned long long)ls.idle_closes,
-                (unsigned long long)ls.bytes_received);
-    const core::ServeStats stats = sup.stats();
-    std::printf("%s\n", core::describe(stats).c_str());
-    if (strictResumeFailed(args, scfg, stats))
-        return 5;
-    if (any_escalated) {
-        std::fprintf(stderr,
-                     "eddie_serve: escalated wire session(s)\n");
-        return 4;
-    }
-    return total_reports == 0 ? 0 : 3;
+    return serveFleet(args, scfg, reg, [&](const serve::FleetResult &fr) {
+        drainer.request_stop();
+        drainer.join();
+        listener.drainAndClose();
+        const std::vector<serve::WireSource *> srcs = listener.sources();
+        for (std::size_t i = 0; i < fr.sessions.size(); ++i) {
+            const auto &r = fr.sessions[i];
+            const serve::WireSourceStats ws =
+                i < srcs.size() ? srcs[i]->wireStats()
+                                : serve::WireSourceStats{};
+            std::printf("session %zu: %zu steps, %zu reports, "
+                        "%llu ingested, %llu duplicates dropped%s%s\n",
+                        i, r.steps, r.reports.size(),
+                        (unsigned long long)ws.ingested,
+                        (unsigned long long)ws.duplicates_dropped,
+                        r.escalated ? " [escalated]" : "",
+                        r.stopped ? " [stopped]" : "");
+        }
+        const serve::WireListenerStats ls = listener.stats();
+        std::printf("wire: %llu accepted, %llu reattaches, %llu acks, "
+                    "%llu nacks, %llu malformed rejected, %llu conn "
+                    "errors, %llu idle closes, %llu bytes\n",
+                    (unsigned long long)ls.connections_accepted,
+                    (unsigned long long)ls.reattaches,
+                    (unsigned long long)ls.acks_sent,
+                    (unsigned long long)ls.nacks_sent,
+                    (unsigned long long)ls.wire.totalErrors(),
+                    (unsigned long long)ls.conn_errors,
+                    (unsigned long long)ls.idle_closes,
+                    (unsigned long long)ls.bytes_received);
+    });
 }
 
+/** Workload mode: captures --shards streams up front and serves them
+ *  as the sessions of kRunTenant. */
 int
-run(int argc, char **argv)
+runWorkload(const tools::Args &args)
 {
-    std::vector<std::string> flags = kServeFlags;
-    flags.insert(flags.end(), kWorkloadFlags.begin(), kWorkloadFlags.end());
-    flags.insert(flags.end(), kListenFlags.begin(), kListenFlags.end());
-    tools::Args args(argc, argv, flags);
-    const bool listen = args.has("listen") || args.has("listen-pipe");
-    // A flag the chosen mode never reads would silently do nothing.
-    for (const std::string &flag : listen ? kWorkloadFlags : kListenFlags)
-        if (args.has(flag))
-            throw tools::UsageError("--" + flag + " is not read " +
-                                    (listen ? "with --listen"
-                                            : "without --listen"));
-    if (listen) {
-        if (args.positional().size() != 1) {
-            std::fprintf(stderr,
-                         "usage: eddie_serve <model-file> "
-                         "--listen HOST:PORT | --listen-pipe PATH\n"
-                         "       [--expect N] [--tenant ID] "
-                         "[--idle-timeout-ms MS] [--checkpoint FILE]\n"
-                         "       [--ckpt-interval N] [--full-every N] "
-                         "[--resume]\n"
-                         "       [--restart-budget N] "
-                         "[--strict-resume]\n");
-            return 2;
-        }
-        return runListen(args);
-    }
-    if (args.positional().size() != 2) {
-        std::fprintf(
-            stderr,
-            "usage: eddie_serve <model-file> <workload> [--scale S] "
-            "[--seed N] [--em] [--snr DB]\n"
-            "       [--threads T] [--inject loop|burst] [--payload N] "
-            "[--contamination R] [--target REGION]\n"
-            "       [--shards N] [--stall-prob P] [--error-prob P] "
-            "[--source-seed N] [--retries N]\n"
-            "       [--checkpoint FILE] [--ckpt-interval N] "
-            "[--full-every N] [--resume] [--watch-model]\n"
-            "       [--restart-budget N] [--strict-resume]\n");
-        return 2;
-    }
-    const std::string model_path = args.positional()[0];
     core::PipelineConfig cfg;
     cfg.threads = args.getCount("threads", 0);
     if (args.has("em")) {
@@ -305,12 +277,14 @@ run(int argc, char **argv)
     }
     serve::ServeConfig scfg = serveConfig(args);
     scfg.monitor = cfg.monitor;
-    if (args.has("watch-model"))
-        scfg.model_path = model_path;
-    validateConfig(scfg);
+    const std::size_t shards = args.getCount("shards", 1);
+    if (shards == 0)
+        throw tools::UsageError("--shards: '0' is not >= 1");
+    serve::TenantSpec spec = servedTenant(args, serve::kRunTenant);
+    spec.breaker.fault_threshold = 0;
+    spec.breaker.storm_outage_windows = 0;
+    spec.breaker.decode_failure_threshold = 0;
 
-    auto model = std::make_shared<const core::TrainedModel>(
-        core::loadModelFile(model_path));
     auto workload = workloads::makeWorkload(
         args.positional()[1], args.getDouble("scale", 1.0));
 
@@ -335,8 +309,6 @@ run(int argc, char **argv)
         return 2;
     }
 
-    const std::size_t shards =
-        std::max<std::size_t>(args.getCount("shards", 1), 1);
     core::Pipeline pipe(std::move(workload), cfg);
 
     // Capture the streams up front (shard i = seed + i), then serve
@@ -353,8 +325,9 @@ run(int argc, char **argv)
     retry.max_attempts = args.getCount("retries", 8);
     retry.backoff.seed = fault_cfg.seed ^ 0xB0FF;
 
+    serve::TenantRegistry reg;
+    reg.addTenant(std::move(spec));
     std::vector<std::unique_ptr<serve::SampleSource>> owned;
-    std::vector<serve::SampleSource *> sources;
     for (std::size_t i = 0; i < shards; ++i) {
         const auto stream = pipe.captureRunShared(seed + i, plan);
         auto base = std::make_unique<serve::VectorSource>(stream);
@@ -374,45 +347,67 @@ run(int argc, char **argv)
             tip = retrying.get();
             owned.push_back(std::move(retrying));
         }
-        sources.push_back(tip);
+        reg.openSession(serve::kRunTenant, tip);
     }
-
 
     tools::handleStopSignals();
-    serve::Supervisor sup(model, scfg);
-    sup.setStopCheck([] { return tools::stopRequested(); });
-    const auto results = sup.run(sources);
-
-    std::size_t total_reports = 0;
-    bool any_escalated = false;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto &r = results[i];
-        total_reports += r.reports.size();
-        any_escalated = any_escalated || r.escalated;
-        std::printf("shard %zu: %zu steps, %zu reports%s%s\n", i,
-                    r.steps, r.reports.size(),
-                    r.escalated ? " [escalated]" : "",
-                    r.stopped ? " [stopped]" : "");
-        for (std::size_t k = 0; k < r.reports.size() && k < 5; ++k) {
-            const auto &rep = r.reports[k];
-            std::printf(
-                "  t=%8.3f ms while tracking %s\n", rep.time * 1e3,
-                sup.model()->regions[rep.region].name.c_str());
+    return serveFleet(args, scfg, reg, [](const serve::FleetResult &fr) {
+        // The model the tenant ended on (a --watch-model reload may
+        // have replaced the one loaded at start).
+        const core::TrainedModel &model = *fr.tenants[0].model;
+        for (std::size_t i = 0; i < fr.sessions.size(); ++i) {
+            const auto &r = fr.sessions[i];
+            std::printf("shard %zu: %zu steps, %zu reports%s%s\n", i,
+                        r.steps, r.reports.size(),
+                        r.escalated ? " [escalated]" : "",
+                        r.stopped ? " [stopped]" : "");
+            for (std::size_t k = 0; k < r.reports.size() && k < 5; ++k)
+                std::printf("  t=%8.3f ms while tracking %s\n",
+                            r.reports[k].time * 1e3,
+                            model.regions[r.reports[k].region]
+                                .name.c_str());
+            if (r.reports.size() > 5)
+                std::printf("  ... and %zu more\n",
+                            r.reports.size() - 5);
         }
-        if (r.reports.size() > 5)
-            std::printf("  ... and %zu more\n", r.reports.size() - 5);
+    });
+}
+
+int
+run(int argc, char **argv)
+{
+    std::vector<std::string> flags = kServeFlags;
+    flags.insert(flags.end(), kWorkloadFlags.begin(), kWorkloadFlags.end());
+    flags.insert(flags.end(), kListenFlags.begin(), kListenFlags.end());
+    tools::Args args(argc, argv, flags);
+    const bool listen = args.has("listen") || args.has("listen-pipe");
+    // A flag the chosen mode never reads would silently do nothing.
+    for (const std::string &flag : listen ? kWorkloadFlags : kListenFlags)
+        if (args.has(flag))
+            throw tools::UsageError("--" + flag + " is not read " +
+                                    (listen ? "with --listen"
+                                            : "without --listen"));
+    if (args.positional().size() != (listen ? 1u : 2u)) {
+        std::fprintf(
+            stderr,
+            "usage: eddie_serve <model-file> <workload> [--scale S] "
+            "[--seed N] [--em] [--snr DB]\n"
+            "       [--threads T] [--inject loop|burst] [--payload N] "
+            "[--contamination R] [--target REGION]\n"
+            "       [--shards N] [--stall-prob P] [--error-prob P] "
+            "[--source-seed N] [--retries N]\n"
+            "       <serving flags>\n"
+            "   or: eddie_serve <model-file> "
+            "--listen HOST:PORT | --listen-pipe PATH\n"
+            "       [--expect N] [--tenant ID] "
+            "[--idle-timeout-ms MS] <serving flags>\n"
+            "serving flags: [--checkpoint FILE] [--ckpt-interval N] "
+            "[--full-every N] [--resume]\n"
+            "       [--watch-model] [--restart-budget N] "
+            "[--strict-resume]\n");
+        return 2;
     }
-    const core::ServeStats stats = sup.stats();
-    std::printf("%s\n", core::describe(stats).c_str());
-    if (strictResumeFailed(args, scfg, stats))
-        return 5;
-    if (any_escalated) {
-        std::fprintf(stderr, "eddie_serve: restart budget exhausted; "
-                             "escalated shard(s) hold last-checkpoint "
-                             "verdicts\n");
-        return 4;
-    }
-    return total_reports == 0 ? 0 : 3;
+    return listen ? runListen(args) : runWorkload(args);
 }
 
 } // namespace
