@@ -21,8 +21,8 @@
  * WireListener/WireClient vs the same session in-process, plus a
  * byte-level chaos run whose reconnect replay and typed malformed
  * rejections must still converge verdict-identical), measures the
- * EDDIEARC artifact store (keyed spill warm hits, recovery after a
- * delta chain, plus the tail-only sector-verification proof), and
+ * EDDIEARC artifact store (recovery after a delta chain, plus the
+ * tail-only sector-verification proof), and
  * atomically writes a machine-readable BENCH_pipeline.json (tmp +
  * rename) with stage wall-times, before/after kernel speedups,
  * cache hit rates, requested vs resolved thread counts with
@@ -47,7 +47,6 @@
 #include <memory>
 #include <numbers>
 #include <random>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -623,15 +622,14 @@ runBench(int argc, char **argv)
     serve::CheckpointData snap;
     snap.monitor = full_monitor.exportState();
     snap.source_pos = snap.monitor.step_index;
-    store::ArchiveConfig snap_arc;
-    snap_arc.path = out_path + ".serve-snap.arc";
+    const std::string snap_arc_path = out_path + ".serve-snap.arc";
     serve::CheckpointStoreConfig snap_store_cfg;
     snap_store_cfg.full_every = 1u << 20; // never rewrite in the loop
     double checkpoint_write_ms = 0.0;
     double delta_commit_ms = 0.0;
     {
-        std::remove(snap_arc.path.c_str());
-        store::Archive arc(snap_arc);
+        std::remove(snap_arc_path.c_str());
+        store::Archive arc(snap_arc_path);
         serve::CheckpointStoreConfig store_cfg = snap_store_cfg;
         store_cfg.archive = &arc;
         serve::CheckpointStore store(store_cfg);
@@ -645,7 +643,7 @@ runBench(int argc, char **argv)
             store.flush();
         });
     }
-    std::remove(snap_arc.path.c_str());
+    std::remove(snap_arc_path.c_str());
 
     serve::ServeConfig rec_cfg = steady_cfg;
     rec_cfg.checkpoint_interval = 16;
@@ -1294,36 +1292,13 @@ runBench(int argc, char **argv)
 
     // Stage 7: the EDDIEARC artifact store (src/store/).
     //
-    // (a) Capture-spill warm hit: evict one stream to the archive,
-    // then time clear() + lookup (a pure disk hit re-inserting into
-    // an empty cache).
-    const auto timeSpillHit = [&](core::CaptureCacheConfig ccfg) {
-        core::CaptureCache c(ccfg);
-        const auto computeStream = [&] { return *streams.front(); };
-        (void)c.getOrComputeShared("spill-bench-k0", computeStream);
-        // Capacity 1: inserting the second key spills the first.
-        (void)c.getOrComputeShared("spill-bench-k1", computeStream);
-        const double ms = bestOf(5, [&] {
-            c.clear();
-            (void)c.getOrComputeShared("spill-bench-k0",
-                                       computeStream);
-        });
-        if (c.stats().disk_hits == 0)
-            throw std::runtime_error("spill bench never hit disk");
-        return ms;
-    };
-    core::CaptureCacheConfig spill_arc_cfg;
-    spill_arc_cfg.capacity = 1;
-    spill_arc_cfg.spill_archive = out_path + ".spill.arc";
-    const double spill_arc_hit_ms = timeSpillHit(spill_arc_cfg);
-    std::remove(spill_arc_cfg.spill_archive.c_str());
-
-    // (b) Recovery latency after a long delta chain, measured over
-    // archive open + CheckpointStore::recover() (scan + replay).
+    // (a) Recovery latency after a long delta chain, measured over
+    // archive open + CheckpointStore::recover() (scan, then one
+    // verified copy-out read per key + replay).
     constexpr std::size_t kRecoveryDeltas = 32;
     {
-        std::remove(snap_arc.path.c_str());
-        store::Archive arc(snap_arc);
+        std::remove(snap_arc_path.c_str());
+        store::Archive arc(snap_arc_path);
         serve::CheckpointStoreConfig store_cfg = snap_store_cfg;
         store_cfg.archive = &arc;
         serve::CheckpointStore store(store_cfg);
@@ -1336,48 +1311,47 @@ runBench(int argc, char **argv)
         }
     }
     const double recovery_arc_ms = bestOf(3, [&] {
-        store::Archive arc(snap_arc);
+        store::Archive arc(snap_arc_path);
         serve::CheckpointStoreConfig store_cfg = snap_store_cfg;
         store_cfg.archive = &arc;
         serve::CheckpointStore fresh(store_cfg);
         if (fresh.recover() != std::vector<bool>{true})
             throw std::runtime_error("recovery bench failed");
     });
-    std::remove(snap_arc.path.c_str());
+    std::remove(snap_arc_path.c_str());
 
-    // (c) Tail-only verification proof: populate an archive with many
+    // (b) Tail-only verification proof: populate an archive with many
     // multi-sector artifacts, reopen (header scan only), read ONE key
     // — the stats must show only that key's payload sectors were
     // CRC-verified, machine-independently.
     std::uint64_t arc_sectors_total = 0;
     std::uint64_t arc_sectors_verified = 0;
     {
-        store::ArchiveConfig acfg;
-        acfg.path = out_path + ".proof.arc";
-        std::remove(acfg.path.c_str());
+        const std::string proof_path = out_path + ".proof.arc";
+        std::remove(proof_path.c_str());
         const std::string value(8192, 'x');
         {
-            store::Archive a(acfg);
+            store::Archive a(proof_path);
             for (int i = 0; i < 32; ++i) {
                 a.stagePut("proof/" + std::to_string(i), value);
             }
             a.commit();
         }
-        store::Archive a(acfg);
-        std::span<const char> span;
-        if (a.get("proof/31", span) != store::GetStatus::Ok)
+        store::Archive a(proof_path);
+        std::string got;
+        if (a.get("proof/31", got) != store::GetStatus::Ok ||
+            got != value)
             throw std::runtime_error("proof archive read failed");
         const auto astats = a.stats();
         arc_sectors_total = astats.payload_sectors_total;
         arc_sectors_verified = astats.payload_sectors_verified;
-        std::remove(acfg.path.c_str());
+        std::remove(proof_path.c_str());
     }
     const bool recovery_tail_only =
         arc_sectors_verified > 0 &&
         arc_sectors_verified < arc_sectors_total;
 
     std::printf("artifact store (EDDIEARC):\n");
-    std::printf("  spill hit:    %8.3f ms\n", spill_arc_hit_ms);
     std::printf("  recovery (%zu deltas): %8.3f ms\n", kRecoveryDeltas,
                 recovery_arc_ms);
     std::printf("  verified %llu of %llu payload sectors after "
@@ -1704,8 +1678,6 @@ runBench(int argc, char **argv)
                  wire_verdicts_ok ? "true" : "false");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"artifact_store\": {\n");
-    std::fprintf(f, "    \"spill_arc_hit_ms\": %.3f,\n",
-                 spill_arc_hit_ms);
     std::fprintf(f,
                  "    \"recovery\": {\"delta_segments\": %zu, "
                  "\"archive_ms\": %.3f},\n",

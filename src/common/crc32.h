@@ -1,9 +1,9 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) for the
- * persistence layer's integrity framing: model, capture, STS-stream,
- * and cache-spill files all carry a checksum over their payload so a
- * bit-flipped or short artifact is detected before it can poison a
+ * persistence layer's integrity framing: models, captures, STS
+ * streams and checkpoints all carry a checksum over their payload so
+ * a bit-flipped or short artifact is detected before it can poison a
  * cache or train a model (see docs/ALGORITHM.md §10).
  */
 

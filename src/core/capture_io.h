@@ -61,9 +61,8 @@ std::vector<Sts> loadStsStream(std::istream &is);
 
 /**
  * Encodes an STS stream as the raw (unframed) v2 payload: the value
- * format of archive-resident streams (the capture cache's spill
- * segments, whose integrity comes from the container's per-sector
- * CRCs) and of wire STS-BATCH frames.
+ * format of wire STS-BATCH frames, whose integrity comes from the
+ * frame's CRC.
  *
  * Layout: u64 STS count, then per STS: t_start, t_end (f64), u64
  * true_region, u8 injected, window_energy, peak_energy_frac (f64),
@@ -71,8 +70,8 @@ std::vector<Sts> loadStsStream(std::istream &is);
  */
 std::string encodeStsPayload(const std::vector<Sts> &stream);
 
-/** Decodes encodeStsPayload() output straight from a span (zero-copy
- *  from an archive mapping). Throws IoError when the bytes end inside
+/** Decodes encodeStsPayload() output straight from a byte range (a
+ *  wire frame's payload, without a copy). Throws IoError when the bytes end inside
  *  a field or a peak run, FormatError on a malformed payload: an STS
  *  count the bytes left cannot hold or a peak count above its cap
  *  (both refused before allocating), or trailing bytes. */

@@ -8,9 +8,7 @@
  * "the bytes are not a valid artifact" (FormatError: bad magic,
  * checksum mismatch, out-of-range value) and from "the channel/fault
  * configuration is invalid" (ChannelFault). All derive from
- * std::runtime_error, so existing catch sites keep working; the
- * CaptureCache uses the IoError/FormatError split to count
- * spill_short_read vs spill_corrupt misses separately.
+ * std::runtime_error, so existing catch sites keep working.
  *
  * Header-only (no link dependency), so lower layers such as
  * src/faults/ can throw eddie::core::ChannelFault without depending

@@ -163,29 +163,15 @@ aggregate(const std::vector<RunMetrics> &runs)
 std::string
 describe(const CaptureCacheStats &stats)
 {
-    char buf[224];
+    char buf[160];
     std::snprintf(buf, sizeof buf,
-                  "capture cache: %llu hits, %llu disk hits, "
-                  "%llu misses (%.1f%% hit rate), %zu entries, "
-                  "%llu evictions (%llu spilled), "
-                  "%llu corrupt / %llu short spill reads",
+                  "capture cache: %llu hits, %llu misses "
+                  "(%.1f%% hit rate), %zu entries, %llu evictions",
                   static_cast<unsigned long long>(stats.hits),
-                  static_cast<unsigned long long>(stats.disk_hits),
                   static_cast<unsigned long long>(stats.misses),
                   100.0 * stats.hitRate(), stats.entries,
-                  static_cast<unsigned long long>(stats.evictions),
-                  static_cast<unsigned long long>(stats.spills),
-                  static_cast<unsigned long long>(stats.spill_corrupt),
-                  static_cast<unsigned long long>(
-                      stats.spill_short_read));
-    std::string out(buf);
-    if (stats.spill_write_failed > 0) {
-        std::snprintf(buf, sizeof buf, ", %llu failed spill writes",
-                      static_cast<unsigned long long>(
-                          stats.spill_write_failed));
-        out += buf;
-    }
-    return out;
+                  static_cast<unsigned long long>(stats.evictions));
+    return buf;
 }
 
 std::string

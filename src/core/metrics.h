@@ -80,32 +80,21 @@ AggregateMetrics aggregate(const std::vector<RunMetrics> &runs);
 /**
  * Counters of the capture memoization cache (see capture_cache.h),
  * snapshotted by CaptureCache::stats(). A lookup increments exactly
- * one of hits, disk_hits, or misses.
+ * one of hits or misses.
  */
 struct CaptureCacheStats
 {
-    std::uint64_t hits = 0;      ///< served from memory
-    std::uint64_t disk_hits = 0; ///< served from the disk spill
+    std::uint64_t hits = 0;      ///< served from the cache
     std::uint64_t misses = 0;    ///< recomputed from the simulator
-    std::uint64_t evictions = 0; ///< LRU entries dropped from memory
-    std::uint64_t spills = 0;    ///< evictions persisted to disk
-    /** Spill files rejected as corrupt (bad magic/CRC/contents);
-     *  each such lookup is counted as a miss and recomputed. */
-    std::uint64_t spill_corrupt = 0;
-    /** Spill files rejected as truncated (short read). */
-    std::uint64_t spill_short_read = 0;
-    /** Spill writes that failed (ENOSPC, short write, open failure);
-     *  a counted soft failure — the entry is evicted without a spill
-     *  and the partial file removed, never an error to the caller. */
-    std::uint64_t spill_write_failed = 0;
-    std::size_t entries = 0;     ///< current in-memory entries
+    std::uint64_t evictions = 0; ///< LRU entries dropped
+    std::size_t entries = 0;     ///< current entries
 
-    std::uint64_t lookups() const { return hits + disk_hits + misses; }
+    std::uint64_t lookups() const { return hits + misses; }
     /** Fraction of lookups that skipped the simulator. */
     double hitRate() const
     {
         const std::uint64_t n = lookups();
-        return n == 0 ? 0.0 : double(hits + disk_hits) / double(n);
+        return n == 0 ? 0.0 : double(hits) / double(n);
     }
 };
 

@@ -189,9 +189,7 @@ saveModelFile(const TrainedModel &model, const std::string &path)
     const std::string tmp = path + ".tmp";
     std::remove(tmp.c_str());
     {
-        store::ArchiveConfig cfg;
-        cfg.path = tmp;
-        store::Archive arc(cfg);
+        store::Archive arc(tmp);
         if (!arc.put(kModelKey, encodeModelBinary(model)))
             throw IoError("model: archive write failed for " + tmp);
     }

@@ -8,7 +8,6 @@
 #include <memory>
 #include <optional>
 #include <random>
-#include <span>
 #include <thread>
 #include <utility>
 
@@ -226,12 +225,7 @@ tenantId(std::size_t index)
 bool
 corruptArchiveValue(const std::string &path, const std::string &key)
 {
-    std::optional<store::Archive::Extent> value;
-    {
-        store::ArchiveConfig acfg;
-        acfg.path = path;
-        value = store::Archive(acfg).valueExtent(key);
-    }
+    const auto value = store::Archive(path).valueExtent(key);
     if (!value || value->length < 8)
         return false;
     std::fstream f(path,
@@ -516,17 +510,15 @@ runChaos(const ChaosConfig &cfg)
         };
         bool flipped = corruptArchiveValue(arc_path, snapKey(0));
         if (flipped) {
-            store::ArchiveConfig acfg;
-            acfg.path = arc_path;
-            store::Archive arc(acfg);
-            std::span<const char> span;
-            if (arc.get(snapKey(0), span) != store::GetStatus::Corrupt) {
+            store::Archive arc(arc_path);
+            std::string value;
+            if (arc.get(snapKey(0), value) != store::GetStatus::Corrupt) {
                 flipped = false;
                 fail("phase C: the flip left the victim's snapshot "
                      "readable");
             }
             for (std::size_t t = 1; t < cfg.tenants; ++t)
-                if (arc.get(snapKey(t), span) != store::GetStatus::Ok)
+                if (arc.get(snapKey(t), value) != store::GetStatus::Ok)
                     fail("phase C: the flip damaged neighbor " +
                          tenantId(t) + "'s snapshot");
         } else {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <span>
 #include <utility>
 
 #include "common/bytes.h"
@@ -404,7 +403,7 @@ CheckpointStore::recover()
     if (arc == nullptr)
         return recovered;
 
-    std::span<const char> snap;
+    std::string snap;
     const store::GetStatus got = arc->get(snapshotKey(cfg_.key_prefix), snap);
     if (got != store::GetStatus::Ok) {
         // Corrupt-but-present is checkpoint rot, not a cold start;
@@ -443,10 +442,10 @@ CheckpointStore::recover()
             1;
         DeltaSegment seg;
         try {
-            std::span<const char> span;
-            if (arc->get(key, span) != store::GetStatus::Ok)
+            std::string bytes;
+            if (arc->get(key, bytes) != store::GetStatus::Ok)
                 throw core::FormatError("delta segment: corrupt");
-            seg = decodeDeltaSegment(span.data(), span.size());
+            seg = decodeDeltaSegment(bytes.data(), bytes.size());
         } catch (const core::Error &) {
             ++stats_.delta_fallbacks;
             ++stats_.delta_segments_dropped;
@@ -597,9 +596,9 @@ CheckpointStore::reclaimDeadSpace()
     // with uptime. Compacting once dead bytes pass three times the
     // live ones keeps the file under about four times its live set
     // plus one rewrite cycle, and copies each live byte once per
-    // three bytes made dead. Compaction verifies, re-encodes and
-    // rescans what it copies; at a ratio of one it cost several times
-    // the snapshot writes it cleaned up after (EXPERIMENTS.md).
+    // three bytes made dead; at a ratio of one it would copy the live
+    // set once per live set made dead, at about 1.7 times the cost of
+    // the rewrites it cleans up after (EXPERIMENTS.md).
     const store::ArchiveStats st = cfg_.archive->stats();
     if (st.dead_bytes <= 3 * st.live_bytes)
         return true;

@@ -135,8 +135,9 @@ struct CheckpointStoreConfig
      * mirrors in memory only (no persistence). The caller guarantees
      * the archive outlives the store and that flush() across stores
      * sharing one archive is serialized (the supervisor's watchdog is
-     * the only flusher): a snapshot rewrite may compact the whole
-     * container, which invalidates every span read from it.
+     * the only flusher): the stores stage into the archive's one
+     * batch, so an interleaved flush would split another store's
+     * snapshot rewrite across two commits.
      */
     store::Archive *archive = nullptr;
 };

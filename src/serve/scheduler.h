@@ -114,8 +114,8 @@ struct WatchdogConfig
     double poll_interval_ms = 2.0;
 };
 
-/** A ServeConfig that contradicts itself or holds an impossible value;
- *  field() names the offending field. */
+/** A ServeConfig (or WireListenerConfig) that contradicts itself or
+ *  holds an impossible value; field() names the offending field. */
 class ServeConfigError : public core::Error
 {
   public:

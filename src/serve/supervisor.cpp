@@ -32,10 +32,8 @@ nowMs()
 std::unique_ptr<store::Archive>
 openCheckpointArchive(const std::string &path, bool resume)
 {
-    store::ArchiveConfig cfg;
-    cfg.path = path;
     try {
-        return std::make_unique<store::Archive>(cfg);
+        return std::make_unique<store::Archive>(path);
     } catch (const core::FormatError &) {
         if (resume)
             throw;
@@ -43,7 +41,7 @@ openCheckpointArchive(const std::string &path, bool resume)
     const std::string aside = path + ".damaged";
     if (std::rename(path.c_str(), aside.c_str()) != 0)
         throw core::ioErrorErrno("checkpoint: move aside", path);
-    return std::make_unique<store::Archive>(cfg);
+    return std::make_unique<store::Archive>(path);
 }
 
 } // namespace

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <limits>
 
 #include "core/capture_io.h"
 #include "core/errors.h"
+#include "scheduler.h"
 
 namespace eddie::serve
 {
@@ -81,11 +83,22 @@ struct WireListener::Connection
     }
 };
 
+void
+WireListenerConfig::validate() const
+{
+    for (const auto &[ms, field] :
+         {std::pair{hello_deadline_ms, "listener.hello_deadline_ms"},
+          std::pair{idle_timeout_ms, "listener.idle_timeout_ms"}})
+        if (!std::isfinite(ms) || ms <= 0.0)
+            throw ServeConfigError(field, "must be finite and > 0");
+}
+
 WireListener::WireListener(TenantRegistry &registry,
                            WireListenerConfig cfg)
     : registry_(registry), cfg_(std::move(cfg)),
       next_tag_(kFirstConnTag), read_buf_(kReadChunk)
 {
+    cfg_.validate();
 }
 
 WireListener::~WireListener()

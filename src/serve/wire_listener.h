@@ -94,6 +94,11 @@ struct WireListenerConfig
     std::size_t max_payload = wire::kDefaultMaxPayload;
     /** Receive window / replay tuning of each session's WireSource. */
     WireSourceConfig source;
+
+    /** Throws ServeConfigError naming the field when a deadline is
+     *  not finite or not positive: such a deadline closes every
+     *  connection before it can deliver a window. */
+    void validate() const;
 };
 
 /** Listener counters; every refused, malformed, or dropped peer
@@ -135,7 +140,8 @@ class WireListener
 {
   public:
     /** @p registry must outlive the listener; admission calls happen
-     *  on the loop thread until freezeAdmission(). */
+     *  on the loop thread until freezeAdmission(). Throws
+     *  ServeConfigError when cfg.validate() does. */
     WireListener(TenantRegistry &registry, WireListenerConfig cfg);
     ~WireListener();
 

@@ -118,10 +118,10 @@ incompleteBeta(double a, double b, double x)
 }
 
 double
-incompleteGammaP(double a, double x)
+incompleteGamma(double a, double x)
 {
     if (x < 0.0 || a <= 0.0)
-        throw std::invalid_argument("incompleteGammaP: bad arguments");
+        throw std::invalid_argument("incompleteGamma: bad arguments");
     if (x == 0.0)
         return 0.0;
 
@@ -179,7 +179,7 @@ chi2Cdf(double x, double k)
 {
     if (x <= 0.0)
         return 0.0;
-    return incompleteGammaP(k / 2.0, x / 2.0);
+    return incompleteGamma(k / 2.0, x / 2.0);
 }
 
 double

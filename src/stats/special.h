@@ -21,7 +21,7 @@ double normalQuantile(double p);
 double incompleteBeta(double a, double b, double x);
 
 /** Regularized lower incomplete gamma P(a, x). */
-double incompleteGammaP(double a, double x);
+double incompleteGamma(double a, double x);
 
 /** CDF of the F distribution with (d1, d2) degrees of freedom. */
 double fCdf(double x, double d1, double d2);

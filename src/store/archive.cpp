@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <utility>
 
 #include <fcntl.h>
@@ -43,25 +41,19 @@ ceilDiv(std::uint64_t a, std::uint64_t b)
     return (a + b - 1) / b;
 }
 
-bool
-validSectorSize(std::uint32_t s)
-{
-    return s >= 64 && s <= (1u << 20) && (s & (s - 1)) == 0;
-}
-
 /** Sector 0 of a new archive: magic, version, sector size, reserved,
  *  and a CRC32 over those fields, zero-padded to the sector. */
 std::string
-superblock(std::uint32_t sector)
+superblock()
 {
     std::string block;
     common::ByteWriter w(block);
     w.bytes(std::string_view(kMagic, sizeof kMagic));
     w.put(kVersion);
-    w.put(sector);
+    w.put(kSectorSize);
     w.put<std::uint64_t>(0);
     w.put(common::crc32(block.data(), block.size()));
-    block.resize(sector, '\0');
+    block.resize(kSectorSize, '\0');
     return block;
 }
 
@@ -81,7 +73,7 @@ struct SegmentHeader
  *  it lies wholly inside the file and its CRC matches. */
 bool
 readHeader(const char *base, std::uint64_t off, std::uint64_t file_size,
-           std::uint32_t sector, SegmentHeader &h)
+           SegmentHeader &h)
 {
     if (off + kFixedHeader > file_size)
         return false;
@@ -93,26 +85,133 @@ readHeader(const char *base, std::uint64_t off, std::uint64_t file_size,
         h.key_len > kMaxKeyLen || h.value_len > common::kMaxPayloadBytes ||
         (h.kind == kKindRemove && h.value_len != 0))
         return false;
-    h.n_psec = ceilDiv(h.value_len, sector);
+    h.n_psec = ceilDiv(h.value_len, kSectorSize);
     h.header_bytes = kFixedHeader + h.key_len + 4 * h.n_psec + 4;
-    h.header_secs = ceilDiv(h.header_bytes, sector);
+    h.header_secs = ceilDiv(h.header_bytes, kSectorSize);
     if (h.header_bytes > file_size - off)
         return false;
     return load<std::uint32_t>(base + off + h.header_bytes - 4) ==
            common::crc32(base + off, std::size_t(h.header_bytes - 4));
 }
 
+/** Appends one segment — header, CRC table, payload — to @p out. */
+void
+encodeSegment(std::string &out, std::uint64_t seq, std::uint32_t kind,
+              std::string_view key, std::string_view value)
+{
+    const std::uint64_t n_psec = ceilDiv(value.size(), kSectorSize);
+    const std::uint64_t header_secs = ceilDiv(
+        kFixedHeader + key.size() + 4 * n_psec + 4, kSectorSize);
+    const std::size_t start = out.size();
+
+    common::ByteWriter w(out);
+    w.put(seq);
+    w.put(kind);
+    w.put<std::uint32_t>(0);
+    w.put<std::uint64_t>(key.size());
+    w.put<std::uint64_t>(value.size());
+    w.bytes(key);
+    // Per-sector CRC table; each entry covers one full payload
+    // sector, zero padding included, so torn last sectors cannot
+    // hide behind their padding.
+    for (std::uint64_t i = 0; i < n_psec; ++i) {
+        const std::size_t at = std::size_t(i) * kSectorSize;
+        const std::size_t len =
+            std::min<std::size_t>(kSectorSize, value.size() - at);
+        std::uint32_t c = common::crc32(value.data() + at, len);
+        if (len < kSectorSize) {
+            const std::string zeros(kSectorSize - len, '\0');
+            c = common::crc32(zeros.data(), zeros.size(), c);
+        }
+        w.put(c);
+    }
+    w.put(common::crc32(out.data() + start, out.size() - start));
+    out.resize(start + std::size_t(header_secs) * kSectorSize, '\0');
+    out.append(value);
+    out.resize(start + std::size_t(header_secs + n_psec) * kSectorSize,
+               '\0');
+}
+
+/** Renumbers the segment image at @p seg to @p seq and re-seals its
+ *  header: the CRC over the first @p header_bytes - 4 bytes, then
+ *  zeros up to the payload at @p payload_rel. */
+void
+sealHeader(char *seg, std::uint64_t seq, std::size_t header_bytes,
+           std::size_t payload_rel)
+{
+    std::memcpy(seg, &seq, sizeof seq);
+    const std::uint32_t crc = common::crc32(seg, header_bytes - 4);
+    std::memcpy(seg + header_bytes - 4, &crc, sizeof crc);
+    std::memset(seg + header_bytes, 0, payload_rel - header_bytes);
+}
+
+/** pread()s up to @p len bytes at @p off into @p buf, resuming short
+ *  reads; returns the bytes read (fewer than @p len only at the end
+ *  of the file), or -1 with errno set when a read fails. */
+std::int64_t
+readAt(int fd, char *buf, std::size_t len, std::uint64_t off)
+{
+    std::size_t done = 0;
+    while (done < len) {
+        const ssize_t n =
+            ::pread(fd, buf + done, len - done, off_t(off + done));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0)
+            return -1;
+        if (n == 0)
+            break;
+        done += std::size_t(n);
+    }
+    return std::int64_t(done);
+}
+
+/** The whole file at @p path, in one read. */
+std::string
+readFile(const std::string &path)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        throw core::ioErrorErrno("archive: open for read", path);
+    struct stat st{};
+    std::string file;
+    std::int64_t got = -1;
+    if (::fstat(fd, &st) == 0) {
+        file.resize(std::size_t(st.st_size));
+        got = readAt(fd, file.data(), file.size(), 0);
+    }
+    if (got < 0) {
+        const auto err = core::ioErrorErrno("archive: read", path);
+        ::close(fd);
+        throw err;
+    }
+    ::close(fd);
+    file.resize(std::size_t(got));
+    return file;
+}
+
+/** write()s @p bytes to @p fd, resuming partial writes; returns the
+ *  bytes written, fewer than all of them only when a write fails. */
+std::size_t
+writeAll(int fd, std::string_view bytes)
+{
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+        const ssize_t n =
+            ::write(fd, bytes.data() + done, bytes.size() - done);
+        if (n <= 0)
+            break;
+        done += std::size_t(n);
+    }
+    return done;
+}
+
 } // namespace
 
-Archive::Archive(ArchiveConfig cfg) : cfg_(std::move(cfg))
+Archive::Archive(std::string path) : path_(std::move(path))
 {
-    if (!validSectorSize(cfg_.sector_size))
-        throw core::FormatError(
-            "archive: sector size must be a power of two in "
-            "[64, 1 MiB]");
-    sector_ = cfg_.sector_size;
     std::lock_guard<std::mutex> lock(mu_);
-    openLocked(true);
+    openLocked();
 }
 
 Archive::~Archive()
@@ -125,123 +224,88 @@ GetStatus
 Archive::readValue(const std::string &path, std::string_view key,
                    std::string &out)
 {
-    // One read into memory instead of a mapping: a writer replacing
-    // the file in place meanwhile cannot fault a mapped page here.
-    errno = 0;
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw core::ioErrorErrno("archive: open for read", path);
-    const std::string file{std::istreambuf_iterator<char>(is),
-                           std::istreambuf_iterator<char>()};
-    if (is.bad())
-        throw core::ioErrorErrno("archive: read", path);
-
+    // One read into memory: a writer replacing the file in place
+    // meanwhile cannot change the bytes between check and copy.
+    const std::string file = readFile(path);
     Archive arc;
-    arc.cfg_.path = path;
+    arc.path_ = path;
     std::lock_guard<std::mutex> lock(arc.mu_);
-    arc.scanFileLocked(file.data(), file.size());
+    arc.scanLocked(file);
     const auto it = arc.dir_.find(key);
     if (it == arc.dir_.end())
         return GetStatus::Missing;
-    if (!arc.verifySlotLocked(file.data(), it->second))
+    const Slot &slot = it->second;
+    if (!arc.verifyLocked(file.data() + slot.table_off,
+                          file.data() + slot.payload_off, slot.n_sectors))
         return GetStatus::Corrupt;
-    out.assign(file.data() + it->second.payload_off,
-               std::size_t(it->second.value_len));
+    out.assign(file.data() + slot.payload_off, std::size_t(slot.value_len));
     return GetStatus::Ok;
 }
 
 void
-Archive::openLocked(bool creating_ok)
+Archive::openLocked()
 {
     namespace fs = std::filesystem;
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-    active_.reset();
-
     std::error_code ec;
-    std::uint64_t fsize = fs::file_size(cfg_.path, ec);
-    if (ec)
-        fsize = 0;
-    if (fsize == 0) {
-        if (!creating_ok)
-            throw core::IoError(
-                "archive: missing " + cfg_.path +
-                (ec ? ": " + ec.message() : std::string()));
+    const std::uint64_t fsize = fs::file_size(path_, ec);
+    if (ec || fsize == 0) {
         // A new archive has nothing to scan, and its file — superblock
         // first — is created by the first commit rather than here:
         // file creation costs tens of microseconds, and a serving run
         // opens its checkpoint archive before any session starts,
         // while its commits run on the watchdog. Only check here that
         // the file can be created.
-        const fs::path dir = fs::path(cfg_.path).parent_path();
+        const fs::path dir = fs::path(path_).parent_path();
         errno = 0;
         if (::access(dir.empty() ? "." : dir.c_str(), W_OK) != 0)
-            throw core::ioErrorErrno("archive: create", cfg_.path);
-        end_ = sector_;
-        next_seq_ = 1;
-        staged_seq_ = next_seq_;
-        broken_ = false;
+            throw core::ioErrorErrno("archive: create", path_);
+        end_ = kSectorSize;
         return;
     }
-    // One scan mapping over the whole file; the active mapping is
-    // rebuilt lazily (and only up to the verified logical end).
-    MappedFile scan;
-    scan.open(cfg_.path, std::size_t(fsize));
-    scanFileLocked(scan.data(), fsize);
-    scan.reset();
+    // One read into memory, as readValue() does.
+    const std::string file = readFile(path_);
+    scanLocked(file);
 
     // Drop any torn tail now so the append descriptor (O_APPEND)
     // lands the next commit right after the last good segment.
-    if (end_ < fsize) {
-        fs::resize_file(cfg_.path, end_, ec);
+    if (end_ < file.size()) {
+        fs::resize_file(path_, end_, ec);
         if (ec)
             throw core::IoError(
-                "archive: cannot truncate torn tail of " + cfg_.path +
+                "archive: cannot truncate torn tail of " + path_ +
                 " to offset " + std::to_string(end_) + ": " +
                 ec.message());
     }
 
-    fd_ = ::open(cfg_.path.c_str(),
-                 O_WRONLY | O_APPEND | O_CLOEXEC);
+    fd_ = ::open(path_.c_str(), O_RDWR | O_APPEND | O_CLOEXEC);
     if (fd_ < 0)
-        throw core::ioErrorErrno("archive: open for append",
-                                 cfg_.path);
+        throw core::ioErrorErrno("archive: open for append", path_);
     staged_seq_ = next_seq_;
-    broken_ = false;
 }
 
 void
-Archive::scanFileLocked(const char *base, std::uint64_t file_size)
+Archive::scanLocked(std::string_view file)
 {
+    const char *base = file.data();
+    const std::uint64_t file_size = file.size();
     if (file_size < kSuperBytes + 4)
         throw core::FormatError("archive: truncated superblock in " +
-                                cfg_.path);
+                                path_);
     if (std::memcmp(base, kMagic, sizeof kMagic) != 0)
-        throw core::FormatError("archive: bad magic in " + cfg_.path);
+        throw core::FormatError("archive: bad magic in " + path_);
     if (load<std::uint32_t>(base + 8) != kVersion)
         throw core::FormatError("archive: unsupported version in " +
-                                cfg_.path);
-    const std::uint32_t file_sector =
-        load<std::uint32_t>(base + 12);
+                                path_);
     if (load<std::uint32_t>(base + kSuperBytes) !=
         common::crc32(base, kSuperBytes))
         throw core::FormatError(
-            "archive: superblock checksum mismatch in " + cfg_.path);
-    if (!validSectorSize(file_sector))
-        throw core::FormatError("archive: bad sector size in " +
-                                cfg_.path);
-    sector_ = file_sector; // an existing file's geometry wins
-    if (file_size < sector_)
+            "archive: superblock checksum mismatch in " + path_);
+    if (load<std::uint32_t>(base + 12) != kSectorSize)
+        throw core::FormatError("archive: bad sector size in " + path_);
+    if (file_size < kSectorSize)
         throw core::FormatError("archive: truncated superblock in " +
-                                cfg_.path);
-    scanLocked(base, std::size_t(file_size));
-}
+                                path_);
 
-void
-Archive::scanLocked(const char *base, std::size_t file_size)
-{
     dir_.clear();
     next_seq_ = 1;
     stats_.segments_scanned = 0;
@@ -249,12 +313,11 @@ Archive::scanLocked(const char *base, std::size_t file_size)
     stats_.payload_sectors_verified = 0;
     std::uint64_t dead = 0;
 
-    std::uint64_t off = sector_;
+    std::uint64_t off = kSectorSize;
     SegmentHeader h;
     while (off < file_size) {
-        if (!readHeader(base, off, file_size, sector_, h) ||
-            h.seq != next_seq_ ||
-            (h.header_secs + h.n_psec) * sector_ > file_size - off)
+        if (!readHeader(base, off, file_size, h) || h.seq != next_seq_ ||
+            (h.header_secs + h.n_psec) * kSectorSize > file_size - off)
             break;
 
         std::string key(base + off + kFixedHeader,
@@ -263,7 +326,7 @@ Archive::scanLocked(const char *base, std::size_t file_size)
             Slot slot;
             slot.offset = off;
             slot.table_off = off + kFixedHeader + h.key_len;
-            slot.payload_off = off + h.header_secs * sector_;
+            slot.payload_off = off + h.header_secs * kSectorSize;
             slot.value_len = h.value_len;
             slot.n_sectors = std::uint32_t(h.n_psec);
             const auto it = dir_.find(key);
@@ -280,7 +343,7 @@ Archive::scanLocked(const char *base, std::size_t file_size)
         }
         stats_.payload_sectors_total += h.n_psec;
         ++stats_.segments_scanned;
-        off += (h.header_secs + h.n_psec) * sector_;
+        off += (h.header_secs + h.n_psec) * kSectorSize;
         ++next_seq_;
     }
     if (off < file_size) {
@@ -288,56 +351,18 @@ Archive::scanLocked(const char *base, std::size_t file_size)
         // can follow it. A CRC-valid header further on means this
         // damage is mid-file, and truncating here would delete every
         // artifact after it.
-        for (std::uint64_t at = off + sector_; at < file_size;
-             at += sector_)
-            if (readHeader(base, at, file_size, sector_, h))
+        for (std::uint64_t at = off + kSectorSize; at < file_size;
+             at += kSectorSize)
+            if (readHeader(base, at, file_size, h))
                 throw core::FormatError(
                     "archive: damaged segment at offset " +
                     std::to_string(off) + " precedes a valid one at " +
-                    std::to_string(at) + " in " + cfg_.path);
+                    std::to_string(at) + " in " + path_);
         ++stats_.torn_tail_dropped;
     }
     end_ = off;
     stats_.dead_segments = dead;
     stats_.live_artifacts = dir_.size();
-}
-
-void
-Archive::encodeSegment(std::string &out, std::uint64_t seq,
-                       std::uint32_t kind, std::string_view key,
-                       std::string_view value) const
-{
-    const std::uint64_t n_psec = ceilDiv(value.size(), sector_);
-    const std::uint64_t header_secs = ceilDiv(
-        kFixedHeader + key.size() + 4 * n_psec + 4, sector_);
-    const std::size_t start = out.size();
-
-    common::ByteWriter w(out);
-    w.put(seq);
-    w.put(kind);
-    w.put<std::uint32_t>(0);
-    w.put<std::uint64_t>(key.size());
-    w.put<std::uint64_t>(value.size());
-    w.bytes(key);
-    // Per-sector CRC table; each entry covers one full payload
-    // sector, zero padding included, so torn last sectors cannot
-    // hide behind their padding.
-    for (std::uint64_t i = 0; i < n_psec; ++i) {
-        const std::size_t at = std::size_t(i) * sector_;
-        const std::size_t len =
-            std::min<std::size_t>(sector_, value.size() - at);
-        std::uint32_t c = common::crc32(value.data() + at, len);
-        if (len < sector_) {
-            const std::string zeros(sector_ - len, '\0');
-            c = common::crc32(zeros.data(), zeros.size(), c);
-        }
-        w.put(c);
-    }
-    w.put(common::crc32(out.data() + start, out.size() - start));
-    out.resize(start + std::size_t(header_secs) * sector_, '\0');
-    out.append(value);
-    out.resize(start + std::size_t(header_secs + n_psec) * sector_,
-               '\0');
 }
 
 void
@@ -350,9 +375,9 @@ Archive::stagePut(std::string_view key, std::string_view value)
         throw core::FormatError("archive: oversized value");
 
     const std::uint64_t off = end_ + staging_.size();
-    const std::uint64_t n_psec = ceilDiv(value.size(), sector_);
+    const std::uint64_t n_psec = ceilDiv(value.size(), kSectorSize);
     const std::uint64_t header_secs = ceilDiv(
-        kFixedHeader + key.size() + 4 * n_psec + 4, sector_);
+        kFixedHeader + key.size() + 4 * n_psec + 4, kSectorSize);
 
     encodeSegment(staging_, staged_seq_++, kKindPut, key, value);
 
@@ -361,7 +386,7 @@ Archive::stagePut(std::string_view key, std::string_view value)
     op.is_put = true;
     op.slot.offset = off;
     op.slot.table_off = off + kFixedHeader + key.size();
-    op.slot.payload_off = off + header_secs * sector_;
+    op.slot.payload_off = off + header_secs * kSectorSize;
     op.slot.value_len = value.size();
     op.slot.n_sectors = std::uint32_t(n_psec);
     pending_.push_back(std::move(op));
@@ -402,26 +427,19 @@ Archive::commitLocked()
     // meanwhile is another writer's: refuse it rather than clobber.
     std::string created;
     if (ok && fd_ < 0) {
-        fd_ = ::open(cfg_.path.c_str(),
-                     O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+        fd_ = ::open(path_.c_str(),
+                     O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
         struct stat st{};
         ok = fd_ >= 0 && ::fstat(fd_, &st) == 0 && st.st_size == 0;
-        created = superblock(sector_);
+        created = superblock();
         created += staging_;
         out = created;
     }
     // The whole batch goes down in one write call — that write *is*
-    // the group commit (the loop only resumes a partial write). No
+    // the group commit (writeAll only resumes a partial write). No
     // fsync: durability is to the page cache.
-    std::size_t done = 0;
-    while (ok && done < out.size()) {
-        const ssize_t n =
-            ::write(fd_, out.data() + done, out.size() - done);
-        if (n <= 0)
-            ok = false;
-        else
-            done += std::size_t(n);
-    }
+    const std::size_t done = ok ? writeAll(fd_, out) : 0;
+    ok = ok && done == out.size();
     if (!ok) {
         ++stats_.write_failures;
         // Roll the file back to the last good segment so the partial
@@ -478,67 +496,49 @@ Archive::put(std::string_view key, std::string_view value)
     return commit();
 }
 
-void
-Archive::ensureMappedLocked(std::uint64_t need)
-{
-    need = std::max<std::uint64_t>(need, sector_);
-    if (active_.size() >= need)
-        return;
-    // Map the full logical file; outgrown mappings retire but stay
-    // alive so spans handed out earlier keep pointing at real bytes.
-    MappedFile next;
-    next.open(cfg_.path, std::size_t(end_));
-    if (active_.size() > 0)
-        retired_.push_back(std::move(active_));
-    active_ = std::move(next);
-    ++stats_.remaps;
-}
-
 bool
-Archive::verifySlotLocked(const char *base, Slot &slot)
+Archive::verifyLocked(const char *table, const char *payload,
+                      std::uint32_t n_sectors)
 {
-    if (slot.verified)
-        return true;
-    for (std::uint32_t i = 0; i < slot.n_sectors; ++i) {
-        const std::uint32_t want = load<std::uint32_t>(
-            base + slot.table_off + std::uint64_t(4) * i);
-        const std::uint32_t got = common::crc32(
-            base + slot.payload_off + std::uint64_t(i) * sector_,
-            std::size_t(sector_));
+    for (std::uint32_t i = 0; i < n_sectors; ++i) {
+        const std::uint32_t want =
+            load<std::uint32_t>(table + std::uint64_t(4) * i);
+        const std::uint32_t got =
+            common::crc32(payload + std::uint64_t(i) * kSectorSize,
+                          std::size_t(kSectorSize));
         if (want != got) {
             ++stats_.sector_crc_failures;
             return false;
         }
     }
-    slot.verified = true;
-    stats_.payload_sectors_verified += slot.n_sectors;
+    stats_.payload_sectors_verified += n_sectors;
     return true;
 }
 
 GetStatus
-Archive::get(std::string_view key, std::span<const char> &out)
+Archive::get(std::string_view key, std::string &out)
 {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = dir_.find(key);
     if (it == dir_.end())
         return GetStatus::Missing;
-    Slot &slot = it->second;
-    ensureMappedLocked(slot.payload_off +
-                       std::uint64_t(slot.n_sectors) * sector_);
-    if (!verifySlotLocked(active_.data(), slot))
+    const Slot &slot = it->second;
+    // The CRC table through the last payload sector, in one read.
+    std::string seg(
+        std::size_t(slot.segmentBytes() - (slot.table_off - slot.offset)),
+        '\0');
+    const std::int64_t got =
+        readAt(fd_, seg.data(), seg.size(), slot.table_off);
+    if (got < 0)
+        throw core::ioErrorErrno("archive: read", path_,
+                                 static_cast<long long>(slot.table_off));
+    const char *payload = seg.data() + (slot.payload_off - slot.table_off);
+    // A file cut short under the value reads short: Corrupt.
+    if (std::uint64_t(got) < seg.size() ||
+        !verifyLocked(seg.data(), payload, slot.n_sectors))
         return GetStatus::Corrupt;
-    out = {active_.data() + slot.payload_off,
-           std::size_t(slot.value_len)};
+    out.assign(payload, std::size_t(slot.value_len));
     return GetStatus::Ok;
-}
-
-std::optional<std::string>
-Archive::getCopy(std::string_view key)
-{
-    std::span<const char> span;
-    if (get(key, span) != GetStatus::Ok)
-        return std::nullopt;
-    return std::string(span.data(), span.size());
 }
 
 std::optional<Archive::Extent>
@@ -583,57 +583,69 @@ Archive::compact()
     if (!commitLocked())
         return false;
 
-    // Stream the replacement file: superblock + the live set,
-    // renumbered from seq 1, one segment in memory at a time, every
-    // value copied byte-identically after verifying its sectors
-    // (compaction must not launder a corrupt artifact into a
-    // freshly-CRC'd one).
-    const std::string tmp = cfg_.path + ".compact";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        std::string seg = superblock(sector_);
-        os.write(seg.data(), std::streamsize(seg.size()));
-        std::uint64_t seq = 1;
-        bool verified = true;
-        for (auto &kv : dir_) {
-            Slot &slot = kv.second;
-            ensureMappedLocked(slot.payload_off +
-                               std::uint64_t(slot.n_sectors) * sector_);
-            verified = verifySlotLocked(active_.data(), slot);
-            if (!os || !verified)
-                break;
-            seg.clear();
-            encodeSegment(seg, seq++, kKindPut, kv.first,
-                          {active_.data() + slot.payload_off,
-                           std::size_t(slot.value_len)});
-            os.write(seg.data(), std::streamsize(seg.size()));
-        }
-        os.flush();
-        if (!os || !verified) {
-            os.close();
-            std::remove(tmp.c_str());
-            if (verified)
-                ++stats_.write_failures;
-            return false;
-        }
+    // Stream the replacement file: the superblock, then each live
+    // segment copied once, one in memory at a time. Its payload
+    // sectors are verified against its CRC table first (compaction
+    // must not launder a corrupt artifact into a fresh file); payload
+    // and table are copied as they are, the seq renumbered from 1 and
+    // the header re-sealed. The new directory is the offsets written.
+    const std::string tmp = path_ + ".compact";
+    const int out = ::open(tmp.c_str(),
+                           O_RDWR | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC,
+                           0644);
+    const std::string super = superblock();
+    bool written = out >= 0 && writeAll(out, super) == super.size();
+    bool verified = true;
+    decltype(dir_) dir;
+    std::uint64_t end = kSectorSize;
+    std::uint64_t seq = 1;
+    std::uint64_t sectors = 0;
+    std::string seg;
+    for (const auto &[key, slot] : dir_) {
+        if (!written)
+            break;
+        seg.resize(std::size_t(slot.segmentBytes()));
+        const std::size_t table_rel = slot.table_off - slot.offset;
+        const std::size_t payload_rel = slot.payload_off - slot.offset;
+        verified =
+            readAt(fd_, seg.data(), seg.size(), slot.offset) ==
+                std::int64_t(seg.size()) &&
+            verifyLocked(seg.data() + table_rel, seg.data() + payload_rel,
+                         slot.n_sectors);
+        if (!verified)
+            break;
+        sealHeader(seg.data(), seq++,
+                   table_rel + std::size_t(4) * slot.n_sectors + 4,
+                   payload_rel);
+        written = writeAll(out, seg) == seg.size();
+        Slot &moved = dir.emplace(key, slot).first->second;
+        moved.offset = end;
+        moved.table_off = end + table_rel;
+        moved.payload_off = end + payload_rel;
+        end += seg.size();
+        sectors += slot.n_sectors;
     }
-
-    // Point of no return for outstanding spans: swap the file in and
-    // rescan. (compact() is documented to invalidate spans.)
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-    active_.reset();
-    retired_.clear();
-    if (std::rename(tmp.c_str(), cfg_.path.c_str()) != 0) {
+    if (!written || !verified ||
+        std::rename(tmp.c_str(), path_.c_str()) != 0) {
+        // The archive keeps its file, descriptor and directory.
+        if (out >= 0)
+            ::close(out);
         std::remove(tmp.c_str());
-        ++stats_.write_failures;
-        openLocked(false); // stay usable on the old file
+        if (verified)
+            ++stats_.write_failures;
         return false;
     }
+    if (fd_ >= 0)
+        ::close(fd_);
+    fd_ = out;
+    dir_ = std::move(dir);
+    end_ = end;
+    next_seq_ = seq;
+    staged_seq_ = seq;
+    broken_ = false;
+    stats_.dead_segments = 0;
+    stats_.payload_sectors_total = sectors;
     ++stats_.compactions;
-    openLocked(false);
     return true;
 }
 
@@ -644,10 +656,8 @@ Archive::stats() const
     ArchiveStats out = stats_;
     out.live_artifacts = dir_.size();
     for (const auto &kv : dir_)
-        out.live_bytes += kv.second.payload_off - kv.second.offset +
-                          std::uint64_t(kv.second.n_sectors) * sector_;
-    out.dead_bytes = end_ - sector_ - out.live_bytes;
-    out.mmap_active = active_.mapped();
+        out.live_bytes += kv.second.segmentBytes();
+    out.dead_bytes = end_ - kSectorSize - out.live_bytes;
     return out;
 }
 

@@ -1,11 +1,10 @@
 /**
  * @file
  * EDDIEARC — the segmented, verified artifact container (DESIGN.md
- * §8). One append-only file holds keyed segments of every artifact
- * kind: trained models, capture-cache spills, and checkpoint
- * snapshots/delta segments.
+ * §8). One append-only file holds keyed segments of trained models
+ * and of checkpoint snapshots/delta segments.
  *
- * Layout (all offsets sector-aligned, sector size fixed at creation):
+ * Layout (all offsets aligned to kSectorSize, 512 bytes):
  *
  *   sector 0        superblock: magic "EDDIEARC", version, sector
  *                   size, CRC32 over the superblock fields
@@ -24,17 +23,17 @@
  *    buffer; commit() lands the whole batch in ONE write syscall. A
  *    failed commit truncates the file back to its pre-commit end, so
  *    the archive never exposes a half-written batch to a later scan.
- *  - Zero-copy reads: the payload is contiguous (the per-sector CRC
- *    table lives in the header, not interleaved), so get() returns a
- *    span straight into the read-only mmap. Spans stay valid across
- *    later commits — grown mappings are added, old ones retired but
- *    kept — and are invalidated only by compact() or destruction.
- *  - Verify-on-demand: opening scans and CRC-checks segment *headers*
- *    only (that is what rebuilds the key directory); payload sectors
- *    are CRC-verified lazily on first get() of their key, then
- *    remembered. Recovery therefore checksums only the artifacts it
- *    actually reads — the live tail — not every dead byte ever
- *    appended (stats report verified vs. total sectors to prove it).
+ *  - Copy-out reads, verified on every read: get() preads the value's
+ *    CRC table and payload sectors through the archive's descriptor,
+ *    checks every sector and copies the value out. A byte changed on
+ *    disk after an earlier good read, or a file cut short under an
+ *    open archive, reads as Corrupt.
+ *  - Tail-only verification: opening scans and CRC-checks segment
+ *    *headers* only (that is what rebuilds the key directory); payload
+ *    sectors are checked by the reads that return them. Recovery
+ *    therefore checksums only the artifacts it actually reads — the
+ *    live tail — not every dead byte ever appended (stats report
+ *    verified vs. total sectors to prove it).
  *  - Torn-tail fallback: a truncated or bit-flipped final batch fails
  *    its header CRC (or runs past EOF) and is dropped with a counted
  *    fallback; everything before it stays readable. A damaged header
@@ -42,8 +41,8 @@
  *    mid-file damage: opening throws FormatError and leaves the file
  *    untouched, since truncating there would delete live artifacts.
  *  - Last-write-wins: re-putting a key supersedes the old segment
- *    (counted dead); compact() rewrites the live set into a fresh
- *    file and atomically renames it over the old one.
+ *    (counted dead); compact() copies the live segments once into a
+ *    fresh file and atomically renames it over the old one.
  *  - Read-only readers: readValue() answers one lookup without
  *    opening the file for writing or dropping its torn tail, so a
  *    model loads from a file its reader may not write, and a copy
@@ -60,25 +59,16 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "mapped_file.h"
-
 namespace eddie::store
 {
 
-struct ArchiveConfig
-{
-    /** Archive file; when absent, the first commit creates it (with
-     *  its superblock). */
-    std::string path;
-    /** Sector size for a *newly created* archive; an existing file's
-     *  superblock wins. Power of two in [64, 1 MiB]. */
-    std::uint32_t sector_size = 512;
-};
+/** The sector every offset is aligned to; a superblock naming any
+ *  other size is refused (FormatError). */
+inline constexpr std::uint32_t kSectorSize = 512;
 
 /** Counters; snapshot via Archive::stats(). */
 struct ArchiveStats
@@ -100,35 +90,34 @@ struct ArchiveStats
     std::uint64_t sector_crc_failures = 0;
     /** All payload sectors present in the file (live + dead). */
     std::uint64_t payload_sectors_total = 0;
-    /** Payload sectors actually CRC-verified so far — the measure of
-     *  "recovery checks only the tail it reads". */
+    /** Payload sectors CRC-verified so far, once per read — the
+     *  measure of "recovery checks only the tail it reads". */
     std::uint64_t payload_sectors_verified = 0;
     std::uint64_t write_failures = 0; ///< swallowed commit failures
     std::uint64_t compactions = 0;
-    std::uint64_t remaps = 0; ///< growth remappings
-    /** True when reads go through a real mmap (false = read-buffer
-     *  fallback; see mapped_file.h). */
-    bool mmap_active = false;
 };
 
 /** Outcome of a point lookup. */
 enum class GetStatus
 {
-    Ok,      ///< span returned, sectors verified
+    Ok,      ///< value copied out, sectors verified
     Missing, ///< key not in the directory (plain miss)
-    Corrupt, ///< key present but a payload sector failed its CRC
+    /** Key present, but a payload sector failed its CRC or the file
+     *  no longer holds all of the value. */
+    Corrupt,
 };
 
 class Archive
 {
   public:
-    /** Opens an existing archive (scanning the segment headers), or a
-     *  new one whose file the first commit creates. Throws
-     *  core::IoError on IO failure or when a new archive's directory
-     *  is not writable, core::FormatError when the file exists but is
-     *  not an EDDIEARC v1 archive or has a damaged segment header
-     *  before its last valid one. */
-    explicit Archive(ArchiveConfig cfg);
+    /** Opens the archive at @p path (reading the file once and
+     *  scanning its segment headers), or a new one whose file the
+     *  first commit creates. Throws core::IoError on IO failure or
+     *  when a new archive's directory is not writable,
+     *  core::FormatError when the file exists but is not an EDDIEARC
+     *  v1 archive or has a damaged segment header before its last
+     *  valid one. */
+    explicit Archive(std::string path);
     ~Archive();
 
     Archive(const Archive &) = delete;
@@ -162,16 +151,13 @@ class Archive
     bool put(std::string_view key, std::string_view value);
 
     /**
-     * Point lookup. On Ok, @p out refers directly into the archive
-     * mapping (zero-copy) and stays valid until compact() or
-     * destruction. First access CRC-verifies the value's payload
-     * sectors against the header table (then remembers the verdict).
+     * Point lookup: reads @p key's CRC table and payload sectors from
+     * the file, checks every sector and, on Ok, copies the value into
+     * @p out. Every call reads and verifies afresh. Corrupt when a
+     * sector fails its CRC or the file has been cut short under the
+     * value; throws core::IoError when the read itself fails.
      */
-    GetStatus get(std::string_view key, std::span<const char> &out);
-
-    /** get() into an owned string; nullopt on Missing OR Corrupt
-     *  (stats tell them apart). */
-    std::optional<std::string> getCopy(std::string_view key);
+    GetStatus get(std::string_view key, std::string &out);
 
     /** Where a live value's bytes sit in the file. */
     struct Extent
@@ -190,18 +176,19 @@ class Archive
     std::size_t liveCount() const;
 
     /**
-     * Compaction: lands any staged batch, rewrites the live set
-     * (verifying every payload sector) into path + ".compact", renames
-     * it over the archive, and rescans. Every live artifact's value bytes are
-     * preserved byte-identically. Returns false (file untouched) on
-     * IO failure or when a live artifact fails verification.
-     * Invalidates all previously returned spans.
+     * Compaction: lands any staged batch, then copies each live
+     * segment once into path + ".compact" — its payload and CRC table
+     * as they are, after verifying every payload sector; its seq
+     * renumbered from 1 and its header CRC re-sealed — renames that
+     * file over the archive and adopts the directory of the offsets
+     * it wrote. Every live artifact's value bytes are preserved
+     * byte-identically. Returns false (file untouched) on IO failure
+     * or when a live artifact fails verification.
      */
     bool compact();
 
     ArchiveStats stats() const;
-    const std::string &path() const { return cfg_.path; }
-    std::uint32_t sectorSize() const { return sector_; }
+    const std::string &path() const { return path_; }
 
   private:
     struct Slot
@@ -211,7 +198,13 @@ class Archive
         std::uint64_t payload_off = 0; ///< first value byte
         std::uint64_t value_len = 0;
         std::uint32_t n_sectors = 0; ///< payload sectors
-        bool verified = false;       ///< payload CRCs checked
+
+        /** File bytes from the segment start to its payload's end. */
+        std::uint64_t segmentBytes() const
+        {
+            return payload_off - offset +
+                   std::uint64_t(n_sectors) * kSectorSize;
+        }
     };
 
     /** One staged directory mutation, applied iff commit() lands. */
@@ -225,22 +218,17 @@ class Archive
     /** For readValue(): an archive object over no file. */
     Archive() = default;
 
-    void openLocked(bool creating_ok);
-    /** Checks the superblock of the @p file_size bytes at @p base,
-     *  adopts its sector size and scans the segments after it. */
-    void scanFileLocked(const char *base, std::uint64_t file_size);
-    void scanLocked(const char *base, std::size_t file_size);
-    void encodeSegment(std::string &out, std::uint64_t seq,
-                       std::uint32_t kind, std::string_view key,
-                       std::string_view value) const;
+    void openLocked();
+    /** Checks the superblock of @p file and scans the segments after
+     *  it. */
+    void scanLocked(std::string_view file);
     bool commitLocked();
-    void ensureMappedLocked(std::uint64_t need);
-    /** CRC-checks @p slot's payload sectors in the file bytes at
-     *  @p base (once; the verdict is remembered). */
-    bool verifySlotLocked(const char *base, Slot &slot);
+    /** CRC-checks @p n_sectors payload sectors at @p payload against
+     *  the table at @p table (counted as verified when they match). */
+    bool verifyLocked(const char *table, const char *payload,
+                      std::uint32_t n_sectors);
 
-    ArchiveConfig cfg_;
-    std::uint32_t sector_ = 512;
+    std::string path_;
 
     mutable std::mutex mu_;
     std::map<std::string, Slot, std::less<>> dir_;
@@ -253,13 +241,10 @@ class Archive
     std::uint64_t staged_sectors_ = 0;
     std::uint64_t staged_puts_ = 0;
     std::uint64_t staged_removes_ = 0;
-    /** Append descriptor; -1 until the first commit of a new
+    /** Read/append descriptor; -1 until the first commit of a new
      *  archive creates the file. */
     int fd_ = -1;
     bool broken_ = false; ///< truncate-after-failed-commit also failed
-    MappedFile active_;
-    /** Outgrown mappings, kept so returned spans stay valid. */
-    std::vector<MappedFile> retired_;
     ArchiveStats stats_;
 };
 

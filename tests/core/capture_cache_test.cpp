@@ -3,11 +3,10 @@
  * Capture-cache contract: memoized captures are bit-identical to
  * uncached ones (so trained models match byte for byte with the
  * cache on or off, at any thread count), keys separate every input
- * that can change a capture, and the LRU + disk-spill tiers account
- * for their traffic in the stats counters.
+ * that can change a capture, and the LRU accounts for its traffic in
+ * the stats counters.
  */
 
-#include <filesystem>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -24,7 +23,6 @@ namespace
 
 using namespace eddie;
 using core::CaptureCache;
-using core::CaptureCacheConfig;
 using core::Pipeline;
 using core::PipelineConfig;
 
@@ -167,8 +165,7 @@ TEST(CaptureCacheTest, KeySeparatesEveryCaptureInput)
 /** CRC-32 and length of captureCacheKey() for three workloads, each
  *  with an empty plan and with a loop + burst injection plan. The
  *  digests were recorded before the key writer moved onto
- *  common::ByteWriter: every key byte must stay the same, or every
- *  spilled capture silently misses. */
+ *  common::ByteWriter: every key byte must stay the same. */
 TEST(CaptureCacheTest, KeyBytesMatchTheirGolden)
 {
     struct Golden
@@ -204,35 +201,41 @@ TEST(CaptureCacheTest, KeyBytesMatchTheirGolden)
     }
 }
 
-TEST(CaptureCacheTest, EvictionSpillsToDiskAndReloads)
+/** The cache holds kCapacity entries: one more insert evicts the
+ *  least recently used entry (counted), which its next lookup then
+ *  recomputes, while a recently touched one stays a hit. */
+TEST(CaptureCacheTest, LruEvictsTheLeastRecentlyUsedEntry)
 {
-    const auto arc_path =
-        std::filesystem::path(::testing::TempDir()) /
-        "eddie_capture_cache_test.arc";
-    std::filesystem::remove(arc_path);
+    CaptureCache cache;
+    std::size_t computes = 0;
+    const auto lookup = [&](std::size_t key) {
+        return cache.getOrComputeShared(std::to_string(key), [&] {
+            ++computes;
+            std::vector<core::Sts> stream(1);
+            stream[0].t_start = double(key);
+            return stream;
+        });
+    };
+    for (std::size_t k = 0; k < CaptureCache::kCapacity; ++k)
+        (void)lookup(k);
+    (void)lookup(0); // key 0 is now the most recently used
+    EXPECT_EQ(cache.stats().evictions, 0u);
 
-    CaptureCacheConfig cc;
-    cc.capacity = 1;
-    cc.spill_archive = arc_path.string();
+    (void)lookup(CaptureCache::kCapacity); // evicts key 1
+    auto stats = cache.stats();
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_EQ(stats.entries, CaptureCache::kCapacity);
+    EXPECT_EQ(computes, CaptureCache::kCapacity + 1);
 
-    PipelineConfig cfg;
-    cfg.capture_cache = std::make_shared<CaptureCache>(cc);
-    Pipeline pipe(workloads::makeWorkload("bitcount", 0.1), cfg);
-
-    const auto a = pipe.captureRun(1);
-    (void)pipe.captureRun(2); // evicts seed 1 to disk
-    const auto a_again = pipe.captureRun(1); // served from spill
-    EXPECT_EQ(serializeStream(a), serializeStream(a_again));
-
-    const auto stats = cfg.capture_cache->stats();
-    EXPECT_EQ(stats.misses, 2u);
-    EXPECT_EQ(stats.disk_hits, 1u);
+    EXPECT_EQ((*lookup(0))[0].t_start, 0.0); // still held
+    EXPECT_EQ(computes, CaptureCache::kCapacity + 1);
+    EXPECT_EQ((*lookup(1))[0].t_start, 1.0); // recomputed
+    EXPECT_EQ(computes, CaptureCache::kCapacity + 2);
+    stats = cache.stats();
     EXPECT_EQ(stats.evictions, 2u);
-    EXPECT_EQ(stats.spills, 2u);
-    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.hits, 2u);
+    EXPECT_EQ(stats.misses, CaptureCache::kCapacity + 2);
     EXPECT_FALSE(core::describe(stats).empty());
-
-    std::filesystem::remove(arc_path);
 }
 
 TEST(CaptureCacheTest, StsStreamRoundTripsThroughCaptureIo)

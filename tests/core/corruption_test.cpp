@@ -1,10 +1,9 @@
 /**
  * @file
  * Randomized corruption round-trips over every persistence format:
- * truncate or bit-flip a model archive, capture, STS stream, or
- * cache spill file at random offsets and prove the loaders answer
- * with a typed error (or, for the cache, a counted miss plus
- * recompute) — never a crash, hang, or silently wrong data.
+ * truncate or bit-flip a model archive, capture or STS stream at
+ * random offsets and prove the loaders answer with a typed error —
+ * never a crash, hang, or silently wrong data.
  */
 
 #include <cstdint>
@@ -17,11 +16,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/capture_cache.h"
 #include "core/capture_io.h"
 #include "core/errors.h"
 #include "core/model.h"
-#include "store/archive.h"
 
 namespace
 {
@@ -254,131 +251,6 @@ TEST(CorruptionTest, StsStreamCorruptionIsTypedError)
         EXPECT_THROW((void)loadStsStream(cut), Error)
             << "trial " << trial;
     }
-}
-
-TEST(CorruptionTest, CorruptSpillIsCountedMissNotError)
-{
-    const std::string arc_path =
-        (std::filesystem::path(::testing::TempDir()) /
-         "eddie_corruption_test.arc")
-            .string();
-    std::filesystem::remove(arc_path);
-
-    CaptureCacheConfig cc;
-    cc.capacity = 1;
-    cc.spill_archive = arc_path;
-
-    std::mt19937_64 rng(105);
-    const auto stream_a = sampleStream(rng);
-    const auto stream_b = sampleStream(rng);
-    {
-        CaptureCache cache(cc);
-        cache.getOrCompute("key-a", [&] { return stream_a; });
-        cache.getOrCompute("key-b", [&] { return stream_b; });
-        // key-a evicted and spilled.
-    }
-    // The spill's value bytes inside the archive ("spill/" + key).
-    const std::string spill_key = "spill/key-a";
-    store::Archive::Extent value;
-    {
-        store::ArchiveConfig acfg;
-        acfg.path = arc_path;
-        const auto extent = store::Archive(acfg).valueExtent(spill_key);
-        ASSERT_TRUE(extent.has_value());
-        value = *extent;
-    }
-    const auto readArchive = [&] {
-        std::ifstream is(arc_path, std::ios::binary);
-        std::ostringstream slurp;
-        slurp << is.rdbuf();
-        return slurp.str();
-    };
-    const auto writeArchive = [&](const std::string &bytes) {
-        std::ofstream osf(arc_path, std::ios::binary | std::ios::trunc);
-        osf.write(bytes.data(), std::streamsize(bytes.size()));
-    };
-    const std::string good = readArchive();
-
-    std::mt19937_64 corrupt_rng(106);
-    for (int trial = 0; trial < 30; ++trial) {
-        // Damage lands in the spill itself: a flipped value bit, or the
-        // file cut off somewhere inside the value.
-        const std::string spill = good.substr(
-            std::size_t(value.offset), std::size_t(value.length));
-        std::string bad = good;
-        if (trial % 2 == 0) {
-            bad.replace(std::size_t(value.offset), spill.size(),
-                        flipBit(spill, corrupt_rng));
-        } else {
-            bad.resize(std::size_t(value.offset) +
-                       truncate(spill, corrupt_rng).size());
-        }
-        writeArchive(bad);
-
-        CaptureCache cache(cc);
-        std::size_t computes = 0;
-        const auto got = cache.getOrCompute("key-a", [&] {
-            ++computes;
-            return stream_a;
-        });
-        const auto stats = cache.stats();
-        // Two legitimate outcomes, neither of which is an exception:
-        // the damage was caught and counted (recompute) — a flipped
-        // value fails its sector CRC, a cut value is a torn tail the
-        // archive drops at open (plain miss) — or nothing guarded was
-        // hit and the stream decoded intact (disk hit).
-        if (computes == 1) {
-            EXPECT_EQ(stats.misses, 1u);
-            EXPECT_LE(stats.spill_corrupt + stats.spill_short_read,
-                      1u);
-            EXPECT_EQ(stats.disk_hits, 0u);
-        } else {
-            EXPECT_EQ(computes, 0u);
-            EXPECT_EQ(stats.disk_hits, 1u);
-        }
-        EXPECT_EQ(got.size(), stream_a.size());
-        EXPECT_EQ(got.empty() ? 0.0 : got[0].window_energy,
-                  stream_a[0].window_energy);
-    }
-
-    // Targeted damage with deterministic counters: the last value
-    // byte is inside the embedded stream's CRC footer, so flipping it
-    // is a detected corruption; a spill whose stored stream was cut
-    // short (written intact into the archive) is a short read, unless
-    // the cut leaves fewer bytes than its window count needs, which
-    // the decoder refuses as corrupt before allocating.
-    {
-        std::string bad = good;
-        const std::size_t last =
-            std::size_t(value.offset + value.length - 1);
-        bad[last] = char(bad[last] ^ 0x40);
-        writeArchive(bad);
-        CaptureCache cache(cc);
-        (void)cache.getOrCompute("key-a", [&] { return stream_a; });
-        EXPECT_EQ(cache.stats().spill_corrupt, 1u);
-        EXPECT_EQ(cache.stats().misses, 1u);
-    }
-    for (const bool half : {false, true}) {
-        writeArchive(good);
-        {
-            store::ArchiveConfig acfg;
-            acfg.path = arc_path;
-            store::Archive arc(acfg);
-            const std::size_t cut = half
-                ? std::size_t(value.length / 2)
-                : std::size_t(value.length - 4);
-            ASSERT_TRUE(arc.put(
-                spill_key,
-                good.substr(std::size_t(value.offset), cut)));
-        }
-        CaptureCache cache(cc);
-        (void)cache.getOrCompute("key-a", [&] { return stream_a; });
-        EXPECT_EQ(cache.stats().spill_short_read, half ? 0u : 1u);
-        EXPECT_EQ(cache.stats().spill_corrupt, half ? 1u : 0u);
-        EXPECT_EQ(cache.stats().misses, 1u);
-    }
-
-    std::filesystem::remove(arc_path);
 }
 
 } // namespace

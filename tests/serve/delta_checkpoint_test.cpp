@@ -62,15 +62,6 @@ arcPath(const std::string &name)
     return testing::TempDir() + name + ".arc";
 }
 
-/** Opens (scanning) or creates the archive at @p path. */
-store::Archive
-openArchive(const std::string &path)
-{
-    store::ArchiveConfig cfg;
-    cfg.path = path;
-    return store::Archive(cfg);
-}
-
 const std::string kPrefix = tenantKeyPrefix(kRunTenant);
 
 /** One-shard store keyed into @p arc under kPrefix. */
@@ -134,7 +125,7 @@ TEST(GroupCheckpointTest, V1FrameFailsAsFormatError)
     // as a cold start.
     const std::string path = arcPath("delta_ckpt_v1");
     std::remove(path.c_str());
-    store::Archive arc = openArchive(path);
+    store::Archive arc(path);
     ASSERT_TRUE(arc.put(snapshotKey(kPrefix), v1));
     CheckpointStore store(storeConfig(arc, 16));
     EXPECT_EQ(store.recover(), std::vector<bool>{false});
@@ -150,7 +141,7 @@ TEST(CheckpointStoreTest, RecoverMatchesLiveMirrorAtEveryCut)
 
     const std::string path = arcPath("delta_ckpt_every_cut");
     std::remove(path.c_str());
-    store::Archive arc = openArchive(path);
+    store::Archive arc(path);
     // full_every 3: mix full rewrites and delta commits.
     CheckpointStore store(storeConfig(arc, 3));
 
@@ -171,7 +162,7 @@ TEST(CheckpointStoreTest, RecoverMatchesLiveMirrorAtEveryCut)
         store.submitDelta(0, m.exportDelta());
         ASSERT_TRUE(store.flush());
 
-        store::Archive reopened = openArchive(path);
+        store::Archive reopened(path);
         CheckpointStore fresh(storeConfig(reopened, 3));
         const auto recovered = fresh.recover();
         ASSERT_TRUE(recovered[0]) << "cut after step " << i;
@@ -192,7 +183,7 @@ TEST(CheckpointStoreTest, CutImmediatelyAfterFullSnapshotRecovers)
 
     const std::string path = arcPath("delta_ckpt_after_full");
     std::remove(path.c_str());
-    store::Archive arc = openArchive(path);
+    store::Archive arc(path);
     CheckpointStore store(storeConfig(arc, 1u << 20));
 
     core::Monitor m(model, core::MonitorConfig());
@@ -207,7 +198,7 @@ TEST(CheckpointStoreTest, CutImmediatelyAfterFullSnapshotRecovers)
     store.submitDelta(0, m.exportDelta());
     ASSERT_TRUE(store.flush());
 
-    store::Archive reopened = openArchive(path);
+    store::Archive reopened(path);
     CheckpointStore fresh(storeConfig(reopened, 1u << 20));
     ASSERT_TRUE(fresh.recover()[0]);
     EXPECT_EQ(bytes(fresh.mirror(0)), bytes(stateAt(m)));
@@ -226,7 +217,7 @@ buildChain(const std::string &path)
     const auto stream = eventfulStream(123);
 
     std::remove(path.c_str());
-    store::Archive arc = openArchive(path);
+    store::Archive arc(path);
     // Keep all cuts in the delta chain.
     CheckpointStore store(storeConfig(arc, 1u << 20));
 
@@ -262,7 +253,7 @@ TEST(CheckpointStoreTest, TruncatedDeltaTailFallsBackToLastGoodCut)
     ASSERT_GT(size, 1u);
     std::filesystem::resize_file(path, size - 1);
 
-    store::Archive reopened = openArchive(path);
+    store::Archive reopened(path);
     CheckpointStore fresh(storeConfig(reopened, 1u << 20));
     ASSERT_TRUE(fresh.recover()[0]);
     // Cuts at 40, 60, 80 survive; the torn cut at 100 is dropped —
@@ -283,7 +274,7 @@ TEST(CheckpointStoreTest, ArchiveStaysBoundedAcrossSnapshotRewrites)
 
     const std::string path = arcPath("delta_ckpt_bounded");
     std::remove(path.c_str());
-    store::Archive arc = openArchive(path);
+    store::Archive arc(path);
     CheckpointStore store(storeConfig(arc, 2));
     store.submitFull(0, stateAt(m));
     m.resetDeltaBaseline();
@@ -305,7 +296,7 @@ TEST(CheckpointStoreTest, ArchiveStaysBoundedAcrossSnapshotRewrites)
     EXPECT_GT(arc.stats().compactions, 0u);
     EXPECT_LE(largest, 6 * first);
 
-    store::Archive reopened = openArchive(path);
+    store::Archive reopened(path);
     CheckpointStore fresh(storeConfig(reopened, 2));
     ASSERT_TRUE(fresh.recover()[0]);
     EXPECT_EQ(bytes(fresh.mirror(0)), bytes(stateAt(m)));
@@ -322,7 +313,7 @@ TEST(CheckpointStoreTest, BitFlippedSegmentFallsBackToSnapshot)
     // snapshot rather than trust anything after the damage.
     std::uint64_t flip_at = 0;
     {
-        store::Archive arc = openArchive(path);
+        store::Archive arc(path);
         const std::string delta_prefix = kPrefix + "ckpt/dlt/";
         for (const auto &key : arc.keys()) {
             if (key.rfind(delta_prefix, 0) != 0)
@@ -346,7 +337,7 @@ TEST(CheckpointStoreTest, BitFlippedSegmentFallsBackToSnapshot)
         f.put(char(c ^ 0x10));
     }
 
-    store::Archive reopened = openArchive(path);
+    store::Archive reopened(path);
     CheckpointStore fresh(storeConfig(reopened, 1u << 20));
     ASSERT_TRUE(fresh.recover()[0]);
     EXPECT_EQ(bytes(fresh.mirror(0)), cut_bytes[0]);
@@ -403,7 +394,7 @@ TEST(CheckpointStoreTest, LyingCountsAreCountedDecodeFailures)
     const auto recoverFrom = [&](const std::string &snapshot,
                                  const std::string &segment) {
         std::remove(path.c_str());
-        store::Archive arc = openArchive(path);
+        store::Archive arc(path);
         EXPECT_TRUE(arc.put(snapshotKey(kPrefix), snapshot));
         if (!segment.empty()) {
             EXPECT_TRUE(arc.put(kPrefix + "ckpt/dlt/00000000", segment));

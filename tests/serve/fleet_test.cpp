@@ -269,9 +269,7 @@ TEST(Supervisor, ResumeOverALyingSnapshotCountsADecodeFailure)
         codec_samples::poke(lying, lying.size() - 4 - 8,
                             std::uint64_t(1) << 32);
         codec_samples::reseal(lying);
-        store::ArchiveConfig acfg;
-        acfg.path = checkpointArchivePath(base);
-        store::Archive arc(acfg);
+        store::Archive arc(checkpointArchivePath(base));
         ASSERT_TRUE(arc.put(snapshotKey(tenantKeyPrefix("a")), lying));
     }
 

@@ -347,21 +347,17 @@ TEST(Supervisor, FreshRunMovesADamagedArchiveAside)
     const std::string aside = arc + ".damaged";
     std::remove(arc.c_str());
     std::remove(aside.c_str());
-    std::uint32_t sector = 0;
     {
-        store::ArchiveConfig acfg;
-        acfg.path = arc;
-        store::Archive a(acfg);
+        store::Archive a(arc);
         for (const char *key : {"a", "b", "c"})
             ASSERT_TRUE(a.put(key, std::string(100, 'x')));
-        sector = a.sectorSize();
     }
     {
         // The first segment starts at sector 1; its header CRC covers
         // this byte, and the two segments after it stay valid.
         std::fstream io(arc, std::ios::binary | std::ios::in |
                                  std::ios::out);
-        io.seekp(sector);
+        io.seekp(store::kSectorSize);
         io.put('\x7f');
     }
     const auto damaged_size = std::filesystem::file_size(arc);
@@ -387,9 +383,7 @@ TEST(Supervisor, FreshRunMovesADamagedArchiveAside)
     ASSERT_EQ(results.size(), 1u);
     EXPECT_TRUE(sameRecords(results[0].records, f.baseline_records));
     EXPECT_EQ(std::filesystem::file_size(aside), damaged_size);
-    store::ArchiveConfig acfg;
-    acfg.path = arc;
-    store::Archive fresh(acfg);
+    store::Archive fresh(arc);
     EXPECT_TRUE(fresh.contains(snapshotKey(tenantKeyPrefix(kRunTenant))));
     EXPECT_FALSE(fresh.contains("a"));
     std::remove(arc.c_str());

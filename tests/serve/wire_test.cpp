@@ -16,10 +16,12 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -944,6 +946,32 @@ TEST(WireListener, IdleConnectionsAreClosedButStayResumable)
     EXPECT_EQ(re.header.type, wire::FrameType::Ack);
     EXPECT_EQ(fx.listener->stats().reattaches, 1u);
     fx.listener->drainAndClose();
+}
+
+/** A zero, negative or non-finite deadline would close every
+ *  connection before it delivers a window: the listener refuses it
+ *  when it is built, naming the field. */
+TEST(WireListener, RefusesDeadlinesThatCloseEveryConnection)
+{
+    TenantRegistry reg;
+    for (const double bad : {0.0, -5.0, std::nan(""),
+                             std::numeric_limits<double>::infinity()}) {
+        for (const bool idle : {true, false}) {
+            WireListenerConfig cfg;
+            cfg.tcp = "127.0.0.1:0";
+            (idle ? cfg.idle_timeout_ms : cfg.hello_deadline_ms) = bad;
+            try {
+                WireListener listener(reg, cfg);
+                ADD_FAILURE() << "deadline " << bad << " accepted";
+            } catch (const ServeConfigError &e) {
+                EXPECT_EQ(e.field(), idle ? "listener.idle_timeout_ms"
+                                          : "listener.hello_deadline_ms");
+            }
+        }
+    }
+    WireListenerConfig good;
+    good.tcp = "127.0.0.1:0";
+    EXPECT_NO_THROW(WireListener(reg, good));
 }
 
 TEST(WireListener, PipeTransportDeliversBitIdenticalViaWireClient)

@@ -41,8 +41,8 @@ TEST(SpecialTest, IncompleteGammaKnownValues)
 {
     // P(1, x) = 1 - e^{-x}.
     for (double x : {0.5, 1.0, 3.0})
-        EXPECT_NEAR(incompleteGammaP(1.0, x), 1.0 - std::exp(-x), 1e-10);
-    EXPECT_DOUBLE_EQ(incompleteGammaP(2.0, 0.0), 0.0);
+        EXPECT_NEAR(incompleteGamma(1.0, x), 1.0 - std::exp(-x), 1e-10);
+    EXPECT_DOUBLE_EQ(incompleteGamma(2.0, 0.0), 0.0);
 }
 
 TEST(SpecialTest, ChiSquaredCdf)

@@ -17,13 +17,14 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "core/errors.h"
 #include "store/archive.h"
 
 namespace fs = std::filesystem;
 using eddie::store::Archive;
-using eddie::store::ArchiveConfig;
 using eddie::store::GetStatus;
+using eddie::store::kSectorSize;
 
 namespace
 {
@@ -66,13 +67,13 @@ pattern(std::size_t n, std::uint64_t seed)
     return out;
 }
 
-ArchiveConfig
-smallConfig(const std::string &path)
+/** @p key's value, or @p fallback when get() is not Ok. */
+std::string
+valueOr(Archive &arc, const std::string &key,
+        const std::string &fallback = "")
 {
-    ArchiveConfig cfg;
-    cfg.path = path;
-    cfg.sector_size = 128; // small sectors → many sectors per value
-    return cfg;
+    std::string out;
+    return arc.get(key, out) == GetStatus::Ok ? out : fallback;
 }
 
 } // namespace
@@ -82,10 +83,10 @@ TEST(ArchiveTest, RoundTripsValuesOfAwkwardSizes)
     const std::string path = tempPath("arc_roundtrip.arc");
     fs::remove(path);
     // Sizes straddling every sector boundary case, including empty.
-    const std::vector<std::size_t> sizes = {0,   1,   127, 128,
-                                            129, 255, 256, 1000};
+    const std::vector<std::size_t> sizes = {0,    1,    511,  512,
+                                            513,  1023, 1024, 4000};
     {
-        Archive arc(smallConfig(path));
+        Archive arc(path);
         for (std::size_t i = 0; i < sizes.size(); ++i)
             arc.stagePut("key-" + std::to_string(i),
                          pattern(sizes[i], i));
@@ -93,21 +94,18 @@ TEST(ArchiveTest, RoundTripsValuesOfAwkwardSizes)
         // One batch, one commit.
         EXPECT_EQ(arc.stats().group_commits, 1u);
         for (std::size_t i = 0; i < sizes.size(); ++i) {
-            std::span<const char> span;
-            ASSERT_EQ(arc.get("key-" + std::to_string(i), span),
+            std::string got;
+            ASSERT_EQ(arc.get("key-" + std::to_string(i), got),
                       GetStatus::Ok);
-            EXPECT_EQ(std::string(span.data(), span.size()),
-                      pattern(sizes[i], i));
+            EXPECT_EQ(got, pattern(sizes[i], i));
         }
     }
     // Reopen: the scan must rebuild the same directory.
-    Archive arc(smallConfig(path));
+    Archive arc(path);
     EXPECT_EQ(arc.liveCount(), sizes.size());
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        auto got = arc.getCopy("key-" + std::to_string(i));
-        ASSERT_TRUE(got.has_value());
-        EXPECT_EQ(*got, pattern(sizes[i], i));
-    }
+    for (std::size_t i = 0; i < sizes.size(); ++i)
+        EXPECT_EQ(valueOr(arc, "key-" + std::to_string(i), "<missing>"),
+                  pattern(sizes[i], i));
     EXPECT_EQ(arc.stats().torn_tail_dropped, 0u);
 }
 
@@ -115,11 +113,11 @@ TEST(ArchiveTest, LastWriteWinsAndRemove)
 {
     const std::string path = tempPath("arc_lww.arc");
     fs::remove(path);
-    Archive arc(smallConfig(path));
+    Archive arc(path);
     ASSERT_TRUE(arc.put("a", "first"));
     ASSERT_TRUE(arc.put("a", "second"));
     ASSERT_TRUE(arc.put("b", "keep"));
-    EXPECT_EQ(arc.getCopy("a").value_or(""), "second");
+    EXPECT_EQ(valueOr(arc, "a"), "second");
     EXPECT_EQ(arc.stats().dead_segments, 1u);
 
     arc.stageRemove("a");
@@ -129,30 +127,9 @@ TEST(ArchiveTest, LastWriteWinsAndRemove)
     EXPECT_EQ(arc.liveCount(), 1u);
 
     // Reopen: supersession and tombstone replay identically.
-    Archive re(smallConfig(path));
+    Archive re(path);
     EXPECT_FALSE(re.contains("a"));
-    EXPECT_EQ(re.getCopy("b").value_or(""), "keep");
-}
-
-TEST(ArchiveTest, SpansSurviveLaterCommits)
-{
-    const std::string path = tempPath("arc_span.arc");
-    fs::remove(path);
-    Archive arc(smallConfig(path));
-    const std::string v = pattern(777, 42);
-    ASSERT_TRUE(arc.put("stable", v));
-    std::span<const char> span;
-    ASSERT_EQ(arc.get("stable", span), GetStatus::Ok);
-
-    // Grow the archive well past the first mapping.
-    for (int i = 0; i < 20; ++i)
-        ASSERT_TRUE(
-            arc.put("grow-" + std::to_string(i), pattern(500, i)));
-    std::span<const char> later;
-    ASSERT_EQ(arc.get("grow-19", later), GetStatus::Ok);
-
-    // The pre-growth span still reads the original bytes.
-    EXPECT_EQ(std::string(span.data(), span.size()), v);
+    EXPECT_EQ(valueOr(re, "b"), "keep");
 }
 
 TEST(ArchiveTest, LazyVerificationCountsOnlyTouchedSectors)
@@ -160,28 +137,108 @@ TEST(ArchiveTest, LazyVerificationCountsOnlyTouchedSectors)
     const std::string path = tempPath("arc_lazy.arc");
     fs::remove(path);
     {
-        Archive arc(smallConfig(path));
-        arc.stagePut("hot", pattern(128 * 4, 1));  // 4 sectors
-        arc.stagePut("cold", pattern(128 * 8, 2)); // 8 sectors
+        Archive arc(path);
+        arc.stagePut("hot", pattern(kSectorSize * 4, 1));  // 4 sectors
+        arc.stagePut("cold", pattern(kSectorSize * 8, 2)); // 8 sectors
         ASSERT_TRUE(arc.commit());
     }
-    Archive arc(smallConfig(path));
+    Archive arc(path);
     // Open scans headers only: nothing payload-verified yet.
     EXPECT_EQ(arc.stats().payload_sectors_verified, 0u);
     EXPECT_EQ(arc.stats().payload_sectors_total, 12u);
-    ASSERT_TRUE(arc.getCopy("hot").has_value());
+    std::string got;
+    ASSERT_EQ(arc.get("hot", got), GetStatus::Ok);
     // Only the read key's sectors were checksummed.
     EXPECT_EQ(arc.stats().payload_sectors_verified, 4u);
-    // A second read re-verifies nothing.
-    ASSERT_TRUE(arc.getCopy("hot").has_value());
-    EXPECT_EQ(arc.stats().payload_sectors_verified, 4u);
+    // Every read verifies afresh.
+    ASSERT_EQ(arc.get("hot", got), GetStatus::Ok);
+    EXPECT_EQ(arc.stats().payload_sectors_verified, 8u);
+}
+
+/** A file cut short under an open archive: a value that no longer
+ *  fits in it reads as Corrupt (or a typed IoError), never as a
+ *  signal. The cut lands a page below the value, after an earlier
+ *  read of another key. */
+TEST(ArchiveTest, TruncatedUnderAnOpenArchiveReadsCorrupt)
+{
+    const std::string path = tempPath("arc_truncated_open.arc");
+    fs::remove(path);
+    Archive arc(path);
+    ASSERT_TRUE(arc.put("a", pattern(10000, 1)));
+    ASSERT_TRUE(arc.put("b", pattern(100000, 2)));
+    EXPECT_EQ(valueOr(arc, "a"), pattern(10000, 1));
+    const auto b = arc.valueExtent("b");
+    ASSERT_TRUE(b.has_value());
+    ASSERT_GE(b->offset, 3 * 4096u);
+    fs::resize_file(path, 4096);
+
+    std::string got;
+    try {
+        EXPECT_EQ(arc.get("b", got), GetStatus::Corrupt);
+    } catch (const eddie::core::IoError &) {
+    }
+    EXPECT_EQ(arc.get("a", got), GetStatus::Corrupt);
+    fs::remove(path);
+}
+
+/** Every read checks the bytes it returns: a payload byte flipped on
+ *  disk after a good read makes the next read Corrupt. */
+TEST(ArchiveTest, FlippedAfterAGoodReadReadsCorrupt)
+{
+    const std::string path = tempPath("arc_flip_after_read.arc");
+    fs::remove(path);
+    Archive arc(path);
+    ASSERT_TRUE(arc.put("a", pattern(3000, 1)));
+    std::string got;
+    ASSERT_EQ(arc.get("a", got), GetStatus::Ok);
+    ASSERT_EQ(got, pattern(3000, 1));
+
+    const auto extent = arc.valueExtent("a");
+    ASSERT_TRUE(extent.has_value());
+    std::string bytes = readFile(path);
+    bytes[std::size_t(extent->offset + 100)] ^= 0x20;
+    writeFile(path, bytes);
+
+    EXPECT_EQ(arc.get("a", got), GetStatus::Corrupt);
+    EXPECT_EQ(arc.stats().sector_crc_failures, 1u);
+    fs::remove(path);
+}
+
+/** Size and CRC-32 of the file compaction writes over a fixed history
+ *  of puts, overwrites and removes — a key whose header spans two
+ *  sectors, an empty value and a whole-sector value included. The
+ *  digest was recorded from the compaction that re-encoded every live
+ *  value; copying each segment once must write the same bytes. */
+TEST(ArchiveTest, CompactionMatchesItsGolden)
+{
+    const std::string path = tempPath("arc_compact_golden.arc");
+    fs::remove(path);
+    Archive arc(path);
+    for (int i = 0; i < 9; ++i)
+        ASSERT_TRUE(
+            arc.put("k" + std::to_string(i), pattern(300 + 700 * i, i)));
+    for (int i = 0; i < 9; i += 2)
+        ASSERT_TRUE(
+            arc.put("k" + std::to_string(i), pattern(40 * i + 1, 50 + i)));
+    for (int i = 0; i < 9; i += 3)
+        arc.stageRemove("k" + std::to_string(i));
+    ASSERT_TRUE(arc.commit());
+    ASSERT_TRUE(arc.put(std::string(600, 'q'), pattern(1500, 77)));
+    ASSERT_TRUE(arc.put("z", ""));
+    ASSERT_TRUE(arc.put("s", pattern(kSectorSize * 2, 78)));
+    ASSERT_TRUE(arc.compact());
+
+    const std::string bytes = readFile(path);
+    EXPECT_EQ(bytes.size(), 20480u);
+    EXPECT_EQ(eddie::common::crc32(bytes), 0x46eb0269u);
+    fs::remove(path);
 }
 
 TEST(ArchiveTest, CompactionPreservesLiveSetByteIdentically)
 {
     const std::string path = tempPath("arc_compact.arc");
     fs::remove(path);
-    Archive arc(smallConfig(path));
+    Archive arc(path);
     std::map<std::string, std::string> expect;
     for (int i = 0; i < 12; ++i) {
         const std::string key = "k" + std::to_string(i);
@@ -202,7 +259,7 @@ TEST(ArchiveTest, CompactionPreservesLiveSetByteIdentically)
     ASSERT_TRUE(arc.commit());
 
     const auto before = fs::file_size(path);
-    const std::uint64_t sector = arc.sectorSize();
+    const std::uint64_t sector = kSectorSize;
     ASSERT_GT(arc.stats().dead_segments, 0u);
     EXPECT_EQ(sector + arc.stats().live_bytes + arc.stats().dead_bytes,
               before);
@@ -216,17 +273,18 @@ TEST(ArchiveTest, CompactionPreservesLiveSetByteIdentically)
     EXPECT_EQ(arc.stats().live_bytes, live_bytes);
     EXPECT_EQ(sector + live_bytes, after);
     EXPECT_EQ(arc.liveCount(), expect.size());
-    for (const auto &kv : expect) {
-        auto got = arc.getCopy(kv.first);
-        ASSERT_TRUE(got.has_value()) << kv.first;
-        EXPECT_EQ(*got, kv.second) << kv.first;
-    }
-    // And the compacted file reopens clean.
-    Archive re(smallConfig(path));
-    EXPECT_EQ(re.liveCount(), expect.size());
     for (const auto &kv : expect)
-        EXPECT_EQ(re.getCopy(kv.first).value_or("<missing>"),
-                  kv.second);
+        EXPECT_EQ(valueOr(arc, kv.first, "<missing>"), kv.second)
+            << kv.first;
+    // The archive keeps appending after the segments it copied.
+    ASSERT_TRUE(arc.put("k1", "after"));
+    expect["k1"] = "after";
+    // And the compacted file reopens clean.
+    Archive re(path);
+    EXPECT_EQ(re.liveCount(), expect.size());
+    EXPECT_EQ(re.stats().torn_tail_dropped, 0u);
+    for (const auto &kv : expect)
+        EXPECT_EQ(valueOr(re, kv.first, "<missing>"), kv.second);
 }
 
 TEST(ArchiveTest, CompactionRefusesACorruptArtifactAndKeepsTheFile)
@@ -234,7 +292,7 @@ TEST(ArchiveTest, CompactionRefusesACorruptArtifactAndKeepsTheFile)
     const std::string path = tempPath("arc_compact_corrupt.arc");
     fs::remove(path);
     {
-        Archive arc(smallConfig(path));
+        Archive arc(path);
         for (int i = 0; i < 3; ++i)
             ASSERT_TRUE(arc.put("k" + std::to_string(i), pattern(300, i)));
         ASSERT_TRUE(arc.put("k1", pattern(200, 9))); // one dead segment
@@ -248,14 +306,14 @@ TEST(ArchiveTest, CompactionRefusesACorruptArtifactAndKeepsTheFile)
 
     // Compaction verifies every live value before copying it: a
     // corrupt one must not come out of it with fresh CRCs.
-    Archive arc(smallConfig(path));
+    Archive arc(path);
     EXPECT_FALSE(arc.compact());
     EXPECT_EQ(readFile(path), damaged);
     EXPECT_FALSE(fs::exists(path + ".compact"));
     EXPECT_EQ(arc.stats().compactions, 0u);
-    EXPECT_EQ(arc.getCopy("k0").value_or("<missing>"), pattern(300, 0));
-    std::span<const char> span;
-    EXPECT_EQ(arc.get("k2", span), GetStatus::Corrupt);
+    EXPECT_EQ(valueOr(arc, "k0", "<missing>"), pattern(300, 0));
+    std::string got;
+    EXPECT_EQ(arc.get("k2", got), GetStatus::Corrupt);
     fs::remove(path);
 }
 
@@ -268,7 +326,7 @@ TEST(ArchiveTest, TruncatedTailDropsOnlyTheTornBatch)
     std::uint64_t first_commit_end = 0;
     {
         fs::remove(path);
-        Archive arc(smallConfig(path));
+        Archive arc(path);
         arc.stagePut("base-1", pattern(300, 1));
         arc.stagePut("base-2", pattern(40, 2));
         ASSERT_TRUE(arc.commit());
@@ -281,21 +339,18 @@ TEST(ArchiveTest, TruncatedTailDropsOnlyTheTornBatch)
         const std::size_t cut =
             1 + std::size_t(rng()) % (full.size() - 1);
         writeFile(path, full.substr(0, cut));
-        if (cut < 128) {
+        if (cut < kSectorSize) {
             // Cut inside the superblock: typed error, not a crash.
-            EXPECT_THROW(Archive(smallConfig(path)),
-                         eddie::core::Error);
+            EXPECT_THROW(Archive{path}, eddie::core::Error);
             continue;
         }
-        Archive arc(smallConfig(path));
+        Archive arc(path);
         if (cut >= first_commit_end) {
             // The first batch is intact; the tail segment is torn
             // (counted) unless the cut landed exactly on the first
             // commit's end, which is simply a shorter clean archive.
-            EXPECT_EQ(arc.getCopy("base-1").value_or(""),
-                      pattern(300, 1));
-            EXPECT_EQ(arc.getCopy("base-2").value_or(""),
-                      pattern(40, 2));
+            EXPECT_EQ(valueOr(arc, "base-1"), pattern(300, 1));
+            EXPECT_EQ(valueOr(arc, "base-2"), pattern(40, 2));
             EXPECT_EQ(arc.stats().torn_tail_dropped,
                       cut == first_commit_end ? 0u : 1u);
             EXPECT_FALSE(arc.contains("tail"));
@@ -303,9 +358,9 @@ TEST(ArchiveTest, TruncatedTailDropsOnlyTheTornBatch)
             // Cut inside the first batch: whatever keys survive must
             // read back exactly; the torn remainder is counted.
             EXPECT_EQ(arc.stats().torn_tail_dropped, 1u);
-            auto b1 = arc.getCopy("base-1");
-            if (b1.has_value()) {
-                EXPECT_EQ(*b1, pattern(300, 1));
+            std::string b1;
+            if (arc.get("base-1", b1) == GetStatus::Ok) {
+                EXPECT_EQ(b1, pattern(300, 1));
             }
             EXPECT_FALSE(arc.contains("tail"));
         }
@@ -316,11 +371,13 @@ TEST(ArchiveTest, BitFlipsAreDetectedNeverSilent)
 {
     const std::string path = tempPath("arc_flip.arc");
     fs::remove(path);
+    // Values of 4-13 sectors, so payload bytes (which the sector CRCs
+    // cover) far outweigh header padding (which nothing covers).
+    const auto value = [](int i) { return pattern(2000 + 900 * i, i); };
     {
-        Archive arc(smallConfig(path));
+        Archive arc(path);
         for (int i = 0; i < 6; ++i)
-            arc.stagePut("key-" + std::to_string(i),
-                         pattern(200 + 90 * i, i));
+            arc.stagePut("key-" + std::to_string(i), value(i));
         ASSERT_TRUE(arc.commit());
     }
     const std::string clean = readFile(path);
@@ -333,19 +390,16 @@ TEST(ArchiveTest, BitFlipsAreDetectedNeverSilent)
         bytes[at] = char(bytes[at] ^ (1u << bit));
         writeFile(path, bytes);
         try {
-            Archive arc(smallConfig(path));
+            Archive arc(path);
             bool damage_seen =
                 arc.stats().torn_tail_dropped > 0 ||
                 arc.liveCount() < 6;
             for (int i = 0; i < 6; ++i) {
-                std::span<const char> span;
-                const auto st =
-                    arc.get("key-" + std::to_string(i), span);
+                std::string got;
+                const auto st = arc.get("key-" + std::to_string(i), got);
                 if (st == GetStatus::Ok) {
                     // Verified reads must be byte-exact.
-                    ASSERT_EQ(
-                        std::string(span.data(), span.size()),
-                        pattern(200 + 90 * i, i));
+                    ASSERT_EQ(got, value(i));
                 } else {
                     damage_seen = true;
                 }
@@ -375,7 +429,7 @@ TEST(ArchiveTest, ReadValueLeavesTheFileByteIdentical)
     const std::string a = pattern(300, 1);
     const std::string b = pattern(700, 2);
     {
-        Archive arc(smallConfig(path));
+        Archive arc(path);
         ASSERT_TRUE(arc.put("a", a));
         ASSERT_TRUE(arc.put("b", b));
     }
@@ -394,7 +448,7 @@ TEST(ArchiveTest, ReadValueLeavesTheFileByteIdentical)
     // A flipped payload byte of "a" (its first sector follows the
     // superblock and one header sector).
     std::string flipped = torn;
-    flipped[2 * 128 + 5] = char(flipped[2 * 128 + 5] ^ 0x10);
+    flipped[2 * kSectorSize + 5] = char(flipped[2 * kSectorSize + 5] ^ 0x10);
     writeFile(path, flipped);
     EXPECT_EQ(Archive::readValue(path, "a", out), GetStatus::Corrupt);
     EXPECT_EQ(readFile(path), flipped);
@@ -402,7 +456,7 @@ TEST(ArchiveTest, ReadValueLeavesTheFileByteIdentical)
     // A writer opening the same torn file drops the tail.
     writeFile(path, torn);
     {
-        Archive arc(smallConfig(path));
+        Archive arc(path);
         EXPECT_EQ(arc.stats().torn_tail_dropped, 1u);
     }
     EXPECT_LT(readFile(path).size(), torn.size());
@@ -420,11 +474,9 @@ TEST(ArchiveTest, RejectsNonArchiveFilesWithTypedError)
 {
     const std::string path = tempPath("arc_notarc.arc");
     writeFile(path, "this is not an archive at all, far too short");
-    EXPECT_THROW(Archive(smallConfig(path)),
-                 eddie::core::FormatError);
+    EXPECT_THROW(Archive{path}, eddie::core::FormatError);
     writeFile(path, std::string(4096, 'x'));
-    EXPECT_THROW(Archive(smallConfig(path)),
-                 eddie::core::FormatError);
+    EXPECT_THROW(Archive{path}, eddie::core::FormatError);
 }
 
 TEST(ArchiveTest, DamagedHeaderBeforeValidSegmentsIsNotATornTail)
@@ -436,17 +488,18 @@ TEST(ArchiveTest, DamagedHeaderBeforeValidSegmentsIsNotATornTail)
     const std::string path = tempPath("arc_midfile.arc");
     fs::remove(path);
     {
-        Archive arc(smallConfig(path));
+        Archive arc(path);
         ASSERT_TRUE(arc.put("key", pattern(300, 1)));
         ASSERT_TRUE(arc.put("key", pattern(300, 2)));
         ASSERT_TRUE(arc.put("x", pattern(200, 3)));
         ASSERT_TRUE(arc.put("y", pattern(100, 4)));
     }
     std::string bytes = readFile(path);
-    bytes[128 + 24] = char(bytes[128 + 24] ^ 0x01); // first value_len
+    bytes[kSectorSize + 24] =
+        char(bytes[kSectorSize + 24] ^ 0x01); // first value_len
     writeFile(path, bytes);
 
-    EXPECT_THROW(Archive(smallConfig(path)), eddie::core::FormatError);
+    EXPECT_THROW(Archive{path}, eddie::core::FormatError);
     EXPECT_EQ(readFile(path), bytes);
 }
 
@@ -454,7 +507,7 @@ TEST(ArchiveTest, ValueExtentLocatesTheLiveValueBytes)
 {
     const std::string path = tempPath("arc_extent.arc");
     fs::remove(path);
-    Archive arc(smallConfig(path));
+    Archive arc(path);
     ASSERT_TRUE(arc.put("a", pattern(300, 5)));
     ASSERT_TRUE(arc.put("b", pattern(70, 6)));
     ASSERT_TRUE(arc.put("a", pattern(260, 7))); // supersedes the first
@@ -478,19 +531,19 @@ TEST(ArchiveTest, NewArchiveFileIsCreatedByTheFirstCommit)
     const std::string path = tempPath("arc_lazy.arc");
     fs::remove(path);
     {
-        Archive arc(smallConfig(path));
+        Archive arc(path);
         EXPECT_FALSE(fs::exists(path));
         EXPECT_EQ(arc.liveCount(), 0u);
         EXPECT_FALSE(arc.contains("k"));
         ASSERT_TRUE(arc.put("k", pattern(300, 8)));
         EXPECT_TRUE(fs::exists(path));
-        EXPECT_EQ(arc.getCopy("k").value_or(""), pattern(300, 8));
+        EXPECT_EQ(valueOr(arc, "k"), pattern(300, 8));
     }
-    Archive reopened(smallConfig(path));
-    EXPECT_EQ(reopened.getCopy("k").value_or(""), pattern(300, 8));
+    Archive reopened(path);
+    EXPECT_EQ(valueOr(reopened, "k"), pattern(300, 8));
 
     // An archive that could never be created fails at open, not at
     // its first commit.
-    EXPECT_THROW(Archive(smallConfig(tempPath("no-such-dir/x.arc"))),
+    EXPECT_THROW(Archive{tempPath("no-such-dir/x.arc")},
                  eddie::core::IoError);
 }

@@ -55,9 +55,7 @@ freshPath(const std::string &name)
 void
 checkpointBytes(std::string &snapshot, std::string &delta)
 {
-    store::ArchiveConfig acfg;
-    acfg.path = freshPath("codec_golden_ckpt.arc");
-    store::Archive arc(acfg);
+    store::Archive arc(freshPath("codec_golden_ckpt.arc"));
     serve::CheckpointStoreConfig cfg;
     cfg.num_shards = 2;
     cfg.key_prefix = serve::tenantKeyPrefix("golden");
@@ -68,27 +66,24 @@ checkpointBytes(std::string &snapshot, std::string &delta)
     ASSERT_TRUE(ckpt.flush()); // the epoch-1 snapshot
     ckpt.submitDelta(0, codec_samples::delta());
     ASSERT_TRUE(ckpt.flush()); // delta segment 0
-    const auto snap = arc.getCopy(serve::snapshotKey(cfg.key_prefix));
-    const auto seg = arc.getCopy(cfg.key_prefix + "ckpt/dlt/00000000");
-    ASSERT_TRUE(snap.has_value());
-    ASSERT_TRUE(seg.has_value());
-    snapshot = *snap;
-    delta = *seg;
+    ASSERT_EQ(arc.get(serve::snapshotKey(cfg.key_prefix), snapshot),
+              store::GetStatus::Ok);
+    ASSERT_EQ(arc.get(cfg.key_prefix + "ckpt/dlt/00000000", delta),
+              store::GetStatus::Ok);
 }
 
 /** An archive file after one put and one remove. */
 std::string
 archiveBytes()
 {
-    store::ArchiveConfig cfg;
-    cfg.path = freshPath("codec_golden_store.arc");
+    const std::string path = freshPath("codec_golden_store.arc");
     {
-        store::Archive arc(cfg);
+        store::Archive arc(path);
         EXPECT_TRUE(arc.put("golden/a", "the value of a"));
         arc.stageRemove("golden/a");
         EXPECT_TRUE(arc.commit());
     }
-    return fileBytes(cfg.path);
+    return fileBytes(path);
 }
 
 struct Golden

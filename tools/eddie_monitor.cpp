@@ -109,9 +109,7 @@ run(int argc, char **argv)
         serve::CheckpointData ckpt;
         ckpt.monitor = monitor.exportState();
         ckpt.source_pos = ckpt.monitor.step_index;
-        store::ArchiveConfig arc_cfg;
-        arc_cfg.path = serve::checkpointArchivePath(ckpt_path);
-        store::Archive arc(arc_cfg);
+        store::Archive arc(serve::checkpointArchivePath(ckpt_path));
         serve::CheckpointStoreConfig store_cfg;
         store_cfg.key_prefix = serve::tenantKeyPrefix(serve::kRunTenant);
         store_cfg.archive = &arc;
@@ -120,9 +118,9 @@ run(int argc, char **argv)
         store.submitFull(0, std::move(ckpt));
         if (!store.flush())
             throw core::IoError("checkpoint: write failed: " +
-                                arc_cfg.path);
+                                arc.path());
         std::printf("checkpoint written to %s (%zu steps)\n",
-                    arc_cfg.path.c_str(), steps);
+                    arc.path().c_str(), steps);
     }
     if (interrupted)
         std::printf("interrupted after %zu of %zu STS windows\n",

@@ -50,8 +50,9 @@
  *   0  clean run, no anomalies
  *   2  usage / bad arguments (an unknown flag or one the mode does not
  *      read, a malformed number, a negative count, a zero --shards or
- *      --expect, a contradictory serving config such as --resume
- *      without --checkpoint or --full-every 0)
+ *      --expect, a zero, negative or non-finite --idle-timeout-ms, a
+ *      contradictory serving config such as --resume without
+ *      --checkpoint or --full-every 0)
  *   3  anomalies reported
  *   4  a session escalated (restart budget exhausted or breaker
  *      tripped; its verdicts are the state at its last checkpoint)
@@ -181,15 +182,20 @@ runListen(const tools::Args &args)
     const std::size_t expect = args.getCount("expect", 1);
     if (expect == 0)
         throw tools::UsageError("--expect: '0' is not >= 1");
-    const std::string tenant = args.get("tenant");
-    serve::TenantRegistry reg;
-    reg.addTenant(servedTenant(args, tenant.empty() ? "default" : tenant));
-
     serve::WireListenerConfig lcfg;
     lcfg.tcp = args.get("listen");
     lcfg.unix_path = args.get("listen-pipe");
     lcfg.idle_timeout_ms =
         args.getDouble("idle-timeout-ms", lcfg.idle_timeout_ms);
+    try {
+        lcfg.validate();
+    } catch (const serve::ServeConfigError &e) {
+        throw tools::UsageError(e.what());
+    }
+
+    const std::string tenant = args.get("tenant");
+    serve::TenantRegistry reg;
+    reg.addTenant(servedTenant(args, tenant.empty() ? "default" : tenant));
 
     tools::ignoreSigpipe();
     tools::handleStopSignals();
