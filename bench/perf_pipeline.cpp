@@ -1332,10 +1332,10 @@ runBench(int argc, char **argv)
         const std::string value(8192, 'x');
         {
             store::Archive a(proof_path);
-            for (int i = 0; i < 32; ++i) {
-                a.stagePut("proof/" + std::to_string(i), value);
-            }
-            a.commit();
+            store::Archive::Batch batch;
+            for (int i = 0; i < 32; ++i)
+                batch.puts.emplace_back("proof/" + std::to_string(i), value);
+            a.commit(batch);
         }
         store::Archive a(proof_path);
         std::string got;

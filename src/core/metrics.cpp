@@ -177,7 +177,7 @@ describe(const CaptureCacheStats &stats)
 std::string
 describe(const ServeStats &stats)
 {
-    char buf[640];
+    char buf[1024];
     std::snprintf(
         buf, sizeof buf,
         "serve: %llu delivered, %llu processed, "
@@ -187,7 +187,8 @@ describe(const ServeStats &stats)
         "%llu model reloads, %llu group commits (%llu full, "
         "%llu delta bytes, %llu fallbacks), fleet: %llu tenants, "
         "%llu sessions (%llu rejected), %llu breaker trips, "
-        "%llu shed, %llu throttled, %llu snapshot decode failures",
+        "%llu shed, %llu throttled, %llu snapshot decode failures, "
+        "%llu checkpoint write failures",
         static_cast<unsigned long long>(stats.delivered),
         static_cast<unsigned long long>(stats.processed),
         static_cast<unsigned long long>(stats.source_retries),
@@ -211,8 +212,8 @@ describe(const ServeStats &stats)
         static_cast<unsigned long long>(stats.breaker_trips),
         static_cast<unsigned long long>(stats.windows_shed),
         static_cast<unsigned long long>(stats.windows_throttled),
-        static_cast<unsigned long long>(
-            stats.snapshot_decode_failures));
+        static_cast<unsigned long long>(stats.snapshot_decode_failures),
+        static_cast<unsigned long long>(stats.checkpoint_write_failures));
     return std::string(buf);
 }
 

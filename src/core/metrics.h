@@ -140,9 +140,11 @@ struct ServeStats
     std::uint64_t full_snapshots = 0;
     /** Bytes of delta segments written. */
     std::uint64_t delta_bytes = 0;
-    /** Recovery replays that hit a corrupt/truncated/broken-chain
-     *  delta segment and fell back to the state reconstructed so
-     *  far (at worst the last full snapshot). */
+    /** Deltas that did not apply: recovery replays that hit a
+     *  corrupt/truncated/broken-chain delta segment and fell back to
+     *  the state reconstructed so far (at worst the last full
+     *  snapshot), and submitted deltas that did not chain onto their
+     *  shard's cut (the shard keeps its last good cut). */
     std::uint64_t delta_fallbacks = 0;
     /** Delta segments discarded by those fallbacks. */
     std::uint64_t delta_segments_dropped = 0;
@@ -170,6 +172,9 @@ struct ServeStats
     /** Tenant snapshots that existed but failed to decode during
      *  resume (FaultClass::CheckpointDecode trips). */
     std::uint64_t snapshot_decode_failures = 0;
+    /** Checkpoint commits and compactions that failed to write
+     *  (swallowed: serving goes on, durability is degraded). */
+    std::uint64_t checkpoint_write_failures = 0;
 };
 
 /** One-line human-readable summary of the cache counters. */

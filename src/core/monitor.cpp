@@ -182,11 +182,28 @@ Monitor::reset()
 void
 applyDelta(MonitorState &state, const MonitorStateDelta &delta)
 {
+    // Every check runs before the first write, so a delta that does
+    // not apply leaves @p state as it was.
     if (delta.base_step != state.step_index)
         throw FormatError("monitor delta: chain gap (base " +
                           std::to_string(delta.base_step) +
                           ", state at " +
                           std::to_string(state.step_index) + ")");
+    const bool replace = delta.history_tail.size() == delta.history_count;
+    if (delta.history_tail.size() > delta.history_count)
+        throw FormatError("monitor delta: tail exceeds ring count");
+    if (!replace && state.history.size() + delta.history_tail.size() <
+                        delta.history_count)
+        throw FormatError("monitor delta: ring underflow");
+    if (delta.records_from > state.records.size())
+        throw FormatError("monitor delta: record rewrite past end");
+    // One record per step, always — a cheap structural check that
+    // catches mismatched chains the scalars alone would miss.
+    if (delta.records_from + delta.records.size() != delta.step)
+        throw FormatError("monitor delta: record count != step index");
+    if (delta.reports_from > state.reports.size())
+        throw FormatError("monitor delta: report rewrite past end");
+
     state.current = delta.current;
     state.steps_since_change = delta.steps_since_change;
     state.anomaly_count = delta.anomaly_count;
@@ -197,34 +214,22 @@ applyDelta(MonitorState &state, const MonitorStateDelta &delta)
     state.degraded = delta.degraded;
     state.gate_energies = delta.gate_energies;
 
-    if (delta.history_tail.size() > delta.history_count)
-        throw FormatError("monitor delta: tail exceeds ring count");
-    if (delta.history_tail.size() == delta.history_count) {
+    if (replace) {
         // Full replacement: the interval refilled (or cleared) the
         // whole ring.
         state.history = delta.history_tail;
     } else {
         for (const auto &row : delta.history_tail)
             state.history.push_back(row);
-        if (state.history.size() < delta.history_count)
-            throw FormatError("monitor delta: ring underflow");
         state.history.erase(
             state.history.begin(),
             state.history.end() - std::ptrdiff_t(delta.history_count));
     }
 
-    if (delta.records_from > state.records.size())
-        throw FormatError("monitor delta: record rewrite past end");
     state.records.resize(std::size_t(delta.records_from));
     state.records.insert(state.records.end(), delta.records.begin(),
                          delta.records.end());
-    // One record per step, always — a cheap structural check that
-    // catches mismatched chains the scalars alone would miss.
-    if (state.records.size() != delta.step)
-        throw FormatError("monitor delta: record count != step index");
 
-    if (delta.reports_from > state.reports.size())
-        throw FormatError("monitor delta: report rewrite past end");
     state.reports.resize(std::size_t(delta.reports_from));
     state.reports.insert(state.reports.end(), delta.reports.begin(),
                          delta.reports.end());

@@ -211,11 +211,11 @@ struct MonitorStateDelta
 
 /**
  * Folds @p delta into @p state (the state at delta.base_step),
- * advancing it to delta.step. Throws FormatError when the chain does
- * not link up (base_step mismatch, impossible history arithmetic, or
- * an out-of-range rewrite index) — the delta-log replay in
- * serve/checkpoint.cpp turns that into a fall-back to the last full
- * snapshot.
+ * advancing it to delta.step. Throws FormatError, with @p state
+ * untouched, when the chain does not link up (base_step mismatch,
+ * impossible history arithmetic, an out-of-range rewrite index, or a
+ * record count that is not the step index) — serve/checkpoint.cpp
+ * turns that into a counted fallback to the last good cut.
  */
 void applyDelta(MonitorState &state, const MonitorStateDelta &delta);
 

@@ -265,6 +265,20 @@ getDelta(ByteReader &r)
     return d;
 }
 
+/** Applies @p delta to @p ckpt; false, with @p ckpt untouched, when
+ *  the delta does not chain onto it. */
+bool
+applyTo(CheckpointData &ckpt, const core::MonitorStateDelta &delta)
+{
+    try {
+        core::applyDelta(ckpt.monitor, delta);
+    } catch (const core::Error &) {
+        return false;
+    }
+    ckpt.source_pos = ckpt.monitor.step_index;
+    return true;
+}
+
 } // namespace
 
 std::string
@@ -347,8 +361,7 @@ snapshotKey(const std::string &key_prefix)
 }
 
 CheckpointStore::CheckpointStore(const CheckpointStoreConfig &cfg)
-    : cfg_(cfg), mirrors_(std::max<std::size_t>(cfg.num_shards, 1)),
-      mirror_gen_(mirrors_.size(), 0)
+    : cfg_(cfg), mirrors_(std::max<std::size_t>(cfg.num_shards, 1))
 {
     if (cfg_.full_every == 0)
         cfg_.full_every = 1;
@@ -372,24 +385,19 @@ CheckpointStore::applySegmentLocked(const DeltaSegment &seg)
     // Transactional: decode fully, apply onto copies, then publish —
     // a torn or chain-broken segment leaves every mirror at the
     // previous good cut.
-    std::vector<std::pair<std::size_t, CheckpointData>> staged;
+    std::vector<std::pair<std::size_t, CheckpointData>> applied;
     for (const auto &entry : seg.entries) {
         if (entry.shard >= mirrors_.size())
             return false;
         CheckpointData next = mirrors_[std::size_t(entry.shard)];
-        for (const auto &prior : staged)
+        for (const auto &prior : applied)
             if (prior.first == std::size_t(entry.shard))
                 next = prior.second;
-        try {
-            core::applyDelta(next.monitor, entry.delta);
-        } catch (const core::Error &) {
+        if (!applyTo(next, entry.delta))
             return false;
-        }
-        next.source_pos = next.monitor.step_index;
-        staged.emplace_back(std::size_t(entry.shard),
-                            std::move(next));
+        applied.emplace_back(std::size_t(entry.shard), std::move(next));
     }
-    for (auto &entry : staged)
+    for (auto &entry : applied)
         mirrors_[entry.first] = std::move(entry.second);
     return true;
 }
@@ -470,20 +478,11 @@ CheckpointStore::submitFull(std::size_t shard, CheckpointData ckpt)
     std::lock_guard<std::mutex> lock(mu_);
     if (shard >= mirrors_.size())
         return;
-    // Queued deltas for this shard no longer chain onto its mirror;
-    // the snapshot rewrite the dirty flag forces supersedes them. The
-    // generation bump also invalidates any of them currently riding
-    // an in-flight flush batch.
-    const auto stale = [shard](const DeltaEntry &e) {
+    // Queued deltas for this shard chain onto the state this replaces;
+    // the snapshot rewrite the dirty flag forces supersedes them.
+    std::erase_if(pending_, [shard](const DeltaEntry &e) {
         return std::size_t(e.shard) == shard;
-    };
-    pending_.erase(
-        std::remove_if(pending_.begin(), pending_.end(), stale),
-        pending_.end());
-    staged_.erase(
-        std::remove_if(staged_.begin(), staged_.end(), stale),
-        staged_.end());
-    ++mirror_gen_[shard];
+    });
     mirrors_[shard] = std::move(ckpt);
     full_dirty_ = true;
 }
@@ -495,34 +494,12 @@ CheckpointStore::submitDelta(std::size_t shard,
     std::lock_guard<std::mutex> lock(mu_);
     if (shard >= mirrors_.size())
         return;
-    // Monitoring hot path: one move into the pending list and out.
-    // The mirror fold (applyDelta) runs at flush/mirror time on the
-    // watchdog thread, so eight shard workers cutting checkpoints
-    // never serialize behind each other's state application.
+    // Monitoring hot path: one move into the queue and out. applyDelta
+    // runs at the next flush, on the watchdog thread.
     DeltaEntry entry;
     entry.shard = shard;
     entry.delta = std::move(delta);
     pending_.push_back(std::move(entry));
-}
-
-void
-CheckpointStore::foldAllLocked()
-{
-    // Advances the mirrors to the newest cut by consuming every
-    // queued delta (staged_ first: those are older). Only the full
-    // snapshot rewrite and the archive-less flush need this — in the
-    // steady state the mirrors deliberately lag, so the hot path
-    // never pays applyDelta at all.
-    const auto fold = [this](std::vector<DeltaEntry> &entries) {
-        for (auto &entry : entries) {
-            CheckpointData &m = mirrors_[std::size_t(entry.shard)];
-            core::applyDelta(m.monitor, entry.delta);
-            m.source_pos = m.monitor.step_index;
-        }
-        entries.clear();
-    };
-    fold(staged_);
-    fold(pending_);
 }
 
 CheckpointData
@@ -531,61 +508,14 @@ CheckpointStore::mirror(std::size_t shard)
     std::lock_guard<std::mutex> lock(mu_);
     if (shard >= mirrors_.size())
         return CheckpointData{};
-    // Non-consuming read: replay this shard's unfolded deltas onto a
-    // copy, leaving the queues intact for the next segment write /
-    // snapshot fold. Restart-path only, so O(queued) is fine.
+    // Non-consuming read: replay this shard's queued deltas onto a
+    // copy, leaving the queue for the next flush. Restart-path only,
+    // so O(queued) is fine.
     CheckpointData out = mirrors_[shard];
-    const auto replay = [&](const std::vector<DeltaEntry> &entries) {
-        for (const auto &entry : entries)
-            if (std::size_t(entry.shard) == shard) {
-                core::applyDelta(out.monitor, entry.delta);
-                out.source_pos = out.monitor.step_index;
-            }
-    };
-    replay(staged_);
-    replay(pending_);
+    for (const auto &entry : pending_)
+        if (std::size_t(entry.shard) == shard && !applyTo(out, entry.delta))
+            break;
     return out;
-}
-
-bool
-CheckpointStore::writeFullSnapshotLocked()
-{
-    // Every queued delta folds into the mirrors (and out of memory)
-    // here — on a dead disk this still bounds memory, since the
-    // mirrors then carry the cuts the archive never got.
-    foldAllLocked();
-    GroupCheckpoint group;
-    group.epoch = epoch_ + 1;
-    group.shards = mirrors_;
-    // The new snapshot image and the removal of every delta key land
-    // in ONE group commit: either the whole rewrite is visible to a
-    // later scan or none of it is, so stale-epoch delta segments
-    // structurally cannot survive a crash.
-    bool wrote = false;
-    try {
-        cfg_.archive->stagePut(snapshotKey(cfg_.key_prefix),
-                               encodeGroupCheckpoint(group));
-        // Only THIS store's delta keys: in a shared multi-tenant
-        // container, removing another prefix would tear a neighbor's
-        // chain out from under its snapshot.
-        const std::string prefix = deltaPrefixStr();
-        for (const auto &key : cfg_.archive->keys())
-            if (key.rfind(prefix, 0) == 0)
-                cfg_.archive->stageRemove(key);
-        wrote = cfg_.archive->commit();
-    } catch (const core::Error &) {
-    }
-    if (!wrote) {
-        ++stats_.write_failures;
-        return false;
-    }
-    next_delta_key_ = 0;
-    epoch_ = group.epoch;
-    commits_since_full_ = 0;
-    full_dirty_ = false;
-    ++stats_.full_snapshots;
-    ++stats_.group_commits;
-    return true;
 }
 
 bool
@@ -617,69 +547,93 @@ CheckpointStore::reclaimDeadSpace()
 bool
 CheckpointStore::flush()
 {
-    // io_mu_ serializes writers (the watchdog poll plus per-worker
-    // EOF flushes) so segments land in submission order; mu_ is held
-    // only long enough to move the queues, so shard workers cutting
-    // checkpoints never wait behind serialization or disk.
+    // io_mu_ serializes flushes (the watchdog is the only caller in a
+    // serving run), so segments land in the order their deltas were
+    // taken. mu_ is held to take and apply the queue and to book the
+    // outcome, never across encoding or the archive write, so shard
+    // workers cutting checkpoints never wait behind disk.
     std::lock_guard<std::mutex> io_lock(io_mu_);
     DeltaSegment seg;
-    std::vector<std::uint64_t> gen_snap;
+    GroupCheckpoint group;
     std::uint64_t delta_key = 0;
-    bool rewrote = false;
+    bool rewrite = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (cfg_.archive == nullptr) {
-            foldAllLocked(); // mirrors still track every cut in memory
-            full_dirty_ = false;
-            return true;
+        rewrite = full_dirty_ || commits_since_full_ >= cfg_.full_every;
+        // Cleared as the rewrite is taken: a submitFull, a delta that
+        // does not apply or a failed write from here on sets it again.
+        full_dirty_ = false;
+        seg.entries = std::move(pending_);
+        pending_.clear();
+        for (const auto &entry : seg.entries) {
+            if (!applyTo(mirrors_[std::size_t(entry.shard)], entry.delta)) {
+                ++stats_.delta_fallbacks;
+                full_dirty_ = true;
+            }
         }
-        if (full_dirty_ || commits_since_full_ >= cfg_.full_every) {
-            if (!writeFullSnapshotLocked())
-                return false;
-            rewrote = true;
-        } else if (pending_.empty()) {
+        if (cfg_.archive == nullptr)
+            return true;
+        if (rewrite) {
+            group.epoch = epoch_ + 1;
+            group.shards = mirrors_;
+        } else if (seg.entries.empty()) {
             return true;
         } else {
             seg.epoch = epoch_;
-            seg.entries = std::move(pending_);
-            pending_.clear();
-            gen_snap = mirror_gen_;
             delta_key = next_delta_key_++;
         }
     }
+
+    // One group commit either way. A snapshot rewrite lands the new
+    // image and the removal of every delta key together, so
+    // stale-epoch segments structurally cannot survive a crash; it
+    // removes only THIS store's keys, since another prefix's chain in
+    // a shared container is a neighbor's. A failed commit is rolled
+    // back inside the archive (truncate to the pre-commit end), and a
+    // skipped delta key number is tolerated by replay.
+    store::Archive::Batch batch;
+    std::size_t bytes = 0;
+    if (rewrite) {
+        batch.puts.emplace_back(snapshotKey(cfg_.key_prefix),
+                                encodeGroupCheckpoint(group));
+        const std::string prefix = deltaPrefixStr();
+        for (std::string &key : cfg_.archive->keys())
+            if (key.rfind(prefix, 0) == 0)
+                batch.removes.push_back(std::move(key));
+    } else {
+        batch.puts.emplace_back(deltaKeyStr(delta_key),
+                                encodeDeltaSegment(seg));
+        bytes = batch.puts.front().second.size();
+    }
+    bool wrote = false;
+    try {
+        wrote = cfg_.archive->commit(batch);
+    } catch (const core::Error &) {
+    }
+
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (!wrote) {
+            // Degraded durability: the mirrors hold every cut, and the
+            // next successful snapshot re-anchors the chain.
+            ++stats_.write_failures;
+            full_dirty_ = true;
+            return false;
+        }
+        ++stats_.group_commits;
+        if (!rewrite) {
+            stats_.delta_bytes += bytes;
+            ++commits_since_full_;
+            return true;
+        }
+        next_delta_key_ = 0;
+        epoch_ = group.epoch;
+        commits_since_full_ = 0;
+        ++stats_.full_snapshots;
+    }
     // Outside mu_: compaction rewrites every tenant's live set, and
     // shard workers must not wait behind it.
-    if (rewrote)
-        return reclaimDeadSpace();
-
-    // One keyed segment = one archive group commit. A failed put is
-    // rolled back inside the archive (truncate to the pre-commit
-    // end), so a torn batch never reaches a later scan; the key
-    // number is simply skipped, which replay tolerates.
-    const std::string bytes = encodeDeltaSegment(seg);
-    const bool wrote = cfg_.archive->put(deltaKeyStr(delta_key), bytes);
-
-    std::lock_guard<std::mutex> lock(mu_);
-    // Written or not, the entries stay queued for the snapshot fold:
-    // on a write failure the mirrors (via the forced snapshot below)
-    // are the only copy left, so losing them here would lose cuts.
-    // Entries whose shard took a submitFull while the lock was
-    // released are superseded — their chain no longer applies.
-    for (auto &entry : seg.entries)
-        if (mirror_gen_[std::size_t(entry.shard)] ==
-            gen_snap[std::size_t(entry.shard)])
-            staged_.push_back(std::move(entry));
-    if (!wrote) {
-        // Degraded durability: the queued cuts survive in memory and
-        // the next successful full snapshot re-anchors the chain.
-        ++stats_.write_failures;
-        full_dirty_ = true;
-        return false;
-    }
-    stats_.delta_bytes += bytes.size();
-    ++stats_.group_commits;
-    ++commits_since_full_;
-    return true;
+    return reclaimDeadSpace();
 }
 
 CheckpointStoreStats

@@ -130,15 +130,9 @@ struct CheckpointStoreConfig
      * or rewrite can never disturb a neighbor's chain.
      */
     std::string key_prefix;
-    /**
-     * Non-owned container the keys live in; nullptr keeps the
-     * mirrors in memory only (no persistence). The caller guarantees
-     * the archive outlives the store and that flush() across stores
-     * sharing one archive is serialized (the supervisor's watchdog is
-     * the only flusher): the stores stage into the archive's one
-     * batch, so an interleaved flush would split another store's
-     * snapshot rewrite across two commits.
-     */
+    /** Non-owned container the keys live in; nullptr keeps the
+     *  mirrors in memory only (no persistence). The caller guarantees
+     *  the archive outlives the store. */
     store::Archive *archive = nullptr;
 };
 
@@ -148,10 +142,15 @@ struct CheckpointStoreStats
     std::uint64_t group_commits = 0;
     std::uint64_t full_snapshots = 0;
     std::uint64_t delta_bytes = 0;
+    /** Deltas that did not apply: a corrupt or chain-broken segment
+     *  that stopped a recover() replay, or a submitted delta that did
+     *  not chain onto its shard's cut (the shard keeps its last good
+     *  cut and the next flush rewrites the snapshot). */
     std::uint64_t delta_fallbacks = 0;
     std::uint64_t delta_segments_dropped = 0;
-    /** Swallowed I/O failures (durability degraded, serving
-     *  continues). */
+    /** Failed commits and compactions, swallowed (durability
+     *  degraded, serving continues; the next flush rewrites the
+     *  snapshot). */
     std::uint64_t write_failures = 0;
     /**
      * A snapshot that *exists* failed to decode during recover() —
@@ -164,14 +163,16 @@ struct CheckpointStoreStats
 
 /**
  * The group-committed checkpoint pipeline. Workers submit deltas (or
- * full states) as they cut them — cheap, in-memory, applied at once
- * to the shard's mirror so a restart always has the newest cut — and
- * the supervisor's watchdog calls flush() once per poll to land
- * everything pending as one archive group commit. Every full_every
- * commits (and whenever a full submit re-anchored a shard's chain)
- * the store rewrites the group snapshot and drops its delta keys in
- * one atomic commit, then compacts the archive if its dead bytes
- * have come to exceed three times its live ones. Thread-safe.
+ * full states) as they cut them — one move into a queue — and the
+ * supervisor's watchdog calls flush() once per poll. A flush takes
+ * the queue, applies each delta once to its shard's mirror (so the
+ * mirrors are current as of the last flush, and are what a restart
+ * reads), and lands the deltas as one archive group commit. Every
+ * full_every commits (and whenever a full submit re-anchored a
+ * shard's chain) it instead rewrites the group snapshot from the
+ * mirrors and drops its delta keys in that one commit, then compacts
+ * the archive if its dead bytes have come to exceed three times its
+ * live ones. Thread-safe.
  */
 class CheckpointStore
 {
@@ -191,28 +192,26 @@ class CheckpointStore
      *  the next flush rewrites the full snapshot. */
     void submitFull(std::size_t shard, CheckpointData ckpt);
 
-    /** Queues @p delta for the next group commit. This is the worker
-     *  hot path: the critical section is one move into the pending
-     *  list — applying to the shard's mirror is deferred to the next
-     *  full-snapshot fold (or replayed on a mirror() read), off the
-     *  monitoring thread. Deltas for one shard must chain (each
-     *  base_step matching the previous cut); a gap surfaces as
-     *  FormatError at fold/replay time. */
+    /** Queues @p delta for the next flush. This is the worker hot
+     *  path: one move into the queue. Deltas for one shard must chain
+     *  (each base_step matching the previous cut); one that does not
+     *  is counted in delta_fallbacks by the flush that takes it. */
     void submitDelta(std::size_t shard, core::MonitorStateDelta delta);
 
-    /** The shard's full state at its newest cut: the snapshot-time
-     *  mirror plus a replay of the shard's queued deltas. */
+    /** The shard's full state at its newest cut: its mirror plus a
+     *  replay of its deltas still queued, up to the first that does
+     *  not apply. */
     CheckpointData mirror(std::size_t shard);
 
-    /** Group commit: lands all pending deltas as one keyed segment,
-     *  rewriting the full snapshot instead when due. Returns false
-     *  when an I/O failure was swallowed. */
+    /** Group commit: takes and applies the queued deltas, then lands
+     *  them as one keyed segment, or rewrites the full snapshot
+     *  instead when due. Returns false when an I/O failure was
+     *  swallowed; the next flush then rewrites the snapshot. */
     bool flush();
 
     CheckpointStoreStats stats() const;
 
   private:
-    bool writeFullSnapshotLocked();
     /** Compacts the archive once its dead bytes exceed three times
      *  its live ones; false on a failed compaction (counted, file
      *  untouched). */
@@ -220,33 +219,23 @@ class CheckpointStore
     /** Archive keys under this store's namespace prefix. */
     std::string deltaPrefixStr() const;
     std::string deltaKeyStr(std::uint64_t n) const;
-    void foldAllLocked();
     /** Applies one decoded delta segment transactionally onto the
      *  mirrors; false = damaged (bad shard or broken chain). */
     bool applySegmentLocked(const DeltaSegment &seg);
 
-    /** cfg_.archive's own lock nests inside io_mu_/mu_ and it never
-     *  calls back, so the lock order is acyclic. */
+    /** cfg_.archive's own lock nests inside io_mu_ and mu_ and it
+     *  never calls back, so the lock order is acyclic. */
     CheckpointStoreConfig cfg_;
     mutable std::mutex mu_;
-    /** Serializes flush() callers; segment encode + disk IO happen
-     *  under this lock alone, so submitDelta (which needs only mu_)
-     *  never blocks behind a write in progress. */
+    /** Serializes flush() callers, so segments land in the order their
+     *  deltas were taken. Encoding and the archive write happen under
+     *  this lock alone, so submitDelta (which needs only mu_) never
+     *  waits behind them. */
     std::mutex io_mu_;
-    /** Per-shard state at the last full snapshot — deliberately
-     *  lagging: in the steady state cuts ride the delta queues and
-     *  the mirrors advance only when a snapshot is rewritten, so the
-     *  checkpointed hot path never pays applyDelta. mirror() replays
-     *  the queues on top for reads. */
+    /** Per-shard state as of the last flush or submitFull. */
     std::vector<CheckpointData> mirrors_;
-    /** Bumped by submitFull; lets an in-flight flush detect that a
-     *  shard's queued deltas were superseded mid-write. */
-    std::vector<std::uint64_t> mirror_gen_;
-    /** Deltas not yet written to the archive (next group commit). */
+    /** Deltas submitted since the last flush took the queue. */
     std::vector<DeltaEntry> pending_;
-    /** Deltas written to the archive but not yet folded into the
-     *  mirrors; consumed by the next full-snapshot fold. */
-    std::vector<DeltaEntry> staged_;
     std::uint64_t epoch_ = 0;
     std::size_t commits_since_full_ = 0;
     bool full_dirty_ = true; ///< next flush must rewrite the snapshot

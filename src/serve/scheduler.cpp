@@ -43,6 +43,10 @@ isTerminal(int st)
     return st == kEof || st == kStopped || st == kEscalated;
 }
 
+/** Deficit replenished per round for the largest-weight tenant;
+ *  other tenants get a proportional share (min 1 step). */
+constexpr double kQuantumSteps = 32.0;
+
 /** Longest a session stays parked on a Pending pull before the
  *  watchdog re-enqueues it: bounds how late a silent source's stall
  *  timeout is noticed, and how late a missed wakeup could be. */
@@ -195,8 +199,7 @@ FleetScheduler::FleetScheduler(ServeConfig cfg,
                 common::crc32File(t->spec().model_path).value_or(0);
         const double rate = t->spec().quota.sts_per_s;
         const double w = rate > 0.0 ? rate : max_rate;
-        lane.quantum = std::max(
-            1.0, cfg_.scheduler.quantum_steps * w / max_rate);
+        lane.quantum = std::max(1.0, kQuantumSteps * w / max_rate);
     }
     sessions_.reserve(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -322,10 +325,11 @@ FleetScheduler::handleFailure(Session &s, double now_ms)
         return;
     }
 
-    // The store mirror is the session's newest cut (deltas apply to
-    // it synchronously on submit, before any disk latency). A Failed
-    // session has no worker, so this thread owns its source: seek
-    // replays every window after the cut, the held one included.
+    // The store mirror is the session's newest cut: the mirror as of
+    // the last flush plus a replay of the deltas queued since, none
+    // of it waiting on disk. A Failed session has no worker, so this
+    // thread owns its source: seek replays every window after the
+    // cut, the held one included.
     const CheckpointData ckpt =
         s.spec.store->mirror(s.spec.store_shard);
     if (!tenant.budget().allow(now_ms) ||
@@ -837,8 +841,7 @@ FleetScheduler::run()
             }
         }
         // One group commit per store per poll; this thread is the
-        // only flusher, so shared-archive stage/commit batches never
-        // interleave.
+        // only flusher.
         for (CheckpointStore *store : stores)
             store->flush();
         if (all_done)

@@ -96,9 +96,6 @@ struct SchedulerConfig
      *  back to the run queue (the preemption grain, and the deficit
      *  debt bound). */
     std::size_t batch_steps = 16;
-    /** Deficit replenished per round for the largest-weight tenant;
-     *  other tenants get a proportional share (min 1 step). */
-    double quantum_steps = 32.0;
 };
 
 /** Watchdog and restart policy. */

@@ -203,6 +203,7 @@ Supervisor::stats() const
         st.delta_fallbacks += cs.delta_fallbacks;
         st.delta_segments_dropped += cs.delta_segments_dropped;
         st.snapshot_decode_failures += cs.snapshot_decode_failures;
+        st.checkpoint_write_failures += cs.write_failures;
     }
     st.delta_fallbacks += torn_tail_fallbacks_;
     st.breaker_trips += recovery_trips_;

@@ -180,9 +180,8 @@ class Supervisor
     /** The run's checkpoint container; nullptr without a
      *  checkpoint_path. */
     std::unique_ptr<store::Archive> archive_;
-    /** One checkpoint store per tenant, all keyed into archive_; only
-     *  the watchdog flushes, so the shared container never sees
-     *  interleaved stage/commit batches. */
+    /** One checkpoint store per tenant, all keyed into archive_ (the
+     *  watchdog flushes them). */
     std::vector<std::unique_ptr<CheckpointStore>> stores_;
     /** Registry of the current/last runFleet, for stats(). */
     TenantRegistry *registry_ = nullptr;

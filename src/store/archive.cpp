@@ -94,8 +94,28 @@ readHeader(const char *base, std::uint64_t off, std::uint64_t file_size,
            common::crc32(base + off, std::size_t(h.header_bytes - 4));
 }
 
-/** Appends one segment — header, CRC table, payload — to @p out. */
+/** File bytes of a segment: its header sectors, then its payload
+ *  sectors. */
+std::uint64_t
+segmentBytes(std::size_t key_len, std::size_t value_len)
+{
+    const std::uint64_t n_psec = ceilDiv(value_len, kSectorSize);
+    return (ceilDiv(kFixedHeader + key_len + 4 * n_psec + 4, kSectorSize) +
+            n_psec) *
+           kSectorSize;
+}
+
+/** FormatError unless @p key can head a segment. */
 void
+checkKey(std::string_view key)
+{
+    if (key.empty() || key.size() > kMaxKeyLen)
+        throw core::FormatError("archive: bad key length");
+}
+
+/** Appends one segment — header, CRC table, payload — to @p out and
+ *  returns where in @p out its payload starts. */
+std::size_t
 encodeSegment(std::string &out, std::uint64_t seq, std::uint32_t kind,
               std::string_view key, std::string_view value)
 {
@@ -126,10 +146,11 @@ encodeSegment(std::string &out, std::uint64_t seq, std::uint32_t kind,
         w.put(c);
     }
     w.put(common::crc32(out.data() + start, out.size() - start));
-    out.resize(start + std::size_t(header_secs) * kSectorSize, '\0');
+    const std::size_t payload = start + std::size_t(header_secs) * kSectorSize;
+    out.resize(payload, '\0');
     out.append(value);
-    out.resize(start + std::size_t(header_secs + n_psec) * kSectorSize,
-               '\0');
+    out.resize(payload + std::size_t(n_psec) * kSectorSize, '\0');
+    return payload;
 }
 
 /** Renumbers the segment image at @p seg to @p seq and re-seals its
@@ -280,7 +301,6 @@ Archive::openLocked()
     fd_ = ::open(path_.c_str(), O_RDWR | O_APPEND | O_CLOEXEC);
     if (fd_ < 0)
         throw core::ioErrorErrno("archive: open for append", path_);
-    staged_seq_ = next_seq_;
 }
 
 void
@@ -365,88 +385,69 @@ Archive::scanLocked(std::string_view file)
     stats_.live_artifacts = dir_.size();
 }
 
-void
-Archive::stagePut(std::string_view key, std::string_view value)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (key.empty() || key.size() > kMaxKeyLen)
-        throw core::FormatError("archive: bad key length");
-    if (value.size() > common::kMaxPayloadBytes)
-        throw core::FormatError("archive: oversized value");
-
-    const std::uint64_t off = end_ + staging_.size();
-    const std::uint64_t n_psec = ceilDiv(value.size(), kSectorSize);
-    const std::uint64_t header_secs = ceilDiv(
-        kFixedHeader + key.size() + 4 * n_psec + 4, kSectorSize);
-
-    encodeSegment(staging_, staged_seq_++, kKindPut, key, value);
-
-    PendingOp op;
-    op.key = std::string(key);
-    op.is_put = true;
-    op.slot.offset = off;
-    op.slot.table_off = off + kFixedHeader + key.size();
-    op.slot.payload_off = off + header_secs * kSectorSize;
-    op.slot.value_len = value.size();
-    op.slot.n_sectors = std::uint32_t(n_psec);
-    pending_.push_back(std::move(op));
-    staged_sectors_ += n_psec;
-    ++staged_puts_;
-}
-
-void
-Archive::stageRemove(std::string_view key)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (key.empty() || key.size() > kMaxKeyLen)
-        throw core::FormatError("archive: bad key length");
-    encodeSegment(staging_, staged_seq_++, kKindRemove, key, {});
-    PendingOp op;
-    op.key = std::string(key);
-    op.is_put = false;
-    pending_.push_back(std::move(op));
-    ++staged_removes_;
-}
-
 bool
-Archive::commit()
+Archive::commit(const Batch &batch)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return commitLocked();
-}
-
-bool
-Archive::commitLocked()
-{
-    if (staging_.empty())
+    for (const auto &[key, value] : batch.puts) {
+        checkKey(key);
+        if (value.size() > common::kMaxPayloadBytes)
+            throw core::FormatError("archive: oversized value");
+    }
+    for (const auto &key : batch.removes)
+        checkKey(key);
+    if (batch.puts.empty() && batch.removes.empty())
         return true;
+
+    std::lock_guard<std::mutex> lock(mu_);
     bool ok = !broken_;
-    std::string_view out = staging_;
     // The first commit of a new archive creates its file, with the
     // superblock in the same write as the batch. A file that appeared
     // meanwhile is another writer's: refuse it rather than clobber.
-    std::string created;
-    if (ok && fd_ < 0) {
+    const bool create = ok && fd_ < 0;
+    if (create) {
         fd_ = ::open(path_.c_str(),
                      O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
         struct stat st{};
         ok = fd_ >= 0 && ::fstat(fd_, &st) == 0 && st.st_size == 0;
-        created = superblock();
-        created += staging_;
-        out = created;
     }
+    // The batch image; byte `base` of it lands at file offset end_.
+    std::string image = create ? superblock() : std::string();
+    const std::size_t base = image.size();
+    // Sized up front: a snapshot rewrite's image runs to megabytes,
+    // and growing it by doubling would copy it several times over.
+    std::size_t size = base;
+    for (const auto &[key, value] : batch.puts)
+        size += segmentBytes(key.size(), value.size());
+    for (const auto &key : batch.removes)
+        size += segmentBytes(key.size(), 0);
+    image.reserve(size);
+    std::uint64_t seq = next_seq_;
+    std::vector<Slot> slots;
+    slots.reserve(batch.puts.size());
+    for (const auto &[key, value] : batch.puts) {
+        Slot slot;
+        slot.offset = end_ + (image.size() - base);
+        slot.table_off = slot.offset + kFixedHeader + key.size();
+        slot.payload_off =
+            end_ + (encodeSegment(image, seq++, kKindPut, key, value) - base);
+        slot.value_len = value.size();
+        slot.n_sectors = std::uint32_t(ceilDiv(value.size(), kSectorSize));
+        slots.push_back(slot);
+    }
+    for (const auto &key : batch.removes)
+        encodeSegment(image, seq++, kKindRemove, key, {});
+
     // The whole batch goes down in one write call — that write *is*
     // the group commit (writeAll only resumes a partial write). No
     // fsync: durability is to the page cache.
-    const std::size_t done = ok ? writeAll(fd_, out) : 0;
-    ok = ok && done == out.size();
-    if (!ok) {
+    const std::size_t done = ok ? writeAll(fd_, image) : 0;
+    if (!ok || done != image.size()) {
         ++stats_.write_failures;
         // Roll the file back to the last good segment so the partial
         // batch can never be scanned as a live prefix later. A file
         // this commit created goes back to empty and is created again
         // by the next one.
-        if (!created.empty()) {
+        if (create) {
             if (fd_ >= 0 && done > 0 && ::ftruncate(fd_, 0) != 0)
                 broken_ = true;
             if (fd_ >= 0)
@@ -455,45 +456,34 @@ Archive::commitLocked()
         } else if (fd_ >= 0 && ::ftruncate(fd_, off_t(end_)) != 0) {
             broken_ = true;
         }
-        staged_seq_ = next_seq_;
-    } else {
-        end_ += staging_.size();
-        next_seq_ = staged_seq_;
-        for (auto &op : pending_) {
-            if (op.is_put) {
-                const auto it = dir_.find(op.key);
-                if (it != dir_.end()) {
-                    ++stats_.dead_segments;
-                    it->second = op.slot;
-                } else {
-                    dir_.emplace(std::move(op.key), op.slot);
-                }
-            } else {
-                ++stats_.dead_segments;
-                if (dir_.erase(op.key) > 0)
-                    ++stats_.dead_segments;
-            }
-        }
-        stats_.puts += staged_puts_;
-        stats_.removes += staged_removes_;
-        stats_.payload_sectors_total += staged_sectors_;
-        stats_.commit_bytes += staging_.size();
-        ++stats_.group_commits;
-        stats_.live_artifacts = dir_.size();
+        return false;
     }
-    staging_.clear();
-    pending_.clear();
-    staged_sectors_ = 0;
-    staged_puts_ = 0;
-    staged_removes_ = 0;
-    return ok;
+    end_ += image.size() - base;
+    next_seq_ = seq;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        if (!dir_.insert_or_assign(batch.puts[i].first, slots[i]).second)
+            ++stats_.dead_segments; // superseded put
+        stats_.payload_sectors_total += slots[i].n_sectors;
+    }
+    for (const auto &key : batch.removes) {
+        ++stats_.dead_segments; // the remove segment itself
+        if (dir_.erase(key) > 0)
+            ++stats_.dead_segments; // ... and the put it tombstoned
+    }
+    stats_.puts += batch.puts.size();
+    stats_.removes += batch.removes.size();
+    stats_.commit_bytes += image.size() - base;
+    ++stats_.group_commits;
+    stats_.live_artifacts = dir_.size();
+    return true;
 }
 
 bool
-Archive::put(std::string_view key, std::string_view value)
+Archive::put(std::string key, std::string value)
 {
-    stagePut(key, value);
-    return commit();
+    Batch batch;
+    batch.puts.emplace_back(std::move(key), std::move(value));
+    return commit(batch);
 }
 
 bool
@@ -580,9 +570,6 @@ bool
 Archive::compact()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!commitLocked())
-        return false;
-
     // Stream the replacement file: the superblock, then each live
     // segment copied once, one in memory at a time. Its payload
     // sectors are verified against its CRC table first (compaction
@@ -641,7 +628,6 @@ Archive::compact()
     dir_ = std::move(dir);
     end_ = end;
     next_seq_ = seq;
-    staged_seq_ = seq;
     broken_ = false;
     stats_.dead_segments = 0;
     stats_.payload_sectors_total = sectors;

@@ -19,10 +19,10 @@
  *
  * Invariants the format buys:
  *
- *  - Group commit: stagePut()/stageRemove() encode into a staging
- *    buffer; commit() lands the whole batch in ONE write syscall. A
- *    failed commit truncates the file back to its pre-commit end, so
- *    the archive never exposes a half-written batch to a later scan.
+ *  - Group commit: commit() encodes the puts and removes of one
+ *    Batch and lands them in ONE write syscall. A failed commit
+ *    truncates the file back to its pre-commit end, so the archive
+ *    never exposes a half-written batch to a later scan.
  *  - Copy-out reads, verified on every read: get() preads the value's
  *    CRC table and payload sectors through the archive's descriptor,
  *    checks every sector and copies the value out. A byte changed on
@@ -48,7 +48,7 @@
  *    model loads from a file its reader may not write, and a copy
  *    still in progress is never cut short by a reader.
  *
- * Thread-safe: one mutex over directory, staging, and IO.
+ * Thread-safe: one mutex over directory and IO.
  */
 
 #ifndef EDDIE_STORE_ARCHIVE_H
@@ -61,6 +61,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace eddie::store
@@ -136,19 +137,26 @@ class Archive
     static GetStatus readValue(const std::string &path,
                                std::string_view key, std::string &out);
 
-    /** Stages one put/remove for the next commit(). Staged ops are
-     *  invisible to get() until committed. Throws FormatError on an
-     *  oversized key or value. */
-    void stagePut(std::string_view key, std::string_view value);
-    void stageRemove(std::string_view key);
+    /** The puts and removes one commit() lands together. It owns its
+     *  strings, so an encoded value is moved in, not copied. */
+    struct Batch
+    {
+        std::vector<std::pair<std::string, std::string>> puts;
+        std::vector<std::string> removes;
+    };
 
-    /** Lands every staged op in one write syscall. Returns false on a
-     *  swallowed IO failure (counted; the file is truncated back to
-     *  its pre-commit end and the staged batch is dropped). */
-    bool commit();
+    /**
+     * Group commit: encodes @p batch's puts, then its removes, and
+     * lands them in one write syscall, so a later scan sees all of
+     * them or none. Throws FormatError, before anything is written,
+     * on an empty or oversized key or an oversized value. Returns
+     * false on a swallowed IO failure (counted; the file is truncated
+     * back to its pre-commit end and the directory is unchanged).
+     */
+    bool commit(const Batch &batch);
 
-    /** stagePut + commit in one call. */
-    bool put(std::string_view key, std::string_view value);
+    /** A one-put commit(). */
+    bool put(std::string key, std::string value);
 
     /**
      * Point lookup: reads @p key's CRC table and payload sectors from
@@ -176,8 +184,8 @@ class Archive
     std::size_t liveCount() const;
 
     /**
-     * Compaction: lands any staged batch, then copies each live
-     * segment once into path + ".compact" — its payload and CRC table
+     * Compaction: copies each live segment once into
+     * path + ".compact" — its payload and CRC table
      * as they are, after verifying every payload sector; its seq
      * renumbered from 1 and its header CRC re-sealed — renames that
      * file over the archive and adopts the directory of the offsets
@@ -207,14 +215,6 @@ class Archive
         }
     };
 
-    /** One staged directory mutation, applied iff commit() lands. */
-    struct PendingOp
-    {
-        std::string key;
-        bool is_put = false;
-        Slot slot;
-    };
-
     /** For readValue(): an archive object over no file. */
     Archive() = default;
 
@@ -222,7 +222,6 @@ class Archive
     /** Checks the superblock of @p file and scans the segments after
      *  it. */
     void scanLocked(std::string_view file);
-    bool commitLocked();
     /** CRC-checks @p n_sectors payload sectors at @p payload against
      *  the table at @p table (counted as verified when they match). */
     bool verifyLocked(const char *table, const char *payload,
@@ -234,13 +233,7 @@ class Archive
     std::map<std::string, Slot, std::less<>> dir_;
     /** Logical end of the last good segment (append point). */
     std::uint64_t end_ = 0;
-    std::uint64_t next_seq_ = 1;     ///< seq of the next segment
-    std::string staging_;            ///< encoded staged segments
-    std::uint64_t staged_seq_ = 1;   ///< next_seq_ after commit
-    std::vector<PendingOp> pending_; ///< staged directory updates
-    std::uint64_t staged_sectors_ = 0;
-    std::uint64_t staged_puts_ = 0;
-    std::uint64_t staged_removes_ = 0;
+    std::uint64_t next_seq_ = 1; ///< seq of the next segment
     /** Read/append descriptor; -1 until the first commit of a new
      *  archive creates the file. */
     int fd_ = -1;

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <random>
 #include <string>
 #include <tuple>
@@ -24,7 +25,9 @@
 #include <gtest/gtest.h>
 
 #include "../store/codec_samples.h"
+#include "../store/file_size_limit.h"
 #include "common/bytes.h"
+#include "common/crc32.h"
 #include "core/errors.h"
 #include "serve/checkpoint.h"
 #include "serve_test_util.h"
@@ -343,6 +346,163 @@ TEST(CheckpointStoreTest, BitFlippedSegmentFallsBackToSnapshot)
     EXPECT_EQ(bytes(fresh.mirror(0)), cut_bytes[0]);
     EXPECT_EQ(fresh.stats().delta_fallbacks, 1u);
     EXPECT_GE(fresh.stats().delta_segments_dropped, 1u);
+    std::remove(path.c_str());
+}
+
+/** A delta segment that fails to land (the file may not grow) leaves
+ *  the mirror at the newest cut and makes the next flush rewrite the
+ *  snapshot, so a fresh recovery reads that cut. */
+TEST(CheckpointStoreTest, FailedSegmentWriteIsFollowedByASnapshot)
+{
+    std::mt19937_64 rng(7);
+    const auto model = sharpModel(rng);
+    const auto stream = eventfulStream(77);
+
+    const std::string path = arcPath("delta_ckpt_failed_segment");
+    std::remove(path.c_str());
+    store::Archive arc(path);
+    CheckpointStore store(storeConfig(arc, 16));
+    core::Monitor m(model, core::MonitorConfig());
+    for (std::size_t i = 0; i < 40; ++i)
+        m.step(stream[i]);
+    store.submitFull(0, stateAt(m));
+    m.resetDeltaBaseline();
+    ASSERT_TRUE(store.flush());
+
+    for (std::size_t i = 40; i < 60; ++i)
+        m.step(stream[i]);
+    store.submitDelta(0, m.exportDelta());
+    {
+        FileSizeLimit limit(std::filesystem::file_size(path));
+        EXPECT_FALSE(store.flush());
+    }
+    EXPECT_EQ(store.stats().write_failures, 1u);
+    EXPECT_EQ(arc.stats().write_failures, 1u);
+    EXPECT_EQ(bytes(store.mirror(0)), bytes(stateAt(m)));
+
+    ASSERT_TRUE(store.flush()); // nothing queued: the rewrite alone
+    EXPECT_EQ(store.stats().full_snapshots, 2u);
+    store::Archive reopened(path);
+    CheckpointStore fresh(storeConfig(reopened, 16));
+    ASSERT_TRUE(fresh.recover()[0]);
+    EXPECT_EQ(bytes(fresh.mirror(0)), bytes(stateAt(m)));
+    EXPECT_EQ(fresh.stats().delta_fallbacks, 0u);
+    std::remove(path.c_str());
+}
+
+/** A queued delta that does not chain onto its shard's cut — the
+ *  codec sample leaves six records where it claims step 42 — is a
+ *  counted fallback, never a throw: the shard stays at its last good
+ *  cut in memory, the flush that takes the delta still lands its
+ *  segment as submitted (which recovery refuses the same way), and
+ *  the next flush rewrites the snapshot without it. */
+TEST(CheckpointStoreTest, DeltaThatDoesNotApplyIsCountedNotThrown)
+{
+    const std::string path = arcPath("delta_ckpt_bad_delta");
+    std::remove(path.c_str());
+    store::Archive arc(path);
+    CheckpointStoreConfig cfg = storeConfig(arc, 16);
+    cfg.num_shards = 2;
+    CheckpointStore store(cfg);
+    const CheckpointData good0 = codec_samples::checkpoint(0);
+    const CheckpointData good1 = codec_samples::checkpoint(1);
+    store.submitFull(0, good0);
+    store.submitFull(1, good1);
+    ASSERT_TRUE(store.flush());
+
+    store.submitDelta(0, codec_samples::delta());
+    CheckpointData mirrored;
+    EXPECT_NO_THROW(mirrored = store.mirror(0));
+    EXPECT_EQ(bytes(mirrored), bytes(good0));
+    bool flushed = false;
+    EXPECT_NO_THROW(flushed = store.flush());
+    EXPECT_TRUE(flushed);
+    EXPECT_EQ(store.stats().delta_fallbacks, 1u);
+    EXPECT_EQ(bytes(store.mirror(0)), bytes(good0));
+    const std::string segment_key = kPrefix + "ckpt/dlt/00000000";
+    EXPECT_TRUE(arc.contains(segment_key));
+    {
+        store::Archive reopened(path);
+        cfg.archive = &reopened;
+        CheckpointStore fresh(cfg);
+        EXPECT_EQ(fresh.recover(), (std::vector<bool>{true, true}));
+        EXPECT_EQ(fresh.stats().delta_fallbacks, 1u);
+        EXPECT_EQ(bytes(fresh.mirror(0)), bytes(good0));
+    }
+
+    flushed = false;
+    EXPECT_NO_THROW(flushed = store.flush());
+    EXPECT_TRUE(flushed);
+    EXPECT_EQ(store.stats().full_snapshots, 2u);
+    EXPECT_FALSE(arc.contains(segment_key));
+    store::Archive reopened(path);
+    cfg.archive = &reopened;
+    CheckpointStore fresh(cfg);
+    EXPECT_EQ(fresh.recover(), (std::vector<bool>{true, true}));
+    EXPECT_EQ(fresh.stats().delta_fallbacks, 0u);
+    EXPECT_EQ(bytes(fresh.mirror(0)), bytes(good0));
+    EXPECT_EQ(bytes(fresh.mirror(1)), bytes(good1));
+    std::remove(path.c_str());
+}
+
+/** Size and CRC-32 of the archive a two-shard store leaves after a
+ *  fixed history of submitFull, submitDelta and flush calls: twelve
+ *  cuts of twelve steps at full_every 3, so the chain crosses three
+ *  snapshot rewrites (two of them followed by a compaction), one of
+ *  them forced by a submitFull two deltas into a chain. The digest was
+ *  recorded from the store that applied queued deltas only at snapshot
+ *  time; a store that applies them at every flush must write the same
+ *  bytes. */
+TEST(CheckpointStoreTest, HistoryMatchesItsGolden)
+{
+    std::mt19937_64 rng(7);
+    const auto model = sharpModel(rng);
+    const auto stream_a = eventfulStream(41);
+    const auto stream_b = eventfulStream(42);
+
+    const std::string path = arcPath("delta_ckpt_history_golden");
+    std::remove(path.c_str());
+    store::Archive arc(path);
+    CheckpointStoreConfig cfg = storeConfig(arc, 3);
+    cfg.num_shards = 2;
+    CheckpointStore store(cfg);
+
+    core::Monitor a(model, core::MonitorConfig());
+    core::Monitor b(model, core::MonitorConfig());
+    store.submitFull(0, stateAt(a));
+    store.submitFull(1, stateAt(b));
+    ASSERT_TRUE(store.flush()); // the epoch-1 snapshot
+    for (std::size_t cut = 1; cut <= 12; ++cut) {
+        for (std::size_t i = 12 * (cut - 1); i < 12 * cut; ++i) {
+            a.step(stream_a[i]);
+            b.step(stream_b[i]);
+        }
+        store.submitDelta(0, a.exportDelta());
+        if (cut == 7) {
+            store.submitFull(1, stateAt(b));
+            b.resetDeltaBaseline();
+        } else {
+            store.submitDelta(1, b.exportDelta());
+        }
+        ASSERT_TRUE(store.flush());
+    }
+    // Rewrites at cuts 4 (full_every), 7 (the submitFull) and 11.
+    EXPECT_EQ(store.stats().full_snapshots, 4u);
+    EXPECT_EQ(store.stats().group_commits, 13u);
+
+    std::ifstream is(path, std::ios::binary);
+    const std::string file((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(arc.stats().compactions, 2u);
+    EXPECT_EQ(file.size(), 7680u);
+    EXPECT_EQ(common::crc32(file), 0x197f75fcu);
+
+    store::Archive reopened(path);
+    cfg.archive = &reopened;
+    CheckpointStore fresh(cfg);
+    EXPECT_EQ(fresh.recover(), (std::vector<bool>{true, true}));
+    EXPECT_EQ(bytes(fresh.mirror(0)), bytes(stateAt(a)));
+    EXPECT_EQ(bytes(fresh.mirror(1)), bytes(stateAt(b)));
     std::remove(path.c_str());
 }
 

@@ -163,6 +163,7 @@ TEST(MonitorDeltaTest, StructurallyCorruptDeltasAreRejected)
         bad.records_from = 100;
         MonitorState s = base;
         EXPECT_THROW(applyDelta(s, bad), FormatError);
+        expectStateEqual(s, base, "after a bad rewrite index");
     }
     {
         auto bad = good; // more tail rows than resident rows
@@ -172,6 +173,7 @@ TEST(MonitorDeltaTest, StructurallyCorruptDeltasAreRejected)
                                     : bad.history_tail.front());
         MonitorState s = base;
         EXPECT_THROW(applyDelta(s, bad), FormatError);
+        expectStateEqual(s, base, "after a bad tail");
     }
     {
         auto bad = good; // record log no longer matches step index
@@ -179,6 +181,7 @@ TEST(MonitorDeltaTest, StructurallyCorruptDeltasAreRejected)
         bad.records.pop_back();
         MonitorState s = base;
         EXPECT_THROW(applyDelta(s, bad), FormatError);
+        expectStateEqual(s, base, "after a bad record count");
     }
 }
 

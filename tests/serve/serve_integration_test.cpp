@@ -23,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../store/file_size_limit.h"
+#include "core/metrics.h"
 #include "serve/sample_source.h"
 #include "serve/supervisor.h"
 #include "serve_test_util.h"
@@ -292,6 +294,47 @@ TEST(Supervisor, GracefulStopThenResumeIsBitIdentical)
     ASSERT_EQ(results.size(), 1u);
     EXPECT_TRUE(sameRecords(results[0].records, f.baseline_records));
     EXPECT_TRUE(sameReports(results[0].reports, f.baseline_reports));
+    std::remove(checkpointArchivePath(path).c_str());
+}
+
+/** Checkpoint writes that fail (no file may grow past 4 KiB) are
+ *  counted in checkpoint_write_failures and cost no verdict: the run,
+ *  a crash restart from the in-memory mirror included, ends
+ *  bit-identical to the serial pass. */
+TEST(Supervisor, FailedCheckpointWritesAreCountedAndCostNoVerdicts)
+{
+    const Fixture &f = fixture();
+    const std::string path = testing::TempDir() + "serve_write_fail";
+    std::remove(checkpointArchivePath(path).c_str());
+
+    ServeConfig cfg = f.config();
+    cfg.checkpoint_path = path;
+    VectorSource source(f.stream);
+    TenantRegistry reg;
+    f.addTenant(reg, {&source});
+    Supervisor sup(cfg);
+    std::atomic<bool> fired{false};
+    sup.setFleetStepHook([&fired](std::size_t, const std::string &,
+                                  std::size_t step,
+                                  const std::atomic<bool> &) {
+        if (step == 95 && !fired.exchange(true))
+            throw std::runtime_error("injected worker crash");
+    });
+    const auto results = [&] {
+        FileSizeLimit limit(4096);
+        return sup.runFleet(reg).sessions;
+    }();
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_FALSE(results[0].escalated);
+    EXPECT_TRUE(sameRecords(results[0].records, f.baseline_records));
+    EXPECT_TRUE(sameReports(results[0].reports, f.baseline_reports));
+    const core::ServeStats stats = sup.stats();
+    EXPECT_EQ(stats.worker_restarts, 1u);
+    EXPECT_GT(stats.checkpoint_write_failures, 0u);
+    EXPECT_NE(core::describe(stats).find(
+                  std::to_string(stats.checkpoint_write_failures) +
+                  " checkpoint write failures"),
+              std::string::npos);
     std::remove(checkpointArchivePath(path).c_str());
 }
 

@@ -19,6 +19,7 @@
 
 #include "common/crc32.h"
 #include "core/errors.h"
+#include "file_size_limit.h"
 #include "store/archive.h"
 
 namespace fs = std::filesystem;
@@ -87,10 +88,11 @@ TEST(ArchiveTest, RoundTripsValuesOfAwkwardSizes)
                                             513,  1023, 1024, 4000};
     {
         Archive arc(path);
+        Archive::Batch batch;
         for (std::size_t i = 0; i < sizes.size(); ++i)
-            arc.stagePut("key-" + std::to_string(i),
-                         pattern(sizes[i], i));
-        ASSERT_TRUE(arc.commit());
+            batch.puts.emplace_back("key-" + std::to_string(i),
+                                    pattern(sizes[i], i));
+        ASSERT_TRUE(arc.commit(batch));
         // One batch, one commit.
         EXPECT_EQ(arc.stats().group_commits, 1u);
         for (std::size_t i = 0; i < sizes.size(); ++i) {
@@ -120,8 +122,9 @@ TEST(ArchiveTest, LastWriteWinsAndRemove)
     EXPECT_EQ(valueOr(arc, "a"), "second");
     EXPECT_EQ(arc.stats().dead_segments, 1u);
 
-    arc.stageRemove("a");
-    ASSERT_TRUE(arc.commit());
+    Archive::Batch remove;
+    remove.removes.push_back("a");
+    ASSERT_TRUE(arc.commit(remove));
     EXPECT_FALSE(arc.contains("a"));
     EXPECT_TRUE(arc.contains("b"));
     EXPECT_EQ(arc.liveCount(), 1u);
@@ -138,9 +141,10 @@ TEST(ArchiveTest, LazyVerificationCountsOnlyTouchedSectors)
     fs::remove(path);
     {
         Archive arc(path);
-        arc.stagePut("hot", pattern(kSectorSize * 4, 1));  // 4 sectors
-        arc.stagePut("cold", pattern(kSectorSize * 8, 2)); // 8 sectors
-        ASSERT_TRUE(arc.commit());
+        Archive::Batch batch;
+        batch.puts.emplace_back("hot", pattern(kSectorSize * 4, 1));
+        batch.puts.emplace_back("cold", pattern(kSectorSize * 8, 2));
+        ASSERT_TRUE(arc.commit(batch)); // 4 + 8 payload sectors
     }
     Archive arc(path);
     // Open scans headers only: nothing payload-verified yet.
@@ -220,9 +224,10 @@ TEST(ArchiveTest, CompactionMatchesItsGolden)
     for (int i = 0; i < 9; i += 2)
         ASSERT_TRUE(
             arc.put("k" + std::to_string(i), pattern(40 * i + 1, 50 + i)));
+    Archive::Batch remove;
     for (int i = 0; i < 9; i += 3)
-        arc.stageRemove("k" + std::to_string(i));
-    ASSERT_TRUE(arc.commit());
+        remove.removes.push_back("k" + std::to_string(i));
+    ASSERT_TRUE(arc.commit(remove));
     ASSERT_TRUE(arc.put(std::string(600, 'q'), pattern(1500, 77)));
     ASSERT_TRUE(arc.put("z", ""));
     ASSERT_TRUE(arc.put("s", pattern(kSectorSize * 2, 78)));
@@ -251,12 +256,13 @@ TEST(ArchiveTest, CompactionPreservesLiveSetByteIdentically)
         ASSERT_TRUE(arc.put(key, pattern(33 * i + 1, 100 + i)));
         expect[key] = pattern(33 * i + 1, 100 + i);
     }
+    Archive::Batch remove;
     for (int i = 0; i < 12; i += 3) {
         const std::string key = "k" + std::to_string(i);
-        arc.stageRemove(key);
+        remove.removes.push_back(key);
         expect.erase(key);
     }
-    ASSERT_TRUE(arc.commit());
+    ASSERT_TRUE(arc.commit(remove));
 
     const auto before = fs::file_size(path);
     const std::uint64_t sector = kSectorSize;
@@ -317,6 +323,51 @@ TEST(ArchiveTest, CompactionRefusesACorruptArtifactAndKeepsTheFile)
     fs::remove(path);
 }
 
+/** A commit that crosses the file-size limit fails whole: it returns
+ *  false, counts one write failure and cuts the file back to its
+ *  pre-commit end, so a reopen finds no torn tail and every earlier
+ *  value; once the limit is lifted, the same batch lands. */
+TEST(ArchiveTest, FailedCommitTruncatesBackToItsStart)
+{
+    const std::string path = tempPath("arc_failed_commit.arc");
+    fs::remove(path);
+    Archive arc(path);
+    ASSERT_TRUE(arc.put("a", pattern(3000, 1)));
+    ASSERT_TRUE(arc.put("b", pattern(700, 2)));
+    const auto end = fs::file_size(path);
+
+    Archive::Batch batch;
+    batch.puts.emplace_back("c", pattern(5000, 3));
+    batch.removes.push_back("a");
+    {
+        // Room for two of the batch's twelve sectors.
+        FileSizeLimit limit(end + 2 * kSectorSize);
+        EXPECT_FALSE(arc.commit(batch));
+    }
+    EXPECT_EQ(arc.stats().write_failures, 1u);
+    EXPECT_EQ(arc.stats().group_commits, 2u);
+    EXPECT_EQ(fs::file_size(path), end);
+    EXPECT_FALSE(arc.contains("c"));
+    EXPECT_EQ(valueOr(arc, "a"), pattern(3000, 1));
+    {
+        Archive re(path);
+        EXPECT_EQ(re.stats().torn_tail_dropped, 0u);
+        EXPECT_EQ(re.liveCount(), 2u);
+        EXPECT_EQ(valueOr(re, "a"), pattern(3000, 1));
+        EXPECT_EQ(valueOr(re, "b"), pattern(700, 2));
+    }
+
+    ASSERT_TRUE(arc.commit(batch));
+    EXPECT_FALSE(arc.contains("a"));
+    EXPECT_EQ(valueOr(arc, "c"), pattern(5000, 3));
+    Archive re(path);
+    EXPECT_EQ(re.stats().torn_tail_dropped, 0u);
+    EXPECT_FALSE(re.contains("a"));
+    EXPECT_EQ(valueOr(re, "b"), pattern(700, 2));
+    EXPECT_EQ(valueOr(re, "c"), pattern(5000, 3));
+    fs::remove(path);
+}
+
 TEST(ArchiveTest, TruncatedTailDropsOnlyTheTornBatch)
 {
     const std::string path = tempPath("arc_trunc.arc");
@@ -327,9 +378,10 @@ TEST(ArchiveTest, TruncatedTailDropsOnlyTheTornBatch)
     {
         fs::remove(path);
         Archive arc(path);
-        arc.stagePut("base-1", pattern(300, 1));
-        arc.stagePut("base-2", pattern(40, 2));
-        ASSERT_TRUE(arc.commit());
+        Archive::Batch batch;
+        batch.puts.emplace_back("base-1", pattern(300, 1));
+        batch.puts.emplace_back("base-2", pattern(40, 2));
+        ASSERT_TRUE(arc.commit(batch));
         first_commit_end = fs::file_size(path);
         ASSERT_TRUE(arc.put("tail", pattern(500, 3)));
     }
@@ -376,9 +428,10 @@ TEST(ArchiveTest, BitFlipsAreDetectedNeverSilent)
     const auto value = [](int i) { return pattern(2000 + 900 * i, i); };
     {
         Archive arc(path);
+        Archive::Batch batch;
         for (int i = 0; i < 6; ++i)
-            arc.stagePut("key-" + std::to_string(i), value(i));
-        ASSERT_TRUE(arc.commit());
+            batch.puts.emplace_back("key-" + std::to_string(i), value(i));
+        ASSERT_TRUE(arc.commit(batch));
     }
     const std::string clean = readFile(path);
     std::mt19937 rng(11);

@@ -80,8 +80,9 @@ archiveBytes()
     {
         store::Archive arc(path);
         EXPECT_TRUE(arc.put("golden/a", "the value of a"));
-        arc.stageRemove("golden/a");
-        EXPECT_TRUE(arc.commit());
+        store::Archive::Batch remove;
+        remove.removes.push_back("golden/a");
+        EXPECT_TRUE(arc.commit(remove));
     }
     return fileBytes(path);
 }
