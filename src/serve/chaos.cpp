@@ -585,20 +585,19 @@ runChaos(const ChaosConfig &cfg)
         else
             lcfg.tcp = "127.0.0.1:0";
         // Small receive window so backpressure actually engages (the
-        // queue-overflow fate shrinks it to 2 windows / 4096 B), and a
-        // short stall budget so a failed client escalates (into a
-        // violation) instead of hanging the run.
+        // queue-overflow fate shrinks it to 2 windows / 4096 B).
         lcfg.source.recv_capacity = 32;
         if (cfg.fates.queue_overflow) {
             lcfg.source.recv_capacity = 2;
             lcfg.source.recv_max_bytes = 4096;
         }
-        lcfg.source.stall_timeout_ms = 2000.0;
         lcfg.idle_timeout_ms = 10000.0;
         WireListener listener(reg, lcfg);
         listener.start();
 
         std::vector<WireClientReport> reports(nsess);
+        std::atomic<std::size_t> returned{0};
+        std::atomic<bool> gave_up{false};
         std::vector<std::thread> clients;
         clients.reserve(nsess);
         for (std::size_t s = 0; s < nsess; ++s) {
@@ -619,6 +618,9 @@ runChaos(const ChaosConfig &cfg)
                     faults::fateMix(cfg.seed, s, kWireSalt);
                 VectorSource src(streams[s]);
                 reports[s] = WireClient(ccfg).stream(src);
+                if (!reports[s].delivered_all)
+                    gave_up.store(true);
+                returned.fetch_add(1);
             });
         }
 
@@ -637,6 +639,12 @@ runChaos(const ChaosConfig &cfg)
             if (!cfg.dir.empty())
                 wcfg.checkpoint_path = cfg.dir + "/wk";
             Supervisor sup(wcfg);
+            // Nothing wakes the parked session of a client that gave
+            // up: once every client has returned and one failed, stop.
+            // Both the client and its stopped session fail below.
+            sup.setStopCheck([&] {
+                return gave_up.load() && returned.load() == nsess;
+            });
             const FleetResult fr = sup.runFleet(reg);
             rep.restarts += sup.stats().worker_restarts;
             // Drain BEFORE joining the clients: an escalated session

@@ -545,7 +545,7 @@ CheckpointStore::reclaimDeadSpace()
 }
 
 bool
-CheckpointStore::flush()
+CheckpointStore::flush(bool last)
 {
     // io_mu_ serializes flushes (the watchdog is the only caller in a
     // serving run), so segments land in the order their deltas were
@@ -560,9 +560,14 @@ CheckpointStore::flush()
     {
         std::lock_guard<std::mutex> lock(mu_);
         rewrite = full_dirty_ || commits_since_full_ >= cfg_.full_every;
+        // Backing off after a failed write: the mirrors take the
+        // deltas, and the snapshot they owe waits for a later flush.
+        const bool skip = !last && flushes_to_skip_ > 0;
+        if (skip)
+            --flushes_to_skip_;
         // Cleared as the rewrite is taken: a submitFull, a delta that
         // does not apply or a failed write from here on sets it again.
-        full_dirty_ = false;
+        full_dirty_ = skip;
         seg.entries = std::move(pending_);
         pending_.clear();
         for (const auto &entry : seg.entries) {
@@ -571,8 +576,8 @@ CheckpointStore::flush()
                 full_dirty_ = true;
             }
         }
-        if (cfg_.archive == nullptr)
-            return true;
+        if (cfg_.archive == nullptr || skip)
+            return !skip;
         if (rewrite) {
             group.epoch = epoch_ + 1;
             group.shards = mirrors_;
@@ -615,11 +620,16 @@ CheckpointStore::flush()
         std::lock_guard<std::mutex> lock(mu_);
         if (!wrote) {
             // Degraded durability: the mirrors hold every cut, and the
-            // next successful snapshot re-anchors the chain.
+            // next successful snapshot re-anchors the chain. The next
+            // flush retries, then each failed retry doubles the gap,
+            // up to 256 flushes (0.5 s at the default 2 ms poll).
             ++stats_.write_failures;
             full_dirty_ = true;
+            flushes_to_skip_ = retry_gap_ - 1;
+            retry_gap_ = std::min<std::size_t>(2 * retry_gap_, 256);
             return false;
         }
+        retry_gap_ = 1;
         ++stats_.group_commits;
         if (!rewrite) {
             stats_.delta_bytes += bytes;

@@ -206,8 +206,10 @@ class CheckpointStore
     /** Group commit: takes and applies the queued deltas, then lands
      *  them as one keyed segment, or rewrites the full snapshot
      *  instead when due. Returns false when an I/O failure was
-     *  swallowed; the next flush then rewrites the snapshot. */
-    bool flush();
+     *  swallowed or the flush skipped its write to back off from one
+     *  (its deltas still reach the mirrors; @p last never skips); a
+     *  later flush then rewrites the snapshot. */
+    bool flush(bool last = false);
 
     CheckpointStoreStats stats() const;
 
@@ -239,6 +241,10 @@ class CheckpointStore
     std::uint64_t epoch_ = 0;
     std::size_t commits_since_full_ = 0;
     bool full_dirty_ = true; ///< next flush must rewrite the snapshot
+    /** Flushes between write attempts; 1 until a write fails. */
+    std::size_t retry_gap_ = 1;
+    /** Flushes left that apply their deltas but skip the write. */
+    std::size_t flushes_to_skip_ = 0;
     /** Key number of the next delta segment ("ckpt/dlt/<n>"); reset
      *  by each snapshot rewrite (which removes the delta keys). */
     std::uint64_t next_delta_key_ = 0;

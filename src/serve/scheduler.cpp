@@ -47,11 +47,6 @@ isTerminal(int st)
  *  other tenants get a proportional share (min 1 step). */
 constexpr double kQuantumSteps = 32.0;
 
-/** Longest a session stays parked on a Pending pull before the
- *  watchdog re-enqueues it: bounds how late a silent source's stall
- *  timeout is noticed, and how late a missed wakeup could be. */
-constexpr double kReadinessParkMs = 20.0;
-
 /** A duration knob must be a finite, non-negative millisecond count. */
 void
 checkTime(double ms, const char *field)
@@ -100,10 +95,10 @@ struct FleetScheduler::Session final : Readiness
 
     std::atomic<int> state{kIdle};
     // Park bookkeeping, guarded by FleetScheduler::mu_.
-    /** Parked on a Pending pull (a raise wakes it); false while parked
-     *  on the rate quota (only the watchdog wakes it). */
+    /** Parked on a Pending pull (only a raise wakes it); false while
+     *  parked on the rate quota (only the watchdog wakes it). */
     bool parked_pending = false;
-    /** When the watchdog re-enqueues the parked session. */
+    /** When the watchdog re-enqueues a session parked on its quota. */
     double due_ms = 0.0;
     /** A raise that found the session not parked on a Pending pull;
      *  cleared when a worker picks it. */
@@ -385,7 +380,9 @@ FleetScheduler::wakeDueSessions(double now_ms)
         earliest_due_ms_ = std::numeric_limits<double>::infinity();
         for (auto &sp : sessions_) {
             Session &s = *sp;
-            if (s.state.load() != kIdle)
+            // Only quota waits come due; a Pending park waits for its
+            // source's raise.
+            if (s.state.load() != kIdle || s.parked_pending)
                 continue;
             if (now_ms < s.due_ms) {
                 earliest_due_ms_ = std::min(earliest_due_ms_, s.due_ms);
@@ -471,7 +468,6 @@ FleetScheduler::dispatch(Session &s, double &busy_ms)
                 // Parks until the source raises this session.
                 next_state = kIdle;
                 park_pending = true;
-                due_ms = t + kReadinessParkMs;
                 break;
             }
             if (pull.status == PullStatus::EndOfStream) {
@@ -563,8 +559,10 @@ FleetScheduler::dispatch(Session &s, double &busy_ms)
     // either set the latch before this check or finds the park.
     if (next_state == kIdle && !(park_pending && s.raised)) {
         s.parked_pending = park_pending;
-        s.due_ms = due_ms;
         s.state.store(kIdle);
+        if (park_pending)
+            return; // its source's raise is the only wakeup
+        s.due_ms = due_ms;
         // A quota wait that ends before the watchdog's next wake moves
         // that wake up, so the tenant's rate holds at any burst.
         if (due_ms < earliest_due_ms_) {
@@ -841,14 +839,13 @@ FleetScheduler::run()
             }
         }
         // One group commit per store per poll; this thread is the
-        // only flusher.
+        // only flusher. The last, once every session has ended, lands
+        // the final cuts even while failed writes back off.
         for (CheckpointStore *store : stores)
-            store->flush();
+            store->flush(all_done);
         if (all_done)
             break;
     }
-    for (CheckpointStore *store : stores)
-        store->flush();
 
     wakeForTeardown();
     for (std::thread &t : workers_)

@@ -31,23 +31,24 @@
  *    (SampleSource::watch); a raise makes a parked session Ready and
  *    wakes one worker, and a raise that lands while a worker owns the
  *    session is latched, so the park that follows its Pending pull
- *    requeues instead. Idle workers park on one condvar.
+ *    requeues instead. The raise is the only wakeup of a Pending
+ *    park: no timer re-polls it, so an idle session costs no
+ *    dispatch until its source has something to say. Idle workers
+ *    park on one condvar.
  *  - The watchdog (the thread that called run()) re-enqueues a
  *    throttled session when its wait is over, waking between polls if
- *    it comes due sooner (the parking worker moves the wake up), and
- *    a Pending one after kReadinessParkMs (so a silent source still
- *    reaches its own stall timeout). It keys hang detection off
- *    per-session progress sequence numbers, not thread liveness: a
- *    session is hung only when a worker has been inside one of its
- *    steps past the deadline with no sequence advance. A session that
- *    steps rarely because 1023 neighbors share its worker is slow,
- *    not hung. Failures restore from the tenant store's mirror,
- *    re-seek the source, charge the tenant budget, and feed the
- *    tenant breaker; a breaker trip removes every session of the
- *    tenant from the run queue without touching neighbors. The
- *    watchdog also polls each tenant's model file for hot reload
- *    (TenantSpec::model_path); a reload moves only that tenant's
- *    sessions.
+ *    it comes due sooner (the parking worker moves the wake up). It
+ *    keys hang detection off per-session progress sequence numbers,
+ *    not thread liveness: a session is hung only when a worker has
+ *    been inside one of its steps past the deadline with no sequence
+ *    advance. A session that steps rarely because 1023 neighbors
+ *    share its worker is slow, not hung. Failures restore from the
+ *    tenant store's mirror, re-seek the source, charge the tenant
+ *    budget, and feed the tenant breaker; a breaker trip removes
+ *    every session of the tenant from the run queue without touching
+ *    neighbors. The watchdog also polls each tenant's model file for
+ *    hot reload (TenantSpec::model_path); a reload moves only that
+ *    tenant's sessions.
  *
  * Lock order: a source raises while holding its own lock and the raise
  * takes mu_, so the engine never calls into a source while holding
@@ -296,11 +297,11 @@ class FleetScheduler
      *  becomes Ready and one worker wakes; any other state latches
      *  the raise. */
     void raise(Session &s);
-    /** Watchdog: re-enqueues parked sessions whose wait is over and
+    /** Watchdog: re-enqueues sessions whose quota wait is over and
      *  records when the next one comes due. */
     void wakeDueSessions(double now_ms);
-    /** Watchdog: sleeps one poll interval, waking parked sessions as
-     *  they come due in between. */
+    /** Watchdog: sleeps one poll interval, waking throttled sessions
+     *  as they come due in between. */
     void waitForPoll();
     void cutDelta(Session &s);
     void handleFailure(Session &s, double now_ms);
@@ -327,7 +328,7 @@ class FleetScheduler
     std::condition_variable work_cv_;
     /** Wakes the watchdog early for a session due before its wake. */
     std::condition_variable watchdog_cv_;
-    /** Earliest due time of a parked session (guarded by mu_); a
+    /** Earliest due time of a throttled session (guarded by mu_); a
      *  parking worker lowers it, wakeDueSessions() recomputes it. */
     double earliest_due_ms_ = std::numeric_limits<double>::infinity();
     /** When the watchdog's current wait ends (guarded by mu_). */

@@ -149,8 +149,6 @@ Supervisor::runFleet(TenantRegistry &registry)
         tr.windows_shed = tenant->windowsShed();
         tr.windows_throttled = tenant->windowsThrottled();
         tr.model = sched_->tenantModel(tenant->index());
-        registry.noteRateCounters(tr.windows_shed,
-                                  tr.windows_throttled);
         fleet.tenants.push_back(std::move(tr));
     }
     fleet.admission = registry.admissionStats();

@@ -241,14 +241,6 @@ TenantRegistry::admissionStats() const
     return stats_;
 }
 
-void
-TenantRegistry::noteRateCounters(std::uint64_t shed,
-                                 std::uint64_t throttled)
-{
-    stats_.windows_shed += shed;
-    stats_.windows_throttled += throttled;
-}
-
 const char *
 name(FaultClass cls)
 {

@@ -206,7 +206,7 @@ struct AdmissionConfig
     std::size_t max_sessions = 0;
 };
 
-/** Admission/shedding counters; every refusal lands here. */
+/** Session admission counters; every refused open lands here. */
 struct AdmissionStats
 {
     std::uint64_t sessions_admitted = 0;
@@ -214,10 +214,6 @@ struct AdmissionStats
     std::uint64_t rejected_tenant_limit = 0;
     std::uint64_t rejected_unknown_tenant = 0;
     std::uint64_t rejected_breaker_open = 0;
-    /** Windows dropped by RatePolicy::Shed. */
-    std::uint64_t windows_shed = 0;
-    /** Session parks taken by RatePolicy::Throttle. */
-    std::uint64_t windows_throttled = 0;
 };
 
 /** Static description of one tenant. */
@@ -343,9 +339,6 @@ class TenantRegistry
     const std::vector<Tenant *> &tenants() const { return order_; }
 
     AdmissionStats admissionStats() const;
-    /** Counts a rate-shed/throttle into the registry's totals (the
-     *  supervisor folds tenant counters in at run end). */
-    void noteRateCounters(std::uint64_t shed, std::uint64_t throttled);
 
   private:
     AdmissionConfig cfg_;

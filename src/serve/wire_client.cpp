@@ -24,6 +24,10 @@ namespace
 constexpr std::uint64_t kWireFateSalt = 0x57495245464154ull;
 constexpr std::uint64_t kCorruptByteSalt = 0x57495245464c50ull;
 
+/** Consecutive no-progress attempts (connect or handshake failures)
+ *  before the client gives up; progress resets the count. */
+constexpr std::size_t kMaxAttempts = 16;
+
 enum class BatchFate
 {
     Clean,
@@ -106,12 +110,9 @@ WireClient::stream(SampleSource &src)
             chaos.corrupt_prob + chaos.hostile_len_prob >
         0.0;
 
-    const auto napMs = [this](double ms) {
-        if (cfg_.sleep)
-            cfg_.sleep(ms);
-        else
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(ms));
+    const auto napMs = [](double ms) {
+        std::this_thread::sleep_for(
+            std::chrono::duration<double, std::milli>(ms));
     };
     const auto sendBytes = [&rep](wire::Conn &conn,
                                   const std::string &bytes) {
@@ -158,7 +159,7 @@ WireClient::stream(SampleSource &src)
     std::string prev_frame;
 
     for (;;) {
-        if (attempts >= cfg_.max_attempts) {
+        if (attempts >= kMaxAttempts) {
             rep.error = "wire client: attempts exhausted";
             return rep;
         }

@@ -24,7 +24,6 @@
 #define EDDIE_SERVE_WIRE_CLIENT_H
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 
@@ -69,17 +68,12 @@ struct WireClientConfig
     std::uint64_t session = 1;
     /** Windows per STS-BATCH frame. */
     std::size_t batch_windows = 32;
-    /** Consecutive no-progress attempts (connect or handshake
-     *  failures) before giving up; progress resets the count. */
-    std::size_t max_attempts = 16;
     BackoffConfig backoff;
     /** Handshake / final-ACK wait. */
     double ack_timeout_ms = 10000.0;
     /** Idle nap while the source itself stalls. */
     double stall_nap_ms = 10.0;
     WireChaosConfig chaos;
-    /** Injectable sleep (tests/bench); nullptr = real sleep. */
-    std::function<void(double ms)> sleep;
 };
 
 /** Everything one stream() call did — fault counters feed the chaos

@@ -76,9 +76,8 @@ struct WireListener::Connection
     bool peer_closed = false;
     std::uint64_t bytes = 0;
 
-    Connection(std::uint64_t t, wire::Conn c, std::size_t max_payload)
-        : tag(t), conn(std::move(c)),
-          dec(wire::FrameDecoderConfig{max_payload})
+    /** The decoder caps payloads at wire::kDefaultMaxPayload. */
+    Connection(std::uint64_t t, wire::Conn c) : tag(t), conn(std::move(c))
     {
     }
 };
@@ -212,8 +211,7 @@ WireListener::acceptAll(wire::Listener &listener)
             ++stats_.connections_closed;
             continue; // conn closes on scope exit
         }
-        auto c = std::make_unique<Connection>(tag, std::move(conn),
-                                              cfg_.max_payload);
+        auto c = std::make_unique<Connection>(tag, std::move(conn));
         setDeadline(*c, nowMs() + cfg_.hello_deadline_ms);
         conns_.emplace(tag, std::move(c));
     }

@@ -88,10 +88,9 @@ struct WireListenerConfig
      *  its accept. */
     double hello_deadline_ms = 5000.0;
     /** A connection with no traffic (frames or bytes) for this long
-     *  is closed (counted; the session stays resumable). */
+     *  is closed (counted). The one dead-peer timer: its session stays
+     *  parked and resumable (wire_source.h says what ends it). */
     double idle_timeout_ms = 30000.0;
-    /** Frame payload cap (decoder buffering bound per connection). */
-    std::size_t max_payload = wire::kDefaultMaxPayload;
     /** Receive window / replay tuning of each session's WireSource. */
     WireSourceConfig source;
 

@@ -1,22 +1,10 @@
 #include "wire_source.h"
 
-#include <chrono>
-
 namespace eddie::serve
 {
 
 namespace
 {
-
-/** Steady-clock milliseconds (monotonic; only differences matter). */
-double
-nowMs()
-{
-    using namespace std::chrono;
-    return duration<double, std::milli>(
-               steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** Accounting size of one window: the struct plus its peak list. */
 std::size_t
@@ -47,7 +35,6 @@ WireSource::next()
         out.sts = windows_[std::size_t(cursor_ - base_)];
         ++cursor_;
         ++source_.delivered;
-        idle_since_ms_ = -1.0;
         return out;
     }
     if (eof_total_ >= 0 && cursor_ >= std::uint64_t(eof_total_)) {
@@ -61,7 +48,6 @@ WireSource::next()
         recv_bytes_ -= stsBytes(sts);
         delivered_ = ++cursor_;
         ++source_.delivered;
-        idle_since_ms_ = -1.0;
         while (delivered_ - base_ > cfg_.replay_window) {
             windows_.pop_front();
             ++base_;
@@ -80,16 +66,9 @@ WireSource::next()
         return out;
     }
     // A closed, drained window will never deliver: Stalled at once
-    // (an accepted EOF ended the stream above).
+    // (an accepted EOF ended the stream above). An open one waits for
+    // the peer, however long: Pending, and the ingest half raises.
     if (closed_) {
-        ++source_.stalls;
-        out.status = PullStatus::Stalled;
-        return out;
-    }
-    const double now = nowMs();
-    if (idle_since_ms_ < 0.0)
-        idle_since_ms_ = now;
-    if (now - idle_since_ms_ >= cfg_.stall_timeout_ms) {
         ++source_.stalls;
         out.status = PullStatus::Stalled;
         return out;
@@ -102,8 +81,6 @@ bool
 WireSource::seek(std::uint64_t pos)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    // A restart re-seeks: the peer gets a full stall timeout again.
-    idle_since_ms_ = -1.0;
     // Rewind (or fast-forward within delivered history) served from
     // the retained windows. Beyond them the wire cannot help: the
     // peer replays from its ACK, not from arbitrary positions.

@@ -33,12 +33,13 @@
  * regardless of how messy the transport was — which is what keeps
  * wire verdicts bit-identical to the in-process path.
  *
- * next() never blocks. With nothing buffered it answers Pending and
- * the ingest half raises the watched Readiness (SampleSource::watch)
- * when windows, an EOF, or a close arrive, so the session parks
- * instead of polling. Only a peer silent for stall_timeout_ms
- * surfaces as Stalled, which the scheduler treats as a dead source
- * and spends a restart on.
+ * next() never blocks and keeps no clock. With nothing buffered it
+ * answers Pending, and the ingest half raises the watched Readiness
+ * (SampleSource::watch) when windows, an EOF, or a close arrive. A
+ * quiet peer's session parks until the peer reconnects and delivers,
+ * an EOF ends it, a graceful stop finalizes it, or the listener drains
+ * (the listener's idle_timeout_ms closes only the connection). Only a
+ * closed, drained receive window answers Stalled: a dead source.
  */
 
 #ifndef EDDIE_SERVE_WIRE_SOURCE_H
@@ -68,11 +69,6 @@ struct WireSourceConfig
      *  interval plus the one window a throttled session holds. Seeks
      *  below the retained base fail and the session escalates. */
     std::size_t replay_window = 16384;
-    /** How long an idle wire may answer Pending, counted from the
-     *  first idle pull after the last delivered window (or seek),
-     *  before next() reports Stalled (a dead source — see file
-     *  comment). */
-    double stall_timeout_ms = 30000.0;
 };
 
 /** Ingest-half counters (the consumer half uses SourceStats). */
@@ -175,9 +171,6 @@ class WireSource : public SampleSource
     /** A push was refused since the last ingest wakeup. */
     bool ingest_waiting_ = false;
     Readiness *const ingest_wake_;
-    /** Start of the current idle spell (first Pending after the last
-     *  delivered window); negative while windows flow. */
-    double idle_since_ms_ = -1.0;
     WireSourceStats wire_;
     SourceStats source_;
     /** Guards watcher_: a raise and a detach never overlap, so a

@@ -390,6 +390,84 @@ TEST(CheckpointStoreTest, FailedSegmentWriteIsFollowedByASnapshot)
     std::remove(path.c_str());
 }
 
+/** While writes keep failing, flushes back off: the flush after a
+ *  failure retries, then the gap between attempts doubles, and every
+ *  flush in between still applies its deltas to the mirror. Once
+ *  writes land again, the first one is a snapshot of the newest cut.
+ *  A run's last flush writes even while the store backs off. */
+TEST(CheckpointStoreTest, FailedWritesBackOffAndTheFirstToLandIsASnapshot)
+{
+    std::mt19937_64 rng(7);
+    const auto model = sharpModel(rng);
+    const auto stream = eventfulStream(78);
+
+    const std::string path = arcPath("delta_ckpt_write_backoff");
+    std::remove(path.c_str());
+    store::Archive arc(path);
+    CheckpointStore store(storeConfig(arc, 16));
+    core::Monitor m(model, core::MonitorConfig());
+    std::size_t next = 0;
+    for (; next < 40; ++next)
+        m.step(stream[next]);
+    store.submitFull(0, stateAt(m));
+    m.resetDeltaBaseline();
+    ASSERT_TRUE(store.flush());
+
+    const auto stepAndSubmit = [&] {
+        m.step(stream[next++]);
+        store.submitDelta(0, m.exportDelta());
+    };
+    {
+        FileSizeLimit limit(std::filesystem::file_size(path));
+        stepAndSubmit();
+        EXPECT_FALSE(store.flush());
+        ASSERT_EQ(store.stats().write_failures, 1u);
+        for (int i = 0; i < 100; ++i) {
+            stepAndSubmit();
+            EXPECT_FALSE(store.flush());
+        }
+        // Every attempt failed, so the failures count the attempts:
+        // the first one plus at most 10 in the 100 flushes after it.
+        EXPECT_LE(store.stats().write_failures, 11u);
+        EXPECT_EQ(arc.stats().write_failures,
+                  store.stats().write_failures);
+        EXPECT_EQ(bytes(store.mirror(0)), bytes(stateAt(m)));
+    }
+
+    const CheckpointStoreStats before = store.stats();
+    std::size_t flushes = 0;
+    while (store.stats().group_commits == before.group_commits &&
+           flushes < 1000) {
+        store.flush();
+        ++flushes;
+    }
+    EXPECT_LE(flushes, 256u);
+    EXPECT_EQ(store.stats().group_commits, before.group_commits + 1);
+    EXPECT_EQ(store.stats().full_snapshots, before.full_snapshots + 1);
+    {
+        store::Archive reopened(path);
+        CheckpointStore fresh(storeConfig(reopened, 16));
+        ASSERT_TRUE(fresh.recover()[0]);
+        EXPECT_EQ(bytes(fresh.mirror(0)), bytes(stateAt(m)));
+    }
+
+    // Two failed attempts in a row: the next plain flush would skip.
+    {
+        FileSizeLimit limit(std::filesystem::file_size(path));
+        for (int i = 0; i < 2; ++i) {
+            stepAndSubmit();
+            EXPECT_FALSE(store.flush());
+        }
+    }
+    stepAndSubmit();
+    EXPECT_TRUE(store.flush(/*last=*/true));
+    store::Archive reopened(path);
+    CheckpointStore fresh(storeConfig(reopened, 16));
+    ASSERT_TRUE(fresh.recover()[0]);
+    EXPECT_EQ(bytes(fresh.mirror(0)), bytes(stateAt(m)));
+    std::remove(path.c_str());
+}
+
 /** A queued delta that does not chain onto its shard's cut — the
  *  codec sample leaves six records where it claims step 42 — is a
  *  counted fallback, never a throw: the shard stays at its last good

@@ -434,3 +434,33 @@ TEST(Chaos, InMemoryRunSkipsDiskFatesButChecksIsolation)
     EXPECT_EQ(rep.corrupted_snapshots, 0u);
     EXPECT_GT(rep.healthy_sessions_checked, 0u);
 }
+
+/** Phase W with every batch corrupted and no forced-clean cap: each
+ *  client runs out of attempts and gives up. Nothing wakes the
+ *  session of a peer that gave up and no timer restarts it, so the
+ *  run ends by its stop check once every client has returned, with
+ *  every failed client reported and no session restarted. */
+TEST(Chaos, WireClientsThatGiveUpEndTheRunReported)
+{
+    ChaosConfig cfg;
+    cfg.seed = 5;
+    cfg.dir.clear();
+    cfg.fates.worker_kill = false;
+    cfg.fates.worker_hang = false;
+    cfg.fates.starvation = false;
+    cfg.wire_phase = true;
+    cfg.wire.corrupt_prob = 1.0;
+    cfg.wire.max_consecutive = 1000;
+    const ChaosReport rep = runChaos(cfg);
+
+    const std::size_t clients = cfg.tenants * cfg.sessions_per_tenant;
+    std::size_t failed = 0;
+    for (const std::string &v : rep.violations)
+        if (v.find("failed to deliver its stream") != std::string::npos)
+            ++failed;
+    EXPECT_FALSE(rep.ok);
+    EXPECT_EQ(failed, clients);
+    EXPECT_EQ(rep.wire_sessions_checked, 0u);
+    EXPECT_EQ(rep.restarts, 0u);
+    EXPECT_GT(rep.wire_corrupt_frames, 0u);
+}

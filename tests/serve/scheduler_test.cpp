@@ -431,8 +431,10 @@ class GatedSource : public SampleSource
 /** A session whose pull answered Pending is pulled again when its
  *  source raises it, with no pull in between, whether the raise finds
  *  it parked or lands between its Pending pull and the park (the
- *  latch). The watchdog polls every 300 ms here, so a session left to
- *  the watchdog's fallback re-enqueue would take that long to step. */
+ *  latch). The raise is the only wakeup: the gate stays shut for
+ *  200 ms and nothing re-polls the parked session meanwhile. The
+ *  watchdog polls every 300 ms here, so a session left to the
+ *  watchdog would take that long to step. */
 TEST(Scheduler, PendingSessionResumesOnItsRaiseWithoutPolling)
 {
     for (const bool open_in_pull : {false, true}) {
@@ -456,8 +458,8 @@ TEST(Scheduler, PendingSessionResumesOnItsRaiseWithoutPolling)
             if (open_in_pull)
                 return;
             source.awaitPending();
-            // Let the worker park the session.
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            // The worker parks the session; nothing pulls it again.
+            std::this_thread::sleep_for(std::chrono::milliseconds(200));
             EXPECT_EQ(source.pendingPulls(), 1u);
             source.open();
         });

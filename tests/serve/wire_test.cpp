@@ -208,15 +208,16 @@ TEST(WireSource, StallsWhenIdleAbortsAndClosesCleanly)
 {
     const std::vector<core::Sts> stream = eventfulStream(13);
     WireSourceConfig cfg;
-    cfg.stall_timeout_ms = 40.0;
     cfg.recv_capacity = 2;
     WireSource src("default", 1, cfg);
 
-    // No data and no EOF: next() answers Pending at once, and Stalled
-    // once the wire has been idle for stall_timeout_ms.
+    // No data and no EOF: next() answers Pending, however long the
+    // wire stays idle. The source keeps no clock; a dead peer is the
+    // listener's idle timeout to call.
     EXPECT_EQ(src.next().status, PullStatus::Pending);
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    EXPECT_EQ(src.next().status, PullStatus::Stalled);
+    EXPECT_EQ(src.next().status, PullStatus::Pending);
+    EXPECT_EQ(src.stats().stalls, 0u);
 
     // A full receive window never blocks the ingest half: it refuses
     // the push at once and hands the whole batch back.
@@ -399,39 +400,33 @@ TEST(WireSource, BackpressureLosesNothingAndCountsRefusedPushes)
     EXPECT_GT(src.wireStats().refused_pushes, 0u);
 }
 
-TEST(WireSource, PendingWhileIdleStalledOnlyAfterTimeoutSinceLastWindow)
+/** Between windows an open source answers Pending, before and after
+ *  a restart's seek: only a closed, drained receive window stalls. */
+TEST(WireSource, IdleBetweenWindowsStaysPendingAcrossSeek)
 {
     const std::vector<core::Sts> stream = eventfulStream(14);
     WireSourceConfig cfg;
-    cfg.stall_timeout_ms = 300.0;
     WireSource src("default", 1, cfg);
 
     ASSERT_EQ(offer(src, 0, slice(stream, 0, 3)),
               WireSource::Ingest::Ok);
     for (int i = 0; i < 3; ++i)
         ASSERT_EQ(src.next().status, PullStatus::Ready);
-    // Idle but inside the timeout: Pending, never a stall.
-    EXPECT_EQ(src.next().status, PullStatus::Pending);
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
     EXPECT_EQ(src.next().status, PullStatus::Pending);
 
-    // A delivered window restarts the clock.
     ASSERT_EQ(offer(src, 3, slice(stream, 3, 4)),
               WireSource::Ingest::Ok);
     EXPECT_EQ(src.next().status, PullStatus::Ready);
     EXPECT_EQ(src.next().status, PullStatus::Pending);
-    EXPECT_EQ(src.stats().stalls, 0u);
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(350));
-    EXPECT_EQ(src.next().status, PullStatus::Stalled);
-    EXPECT_EQ(src.stats().stalls, 1u);
-    EXPECT_EQ(src.stats().delivered, 4u);
-
-    // A restart's seek re-arms the timeout: the peer gets a full one
-    // again before the next stall.
-    ASSERT_TRUE(src.seek(src.position()));
+    // A restart's seek rewinds into the retained windows, which
+    // replay; past them the source is idle again.
+    ASSERT_TRUE(src.seek(2));
+    EXPECT_EQ(src.next().status, PullStatus::Ready);
+    EXPECT_EQ(src.next().status, PullStatus::Ready);
     EXPECT_EQ(src.next().status, PullStatus::Pending);
-    EXPECT_EQ(src.stats().stalls, 1u);
+    EXPECT_EQ(src.stats().stalls, 0u);
+    EXPECT_EQ(src.stats().delivered, 6u);
 }
 
 TEST(WireSource, EndOfStreamAfterAcceptedEof)
@@ -1415,6 +1410,92 @@ TEST(WireListener, SupervisorDestroyedBeforeListenerLeavesNoDanglingWakeup)
     for (WireSource *src : listener.sources())
         src->closeIngest();
     listener.drainAndClose();
+}
+
+/** Replays its stream but holds back every window from @p pause_at
+ *  until resume(): meanwhile a WireClient streaming it has nothing to
+ *  send, so it only heartbeats. */
+class PausingSource : public SampleSource
+{
+  public:
+    PausingSource(std::shared_ptr<const std::vector<core::Sts>> stream,
+                  std::uint64_t pause_at)
+        : inner_(std::move(stream)), pause_at_(pause_at)
+    {
+    }
+    Pull next() override
+    {
+        if (inner_.position() >= pause_at_ && !resumed_.load())
+            return {PullStatus::Pending, {}};
+        return inner_.next();
+    }
+    bool seek(std::uint64_t pos) override { return inner_.seek(pos); }
+    std::uint64_t position() const override { return inner_.position(); }
+    void resume() { resumed_.store(true); }
+
+  private:
+    VectorSource inner_;
+    const std::uint64_t pause_at_;
+    std::atomic<bool> resumed_{false};
+};
+
+/** A peer that goes quiet mid-stream, connected and sending only
+ *  heartbeats, is not a dead source: its session parks on its Pending
+ *  pull and costs no dispatch and no restart until windows arrive
+ *  again, and then finishes bit-identical to the serial oracle. */
+TEST(WireListener, QuietPeerCostsNoDispatchesOrRestarts)
+{
+    constexpr std::size_t kPauseAt = 64;
+    ServedFixture fx(33);
+    WireListener listener(fx.registry, fx.cfg);
+    listener.start();
+    PausingSource paused(fx.stream, kPauseAt);
+    WireClientReport rep;
+    std::thread client([&] {
+        WireClientConfig cc;
+        cc.tcp = listener.tcpAddress();
+        cc.tenant = "default";
+        cc.session = 1;
+        rep = WireClient(cc).stream(paused);
+    });
+    ASSERT_EQ(listener.awaitSessions(1, 10000.0), 1u);
+    listener.freezeAdmission();
+
+    Supervisor sup(ServeConfig{});
+    std::atomic<std::size_t> stepping{0};
+    sup.setFleetStepHook([&](std::size_t, const std::string &,
+                             std::size_t step, const std::atomic<bool> &) {
+        stepping.store(step + 1);
+    });
+    FleetResult fr;
+    std::thread server([&] { fr = sup.runFleet(fx.registry); });
+    const auto dispatches = [&]() -> std::uint64_t {
+        const FleetScheduler *engine = sup.fleetScheduler();
+        return engine ? engine->schedulerStats().dispatches : 0;
+    };
+    // Every window before the pause stepped, then the session parks.
+    const bool reached =
+        waitFor([&] { return stepping.load() >= kPauseAt; }, 10000.0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::uint64_t d0 = dispatches();
+    const std::uint64_t h0 = listener.stats().heartbeats;
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const std::uint64_t quiet_dispatches = dispatches() - d0;
+    const std::uint64_t heartbeats = listener.stats().heartbeats - h0;
+    paused.resume();
+    server.join();
+    client.join();
+    listener.drainAndClose();
+
+    EXPECT_TRUE(reached);
+    EXPECT_GE(heartbeats, 10u);
+    EXPECT_LE(quiet_dispatches, 2u);
+    EXPECT_EQ(sup.stats().worker_restarts, 0u);
+    EXPECT_TRUE(rep.delivered_all) << rep.error;
+    ASSERT_EQ(fr.sessions.size(), 1u);
+    EXPECT_FALSE(fr.sessions[0].escalated);
+    EXPECT_TRUE(sameRecords(fr.sessions[0].records, fx.oracle_records));
+    EXPECT_TRUE(sameReports(fr.sessions[0].reports, fx.oracle_reports));
 }
 
 /** 256 wire sessions at ServeConfig defaults: a fixed worker pool,

@@ -14,8 +14,7 @@
 #include <fstream>
 
 #include "core/capture_io.h"
-#include "core/pipeline.h"
-#include "tool_util.h"
+#include "run_flags.h"
 
 using namespace eddie;
 
@@ -38,10 +37,7 @@ run(int argc, char **argv)
     const auto capture = core::loadCaptureFile(args.positional()[1]);
 
     core::PipelineConfig cfg;
-    if (args.has("em")) {
-        cfg.path = core::SignalPath::EmBaseband;
-        cfg.channel.snr_db = args.getDouble("snr", 30.0);
-    }
+    tools::applyEmFlags(args, cfg);
     core::Pipeline pipe(
         workloads::makeWorkload(args.positional()[2],
                                 args.getDouble("scale", 1.0)),

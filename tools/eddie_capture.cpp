@@ -20,9 +20,7 @@
 
 #include "core/capture_io.h"
 #include "core/errors.h"
-#include "core/pipeline.h"
-#include "inject/scenarios.h"
-#include "tool_util.h"
+#include "run_flags.h"
 
 using namespace eddie;
 
@@ -44,33 +42,12 @@ run(int argc, char **argv)
                      "[--sts]\n");
         return 2;
     }
-    auto workload = workloads::makeWorkload(
-        args.positional()[0], args.getDouble("scale", 1.0));
-    const auto seed = std::uint64_t(args.getLong("seed", 42));
-    const auto target = args.has("target") ?
-        args.getCount("target", 0) :
-        inject::defaultTargetLoop(workload);
-
-    cpu::InjectionPlan plan;
-    const std::string inject = args.get("inject");
-    if (inject == "loop") {
-        plan = inject::loopPayload(
-            target, args.getCount("payload", 8),
-            args.getDouble("contamination", 1.0), seed);
-    } else if (inject == "burst") {
-        plan = inject::burstOfSize(
-            workload, target,
-            std::uint64_t(args.getCount("payload", 476'000)), 1, seed);
-    } else if (!inject.empty()) {
-        std::fprintf(stderr, "unknown --inject kind '%s'\n",
-                     inject.c_str());
-        return 2;
-    }
-
-    core::PipelineConfig cfg;
-    core::Pipeline pipe(std::move(workload), cfg);
+    auto captured = tools::capturedRun(args, args.positional()[0]);
+    core::Pipeline pipe(std::move(captured.workload),
+                        core::PipelineConfig{});
     if (args.has("sts")) {
-        const auto stream = pipe.captureRunShared(seed, plan);
+        const auto stream =
+            pipe.captureRunShared(captured.seed, captured.plan);
         errno = 0;
         std::ofstream os(args.positional()[1], std::ios::binary);
         if (!os)
@@ -85,7 +62,7 @@ run(int argc, char **argv)
                     args.positional()[1].c_str());
         return 0;
     }
-    const auto rr = pipe.simulate(seed, plan);
+    const auto rr = pipe.simulate(captured.seed, captured.plan);
     core::saveCaptureFile(rr, args.positional()[1]);
     std::printf("captured %zu samples at %.1f MS/s (%llu "
                 "instructions, %llu injected ops) -> %s\n",

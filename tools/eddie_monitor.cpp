@@ -21,11 +21,9 @@
 #include <cstdio>
 
 #include "core/errors.h"
-#include "core/pipeline.h"
-#include "inject/scenarios.h"
+#include "run_flags.h"
 #include "serve/checkpoint.h"
 #include "signal_util.h"
-#include "tool_util.h"
 
 using namespace eddie;
 
@@ -48,46 +46,19 @@ run(int argc, char **argv)
                      "       [--checkpoint FILE]\n");
         return 2;
     }
-    const auto model = core::loadModelFile(args.positional()[0]);
-
     core::PipelineConfig cfg;
     cfg.threads = args.getCount("threads", 0);
-    if (args.has("em")) {
-        cfg.path = core::SignalPath::EmBaseband;
-        cfg.channel.snr_db = args.getDouble("snr", 30.0);
-        cfg.core.os_irq_rate_hz = 1000.0;
-    }
-    auto workload = workloads::makeWorkload(
-        args.positional()[1], args.getDouble("scale", 1.0));
-
-    const auto target = args.has("target") ?
-        args.getCount("target", 0) :
-        inject::defaultTargetLoop(workload);
-    const auto seed = std::uint64_t(args.getLong("seed", 42));
-
-    cpu::InjectionPlan plan;
-    const std::string inject = args.get("inject");
-    if (inject == "loop") {
-        plan = inject::loopPayload(
-            target, args.getCount("payload", 8),
-            args.getDouble("contamination", 1.0), seed);
-    } else if (inject == "burst") {
-        plan = inject::burstOfSize(
-            workload, target,
-            std::uint64_t(args.getCount("payload", 476'000)), 1, seed);
-    } else if (!inject.empty()) {
-        std::fprintf(stderr, "unknown --inject kind '%s'\n",
-                     inject.c_str());
-        return 2;
-    }
+    tools::applyEmFlags(args, cfg);
+    auto captured = tools::capturedRun(args, args.positional()[1]);
+    const auto model = core::loadModelFile(args.positional()[0]);
 
     tools::handleStopSignals();
-    core::Pipeline pipe(std::move(workload), cfg);
+    core::Pipeline pipe(std::move(captured.workload), cfg);
 
     // Explicit step loop (instead of Pipeline::monitorRun) so a stop
     // signal can interrupt between windows; metrics are then scored
     // over the processed prefix (scoreRun tolerates partial records).
-    const auto stream = pipe.captureRunShared(seed, plan);
+    const auto stream = pipe.captureRunShared(captured.seed, captured.plan);
     core::Monitor monitor(model, cfg.monitor);
     bool interrupted = false;
     for (const auto &sts : *stream) {
@@ -137,7 +108,7 @@ run(int argc, char **argv)
     }
     if (ev.reports.size() > 10)
         std::printf("  ... and %zu more\n", ev.reports.size() - 10);
-    if (!inject.empty()) {
+    if (!args.get("inject").empty()) {
         std::printf("injected groups: %zu, detected: %zu\n",
                     ev.metrics.injected_groups,
                     ev.metrics.true_positives);

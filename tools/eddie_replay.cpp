@@ -33,12 +33,10 @@
 #include <memory>
 #include <string>
 
-#include "core/pipeline.h"
-#include "inject/scenarios.h"
+#include "run_flags.h"
 #include "serve/sample_source.h"
 #include "serve/wire_client.h"
 #include "signal_util.h"
-#include "tool_util.h"
 
 using namespace eddie;
 
@@ -84,33 +82,11 @@ run(int argc, char **argv)
     if (!capture.empty()) {
         source = std::make_unique<serve::StsFileSource>(capture);
     } else {
-        auto workload = workloads::makeWorkload(
-            workload_name, args.getDouble("scale", 1.0));
-        const auto target =
-            args.has("target")
-                ? args.getCount("target", 0)
-                : inject::defaultTargetLoop(workload);
-        const auto seed = std::uint64_t(args.getLong("seed", 42));
-        cpu::InjectionPlan plan;
-        const std::string inject = args.get("inject");
-        if (inject == "loop") {
-            plan = inject::loopPayload(
-                target, args.getCount("payload", 8),
-                args.getDouble("contamination", 1.0), seed);
-        } else if (inject == "burst") {
-            plan = inject::burstOfSize(
-                workload, target,
-                std::uint64_t(args.getCount("payload", 476'000)), 1,
-                seed);
-        } else if (!inject.empty()) {
-            std::fprintf(stderr, "unknown --inject kind '%s'\n",
-                         inject.c_str());
-            return 2;
-        }
-        core::Pipeline pipe_cfg(std::move(workload),
+        auto captured = tools::capturedRun(args, workload_name);
+        core::Pipeline pipe_cfg(std::move(captured.workload),
                                 core::PipelineConfig{});
         source = std::make_unique<serve::VectorSource>(
-            pipe_cfg.captureRunShared(seed, plan));
+            pipe_cfg.captureRunShared(captured.seed, captured.plan));
     }
 
     serve::WireClientConfig cfg;

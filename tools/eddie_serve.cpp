@@ -67,13 +67,11 @@
 #include <thread>
 #include <vector>
 
-#include "core/pipeline.h"
-#include "inject/scenarios.h"
+#include "run_flags.h"
 #include "serve/sample_source.h"
 #include "serve/supervisor.h"
 #include "serve/wire_listener.h"
 #include "signal_util.h"
-#include "tool_util.h"
 
 using namespace eddie;
 
@@ -276,46 +274,19 @@ runWorkload(const tools::Args &args)
 {
     core::PipelineConfig cfg;
     cfg.threads = args.getCount("threads", 0);
-    if (args.has("em")) {
-        cfg.path = core::SignalPath::EmBaseband;
-        cfg.channel.snr_db = args.getDouble("snr", 30.0);
-        cfg.core.os_irq_rate_hz = 1000.0;
-    }
+    tools::applyEmFlags(args, cfg);
     serve::ServeConfig scfg = serveConfig(args);
     scfg.monitor = cfg.monitor;
     const std::size_t shards = args.getCount("shards", 1);
     if (shards == 0)
         throw tools::UsageError("--shards: '0' is not >= 1");
+    auto captured = tools::capturedRun(args, args.positional()[1]);
     serve::TenantSpec spec = servedTenant(args, serve::kRunTenant);
     spec.breaker.fault_threshold = 0;
     spec.breaker.storm_outage_windows = 0;
     spec.breaker.decode_failure_threshold = 0;
 
-    auto workload = workloads::makeWorkload(
-        args.positional()[1], args.getDouble("scale", 1.0));
-
-    const auto target = args.has("target")
-                            ? args.getCount("target", 0)
-                            : inject::defaultTargetLoop(workload);
-    const auto seed = std::uint64_t(args.getLong("seed", 42));
-
-    cpu::InjectionPlan plan;
-    const std::string inject = args.get("inject");
-    if (inject == "loop") {
-        plan = inject::loopPayload(
-            target, args.getCount("payload", 8),
-            args.getDouble("contamination", 1.0), seed);
-    } else if (inject == "burst") {
-        plan = inject::burstOfSize(
-            workload, target,
-            std::uint64_t(args.getCount("payload", 476'000)), 1, seed);
-    } else if (!inject.empty()) {
-        std::fprintf(stderr, "unknown --inject kind '%s'\n",
-                     inject.c_str());
-        return 2;
-    }
-
-    core::Pipeline pipe(std::move(workload), cfg);
+    core::Pipeline pipe(std::move(captured.workload), cfg);
 
     // Capture the streams up front (shard i = seed + i), then serve
     // them through the source stack: replay -> deterministic faults
@@ -335,7 +306,8 @@ runWorkload(const tools::Args &args)
     reg.addTenant(std::move(spec));
     std::vector<std::unique_ptr<serve::SampleSource>> owned;
     for (std::size_t i = 0; i < shards; ++i) {
-        const auto stream = pipe.captureRunShared(seed + i, plan);
+        const auto stream =
+            pipe.captureRunShared(captured.seed + i, captured.plan);
         auto base = std::make_unique<serve::VectorSource>(stream);
         serve::SampleSource *tip = base.get();
         owned.push_back(std::move(base));

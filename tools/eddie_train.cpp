@@ -16,8 +16,7 @@
 #include <cstdio>
 
 #include "common/thread_pool.h"
-#include "core/pipeline.h"
-#include "tool_util.h"
+#include "run_flags.h"
 
 using namespace eddie;
 
@@ -49,11 +48,7 @@ run(int argc, char **argv)
     cfg.train_runs = args.getCount("runs", 8);
     cfg.trainer.alpha = args.getDouble("alpha", 0.01);
     cfg.threads = args.getCount("threads", 0);
-    if (args.has("em")) {
-        cfg.path = core::SignalPath::EmBaseband;
-        cfg.channel.snr_db = args.getDouble("snr", 30.0);
-        cfg.core.os_irq_rate_hz = 1000.0;
-    }
+    tools::applyEmFlags(args, cfg);
 
     core::Pipeline pipe(
         workloads::makeWorkload(name, args.getDouble("scale", 1.0)),
